@@ -38,6 +38,7 @@ from .ordering import (
 )
 from .rotations import REFINEMENT_TRIGGER, optimize_with_refinement
 from .sampling import derive_stream, random_density_matrix
+from .states import EigendecompositionError
 
 __all__ = [
     "ExperimentConfig",
@@ -109,7 +110,18 @@ class ExperimentResult:
 
 
 def _compute_record(task: tuple[int, ExperimentConfig]):
+    """One state's record and timings; a numerical failure names the state."""
     index, cfg = task
+    where = f"state {index} (master seed {cfg.master_seed})"
+    try:
+        return _measure_state(index, cfg)
+    except EigendecompositionError as exc:
+        raise EigendecompositionError(exc.matrix, f"{where}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _measure_state(index: int, cfg: ExperimentConfig):
     started = time.perf_counter()
     rng = derive_stream(cfg.master_seed, index)
     rho = random_density_matrix(rng)

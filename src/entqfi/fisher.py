@@ -1,16 +1,18 @@
 """Collective spin operators and mean quantum Fisher information.
 
-For two qubits the collective spin along a unit vector n is
-``J_n = sum_k (n_k/2)(sigma_k ⊗ I + I ⊗ sigma_k)``.  The QFI of a state
-with spectrum ``p_i`` and eigenvectors ``|i>`` is the quadratic form
-``n·C·n`` of a real symmetric 3x3 matrix
+The QFI of a two-qubit state with spectrum ``p_i`` and eigenvectors ``|i>``
+for a generator ``sum_a v_a S_a`` over the local spins
+``S = (S^A_xyz, S^B_xyz)``, ``S^A_k = (sigma_k ⊗ I)/2``,
+``S^B_k = (I ⊗ sigma_k)/2``, is ``v·G·v`` with the real symmetric 6x6 matrix
 
-    C_kl = sum_{i != j} (p_i - p_j)^2 / (p_i + p_j)
-           [ <i|J_k|j><j|J_l|i> + <i|J_l|j><j|J_k|i> ],
+    G_ab = sum_{i != j} (p_i - p_j)^2 / (p_i + p_j)
+           [ <i|S_a|j><j|S_b|i> + <i|S_b|j><j|S_a|i> ].
 
-so the direction-optimized mean QFI (per particle, N = 2) is simply
-``lambda_max(C) / 2``.  Terms with ``p_i + p_j`` below 1e-12 are skipped;
-their numerators vanish as well and skipping avoids 0/0.
+The collective spin ``J_n = sum_k n_k (S^A_k + S^B_k)`` takes ``v = (n, n)``,
+so its 3x3 matrix is the fold ``C = G_AA + G_AB + G_BA + G_BB`` and the
+direction-optimized mean QFI (per particle, N = 2) is ``lambda_max(C) / 2``.
+Terms with ``p_i + p_j`` below 1e-12 are skipped; their numerators vanish as
+well and skipping avoids 0/0.
 
 Mean QFI lands on the shot-noise level 1 for product pure states and on
 the Heisenberg limit 2 for Bell states; separable states never exceed 1.
@@ -28,9 +30,11 @@ __all__ = [
     "SHOT_NOISE_LEVEL",
     "HEISENBERG_LIMIT",
     "PAIR_WEIGHT_CUTOFF",
+    "LOCAL_SPINS",
     "J_OPERATORS",
     "QfiResult",
     "collective_spin",
+    "spin_qfi_matrix",
     "c_matrix",
     "qfi_direction",
     "max_mean_qfi",
@@ -40,10 +44,14 @@ SHOT_NOISE_LEVEL = 1.0
 HEISENBERG_LIMIT = 2.0
 PAIR_WEIGHT_CUTOFF = 1e-12
 
-# Cartesian collective spin components J_x, J_y, J_z, shape (3, 4, 4).
-J_OPERATORS = np.stack(
-    [0.5 * (kron(sigma, IDENTITY_2) + kron(IDENTITY_2, sigma)) for sigma in PAULI]
+# Local spins S^A_x, S^A_y, S^A_z, S^B_x, S^B_y, S^B_z, shape (6, 4, 4).
+LOCAL_SPINS = np.stack(
+    [0.5 * kron(sigma, IDENTITY_2) for sigma in PAULI]
+    + [0.5 * kron(IDENTITY_2, sigma) for sigma in PAULI]
 )
+
+# Cartesian collective spin components J_x, J_y, J_z, shape (3, 4, 4).
+J_OPERATORS = LOCAL_SPINS[:3] + LOCAL_SPINS[3:]
 
 
 class QfiResult(NamedTuple):
@@ -80,15 +88,22 @@ def pair_weights(eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(den > PAIR_WEIGHT_CUTOFF, num / safe, 0.0)
 
 
-def c_matrix(rho: np.ndarray) -> np.ndarray:
-    """The real symmetric 3x3 QFI matrix of a two-qubit state."""
+def spin_qfi_matrix(rho: np.ndarray) -> np.ndarray:
+    """The real symmetric 6x6 QFI matrix G over the local spins of rho."""
     spectrum = herm_eig(rho)
     basis = spectrum.eigenvectors
     weights = pair_weights(spectrum.eigenvalues)
-    # J components rewritten in the eigenbasis of rho.
-    j_eig = np.einsum("ai,kab,bj->kij", basis.conj(), J_OPERATORS, basis)
-    c = 2.0 * np.real(np.einsum("ij,kij,lij->kl", weights, j_eig, j_eig.conj()))
-    return 0.5 * (c + c.T)
+    # Local spins rewritten in the eigenbasis of rho.
+    s_eig = np.einsum("ai,kab,bj->kij", basis.conj(), LOCAL_SPINS, basis)
+    g = 2.0 * np.real(np.einsum("ij,kij,lij->kl", weights, s_eig, s_eig.conj()))
+    return 0.5 * (g + g.T)
+
+
+def c_matrix(rho: np.ndarray) -> np.ndarray:
+    """The real symmetric 3x3 QFI matrix of the collective spin."""
+    g = spin_qfi_matrix(rho)
+    # Cross blocks summed first so the fold stays exactly symmetric.
+    return g[:3, :3] + g[3:, 3:] + (g[:3, 3:] + g[3:, :3])
 
 
 def qfi_direction(rho: np.ndarray, direction) -> float:

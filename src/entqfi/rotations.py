@@ -1,35 +1,35 @@
 """Local Euler rotations and the six-angle mean-QFI grid search.
 
 Each qubit gets an x-z-x Euler rotation ``U(a, b, g) = U_x(a) U_z(b) U_x(g)``
-with ``U_j(t) = exp(-i t sigma_j / 2)``.  The search evaluates the
+with ``U_j(t) = exp(-i t sigma_j / 2)``.  The search covers the
 direction-optimized mean QFI of ``(U_A ⊗ U_B) rho (U_A ⊗ U_B)†`` on the full
 six-dimensional angle grid ``{0, step, ..., 2pi - step}`` and records the
 global maximum and minimum.
 
-The scan never rebuilds rotated states.  Diagonalize rho once; rotating the
-state is equivalent to counter-rotating the collective spin components,
-which act on Cartesian indices through a 3x3 adjoint matrix per qubit:
+Rotated states are never built.  Rotating a qubit counter-rotates its spins
+through the adjoint matrix ``M = R_x(a) R_z(b) R_x(g)`` of right-handed SO(3)
+rotations, ``U† sigma_k U = sum_l M[k, l] sigma_l``, so with G from
+``fisher.spin_qfi_matrix`` the QFI along n is ``v·G·v``, ``v = (M_Aᵀ n, M_Bᵀ n)``.
+Taking ``M_Aᵀ n`` as the direction shows that the optimized value depends only
+on ``R = M_Aᵀ M_B``: it is ``lambda_max(A G Aᵀ) / 2`` with ``A = [I | R]``.
 
-    U(a, b, g)† sigma_k U(a, b, g) = sum_l M[k, l] sigma_l,
-    M(a, b, g) = R_x(a) R_z(b) R_x(g),
-
-with R_j the usual right-handed SO(3) rotations.  Per grid point the QFI
-matrix is then a 3x3 quadratic form over precomputed eigenbasis tensors,
-and its top eigenvalue comes from a batched symmetric eigensolve.  Grid
-points are enumerated in lexicographic angle order and ties keep the first
-occurrence, so reported optima are the lexicographically smallest angle
-sets regardless of chunking.
+A state-independent table per divisor lists the distinct R on the k^6 grid
+(4 for k = 2, 24 for k = 4, 372 for k = 6) in the order of the first flat
+grid index reaching each, and a pass is one batched 3x3 eigensolve over
+them.  All points of a class share its value exactly, so the first class
+attaining an extreme is the lexicographically first grid point attaining it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from .fisher import pair_weights
-from .states import IDENTITY_2, PAULI, herm_eig, kron
+from .fisher import spin_qfi_matrix
+from .states import IDENTITY_2, PAULI
 
 __all__ = [
     "REFINEMENT_TRIGGER",
@@ -45,10 +45,6 @@ __all__ = [
 REFINEMENT_TRIGGER = 1e-9
 
 TWO_PI = 2.0 * np.pi
-
-# Half Paulis acting on one qubit each: (sigma_k ⊗ I)/2 and (I ⊗ sigma_k)/2.
-_HALF_SPIN_A = np.stack([0.5 * kron(sigma, IDENTITY_2) for sigma in PAULI])
-_HALF_SPIN_B = np.stack([0.5 * kron(IDENTITY_2, sigma) for sigma in PAULI])
 
 
 class EulerAngleSet(NamedTuple):
@@ -118,78 +114,66 @@ def _divisor_from_step(step: float) -> int:
     return divisor
 
 
-def _triple_angles(angles: np.ndarray, flat: int, divisor: int) -> tuple[float, float, float]:
-    first, rest = divmod(flat, divisor * divisor)
-    second, third = divmod(rest, divisor)
-    return float(angles[first]), float(angles[second]), float(angles[third])
+@functools.lru_cache(maxsize=None)
+def _relative_classes(divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct relative rotations on the k^6 grid; independent of the state.
 
-
-def _scan(rho: np.ndarray, divisor: int):
-    """Exhaustive grid evaluation; returns extrema with flat grid indices."""
+    Returns each class's first flat grid index, increasing, and its
+    ``A = [I | R]``, shape (classes, 3, 6).
+    """
     angles = TWO_PI * np.arange(divisor) / divisor
-    spectrum = herm_eig(rho)
-    basis = spectrum.eigenvectors
-    weights = pair_weights(spectrum.eigenvalues).reshape(16)
-    spin_a = np.einsum("ai,kab,bj->kij", basis.conj(), _HALF_SPIN_A, basis).reshape(3, 16)
-    spin_b = np.einsum("ai,kab,bj->kij", basis.conj(), _HALF_SPIN_B, basis).reshape(3, 16)
-
     adjoints = np.stack(
         [
             _adjoint_matrix(angles[a], angles[b], angles[g])
             for a, b, g in itertools.product(range(divisor), repeat=3)
         ]
     )
-    rotated_a = adjoints @ spin_a
-    rotated_b = adjoints @ spin_b
-
-    n = divisor**3
-    # Chunk the A-side to bound the (chunk, n, 3, 16) workspace near 16 MB.
-    chunk = max(1, int(2**24 / (n * 3 * 16 * 16)))
-    best_max = -np.inf
-    best_min = np.inf
-    max_flat = 0
-    min_flat = 0
-    raw_value = 0.0
-    for start in range(0, n, chunk):
-        block = rotated_a[start : start + chunk, None, :, :] + rotated_b[None, :, :, :]
-        c_all = 2.0 * np.real(np.einsum("abkp,ablp->abkl", block * weights, block.conj()))
-        values = 0.5 * np.linalg.eigvalsh(c_all)[..., -1].ravel()
-        if start == 0:
-            raw_value = float(values[0])
-        hi = int(np.argmax(values))
-        if values[hi] > best_max:
-            best_max = float(values[hi])
-            max_flat = start * n + hi
-        lo = int(np.argmin(values))
-        if values[lo] < best_min:
-            best_min = float(values[lo])
-            min_flat = start * n + lo
-    return angles, best_max, max_flat, best_min, min_flat, raw_value, n
+    # One block per side_a keeps the work space at k^3 matrices; a class's
+    # first flat index side_a * k^3 + side_b survives the setdefault.
+    n = len(adjoints)
+    firsts: dict[bytes, int] = {}
+    for side_a, m_a in enumerate(adjoints):
+        keys = np.rint((m_a.T @ adjoints).reshape(n, 9) * 1e9).astype(np.int64)
+        _, block_first = np.unique(keys.view(np.dtype((np.void, 72))), return_index=True)
+        for side_b in block_first:
+            firsts.setdefault(keys[side_b].tobytes(), side_a * n + int(side_b))
+    first = np.sort(np.fromiter(firsts.values(), dtype=np.int64))
+    side_a, side_b = np.divmod(first, n)
+    relative = adjoints[side_a].transpose(0, 2, 1) @ adjoints[side_b]
+    spans = np.concatenate([np.broadcast_to(np.eye(3), relative.shape), relative], axis=2)
+    first.flags.writeable = False
+    spans.flags.writeable = False
+    return first, spans
 
 
-def _angle_set(angles: np.ndarray, flat: int, divisor: int) -> EulerAngleSet:
-    n = divisor**3
-    side_a, side_b = divmod(flat, n)
-    return EulerAngleSet(
-        *_triple_angles(angles, side_a, divisor), *_triple_angles(angles, side_b, divisor)
-    )
+def _angle_set(flat: int, divisor: int) -> EulerAngleSet:
+    indices = np.unravel_index(flat, (divisor,) * 6)
+    return EulerAngleSet(*(TWO_PI * int(i) / divisor for i in indices))
 
 
 def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
-    """One exhaustive pass at the given step; step must be 2*pi/k, k >= 2."""
+    """One exhaustive pass at the given step; step must be 2*pi/k, k >= 2.
+
+    ``evaluations`` counts the k^6 grid points covered; the pass itself
+    evaluates one value per relative-rotation class.
+    """
     divisor = _divisor_from_step(step)
-    angles, best_max, max_flat, best_min, min_flat, raw_value, n = _scan(rho, divisor)
+    first_flat, spans = _relative_classes(divisor)
+    forms = spans @ spin_qfi_matrix(rho) @ spans.transpose(0, 2, 1)
+    values = 0.5 * np.linalg.eigvalsh(forms)[:, -1]
+    hi = int(np.argmax(values))
+    lo = int(np.argmin(values))
     return LoccOptimum(
-        max_value=best_max,
-        max_angles=_angle_set(angles, max_flat, divisor),
-        min_value=best_min,
-        min_angles=_angle_set(angles, min_flat, divisor),
-        raw_value=raw_value,
+        max_value=float(values[hi]),
+        max_angles=_angle_set(int(first_flat[hi]), divisor),
+        min_value=float(values[lo]),
+        min_angles=_angle_set(int(first_flat[lo]), divisor),
+        raw_value=float(values[0]),
         step_used=TWO_PI / divisor,
         refined=False,
-        evaluations=n * n,
-        base_max_value=best_max,
-        base_min_value=best_min,
+        evaluations=divisor**6,
+        base_max_value=float(values[hi]),
+        base_min_value=float(values[lo]),
     )
 
 

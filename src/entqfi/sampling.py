@@ -22,30 +22,14 @@ exact byte stream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EnsembleConfig",
     "derive_stream",
     "simplex_eigenvalues",
     "haar_unitary",
     "random_density_matrix",
-    "generate_states",
 ]
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Size and master seed of a reproducible state ensemble."""
-
-    count: int = 1000
-    master_seed: int = 1
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -80,11 +64,3 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     basis = haar_unitary(rng, 4)
     rho = (basis * spectrum) @ basis.conj().T
     return 0.5 * (rho + rho.conj().T)
-
-
-def generate_states(cfg: EnsembleConfig) -> list[np.ndarray]:
-    """The full ensemble for a config, one state per derived stream."""
-    return [
-        random_density_matrix(derive_stream(cfg.master_seed, index))
-        for index in range(cfg.count)
-    ]

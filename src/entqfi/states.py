@@ -59,9 +59,15 @@ ZERO_CUTOFF = 1e-12
 class EigendecompositionError(ValueError):
     """Eigensolver failure; carries the offending matrix for diagnostics."""
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(
+        self, matrix: np.ndarray, message: str = "Hermitian eigendecomposition did not converge"
+    ):
         self.matrix = matrix
-        super().__init__("Hermitian eigendecomposition did not converge")
+        super().__init__(message)
+
+    def __reduce__(self):
+        # Keep the matrix and message when a worker process sends it back.
+        return type(self), (self.matrix, str(self))
 
 
 class Spectrum(NamedTuple):

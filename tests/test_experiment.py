@@ -1,9 +1,12 @@
 """Experiment pipeline, CSV emission, census report, CLI."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from entqfi import (
+    EigendecompositionError,
     EulerAngleSet,
     ExperimentConfig,
     ExperimentResult,
@@ -13,6 +16,7 @@ from entqfi import (
     emit_state_csv,
     run_experiment,
 )
+from entqfi import experiment
 from entqfi.cli import main
 from entqfi.experiment import (
     PLOT_CSV_HEADER,
@@ -238,6 +242,30 @@ def test_census_report_contents(small_run, tmp_path):
 def test_run_experiment_rejects_bad_jobs():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(count=2), jobs=0)
+
+
+def test_failure_names_the_state(monkeypatch):
+    def failing_ree(rho, cfg):
+        raise ArithmeticError("solver produced a non-PPT candidate state")
+
+    monkeypatch.setattr(experiment, "ree", failing_ree)
+    with pytest.raises(ArithmeticError, match=r"^state 0 \(master seed 7\): solver") as info:
+        run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
+    assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+def test_eigendecomposition_failure_names_the_state(monkeypatch):
+    def failing_search(rho, base_divisor, refine_divisor):
+        raise EigendecompositionError(rho)
+
+    monkeypatch.setattr(experiment, "optimize_with_refinement", failing_search)
+    with pytest.raises(EigendecompositionError, match=r"^state 0 \(master seed 8\): ") as info:
+        run_experiment(ExperimentConfig(count=3, master_seed=8), jobs=1)
+    assert info.value.matrix.shape == (4, 4)
+    # a worker process pickles the error back: message and matrix survive
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert str(copy) == str(info.value)
+    assert np.array_equal(copy.matrix, info.value.matrix)
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -13,7 +13,7 @@ from entqfi import (
     random_density_matrix,
     derive_stream,
 )
-from entqfi.fisher import J_OPERATORS, pair_weights
+from entqfi.fisher import J_OPERATORS, LOCAL_SPINS, pair_weights, spin_qfi_matrix
 from helpers import bell_state, ket, pure, random_pure_state
 
 
@@ -68,6 +68,23 @@ def test_qfi_direction_is_quadratic_form_of_c():
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             assert qfi_direction(rho, n) == pytest.approx(float(n @ c @ n), abs=1e-10)
+
+
+def test_spin_qfi_matrix_is_quadratic_form_over_local_spins():
+    # direct QFI sum for H = a·S^A + b·S^B with independent local directions
+    rng = np.random.default_rng(19)
+    for index in range(5):
+        rho = random_density_matrix(derive_stream(204, index))
+        g = spin_qfi_matrix(rho)
+        assert g.shape == (6, 6)
+        assert np.array_equal(g, g.T)
+        p, basis = np.linalg.eigh(rho)
+        weights = pair_weights(p)
+        for _ in range(4):
+            v = rng.normal(size=6)
+            h = np.einsum("k,kij->ij", v, LOCAL_SPINS)
+            direct = np.sum(2.0 * weights * np.abs(basis.conj().T @ h @ basis) ** 2)
+            assert direct == pytest.approx(float(v @ g @ v), abs=1e-10)
 
 
 def test_max_mean_qfi_fixtures():

@@ -15,7 +15,7 @@ from entqfi import (
     random_density_matrix,
     derive_stream,
 )
-from entqfi.rotations import REFINEMENT_TRIGGER, _adjoint_matrix
+from entqfi.rotations import REFINEMENT_TRIGGER, _adjoint_matrix, _relative_classes
 from helpers import bell_state, ket, pure
 
 PI = np.pi
@@ -91,6 +91,53 @@ def test_grid_search_matches_brute_force_k2():
     assert result.max_value == pytest.approx(max(values), abs=1e-12)
     assert result.min_value == pytest.approx(min(values), abs=1e-12)
     assert result.evaluations == 64
+
+
+def flat_index(angles, divisor):
+    """Position of an angle set in the lexicographic k^6 grid order."""
+    digits = [round(angle / (2.0 * PI / divisor)) for angle in angles]
+    return int(np.ravel_multi_index(digits, (divisor,) * 6))
+
+
+def test_ties_keep_lexicographically_first_angles():
+    # every grid point rotated directly; the report must be the first point
+    # within 1e-12 of each extreme, not whichever symmetric copy has the
+    # most favourable roundoff
+    rho = random_density_matrix(derive_stream(1, 0))
+    result = grid_search(rho, PI / 2.0)
+    values = np.array(
+        [
+            direct_value(rho, [PI / 2.0 * i for i in digits])
+            for digits in itertools.product(range(4), repeat=6)
+        ]
+    )
+    first_max = int(np.argmax(values >= values.max() - 1e-12))
+    first_min = int(np.argmax(values <= values.min() + 1e-12))
+    assert flat_index(result.max_angles, 4) == first_max == 20
+    assert flat_index(result.min_angles, 4) == first_min == 31
+    assert result.max_value == pytest.approx(values.max(), abs=1e-12)
+    assert result.min_value == pytest.approx(values.min(), abs=1e-12)
+
+
+def test_relative_rotation_class_counts():
+    for divisor, count in ((2, 4), (4, 24), (6, 372)):
+        first_flat, spans = _relative_classes(divisor)
+        assert first_flat.size == count
+        assert first_flat[0] == 0 and np.all(np.diff(first_flat) > 0)
+        assert np.array_equal(spans[0], np.hstack([np.eye(3), np.eye(3)]))
+
+
+def test_common_rotation_leaves_mean_qfi_unchanged():
+    # the scan relies on a rotation applied to both qubits alike being
+    # absorbed into the direction n
+    rng = np.random.default_rng(33)
+    for index in range(6):
+        rho = random_density_matrix(derive_stream(306, index))
+        u = euler_unitary(*rng.uniform(0.0, 2.0 * PI, size=3))
+        rotated = apply_local_unitary(rho, u, u)
+        assert max_mean_qfi(rotated).mean_qfi == pytest.approx(
+            max_mean_qfi(rho).mean_qfi, abs=1e-10
+        )
 
 
 def test_grid_search_rejects_bad_steps():

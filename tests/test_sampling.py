@@ -5,11 +5,11 @@ import pytest
 from scipy import stats
 
 from entqfi import (
-    EnsembleConfig,
+    ExperimentConfig,
     derive_stream,
-    generate_states,
     haar_unitary,
     random_density_matrix,
+    run_experiment,
     simplex_eigenvalues,
 )
 
@@ -130,11 +130,6 @@ def test_random_density_matrix_spectrum_matches_simplex_draw():
 
 def test_generate_states_order_independence():
     # state i depends only on (master_seed, i), never on batch layout
-    batch = generate_states(EnsembleConfig(count=6, master_seed=12))
-    solo = random_density_matrix(derive_stream(12, 4))
-    assert np.array_equal(batch[4], solo)
-
-
-def test_ensemble_config_validation():
-    with pytest.raises(ValueError):
-        EnsembleConfig(count=0)
+    six = run_experiment(ExperimentConfig(count=6, master_seed=12), jobs=1)
+    five = run_experiment(ExperimentConfig(count=5, master_seed=12), jobs=1)
+    assert six.records[4] == five.records[4]
