@@ -32,12 +32,10 @@ from .sampling import (
     simplex_eigenvalues,
 )
 from .measures import (
-    MeasureTriple,
     ReeSolution,
     ReeSolverConfig,
     concurrence,
     is_separable,
-    measure_triple,
     negativity,
     ree,
     ree_bell_diagonal_oracle,
@@ -102,12 +100,10 @@ __all__ = [
     "haar_unitary",
     "random_density_matrix",
     "simplex_eigenvalues",
-    "MeasureTriple",
     "ReeSolution",
     "ReeSolverConfig",
     "concurrence",
     "is_separable",
-    "measure_triple",
     "negativity",
     "ree",
     "ree_bell_diagonal_oracle",

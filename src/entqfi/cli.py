@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ordering tolerance override, repeatable "
                              "(keys: concurrence, negativity, ree, mqfi)")
     parser.add_argument("--ree-components", type=int, default=16, metavar="M",
-                        help="product states in the REE mixture (default 16)")
+                        help="REE mixture of at most min(5, M) product states "
+                             "(default 16)")
     parser.add_argument("--ree-multistarts", type=int, default=5, metavar="R",
                         help="REE solver restarts (default 5)")
     parser.add_argument("--witness-limit", type=int, default=10, metavar="L",

@@ -18,7 +18,6 @@ from entqfi import (
     emit_state_csv,
     haar_unitary,
     is_separable,
-    measure_triple,
     negativity,
     optimize_with_refinement,
     random_density_matrix,
@@ -99,28 +98,25 @@ def test_criterion_04_census_population_and_ree_witnesses(default_run):
 
 def test_criterion_05_closed_form_fixtures():
     bell = bell_state("phi+")
-    triple = measure_triple(bell)
-    assert triple.concurrence == pytest.approx(1.0, abs=1e-9)
-    assert triple.negativity == pytest.approx(1.0, abs=1e-9)
-    assert triple.ree == pytest.approx(1.0, abs=5e-3)
+    assert concurrence(bell) == pytest.approx(1.0, abs=1e-9)
+    assert negativity(bell) == pytest.approx(1.0, abs=1e-9)
+    assert ree(bell).value == pytest.approx(1.0, abs=5e-3)
     optimum = optimize_with_refinement(bell)
     assert optimum.max_value == pytest.approx(2.0, abs=1e-9)
     assert optimum.min_value == pytest.approx(0.0, abs=1e-9)
 
     product = pure(ket("00"))
-    triple = measure_triple(product)
-    assert triple.concurrence == pytest.approx(0.0, abs=1e-9)
-    assert triple.negativity == pytest.approx(0.0, abs=1e-9)
-    assert triple.ree == pytest.approx(0.0, abs=1e-9)
+    assert concurrence(product) == pytest.approx(0.0, abs=1e-9)
+    assert negativity(product) == pytest.approx(0.0, abs=1e-9)
+    assert ree(product).value == pytest.approx(0.0, abs=1e-9)
     optimum = optimize_with_refinement(product)
     assert optimum.max_value == pytest.approx(1.0, abs=1e-9)
     assert optimum.min_value == pytest.approx(1.0, abs=1e-9)
 
     mixed = np.eye(4) / 4.0
-    triple = measure_triple(mixed)
-    assert triple.concurrence == pytest.approx(0.0, abs=1e-9)
-    assert triple.negativity == pytest.approx(0.0, abs=1e-9)
-    assert triple.ree == pytest.approx(0.0, abs=1e-9)
+    assert concurrence(mixed) == pytest.approx(0.0, abs=1e-9)
+    assert negativity(mixed) == pytest.approx(0.0, abs=1e-9)
+    assert ree(mixed).value == pytest.approx(0.0, abs=1e-9)
     optimum = optimize_with_refinement(mixed)
     assert optimum.max_value == pytest.approx(0.0, abs=1e-9)
     assert optimum.min_value == pytest.approx(0.0, abs=1e-9)
