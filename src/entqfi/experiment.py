@@ -26,13 +26,13 @@ import numpy as np
 
 from .measures import ReeSolverConfig, concurrence, is_separable, negativity, ree
 from .ordering import (
-    DEFAULT_EPS,
     MEASURE_NAMES,
     MEASURE_RELATIONS,
     MQFI_RELATIONS,
     OrderingClass,
     PairWitness,
     StateRecord,
+    _normalize_eps,
     census,
     find_counterexamples,
 )
@@ -89,15 +89,7 @@ class ExperimentConfig:
             raise ValueError("ree_threshold must be positive")
         if self.witness_limit < 1:
             raise ValueError("witness_limit must be at least 1")
-        merged = dict(DEFAULT_EPS)
-        for key, value in dict(self.eps_order).items():
-            if key not in merged:
-                raise ValueError(f"unknown eps_order key {key!r}")
-            value = float(value)
-            if value <= 0.0:
-                raise ValueError(f"eps_order[{key!r}] must be positive")
-            merged[key] = value
-        object.__setattr__(self, "eps_order", merged)
+        object.__setattr__(self, "eps_order", _normalize_eps(self.eps_order))
 
 
 @dataclass(frozen=True)

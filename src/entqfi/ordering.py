@@ -12,6 +12,14 @@ Comparators use absolute tolerances: values at or below eps count as
 zero, and a gap at or below eps counts as a tie.  Tolerances are
 per-quantity; the REE default is wider than the others because its value
 carries solver noise.
+
+Pairs are visited row by row in canonical order: row ``i`` compares
+record ``i`` against every later record in one vectorized step, so the
+census and the witness scan hold O(n) memory, never the n(n-1)/2 pairs.
+The census sums each row's cell counts.  The witness scan keeps the first
+``limit`` pairs of each discordant cell and stops after the row in which
+the last cell fills.  ``classify_pair`` is the scalar reference that the
+tests compare both against.
 """
 
 from __future__ import annotations
@@ -143,29 +151,28 @@ def classify_pair(r1: StateRecord, r2: StateRecord, measure: str, eps=None) -> O
     return OrderingClass(relation, mqfi)
 
 
-def _measure_codes(first: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
-    both_zero = (first <= tol) & (second <= tol)
-    equal = np.abs(first - second) <= tol
-    greater = first > second
-    return np.where(both_zero, 0, np.where(equal, 2, np.where(greater, 1, 3)))
-
-
-def _mqfi_codes(first: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
-    equal = np.abs(first - second) <= tol
-    greater = first > second
-    return np.where(equal, 1, np.where(greater, 0, 2))
-
-
-def _cell_of_codes(measure_code: int, mqfi_code: int) -> OrderingClass:
-    return OrderingClass(MEASURE_RELATIONS[measure_code], MQFI_RELATIONS[mqfi_code])
-
-
-def _pair_arrays(records: Sequence[StateRecord]):
-    # a single record yields zero pairs, which is fine; only empty input is an error
+def _cell_rows(records: Sequence[StateRecord], measure: str, table: Mapping[str, float]):
+    """Cell codes ``3 * measure_relation + mqfi_relation`` of the pairs
+    ``(i, j > i)``, one array per row ``i``: the scalar ``values[i]``
+    against ``values[i + 1:]`` with the comparators of ``classify_pair``."""
+    # a single record yields zero rows, which is fine; only empty input is an error
     if not records:
-        raise ValueError("census needs at least one record")
-    idx_1, idx_2 = np.triu_indices(len(records), k=1)
-    return idx_1, idx_2
+        raise ValueError("the ordering census needs at least one record")
+    tol, tol_q = table[measure], table["mqfi"]
+    values = np.array([getattr(r, measure) for r in records])
+    qfi = np.array([r.qfi_max for r in records])
+    for i in range(len(records) - 1):
+        a, b = values[i], values[i + 1 :]
+        qa, qb = qfi[i], qfi[i + 1 :]
+        relation = np.where(
+            (a <= tol) & (b <= tol), 0, np.where(np.abs(a - b) <= tol, 2, np.where(a > b, 1, 3))
+        )
+        mqfi = np.where(np.abs(qa - qb) <= tol_q, 1, np.where(qa > qb, 0, 2))
+        yield 3 * relation + mqfi
+
+
+def _cell_of_code(code: int) -> OrderingClass:
+    return OrderingClass(MEASURE_RELATIONS[code // 3], MQFI_RELATIONS[code % 3])
 
 
 def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingClass, int]]:
@@ -175,58 +182,51 @@ def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingC
     measure always sum to n(n-1)/2 exactly.
     """
     table = _normalize_eps(eps)
-    idx_1, idx_2 = _pair_arrays(records)
-    qfi = np.array([r.qfi_max for r in records])
-    mqfi_codes = _mqfi_codes(qfi[idx_1], qfi[idx_2], table["mqfi"])
     out: dict[str, dict[OrderingClass, int]] = {}
     for measure in MEASURE_NAMES:
-        values = np.array([getattr(r, measure) for r in records])
-        codes = _measure_codes(values[idx_1], values[idx_2], table[measure])
-        counts = np.bincount(codes * 3 + mqfi_codes, minlength=12)
-        out[measure] = {
-            _cell_of_codes(a, b): int(counts[a * 3 + b]) for a in range(4) for b in range(3)
-        }
+        counts = np.zeros(12, dtype=np.int64)
+        for codes in _cell_rows(records, measure, table):
+            counts += np.bincount(codes, minlength=12)
+        out[measure] = {_cell_of_code(code): int(counts[code]) for code in range(12)}
     return out
+
+
+_DISCORDANT_CODES = tuple(code for code in range(12) if _cell_of_code(code) in DISCORDANT_CELLS)
 
 
 def find_counterexamples(
     records: Sequence[StateRecord], measure: str, eps=None, limit: int = 10
 ) -> list[PairWitness]:
-    """Up to ``limit`` witnesses per discordant cell, in canonical pair order."""
+    """Up to ``limit`` witnesses per discordant cell, in canonical pair order.
+
+    The scan stops at the first row after which every discordant cell
+    holds ``limit`` witnesses.
+    """
     if measure not in MEASURE_NAMES:
         raise ValueError(f"measure must be one of {MEASURE_NAMES}, got {measure!r}")
     if limit < 1:
         raise ValueError("limit must be at least 1")
     table = _normalize_eps(eps)
-    idx_1, idx_2 = _pair_arrays(records)
-    qfi = np.array([r.qfi_max for r in records])
-    values = np.array([getattr(r, measure) for r in records])
-    cell_codes = (
-        _measure_codes(values[idx_1], values[idx_2], table[measure]) * 3
-        + _mqfi_codes(qfi[idx_1], qfi[idx_2], table["mqfi"])
-    )
-    witnesses: list[PairWitness] = []
-    for a in range(4):
-        for b in range(3):
-            cell = _cell_of_codes(a, b)
-            if cell not in DISCORDANT_CELLS:
-                continue
-            hits = np.flatnonzero(cell_codes == a * 3 + b)[:limit]
-            for flat in hits:
-                i = int(idx_1[flat])
-                j = int(idx_2[flat])
-                witnesses.append(
-                    PairWitness(
-                        id_1=records[i].id,
-                        id_2=records[j].id,
-                        measure_name=measure,
-                        ordering=cell,
-                        values=(
-                            float(values[i]),
-                            float(values[j]),
-                            float(qfi[i]),
-                            float(qfi[j]),
-                        ),
-                    )
+    pairs: dict[int, list] = {code: [] for code in _DISCORDANT_CODES}
+    for i, codes in enumerate(_cell_rows(records, measure, table)):
+        for code, hits in pairs.items():
+            need = limit - len(hits)
+            if need:
+                hits.extend(
+                    (records[i], records[i + 1 + j]) for j in np.flatnonzero(codes == code)[:need]
                 )
-    return witnesses
+        if all(len(hits) == limit for hits in pairs.values()):
+            break
+    return [
+        PairWitness(
+            id_1=r1.id,
+            id_2=r2.id,
+            measure_name=measure,
+            ordering=_cell_of_code(code),
+            values=tuple(
+                map(float, (getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max))
+            ),
+        )
+        for code, hits in pairs.items()
+        for r1, r2 in hits
+    ]

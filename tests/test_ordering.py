@@ -1,14 +1,19 @@
 """Pairwise ordering census of measures against optimized mean QFI."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from entqfi import ordering
 from entqfi import (
     DEFAULT_EPS,
     DISCORDANT_CELLS,
     EulerAngleSet,
     MEASURE_NAMES,
     OrderingClass,
+    PairWitness,
     StateRecord,
     census,
     classify_pair,
@@ -204,3 +209,113 @@ def test_tolerance_widening_moves_pairs_toward_equal():
         )
 
     assert strict_count(wide) <= strict_count(narrow)
+
+
+def measured(index, concurrence, negativity, ree, qfi):
+    """Record with independent measure values."""
+    return dataclasses.replace(
+        rec(index, qfi=qfi),
+        concurrence=concurrence,
+        negativity=negativity,
+        ree=ree,
+        separable=concurrence == 0.0,
+    )
+
+
+def count_rows(monkeypatch):
+    """Patch the row kernel so that each call records how many rows it yielded."""
+    kernel = ordering._cell_rows
+    calls = []
+
+    def counted(*args):
+        calls.append(0)
+        for codes in kernel(*args):
+            calls[-1] += 1
+            yield codes
+
+    monkeypatch.setattr(ordering, "_cell_rows", counted)
+    return calls
+
+
+def test_witnesses_are_first_pairs_per_cell_in_canonical_order(monkeypatch):
+    # values sit on and next to each tolerance, so zero bands and ties matter
+    rng = np.random.default_rng(44)
+    n = 60
+    conc = rng.choice([0.0, 5e-5, 1e-4, 1.5e-4, 2e-4, 0.3, 0.30005, 0.3002], size=n)
+    ree_values = rng.choice([0.0, 2.5e-3, 5e-3, 7.5e-3, 0.2, 0.204, 0.21], size=n)
+    qfi = rng.choice([1.0, 1.0 + 5e-5, 1.0 + 1e-4, 1.0 + 2e-4, 1.2, 0.8], size=n)
+    # negativity: spaced wider than its tolerance except the last pair, so
+    # equal-positive/less gets one witness and equal-positive/greater none
+    neg = 0.01 * (1.0 + rng.permutation(n))
+    neg[n - 1] = neg[n - 2] + 5e-5
+    qfi[n - 2], qfi[n - 1] = 1.0, 1.5
+    records = [
+        measured(i, float(conc[i]), float(neg[i]), float(ree_values[i]), float(qfi[i]))
+        for i in range(n)
+    ]
+    rows = count_rows(monkeypatch)
+    limit = 2
+    found = {}
+    for measure in MEASURE_NAMES:
+        expected = []
+        for cell in (OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS):
+            if cell not in DISCORDANT_CELLS:
+                continue
+            pairs = [
+                (a, b)
+                for i, a in enumerate(records)
+                for b in records[i + 1 :]
+                if classify_pair(a, b, measure) == cell
+            ][:limit]
+            expected.extend(
+                PairWitness(
+                    a.id,
+                    b.id,
+                    measure,
+                    cell,
+                    (getattr(a, measure), getattr(b, measure), a.qfi_max, b.qfi_max),
+                )
+                for a, b in pairs
+            )
+        found[measure] = find_counterexamples(records, measure, limit=limit)
+        assert found[measure] == expected
+
+    def filled(measure, cell):
+        return sum(w.ordering == cell for w in found[measure])
+
+    # concurrence fills every cell within the first rows and stops early
+    assert all(filled("concurrence", cell) == limit for cell in DISCORDANT_CELLS)
+    assert rows[0] < n // 4
+    # negativity never fills its equal-positive cells and scans every row
+    assert filled("negativity", OrderingClass("equal-positive", "less")) == 1
+    assert filled("negativity", OrderingClass("equal-positive", "greater")) == 0
+    assert rows[1] == n - 1
+
+
+def test_census_and_witnesses_use_linear_memory():
+    # spaced wider than every tolerance: the equal-positive cells stay
+    # empty, so the witness scan runs over all n(n-1)/2 pairs
+    rng = np.random.default_rng(45)
+    n = 2000
+    values = 0.01 * (1.0 + rng.permutation(n))
+    qfi = rng.uniform(0.0, 2.0, size=n)
+    records = [rec(i, float(values[i]), qfi=float(qfi[i])) for i in range(n)]
+    for run in (
+        lambda: census(records),
+        lambda: find_counterexamples(records, "negativity"),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
+def test_empty_records_share_one_error():
+    with pytest.raises(ValueError, match="at least one record") as from_census:
+        census([])
+    with pytest.raises(ValueError, match="at least one record") as from_witnesses:
+        find_counterexamples([], "ree")
+    assert str(from_census.value) == str(from_witnesses.value)
