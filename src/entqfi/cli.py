@@ -57,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="MEASURE=VALUE",
                         help="ordering tolerance override, repeatable "
                              "(keys: concurrence, negativity, ree, mqfi)")
-    parser.add_argument("--ree-components", type=int, default=16, metavar="M",
-                        help="REE mixture of at most min(5, M) product states "
-                             "(default 16)")
+    parser.add_argument("--ree-components", type=int, default=5, metavar="M",
+                        help="product states in each REE mixture, 2 to 5 (default 5)")
     parser.add_argument("--ree-multistarts", type=int, default=5, metavar="R",
-                        help="REE solver restarts (default 5)")
+                        help="REE solver starts, each a fresh draw or the resumption "
+                             "of one cut off at the iteration cap (default 5)")
     parser.add_argument("--witness-limit", type=int, default=10, metavar="L",
                         help="witnesses kept per discordant cell (default 10)")
     parser.add_argument("--out", default="out", metavar="DIR",

@@ -66,7 +66,7 @@ class ExperimentConfig:
     grid_divisor: int = 4
     refine_divisor: int = 6
     eps_order: Mapping[str, float] = field(default_factory=dict)
-    ree_components: int = 16
+    ree_components: int = 5
     ree_multistarts: int = 5
     ree_max_sweeps: int = 10000
     ree_threshold: float = 1e-7
@@ -79,8 +79,8 @@ class ExperimentConfig:
             raise ValueError("grid_divisor must be at least 2")
         if self.refine_divisor <= self.grid_divisor:
             raise ValueError("refine_divisor must exceed grid_divisor")
-        if self.ree_components < 2:
-            raise ValueError("ree_components must be at least 2")
+        if not 2 <= self.ree_components <= 5:
+            raise ValueError("ree_components must lie in 2..5")
         if self.ree_multistarts < 1:
             raise ValueError("ree_multistarts must be at least 1")
         if self.ree_max_sweeps < 1:

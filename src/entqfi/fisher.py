@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import IDENTITY_2, PAULI, herm_eig, kron
+from .states import PAULI_PRODUCTS, herm_eig
 
 __all__ = [
     "SHOT_NOISE_LEVEL",
@@ -45,10 +45,7 @@ HEISENBERG_LIMIT = 2.0
 PAIR_WEIGHT_CUTOFF = 1e-12
 
 # Local spins S^A_x, S^A_y, S^A_z, S^B_x, S^B_y, S^B_z, shape (6, 4, 4).
-LOCAL_SPINS = np.stack(
-    [0.5 * kron(sigma, IDENTITY_2) for sigma in PAULI]
-    + [0.5 * kron(IDENTITY_2, sigma) for sigma in PAULI]
-)
+LOCAL_SPINS = 0.5 * np.concatenate([PAULI_PRODUCTS[1:, 0], PAULI_PRODUCTS[0, 1:]])
 
 # Cartesian collective spin components J_x, J_y, J_z, shape (3, 4, 4).
 J_OPERATORS = LOCAL_SPINS[:3] + LOCAL_SPINS[3:]

@@ -6,30 +6,31 @@ states, so it is minimized numerically over the separable set.
 
 REE solver
 ----------
-The candidate separable state is an explicit convex mixture of product
-pure states,
+The candidate separable state mixes product pure states with weights w_m
+and Bloch vectors a_m, b_m.  In the Pauli basis ``sigma_u ⊗ sigma_v``,
+u, v in (I, x, y, z) (``states.PAULI_PRODUCTS``), it is
+``sigma = 1/4 sum_uv C_uv sigma_u ⊗ sigma_v`` with
+``C = sum_m w_m (1, a_m)(1, b_m)^T``, plus a 1e-9 identity admixture that
+keeps S(rho || sigma) finite while the mixture is rank deficient.
 
-    sigma = sum_m w_m |a_m><a_m| ⊗ |b_m><b_m|,
+With ``sigma = V diag(s) V†`` and ``rt = V† rho V``, the kernel
+``Phi_ij = (ln s_i - ln s_j)/(s_i - s_j)`` (diagonal ``1/s_i``) gives the
+Frechet derivative ``D = V (rt * Phi) V†`` of ``tr(rho ln sigma)``.  One
+real 4x4 matrix ``T_uv = tr((sigma_u ⊗ sigma_v) D)`` prices every product
+projector, ``tr(Pi D) = (1, a)·T·(1, b) / 4``, so T alone gives the
+L-BFGS-B gradient (softmax weights, unnormalized Bloch vectors), the
+alternating ascent to the best product projector, and the duality gap
+``max tr(Pi D) - tr(sigma D)``: the problem is convex over the separable
+set, so the true minimum is at least ``f - gap``.
 
-with weights on the simplex and each factor parameterized by its Bloch
-vector; a 1e-9 identity admixture keeps S(rho || sigma) finite while the
-mixture is still rank deficient.  Each start draws at most five random
-product states (a two-qubit separable state needs at most four; Sanpera,
-Tarrach & Vidal, PRA 58, 826, 1998) and polishes all parameters at once
-with L-BFGS-B (softmax weights, unnormalized Bloch vectors, analytic
-gradients).
-
-The polished point is then priced by one spectral computation: with
-``sigma = V diag(s) V†`` and ``rt = V† rho V``, the divided-difference
-kernel ``Phi_ij = (ln s_i - ln s_j)/(s_i - s_j)`` (diagonal ``1/s_i``)
-gives the Frechet derivative ``D = V (rt * Phi) V†`` of
-``tr(rho log sigma)``, and ``tr(Pi D)`` for a product state is an affine
-function of its Bloch vectors.  Because the problem is convex over the
-separable set, ``max tr(Pi D) - tr(sigma D)`` is a duality gap: the true
-minimum is at least ``f - gap``.  The largest of these lower bounds over
-the starts run so far certifies the lowest value found, and the search
-stops once that certificate is below 2e-5 nats (about 3e-5 bits), far
-inside the 5e-3 oracle tolerance; otherwise the next start runs.
+Each start draws up to five product states (a two-qubit separable state
+needs at most four; Sanpera, Tarrach & Vidal, PRA 58, 826, 1998),
+polishes them once with L-BFGS-B and prices one certificate.  The largest
+lower bound over the starts so far certifies the lowest value found; the
+search stops once that certificate is below 2e-5 nats (about 3e-5 bits),
+far inside the 5e-3 oracle tolerance.  A start cut off at L-BFGS-B's
+iteration cap has not finished, so if the value is still uncertified the
+next start resumes from its mixture instead of drawing a fresh one.
 
 Internally the solver works in nats; all reported values are bits.
 """
@@ -43,12 +44,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .states import (
-    IDENTITY_2,
     IDENTITY_4,
-    PAULI,
-    SIGMA_Y,
+    PAULI_PRODUCTS,
     herm_eig,
-    kron,
     partial_trace,
     partial_transpose,
     relative_entropy,
@@ -72,39 +70,40 @@ __all__ = [
 SEPARABILITY_EIG_TOL = 1e-10
 
 LN2 = math.log(2.0)
-_SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 
 _EPS_MIX = 1e-9
 _GAP_TOL_NATS = 2e-5
-
-_SIG = np.stack(PAULI)
-_SIG_A = np.stack([kron(sigma, IDENTITY_2) for sigma in PAULI])
-_SIG_B = np.stack([kron(IDENTITY_2, sigma) for sigma in PAULI])
-_SIG_AB = np.stack([[kron(sa, sb) for sb in PAULI] for sa in PAULI])
+# Row 4u + v is sigma_u ⊗ sigma_v flattened, so sums over (u, v) are matmuls.
+_PAULI_ROWS = PAULI_PRODUCTS.reshape(16, 16)
 
 
 @dataclass(frozen=True)
 class ReeSolverConfig:
     """REE solver settings.
 
-    Each start mixes ``max(2, min(5, components))`` product states; up to
+    Each start mixes ``components`` product states, 2 to 5; up to
     ``multistarts`` starts run, drawing from ``rng``.  ``max_sweeps`` and
     ``threshold`` are unused: they are kept only because the benchmark
     (``benchmarks/workloads.py::_ree_config``) passes them.
     """
 
-    components: int = 16
+    components: int = 5
     multistarts: int = 5
     max_sweeps: int = 10000
     threshold: float = 1e-7
     rng: np.random.Generator | None = None
 
+    def __post_init__(self):
+        if not 2 <= self.components <= 5:
+            raise ValueError(f"REE components must lie in 2..5, got {self.components!r}")
+
 
 @dataclass(frozen=True)
 class ReeSolution:
-    """``gap`` is the certified optimality gap of ``value`` in bits, and
-    ``converged`` says that it is within the solver tolerance.  The gap
-    carries roundoff of order 1e-6 bits, so it can read slightly below 0."""
+    """``gap`` is the certified optimality gap of ``value`` in bits, not
+    negative beyond roundoff, and ``converged`` says that it is within the
+    solver tolerance."""
 
     value: float
     closest_state: np.ndarray
@@ -165,15 +164,14 @@ def ree_bell_diagonal_oracle(lambda_max: float) -> float:
     return 1.0 - h2
 
 
-def _product_states(bloch_a: np.ndarray, bloch_b: np.ndarray) -> np.ndarray:
-    """Projectors |a><a| ⊗ |b><b| from unit Bloch vectors, shape (m, 4, 4)."""
-    qa = 0.5 * (IDENTITY_2 + np.einsum("mk,kij->mij", bloch_a, _SIG))
-    qb = 0.5 * (IDENTITY_2 + np.einsum("mk,kij->mij", bloch_b, _SIG))
-    return np.einsum("mab,mcd->macbd", qa, qb).reshape(-1, 4, 4)
+def _lift(bloch: np.ndarray) -> np.ndarray:
+    """Bloch vectors a -> (1, a) along the last axis."""
+    return np.concatenate([np.ones(bloch.shape[:-1] + (1,)), bloch], axis=-1)
 
 
 def _mixture(weights: np.ndarray, bloch_a: np.ndarray, bloch_b: np.ndarray) -> np.ndarray:
-    sigma = np.einsum("m,mij->ij", weights, _product_states(bloch_a, bloch_b))
+    corr = (weights[:, None] * _lift(bloch_a)).T @ _lift(bloch_b)
+    sigma = 0.25 * (corr.reshape(16) @ _PAULI_ROWS).reshape(4, 4)
     return (1.0 - _EPS_MIX) * sigma + (_EPS_MIX / 4.0) * IDENTITY_4
 
 
@@ -184,33 +182,24 @@ def _log_trace(rho: np.ndarray) -> float:
     return float(np.sum(live * np.log(live)))
 
 
-def _objective_parts(rho: np.ndarray, sigma: np.ndarray, h_rho: float):
-    """Objective f = S(rho||sigma) in nats plus the atom-pricing contractions.
+def _pauli_correlations(d_mat: np.ndarray) -> np.ndarray:
+    """T_uv = tr((sigma_u ⊗ sigma_v) D), real for Hermitian D."""
+    return (_PAULI_ROWS @ d_mat.T.reshape(16)).real.reshape(4, 4)
 
-    Returns (f, tr_d, r_a, r_b, t_ab) where the trailing four give
-    ``tr(Pi D) = (tr_d + a·r_a + b·r_b + a·t_ab·b) / 4`` for any product
-    projector with Bloch vectors a, b.
-    """
+
+def _objective_parts(rho: np.ndarray, sigma: np.ndarray, h_rho: float):
+    """Objective f = S(rho||sigma) in nats and the Pauli correlations T of
+    its gradient D, so that ``tr(Pi D) = (1, a)·T·(1, b) / 4``."""
     s, basis = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
     s = np.clip(s, 1e-300, None)
-    rt = basis.conj().T @ rho @ basis
-    f = h_rho - float(np.clip(rt.diagonal().real, 0.0, None) @ np.log(s))
     log_s = np.log(s)
+    rt = basis.conj().T @ rho @ basis
+    f = h_rho - float(np.clip(rt.diagonal().real, 0.0, None) @ log_s)
     gaps = s[:, None] - s[None, :]
     np.fill_diagonal(gaps, 1.0)
     phi = (log_s[:, None] - log_s[None, :]) / gaps
     np.fill_diagonal(phi, 1.0 / s)
-    d_mat = basis @ (rt * phi) @ basis.conj().T
-    d_mat = 0.5 * (d_mat + d_mat.conj().T)
-    tr_d = float(d_mat.trace().real)
-    r_a = np.real(np.einsum("kij,ji->k", _SIG_A, d_mat))
-    r_b = np.real(np.einsum("kij,ji->k", _SIG_B, d_mat))
-    t_ab = np.real(np.einsum("klij,ji->kl", _SIG_AB, d_mat))
-    return f, tr_d, r_a, r_b, t_ab
-
-
-def _atom_score(tr_d, r_a, r_b, t_ab, a, b) -> float:
-    return 0.25 * float(tr_d + a @ r_a + b @ r_b + a @ t_ab @ b)
+    return f, _pauli_correlations(basis @ (rt * phi) @ basis.conj().T)
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -218,27 +207,27 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _best_atom(tr_d, r_a, r_b, t_ab, bloch_a, bloch_b, weights, rng):
+def _toward(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Rows of v scaled to unit length; a vanishing row keeps its fallback."""
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.where(norm > 1e-14, v / np.maximum(norm, 1e-14), fallback)
+
+
+def _best_atom(t, bloch_a, bloch_b, rng):
     """Largest tr(Pi D) over product states Pi, by alternating Bloch ascent.
 
     Each half-step is the exact maximizer given the other factor, so the
-    score climbs monotonically; a few restarts guard against saddles.
+    score climbs monotonically.  The ascent starts from every atom of the
+    mixture, so the result is at least their weighted mean tr(sigma D) and
+    the gap is not negative beyond roundoff; three random starts guard
+    against saddles.  All starts climb together, one row each.
     """
-    starts = [(bloch_a[int(np.argmax(weights))], bloch_b[int(np.argmax(weights))])]
-    starts += [(_random_unit(rng), _random_unit(rng)) for _ in range(3)]
-    best = -math.inf
-    for a, b in starts:
-        for _ in range(30):
-            va = r_a + t_ab @ b
-            norm = np.linalg.norm(va)
-            if norm > 1e-14:
-                a = va / norm
-            vb = r_b + t_ab.T @ a
-            norm = np.linalg.norm(vb)
-            if norm > 1e-14:
-                b = vb / norm
-        best = max(best, _atom_score(tr_d, r_a, r_b, t_ab, a, b))
-    return best
+    rand_a, rand_b = zip(*[(_random_unit(rng), _random_unit(rng)) for _ in range(3)])
+    a, b = np.vstack([bloch_a, rand_a]), np.vstack([bloch_b, rand_b])
+    for _ in range(30):
+        a = _toward(_lift(b) @ t[1:].T, a)
+        b = _toward(_lift(a) @ t[:, 1:], b)
+    return 0.25 * float(np.max(np.sum((_lift(a) @ t) * _lift(b), axis=1)))
 
 
 def _unpack(x: np.ndarray, m: int):
@@ -260,41 +249,48 @@ def _pack(weights: np.ndarray, bloch_a: np.ndarray, bloch_b: np.ndarray) -> np.n
 
 def _value_and_grad(x: np.ndarray, rho: np.ndarray, h_rho: float, m: int):
     weights, a, b, norm_a, norm_b = _unpack(x, m)
-    f, tr_d, r_a, r_b, t_ab = _objective_parts(rho, _mixture(weights, a, b), h_rho)
-    scores = 0.25 * (tr_d + a @ r_a + b @ r_b + np.einsum("mk,kl,ml->m", a, t_ab, b))
-    scale = -(1.0 - _EPS_MIX)
-    dw = scale * scores
+    f, t = _objective_parts(rho, _mixture(weights, a, b), h_rho)
+    # Row m of t_b is T·(1, b_m) and of t_a is (1, a_m)·T: the derivatives of
+    # the score (1, a_m)·T·(1, b_m)/4 in a_m and b_m, past their first entry.
+    lift_a = _lift(a)
+    t_b, t_a = _lift(b) @ t.T, lift_a @ t
+    scale = -0.25 * (1.0 - _EPS_MIX)
+    dw = scale * np.sum(lift_a * t_b, axis=1)
     d_logits = weights * (dw - float(weights @ dw))
-    grad_a = scale * weights[:, None] * 0.25 * (r_a[None, :] + b @ t_ab.T)
-    grad_b = scale * weights[:, None] * 0.25 * (r_b[None, :] + a @ t_ab)
+    grad_a = scale * weights[:, None] * t_b[:, 1:]
+    grad_b = scale * weights[:, None] * t_a[:, 1:]
     # Chain through the normalization u -> u/|u|: keep the tangential part.
     grad_ua = (grad_a - np.sum(grad_a * a, axis=1, keepdims=True) * a) / norm_a[:, None]
     grad_ub = (grad_b - np.sum(grad_b * b, axis=1, keepdims=True) * b) / norm_b[:, None]
     return f, np.concatenate([d_logits, grad_ua.ravel(), grad_ub.ravel()])
 
 
-def _solve_once(rho, h_rho, m, rng: np.random.Generator):
-    """One start: m random product states, one L-BFGS-B polish, one certificate.
+def _solve_once(rho, h_rho, m, rng: np.random.Generator, resume=None):
+    """One start from m random product states, or from the mixture
+    ``resume``: one L-BFGS-B polish and one certificate.
 
-    Returns (f, gap, (weights, bloch_a, bloch_b), sweeps) with f and gap in
-    nats; f - gap is a lower bound on the minimum over the separable set.
+    Returns (f, gap, params, sweeps, capped) with f and gap in nats and
+    params = (weights, bloch_a, bloch_b); f - gap is a lower bound on the
+    minimum.  ``capped`` is params if the polish hit its iteration cap.
     """
-    bloch_a = np.stack([_random_unit(rng) for _ in range(m)])
-    bloch_b = np.stack([_random_unit(rng) for _ in range(m)])
-    weights = np.full(m, 1.0 / m)
+    if resume is None:
+        bloch_a = np.stack([_random_unit(rng) for _ in range(m)])
+        bloch_b = np.stack([_random_unit(rng) for _ in range(m)])
+        resume = (np.full(m, 1.0 / m), bloch_a, bloch_b)
     result = minimize(
         _value_and_grad,
-        _pack(weights, bloch_a, bloch_b),
+        _pack(*resume),
         args=(rho, h_rho, m),
         method="L-BFGS-B",
         jac=True,
         options={"maxiter": 150, "ftol": 1e-14, "gtol": 1e-9},
     )
-    weights, bloch_a, bloch_b, _, _ = _unpack(result.x, m)
-    f, tr_d, r_a, r_b, t_ab = _objective_parts(rho, _mixture(weights, bloch_a, bloch_b), h_rho)
-    score = _best_atom(tr_d, r_a, r_b, t_ab, bloch_a, bloch_b, weights, rng)
-    gap = (1.0 - _EPS_MIX) * score - 1.0 + _EPS_MIX * tr_d / 4.0
-    return f, gap, (weights, bloch_a, bloch_b), int(result.nit) + 1
+    params = _unpack(result.x, m)[:3]
+    f, t = _objective_parts(rho, _mixture(*params), h_rho)
+    score = _best_atom(t, *params[1:], rng)
+    gap = (1.0 - _EPS_MIX) * score - 1.0 + _EPS_MIX * t[0, 0] / 4.0
+    capped = params if result.status == 1 else None
+    return f, gap, params, int(result.nit) + 1, capped
 
 
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
@@ -314,11 +310,10 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
         )
     rng = cfg.rng if cfg.rng is not None else np.random.default_rng(0)
     h_rho = _log_trace(rho)
-    m = max(2, min(5, cfg.components))
     best_f, best_params, lower = math.inf, None, -math.inf
-    total_sweeps = 0
+    total_sweeps, resume = 0, None
     for _ in range(max(1, cfg.multistarts)):
-        f, gap, params, sweeps = _solve_once(rho, h_rho, m, rng)
+        f, gap, params, sweeps, resume = _solve_once(rho, h_rho, cfg.components, rng, resume)
         total_sweeps += sweeps
         lower = max(lower, f - gap)
         if best_params is None or f < best_f:

@@ -27,6 +27,7 @@ __all__ = [
     "IDENTITY_2",
     "IDENTITY_4",
     "PAULI",
+    "PAULI_PRODUCTS",
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "PSD_TOL",
@@ -49,6 +50,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# PAULI_PRODUCTS[u, v] = sigma_u ⊗ sigma_v for u, v in (I, x, y, z).
+_BASIS = (IDENTITY_2, *PAULI)
+PAULI_PRODUCTS = np.stack([[np.kron(u, v) for v in _BASIS] for u in _BASIS])
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10

@@ -95,6 +95,7 @@ def test_config_defaults_and_eps_merge():
         {"witness_limit": 0},
         {"eps_order": {"volume": 0.1}},
         {"eps_order": {"ree": -1.0}},
+        {"ree_components": 6},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

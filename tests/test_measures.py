@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entqfi import (
+    PAULI,
     ReeSolverConfig,
     concurrence,
     derive_stream,
@@ -18,6 +19,7 @@ from entqfi import (
     ree_pure_oracle,
     relative_entropy,
 )
+from entqfi import measures
 from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
 
 
@@ -203,13 +205,104 @@ def test_ree_two_components_bell_state():
     assert solution.converged
 
 
+def test_ree_config_rejects_components_outside_two_to_five():
+    for components in (1, 6, 16):
+        with pytest.raises(ValueError):
+            ReeSolverConfig(components=components)
+
+
 def test_ree_converged_uses_best_lower_bound_over_starts():
-    # The lowest start on master seed 15, state 137 is certified only by the
-    # lower bound of another start; it must count as converged.
+    # Master seed 15, state 137: the first start stops at L-BFGS-B's
+    # iteration cap just short of the certificate, and the next start
+    # resumes from its mixture and certifies it.  The value must not exceed
+    # 0.003986588101331567, the one certified when that next start was a
+    # fresh draw.
     _, solution = _seeded_ree(15, 137)
     assert solution.converged
     assert solution.gap <= 2e-5 / math.log(2.0)
-    assert solution.value == pytest.approx(0.003986588101331567, abs=1e-9)
+    assert solution.value == pytest.approx(0.003986382382724418, abs=1e-9)
+    assert solution.value <= 0.003986588101331567
+
+
+def test_ree_certifies_lowest_start_by_another_starts_lower_bound(monkeypatch):
+    # Two scripted starts on |Phi+>: the lower one leaves a wide gap, the
+    # higher one's f - gap closes the certificate.  The solver must stop
+    # there, converged, and report the lower start's mixture.
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    low = (np.array([0.5, 0.5]), poles, poles)
+    high = (np.array([0.7, 0.3]), poles, poles)
+    rho = bell_state()
+    f_low = relative_entropy(rho, measures._mixture(*low)) * math.log(2.0)
+    f_high = relative_entropy(rho, measures._mixture(*high)) * math.log(2.0)
+    scripted = iter(
+        [(f_low, 0.5, low, 10, None), (f_high, f_high - f_low + 1e-6, high, 20, None)]
+    )
+    monkeypatch.setattr(measures, "_solve_once", lambda *args: next(scripted))
+    solution = ree(rho)
+    assert solution.converged
+    assert solution.iterations == 30
+    assert solution.gap == pytest.approx(1e-6 / math.log(2.0), rel=1e-6)
+    assert solution.value == pytest.approx(f_low / math.log(2.0), abs=1e-12)
+    assert solution.value == pytest.approx(1.0, abs=1e-6)
+
+
+def _bloch_projector(bloch):
+    return 0.5 * (np.eye(2) + sum(c * sigma for c, sigma in zip(bloch, PAULI)))
+
+
+def test_pauli_correlations_price_product_projectors():
+    # tr((|a><a| ⊗ |b><b|) D) = (1, a)·T·(1, b) / 4 with
+    # T_uv = tr((sigma_u ⊗ sigma_v) D), and the Pauli-basis mixture is the
+    # weighted sum of those projectors.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        d_mat = z + z.conj().T
+        t = measures._pauli_correlations(d_mat)
+        a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        projector = np.kron(_bloch_projector(a), _bloch_projector(b))
+        expected = np.trace(projector @ d_mat).real
+        assert abs(np.r_[1.0, a] @ t @ np.r_[1.0, b] / 4.0 - expected) <= 1e-12
+    weights = rng.dirichlet(np.ones(4))
+    bloch = rng.standard_normal((2, 4, 3))
+    bloch /= np.linalg.norm(bloch, axis=2, keepdims=True)
+    expected = sum(
+        w * np.kron(_bloch_projector(a), _bloch_projector(b))
+        for w, a, b in zip(weights, *bloch)
+    )
+    expected = (1.0 - 1e-9) * expected + 1e-9 / 4.0 * np.eye(4)
+    assert np.max(np.abs(measures._mixture(weights, *bloch) - expected)) <= 1e-12
+
+
+def test_ree_gap_is_not_negative_when_one_atom_climbs_to_a_lower_maximum():
+    # Master seed 15, state 449: an ascent started from the heaviest atom
+    # alone stops at a local maximum below the mixture's mean score, and the
+    # gap read -2.5e-5 bits.  Started from every atom it cannot.
+    _, solution = _seeded_ree(15, 449)
+    assert solution.converged
+    assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
+    assert solution.value == pytest.approx(0.00633751577048036, abs=1e-9)
+
+
+def test_value_and_grad_matches_central_differences():
+    rho = random_density_matrix(derive_stream(1, 1))
+    assert not is_separable(rho)
+    m = 5
+    x = np.random.default_rng(9).standard_normal(7 * m)
+    h_rho = measures._log_trace(rho)
+    _, grad = measures._value_and_grad(x, rho, h_rho, m)
+    step = 1e-6
+    numeric = np.array(
+        [
+            (
+                measures._value_and_grad(x + step * e, rho, h_rho, m)[0]
+                - measures._value_and_grad(x - step * e, rho, h_rho, m)[0]
+            )
+            / (2.0 * step)
+            for e in np.eye(x.size)
+        ]
+    )
+    assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
 
 
 def test_ree_single_polish_certifies_former_insertion_state():
@@ -230,7 +323,7 @@ def test_ree_converged_iff_gap_within_tolerance():
         if not is_separable(rho):
             solutions.append(solution)
     for solution in solutions:
-        # The certificate divides by sigma's ~1e-9 eigenvalues, so it carries
-        # roundoff: the lowest gap over 1833 seeded states read -1.5e-6 bits.
+        # The best-atom ascent starts from every atom of the mixture, so the
+        # gap is not negative beyond roundoff.
         assert solution.gap >= -5e-6
         assert solution.converged == (solution.gap <= 2e-5 / math.log(2.0))
