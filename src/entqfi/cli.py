@@ -57,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="MEASURE=VALUE",
                         help="ordering tolerance override, repeatable "
                              "(keys: concurrence, negativity, ree, mqfi)")
-    parser.add_argument("--ree-components", type=int, default=5, metavar="M",
-                        help="product states in each REE mixture, 2 to 5 (default 5)")
-    parser.add_argument("--ree-multistarts", type=int, default=5, metavar="R",
-                        help="REE solver starts, each a fresh draw or the resumption "
-                             "of one cut off at the iteration cap (default 5)")
     parser.add_argument("--witness-limit", type=int, default=10, metavar="L",
                         help="witnesses kept per discordant cell (default 10)")
     parser.add_argument("--out", default="out", metavar="DIR",
@@ -81,8 +76,6 @@ def main(argv=None) -> int:
             grid_divisor=args.grid_divisor,
             refine_divisor=args.refine_divisor,
             eps_order=dict(args.eps_order),
-            ree_components=args.ree_components,
-            ree_multistarts=args.ree_multistarts,
             witness_limit=args.witness_limit,
         )
         if args.jobs is not None and args.jobs < 1:

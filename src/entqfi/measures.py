@@ -1,47 +1,39 @@
 """Two-qubit entanglement measures: concurrence, negativity, PPT, REE.
 
-Concurrence and negativity are closed-form spectral quantities.  The
-relative entropy of entanglement (REE) has no closed form for general
-states, so it is minimized numerically over the separable set.
+Concurrence and negativity are closed-form; the relative entropy of
+entanglement (REE) is minimized numerically.
 
-REE solver
-----------
-The candidate separable state mixes product pure states with weights w_m
-and Bloch vectors a_m, b_m.  In the Pauli basis ``sigma_u ⊗ sigma_v``,
-u, v in (I, x, y, z) (``states.PAULI_PRODUCTS``), it is
-``sigma = 1/4 sum_uv C_uv sigma_u ⊗ sigma_v`` with
-``C = sum_m w_m (1, a_m)(1, b_m)^T``, plus a 1e-9 identity admixture that
-keeps S(rho || sigma) finite while the mixture is rank deficient.
+REE solver.  For two qubits PPT equals separability (Horodecki, Horodecki &
+Horodecki, PLA 223, 1, 1996), so REE is ``min S(rho||sigma)`` over
+``sigma >= 0``, ``sigma^G >= 0`` (partial transpose on B), ``tr sigma = 1``,
+convex in the Pauli coordinates x of ``sigma = I/4 + 1/4 sum_k x_k P_k``.
+The barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
+damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
+from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))`` with e the
+lowest eigenvalue of rho^G, raising t a hundredfold per round from
+``8 / gap`` until the barrier's own bound 8/t is 1e-9 nats.  Divided
+differences of ln in sigma's eigenbasis give the gradient D of
+``tr(rho ln sigma)`` and its Hessian (Daleckii-Krein), degenerate spectra
+included.  No random numbers are drawn.
 
-With ``sigma = V diag(s) V†`` and ``rt = V† rho V``, the kernel
-``Phi_ij = (ln s_i - ln s_j)/(s_i - s_j)`` (diagonal ``1/s_i``) gives the
-Frechet derivative ``D = V (rt * Phi) V†`` of ``tr(rho ln sigma)``.  One
-real 4x4 matrix ``T_uv = tr((sigma_u ⊗ sigma_v) D)`` prices every product
-projector, ``tr(Pi D) = (1, a)·T·(1, b) / 4``, so T alone gives the
-L-BFGS-B gradient (softmax weights, unnormalized Bloch vectors), the
-alternating ascent to the best product projector, and the duality gap
-``max tr(Pi D) - tr(sigma D)``: the problem is convex over the separable
-set, so the true minimum is at least ``f - gap``.
-
-Each start draws up to five product states (a two-qubit separable state
-needs at most four; Sanpera, Tarrach & Vidal, PRA 58, 826, 1998),
-polishes them once with L-BFGS-B and prices one certificate.  The largest
-lower bound over the starts so far certifies the lowest value found; the
-search stops once that certificate is below 2e-5 nats (about 3e-5 bits),
-far inside the 5e-3 oracle tolerance.  A start cut off at L-BFGS-B's
-iteration cap has not finished, so if the value is still uncertified the
-next start resumes from its mixture instead of drawing a fresh one.
-
-Internally the solver works in nats; all reported values are bits.
+Certificate.  S(rho||.) is convex with gradient -D, and for any ``Q >= 0``
+weak duality gives ``tr(sigma* D) <= lambda_max(D + Q^G)`` over PPT sigma*,
+so ``gap = lambda_max(D + Q^G) - tr(sigma D)`` bounds how far S(rho||sigma)
+lies above REE.  ``Q = [(I - D)^G]_+`` is the multiplier that the KKT
+condition ``D + Q^G = I`` singles out; the barrier's own
+``(sigma^G)^-1 / t`` is priced too.  A gap within 2e-5 nats (about 3e-5
+bits, far inside the 5e-3 oracle tolerance) counts as converged.  The
+closest state is strictly interior, so full rank and PPT; the value is
+recomputed as S(rho||closest).  The solver works in nats, reports bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import (
     IDENTITY_4,
@@ -72,21 +64,37 @@ SEPARABILITY_EIG_TOL = 1e-10
 LN2 = math.log(2.0)
 _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 
-_EPS_MIX = 1e-9
 _GAP_TOL_NATS = 2e-5
-# Row 4u + v is sigma_u ⊗ sigma_v flattened, so sums over (u, v) are matmuls.
-_PAULI_ROWS = PAULI_PRODUCTS.reshape(16, 16)
+# _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
+# of sigma and sigma^G in x_k; ^G flips the products whose B factor is sigma_y.
+_PAULI_15 = PAULI_PRODUCTS.reshape(16, 16)[1:]
+_TANGENTS = 0.25 * np.stack(
+    [_PAULI_15, np.where(np.arange(1, 16) % 4 == 2, -1.0, 1.0)[:, None] * _PAULI_15]
+)
+_TANGENTS_RE = _TANGENTS.view(float)
+_CENTER = 0.25 * IDENTITY_4
+_DIAG_RE = 10 * np.arange(4)  # real diagonal entries in a flat 4x4 float view
+
+# Two 4x4 log-det barriers have degree 8.  Centering at t stops once the
+# squared Newton decrement is at most _CENTERED (_CENTERED_FINAL at the last
+# t).  Up to _FULL_STEP a step is taken whole, as its predicted decrease
+# sinks below the roundoff of a barrier value of order t.
+_BARRIER_DEGREE, _T_GROWTH = 8.0, 100.0
+_T_FINAL = _BARRIER_DEGREE / 1e-9
+_CENTERED, _CENTERED_FINAL, _FULL_STEP = 0.5, 1e-6, 0.1
+_MAX_STEPS = 200
+# Each flat triple (i, m, j) sorted, which for ascending s sorts it by
+# value; _RISE_AT picks f1[mid, hi] and f1[lo, mid] from the flat f1.
+_TRIPLES = np.sort(np.indices((4, 4, 4)).reshape(3, 64), axis=0)
+_RISE_AT = np.stack([4 * _TRIPLES[1] + _TRIPLES[2], 4 * _TRIPLES[0] + _TRIPLES[1]])
+_COINCIDENT = 1e-5  # relative spread below which three eigenvalues coincide
 
 
 @dataclass(frozen=True)
 class ReeSolverConfig:
-    """REE solver settings.
-
-    Each start mixes ``components`` product states, 2 to 5; up to
-    ``multistarts`` starts run, drawing from ``rng``.  ``max_sweeps`` and
-    ``threshold`` are unused: they are kept only because the benchmark
-    (``benchmarks/workloads.py::_ree_config``) passes them.
-    """
+    """REE settings that the barrier solver ignores, kept with the check on
+    ``components`` because the benchmark
+    (``benchmarks/workloads.py::_ree_config``) passes them."""
 
     components: int = 5
     multistarts: int = 5
@@ -101,9 +109,9 @@ class ReeSolverConfig:
 
 @dataclass(frozen=True)
 class ReeSolution:
-    """``gap`` is the certified optimality gap of ``value`` in bits, not
-    negative beyond roundoff, and ``converged`` says that it is within the
-    solver tolerance."""
+    """``gap`` is the certified optimality gap of ``value`` in bits and
+    ``converged`` says it is within tolerance.  ``iterations`` counts Newton
+    steps: at least one if entangled, zero for the separable short-circuit."""
 
     value: float
     closest_state: np.ndarray
@@ -164,171 +172,161 @@ def ree_bell_diagonal_oracle(lambda_max: float) -> float:
     return 1.0 - h2
 
 
-def _lift(bloch: np.ndarray) -> np.ndarray:
-    """Bloch vectors a -> (1, a) along the last axis."""
-    return np.concatenate([np.ones(bloch.shape[:-1] + (1,)), bloch], axis=-1)
+class _Point(NamedTuple):
+    """x, the ascending spectra and eigenvectors of sigma and sigma^G, V† rho V."""
+
+    x: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    rt: np.ndarray
 
 
-def _mixture(weights: np.ndarray, bloch_a: np.ndarray, bloch_b: np.ndarray) -> np.ndarray:
-    corr = (weights[:, None] * _lift(bloch_a)).T @ _lift(bloch_b)
-    sigma = 0.25 * (corr.reshape(16) @ _PAULI_ROWS).reshape(4, 4)
-    return (1.0 - _EPS_MIX) * sigma + (_EPS_MIX / 4.0) * IDENTITY_4
+def _sigmas(x: np.ndarray) -> np.ndarray:
+    return (x @ _TANGENTS_RE).view(complex).reshape(2, 4, 4) + _CENTER
 
 
-def _log_trace(rho: np.ndarray) -> float:
-    """tr(rho ln rho) in nats; the constant part of the objective."""
-    vals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    live = vals[vals > 1e-15]
-    return float(np.sum(live * np.log(live)))
+def _point(rho: np.ndarray, x: np.ndarray) -> _Point:
+    s, v = np.linalg.eigh(_sigmas(x))
+    return _Point(x, s, v, v[0].conj().T @ rho @ v[0])
 
 
-def _pauli_correlations(d_mat: np.ndarray) -> np.ndarray:
-    """T_uv = tr((sigma_u ⊗ sigma_v) D), real for Hermitian D."""
-    return (_PAULI_ROWS @ d_mat.T.reshape(16)).real.reshape(4, 4)
+def _barrier(t: float, p: _Point) -> float:
+    """The barrier objective less t tr(rho ln rho); inf off the cones."""
+    if p.s[:, 0].min() <= 0.0:
+        return math.inf
+    logs = np.log(p.s)
+    return -t * float(p.rt.diagonal().real @ logs[0]) - float(logs.sum())
 
 
-def _objective_parts(rho: np.ndarray, sigma: np.ndarray, h_rho: float):
-    """Objective f = S(rho||sigma) in nats and the Pauli correlations T of
-    its gradient D, so that ``tr(Pi D) = (1, a)·T·(1, b) / 4``."""
-    s, basis = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    s = np.clip(s, 1e-300, None)
-    log_s = np.log(s)
-    rt = basis.conj().T @ rho @ basis
-    f = h_rho - float(np.clip(rt.diagonal().real, 0.0, None) @ log_s)
-    gaps = s[:, None] - s[None, :]
-    np.fill_diagonal(gaps, 1.0)
-    phi = (log_s[:, None] - log_s[None, :]) / gaps
-    np.fill_diagonal(phi, 1.0 / s)
-    return f, _pauli_correlations(basis @ (rt * phi) @ basis.conj().T)
+def _log_first_differences(s: np.ndarray) -> np.ndarray:
+    """f1[i, j] = (ln s_i - ln s_j) / (s_i - s_j), 1/s_i where they are
+    equal; log1p of the spacing keeps nearby pairs from cancelling."""
+    gap = np.abs(s[:, None] - s[None, :])
+    low = np.minimum(s[:, None], s[None, :])
+    apart = gap > 0.0
+    return np.where(apart, np.log1p(gap / low) / np.where(apart, gap, 1.0), 1.0 / low)
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
+def _log_second_differences(s: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """f2[i, m, j], the second divided difference of ln at (s_i, s_m, s_j)
+    for ascending s: ``(f1[mid, hi] - f1[lo, mid]) / (s_hi - s_lo)`` over
+    the sorted triple, the widest spacing, or ``-1/(2 mean^2)`` (error
+    O(spread^2)) where all three lie within _COINCIDENT."""
+    lo, mid, hi = s[_TRIPLES]
+    spread = hi - lo
+    near = spread <= _COINCIDENT * hi
+    rise = np.subtract(*f1.ravel()[_RISE_AT])
+    f2 = np.where(near, -4.5 / (lo + mid + hi) ** 2, rise / np.where(near, 1.0, spread))
+    return f2.reshape(4, 4, 4)
 
 
-def _toward(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Rows of v scaled to unit length; a vanishing row keeps its fallback."""
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
-    return np.where(norm > 1e-14, v / np.maximum(norm, 1e-14), fallback)
+def _newton_system(t: float, p: _Point):
+    """Gradient and Hessian of the barrier objective in x, and the tangents
+    ``V† T_k V`` in the eigenbases of sigma and sigma^G as float views.
+
+    In an eigenbasis, -ln det has gradient -diag(1/s) and Hessian kernel
+    1/(s_a s_b); -t tr(rho ln sigma) has gradient -t rt * f1 and Hessian
+    kernel f2[i, m, j] rt[j, i].  For Hermitian X, Y, tr(XY) is the dot
+    product of their float views."""
+    # vec(V† T V) = vec(T) @ K with K[(i, j), (a, b)] = conj(V[i, a]) V[j, b].
+    kron = (p.v.conj()[:, :, None, :, None] * p.v[:, None, :, None, :]).reshape(2, 16, 16)
+    tan = (_TANGENTS @ kron).view(float)
+    inv = 1.0 / p.s
+    f1 = _log_first_differences(p.s[0])
+    weights = np.zeros((2, 32))
+    weights[0] = (t * (p.rt * f1)).view(float).ravel()
+    weights[:, _DIAG_RE] += inv
+    grad = -(tan[0] @ weights[0] + tan[1] @ weights[1])
+    kernel = np.repeat((inv[:, :, None] * inv[:, None, :]).reshape(2, 16), 2, axis=1)
+    hess = ((tan * kernel[:, None]) @ tan.swapaxes(1, 2)).sum(axis=0)
+    # sum_{i,m,j} tan_k[i, m] f2[m, i, j] rt[j, i] tan_l[m, j], over i first.
+    tan0 = tan[0].view(complex).reshape(15, 4, 4)
+    ys = tan0.transpose(2, 0, 1) @ (_log_second_differences(p.s[0], f1) * p.rt.T)
+    cross = (ys.transpose(1, 0, 2).reshape(15, 16) @ tan0.reshape(15, 16).T).real
+    return grad, hess - t * (cross + cross.T), tan
 
 
-def _best_atom(t, bloch_a, bloch_b, rng):
-    """Largest tr(Pi D) over product states Pi, by alternating Bloch ascent.
+def _dual_gap(p: _Point, t: float | None = None) -> float:
+    """``lambda_max(D + Q^G) - tr(sigma D)`` in nats for the better of
+    ``Q = [(I - D)^G]_+`` and, with t given, ``(sigma^G)^-1 / t``, which
+    stays tight where sigma >= 0 is active too (rank-deficient rho)."""
+    dt = p.rt * _log_first_differences(p.s[0])
+    d = p.v[0] @ dt @ p.v[0].conj().T
+    lam, u = np.linalg.eigh(partial_transpose(IDENTITY_4 - d))
+    multipliers = [(u * np.clip(lam, 0.0, None)) @ u.conj().T]
+    if t is not None:
+        multipliers.append((p.v[1] / (t * p.s[1])) @ p.v[1].conj().T)
+    top = min(float(np.linalg.eigvalsh(d + partial_transpose(q))[-1]) for q in multipliers)
+    return top - float(p.s[0] @ dt.diagonal().real)
 
-    Each half-step is the exact maximizer given the other factor, so the
-    score climbs monotonically.  The ascent starts from every atom of the
-    mixture, so the result is at least their weighted mean tr(sigma D) and
-    the gap is not negative beyond roundoff; three random starts guard
-    against saddles.  All starts climb together, one row each.
+
+def _barrier_solve(rho: np.ndarray, lowest_pt: float):
+    """Newton steps along the central path up to t = _T_FINAL: returns the
+    last point, the steps taken and the last t.
+
+    The Hessian dominates that of the log-det barriers, so a decrement below
+    1 keeps a whole step inside their Dikin ellipsoid, hence inside both
+    cones.  Longer steps stop at 0.99 of the way to the boundary, read in
+    the current eigenbases (diag(s) + a M > 0 iff a < -1/lambda_min(M/√ss')),
+    and backtrack (Armijo).
     """
-    rand_a, rand_b = zip(*[(_random_unit(rng), _random_unit(rng)) for _ in range(3)])
-    a, b = np.vstack([bloch_a, rand_a]), np.vstack([bloch_b, rand_b])
-    for _ in range(30):
-        a = _toward(_lift(b) @ t[1:].T, a)
-        b = _toward(_lift(a) @ t[:, 1:], b)
-    return 0.25 * float(np.max(np.sum((_lift(a) @ t) * _lift(b), axis=1)))
-
-
-def _unpack(x: np.ndarray, m: int):
-    logits = x[:m]
-    ua = x[m : 4 * m].reshape(m, 3)
-    ub = x[4 * m :].reshape(m, 3)
-    shifted = np.exp(logits - logits.max())
-    weights = shifted / shifted.sum()
-    norm_a = np.maximum(np.linalg.norm(ua, axis=1), 1e-12)
-    norm_b = np.maximum(np.linalg.norm(ub, axis=1), 1e-12)
-    return weights, ua / norm_a[:, None], ub / norm_b[:, None], norm_a, norm_b
-
-
-def _pack(weights: np.ndarray, bloch_a: np.ndarray, bloch_b: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [np.log(np.maximum(weights, 1e-300)), bloch_a.ravel(), bloch_b.ravel()]
-    )
-
-
-def _value_and_grad(x: np.ndarray, rho: np.ndarray, h_rho: float, m: int):
-    weights, a, b, norm_a, norm_b = _unpack(x, m)
-    f, t = _objective_parts(rho, _mixture(weights, a, b), h_rho)
-    # Row m of t_b is T·(1, b_m) and of t_a is (1, a_m)·T: the derivatives of
-    # the score (1, a_m)·T·(1, b_m)/4 in a_m and b_m, past their first entry.
-    lift_a = _lift(a)
-    t_b, t_a = _lift(b) @ t.T, lift_a @ t
-    scale = -0.25 * (1.0 - _EPS_MIX)
-    dw = scale * np.sum(lift_a * t_b, axis=1)
-    d_logits = weights * (dw - float(weights @ dw))
-    grad_a = scale * weights[:, None] * t_b[:, 1:]
-    grad_b = scale * weights[:, None] * t_a[:, 1:]
-    # Chain through the normalization u -> u/|u|: keep the tangential part.
-    grad_ua = (grad_a - np.sum(grad_a * a, axis=1, keepdims=True) * a) / norm_a[:, None]
-    grad_ub = (grad_b - np.sum(grad_b * b, axis=1, keepdims=True) * b) / norm_b[:, None]
-    return f, np.concatenate([d_logits, grad_ua.ravel(), grad_ub.ravel()])
-
-
-def _solve_once(rho, h_rho, m, rng: np.random.Generator, resume=None):
-    """One start from m random product states, or from the mixture
-    ``resume``: one L-BFGS-B polish and one certificate.
-
-    Returns (f, gap, params, sweeps, capped) with f and gap in nats and
-    params = (weights, bloch_a, bloch_b); f - gap is a lower bound on the
-    minimum.  ``capped`` is params if the polish hit its iteration cap.
-    """
-    if resume is None:
-        bloch_a = np.stack([_random_unit(rng) for _ in range(m)])
-        bloch_b = np.stack([_random_unit(rng) for _ in range(m)])
-        resume = (np.full(m, 1.0 / m), bloch_a, bloch_b)
-    result = minimize(
-        _value_and_grad,
-        _pack(*resume),
-        args=(rho, h_rho, m),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": 150, "ftol": 1e-14, "gtol": 1e-9},
-    )
-    params = _unpack(result.x, m)[:3]
-    f, t = _objective_parts(rho, _mixture(*params), h_rho)
-    score = _best_atom(t, *params[1:], rng)
-    gap = (1.0 - _EPS_MIX) * score - 1.0 + _EPS_MIX * t[0, 0] / 4.0
-    capped = params if result.status == 1 else None
-    return f, gap, params, int(result.nit) + 1, capped
+    mix = min(1.0, 2.0 * abs(lowest_pt) / (0.25 + abs(lowest_pt)))
+    x = 4.0 * (1.0 - mix) * (_TANGENTS_RE[0] @ rho.reshape(16).view(float))
+    p = _point(rho, x)
+    t = _BARRIER_DEGREE / max(_dual_gap(p), _BARRIER_DEGREE / _T_FINAL)
+    steps = 0
+    while True:
+        value, decrement = _barrier(t, p), math.inf
+        while decrement > (_CENTERED_FINAL if t >= _T_FINAL else _CENTERED) and steps < _MAX_STEPS:
+            grad, hess, tan = _newton_system(t, p)
+            try:
+                dx = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                dx = np.full(15, np.nan)
+            decrement, steps = -float(grad @ dx), steps + 1
+            if not decrement >= 0.0:  # roundoff left the Hessian singular or indefinite
+                return p, steps, t
+            whole, alpha = decrement <= _FULL_STEP, 1.0
+            if not whole:
+                r = 1.0 / np.sqrt(p.s)
+                move = (dx @ tan).view(complex).reshape(2, 4, 4) * r[:, :, None] * r[:, None, :]
+                alpha = -0.99 / min(np.linalg.eigvalsh(move)[:, 0].min(), -0.99)
+            for _ in range(40):
+                trial = _point(rho, p.x + alpha * dx)
+                new = _barrier(t, trial)
+                if new <= value - 0.25 * alpha * decrement or (whole and new < math.inf):
+                    p, value = trial, new
+                    break
+                alpha *= 0.5
+            else:
+                break  # no resolvable decrease left at this t
+        if t >= _T_FINAL or steps >= _MAX_STEPS:
+            return p, steps, t
+        t = min(t * _T_GROWTH, _T_FINAL)
 
 
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    Separable inputs short-circuit to zero with the input itself as the
-    closest state.  Otherwise the lowest start is returned; its explicit
-    product form is re-verified PPT, and the reported value is recomputed
-    as the relative entropy against that returned state so the two agree
-    to machine precision.
+    One partial-transpose spectrum decides the PPT short-circuit (value 0,
+    the input as its own closest state) and sets the barrier start.
+    ``cfg`` is ignored.
     """
-    cfg = cfg or ReeSolverConfig()
     rho = np.asarray(rho, dtype=complex)
-    if is_separable(rho):
+    lowest = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
+    if lowest >= -SEPARABILITY_EIG_TOL:
         return ReeSolution(
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
-    rng = cfg.rng if cfg.rng is not None else np.random.default_rng(0)
-    h_rho = _log_trace(rho)
-    best_f, best_params, lower = math.inf, None, -math.inf
-    total_sweeps, resume = 0, None
-    for _ in range(max(1, cfg.multistarts)):
-        f, gap, params, sweeps, resume = _solve_once(rho, h_rho, cfg.components, rng, resume)
-        total_sweeps += sweeps
-        lower = max(lower, f - gap)
-        if best_params is None or f < best_f:
-            best_f, best_params = f, params
-        if best_f - lower <= _GAP_TOL_NATS:
-            break
-    closest = _mixture(*best_params)
-    closest = 0.5 * (closest + closest.conj().T)
+    point, steps, t = _barrier_solve(rho, lowest)
+    gap = _dual_gap(point, t)
+    closest = _sigmas(point.x)[0]
     if not is_separable(closest):
         raise ArithmeticError("solver produced a non-PPT candidate state")
-    value = relative_entropy(rho, closest)
     return ReeSolution(
-        value=max(0.0, value),
+        value=relative_entropy(rho, closest),
         closest_state=closest,
-        iterations=total_sweeps,
-        converged=best_f - lower <= _GAP_TOL_NATS,
-        gap=(best_f - lower) / LN2,
+        iterations=steps,
+        converged=gap <= _GAP_TOL_NATS,
+        gap=gap / LN2,
     )

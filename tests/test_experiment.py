@@ -246,7 +246,7 @@ def test_run_experiment_rejects_bad_jobs():
 
 
 def test_failure_names_the_state(monkeypatch):
-    def failing_ree(rho, cfg):
+    def failing_ree(rho, cfg=None):
         raise ArithmeticError("solver produced a non-PPT candidate state")
 
     monkeypatch.setattr(experiment, "ree", failing_ree)

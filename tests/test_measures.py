@@ -1,15 +1,20 @@
 """Entanglement measures: closed-form fixtures, oracles, solver properties."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entqfi import (
-    PAULI,
     ReeSolverConfig,
+    apply_local_unitary,
     concurrence,
     derive_stream,
+    haar_unitary,
     is_separable,
     negativity,
     partial_transpose,
@@ -20,6 +25,7 @@ from entqfi import (
     relative_entropy,
 )
 from entqfi import measures
+from entqfi.states import PAULI_PRODUCTS
 from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
 
 
@@ -212,11 +218,9 @@ def test_ree_config_rejects_components_outside_two_to_five():
 
 
 def test_ree_converged_uses_best_lower_bound_over_starts():
-    # Master seed 15, state 137: the first start stops at L-BFGS-B's
-    # iteration cap just short of the certificate, and the next start
-    # resumes from its mixture and certifies it.  The value must not exceed
-    # 0.003986588101331567, the one certified when that next start was a
-    # fresh draw.
+    # Master seed 15, state 137 needed a resumed start in the former
+    # mixture solver.  The value must not exceed 0.003986588101331567, the
+    # one that solver certified when its second start was a fresh draw.
     _, solution = _seeded_ree(15, 137)
     assert solution.converged
     assert solution.gap <= 2e-5 / math.log(2.0)
@@ -224,90 +228,19 @@ def test_ree_converged_uses_best_lower_bound_over_starts():
     assert solution.value <= 0.003986588101331567
 
 
-def test_ree_certifies_lowest_start_by_another_starts_lower_bound(monkeypatch):
-    # Two scripted starts on |Phi+>: the lower one leaves a wide gap, the
-    # higher one's f - gap closes the certificate.  The solver must stop
-    # there, converged, and report the lower start's mixture.
-    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    low = (np.array([0.5, 0.5]), poles, poles)
-    high = (np.array([0.7, 0.3]), poles, poles)
-    rho = bell_state()
-    f_low = relative_entropy(rho, measures._mixture(*low)) * math.log(2.0)
-    f_high = relative_entropy(rho, measures._mixture(*high)) * math.log(2.0)
-    scripted = iter(
-        [(f_low, 0.5, low, 10, None), (f_high, f_high - f_low + 1e-6, high, 20, None)]
-    )
-    monkeypatch.setattr(measures, "_solve_once", lambda *args: next(scripted))
-    solution = ree(rho)
-    assert solution.converged
-    assert solution.iterations == 30
-    assert solution.gap == pytest.approx(1e-6 / math.log(2.0), rel=1e-6)
-    assert solution.value == pytest.approx(f_low / math.log(2.0), abs=1e-12)
-    assert solution.value == pytest.approx(1.0, abs=1e-6)
-
-
-def _bloch_projector(bloch):
-    return 0.5 * (np.eye(2) + sum(c * sigma for c, sigma in zip(bloch, PAULI)))
-
-
-def test_pauli_correlations_price_product_projectors():
-    # tr((|a><a| ⊗ |b><b|) D) = (1, a)·T·(1, b) / 4 with
-    # T_uv = tr((sigma_u ⊗ sigma_v) D), and the Pauli-basis mixture is the
-    # weighted sum of those projectors.
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        d_mat = z + z.conj().T
-        t = measures._pauli_correlations(d_mat)
-        a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
-        projector = np.kron(_bloch_projector(a), _bloch_projector(b))
-        expected = np.trace(projector @ d_mat).real
-        assert abs(np.r_[1.0, a] @ t @ np.r_[1.0, b] / 4.0 - expected) <= 1e-12
-    weights = rng.dirichlet(np.ones(4))
-    bloch = rng.standard_normal((2, 4, 3))
-    bloch /= np.linalg.norm(bloch, axis=2, keepdims=True)
-    expected = sum(
-        w * np.kron(_bloch_projector(a), _bloch_projector(b))
-        for w, a, b in zip(weights, *bloch)
-    )
-    expected = (1.0 - 1e-9) * expected + 1e-9 / 4.0 * np.eye(4)
-    assert np.max(np.abs(measures._mixture(weights, *bloch) - expected)) <= 1e-12
-
-
 def test_ree_gap_is_not_negative_when_one_atom_climbs_to_a_lower_maximum():
-    # Master seed 15, state 449: an ascent started from the heaviest atom
-    # alone stops at a local maximum below the mixture's mean score, and the
-    # gap read -2.5e-5 bits.  Started from every atom it cannot.
+    # Master seed 15, state 449: the former solver's best-atom ascent,
+    # started from the heaviest atom alone, read a gap of -2.5e-5 bits here.
+    # The closed-form dual gap is not negative.
     _, solution = _seeded_ree(15, 449)
     assert solution.converged
     assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
     assert solution.value == pytest.approx(0.00633751577048036, abs=1e-9)
 
 
-def test_value_and_grad_matches_central_differences():
-    rho = random_density_matrix(derive_stream(1, 1))
-    assert not is_separable(rho)
-    m = 5
-    x = np.random.default_rng(9).standard_normal(7 * m)
-    h_rho = measures._log_trace(rho)
-    _, grad = measures._value_and_grad(x, rho, h_rho, m)
-    step = 1e-6
-    numeric = np.array(
-        [
-            (
-                measures._value_and_grad(x + step * e, rho, h_rho, m)[0]
-                - measures._value_and_grad(x - step * e, rho, h_rho, m)[0]
-            )
-            / (2.0 * step)
-            for e in np.eye(x.size)
-        ]
-    )
-    assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
-
-
 def test_ree_single_polish_certifies_former_insertion_state():
     # Master seed 4, state 842 certified only after a conditional-gradient
-    # atom insertion in the former solver; plain restarts now certify it.
+    # atom insertion in an early mixture solver.
     _, solution = _seeded_ree(4, 842)
     assert solution.converged
     assert solution.gap <= 3e-5
@@ -323,7 +256,149 @@ def test_ree_converged_iff_gap_within_tolerance():
         if not is_separable(rho):
             solutions.append(solution)
     for solution in solutions:
-        # The best-atom ascent starts from every atom of the mixture, so the
-        # gap is not negative beyond roundoff.
+        # The dual gap is lambda_max(D + Q^G) - tr(sigma D) with sigma PPT,
+        # so it is not negative beyond roundoff.
         assert solution.gap >= -5e-6
         assert solution.converged == (solution.gap <= 2e-5 / math.log(2.0))
+
+
+def _pauli_point(rho, sigma):
+    """The solver's iterate at sigma, from sigma's Pauli coordinates."""
+    x = np.array([np.trace(p @ sigma).real for p in PAULI_PRODUCTS.reshape(16, 4, 4)[1:]])
+    return measures._point(np.asarray(rho, dtype=complex), x)
+
+
+@pytest.mark.parametrize(
+    "rho, sigma",
+    [
+        (random_density_matrix(derive_stream(1, 1)), None),
+        # Werner states: 3-fold degenerate spectra of both rho and sigma.
+        (werner(0.8), werner(0.3)),
+    ],
+    ids=["random", "werner"],
+)
+def test_newton_system_matches_central_differences(rho, sigma):
+    rho = np.asarray(rho, dtype=complex)
+    if sigma is None:
+        sigma = 0.3 * rho + 0.7 * np.eye(4) / 4.0
+    t, step = 3.0, 1e-6
+    point = _pauli_point(rho, sigma)
+    grad, hess, _ = measures._newton_system(t, point)
+
+    def shifted(k, sign):
+        return measures._point(rho, point.x + sign * step * np.eye(15)[k])
+
+    num_grad = np.array(
+        [
+            (measures._barrier(t, shifted(k, 1)) - measures._barrier(t, shifted(k, -1)))
+            / (2.0 * step)
+            for k in range(15)
+        ]
+    )
+    num_hess = np.array(
+        [
+            (
+                measures._newton_system(t, shifted(k, 1))[0]
+                - measures._newton_system(t, shifted(k, -1))[0]
+            )
+            / (2.0 * step)
+            for k in range(15)
+        ]
+    )
+    assert np.linalg.norm(num_grad - grad) <= 1e-6 * np.linalg.norm(grad)
+    assert np.linalg.norm(num_hess - hess) <= 1e-6 * np.linalg.norm(hess)
+    assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+
+
+def _sphere(n):
+    """n nearly uniform unit vectors (Fibonacci lattice)."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([np.ones(n), r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def test_dual_gap_is_never_below_a_product_state_scan():
+    # Product states are PPT, so lambda_max(D + Q^G) bounds every
+    # tr(Pi D) = (1, a)·T·(1, b)/4 with T_uv = tr((sigma_u ⊗ sigma_v) D).
+    # Checked at each state's barrier start and at its closest state.
+    bloch = _sphere(400)
+    states = [
+        rho
+        for rho in (random_density_matrix(derive_stream(31, i)) for i in range(120))
+        if not is_separable(rho)
+    ][:20]
+    assert len(states) == 20
+    for rho in states:
+        lowest = np.linalg.eigvalsh(partial_transpose(rho))[0]
+        mix = min(1.0, 2.0 * abs(lowest) / (0.25 + abs(lowest)))
+        for sigma in ((1.0 - mix) * rho + mix * np.eye(4) / 4.0, ree(rho).closest_state):
+            point = _pauli_point(rho, sigma)
+            s, v = point.s[0], point.v[0]
+            diff = s[:, None] - s[None, :]
+            f1 = np.divide(
+                np.log(s)[:, None] - np.log(s)[None, :],
+                diff,
+                out=np.repeat(1.0 / s[:, None], 4, axis=1),
+                where=diff != 0.0,
+            )
+            d_mat = v @ (point.rt * f1) @ v.conj().T
+            t = np.einsum("uvab,ba->uv", PAULI_PRODUCTS, d_mat).real
+            scan = 0.25 * float(np.max(bloch @ t @ bloch.T)) - float(np.trace(sigma @ d_mat).real)
+            assert measures._dual_gap(point) >= scan - 1e-12
+
+
+@pytest.mark.parametrize("master_seed, index", [(1, 88), (1, 282), (15, 483), (3, 912)])
+def test_ree_certifies_states_the_ascent_over_certified(master_seed, index):
+    # The former best-atom ascent reported these four converged while an
+    # exact product-state search put their gaps above 2e-5 nats.
+    _, solution = _seeded_ree(master_seed, index)
+    assert solution.converged
+    assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
+
+
+def test_ree_certifies_rank_deficient_states():
+    # Where rho is rank deficient, sigma >= 0 can be active at the optimum
+    # too, and [(I - D)^G]_+ alone then misses the multiplier; the barrier's
+    # own (sigma^G)^-1 / t keeps these certified.
+    rng = np.random.default_rng(5)
+    solved = 0
+    for rank in (2, 3) * 15:
+        weights = np.zeros(4)
+        weights[:rank] = rng.dirichlet(np.ones(rank))
+        basis = haar_unitary(rng, 4)
+        rho = (basis * weights) @ basis.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        if is_separable(rho):
+            continue
+        solution = ree(rho)
+        solved += 1
+        assert solution.converged
+        assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
+    assert solved >= 15
+
+
+def test_ree_ignores_rng():
+    rho = random_density_matrix(derive_stream(1, 1))
+    a = ree(rho, ReeSolverConfig(rng=np.random.default_rng(1)))
+    b = ree(rho, ReeSolverConfig(rng=np.random.default_rng(2)))
+    assert a.value == b.value and a.gap == b.gap and a.iterations == b.iterations
+    assert np.array_equal(a.closest_state, b.closest_state)
+
+
+def test_ree_is_local_unitary_invariant():
+    rng = np.random.default_rng(17)
+    for index in (1, 3, 7):
+        rho = random_density_matrix(derive_stream(1, index))
+        assert not is_separable(rho)
+        rotated = apply_local_unitary(rho, haar_unitary(rng, 2), haar_unitary(rng, 2))
+        assert abs(ree(rotated).value - ree(rho).value) <= 1e-8
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the package must import without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import entqfi, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
