@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .measures import concurrence, is_separable, negativity, ree
+from .measures import ReeSolution, concurrence, is_separable, negativity, ree
 from .ordering import (
     MEASURE_NAMES,
     MEASURE_RELATIONS,
@@ -115,6 +113,21 @@ def _compute_record(task: tuple[int, ExperimentConfig]):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
+def _ree_in_range(solution: ReeSolution) -> float:
+    """The REE value, clipped into [0, 1] only where it lies outside by no
+    more than its certified gap and 1e-12 bits of roundoff (|Phi+> reads
+    1 + 1.8e-10 with a gap of 2.7e-10); a larger excess or NaN raises."""
+    value = solution.value
+    if 0.0 <= value <= 1.0:
+        return value
+    if max(value - 1.0, -value) <= solution.gap + 1e-12:
+        return min(max(value, 0.0), 1.0)
+    raise ArithmeticError(
+        f"REE {value!r} lies outside [0, 1] by more than its certified gap"
+        f" of {solution.gap:.3g} bits"
+    )
+
+
 def _measure_state(index: int, cfg: ExperimentConfig):
     started = time.perf_counter()
     rng = derive_stream(cfg.master_seed, index)
@@ -130,7 +143,7 @@ def _measure_state(index: int, cfg: ExperimentConfig):
         id=index,
         concurrence=conc,
         negativity=neg,
-        ree=float(np.clip(solution.value, 0.0, 1.0)),
+        ree=_ree_in_range(solution),
         separable=separable,
         ree_converged=solution.converged,
         qfi_raw=optimum.raw_value,

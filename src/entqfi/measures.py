@@ -10,11 +10,13 @@ convex in the Pauli coordinates x of ``sigma = I/4 + 1/4 sum_k x_k P_k``.
 The barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
 damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
 from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))`` with e the
-lowest eigenvalue of rho^G, raising t a hundredfold per round from
-``8 / gap`` until the barrier's own bound 8/t is 1e-9 nats.  Divided
-differences of ln in sigma's eigenbasis give the gradient D of
-``tr(rho ln sigma)`` and its Hessian (Daleckii-Krein), degenerate spectra
-included.  No random numbers are drawn.
+lowest eigenvalue of rho^G.  The rounds are ``t = T / 100^j`` for j
+falling to 0, where ``T = 8 / 1e-9`` puts the barrier's own bound 8/t at
+1e-9 nats and the first j is the largest with ``t >= 8 / gap`` at the
+start: every round raises t a whole hundredfold and the last ends on T
+exactly.  Divided differences of ln in sigma's eigenbasis give the gradient
+D of ``tr(rho ln sigma)`` and its Hessian (Daleckii-Krein), degenerate
+spectra included.  No random numbers are drawn.
 
 Certificate.  S(rho||.) is convex with gradient -D, and for any ``Q >= 0``
 weak duality gives ``tr(sigma* D) <= lambda_max(D + Q^G)`` over PPT sigma*,
@@ -264,6 +266,12 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     """Newton steps along the central path up to t = _T_FINAL: returns the
     last point, the steps taken and the last t.
 
+    Rounds run j = k, ..., 0 at ``t = _T_FINAL / _T_GROWTH**j``, k the
+    largest j that puts the first t at or above 8/gap of the start, so t0
+    lies in [8/gap, 800/gap).  The last round is told by j, not by t, as
+    repeated products can miss ``8 / 1e-9 = 7999999999.999999``; it is
+    centred to _CENTERED_FINAL.
+
     The Hessian dominates that of the log-det barriers, so a decrement below
     1 keeps a whole step inside their Dikin ellipsoid, hence inside both
     cones.  Longer steps stop at 0.99 of the way to the boundary, read in
@@ -273,11 +281,13 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     mix = min(1.0, 2.0 * abs(lowest_pt) / (0.25 + abs(lowest_pt)))
     x = 4.0 * (1.0 - mix) * (_TANGENTS_RE[0] @ rho.reshape(16).view(float))
     p = _point(rho, x)
-    t = _BARRIER_DEGREE / max(_dual_gap(p), _BARRIER_DEGREE / _T_FINAL)
+    gap = max(_dual_gap(p), _BARRIER_DEGREE / _T_FINAL)
+    rounds = math.floor(math.log(_T_FINAL * gap / _BARRIER_DEGREE, _T_GROWTH))
     steps = 0
-    while True:
+    for j in range(rounds, -1, -1):
+        t = _T_FINAL / _T_GROWTH**j
         value, decrement = _barrier(t, p), math.inf
-        while decrement > (_CENTERED_FINAL if t >= _T_FINAL else _CENTERED) and steps < _MAX_STEPS:
+        while decrement > (_CENTERED if j else _CENTERED_FINAL) and steps < _MAX_STEPS:
             grad, hess, tan = _newton_system(t, p)
             try:
                 dx = np.linalg.solve(hess, -grad)
@@ -300,9 +310,9 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
                 alpha *= 0.5
             else:
                 break  # no resolvable decrease left at this t
-        if t >= _T_FINAL or steps >= _MAX_STEPS:
-            return p, steps, t
-        t = min(t * _T_GROWTH, _T_FINAL)
+        if steps >= _MAX_STEPS:
+            break
+    return p, steps, t
 
 
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:

@@ -10,6 +10,7 @@ from entqfi import (
     EulerAngleSet,
     ExperimentConfig,
     ExperimentResult,
+    ReeSolution,
     StateRecord,
     emit_census_report,
     emit_plot_data,
@@ -253,6 +254,28 @@ def test_failure_names_the_state(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^state 0 \(master seed 7\): solver") as info:
         run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
     assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+def _ree_reading(value, gap):
+    def fixed_ree(rho, cfg=None):
+        return ReeSolution(
+            value=value, closest_state=rho, iterations=1, converged=True, gap=gap
+        )
+
+    return fixed_ree
+
+
+def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
+    monkeypatch.setattr(experiment, "ree", _ree_reading(1.01, 1e-9))
+    with pytest.raises(ArithmeticError, match=r"^state 0 \(master seed 7\): REE 1\.01 "):
+        run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
+
+
+def test_ree_excess_within_its_gap_is_clipped(monkeypatch):
+    # |Phi+> reads 1 + 1.8e-10 bits with a certified gap of 2.7e-10.
+    monkeypatch.setattr(experiment, "ree", _ree_reading(1.0 + 1e-10, 2.7e-10))
+    result = run_experiment(ExperimentConfig(count=2, master_seed=7), jobs=1)
+    assert [record.ree for record in result.records] == [1.0, 1.0]
 
 
 def test_eigendecomposition_failure_names_the_state(monkeypatch):

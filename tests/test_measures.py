@@ -262,6 +262,43 @@ def test_ree_converged_iff_gap_within_tolerance():
         assert solution.converged == (solution.gap <= 2e-5 / math.log(2.0))
 
 
+def test_ree_newton_step_budget():
+    # The first 40 entangled states of master seed 1 (ids 0-101) took 743
+    # Newton steps when t grew from 8/gap and the last round was cut short
+    # at _T_FINAL; whole hundredfold rounds ending on _T_FINAL take 605.
+    steps = []
+    index = 0
+    while len(steps) < 40:
+        rho = random_density_matrix(derive_stream(1, index))
+        index += 1
+        if not is_separable(rho):
+            steps.append(ree(rho).iterations)
+    assert index == 102
+    assert sum(steps) <= 640
+
+
+def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
+    # Every t is _T_FINAL / _T_GROWTH**j, j falls by one per round down to
+    # 0, and the last t is _T_FINAL bit for bit, which repeated products
+    # of 8 / 1e-9 = 7999999999.999999 can miss.
+    seen = []
+    newton_system = measures._newton_system
+
+    def recording(t, p):
+        seen.append(t)
+        return newton_system(t, p)
+
+    monkeypatch.setattr(measures, "_newton_system", recording)
+    rho = random_density_matrix(derive_stream(1, 1))
+    assert not is_separable(rho)
+    ree(rho)
+    powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
+    assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
+    rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
+    assert rounds == list(range(rounds[0], -1, -1)) and len(rounds) > 1
+    assert seen[-1] == measures._T_FINAL
+
+
 def _pauli_point(rho, sigma):
     """The solver's iterate at sigma, from sigma's Pauli coordinates."""
     x = np.array([np.trace(p @ sigma).real for p in PAULI_PRODUCTS.reshape(16, 4, 4)[1:]])
