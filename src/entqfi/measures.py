@@ -268,7 +268,8 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 
     Rounds run j = k, ..., 0 at ``t = _T_FINAL / _T_GROWTH**j``, k the
     largest j that puts the first t at or above 8/gap of the start, so t0
-    lies in [8/gap, 800/gap).  The last round is told by j, not by t, as
+    lies in [8/gap, 800/gap); a start whose gap is at its floor of
+    8/_T_FINAL or below takes one round, k = 0.  The last round is told by j, not by t, as
     repeated products can miss ``8 / 1e-9 = 7999999999.999999``; it is
     centred to _CENTERED_FINAL.
 
@@ -282,7 +283,9 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     x = 4.0 * (1.0 - mix) * (_TANGENTS_RE[0] @ rho.reshape(16).view(float))
     p = _point(rho, x)
     gap = max(_dual_gap(p), _BARRIER_DEGREE / _T_FINAL)
-    rounds = math.floor(math.log(_T_FINAL * gap / _BARRIER_DEGREE, _T_GROWTH))
+    # At the gap's floor the product rounds to just under 8, so the log can
+    # fall below 0; such a start still takes its one round at _T_FINAL.
+    rounds = max(0, math.floor(math.log(_T_FINAL * gap / _BARRIER_DEGREE, _T_GROWTH)))
     steps = 0
     for j in range(rounds, -1, -1):
         t = _T_FINAL / _T_GROWTH**j

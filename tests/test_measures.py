@@ -299,6 +299,17 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
     assert seen[-1] == measures._T_FINAL
 
 
+@pytest.mark.parametrize("excess", [1e-8, 1e-7, 1e-6, 1e-5])
+def test_ree_just_past_the_werner_threshold_takes_one_round(excess):
+    # The start's gap is O(excess^2), below its floor of 8/_T_FINAL, where
+    # _T_FINAL * gap / 8 rounds to just under 1: still one round at _T_FINAL.
+    rho = werner(1.0 / 3.0 + excess)
+    assert not is_separable(rho)
+    solution = ree(rho)
+    assert solution.converged and solution.iterations >= 1
+    assert 0.0 <= solution.value <= 1e-9
+
+
 def _pauli_point(rho, sigma):
     """The solver's iterate at sigma, from sigma's Pauli coordinates."""
     x = np.array([np.trace(p @ sigma).real for p in PAULI_PRODUCTS.reshape(16, 4, 4)[1:]])

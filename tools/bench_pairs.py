@@ -9,14 +9,15 @@ For each seed, ``benchmarks/run.py --workload W --seed S --seconds R
 --trace T`` runs once in each checkout, R being ``run_seconds`` of the
 change's ``BENCHMARK.json``.  Which side runs first alternates from pair to
 pair, counting the pairs already in the file, so repeated invocations keep
-alternating.  Each run's JSON line is appended to ``BENCH_<name>.json`` at
-the root of this checkout as soon as it finishes, so an interrupted series
-keeps every run it made.  The file keeps the layout of
-``BENCH_ree_barrier.json`` (``change``, ``command``, ``host``, ``pairs``,
-``summary_trace0_medians``, ``runs``); for every workload and end-to-end
-metric of the ``--trace 0`` runs the summary also holds each side's
-quartiles (``statistics.quantiles``, inclusive method) and the number of
-pairs the change won, ties counting for neither side.
+alternating.  The two JSON lines of a pair are appended to
+``BENCH_<name>.json`` at the root of this checkout together, once the second
+run finishes, so the file holds whole pairs only: an interrupted series
+keeps every pair it completed and drops the one in progress.  The file
+keeps the layout of ``BENCH_ree_barrier.json`` (``change``, ``command``,
+``host``, ``pairs``, ``summary_trace0_medians``, ``runs``); for every
+workload and end-to-end metric of the ``--trace 0`` runs the summary also
+holds each side's quartiles (``statistics.quantiles``, inclusive method)
+and the number of pairs the change won, ties counting for neither side.
 """
 
 from __future__ import annotations
@@ -134,20 +135,22 @@ def main(argv=None) -> int:
     done_pairs = len(paired(record["runs"]))
     for k, seed in enumerate(args.seeds):
         order = SIDES if (done_pairs + k) % 2 == 0 else SIDES[::-1]
+        pair = []
         for side in order:
             result, env = run_once(checkouts[side], args.workload, seed, seconds, args.trace)
             run = {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace}
-            record["runs"].append({**run, "result": result})
+            pair.append({**run, "result": result})
             record["host"] = record["host"] or env
-            record["pairs"] = describe_pairs(record["runs"])
-            record["summary_trace0_medians"] = summarize(record["runs"], spec["end_to_end"])
-            path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
             wall = result["metrics"].get("wall_s", {}).get("value")
             print(
                 f"{args.workload} seed={seed} trace={args.trace} {side}: correct={result['correct']}"
                 f" failed={result['failed']} wall_s={wall}",
                 flush=True,
             )
+        record["runs"] += pair
+        record["pairs"] = describe_pairs(record["runs"])
+        record["summary_trace0_medians"] = summarize(record["runs"], spec["end_to_end"])
+        path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
