@@ -102,7 +102,11 @@ class ExperimentResult:
 
 
 def _compute_record(task: tuple[int, ExperimentConfig]):
-    """One state's record and timings; a numerical failure names the state."""
+    """One state's record and timings; any failure names the state.
+
+    Numerical failures keep their type; any other exception becomes a
+    ``RuntimeError`` whose message carries the original type, so it still
+    pickles back from a worker with the state named."""
     index, cfg = task
     where = f"state {index} (master seed {cfg.master_seed})"
     try:
@@ -111,6 +115,8 @@ def _compute_record(task: tuple[int, ExperimentConfig]):
         raise EigendecompositionError(exc.matrix, f"{where}: {exc}") from exc
     except ArithmeticError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+    except Exception as exc:
+        raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _ree_in_range(solution: ReeSolution) -> float:

@@ -13,13 +13,18 @@ zero, and a gap at or below eps counts as a tie.  Tolerances are
 per-quantity; the REE default is wider than the others because its value
 carries solver noise.
 
-Pairs are visited row by row in canonical order: row ``i`` compares
-record ``i`` against every later record in one vectorized step, so the
-census and the witness scan hold O(n) memory, never the n(n-1)/2 pairs.
-The census sums each row's cell counts.  The witness scan keeps the first
-``limit`` pairs of each discordant cell and stops after the row in which
-the last cell fills.  ``classify_pair`` is the scalar reference that the
-tests compare both against.
+Pairs are visited in tiles of whole rows in canonical order: a tile
+compares rows ``i`` in ``[first, first + rows)`` against every record
+after ``first`` in one vectorized step and holds at most ``_TILE_PAIRS``
+cells, so the census and the witness scan hold O(``_TILE_PAIRS``)
+working memory besides the O(n) value arrays, never the n(n-1)/2 pairs.
+One tile carries the cell codes of several measures at once and shares
+the QFI relation between them.  The census sums each tile's cell counts.
+The witness scan keeps the first ``limit`` pairs of each discordant cell
+and stops after the tile in which the last cell fills.  Both reject a
+non-finite value, which the comparators could not order.
+``classify_pair`` is the scalar reference that the tests compare both
+against.
 """
 
 from __future__ import annotations
@@ -151,24 +156,62 @@ def classify_pair(r1: StateRecord, r2: StateRecord, measure: str, eps=None) -> O
     return OrderingClass(relation, mqfi)
 
 
-def _cell_rows(records: Sequence[StateRecord], measure: str, table: Mapping[str, float]):
+# Cells per tile; a row longer than this is a tile of its own.
+_TILE_PAIRS = 2**15
+
+
+def _sign(d: np.ndarray, tol: float) -> np.ndarray:
+    """``(d > tol) - (d < -tol)`` as int8: 1 above the band, -1 below, 0 inside."""
+    return np.greater(d, tol).view(np.int8) - np.less(d, -tol).view(np.int8)
+
+
+def _cell_tiles(
+    records: Sequence[StateRecord], measures: Sequence[str], table: Mapping[str, float]
+):
     """Cell codes ``3 * measure_relation + mqfi_relation`` of the pairs
-    ``(i, j > i)``, one array per row ``i``: the scalar ``values[i]``
-    against ``values[i + 1:]`` with the comparators of ``classify_pair``."""
-    # a single record yields zero rows, which is fine; only empty input is an error
+    ``(i, j > i)`` in tiles of whole rows, with the comparators of
+    ``classify_pair``.
+
+    Yields ``(first, codes)``: ``codes[m, r, c]`` is the cell of measure
+    ``measures[m]`` for the pair ``(first + r, first + 1 + c)``, and 12
+    where ``c < r`` holds no pair, so a tile read row-major lists its pairs
+    in canonical order.  With ``s_q`` and ``s_m`` the signs of
+    the QFI and measure differences beyond their tolerances, the code is
+    ``(1 - s_q) + (not both-zero) * (6 - 3 * s_m)``.
+    """
+    # a single record yields zero tiles, which is fine; only empty input is an error
     if not records:
         raise ValueError("the ordering census needs at least one record")
-    tol, tol_q = table[measure], table["mqfi"]
-    values = np.array([getattr(r, measure) for r in records])
-    qfi = np.array([r.qfi_max for r in records])
-    for i in range(len(records) - 1):
-        a, b = values[i], values[i + 1 :]
-        qa, qb = qfi[i], qfi[i + 1 :]
-        relation = np.where(
-            (a <= tol) & (b <= tol), 0, np.where(np.abs(a - b) <= tol, 2, np.where(a > b, 1, 3))
+    fields = (*measures, "qfi_max")
+    values = np.array([[getattr(r, name) for r in records] for name in fields], dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite.all(axis=0))[0])
+        f = int(np.flatnonzero(~finite[:, k])[0])
+        raise ValueError(
+            f"record id {records[k].id}: {fields[f]} is {float(values[f, k])!r};"
+            " the ordering census compares finite values only"
         )
-        mqfi = np.where(np.abs(qa - qb) <= tol_q, 1, np.where(qa > qb, 0, 2))
-        yield 3 * relation + mqfi
+    tols = [table[measure] for measure in measures]
+    positive = values[:-1] > np.array(tols)[:, None]
+    n = len(records)
+    first = 0
+    while first < n - 1:
+        cols = n - 1 - first
+        rows = min(cols, max(1, _TILE_PAIRS // cols))
+        head, later = slice(first, first + rows), slice(first + 1, n)
+        mqfi = _sign(values[-1, head, None] - values[-1, None, later], table["mqfi"])
+        np.subtract(1, mqfi, out=mqfi)
+        codes = np.empty((len(measures), rows, cols), dtype=np.int8)
+        for m, tol in enumerate(tols):
+            cell = _sign(values[m, head, None] - values[m, None, later], tol)
+            cell *= -3
+            cell += 6
+            cell *= positive[m, head, None] | positive[m, None, later]
+            np.add(cell, mqfi, out=codes[m])
+        codes[:, :, :rows][:, np.tri(rows, k=-1, dtype=bool)] = 12
+        yield first, codes
+        first += rows
 
 
 def _cell_of_code(code: int) -> OrderingClass:
@@ -182,13 +225,14 @@ def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingC
     measure always sum to n(n-1)/2 exactly.
     """
     table = _normalize_eps(eps)
-    out: dict[str, dict[OrderingClass, int]] = {}
-    for measure in MEASURE_NAMES:
-        counts = np.zeros(12, dtype=np.int64)
-        for codes in _cell_rows(records, measure, table):
-            counts += np.bincount(codes, minlength=12)
-        out[measure] = {_cell_of_code(code): int(counts[code]) for code in range(12)}
-    return out
+    counts = np.zeros((len(MEASURE_NAMES), 13), dtype=np.int64)
+    for _, codes in _cell_tiles(records, MEASURE_NAMES, table):
+        for m, tile in enumerate(codes):
+            counts[m] += np.bincount(tile.ravel(), minlength=13)
+    return {
+        measure: {_cell_of_code(code): int(counts[m, code]) for code in range(12)}
+        for m, measure in enumerate(MEASURE_NAMES)
+    }
 
 
 _DISCORDANT_CODES = tuple(code for code in range(12) if _cell_of_code(code) in DISCORDANT_CELLS)
@@ -199,7 +243,7 @@ def find_counterexamples(
 ) -> list[PairWitness]:
     """Up to ``limit`` witnesses per discordant cell, in canonical pair order.
 
-    The scan stops at the first row after which every discordant cell
+    The scan stops after the first tile after which every discordant cell
     holds ``limit`` witnesses.
     """
     if measure not in MEASURE_NAMES:
@@ -208,13 +252,14 @@ def find_counterexamples(
         raise ValueError("limit must be at least 1")
     table = _normalize_eps(eps)
     pairs: dict[int, list] = {code: [] for code in _DISCORDANT_CODES}
-    for i, codes in enumerate(_cell_rows(records, measure, table)):
+    for first, codes in _cell_tiles(records, (measure,), table):
+        cols = codes.shape[2]
         for code, hits in pairs.items():
             need = limit - len(hits)
             if need:
-                hits.extend(
-                    (records[i], records[i + 1 + j]) for j in np.flatnonzero(codes == code)[:need]
-                )
+                for k in np.flatnonzero(codes[0] == code)[:need]:
+                    r, c = divmod(int(k), cols)
+                    hits.append((records[first + r], records[first + 1 + c]))
         if all(len(hits) == limit for hits in pairs.values()):
             break
     return [

@@ -58,6 +58,11 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 ZERO_CUTOFF = 1e-12
+# Roundoff allowed below zero in a relative entropy, in bits.  S(rho||rho)
+# reads at worst -2.4e-15 over the 5000 states of master seeds 1-4 and 15
+# and 800 random states of ranks 1-4, and the REE of werner(1/3 + d),
+# d = 1e-8..1e-5, reads at least +9.0e-11: 1e-12 leaves a 400x margin.
+_DIVERGENCE_ROUNDOFF = 1e-12
 
 
 class EigendecompositionError(ValueError):
@@ -178,6 +183,9 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     The support test projects rho onto sigma's null eigenspace (eigenvalue
     cutoff 1e-12); any mass above the cutoff there makes the divergence
     infinite, signalled by the returned marker rather than an exception.
+    A value below zero by no more than 1e-12 bits of roundoff reads 0; one
+    further below (sigma is not a normalized state, say) raises
+    ``ArithmeticError``.
     """
     rho = np.asarray(rho, dtype=complex)
     p = np.clip(herm_eig(rho).eigenvalues, 0.0, None)
@@ -192,6 +200,11 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     live_p = p[p > ZERO_CUTOFF]
     value = float(np.sum(live_p * np.log2(live_p)))
     value -= float(np.sum(weights[~null] * np.log2(s[~null])))
+    if value < -_DIVERGENCE_ROUNDOFF:
+        raise ArithmeticError(
+            f"relative entropy {value!r} bits lies below zero by more than"
+            f" {_DIVERGENCE_ROUNDOFF:g} bits of roundoff"
+        )
     return max(0.0, value)
 
 

@@ -1,5 +1,6 @@
 """Experiment pipeline, CSV emission, census report, CLI."""
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -12,9 +13,12 @@ from entqfi import (
     ExperimentResult,
     ReeSolution,
     StateRecord,
+    concurrence,
+    derive_stream,
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
+    random_density_matrix,
     run_experiment,
 )
 from entqfi import experiment
@@ -254,6 +258,26 @@ def test_failure_names_the_state(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^state 0 \(master seed 7\): solver") as info:
         run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
     assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_any_failure_names_the_state(monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched measure reaches pool workers only through fork")
+    poisoned = random_density_matrix(derive_stream(7, 1))
+
+    def failing_concurrence(rho):
+        if np.array_equal(rho, poisoned):
+            raise IndexError("index 4 is out of bounds for axis 0 with size 4")
+        return concurrence(rho)
+
+    monkeypatch.setattr(experiment, "concurrence", failing_concurrence)
+    message = r"^state 1 \(master seed 7\): IndexError: index 4 is out of bounds"
+    with pytest.raises(RuntimeError, match=message) as info:
+        run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=jobs)
+    if jobs == 1:
+        assert isinstance(info.value.__cause__, IndexError)
+    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
 
 def _ree_reading(value, gap):

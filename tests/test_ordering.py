@@ -223,17 +223,19 @@ def measured(index, concurrence, negativity, ree, qfi):
 
 
 def count_rows(monkeypatch):
-    """Patch the row kernel so that each call records how many rows it yielded."""
-    kernel = ordering._cell_rows
+    """Patch the tile kernel to one row per tile, so that each call records
+    how many rows its tiles covered."""
+    kernel = ordering._cell_tiles
     calls = []
 
     def counted(*args):
         calls.append(0)
-        for codes in kernel(*args):
-            calls[-1] += 1
-            yield codes
+        for first, codes in kernel(*args):
+            calls[-1] += codes.shape[1]
+            yield first, codes
 
-    monkeypatch.setattr(ordering, "_cell_rows", counted)
+    monkeypatch.setattr(ordering, "_TILE_PAIRS", 1)
+    monkeypatch.setattr(ordering, "_cell_tiles", counted)
     return calls
 
 
@@ -319,3 +321,87 @@ def test_empty_records_share_one_error():
     with pytest.raises(ValueError, match="at least one record") as from_witnesses:
         find_counterexamples([], "ree")
     assert str(from_census.value) == str(from_witnesses.value)
+
+
+def edge_pool(tol):
+    """Values on and one ulp either side of the tolerance edges: pairs of
+    them differ by exactly +-tol and one ulp either side (Sterbenz), and
+    the pool holds -0.0 and the inside of the zero band."""
+    up, down = np.nextafter(tol, np.inf), np.nextafter(tol, 0.0)
+    two = 2.0 * tol
+    return [
+        -0.0, 0.0, 0.5 * tol, down, tol, up,
+        np.nextafter(two, 0.0), two, np.nextafter(two, np.inf), 3.0 * tol, 0.25,
+    ]
+
+
+def edge_records(n):
+    rng = np.random.default_rng(46)
+    pools = {name: edge_pool(DEFAULT_EPS[name]) for name in (*MEASURE_NAMES, "mqfi")}
+    draw = {name: rng.choice(pool, size=n) for name, pool in pools.items()}
+    return [
+        measured(
+            i,
+            float(draw["concurrence"][i]),
+            float(draw["negativity"][i]),
+            float(draw["ree"][i]),
+            float(draw["mqfi"][i]),
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 61, 301])
+def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
+    records = edge_records(n)
+    cells = [OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS]
+    limit = 3
+    expected_census, expected_witnesses = {}, {}
+    for measure in MEASURE_NAMES:
+        pairs = [
+            (a, b, classify_pair(a, b, measure))
+            for i, a in enumerate(records)
+            for b in records[i + 1 :]
+        ]
+        expected_census[measure] = {cell: sum(c == cell for *_, c in pairs) for cell in cells}
+        expected_witnesses[measure] = [
+            PairWitness(
+                a.id, b.id, measure, cell,
+                (getattr(a, measure), getattr(b, measure), a.qfi_max, b.qfi_max),
+            )
+            for cell in cells
+            if cell in DISCORDANT_CELLS
+            for a, b, _ in [pair for pair in pairs if pair[2] == cell][:limit]
+        ]
+    if n == 301:
+        # the edges are populated: every measure relation and QFI relation occurs
+        for table in expected_census.values():
+            for r in MEASURE_RELATIONS:
+                assert any(table[OrderingClass(r, q)] for q in MQFI_RELATIONS), r
+            for q in MQFI_RELATIONS:
+                assert any(table[OrderingClass(r, q)] for r in MEASURE_RELATIONS), q
+    for tile_pairs in (1, 7, 100, ordering._TILE_PAIRS):
+        monkeypatch.setattr(ordering, "_TILE_PAIRS", tile_pairs)
+        assert census(records) == expected_census, tile_pairs
+        for measure in MEASURE_NAMES:
+            found = find_counterexamples(records, measure, limit=limit)
+            assert found == expected_witnesses[measure], (tile_pairs, measure)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", [*MEASURE_NAMES, "qfi_max"])
+def test_nonfinite_values_name_the_first_record(field, bad):
+    records = [
+        dataclasses.replace(rec(i, 0.1 * i, qfi=1.0 + 0.1 * i), id=10 + i) for i in range(5)
+    ]
+    for index in (2, 4):
+        records[index] = dataclasses.replace(records[index], **{field: bad})
+    message = f"record id 12: {field} is {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        census(records)
+    for measure in MEASURE_NAMES:
+        if field in (measure, "qfi_max"):
+            with pytest.raises(ValueError, match=message):
+                find_counterexamples(records, measure)
+        else:
+            find_counterexamples(records, measure)

@@ -12,10 +12,12 @@ from entqfi import (
     SIGMA_Y,
     apply_local_unitary,
     density_matrix,
+    derive_stream,
     herm_eig,
     kron,
     partial_trace,
     partial_transpose,
+    random_density_matrix,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -159,6 +161,17 @@ def test_relative_entropy_nonnegative_on_random_pairs():
         sigma = m2 @ m2.conj().T
         sigma /= np.trace(sigma).real
         assert relative_entropy(rho, sigma) >= 0.0
+
+
+def test_relative_entropy_clips_only_roundoff_below_zero():
+    for index in range(200):
+        rho = random_density_matrix(derive_stream(1, index))
+        assert 0.0 <= relative_entropy(rho, rho) < 1e-14
+    rho = random_density_matrix(derive_stream(1, 0))
+    # sigma = c * rho reads -log2(c) bits: within roundoff it clips to 0
+    assert relative_entropy(rho, (1.0 + 1e-14) * rho) == 0.0
+    with pytest.raises(ArithmeticError, match="below zero"):
+        relative_entropy(rho, (1.0 + 1e-11) * rho)
 
 
 def test_apply_local_unitary_conjugates():
