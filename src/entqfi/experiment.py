@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .measures import ReeSolution, concurrence, is_separable, negativity, ree
+from .measures import concurrence, is_separable, negativity, ree
 from .ordering import (
     MEASURE_NAMES,
     MEASURE_RELATIONS,
@@ -75,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.grid_divisor < 2:
             raise ValueError("grid_divisor must be at least 2")
         if self.refine_divisor <= self.grid_divisor:
@@ -119,21 +121,6 @@ def _compute_record(task: tuple[int, ExperimentConfig]):
         raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
-def _ree_in_range(solution: ReeSolution) -> float:
-    """The REE value, clipped into [0, 1] only where it lies outside by no
-    more than its certified gap and 1e-12 bits of roundoff (|Phi+> reads
-    1 + 1.8e-10 with a gap of 2.7e-10); a larger excess or NaN raises."""
-    value = solution.value
-    if 0.0 <= value <= 1.0:
-        return value
-    if max(value - 1.0, -value) <= solution.gap + 1e-12:
-        return min(max(value, 0.0), 1.0)
-    raise ArithmeticError(
-        f"REE {value!r} lies outside [0, 1] by more than its certified gap"
-        f" of {solution.gap:.3g} bits"
-    )
-
-
 def _measure_state(index: int, cfg: ExperimentConfig):
     started = time.perf_counter()
     rng = derive_stream(cfg.master_seed, index)
@@ -149,7 +136,7 @@ def _measure_state(index: int, cfg: ExperimentConfig):
         id=index,
         concurrence=conc,
         negativity=neg,
-        ree=_ree_in_range(solution),
+        ree=solution.value,
         separable=separable,
         ree_converged=solution.converged,
         qfi_raw=optimum.raw_value,
@@ -172,9 +159,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
         raise ValueError("jobs must be at least 1")
     started = time.perf_counter()
     tasks = [(index, cfg) for index in range(cfg.count)]
-    if jobs > 1 and cfg.count > 1:
-        chunk = max(1, cfg.count // (jobs * 8))
-        with multiprocessing.Pool(processes=jobs) as pool:
+    workers = min(jobs, cfg.count)
+    if workers > 1:
+        chunk = max(1, cfg.count // (workers * 8))
+        with multiprocessing.Pool(processes=workers) as pool:
             outcomes = pool.map(_compute_record, tasks, chunksize=chunk)
     else:
         outcomes = [_compute_record(task) for task in tasks]

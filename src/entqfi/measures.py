@@ -27,6 +27,12 @@ condition ``D + Q^G = I`` singles out; the barrier's own
 bits, far inside the 5e-3 oracle tolerance) counts as converged.  The
 closest state is strictly interior, so full rank and PPT; the value is
 recomputed as S(rho||closest).  The solver works in nats, reports bits.
+
+Value rule.  Two-qubit REE lies in [0, 1] bit and so does the value: it
+never reads below 0, a value above 1 is set to 1 when the excess is within
+the certified gap plus the 1e-12-bit roundoff of ``relative_entropy``
+(|Phi+> reads 1 + 1.8e-10 with a gap of 2.7e-10), and anything else that is
+not at most 1, NaN included, raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .states import (
+    _DIVERGENCE_ROUNDOFF,
     IDENTITY_4,
     PAULI_PRODUCTS,
     herm_eig,
@@ -111,9 +118,10 @@ class ReeSolverConfig:
 
 @dataclass(frozen=True)
 class ReeSolution:
-    """``gap`` is the certified optimality gap of ``value`` in bits and
-    ``converged`` says it is within tolerance.  ``iterations`` counts Newton
-    steps: at least one if entangled, zero for the separable short-circuit."""
+    """``value`` is the REE in bits, always in [0, 1]; ``gap`` is its
+    certified optimality gap in bits and ``converged`` says it is within
+    tolerance.  ``iterations`` counts Newton steps: at least one if
+    entangled, zero for the separable short-circuit."""
 
     value: float
     closest_state: np.ndarray
@@ -336,10 +344,18 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     closest = _sigmas(point.x)[0]
     if not is_separable(closest):
         raise ArithmeticError("solver produced a non-PPT candidate state")
+    value, gap_bits = relative_entropy(rho, closest), gap / LN2
+    if value > 1.0 and value - 1.0 <= gap_bits + _DIVERGENCE_ROUNDOFF:
+        value = 1.0
+    if not value <= 1.0:
+        raise ArithmeticError(
+            f"REE {value!r} exceeds 1 bit by more than its certified gap"
+            f" of {gap_bits:.3g} bits"
+        )
     return ReeSolution(
-        value=relative_entropy(rho, closest),
+        value=value,
         closest_state=closest,
         iterations=steps,
         converged=gap <= _GAP_TOL_NATS,
-        gap=gap / LN2,
+        gap=gap_bits,
     )

@@ -29,6 +29,7 @@ against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -123,8 +124,8 @@ def _normalize_eps(eps) -> dict[str, float]:
     else:
         table = {key: float(eps) for key in table}
     for key, value in table.items():
-        if value <= 0.0:
-            raise ValueError(f"tolerance {key} must be positive, got {value!r}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"tolerance {key} must be positive and finite, got {value!r}")
     return table
 
 

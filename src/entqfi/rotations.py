@@ -64,7 +64,6 @@ class LoccOptimum(NamedTuple):
     min_value: float
     min_angles: EulerAngleSet
     raw_value: float
-    step_used: float
     refined: bool
     evaluations: int
     base_max_value: float
@@ -169,7 +168,6 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
         min_value=float(values[lo]),
         min_angles=_angle_set(int(first_flat[lo]), divisor),
         raw_value=float(values[0]),
-        step_used=TWO_PI / divisor,
         refined=False,
         evaluations=divisor**6,
         base_max_value=float(values[hi]),
@@ -184,8 +182,9 @@ def optimize_with_refinement(
 
     If the base pass leaves the maximum or the minimum within 1e-9 of the
     raw (unrotated) value, the search reruns on the finer grid and keeps
-    the elementwise better optimum of the two passes.  The raw value and
-    reported step always come from the base pass; evaluation counts add up.
+    the elementwise better optimum of the two passes, the fine one only
+    where it is strictly better.  The raw value and base_* always come from
+    the base pass; evaluation counts add up.
     """
     base = grid_search(rho, TWO_PI / base_divisor)
     moved_up = base.max_value - base.raw_value > REFINEMENT_TRIGGER
@@ -193,23 +192,13 @@ def optimize_with_refinement(
     if moved_up and moved_down:
         return base
     fine = grid_search(rho, TWO_PI / refine_divisor)
-    if fine.max_value > base.max_value:
-        max_value, max_angles = fine.max_value, fine.max_angles
-    else:
-        max_value, max_angles = base.max_value, base.max_angles
-    if fine.min_value < base.min_value:
-        min_value, min_angles = fine.min_value, fine.min_angles
-    else:
-        min_value, min_angles = base.min_value, base.min_angles
-    return LoccOptimum(
-        max_value=max_value,
-        max_angles=max_angles,
-        min_value=min_value,
-        min_angles=min_angles,
-        raw_value=base.raw_value,
-        step_used=base.step_used,
+    up = fine if fine.max_value > base.max_value else base
+    down = fine if fine.min_value < base.min_value else base
+    return base._replace(
+        max_value=up.max_value,
+        max_angles=up.max_angles,
+        min_value=down.min_value,
+        min_angles=down.min_angles,
         refined=True,
         evaluations=base.evaluations + fine.evaluations,
-        base_max_value=base.max_value,
-        base_min_value=base.min_value,
     )

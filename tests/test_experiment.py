@@ -2,6 +2,7 @@
 
 import multiprocessing
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -11,17 +12,18 @@ from entqfi import (
     EulerAngleSet,
     ExperimentConfig,
     ExperimentResult,
-    ReeSolution,
     StateRecord,
     concurrence,
     derive_stream,
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
+    is_separable,
     random_density_matrix,
+    ree,
     run_experiment,
 )
-from entqfi import experiment
+from entqfi import experiment, measures
 from entqfi.cli import main
 from entqfi.experiment import (
     PLOT_CSV_HEADER,
@@ -29,6 +31,7 @@ from entqfi.experiment import (
     format_value,
     unresolved_ids,
 )
+from helpers import bell_state
 
 ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -101,6 +104,9 @@ def test_config_defaults_and_eps_merge():
         {"eps_order": {"volume": 0.1}},
         {"eps_order": {"ree": -1.0}},
         {"ree_components": 6},
+        {"eps_order": {"mqfi": float("nan")}},
+        {"eps_order": {"ree": float("inf")}},
+        {"master_seed": -1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -280,26 +286,43 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
     assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
 
-def _ree_reading(value, gap):
-    def fixed_ree(rho, cfg=None):
-        return ReeSolution(
-            value=value, closest_state=rho, iterations=1, converged=True, gap=gap
-        )
-
-    return fixed_ree
-
-
 def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
-    monkeypatch.setattr(experiment, "ree", _ree_reading(1.01, 1e-9))
-    with pytest.raises(ArithmeticError, match=r"^state 0 \(master seed 7\): REE 1\.01 "):
+    monkeypatch.setattr(measures, "relative_entropy", lambda rho, sigma: 1.01)
+    with pytest.raises(ArithmeticError, match=r"^REE 1\.01 exceeds 1 bit"):
+        ree(bell_state())
+    states = [random_density_matrix(derive_stream(7, i)) for i in range(3)]
+    first = next(i for i, rho in enumerate(states) if not is_separable(rho))
+    message = rf"^state {first} \(master seed 7\): REE 1\.01 exceeds 1 bit"
+    with pytest.raises(ArithmeticError, match=message):
         run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
 
 
-def test_ree_excess_within_its_gap_is_clipped(monkeypatch):
-    # |Phi+> reads 1 + 1.8e-10 bits with a certified gap of 2.7e-10.
-    monkeypatch.setattr(experiment, "ree", _ree_reading(1.0 + 1e-10, 2.7e-10))
-    result = run_experiment(ExperimentConfig(count=2, master_seed=7), jobs=1)
-    assert [record.ree for record in result.records] == [1.0, 1.0]
+def test_ree_excess_within_its_gap_is_clipped():
+    # |Phi+> reads 1 + 1.8e-10 bits before the rule, with a certified gap of 2.7e-10.
+    assert ree(bell_state()).value == 1.0
+
+
+def test_pool_never_outnumbers_states(monkeypatch):
+    serial = run_experiment(ExperimentConfig(count=3, master_seed=5), jobs=1)
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(experiment, "multiprocessing", types.SimpleNamespace(Pool=InProcessPool))
+    fanned = run_experiment(ExperimentConfig(count=3, master_seed=5), jobs=64)
+    assert opened == [3]
+    assert fanned.records == serial.records
 
 
 def test_eigendecomposition_failure_names_the_state(monkeypatch):
@@ -327,14 +350,17 @@ def test_cli_end_to_end(tmp_path, capsys):
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):
-    code = main(["--states", "0", "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    for argv in (["--states", "0"], ["--seed", "-1"]):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_bad_eps_flag_exits_2():
+def test_cli_bad_eps_flag_exits_2(tmp_path, capsys):
+    for pair in ("volume=0.1", "ree=-1", "mqfi=nan"):
+        assert main(["--eps-order", pair, "--out", str(tmp_path / "x")]) == 2
+        assert "configuration error" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
-        main(["--eps-order", "volume=0.1"])
+        main(["--eps-order", "ree"])
     assert info.value.code == 2
 
 

@@ -112,6 +112,8 @@ def test_classify_rejects_bad_arguments():
         classify_pair(rec(0), rec(1), "ree", eps={"volume": 0.1})
     with pytest.raises(ValueError):
         classify_pair(rec(0), rec(1), "ree", eps={"ree": -1.0})
+    with pytest.raises(ValueError, match="positive and finite"):
+        classify_pair(rec(0), rec(1), "ree", eps={"ree": float("nan")})
 
 
 def test_classify_antisymmetry():

@@ -7,6 +7,8 @@ import pytest
 
 from entqfi import (
     PAULI,
+    EulerAngleSet,
+    LoccOptimum,
     apply_local_unitary,
     euler_unitary,
     grid_search,
@@ -15,6 +17,7 @@ from entqfi import (
     random_density_matrix,
     derive_stream,
 )
+from entqfi import rotations
 from entqfi.rotations import REFINEMENT_TRIGGER, _adjoint_matrix, _relative_classes
 from helpers import bell_state, ket, pure
 
@@ -64,7 +67,6 @@ def test_grid_search_bookkeeping():
     rho = random_density_matrix(derive_stream(300, 0))
     result = grid_search(rho, PI / 2.0)
     assert result.evaluations == 4**3 * 4**3
-    assert result.step_used == pytest.approx(PI / 2.0, abs=1e-15)
     assert not result.refined
     assert result.base_max_value == result.max_value
     assert result.base_min_value == result.min_value
@@ -198,6 +200,29 @@ def test_refinement_merge_never_loses_ground():
             assert merged.raw_value - merged.min_value > REFINEMENT_TRIGGER
         else:
             assert merged.evaluations == base.evaluations + 6**6
+
+
+def test_refinement_merge_keeps_base_optimum_on_ties(monkeypatch):
+    def scripted(raw, angle, evaluations, base_values):
+        angles = EulerAngleSet(angle, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return LoccOptimum(
+            max_value=1.5,
+            max_angles=angles,
+            min_value=0.5,
+            min_angles=angles,
+            raw_value=raw,
+            refined=False,
+            evaluations=evaluations,
+            base_max_value=base_values[0],
+            base_min_value=base_values[1],
+        )
+
+    base = scripted(1.5, 0.0, 4**6, (1.5, 0.5))  # flat upward, so the fine pass runs
+    fine = scripted(1.2, PI / 3.0, 6**6, (-7.0, -7.0))
+    passes = iter([base, fine])
+    monkeypatch.setattr(rotations, "grid_search", lambda rho, step: next(passes))
+    merged = optimize_with_refinement(np.eye(4) / 4.0, 4, 6)
+    assert merged == base._replace(refined=True, evaluations=4**6 + 6**6)
 
 
 def test_search_is_deterministic():
