@@ -11,6 +11,7 @@ from .experiment import (
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
+    resolve_jobs,
     run_experiment,
 )
 
@@ -71,13 +72,12 @@ def main(argv=None) -> int:
             eps_order=dict(args.eps_order),
             witness_limit=args.witness_limit,
         )
-        if args.jobs is not None and args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
+        jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
         print(f"entqfi: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = run_experiment(config, jobs=args.jobs)
+        result = run_experiment(config, jobs=jobs)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_state_csv(result, out_dir / STATE_CSV_NAME)

@@ -14,6 +14,7 @@ result.  Worker-pool fan-out therefore cannot change any output file.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -42,6 +43,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
+    "resolve_jobs",
     "emit_state_csv",
     "emit_plot_data",
     "emit_census_report",
@@ -102,6 +104,21 @@ class ExperimentResult:
     timing: dict[str, float]
     config: ExperimentConfig
 
+    @functools.cached_property
+    def _formatted(self) -> list[tuple[StateRecord, tuple[str, str, str], str]]:
+        """The records in id order, each with its three measures formatted
+        and its ``qfi_raw,qfi_max,qfi_min`` cells joined, built on the first
+        emit so that every value is formatted once per result."""
+        return [
+            (
+                record,
+                tuple(format_value(getattr(record, measure)) for measure in MEASURE_NAMES),
+                f"{format_value(record.qfi_raw)},{format_value(record.qfi_max)},"
+                f"{format_value(record.qfi_min)}",
+            )
+            for record in sorted(self.records, key=lambda r: r.id)
+        ]
+
 
 def _compute_record(task: tuple[int, ExperimentConfig]):
     """One state's record and timings; any failure names the state.
@@ -151,12 +168,19 @@ def _measure_state(index: int, cfg: ExperimentConfig):
     return record, measured - started, finished - measured
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """Worker processes for ``jobs``: the CPU count when None; a count below
+    1 raises ``ValueError``."""
+    if jobs is None:
+        return os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
     """Full deterministic pipeline; jobs only sets worker fan-out."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    jobs = resolve_jobs(jobs)
     started = time.perf_counter()
     tasks = [(index, cfg) for index in range(cfg.count)]
     workers = min(jobs, cfg.count)
@@ -194,61 +218,36 @@ def format_value(x: float) -> str:
         raise ValueError(f"cannot format non-finite value {x!r}")
     exponent = math.floor(math.log10(abs(x)))
     decimals = max(0, 11 - exponent)
-    return f"{x:.{decimals}f}"
+    return "%.*f" % (decimals, x)
 
 
-def _format_angles(angles) -> str:
-    return ";".join(f"{angle:.6f}" for angle in angles)
+# One Euler angle set: six angles with six decimals, separated by ';'.
+_ANGLES_FORMAT = ";".join(["%.6f"] * 6)
 
 
 def _flag(value: bool) -> str:
     return "1" if value else "0"
 
 
-def _state_row(record: StateRecord) -> str:
-    return ",".join(
-        [
-            str(record.id),
-            _flag(record.separable),
-            format_value(record.concurrence),
-            format_value(record.negativity),
-            format_value(record.ree),
-            _flag(record.ree_converged),
-            format_value(record.qfi_raw),
-            format_value(record.qfi_max),
-            format_value(record.qfi_min),
-            _flag(record.refined),
-            _format_angles(record.max_angles),
-            _format_angles(record.min_angles),
-        ]
-    )
-
-
 def emit_state_csv(result: ExperimentResult, path) -> None:
     """Per-state CSV, rows ordered by id."""
-    records = sorted(result.records, key=lambda r: r.id)
     lines = [STATE_CSV_HEADER]
-    lines.extend(_state_row(record) for record in records)
+    lines.extend(
+        f"{record.id},{_flag(record.separable)},{measures[0]},{measures[1]},{measures[2]},"
+        f"{_flag(record.ree_converged)},{qfi},{_flag(record.refined)},"
+        f"{_ANGLES_FORMAT % record.max_angles},{_ANGLES_FORMAT % record.min_angles}"
+        for record, measures, qfi in result._formatted
+    )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def emit_plot_data(result: ExperimentResult, directory) -> None:
     """fig1_<measure>.csv files, rows sorted by measure value then id."""
     directory = Path(directory)
-    for measure in MEASURE_NAMES:
-        records = sorted(result.records, key=lambda r: (getattr(r, measure), r.id))
+    for m, measure in enumerate(MEASURE_NAMES):
+        rows = sorted(result._formatted, key=lambda row: (getattr(row[0], measure), row[0].id))
         lines = [PLOT_CSV_HEADER]
-        for record in records:
-            lines.append(
-                ",".join(
-                    [
-                        format_value(getattr(record, measure)),
-                        format_value(record.qfi_raw),
-                        format_value(record.qfi_max),
-                        format_value(record.qfi_min),
-                    ]
-                )
-            )
+        lines.extend(f"{measures[m]},{qfi}" for _, measures, qfi in rows)
         (directory / f"fig1_{measure}.csv").write_text(
             "\n".join(lines) + "\n", encoding="utf-8"
         )

@@ -19,7 +19,9 @@ after ``first`` in one vectorized step and holds at most ``_TILE_PAIRS``
 cells, so the census and the witness scan hold O(``_TILE_PAIRS``)
 working memory besides the O(n) value arrays, never the n(n-1)/2 pairs.
 One tile carries the cell codes of several measures at once and shares
-the QFI relation between them.  The census sums each tile's cell counts.
+the QFI relation between them.  The census folds a tile's three codes
+into one joint code, counts it once into a 13x13x13 table, and reads the
+three per-measure tables off that table's marginals at the end.
 The witness scan keeps the first ``limit`` pairs of each discordant cell
 and stops after the tile in which the last cell fills.  Both reject a
 non-finite value, which the comparators could not order.
@@ -226,12 +228,17 @@ def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingC
     measure always sum to n(n-1)/2 exactly.
     """
     table = _normalize_eps(eps)
-    counts = np.zeros((len(MEASURE_NAMES), 13), dtype=np.int64)
+    joint = np.zeros(13**3, dtype=np.int64)
     for _, codes in _cell_tiles(records, MEASURE_NAMES, table):
-        for m, tile in enumerate(codes):
-            counts[m] += np.bincount(tile.ravel(), minlength=13)
+        # One count per tile of the joint code 169 * c0 + 13 * c1 + c2.
+        code = np.multiply(codes[0], 169, dtype=np.int16)
+        code += np.multiply(codes[1], 13, dtype=np.int16)
+        code += codes[2]
+        joint += np.bincount(code.ravel(), minlength=13**3)
+    joint = joint.reshape(13, 13, 13)
+    counts = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
     return {
-        measure: {_cell_of_code(code): int(counts[m, code]) for code in range(12)}
+        measure: {_cell_of_code(code): int(counts[m][code]) for code in range(12)}
         for m, measure in enumerate(MEASURE_NAMES)
     }
 

@@ -185,9 +185,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     infinite, signalled by the returned marker rather than an exception.
     A value below zero by no more than 1e-12 bits of roundoff reads 0; one
     further below (sigma is not a normalized state, say) raises
-    ``ArithmeticError``.
+    ``ArithmeticError``, and so does a NaN or infinite entry in rho or
+    sigma, which would otherwise pass through the comparisons as a NaN.
     """
     rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    for name, m in (("rho", rho), ("sigma", sigma)):
+        if not np.isfinite(m).all():
+            raise ArithmeticError(f"relative entropy needs a finite {name}")
     p = np.clip(herm_eig(rho).eigenvalues, 0.0, None)
     sigma_spec = herm_eig(sigma)
     s = np.clip(sigma_spec.eigenvalues, 0.0, None)

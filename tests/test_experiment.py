@@ -1,5 +1,6 @@
 """Experiment pipeline, CSV emission, census report, CLI."""
 
+import math
 import multiprocessing
 import pickle
 import types
@@ -13,11 +14,13 @@ from entqfi import (
     ExperimentConfig,
     ExperimentResult,
     StateRecord,
+    census,
     concurrence,
     derive_stream,
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
+    find_counterexamples,
     is_separable,
     random_density_matrix,
     ree,
@@ -31,6 +34,7 @@ from entqfi.experiment import (
     format_value,
     unresolved_ids,
 )
+from entqfi.ordering import MEASURE_NAMES
 from helpers import bell_state
 
 ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -49,6 +53,52 @@ def emit_all(result, directory):
     return {name: (directory / name).read_bytes() for name in names}
 
 
+def reference_format_value(x):
+    """The per-value formatter the emitters are checked against."""
+    if x == 0.0:
+        return "0.000000000000"
+    if not math.isfinite(x):
+        raise ValueError(f"cannot format non-finite value {x!r}")
+    exponent = math.floor(math.log10(abs(x)))
+    decimals = max(0, 11 - exponent)
+    return f"{x:.{decimals}f}"
+
+
+def reference_emitter_bytes(records):
+    """states.csv and the three fig1 files as formatted one value at a time."""
+    fmt = reference_format_value
+
+    def flag(value):
+        return "1" if value else "0"
+
+    def angles(values):
+        return ";".join(f"{angle:.6f}" for angle in values)
+
+    lines = [STATE_CSV_HEADER]
+    for r in sorted(records, key=lambda r: r.id):
+        lines.append(",".join([
+            str(r.id), flag(r.separable), fmt(r.concurrence), fmt(r.negativity), fmt(r.ree),
+            flag(r.ree_converged), fmt(r.qfi_raw), fmt(r.qfi_max), fmt(r.qfi_min),
+            flag(r.refined), angles(r.max_angles), angles(r.min_angles),
+        ]))
+    files = {"states.csv": "\n".join(lines) + "\n"}
+    for measure in MEASURE_NAMES:
+        lines = [PLOT_CSV_HEADER]
+        for r in sorted(records, key=lambda r: (getattr(r, measure), r.id)):
+            values = (getattr(r, measure), r.qfi_raw, r.qfi_max, r.qfi_min)
+            lines.append(",".join(fmt(v) for v in values))
+        files[f"fig1_{measure}.csv"] = "\n".join(lines) + "\n"
+    return {name: text.encode() for name, text in files.items()}
+
+
+def powers_of_ten_and_neighbours(low, high):
+    out = []
+    for k in range(low, high + 1):
+        x = 10.0**k
+        out += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
+    return out
+
+
 def test_format_value_cases():
     assert format_value(1.0) == "1.00000000000"
     assert format_value(2.0) == "2.00000000000"
@@ -57,6 +107,17 @@ def test_format_value_cases():
     assert format_value(0.188721875540867) == "0.188721875541"
     assert format_value(1e-5) == "0.0000100000000000"
     assert format_value(123.456) == "123.456000000"
+    # The floats next to 10^k: log10 can round to k from either side.
+    assert format_value(9.999999999999999e-06) == "0.0000100000000000"
+    assert format_value(0.09999999999999999) == "0.100000000000"
+    assert format_value(0.9999999999999999) == "1.000000000000"
+    assert format_value(1.0000000000000002) == "1.00000000000"
+    assert format_value(9.999999999999998) == "10.00000000000"
+    assert format_value(10.000000000000002) == "10.0000000000"
+    # the smallest subnormal, 4.94065645841247e-324
+    assert format_value(5e-324) == "0." + "0" * 323 + "494065645841"
+    for x in [*powers_of_ten_and_neighbours(-30, 24), 5e-324, -5e-324, -0.5, 1e300]:
+        assert format_value(x) == reference_format_value(x), x
 
 
 def test_format_value_round_trip():
@@ -182,6 +243,74 @@ def test_plot_row_for_maximally_entangled_record(tmp_path):
     assert lines[1] == "1.00000000000,2.00000000000,2.00000000000,0.000000000000"
 
 
+def edge_records(seed, n):
+    """Records given out of id order whose values sit on zero, on ties and
+    on powers of ten and their neighbouring floats."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, 0.5, 1.0, 2.0, *powers_of_ten_and_neighbours(-8, 0)])
+
+    def value():
+        return float(rng.choice(pool))
+
+    angle_pool = np.array([0.0, -0.0, math.pi / 2, -math.pi, 1e-7, -4e-7, 0.1234565])
+    records = []
+    for i in rng.permutation(n):
+        zero = rng.random() < 0.3
+        records.append(
+            StateRecord(
+                id=int(i),
+                concurrence=0.0 if zero else value(),
+                negativity=0.0 if zero else value(),
+                ree=0.0 if zero else value(),
+                separable=bool(zero),
+                ree_converged=bool(rng.random() < 0.9),
+                qfi_raw=value(),
+                qfi_max=value(),
+                qfi_min=value(),
+                max_angles=EulerAngleSet(*map(float, rng.choice(angle_pool, 6))),
+                min_angles=EulerAngleSet(*map(float, rng.choice(angle_pool, 6))),
+                refined=bool(rng.random() < 0.2),
+                base_max_value=value(),
+                base_min_value=value(),
+            )
+        )
+    return records
+
+
+def edge_result(seed, n):
+    records = edge_records(seed, n)
+    cfg = ExperimentConfig(count=n)
+    censuses = census(records, cfg.eps_order)
+    witnesses = {m: find_counterexamples(records, m, cfg.eps_order) for m in MEASURE_NAMES}
+    return ExperimentResult(records, censuses, witnesses, {}, cfg)
+
+
+def test_emitters_match_per_value_reference(tmp_path):
+    first, second = edge_result(61, 80), edge_result(62, 70)
+    expected = reference_emitter_bytes(first.records)
+    assert [r.id for r in first.records] != sorted(r.id for r in first.records)
+    # Called twice, in both orders: a cache that goes stale or depends on
+    # which emitter ran first would change the bytes.
+    runs = []
+    for order in ("forward", "reverse"):
+        directory = tmp_path / order
+        directory.mkdir()
+        calls = [
+            lambda: emit_state_csv(first, directory / "states.csv"),
+            lambda: emit_plot_data(first, directory),
+            lambda: emit_census_report(first, directory / "census.txt"),
+        ]
+        for call in calls if order == "forward" else calls[::-1]:
+            call()
+        files = {path.name: path.read_bytes() for path in directory.iterdir()}
+        assert {name: files[name] for name in expected} == expected
+        runs.append(files)
+    assert runs[0] == runs[1]
+    emit_all(second, tmp_path)
+    files = {name: (tmp_path / name).read_bytes() for name in expected}
+    assert files == reference_emitter_bytes(second.records)
+
+
 def test_unresolved_ids_logic():
     def record(index, refined, raw, high, low):
         return StateRecord(
@@ -252,7 +381,7 @@ def test_census_report_contents(small_run, tmp_path):
 
 
 def test_run_experiment_rejects_bad_jobs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
         run_experiment(ExperimentConfig(count=2), jobs=0)
 
 
@@ -353,6 +482,13 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     for argv in (["--states", "0"], ["--seed", "-1"]):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_bad_jobs_is_a_configuration_error(tmp_path, capsys):
+    assert main(["--states", "2", "--jobs", "0", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == "entqfi: configuration error: jobs must be at least 1, got 0\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_bad_eps_flag_exits_2(tmp_path, capsys):

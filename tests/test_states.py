@@ -174,6 +174,16 @@ def test_relative_entropy_clips_only_roundoff_below_zero():
         relative_entropy(rho, (1.0 + 1e-11) * rho)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_relative_entropy_rejects_nonfinite_input(bad):
+    sigma = np.eye(4, dtype=complex) / 4.0
+    sigma[1, 2] = bad
+    with pytest.raises(ArithmeticError, match="finite sigma"):
+        relative_entropy(np.eye(4) / 4.0, sigma)
+    with pytest.raises(ArithmeticError, match="finite rho"):
+        relative_entropy(sigma, np.eye(4) / 4.0)
+
+
 def test_apply_local_unitary_conjugates():
     u_a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # bit flip
     rho = pure(ket("00"))
