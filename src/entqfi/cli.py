@@ -39,20 +39,25 @@ def build_parser() -> argparse.ArgumentParser:
             "CSV, plot data and ordering census."
         ),
     )
-    parser.add_argument("--states", type=int, default=1000, metavar="N",
-                        help="ensemble size (default 1000)")
-    parser.add_argument("--seed", type=int, default=1, metavar="S",
-                        help="master seed (default 1)")
-    parser.add_argument("--grid-divisor", type=int, default=4, metavar="K",
-                        help="base grid step 2*pi/K (default 4)")
-    parser.add_argument("--refine-divisor", type=int, default=6, metavar="K2",
-                        help="refinement grid step 2*pi/K2 (default 6)")
+    # Each dest is an ExperimentConfig field, whose default it takes.
+    defaults = ExperimentConfig
+    parser.add_argument("--states", dest="count", type=int, default=defaults.count,
+                        metavar="N", help="ensemble size (default %(default)s)")
+    parser.add_argument("--seed", dest="master_seed", type=int,
+                        default=defaults.master_seed, metavar="S",
+                        help="master seed (default %(default)s)")
+    parser.add_argument("--grid-divisor", type=int, default=defaults.grid_divisor,
+                        metavar="K", help="base grid step 2*pi/K (default %(default)s)")
+    parser.add_argument("--refine-divisor", type=int, default=defaults.refine_divisor,
+                        metavar="K2",
+                        help="refinement grid step 2*pi/K2 (default %(default)s)")
     parser.add_argument("--eps-order", type=_eps_pair, action="append", default=[],
                         metavar="MEASURE=VALUE",
                         help="ordering tolerance override, repeatable "
                              "(keys: concurrence, negativity, ree, mqfi)")
-    parser.add_argument("--witness-limit", type=int, default=10, metavar="L",
-                        help="witnesses kept per discordant cell (default 10)")
+    parser.add_argument("--witness-limit", type=int, default=defaults.witness_limit,
+                        metavar="L",
+                        help="witnesses kept per discordant cell (default %(default)s)")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default ./out)")
     parser.add_argument("--jobs", type=int, default=None, metavar="J",
@@ -61,24 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    out_dir, jobs = Path(args.pop("out")), args.pop("jobs")
     try:
-        config = ExperimentConfig(
-            count=args.states,
-            master_seed=args.seed,
-            grid_divisor=args.grid_divisor,
-            refine_divisor=args.refine_divisor,
-            eps_order=dict(args.eps_order),
-            witness_limit=args.witness_limit,
-        )
-        jobs = resolve_jobs(args.jobs)
+        config = ExperimentConfig(**args)
+        jobs = resolve_jobs(jobs)
     except ValueError as exc:
         print(f"entqfi: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         result = run_experiment(config, jobs=jobs)
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_state_csv(result, out_dir / STATE_CSV_NAME)
         emit_plot_data(result, out_dir)

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 from .measures import concurrence, is_separable, negativity, ree
 from .ordering import (
+    DEFAULT_WITNESS_LIMIT,
     MEASURE_NAMES,
     MEASURE_RELATIONS,
     MQFI_RELATIONS,
@@ -35,7 +36,12 @@ from .ordering import (
     census,
     find_counterexamples,
 )
-from .rotations import REFINEMENT_TRIGGER, optimize_with_refinement
+from .rotations import (
+    DEFAULT_BASE_DIVISOR,
+    DEFAULT_REFINE_DIVISOR,
+    optimize_with_refinement,
+    stalled,
+)
 from .sampling import derive_stream, random_density_matrix
 from .states import EigendecompositionError
 
@@ -63,8 +69,8 @@ PLOT_CSV_HEADER = "measure,qfi_raw,qfi_max,qfi_min"
 class ExperimentConfig:
     count: int = 1000
     master_seed: int = 1
-    grid_divisor: int = 4
-    refine_divisor: int = 6
+    grid_divisor: int = DEFAULT_BASE_DIVISOR
+    refine_divisor: int = DEFAULT_REFINE_DIVISOR
     eps_order: Mapping[str, float] = field(default_factory=dict)
     # The REE solver reads none of the ree_* fields; they and their checks
     # stay only because the benchmark (benchmarks/workloads.py) passes them.
@@ -72,7 +78,7 @@ class ExperimentConfig:
     ree_multistarts: int = 5
     ree_max_sweeps: int = 10000
     ree_threshold: float = 1e-7
-    witness_limit: int = 10
+    witness_limit: int = DEFAULT_WITNESS_LIMIT
 
     def __post_init__(self):
         if self.count < 1:
@@ -120,8 +126,8 @@ class ExperimentResult:
         ]
 
 
-def _compute_record(task: tuple[int, ExperimentConfig]):
-    """One state's record and timings; any failure names the state.
+def _compute_record(task: tuple[int, ExperimentConfig]) -> StateRecord:
+    """One state's record; any failure names the state.
 
     Numerical failures keep their type; any other exception becomes a
     ``RuntimeError`` whose message carries the original type, so it still
@@ -138,18 +144,14 @@ def _compute_record(task: tuple[int, ExperimentConfig]):
         raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
-def _measure_state(index: int, cfg: ExperimentConfig):
-    started = time.perf_counter()
-    rng = derive_stream(cfg.master_seed, index)
-    rho = random_density_matrix(rng)
+def _measure_state(index: int, cfg: ExperimentConfig) -> StateRecord:
+    rho = random_density_matrix(derive_stream(cfg.master_seed, index))
     conc = concurrence(rho)
     neg = negativity(rho)
     separable = is_separable(rho)
     solution = ree(rho)
-    measured = time.perf_counter()
     optimum = optimize_with_refinement(rho, cfg.grid_divisor, cfg.refine_divisor)
-    finished = time.perf_counter()
-    record = StateRecord(
+    return StateRecord(
         id=index,
         concurrence=conc,
         negativity=neg,
@@ -165,7 +167,6 @@ def _measure_state(index: int, cfg: ExperimentConfig):
         base_max_value=optimum.base_max_value,
         base_min_value=optimum.base_min_value,
     )
-    return record, measured - started, finished - measured
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -187,12 +188,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     if workers > 1:
         chunk = max(1, cfg.count // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:
-            outcomes = pool.map(_compute_record, tasks, chunksize=chunk)
+            records = pool.map(_compute_record, tasks, chunksize=chunk)
     else:
-        outcomes = [_compute_record(task) for task in tasks]
-    records = [record for record, _, _ in outcomes]
-    measure_seconds = sum(t for _, t, _ in outcomes)
-    grid_seconds = sum(t for _, _, t in outcomes)
+        records = [_compute_record(task) for task in tasks]
     states_done = time.perf_counter()
     censuses = census(records, cfg.eps_order)
     witnesses = {
@@ -201,8 +199,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     }
     finished = time.perf_counter()
     timing = {
-        "generation_measures": measure_seconds,
-        "grid_search": grid_seconds,
         "states_wall": states_done - started,
         "census_wall": finished - states_done,
         "total_wall": finished - started,
@@ -218,7 +214,14 @@ def format_value(x: float) -> str:
         raise ValueError(f"cannot format non-finite value {x!r}")
     exponent = math.floor(math.log10(abs(x)))
     decimals = max(0, 11 - exponent)
-    return "%.*f" % (decimals, x)
+    text = "%.*f" % (decimals, x)
+    # Rounding can carry into the next decade (0.9999999999999999 would read
+    # 1.000000000000); one decimal fewer then keeps 12 significant digits.
+    # A carry leaves the digits 1000000000000, so only a text ending in 0
+    # needs the digit count.
+    if decimals and text[-1] == "0" and len(text.lstrip("-0.").replace(".", "")) > 12:
+        text = "%.*f" % (decimals - 1, x)
+    return text
 
 
 # One Euler angle set: six angles with six decimals, separated by ';'.
@@ -256,15 +259,9 @@ def emit_plot_data(result: ExperimentResult, directory) -> None:
 def unresolved_ids(records: Sequence[StateRecord]) -> list[int]:
     """States still flat against the raw value in some direction after
     the finer pass ran."""
-    out = []
-    for record in records:
-        if not record.refined:
-            continue
-        stuck_up = record.qfi_max - record.qfi_raw <= REFINEMENT_TRIGGER
-        stuck_down = record.qfi_raw - record.qfi_min <= REFINEMENT_TRIGGER
-        if stuck_up or stuck_down:
-            out.append(record.id)
-    return out
+    return [
+        r.id for r in records if r.refined and any(stalled(r.qfi_raw, r.qfi_max, r.qfi_min))
+    ]
 
 
 def emit_census_report(result: ExperimentResult, path) -> None:
@@ -285,8 +282,9 @@ def emit_census_report(result: ExperimentResult, path) -> None:
     lines.append(f"witness_limit={cfg.witness_limit}")
     lines.append("")
     separable_count = sum(1 for r in records if r.separable)
-    improved_max = sum(1 for r in records if r.base_max_value - r.qfi_raw > REFINEMENT_TRIGGER)
-    improved_min = sum(1 for r in records if r.qfi_raw - r.base_min_value > REFINEMENT_TRIGGER)
+    base_stalls = [stalled(r.qfi_raw, r.base_max_value, r.base_min_value) for r in records]
+    improved_max = sum(not up for up, _ in base_stalls)
+    improved_min = sum(not down for _, down in base_stalls)
     stuck = unresolved_ids(records)
     lines.append(f"separable_count={separable_count}")
     lines.append(f"entangled_count={len(records) - separable_count}")

@@ -18,9 +18,9 @@ compares rows ``i`` in ``[first, first + rows)`` against every record
 after ``first`` in one vectorized step and holds at most ``_TILE_PAIRS``
 cells, so the census and the witness scan hold O(``_TILE_PAIRS``)
 working memory besides the O(n) value arrays, never the n(n-1)/2 pairs.
-One tile carries the cell codes of several measures at once and shares
-the QFI relation between them.  The census folds a tile's three codes
-into one joint code, counts it once into a 13x13x13 table, and reads the
+One tile carries one joint cell code of several measures per pair and
+shares the QFI relation between them.  The census counts a tile's joint
+codes of all three measures once into a 13x13x13 table, and reads the
 three per-measure tables off that table's marginals at the end.
 The witness scan keeps the first ``limit`` pairs of each discordant cell
 and stops after the tile in which the last cell fills.  Both reject a
@@ -44,6 +44,7 @@ __all__ = [
     "MEASURE_RELATIONS",
     "MQFI_RELATIONS",
     "DEFAULT_EPS",
+    "DEFAULT_WITNESS_LIMIT",
     "DISCORDANT_CELLS",
     "StateRecord",
     "OrderingClass",
@@ -63,6 +64,9 @@ DEFAULT_EPS = {
     "ree": 5e-3,
     "mqfi": 1e-4,
 }
+
+# Witnesses kept per discordant cell.
+DEFAULT_WITNESS_LIMIT = 10
 
 
 class OrderingClass(NamedTuple):
@@ -115,16 +119,13 @@ class PairWitness(NamedTuple):
 
 
 def _normalize_eps(eps) -> dict[str, float]:
+    """``DEFAULT_EPS`` overridden by ``eps``: None, a mapping, or
+    ``(key, value)`` pairs."""
     table = dict(DEFAULT_EPS)
-    if eps is None:
-        return table
-    if isinstance(eps, Mapping):
-        for key, value in eps.items():
-            if key not in table:
-                raise ValueError(f"unknown tolerance key {key!r}")
-            table[key] = float(value)
-    else:
-        table = {key: float(eps) for key in table}
+    for key, value in dict(eps or {}).items():
+        if key not in table:
+            raise ValueError(f"unknown tolerance key {key!r}")
+        table[key] = float(value)
     for key, value in table.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"tolerance {key} must be positive and finite, got {value!r}")
@@ -171,16 +172,17 @@ def _sign(d: np.ndarray, tol: float) -> np.ndarray:
 def _cell_tiles(
     records: Sequence[StateRecord], measures: Sequence[str], table: Mapping[str, float]
 ):
-    """Cell codes ``3 * measure_relation + mqfi_relation`` of the pairs
-    ``(i, j > i)`` in tiles of whole rows, with the comparators of
-    ``classify_pair``.
+    """Joint cell codes of the pairs ``(i, j > i)`` in tiles of whole rows,
+    with the comparators of ``classify_pair``.
 
-    Yields ``(first, codes)``: ``codes[m, r, c]`` is the cell of measure
-    ``measures[m]`` for the pair ``(first + r, first + 1 + c)``, and 12
+    A measure's cell is ``3 * measure_relation + mqfi_relation``; with
+    ``s_q`` and ``s_m`` the signs of the QFI and measure differences beyond
+    their tolerances, it is ``(1 - s_q) + (not both-zero) * (6 - 3 * s_m)``.
+    Yields ``(first, codes)``: the int16 ``codes[r, c]`` is the base-13
+    number whose digits are the cells of ``measures`` in order, for the
+    pair ``(first + r, first + 1 + c)``, and ``13**len(measures) - 1``
     where ``c < r`` holds no pair, so a tile read row-major lists its pairs
-    in canonical order.  With ``s_q`` and ``s_m`` the signs of
-    the QFI and measure differences beyond their tolerances, the code is
-    ``(1 - s_q) + (not both-zero) * (6 - 3 * s_m)``.
+    in canonical order.
     """
     # a single record yields zero tiles, which is fine; only empty input is an error
     if not records:
@@ -205,14 +207,16 @@ def _cell_tiles(
         head, later = slice(first, first + rows), slice(first + 1, n)
         mqfi = _sign(values[-1, head, None] - values[-1, None, later], table["mqfi"])
         np.subtract(1, mqfi, out=mqfi)
-        codes = np.empty((len(measures), rows, cols), dtype=np.int8)
+        codes = np.zeros((rows, cols), dtype=np.int16)
         for m, tol in enumerate(tols):
             cell = _sign(values[m, head, None] - values[m, None, later], tol)
             cell *= -3
             cell += 6
             cell *= positive[m, head, None] | positive[m, None, later]
-            np.add(cell, mqfi, out=codes[m])
-        codes[:, :, :rows][:, np.tri(rows, k=-1, dtype=bool)] = 12
+            cell += mqfi
+            codes *= 13
+            codes += cell
+        codes[:, :rows][np.tri(rows, k=-1, dtype=bool)] = 13 ** len(measures) - 1
         yield first, codes
         first += rows
 
@@ -230,11 +234,7 @@ def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingC
     table = _normalize_eps(eps)
     joint = np.zeros(13**3, dtype=np.int64)
     for _, codes in _cell_tiles(records, MEASURE_NAMES, table):
-        # One count per tile of the joint code 169 * c0 + 13 * c1 + c2.
-        code = np.multiply(codes[0], 169, dtype=np.int16)
-        code += np.multiply(codes[1], 13, dtype=np.int16)
-        code += codes[2]
-        joint += np.bincount(code.ravel(), minlength=13**3)
+        joint += np.bincount(codes.ravel(), minlength=13**3)
     joint = joint.reshape(13, 13, 13)
     counts = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
     return {
@@ -247,7 +247,10 @@ _DISCORDANT_CODES = tuple(code for code in range(12) if _cell_of_code(code) in D
 
 
 def find_counterexamples(
-    records: Sequence[StateRecord], measure: str, eps=None, limit: int = 10
+    records: Sequence[StateRecord],
+    measure: str,
+    eps=None,
+    limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> list[PairWitness]:
     """Up to ``limit`` witnesses per discordant cell, in canonical pair order.
 
@@ -261,11 +264,11 @@ def find_counterexamples(
     table = _normalize_eps(eps)
     pairs: dict[int, list] = {code: [] for code in _DISCORDANT_CODES}
     for first, codes in _cell_tiles(records, (measure,), table):
-        cols = codes.shape[2]
+        cols = codes.shape[1]
         for code, hits in pairs.items():
             need = limit - len(hits)
             if need:
-                for k in np.flatnonzero(codes[0] == code)[:need]:
+                for k in np.flatnonzero(codes == code)[:need]:
                     r, c = divmod(int(k), cols)
                     hits.append((records[first + r], records[first + 1 + c]))
         if all(len(hits) == limit for hits in pairs.values()):

@@ -32,13 +32,20 @@ from .fisher import spin_qfi_matrix
 from .states import IDENTITY_2, PAULI
 
 __all__ = [
+    "DEFAULT_BASE_DIVISOR",
+    "DEFAULT_REFINE_DIVISOR",
     "REFINEMENT_TRIGGER",
     "EulerAngleSet",
     "LoccOptimum",
     "euler_unitary",
     "grid_search",
     "optimize_with_refinement",
+    "stalled",
 ]
+
+# Grid steps 2*pi/4 and 2*pi/6 of the base and refinement passes.
+DEFAULT_BASE_DIVISOR = 4
+DEFAULT_REFINE_DIVISOR = 6
 
 # A grid direction counts as unimproved when it moves the raw value by
 # no more than this, which is also the refinement trigger.
@@ -175,21 +182,27 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
     )
 
 
+def stalled(raw: float, high: float, low: float) -> tuple[bool, bool]:
+    """Whether the maximum ``high`` and the minimum ``low`` each lie within
+    ``REFINEMENT_TRIGGER`` of the raw value."""
+    return high - raw <= REFINEMENT_TRIGGER, raw - low <= REFINEMENT_TRIGGER
+
+
 def optimize_with_refinement(
-    rho: np.ndarray, base_divisor: int = 4, refine_divisor: int = 6
+    rho: np.ndarray,
+    base_divisor: int = DEFAULT_BASE_DIVISOR,
+    refine_divisor: int = DEFAULT_REFINE_DIVISOR,
 ) -> LoccOptimum:
     """Base-grid search with a finer rerun when either direction stalls.
 
-    If the base pass leaves the maximum or the minimum within 1e-9 of the
-    raw (unrotated) value, the search reruns on the finer grid and keeps
-    the elementwise better optimum of the two passes, the fine one only
-    where it is strictly better.  The raw value and base_* always come from
-    the base pass; evaluation counts add up.
+    If the base pass leaves the maximum or the minimum ``stalled``, the
+    search reruns on the finer grid and keeps the elementwise better
+    optimum of the two passes, the fine one only where it is strictly
+    better.  The raw value and base_* always come from the base pass;
+    evaluation counts add up.
     """
     base = grid_search(rho, TWO_PI / base_divisor)
-    moved_up = base.max_value - base.raw_value > REFINEMENT_TRIGGER
-    moved_down = base.raw_value - base.min_value > REFINEMENT_TRIGGER
-    if moved_up and moved_down:
+    if not any(stalled(base.raw_value, base.max_value, base.min_value)):
         return base
     fine = grid_search(rho, TWO_PI / refine_divisor)
     up = fine if fine.max_value > base.max_value else base

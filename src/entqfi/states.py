@@ -34,7 +34,6 @@ __all__ = [
     "ZERO_CUTOFF",
     "EigendecompositionError",
     "Spectrum",
-    "kron",
     "herm_eig",
     "density_matrix",
     "partial_transpose",
@@ -84,11 +83,6 @@ class Spectrum(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with both factors coerced to complex."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def herm_eig(matrix: np.ndarray) -> Spectrum:

@@ -1,9 +1,11 @@
 """Experiment pipeline, CSV emission, census report, CLI."""
 
+import importlib
 import math
 import multiprocessing
 import pickle
 import types
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from entqfi import (
     ree,
     run_experiment,
 )
+import entqfi
 from entqfi import experiment, measures
-from entqfi.cli import main
+from entqfi.cli import build_parser, main
 from entqfi.experiment import (
     PLOT_CSV_HEADER,
     STATE_CSV_HEADER,
@@ -35,6 +38,7 @@ from entqfi.experiment import (
     unresolved_ids,
 )
 from entqfi.ordering import MEASURE_NAMES
+from entqfi.rotations import REFINEMENT_TRIGGER
 from helpers import bell_state
 
 ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -54,12 +58,13 @@ def emit_all(result, directory):
 
 
 def reference_format_value(x):
-    """The per-value formatter the emitters are checked against."""
+    """The per-value formatter the emitters are checked against: the decimal
+    exponent is that of the exact value rounded to 12 significant digits."""
     if x == 0.0:
         return "0.000000000000"
     if not math.isfinite(x):
         raise ValueError(f"cannot format non-finite value {x!r}")
-    exponent = math.floor(math.log10(abs(x)))
+    exponent = Context(prec=12, rounding=ROUND_HALF_EVEN).plus(Decimal(x)).adjusted()
     decimals = max(0, 11 - exponent)
     return f"{x:.{decimals}f}"
 
@@ -107,12 +112,12 @@ def test_format_value_cases():
     assert format_value(0.188721875540867) == "0.188721875541"
     assert format_value(1e-5) == "0.0000100000000000"
     assert format_value(123.456) == "123.456000000"
-    # The floats next to 10^k: log10 can round to k from either side.
+    # The floats next to 10^k round to 10^k and keep 12 significant digits.
     assert format_value(9.999999999999999e-06) == "0.0000100000000000"
     assert format_value(0.09999999999999999) == "0.100000000000"
-    assert format_value(0.9999999999999999) == "1.000000000000"
+    assert format_value(0.9999999999999999) == "1.00000000000"
     assert format_value(1.0000000000000002) == "1.00000000000"
-    assert format_value(9.999999999999998) == "10.00000000000"
+    assert format_value(9.999999999999998) == "10.0000000000"
     assert format_value(10.000000000000002) == "10.0000000000"
     # the smallest subnormal, 4.94065645841247e-324
     assert format_value(5e-324) == "0." + "0" * 323 + "494065645841"
@@ -335,8 +340,10 @@ def test_unresolved_ids_logic():
         record(1, True, 1.0, 1.2, 0.8),  # flagged but resolved
         record(2, True, 1.0, 1.0, 0.8),  # still flat upward
         record(3, True, 1.0, 1.2, 1.0),  # still flat downward
+        record(4, True, 0.0, REFINEMENT_TRIGGER, -0.2),  # moved by exactly the trigger
     ]
-    assert unresolved_ids(records) == [2, 3]
+    assert REFINEMENT_TRIGGER == 1e-9
+    assert unresolved_ids(records) == [2, 3, 4]
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -476,6 +483,39 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert captured.out.startswith("states=4 separable=")
     for name in ("states.csv", "census.txt", "fig1_concurrence.csv", "fig1_negativity.csv", "fig1_ree.csv"):
         assert (out_dir / name).exists()
+
+
+def test_every_submodule_name_is_exported():
+    # no two submodules export the same name
+    assert len(set(entqfi.__all__)) == len(entqfi.__all__)
+    modules = ("states", "sampling", "measures", "fisher", "rotations", "ordering", "experiment")
+    for name in modules:
+        module = importlib.import_module(f"entqfi.{name}")
+        for public in module.__all__:
+            assert public in entqfi.__all__, (name, public)
+            assert getattr(entqfi, public) is getattr(module, public), (name, public)
+
+
+def test_cli_defaults_are_the_config_defaults(capsys):
+    args = vars(build_parser().parse_args([]))
+    assert (args.pop("out"), args.pop("jobs")) == ("out", None)
+    assert ExperimentConfig(**args) == ExperimentConfig()
+    args = vars(build_parser().parse_args(["--states", "7", "--eps-order", "ree=0.1"]))
+    del args["out"], args["jobs"]
+    config = ExperimentConfig(**args)
+    assert (config.count, config.eps_order["ree"]) == (7, 0.1)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    defaults = ExperimentConfig()
+    for flag, value in (
+        ("--states N ensemble size", defaults.count),
+        ("--seed S master seed", defaults.master_seed),
+        ("--grid-divisor K base grid step 2*pi/K", defaults.grid_divisor),
+        ("--refine-divisor K2 refinement grid step 2*pi/K2", defaults.refine_divisor),
+        ("--witness-limit L witnesses kept per discordant cell", defaults.witness_limit),
+    ):
+        assert f"{flag} (default {value})" in help_text, flag
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

@@ -8,13 +8,10 @@ import pytest
 from entqfi import (
     IDENTITY_4,
     PAULI,
-    SIGMA_X,
-    SIGMA_Y,
     apply_local_unitary,
     density_matrix,
     derive_stream,
     herm_eig,
-    kron,
     partial_trace,
     partial_transpose,
     random_density_matrix,
@@ -32,14 +29,6 @@ def test_pauli_algebra():
     assert np.allclose(PAULI[0] @ PAULI[1], 1j * PAULI[2])
     assert np.allclose(PAULI[1] @ PAULI[2], 1j * PAULI[0])
     assert np.allclose(PAULI[2] @ PAULI[0], 1j * PAULI[1])
-
-
-def test_kron_matches_numpy():
-    a = np.arange(4).reshape(2, 2)
-    b = np.eye(2)
-    out = kron(a, b)
-    assert out.dtype == complex
-    assert np.array_equal(out, np.kron(a.astype(complex), b.astype(complex)))
 
 
 def test_herm_eig_descending_and_orthonormal():
@@ -105,15 +94,15 @@ def test_partial_transpose_bell_spectrum():
 def test_partial_transpose_transposes_one_factor():
     a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     b = np.array([[0.6, 0.3j], [-0.3j, 0.4]])
-    rho = kron(a, b)
-    assert np.allclose(partial_transpose(rho, "b"), kron(a, b.T))
-    assert np.allclose(partial_transpose(rho, "a"), kron(a.T, b))
+    rho = np.kron(a, b)
+    assert np.allclose(partial_transpose(rho, "b"), np.kron(a, b.T))
+    assert np.allclose(partial_transpose(rho, "a"), np.kron(a.T, b))
 
 
 def test_partial_trace_product_state():
     a = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     b = np.array([[0.1, 0.0], [0.0, 0.9]], dtype=complex)
-    rho = kron(a, b)
+    rho = np.kron(a, b)
     assert np.allclose(partial_trace(rho, "a"), a, atol=1e-14)
     assert np.allclose(partial_trace(rho, "b"), b, atol=1e-14)
 
@@ -205,4 +194,3 @@ def test_werner_helper_boundaries():
     vals = np.linalg.eigvalsh(partial_transpose(werner(1.0 / 3.0)))
     assert abs(vals[0]) < 1e-12
     assert np.linalg.eigvalsh(partial_transpose(werner(0.5)))[0] < -1e-3
-    assert np.allclose(kron(SIGMA_X, SIGMA_Y), np.kron(SIGMA_X, SIGMA_Y))
