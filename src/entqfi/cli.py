@@ -14,6 +14,7 @@ from .experiment import (
     resolve_jobs,
     run_experiment,
 )
+from .states import EigendecompositionError
 
 STATE_CSV_NAME = "states.csv"
 REPORT_NAME = "census.txt"
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default ./out)")
     parser.add_argument("--jobs", type=int, default=None, metavar="J",
-                        help="worker processes (default: CPU count)")
+                        help="worker processes (default: CPUs this process may use)")
     return parser
 
 
@@ -82,6 +83,10 @@ def main(argv=None) -> int:
         emit_census_report(result, out_dir / REPORT_NAME)
     except OSError as exc:
         print(f"entqfi: I/O error: {exc}", file=sys.stderr)
+        return 1
+    except (ArithmeticError, EigendecompositionError, RuntimeError) as exc:
+        # A failure in one state's work; its message names the state.
+        print(f"entqfi: {exc}", file=sys.stderr)
         return 1
     separable = sum(1 for record in result.records if record.separable)
     print(f"states={config.count} separable={separable} out={out_dir}")

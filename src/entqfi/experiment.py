@@ -170,9 +170,11 @@ def _measure_state(index: int, cfg: ExperimentConfig) -> StateRecord:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker processes for ``jobs``: the CPU count when None; a count below
-    1 raises ``ValueError``."""
+    """Worker processes for ``jobs``: the CPUs this process may use when
+    None; a count below 1 raises ``ValueError``."""
     if jobs is None:
+        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

@@ -92,10 +92,10 @@ _BARRIER_DEGREE, _T_GROWTH = 8.0, 100.0
 _T_FINAL = _BARRIER_DEGREE / 1e-9
 _CENTERED, _CENTERED_FINAL, _FULL_STEP = 0.5, 1e-6, 0.1
 _MAX_STEPS = 200
-# Each flat triple (i, m, j) sorted, which for ascending s sorts it by
-# value; _RISE_AT picks f1[mid, hi] and f1[lo, mid] from the flat f1.
-_TRIPLES = np.sort(np.indices((4, 4, 4)).reshape(3, 64), axis=0)
-_RISE_AT = np.stack([4 * _TRIPLES[1] + _TRIPLES[2], 4 * _TRIPLES[0] + _TRIPLES[1]])
+# The 20 sorted index triples lo <= mid <= hi, which for ascending s sort
+# their values, and for each flat (i, m, j) the place of its sorted triple.
+_TRIPLES = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
+_TRIPLE_AT = np.array([_TRIPLES.index(tuple(sorted(ijk))) for ijk in np.ndindex(4, 4, 4)])
 _COINCIDENT = 1e-5  # relative spread below which three eigenvalues coincide
 
 
@@ -209,51 +209,56 @@ def _barrier(t: float, p: _Point) -> float:
 
 
 def _log_first_differences(s: np.ndarray) -> np.ndarray:
-    """f1[i, j] = (ln s_i - ln s_j) / (s_i - s_j), 1/s_i where they are
-    equal; log1p of the spacing keeps nearby pairs from cancelling."""
-    gap = np.abs(s[:, None] - s[None, :])
-    low = np.minimum(s[:, None], s[None, :])
-    apart = gap > 0.0
-    return np.where(apart, np.log1p(gap / low) / np.where(apart, gap, 1.0), 1.0 / low)
+    """f1[i, j] = (ln s_j - ln s_i) / (s_j - s_i) for ascending s, 1/s_i
+    where they are equal; log1p of the spacing keeps nearby pairs from
+    cancelling.  On six pairs Python floats cost less than numpy calls."""
+    s = s.tolist()
+    f1 = [[1.0 / lo] * 4 for lo in s]
+    for i, lo in enumerate(s):
+        for j in range(i + 1, 4):
+            if (gap := s[j] - lo) > 0.0:
+                f1[i][j] = f1[j][i] = math.log1p(gap / lo) / gap
+    return np.array(f1)
 
 
 def _log_second_differences(s: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """f2[i, m, j], the second divided difference of ln at (s_i, s_m, s_j)
     for ascending s: ``(f1[mid, hi] - f1[lo, mid]) / (s_hi - s_lo)`` over
     the sorted triple, the widest spacing, or ``-1/(2 mean^2)`` (error
-    O(spread^2)) where all three lie within _COINCIDENT."""
-    lo, mid, hi = s[_TRIPLES]
-    spread = hi - lo
-    near = spread <= _COINCIDENT * hi
-    rise = np.subtract(*f1.ravel()[_RISE_AT])
-    f2 = np.where(near, -4.5 / (lo + mid + hi) ** 2, rise / np.where(near, 1.0, spread))
-    return f2.reshape(4, 4, 4)
+    O(spread^2)) where all three lie within _COINCIDENT.  Twenty triples
+    cost less in Python than in numpy."""
+    s, f1 = s.tolist(), f1.tolist()
+    f2 = [
+        (f1[mid][hi] - f1[lo][mid]) / (s[hi] - s[lo])
+        if s[hi] - s[lo] > _COINCIDENT * s[hi]
+        else -4.5 / ((s[lo] + s[mid] + s[hi]) * (s[lo] + s[mid] + s[hi]))
+        for lo, mid, hi in _TRIPLES
+    ]
+    return np.array(f2)[_TRIPLE_AT].reshape(4, 4, 4)
 
 
 def _newton_system(t: float, p: _Point):
-    """Gradient and Hessian of the barrier objective in x, and the tangents
-    ``V† T_k V`` in the eigenbases of sigma and sigma^G as float views.
+    """Gradient and Hessian of the barrier objective in x, and the scaled
+    tangents ``B_c,k = s_c^-1/2 V_c† T_c,k V_c s_c^-1/2`` of sigma and
+    sigma^G as a (2, 15, 32) float view.
 
-    In an eigenbasis, -ln det has gradient -diag(1/s) and Hessian kernel
-    1/(s_a s_b); -t tr(rho ln sigma) has gradient -t rt * f1 and Hessian
-    kernel f2[i, m, j] rt[j, i].  For Hermitian X, Y, tr(XY) is the dot
-    product of their float views."""
+    In an eigenbasis, -ln det has gradient -tr(B) and Hessian tr(B_k B_l)
+    summed over both cones; -t tr(rho ln sigma) has gradient -t rt * f1 and
+    Hessian kernel f2[i, m, j] rt[j, i] on the unscaled tangents.  For
+    Hermitian X, Y, tr(XY) is the dot product of their float views."""
     # vec(V† T V) = vec(T) @ K with K[(i, j), (a, b)] = conj(V[i, a]) V[j, b].
     kron = (p.v.conj()[:, :, None, :, None] * p.v[:, None, :, None, :]).reshape(2, 16, 16)
-    tan = (_TANGENTS @ kron).view(float)
-    inv = 1.0 / p.s
+    tan = _TANGENTS @ kron
+    scaled = (tan * (p.s[:, :, None] * p.s[:, None, :]).reshape(2, 1, 16) ** -0.5).view(float)
     f1 = _log_first_differences(p.s[0])
-    weights = np.zeros((2, 32))
-    weights[0] = (t * (p.rt * f1)).view(float).ravel()
-    weights[:, _DIAG_RE] += inv
-    grad = -(tan[0] @ weights[0] + tan[1] @ weights[1])
-    kernel = np.repeat((inv[:, :, None] * inv[:, None, :]).reshape(2, 16), 2, axis=1)
-    hess = ((tan * kernel[:, None]) @ tan.swapaxes(1, 2)).sum(axis=0)
+    grad = -(tan[0].view(float) @ (t * (p.rt * f1)).view(float).ravel())
+    grad -= scaled[:, :, _DIAG_RE].sum(axis=(0, 2))
+    hess = (scaled @ scaled.swapaxes(1, 2)).sum(axis=0)
     # sum_{i,m,j} tan_k[i, m] f2[m, i, j] rt[j, i] tan_l[m, j], over i first.
-    tan0 = tan[0].view(complex).reshape(15, 4, 4)
+    tan0 = tan[0].reshape(15, 4, 4)
     ys = tan0.transpose(2, 0, 1) @ (_log_second_differences(p.s[0], f1) * p.rt.T)
-    cross = (ys.transpose(1, 0, 2).reshape(15, 16) @ tan0.reshape(15, 16).T).real
-    return grad, hess - t * (cross + cross.T), tan
+    cross = (ys.transpose(1, 0, 2).reshape(15, 16) @ tan[0].T).real
+    return grad, hess - t * (cross + cross.T), scaled
 
 
 def _dual_gap(p: _Point, t: float | None = None) -> float:
@@ -266,8 +271,16 @@ def _dual_gap(p: _Point, t: float | None = None) -> float:
     multipliers = [(u * np.clip(lam, 0.0, None)) @ u.conj().T]
     if t is not None:
         multipliers.append((p.v[1] / (t * p.s[1])) @ p.v[1].conj().T)
-    top = min(float(np.linalg.eigvalsh(d + partial_transpose(q))[-1]) for q in multipliers)
-    return top - float(p.s[0] @ dt.diagonal().real)
+    tops = np.linalg.eigvalsh(d + np.stack([partial_transpose(q) for q in multipliers]))
+    return float(tops[:, -1].min()) - float(p.s[0] @ dt.diagonal().real)
+
+
+def _boundary_step(dx: np.ndarray, scaled: np.ndarray) -> float:
+    """0.99 of the step along dx to the nearer cone's boundary, at most 1.
+    In each cone's eigenbasis diag(s) + a M > 0 iff a < -1/lambda_min of
+    ``s^-1/2 M s^-1/2``, which is ``dx @ scaled`` for both cones at once."""
+    move = (dx @ scaled).view(complex).reshape(2, 4, 4)
+    return -0.99 / min(np.linalg.eigvalsh(move)[:, 0].min(), -0.99)
 
 
 def _barrier_solve(rho: np.ndarray, lowest_pt: float):
@@ -283,9 +296,7 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 
     The Hessian dominates that of the log-det barriers, so a decrement below
     1 keeps a whole step inside their Dikin ellipsoid, hence inside both
-    cones.  Longer steps stop at 0.99 of the way to the boundary, read in
-    the current eigenbases (diag(s) + a M > 0 iff a < -1/lambda_min(M/√ss')),
-    and backtrack (Armijo).
+    cones.  Longer steps start at _boundary_step and backtrack (Armijo).
     """
     mix = min(1.0, 2.0 * abs(lowest_pt) / (0.25 + abs(lowest_pt)))
     x = 4.0 * (1.0 - mix) * (_TANGENTS_RE[0] @ rho.reshape(16).view(float))
@@ -299,7 +310,7 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
         t = _T_FINAL / _T_GROWTH**j
         value, decrement = _barrier(t, p), math.inf
         while decrement > (_CENTERED if j else _CENTERED_FINAL) and steps < _MAX_STEPS:
-            grad, hess, tan = _newton_system(t, p)
+            grad, hess, scaled = _newton_system(t, p)
             try:
                 dx = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -307,11 +318,8 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
             decrement, steps = -float(grad @ dx), steps + 1
             if not decrement >= 0.0:  # roundoff left the Hessian singular or indefinite
                 return p, steps, t
-            whole, alpha = decrement <= _FULL_STEP, 1.0
-            if not whole:
-                r = 1.0 / np.sqrt(p.s)
-                move = (dx @ tan).view(complex).reshape(2, 4, 4) * r[:, :, None] * r[:, None, :]
-                alpha = -0.99 / min(np.linalg.eigvalsh(move)[:, 0].min(), -0.99)
+            whole = decrement <= _FULL_STEP
+            alpha = 1.0 if whole else _boundary_step(dx, scaled)
             for _ in range(40):
                 trial = _point(rho, p.x + alpha * dx)
                 new = _barrier(t, trial)

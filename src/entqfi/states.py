@@ -191,7 +191,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma_spec = herm_eig(sigma)
     s = np.clip(sigma_spec.eigenvalues, 0.0, None)
     vecs = sigma_spec.eigenvectors
-    weights = np.einsum("ji,jk,ki->i", vecs.conj(), rho, vecs).real
+    weights = ((rho @ vecs) * vecs.conj()).sum(axis=0).real
     weights = np.clip(weights, 0.0, None)
     null = s <= ZERO_CUTOFF
     if float(weights[null].sum()) > ZERO_CUTOFF:

@@ -1,0 +1,61 @@
+"""The per-metric verdict that tools/bench_pairs.py writes, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+# Median 1.0 and quartiles 1.0 and 3.0: a spread of 2.0, over the 0.25 bound.
+WIDE = [1.0] * 6 + [3.0] * 4
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        (PARENT, [0.9 * v for v in PARENT], "gain"),
+        # 8 of 10 pairs won is short of 9/10.
+        (PARENT, [0.9 * v for v in PARENT[:8]] + [1.2, 1.2], "same"),
+        # 10 of 10 won, but the medians differ by less than the parent's spread.
+        (PARENT, [v - 0.001 for v in PARENT], "same"),
+        (PARENT, [1.3 * v for v in PARENT], "worse"),
+        (PARENT, [1.2 * v for v in PARENT], "same"),
+        (WIDE, [v * 1.01 for v in WIDE], "unresolved"),
+        # Every change run beats every parent run, so the spread is no excuse.
+        (WIDE, [0.9] * 10, "same"),
+    ],
+    ids=["gain", "too-few-wins", "within-spread", "worse", "within-bound", "unresolved",
+         "every-run-better"],
+)
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_verdict(parent, change, expected, better):
+    sign = 1.0 if better == "lower" else -1.0
+    if better == "higher":  # the mirror image reads the same
+        parent, change = [-v for v in parent], [-v for v in change]
+    won = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    assert bench_pairs.verdict(parent, change, won, sign, 0.25) == expected
+
+
+def test_summary_carries_a_verdict_per_workload_and_metric():
+    def run(side, seed, wall, rate):
+        metrics = {"wall_s": {"value": wall}, "states_per_s": {"value": rate}}
+        return {"side": side, "workload": "w", "seed": seed, "trace": 0,
+                "result": {"metrics": metrics}}
+
+    runs = []
+    for seed, wall in enumerate(PARENT):
+        runs += [run("parent", seed, wall, 100.0 / wall), run("change", seed, 0.9 * wall, 1.0)]
+    end_to_end = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "states_per_s", "better": "higher", "bound": 0.25},
+    ]
+    summary = bench_pairs.summarize(runs, end_to_end)["w"]
+    assert summary["wall_s"]["verdict"] == "gain"
+    assert summary["wall_s"]["change_won"] == 10
+    assert summary["states_per_s"]["verdict"] == "worse"
+    assert summary["states_per_s"]["change_won"] == 0

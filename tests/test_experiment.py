@@ -35,6 +35,7 @@ from entqfi.experiment import (
     PLOT_CSV_HEADER,
     STATE_CSV_HEADER,
     format_value,
+    resolve_jobs,
     unresolved_ids,
 )
 from entqfi.ordering import MEASURE_NAMES
@@ -387,6 +388,17 @@ def test_census_report_contents(small_run, tmp_path):
     assert counted == 3 * 300  # three censuses, each over all pairs
 
 
+def test_default_jobs_are_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+    assert resolve_jobs(None) == 3
+    monkeypatch.delattr(experiment.os, "sched_getaffinity")
+    assert resolve_jobs(None) == 64
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
+    assert resolve_jobs(None) == 1
+    assert resolve_jobs(5) == 5
+
+
 def test_run_experiment_rejects_bad_jobs():
     with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
         run_experiment(ExperimentConfig(count=2), jobs=0)
@@ -546,3 +558,32 @@ def test_cli_io_error_exits_1(tmp_path, capsys):
     code = main(["--states", "2", "--out", str(blocker), "--jobs", "1"])
     assert code == 1
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (ArithmeticError("solver produced a non-PPT candidate state"),
+         "state 2 (master seed 7): solver produced a non-PPT candidate state"),
+        (EigendecompositionError(np.eye(4)),
+         "state 2 (master seed 7): Hermitian eigendecomposition did not converge"),
+        (IndexError("index 4 is out of bounds"),
+         "state 2 (master seed 7): IndexError: index 4 is out of bounds"),
+    ],
+    ids=["arithmetic", "eigendecomposition", "other"],
+)
+def test_cli_state_failure_prints_one_line_and_exits_1(monkeypatch, tmp_path, capsys, error, message):
+    poisoned = random_density_matrix(derive_stream(7, 2))
+
+    def failing_ree(rho, cfg=None):
+        if np.array_equal(rho, poisoned):
+            raise error
+        return ree(rho)
+
+    monkeypatch.setattr(experiment, "ree", failing_ree)
+    argv = ["--states", "4", "--seed", "7", "--jobs", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"entqfi: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

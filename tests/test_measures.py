@@ -317,21 +317,31 @@ def _pauli_point(rho, sigma):
 
 
 @pytest.mark.parametrize(
-    "rho, sigma",
+    "rho, sigma, t",
     [
-        (random_density_matrix(derive_stream(1, 1)), None),
+        (random_density_matrix(derive_stream(1, 1)), None, 3.0),
         # Werner states: 3-fold degenerate spectra of both rho and sigma.
-        (werner(0.8), werner(0.3)),
+        (werner(0.8), werner(0.3), 3.0),
+        # The same points where the t-scaled part dominates.
+        (random_density_matrix(derive_stream(1, 1)), None, 1e6),
+        (werner(0.8), werner(0.3), 1e6),
     ],
-    ids=["random", "werner"],
+    ids=["random", "werner", "random-t1e6", "werner-t1e6"],
 )
-def test_newton_system_matches_central_differences(rho, sigma):
+def test_newton_system_matches_central_differences(rho, sigma, t):
     rho = np.asarray(rho, dtype=complex)
     if sigma is None:
         sigma = 0.3 * rho + 0.7 * np.eye(4) / 4.0
-    t, step = 3.0, 1e-6
+    step = 1e-6
     point = _pauli_point(rho, sigma)
-    grad, hess, _ = measures._newton_system(t, point)
+    grad, hess, scaled = measures._newton_system(t, point)
+
+    # scaled[c, k] is s^-1/2 V† T V s^-1/2 for T = P_k/4 (c = 0) and P_k^G/4.
+    paulis = PAULI_PRODUCTS.reshape(16, 4, 4)[1:] / 4.0
+    for c, tangents in enumerate([paulis, [partial_transpose(m) for m in paulis]]):
+        v, r = point.v[c], 1.0 / np.sqrt(point.s[c])
+        expected = [r[:, None] * (v.conj().T @ m @ v) * r for m in tangents]
+        assert np.allclose(scaled[c].view(complex).reshape(15, 4, 4), expected, atol=1e-13)
 
     def shifted(k, sign):
         return measures._point(rho, point.x + sign * step * np.eye(15)[k])
@@ -356,6 +366,24 @@ def test_newton_system_matches_central_differences(rho, sigma):
     assert np.linalg.norm(num_grad - grad) <= 1e-6 * np.linalg.norm(grad)
     assert np.linalg.norm(num_hess - hess) <= 1e-6 * np.linalg.norm(hess)
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+
+
+def test_boundary_step_stops_short_of_the_nearer_cone():
+    # A long Newton step from a seed-1 state's interior point: at alpha both
+    # cones stay positive definite, and alpha / 0.99 puts the nearer cone's
+    # lowest eigenvalue on zero.
+    rho = random_density_matrix(derive_stream(1, 1))
+    point = _pauli_point(rho, 0.3 * rho + 0.7 * np.eye(4) / 4.0)
+    grad, hess, scaled = measures._newton_system(100.0, point)
+    dx = np.linalg.solve(hess, -grad)
+    assert -grad @ dx > measures._FULL_STEP
+    alpha = measures._boundary_step(dx, scaled)
+    assert alpha < 1.0
+    inside = measures._point(rho, point.x + alpha * dx).s[:, 0]
+    assert inside.min() > 0.0
+    boundary = measures._point(rho, point.x + (alpha / 0.99) * dx).s[:, 0]
+    assert abs(boundary.min()) <= 1e-12
+    assert boundary.max() > 0.0
 
 
 def _sphere(n):

@@ -16,8 +16,9 @@ keeps every pair it completed and drops the one in progress.  The file
 keeps the layout of ``BENCH_ree_barrier.json`` (``change``, ``command``,
 ``host``, ``pairs``, ``summary_trace0_medians``, ``runs``); for every
 workload and end-to-end metric of the ``--trace 0`` runs the summary also
-holds each side's quartiles (``statistics.quantiles``, inclusive method)
-and the number of pairs the change won, ties counting for neither side.
+holds each side's quartiles (``statistics.quantiles``, inclusive method),
+the number of pairs the change won, ties counting for neither side, and a
+``verdict`` (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -69,6 +70,30 @@ def paired(runs: list[dict]) -> list[tuple[dict, dict]]:
     return [pair for group in groups.values() for pair in zip(group["parent"], group["change"])]
 
 
+def verdict(parent: list[float], change: list[float], won: int, sign: float, bound: float) -> str:
+    """One metric's reading over paired runs, ``sign`` being 1 where lower
+    is better and ``bound`` the relative worsening ``BENCHMARK.json`` allows:
+
+    - ``gain``: the change won at least 9/10 of the pairs and the medians
+      differ by more than the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more
+      than the bound;
+    - ``unresolved``: the parent's interquartile range exceeds the bound,
+      unless every change run is better than every parent run;
+    - ``same``: none of these.
+    """
+    q1, median, q3 = quartiles(parent)
+    worsening = sign * (statistics.median(change) - median)
+    if 10 * won >= 9 * len(parent) and -worsening > q3 - q1:
+        return "gain"
+    if worsening > bound * abs(median):
+        return "worse"
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not every_run_better:
+        return "unresolved"
+    return "same"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     summary: dict[str, dict] = {}
     pairs = [pair for pair in paired(runs) if pair[0]["trace"] == 0]
@@ -89,6 +114,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             entry["change_won"] = sum(
                 sign * (change - parent) < 0.0
                 for parent, change in zip(values["parent"], values["change"])
+            )
+            entry["verdict"] = verdict(
+                values["parent"], values["change"], entry["change_won"], sign, metric["bound"]
             )
             summary[workload][name] = entry
     return summary
