@@ -27,6 +27,9 @@ condition ``D + Q^G = I`` singles out; the barrier's own
 bits, far inside the 5e-3 oracle tolerance) counts as converged.  The
 closest state is strictly interior, so full rank and PPT; the value is
 recomputed as S(rho||closest).  The solver works in nats, reports bits.
+Its spectra and Newton solves run on the LAPACK kernels of ``states`` under
+one ``lapack_guard()`` per ``ree`` call: a failed spectrum raises
+``EigendecompositionError``, a singular Hessian ends the solve where it is.
 
 Value rule.  Two-qubit REE lies in [0, 1] bit and so does the value: it
 never reads below 0, a value above 1 is set to 1 when the excess is within
@@ -42,15 +45,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .states import (
     _DIVERGENCE_ROUNDOFF,
     IDENTITY_4,
     PAULI_PRODUCTS,
+    eigh,
+    eigvalsh,
     herm_eig,
+    lapack_guard,
     partial_trace,
     partial_transpose,
     relative_entropy,
+    solve,
     von_neumann_entropy,
 )
 
@@ -150,13 +158,15 @@ def concurrence(rho: np.ndarray) -> float:
 
 def negativity(rho: np.ndarray) -> float:
     """Twice the total magnitude of negative partial-transpose eigenvalues."""
-    vals = np.linalg.eigvalsh(partial_transpose(rho))
+    with lapack_guard():
+        vals = eigvalsh(partial_transpose(rho))
     return min(1.0, max(0.0, -2.0 * float(vals[vals < 0.0].sum())))
 
 
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
-    vals = np.linalg.eigvalsh(partial_transpose(rho))
+    with lapack_guard():
+        vals = eigvalsh(partial_transpose(rho))
     return bool(vals[0] >= -SEPARABILITY_EIG_TOL)
 
 
@@ -196,7 +206,7 @@ def _sigmas(x: np.ndarray) -> np.ndarray:
 
 
 def _point(rho: np.ndarray, x: np.ndarray) -> _Point:
-    s, v = np.linalg.eigh(_sigmas(x))
+    s, v = eigh(_sigmas(x))
     return _Point(x, s, v, v[0].conj().T @ rho @ v[0])
 
 
@@ -267,11 +277,11 @@ def _dual_gap(p: _Point, t: float | None = None) -> float:
     stays tight where sigma >= 0 is active too (rank-deficient rho)."""
     dt = p.rt * _log_first_differences(p.s[0])
     d = p.v[0] @ dt @ p.v[0].conj().T
-    lam, u = np.linalg.eigh(partial_transpose(IDENTITY_4 - d))
+    lam, u = eigh(partial_transpose(IDENTITY_4 - d))
     multipliers = [(u * np.clip(lam, 0.0, None)) @ u.conj().T]
     if t is not None:
         multipliers.append((p.v[1] / (t * p.s[1])) @ p.v[1].conj().T)
-    tops = np.linalg.eigvalsh(d + np.stack([partial_transpose(q) for q in multipliers]))
+    tops = eigvalsh(d + np.stack([partial_transpose(q) for q in multipliers]))
     return float(tops[:, -1].min()) - float(p.s[0] @ dt.diagonal().real)
 
 
@@ -280,7 +290,7 @@ def _boundary_step(dx: np.ndarray, scaled: np.ndarray) -> float:
     In each cone's eigenbasis diag(s) + a M > 0 iff a < -1/lambda_min of
     ``s^-1/2 M s^-1/2``, which is ``dx @ scaled`` for both cones at once."""
     move = (dx @ scaled).view(complex).reshape(2, 4, 4)
-    return -0.99 / min(np.linalg.eigvalsh(move)[:, 0].min(), -0.99)
+    return -0.99 / min(eigvalsh(move)[:, 0].min(), -0.99)
 
 
 def _barrier_solve(rho: np.ndarray, lowest_pt: float):
@@ -312,8 +322,8 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
         while decrement > (_CENTERED if j else _CENTERED_FINAL) and steps < _MAX_STEPS:
             grad, hess, scaled = _newton_system(t, p)
             try:
-                dx = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
+                dx = solve(hess, -grad)
+            except LinAlgError:
                 dx = np.full(15, np.nan)
             decrement, steps = -float(grad @ dx), steps + 1
             if not decrement >= 0.0:  # roundoff left the Hessian singular or indefinite
@@ -342,13 +352,14 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
-    lowest = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
-    if lowest >= -SEPARABILITY_EIG_TOL:
-        return ReeSolution(
-            value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
-        )
-    point, steps, t = _barrier_solve(rho, lowest)
-    gap = _dual_gap(point, t)
+    with lapack_guard():
+        lowest = float(eigvalsh(partial_transpose(rho))[0])
+        if lowest >= -SEPARABILITY_EIG_TOL:
+            return ReeSolution(
+                value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
+            )
+        point, steps, t = _barrier_solve(rho, lowest)
+        gap = _dual_gap(point, t)
     closest = _sigmas(point.x)[0]
     if not is_separable(closest):
         raise ArithmeticError("solver produced a non-PPT candidate state")

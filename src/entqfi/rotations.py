@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fisher import spin_qfi_matrix
-from .states import IDENTITY_2, PAULI
+from .states import IDENTITY_2, PAULI, eigvalsh, lapack_guard
 
 __all__ = [
     "DEFAULT_BASE_DIVISOR",
@@ -166,7 +166,8 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
     divisor = _divisor_from_step(step)
     first_flat, spans = _relative_classes(divisor)
     forms = spans @ spin_qfi_matrix(rho) @ spans.transpose(0, 2, 1)
-    values = 0.5 * np.linalg.eigvalsh(forms)[:, -1]
+    with lapack_guard():
+        values = 0.5 * eigvalsh(forms)[:, -1]
     hi = int(np.argmax(values))
     lo = int(np.argmin(values))
     return LoccOptimum(

@@ -11,6 +11,11 @@ Conventions shared by the whole package:
   eigenvalue dust in ``(-PSD_TOL, 0)`` is clamped to zero on construction.
 * Hermitian matrices are symmetrized as ``(M + M†)/2`` before any
   eigendecomposition to suppress roundoff drift.
+* ``eigh``, ``eigvalsh`` and ``solve`` call the LAPACK gufuncs behind
+  ``np.linalg``'s functions of those names directly, so their results are
+  bit for bit the same without the per-call argument checks and error
+  state.  A LAPACK failure only sets the invalid flag: call them inside
+  ``lapack_guard()``, which raises it as ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "SIGMA_X",
@@ -64,8 +70,9 @@ ZERO_CUTOFF = 1e-12
 _DIVERGENCE_ROUNDOFF = 1e-12
 
 
-class EigendecompositionError(ValueError):
-    """Eigensolver failure; carries the offending matrix for diagnostics."""
+class EigendecompositionError(LinAlgError):
+    """Eigensolver failure, a ``LinAlgError`` (and so a ``ValueError``);
+    carries the offending matrix for diagnostics."""
 
     def __init__(
         self, matrix: np.ndarray, message: str = "Hermitian eigendecomposition did not converge"
@@ -85,6 +92,43 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _raise_linalg_error(err: str, flag: int):
+    raise LinAlgError(f"{err} encountered under lapack_guard()")
+
+
+def lapack_guard() -> np.errstate:
+    """A fresh error state under which an invalid floating-point result,
+    the flag a failing LAPACK gufunc sets, raises ``LinAlgError``; divide
+    and overflow keep the caller's settings.  Entering one costs a good
+    part of a kernel call, so enter it once around a run of them."""
+    return np.errstate(call=_raise_linalg_error, invalid="call")
+
+
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(m)``: ascending eigenvalues and eigenvectors of a
+    stack of real symmetric or complex Hermitian matrices, read from the
+    lower triangle.  Under ``lapack_guard()`` a failure raises
+    ``EigendecompositionError(m)``."""
+    try:
+        return _umath_linalg.eigh_lo(m, signature="D->dD" if m.dtype.kind == "c" else "d->dd")
+    except LinAlgError as exc:
+        raise EigendecompositionError(m) from exc
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(m)``: the ascending eigenvalues of ``eigh``."""
+    try:
+        return _umath_linalg.eigvalsh_lo(m, signature="D->d" if m.dtype.kind == "c" else "d->d")
+    except LinAlgError as exc:
+        raise EigendecompositionError(m) from exc
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for one right-hand side vector b, both of
+    one dtype.  Under ``lapack_guard()`` a singular a raises ``LinAlgError``."""
+    return _umath_linalg.solve1(a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
+
+
 def herm_eig(matrix: np.ndarray) -> Spectrum:
     """Full spectrum of a Hermitian matrix, eigenvalues descending.
 
@@ -93,10 +137,8 @@ def herm_eig(matrix: np.ndarray) -> Spectrum:
     """
     m = np.asarray(matrix, dtype=complex)
     m = 0.5 * (m + m.conj().T)
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(m) from exc
+    with lapack_guard():
+        vals, vecs = eigh(m)
     return Spectrum(vals[::-1].astype(float), vecs[:, ::-1])
 
 

@@ -4,6 +4,7 @@ import importlib
 import math
 import multiprocessing
 import pickle
+import traceback
 import types
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
@@ -485,6 +486,37 @@ def test_eigendecomposition_failure_names_the_state(monkeypatch):
     copy = pickle.loads(pickle.dumps(info.value))
     assert str(copy) == str(info.value)
     assert np.array_equal(copy.matrix, info.value.matrix)
+
+
+def _nan_scaled(newton_system):
+    def poisoned(t, p):
+        grad, hess, scaled = newton_system(t, p)
+        return grad, hess, scaled * np.nan
+
+    return poisoned
+
+
+@pytest.mark.parametrize(
+    "site, target, poison",
+    [
+        ("_point", "_sigmas", lambda sigmas: lambda x: sigmas(x) * np.nan),
+        ("_dual_gap", "_log_first_differences", lambda f1: lambda s: f1(s) * np.nan),
+        ("_boundary_step", "_newton_system", _nan_scaled),
+    ],
+)
+def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
+    monkeypatch, site, target, poison
+):
+    # A NaN reaching an eigensolve inside the REE solve raises
+    # EigendecompositionError with the matrix, which the pipeline keeps.
+    cfg = ExperimentConfig(count=3, master_seed=7)
+    index = next(i for i in range(3) if not is_separable(random_density_matrix(derive_stream(7, i))))
+    monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
+    with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
+        experiment._compute_record((index, cfg))
+    assert np.isnan(info.value.matrix).all()
+    frames = traceback.extract_tb(info.value.__cause__.__traceback__)
+    assert site in [frame.name for frame in frames]
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from entqfi import (
     ReeSolverConfig,
@@ -25,7 +26,7 @@ from entqfi import (
     relative_entropy,
 )
 from entqfi import measures
-from entqfi.states import PAULI_PRODUCTS
+from entqfi.states import PAULI_PRODUCTS, solve
 from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
 
 
@@ -308,6 +309,31 @@ def test_ree_just_past_the_werner_threshold_takes_one_round(excess):
     solution = ree(rho)
     assert solution.converged and solution.iterations >= 1
     assert 0.0 <= solution.value <= 1e-9
+
+
+def test_singular_hessian_ends_the_solve_at_the_current_point(monkeypatch):
+    # A solve that raises LinAlgError at step k ends ree there, with its
+    # value and certificate read at the last accepted point: early it is
+    # uncertified, at the last step already certified.
+    rho = random_density_matrix(derive_stream(1, 1))
+    full = ree(rho).iterations
+    certified = []
+    for k in (2, full):
+        calls = []
+
+        def singular_at_k(a, b):
+            calls.append(a)
+            if len(calls) == k:
+                raise LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(measures, "solve", singular_at_k)
+        solution = ree(rho)
+        assert solution.iterations == k == len(calls)
+        assert solution.value == relative_entropy(rho, solution.closest_state)
+        assert solution.converged == (solution.gap * math.log(2.0) <= measures._GAP_TOL_NATS)
+        certified.append(solution.converged)
+    assert certified == [False, True]
 
 
 def _pauli_point(rho, sigma):

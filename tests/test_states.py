@@ -1,9 +1,11 @@
 """Linear-algebra primitives: validation, spectra, traces, entropies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from entqfi import (
     IDENTITY_4,
@@ -18,6 +20,7 @@ from entqfi import (
     relative_entropy,
     von_neumann_entropy,
 )
+from entqfi.states import EigendecompositionError, eigh, eigvalsh, lapack_guard, solve
 from helpers import bell_state, ket, pure, werner
 
 
@@ -40,6 +43,40 @@ def test_herm_eig_descending_and_orthonormal():
     assert np.allclose(spec.eigenvectors.conj().T @ spec.eigenvectors, np.eye(4), atol=1e-12)
     rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
     assert np.max(np.abs(rebuilt - m)) < 1e-12
+
+
+def test_lapack_kernels_match_numpy_bit_for_bit():
+    # The shapes the package solves: sigma and sigma^G, the rotation
+    # classes of the refinement grid, the REE Hessian.
+    rng = np.random.default_rng(11)
+    herm = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    sym = rng.normal(size=(372, 3, 3))
+    square = rng.normal(size=(15, 15))
+    rhs = rng.normal(size=15)
+    with lapack_guard():
+        for m in (herm + herm.conj().swapaxes(1, 2), sym + sym.swapaxes(1, 2), square @ square.T):
+            for mine, numpy_s in zip(eigh(m), np.linalg.eigh(m)):
+                assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+            mine, numpy_s = eigvalsh(m), np.linalg.eigvalsh(m)
+            assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+        mine, numpy_s = solve(square, rhs), np.linalg.solve(square, rhs)
+        assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+
+
+def test_lapack_kernels_raise_under_the_guard():
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with lapack_guard():
+            for kernel in (eigh, eigvalsh):
+                with pytest.raises(EigendecompositionError) as info:
+                    kernel(nan)
+                assert isinstance(info.value, LinAlgError) and info.value.matrix is nan
+            with pytest.raises(LinAlgError):
+                solve(np.ones((15, 15)), np.ones(15))
+        with pytest.raises(EigendecompositionError) as info:
+            herm_eig(nan)
+        assert info.value.matrix.shape == (4, 4)
 
 
 def test_density_matrix_accepts_and_canonicalizes():
