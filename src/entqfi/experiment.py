@@ -72,13 +72,12 @@ class ExperimentConfig:
     grid_divisor: int = DEFAULT_BASE_DIVISOR
     refine_divisor: int = DEFAULT_REFINE_DIVISOR
     eps_order: Mapping[str, float] = field(default_factory=dict)
-    # The REE solver reads none of the ree_* fields; they and their checks
-    # stay only because the benchmark (benchmarks/workloads.py) passes them.
-    ree_components: int = 5
-    ree_multistarts: int = 5
-    ree_max_sweeps: int = 10000
-    ree_threshold: float = 1e-7
     witness_limit: int = DEFAULT_WITNESS_LIMIT
+    # Not settings: the REE solver ignores them; benchmarks/workloads.py passes them.
+    ree_components = 5
+    ree_multistarts = 5
+    ree_max_sweeps = 10000
+    ree_threshold = 1e-7
 
     def __post_init__(self):
         if self.count < 1:
@@ -89,14 +88,6 @@ class ExperimentConfig:
             raise ValueError("grid_divisor must be at least 2")
         if self.refine_divisor <= self.grid_divisor:
             raise ValueError("refine_divisor must exceed grid_divisor")
-        if not 2 <= self.ree_components <= 5:
-            raise ValueError("ree_components must lie in 2..5")
-        if self.ree_multistarts < 1:
-            raise ValueError("ree_multistarts must be at least 1")
-        if self.ree_max_sweeps < 1:
-            raise ValueError("ree_max_sweeps must be at least 1")
-        if self.ree_threshold <= 0.0:
-            raise ValueError("ree_threshold must be positive")
         if self.witness_limit < 1:
             raise ValueError("witness_limit must be at least 1")
         object.__setattr__(self, "eps_order", _normalize_eps(self.eps_order))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PAULI_PRODUCTS, herm_eig
+from .states import PAULI_PRODUCTS, clip_roundoff, herm_eig
 
 __all__ = [
     "SHOT_NOISE_LEVEL",
@@ -123,10 +123,10 @@ def max_mean_qfi(rho: np.ndarray) -> QfiResult:
     """
     c = c_matrix(rho)
     spectrum = herm_eig(c)
-    top = float(spectrum.eigenvalues[0])
+    top = clip_roundoff(spectrum.eigenvalues[0], 0.0, np.inf, "mean-QFI numerator")
     direction = np.real(spectrum.eigenvectors[:, 0])
     direction = direction / np.linalg.norm(direction)
     anchor = int(np.argmax(np.abs(direction)))
     if direction[anchor] < 0.0:
         direction = -direction
-    return QfiResult(max(0.0, top) / 2.0, direction, c)
+    return QfiResult(top / 2.0, direction, c)

@@ -28,14 +28,15 @@ bits, far inside the 5e-3 oracle tolerance) counts as converged.  The
 closest state is strictly interior, so full rank and PPT; the value is
 recomputed as S(rho||closest).  The solver works in nats, reports bits.
 Its spectra and Newton solves run on the LAPACK kernels of ``states`` under
-one ``lapack_guard()`` per ``ree`` call: a failed spectrum raises
+one ``lapack_guard()`` per solve: a failed spectrum raises
 ``EigendecompositionError``, a singular Hessian ends the solve where it is.
 
-Value rule.  Two-qubit REE lies in [0, 1] bit and so does the value: it
-never reads below 0, a value above 1 is set to 1 when the excess is within
-the certified gap plus the 1e-12-bit roundoff of ``relative_entropy``
-(|Phi+> reads 1 + 1.8e-10 with a gap of 2.7e-10), and anything else that is
-not at most 1, NaN included, raises ``ArithmeticError``.
+Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
+range rule ``states.clip_roundoff``; REE's slack adds its certified gap
+(|Phi+> reads 1 + 1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at
+most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998):
+``_lowest_pt_eigenvalue`` decides PPT, gives the negativity -2 lambda_min
+and starts the REE solve.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .states import (
     _DIVERGENCE_ROUNDOFF,
     IDENTITY_4,
     PAULI_PRODUCTS,
+    clip_roundoff,
     eigh,
     eigvalsh,
     herm_eig,
@@ -59,6 +61,7 @@ from .states import (
     partial_transpose,
     relative_entropy,
     solve,
+    svdvals,
     von_neumann_entropy,
 )
 
@@ -83,11 +86,11 @@ _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 
 _GAP_TOL_NATS = 2e-5
 # _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
-# of sigma and sigma^G in x_k; ^G flips the products whose B factor is sigma_y.
-_PAULI_15 = PAULI_PRODUCTS.reshape(16, 16)[1:]
+# of sigma and sigma^G in x_k.
+_PAULI_15 = PAULI_PRODUCTS.reshape(16, 4, 4)[1:]
 _TANGENTS = 0.25 * np.stack(
-    [_PAULI_15, np.where(np.arange(1, 16) % 4 == 2, -1.0, 1.0)[:, None] * _PAULI_15]
-)
+    [_PAULI_15, [partial_transpose(p) for p in _PAULI_15]]
+).reshape(2, 15, 16)
 _TANGENTS_RE = _TANGENTS.view(float)
 _CENTER = 0.25 * IDENTITY_4
 _DIAG_RE = 10 * np.arange(4)  # real diagonal entries in a flat 4x4 float view
@@ -109,19 +112,13 @@ _COINCIDENT = 1e-5  # relative spread below which three eigenvalues coincide
 
 @dataclass(frozen=True)
 class ReeSolverConfig:
-    """REE settings that the barrier solver ignores, kept with the check on
-    ``components`` because the benchmark
-    (``benchmarks/workloads.py::_ree_config``) passes them."""
+    """Ignored REE settings, which ``benchmarks/workloads.py`` passes."""
 
     components: int = 5
     multistarts: int = 5
     max_sweeps: int = 10000
     threshold: float = 1e-7
     rng: np.random.Generator | None = None
-
-    def __post_init__(self):
-        if not 2 <= self.components <= 5:
-            raise ValueError(f"REE components must lie in 2..5, got {self.components!r}")
 
 
 @dataclass(frozen=True)
@@ -147,27 +144,31 @@ def concurrence(rho: np.ndarray) -> float:
     near-zero eigenvalue dust of the non-Hermitian product; the direct
     route loses ~1e-8 on nearly pure states, the SVD stays at ~1e-15.
     """
-    rho = np.asarray(rho, dtype=complex)
     spec = herm_eig(rho)
     root = (
         spec.eigenvectors * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
     ) @ spec.eigenvectors.conj().T
-    vals = np.linalg.svd(root.conj() @ _SPIN_FLIP @ root, compute_uv=False)
-    return float(np.clip(vals[0] - vals[1] - vals[2] - vals[3], 0.0, 1.0))
+    with lapack_guard():
+        vals = svdvals(root.conj() @ _SPIN_FLIP @ root)
+    # np.maximum, unlike max, keeps a NaN for the range rule to reject.
+    value = np.maximum(vals[0] - vals[1] - vals[2] - vals[3], 0.0)
+    return clip_roundoff(value, 0.0, 1.0, "concurrence")
+
+
+def _lowest_pt_eigenvalue(rho: np.ndarray) -> float:
+    """The lowest eigenvalue of rho^G, the only one that can be negative."""
+    with lapack_guard():
+        return float(eigvalsh(partial_transpose(rho))[0])
 
 
 def negativity(rho: np.ndarray) -> float:
-    """Twice the total magnitude of negative partial-transpose eigenvalues."""
-    with lapack_guard():
-        vals = eigvalsh(partial_transpose(rho))
-    return min(1.0, max(0.0, -2.0 * float(vals[vals < 0.0].sum())))
+    """Twice the magnitude of the negative partial-transpose eigenvalue."""
+    return clip_roundoff(np.maximum(-2.0 * _lowest_pt_eigenvalue(rho), 0.0), 0.0, 1.0, "negativity")
 
 
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
-    with lapack_guard():
-        vals = eigvalsh(partial_transpose(rho))
-    return bool(vals[0] >= -SEPARABILITY_EIG_TOL)
+    return _lowest_pt_eigenvalue(rho) >= -SEPARABILITY_EIG_TOL
 
 
 def ree_pure_oracle(psi: np.ndarray) -> float:
@@ -347,30 +348,24 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    One partial-transpose spectrum decides the PPT short-circuit (value 0,
-    the input as its own closest state) and sets the barrier start.
-    ``cfg`` is ignored.
+    The lowest partial-transpose eigenvalue decides the PPT short-circuit
+    (value 0, the input as its own closest state) and sets the barrier
+    start.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
+    lowest = _lowest_pt_eigenvalue(rho)
+    if lowest >= -SEPARABILITY_EIG_TOL:
+        return ReeSolution(
+            value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
+        )
     with lapack_guard():
-        lowest = float(eigvalsh(partial_transpose(rho))[0])
-        if lowest >= -SEPARABILITY_EIG_TOL:
-            return ReeSolution(
-                value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
-            )
         point, steps, t = _barrier_solve(rho, lowest)
         gap = _dual_gap(point, t)
     closest = _sigmas(point.x)[0]
     if not is_separable(closest):
         raise ArithmeticError("solver produced a non-PPT candidate state")
     value, gap_bits = relative_entropy(rho, closest), gap / LN2
-    if value > 1.0 and value - 1.0 <= gap_bits + _DIVERGENCE_ROUNDOFF:
-        value = 1.0
-    if not value <= 1.0:
-        raise ArithmeticError(
-            f"REE {value!r} exceeds 1 bit by more than its certified gap"
-            f" of {gap_bits:.3g} bits"
-        )
+    value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
     return ReeSolution(
         value=value,
         closest_state=closest,

@@ -11,11 +11,13 @@ Conventions shared by the whole package:
   eigenvalue dust in ``(-PSD_TOL, 0)`` is clamped to zero on construction.
 * Hermitian matrices are symmetrized as ``(M + M†)/2`` before any
   eigendecomposition to suppress roundoff drift.
-* ``eigh``, ``eigvalsh`` and ``solve`` call the LAPACK gufuncs behind
-  ``np.linalg``'s functions of those names directly, so their results are
+* ``eigh``, ``eigvalsh``, ``svdvals`` and ``solve`` call the LAPACK gufuncs
+  behind ``np.linalg``'s ``eigh``, ``eigvalsh``, ``svd`` and ``solve``, so
+  their results are
   bit for bit the same without the per-call argument checks and error
   state.  A LAPACK failure only sets the invalid flag: call them inside
   ``lapack_guard()``, which raises it as ``LinAlgError``.
+* ``clip_roundoff`` is the one range rule of every reported value.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "ZERO_CUTOFF",
     "EigendecompositionError",
     "Spectrum",
+    "clip_roundoff",
     "herm_eig",
     "density_matrix",
     "partial_transpose",
@@ -63,10 +66,10 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 ZERO_CUTOFF = 1e-12
-# Roundoff allowed below zero in a relative entropy, in bits.  S(rho||rho)
-# reads at worst -2.4e-15 over the 5000 states of master seeds 1-4 and 15
-# and 800 random states of ranks 1-4, and the REE of werner(1/3 + d),
-# d = 1e-8..1e-5, reads at least +9.0e-11: 1e-12 leaves a 400x margin.
+# Roundoff that ``clip_roundoff`` allows outside a range.  S(rho||rho) reads down to
+# -2.4e-15 bits (master seeds 1-4 and 15, 800 states of ranks 1-4), Bell states under
+# 2000 random local unitaries concurrence 1 + 2.4e-15 and negativity 1 + 1.3e-15, product
+# pure states entropy -2.9e-15, and werner(1/3 + 1e-8) REE 9.0e-11: a 400x margin or more.
 _DIVERGENCE_ROUNDOFF = 1e-12
 
 
@@ -90,6 +93,17 @@ class Spectrum(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def clip_roundoff(value, low: float, high: float, what: str, slack=_DIVERGENCE_ROUNDOFF) -> float:
+    """``value`` as a float, clipped to [low, high] if outside by at most
+    ``slack``; further out, NaN included, ``ArithmeticError`` names ``what``.
+    -0.0 reads +0.0 at low = 0."""
+    value = float(value)
+    if not low - slack <= value <= high + slack:
+        bounds = f"[{low:g}, {high:g}]"
+        raise ArithmeticError(f"{what} {value!r} lies outside {bounds} by more than {slack:.3g}")
+    return max(low, min(high, value))
 
 
 def _raise_linalg_error(err: str, flag: int):
@@ -121,6 +135,11 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
         return _umath_linalg.eigvalsh_lo(m, signature="D->d" if m.dtype.kind == "c" else "d->d")
     except LinAlgError as exc:
         raise EigendecompositionError(m) from exc
+
+
+def svdvals(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(m, compute_uv=False)``: descending singular values."""
+    return _umath_linalg.svd(m, signature="D->d")
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,8 +228,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """Spectral entropy -sum p log2 p in bits, with 0 log 0 = 0."""
     vals = herm_eig(rho).eigenvalues
     vals = vals[vals > ZERO_CUTOFF]
-    value = float(-np.sum(vals * np.log2(vals)))
-    return max(0.0, value)
+    return clip_roundoff(-np.sum(vals * np.log2(vals)), 0.0, math.inf, "von Neumann entropy")
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -219,8 +237,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     The support test projects rho onto sigma's null eigenspace (eigenvalue
     cutoff 1e-12); any mass above the cutoff there makes the divergence
     infinite, signalled by the returned marker rather than an exception.
-    A value below zero by no more than 1e-12 bits of roundoff reads 0; one
-    further below (sigma is not a normalized state, say) raises
+    The value passes ``clip_roundoff`` on [0, inf): one more than 1e-12
+    bits below zero (sigma is not a normalized state, say) raises
     ``ArithmeticError``, and so does a NaN or infinite entry in rho or
     sigma, which would otherwise pass through the comparisons as a NaN.
     """
@@ -233,20 +251,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma_spec = herm_eig(sigma)
     s = np.clip(sigma_spec.eigenvalues, 0.0, None)
     vecs = sigma_spec.eigenvectors
-    weights = ((rho @ vecs) * vecs.conj()).sum(axis=0).real
-    weights = np.clip(weights, 0.0, None)
+    weights = np.clip(((rho @ vecs) * vecs.conj()).sum(axis=0).real, 0.0, None)
     null = s <= ZERO_CUTOFF
     if float(weights[null].sum()) > ZERO_CUTOFF:
         return math.inf
     live_p = p[p > ZERO_CUTOFF]
     value = float(np.sum(live_p * np.log2(live_p)))
     value -= float(np.sum(weights[~null] * np.log2(s[~null])))
-    if value < -_DIVERGENCE_ROUNDOFF:
-        raise ArithmeticError(
-            f"relative entropy {value!r} bits lies below zero by more than"
-            f" {_DIVERGENCE_ROUNDOFF:g} bits of roundoff"
-        )
-    return max(0.0, value)
+    return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Experiment pipeline, CSV emission, census report, CLI."""
 
+import dataclasses
 import importlib
 import math
 import multiprocessing
@@ -164,14 +165,9 @@ def test_config_defaults_and_eps_merge():
         {"grid_divisor": 1},
         {"refine_divisor": 4},
         {"refine_divisor": 3},
-        {"ree_components": 1},
-        {"ree_multistarts": 0},
-        {"ree_max_sweeps": 0},
-        {"ree_threshold": 0.0},
         {"witness_limit": 0},
         {"eps_order": {"volume": 0.1}},
         {"eps_order": {"ree": -1.0}},
-        {"ree_components": 6},
         {"eps_order": {"mqfi": float("nan")}},
         {"eps_order": {"ree": float("inf")}},
         {"master_seed": -1},
@@ -180,6 +176,17 @@ def test_config_defaults_and_eps_merge():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_fields_are_the_six_run_settings():
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert names == [
+        "count", "master_seed", "grid_divisor", "refine_divisor", "eps_order", "witness_limit"
+    ]
+    # A class constant, not a setting; the benchmark passes it to ree.
+    assert ExperimentConfig().ree_components == 5
+    with pytest.raises(TypeError):
+        ExperimentConfig(ree_components=5)
 
 
 def test_single_state_run(tmp_path):
@@ -437,11 +444,11 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
 
 def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
     monkeypatch.setattr(measures, "relative_entropy", lambda rho, sigma: 1.01)
-    with pytest.raises(ArithmeticError, match=r"^REE 1\.01 exceeds 1 bit"):
+    with pytest.raises(ArithmeticError, match=r"^REE 1\.01 lies outside \[0, 1\]"):
         ree(bell_state())
     states = [random_density_matrix(derive_stream(7, i)) for i in range(3)]
     first = next(i for i, rho in enumerate(states) if not is_separable(rho))
-    message = rf"^state {first} \(master seed 7\): REE 1\.01 exceeds 1 bit"
+    message = rf"^state {first} \(master seed 7\): REE 1\.01 lies outside \[0, 1\]"
     with pytest.raises(ArithmeticError, match=message):
         run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
 

@@ -25,8 +25,9 @@ from entqfi import (
     ree_pure_oracle,
     relative_entropy,
 )
-from entqfi import measures
-from entqfi.states import PAULI_PRODUCTS, solve
+from entqfi import fisher, measures, states
+from entqfi.fisher import max_mean_qfi
+from entqfi.states import PAULI_PRODUCTS, clip_roundoff, solve, von_neumann_entropy
 from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
 
 
@@ -63,6 +64,105 @@ def test_negativity_equals_concurrence_on_pure_states():
     for _ in range(25):
         rho = pure(random_pure_state(rng))
         assert abs(negativity(rho) - concurrence(rho)) < 1e-9
+
+
+# Each caller of the range rule: the module it calls the rule from, the
+# call, and the range it passes.  ree's slack also holds its certified gap.
+_RANGE_RULE_CALLERS = {
+    "concurrence": (measures, lambda: concurrence(bell_state()), (0.0, 1.0)),
+    "negativity": (measures, lambda: negativity(bell_state()), (0.0, 1.0)),
+    "REE": (measures, lambda: ree(bell_state()).value, (0.0, 1.0)),
+    "relative entropy": (states, lambda: relative_entropy(werner(0.5), np.eye(4) / 4.0), (0.0, math.inf)),
+    "von Neumann entropy": (states, lambda: von_neumann_entropy(np.eye(4) / 4.0), (0.0, math.inf)),
+    "mean-QFI numerator": (fisher, lambda: 2.0 * max_mean_qfi(bell_state()).mean_qfi, (0.0, math.inf)),
+}
+
+
+def _feed_range_rule(monkeypatch, module, value):
+    """Hand the rule ``value`` in place of what its caller computed; return
+    the (low, high, slack, what) each call passed."""
+    calls = []
+
+    def rule(computed, low, high, what, slack=states._DIVERGENCE_ROUNDOFF):
+        calls.append((low, high, slack, what))
+        return clip_roundoff(value, low, high, what, slack)
+
+    monkeypatch.setattr(module, "clip_roundoff", rule)
+    return calls
+
+
+@pytest.mark.parametrize("what", sorted(_RANGE_RULE_CALLERS))
+def test_range_rule_clips_roundoff_and_raises_beyond_it(monkeypatch, what):
+    module, call, (low, high) = _RANGE_RULE_CALLERS[what]
+    for bound, side in ((low, -1.0), (high, 1.0)):
+        if math.isinf(bound):
+            continue
+        calls = _feed_range_rule(monkeypatch, module, bound + side * 5e-13)
+        assert call() == bound
+        (passed_low, passed_high, slack, passed_what), = calls
+        assert (passed_low, passed_high, passed_what) == (low, high, what)
+        assert slack > 1e-12 if what == "REE" else slack == 1e-12
+        _feed_range_rule(monkeypatch, module, bound + side * 1e-6)
+        with pytest.raises(ArithmeticError, match=rf"^{what} "):
+            call()
+    _feed_range_rule(monkeypatch, module, math.nan)
+    with pytest.raises(ArithmeticError, match=rf"^{what} nan lies outside"):
+        call()
+
+
+def _raw_range_rule_values(monkeypatch, module):
+    """Spy on the rule: the values its callers in ``module`` hand it."""
+    raw = []
+
+    def rule(value, *args):
+        raw.append(float(value))
+        return clip_roundoff(value, *args)
+
+    monkeypatch.setattr(module, "clip_roundoff", rule)
+    return raw
+
+
+def test_maximally_entangled_states_never_read_above_one(monkeypatch):
+    raw = _raw_range_rule_values(monkeypatch, measures)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        rho = apply_local_unitary(bell_state(), haar_unitary(rng, 2), haar_unitary(rng, 2))
+        for measure in (concurrence, negativity):
+            value = measure(rho)
+            assert value == (1.0 if raw[-1] >= 1.0 else raw[-1])
+            assert 1.0 - 4e-15 <= value <= 1.0
+    # roundoff puts some readings above 1, and those read exactly 1.0
+    assert max(raw) > 1.0
+
+
+def test_product_pure_states_never_read_below_zero_entropy(monkeypatch):
+    raw = _raw_range_rule_values(monkeypatch, states)
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        psi = np.kron(haar_unitary(rng, 2)[:, 0], haar_unitary(rng, 2)[:, 0])
+        value = von_neumann_entropy(pure(psi))
+        assert value == (0.0 if raw[-1] <= 0.0 else raw[-1])
+        assert 0.0 <= value <= 4e-15
+    assert min(raw) < 0.0
+
+
+def test_partial_transpose_has_at_most_one_negative_eigenvalue():
+    # Sanpera, Tarrach & Vidal (1998): so negativity is -2 lambda_min.
+    for index in range(1000):
+        rho = random_density_matrix(derive_stream(1, index))
+        vals = np.linalg.eigvalsh(partial_transpose(rho))
+        assert vals[1] >= 0.0
+        summed = min(1.0, max(0.0, -2.0 * float(vals[vals < 0.0].sum())))
+        assert negativity(rho) == summed
+
+
+def test_tangents_are_the_partial_transposes_of_the_pauli_tangents():
+    sigma, sigma_pt = measures._TANGENTS.reshape(2, 15, 4, 4)
+    for k in range(15):
+        assert np.array_equal(sigma_pt[k], partial_transpose(sigma[k]))
+        # ^G on B flips exactly the products whose B factor is sigma_y
+        flip = -1.0 if (k + 1) % 4 == 2 else 1.0
+        assert np.array_equal(sigma_pt[k], flip * sigma[k])
 
 
 def test_is_separable_werner_boundary():
@@ -210,12 +310,6 @@ def test_ree_two_components_bell_state():
     solution = ree(bell_state(), ReeSolverConfig(components=2))
     assert abs(solution.value - 1.0) < 1e-4
     assert solution.converged
-
-
-def test_ree_config_rejects_components_outside_two_to_five():
-    for components in (1, 6, 16):
-        with pytest.raises(ValueError):
-            ReeSolverConfig(components=components)
 
 
 def test_ree_converged_uses_best_lower_bound_over_starts():
