@@ -11,8 +11,8 @@ for a generator ``sum_a v_a S_a`` over the local spins
 The collective spin ``J_n = sum_k n_k (S^A_k + S^B_k)`` takes ``v = (n, n)``,
 so its 3x3 matrix is the fold ``C = G_AA + G_AB + G_BA + G_BB`` and the
 direction-optimized mean QFI (per particle, N = 2) is ``lambda_max(C) / 2``.
-Terms with ``p_i + p_j`` below 1e-12 are skipped; their numerators vanish as
-well and skipping avoids 0/0.
+Terms with ``p_i + p_j`` at or below ``states.ZERO_CUTOFF`` are skipped; their
+numerators vanish as well and skipping avoids 0/0.
 
 Mean QFI lands on the shot-noise level 1 for product pure states and on
 the Heisenberg limit 2 for Bell states; separable states never exceed 1.
@@ -24,12 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PAULI_PRODUCTS, clip_roundoff, herm_eig
+from .states import PAULI_PRODUCTS, ZERO_CUTOFF, clip_roundoff, herm_eig
 
 __all__ = [
     "SHOT_NOISE_LEVEL",
     "HEISENBERG_LIMIT",
-    "PAIR_WEIGHT_CUTOFF",
     "LOCAL_SPINS",
     "J_OPERATORS",
     "QfiResult",
@@ -42,7 +41,6 @@ __all__ = [
 
 SHOT_NOISE_LEVEL = 1.0
 HEISENBERG_LIMIT = 2.0
-PAIR_WEIGHT_CUTOFF = 1e-12
 
 # Local spins S^A_x, S^A_y, S^A_z, S^B_x, S^B_y, S^B_z, shape (6, 4, 4).
 LOCAL_SPINS = 0.5 * np.concatenate([PAULI_PRODUCTS[1:, 0], PAULI_PRODUCTS[0, 1:]])
@@ -75,14 +73,13 @@ def collective_spin(direction) -> np.ndarray:
 def pair_weights(eigenvalues: np.ndarray) -> np.ndarray:
     """The (p_i - p_j)^2 / (p_i + p_j) factor for every eigenvalue pair.
 
-    Entries whose denominator falls below the cutoff are zeroed, which
+    Entries whose denominator is at most ``ZERO_CUTOFF`` are zeroed, which
     silently covers the skipped i = j diagonal as well.
     """
     p = np.asarray(eigenvalues, dtype=float)
     num = (p[:, None] - p[None, :]) ** 2
     den = p[:, None] + p[None, :]
-    safe = np.where(den > PAIR_WEIGHT_CUTOFF, den, 1.0)
-    return np.where(den > PAIR_WEIGHT_CUTOFF, num / safe, 0.0)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > ZERO_CUTOFF)
 
 
 def spin_qfi_matrix(rho: np.ndarray) -> np.ndarray:

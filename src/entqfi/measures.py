@@ -35,8 +35,8 @@ Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
 (|Phi+> reads 1 + 1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at
 most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998):
-``_lowest_pt_eigenvalue`` decides PPT, gives the negativity -2 lambda_min
-and starts the REE solve.
+``_lowest_pt_eigenvalue`` gives the negativity -2 lambda_min and the REE
+start; ``_ppt`` judges PPT on it and on the last barrier point's sigma^G.
 """
 
 from __future__ import annotations
@@ -88,9 +88,7 @@ _GAP_TOL_NATS = 2e-5
 # _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
 # of sigma and sigma^G in x_k.
 _PAULI_15 = PAULI_PRODUCTS.reshape(16, 4, 4)[1:]
-_TANGENTS = 0.25 * np.stack(
-    [_PAULI_15, [partial_transpose(p) for p in _PAULI_15]]
-).reshape(2, 15, 16)
+_TANGENTS = 0.25 * np.stack([_PAULI_15, partial_transpose(_PAULI_15)]).reshape(2, 15, 16)
 _TANGENTS_RE = _TANGENTS.view(float)
 _CENTER = 0.25 * IDENTITY_4
 _DIAG_RE = 10 * np.arange(4)  # real diagonal entries in a flat 4x4 float view
@@ -166,9 +164,14 @@ def negativity(rho: np.ndarray) -> float:
     return clip_roundoff(np.maximum(-2.0 * _lowest_pt_eigenvalue(rho), 0.0), 0.0, 1.0, "negativity")
 
 
+def _ppt(lowest: float) -> bool:
+    """The one PPT verdict on the lowest partial-transpose eigenvalue."""
+    return lowest >= -SEPARABILITY_EIG_TOL
+
+
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
-    return _lowest_pt_eigenvalue(rho) >= -SEPARABILITY_EIG_TOL
+    return _ppt(_lowest_pt_eigenvalue(rho))
 
 
 def ree_pure_oracle(psi: np.ndarray) -> float:
@@ -282,7 +285,7 @@ def _dual_gap(p: _Point, t: float | None = None) -> float:
     multipliers = [(u * np.clip(lam, 0.0, None)) @ u.conj().T]
     if t is not None:
         multipliers.append((p.v[1] / (t * p.s[1])) @ p.v[1].conj().T)
-    tops = eigvalsh(d + np.stack([partial_transpose(q) for q in multipliers]))
+    tops = eigvalsh(d + partial_transpose(np.stack(multipliers)))
     return float(tops[:, -1].min()) - float(p.s[0] @ dt.diagonal().real)
 
 
@@ -354,16 +357,16 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     """
     rho = np.asarray(rho, dtype=complex)
     lowest = _lowest_pt_eigenvalue(rho)
-    if lowest >= -SEPARABILITY_EIG_TOL:
+    if _ppt(lowest):
         return ReeSolution(
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
     with lapack_guard():
         point, steps, t = _barrier_solve(rho, lowest)
         gap = _dual_gap(point, t)
-    closest = _sigmas(point.x)[0]
-    if not is_separable(closest):
+    if not _ppt(point.s[1, 0]):
         raise ArithmeticError("solver produced a non-PPT candidate state")
+    closest = _sigmas(point.x)[0]
     value, gap_bits = relative_entropy(rho, closest), gap / LN2
     value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
     return ReeSolution(

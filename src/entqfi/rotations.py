@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fisher import spin_qfi_matrix
-from .states import IDENTITY_2, PAULI, eigvalsh, lapack_guard
+from .states import IDENTITY_2, PAULI, clip_roundoff, eigvalsh, lapack_guard
 
 __all__ = [
     "DEFAULT_BASE_DIVISOR",
@@ -161,25 +161,28 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
     """One exhaustive pass at the given step; step must be 2*pi/k, k >= 2.
 
     ``evaluations`` counts the k^6 grid points covered; the pass itself
-    evaluates one value per relative-rotation class.
+    evaluates one value per relative-rotation class.  The three reported
+    numerators pass the mean-QFI range rule of ``fisher.max_mean_qfi``.
     """
     divisor = _divisor_from_step(step)
     first_flat, spans = _relative_classes(divisor)
     forms = spans @ spin_qfi_matrix(rho) @ spans.transpose(0, 2, 1)
     with lapack_guard():
-        values = 0.5 * eigvalsh(forms)[:, -1]
-    hi = int(np.argmax(values))
-    lo = int(np.argmin(values))
+        tops = eigvalsh(forms)[:, -1]
+    hi, lo = int(np.argmax(tops)), int(np.argmin(tops))
+    high, low, raw = (
+        clip_roundoff(tops[i], 0.0, np.inf, "mean-QFI numerator") / 2.0 for i in (hi, lo, 0)
+    )
     return LoccOptimum(
-        max_value=float(values[hi]),
+        max_value=high,
         max_angles=_angle_set(int(first_flat[hi]), divisor),
-        min_value=float(values[lo]),
+        min_value=low,
         min_angles=_angle_set(int(first_flat[lo]), divisor),
-        raw_value=float(values[0]),
+        raw_value=raw,
         refined=False,
         evaluations=divisor**6,
-        base_max_value=float(values[hi]),
-        base_min_value=float(values[lo]),
+        base_max_value=high,
+        base_min_value=low,
     )
 
 

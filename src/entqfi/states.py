@@ -7,8 +7,10 @@ Conventions shared by the whole package:
   ``"a"`` or ``"b"``.
 * Entropies and relative entropies are in bits (base-2 logarithms), which
   puts separable two-qubit states at 0 and Bell states at 1.
-* Eigenvalues below ``ZERO_CUTOFF`` count as exact zeros inside logarithms;
-  eigenvalue dust in ``(-PSD_TOL, 0)`` is clamped to zero on construction.
+* ``ZERO_CUTOFF`` is the one spectral zero: eigenvalues, and in ``fisher``
+  pair sums, at or below it count as zeros; eigenvalue dust in
+  ``(-PSD_TOL, 0)`` is clamped to zero on construction.
+* ``partial_transpose`` takes a 4x4 matrix or a ``(..., 4, 4)`` stack.
 * Hermitian matrices are symmetrized as ``(M + M†)/2`` before any
   eigendecomposition to suppress roundoff drift.
 * ``eigh``, ``eigvalsh``, ``svdvals`` and ``solve`` call the LAPACK gufuncs
@@ -191,13 +193,6 @@ def density_matrix(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def _reshape_two_qubit(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
-    return rho.reshape(2, 2, 2, 2)
-
-
 def _subsystem_index(subsystem) -> int:
     if subsystem in ("a", "A", 0):
         return 0
@@ -207,18 +202,22 @@ def _subsystem_index(subsystem) -> int:
 
 
 def partial_transpose(rho: np.ndarray, subsystem="b") -> np.ndarray:
-    """Transpose one qubit's indices; Hermiticity and trace are preserved."""
-    r = _reshape_two_qubit(rho)
-    if _subsystem_index(subsystem) == 1:
-        r = r.transpose(0, 3, 2, 1)
-    else:
-        r = r.transpose(2, 1, 0, 3)
-    return r.reshape(4, 4)
+    """Transpose one qubit's indices of a 4x4 matrix or of each in a
+    ``(..., 4, 4)`` stack; Hermiticity and trace are preserved."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 two-qubit matrices, got shape {rho.shape}")
+    # Axes -4..-1 index (a row, b row, a column, b column).
+    axis = -1 if _subsystem_index(subsystem) == 1 else -2
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(axis - 2, axis).reshape(rho.shape)
 
 
 def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
     """Reduced 2x2 state of the kept qubit."""
-    r = _reshape_two_qubit(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
+    r = rho.reshape(2, 2, 2, 2)
     if _subsystem_index(keep) == 0:
         return np.einsum("ijkj->ik", r)
     return np.einsum("ijil->jl", r)
@@ -234,30 +233,27 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho || sigma) in bits; ``math.inf`` when rho escapes sigma's support.
 
-    The support test projects rho onto sigma's null eigenspace (eigenvalue
-    cutoff 1e-12); any mass above the cutoff there makes the divergence
-    infinite, signalled by the returned marker rather than an exception.
-    The value passes ``clip_roundoff`` on [0, inf): one more than 1e-12
-    bits below zero (sigma is not a normalized state, say) raises
-    ``ArithmeticError``, and so does a NaN or infinite entry in rho or
-    sigma, which would otherwise pass through the comparisons as a NaN.
+    The support test projects rho onto sigma's null eigenspace (eigenvalues
+    at most ``ZERO_CUTOFF``); mass above the cutoff there makes the
+    divergence infinite, signalled by the returned marker, not an exception.
+    The rho log rho term is ``-von_neumann_entropy(rho)``.  The value passes
+    ``clip_roundoff`` on [0, inf): one more than 1e-12 bits below zero (sigma
+    is not a normalized state, say) raises ``ArithmeticError``, and so does a
+    NaN or infinite entry in rho or sigma, which would otherwise pass through
+    the comparisons as a NaN.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     for name, m in (("rho", rho), ("sigma", sigma)):
         if not np.isfinite(m).all():
             raise ArithmeticError(f"relative entropy needs a finite {name}")
-    p = np.clip(herm_eig(rho).eigenvalues, 0.0, None)
-    sigma_spec = herm_eig(sigma)
-    s = np.clip(sigma_spec.eigenvalues, 0.0, None)
-    vecs = sigma_spec.eigenvectors
+    s, vecs = herm_eig(sigma)
+    s = np.clip(s, 0.0, None)
     weights = np.clip(((rho @ vecs) * vecs.conj()).sum(axis=0).real, 0.0, None)
     null = s <= ZERO_CUTOFF
     if float(weights[null].sum()) > ZERO_CUTOFF:
         return math.inf
-    live_p = p[p > ZERO_CUTOFF]
-    value = float(np.sum(live_p * np.log2(live_p)))
-    value -= float(np.sum(weights[~null] * np.log2(s[~null])))
+    value = -von_neumann_entropy(rho) - float(np.sum(weights[~null] * np.log2(s[~null])))
     return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
 

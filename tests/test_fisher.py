@@ -14,6 +14,7 @@ from entqfi import (
     derive_stream,
 )
 from entqfi.fisher import J_OPERATORS, LOCAL_SPINS, pair_weights, spin_qfi_matrix
+from entqfi.states import ZERO_CUTOFF
 from helpers import bell_state, ket, pure, random_pure_state
 
 
@@ -48,6 +49,14 @@ def test_pair_weights_structure():
     w = pair_weights(np.array([1.0, 0.0, 0.0, 0.0]))
     assert w[1, 2] == 0.0
     assert w[0, 1] == pytest.approx(1.0)
+
+
+def test_pair_weights_zero_a_pair_sum_at_the_zero_cutoff_only():
+    at = pair_weights(np.array([ZERO_CUTOFF, 0.0]))
+    assert at[0, 1] == at[1, 0] == 0.0
+    above = np.nextafter(ZERO_CUTOFF, 1.0)
+    kept = pair_weights(np.array([above, 0.0]))
+    assert kept[0, 1] == kept[1, 0] == above * above / above > 0.0
 
 
 def test_c_matrix_symmetric_psd():

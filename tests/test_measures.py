@@ -25,8 +25,9 @@ from entqfi import (
     ree_pure_oracle,
     relative_entropy,
 )
-from entqfi import fisher, measures, states
+from entqfi import fisher, measures, rotations, states
 from entqfi.fisher import max_mean_qfi
+from entqfi.rotations import grid_search
 from entqfi.states import PAULI_PRODUCTS, clip_roundoff, solve, von_neumann_entropy
 from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
 
@@ -66,46 +67,78 @@ def test_negativity_equals_concurrence_on_pure_states():
         assert abs(negativity(rho) - concurrence(rho)) < 1e-9
 
 
-# Each caller of the range rule: the module it calls the rule from, the
-# call, and the range it passes.  ree's slack also holds its certified gap.
+def _grid_numerators():
+    """Twice the grid's maximum, minimum and raw value, which must agree."""
+    optimum = grid_search(bell_state(), 2.0 * math.pi / 4)
+    (value,) = {2.0 * optimum.max_value, 2.0 * optimum.min_value, 2.0 * optimum.raw_value}
+    return value
+
+
+# Each caller of the range rule: the module it calls the rule from, the name
+# it passes, how many rule calls of that name the call makes, the call, and
+# the range it passes.  ree's slack also holds its certified gap.
 _RANGE_RULE_CALLERS = {
-    "concurrence": (measures, lambda: concurrence(bell_state()), (0.0, 1.0)),
-    "negativity": (measures, lambda: negativity(bell_state()), (0.0, 1.0)),
-    "REE": (measures, lambda: ree(bell_state()).value, (0.0, 1.0)),
-    "relative entropy": (states, lambda: relative_entropy(werner(0.5), np.eye(4) / 4.0), (0.0, math.inf)),
-    "von Neumann entropy": (states, lambda: von_neumann_entropy(np.eye(4) / 4.0), (0.0, math.inf)),
-    "mean-QFI numerator": (fisher, lambda: 2.0 * max_mean_qfi(bell_state()).mean_qfi, (0.0, math.inf)),
+    "concurrence": (measures, "concurrence", 1, lambda: concurrence(bell_state()), (0.0, 1.0)),
+    "negativity": (measures, "negativity", 1, lambda: negativity(bell_state()), (0.0, 1.0)),
+    "REE": (measures, "REE", 1, lambda: ree(bell_state()).value, (0.0, 1.0)),
+    "relative entropy": (
+        states,
+        "relative entropy",
+        1,
+        lambda: relative_entropy(werner(0.5), np.eye(4) / 4.0),
+        (0.0, math.inf),
+    ),
+    "von Neumann entropy": (
+        states,
+        "von Neumann entropy",
+        1,
+        lambda: von_neumann_entropy(np.eye(4) / 4.0),
+        (0.0, math.inf),
+    ),
+    "mean-QFI numerator": (
+        fisher,
+        "mean-QFI numerator",
+        1,
+        lambda: 2.0 * max_mean_qfi(bell_state()).mean_qfi,
+        (0.0, math.inf),
+    ),
+    # the grid's maximum, minimum and raw value
+    "grid mean-QFI numerators": (rotations, "mean-QFI numerator", 3, _grid_numerators, (0.0, math.inf)),
 }
 
 
-def _feed_range_rule(monkeypatch, module, value):
-    """Hand the rule ``value`` in place of what its caller computed; return
-    the (low, high, slack, what) each call passed."""
+def _feed_range_rule(monkeypatch, module, what, value):
+    """Hand the rule ``value`` in place of what its calls named ``what``
+    computed, leaving other calls alone; return the (low, high, slack) that
+    each call named ``what`` passed."""
     calls = []
 
-    def rule(computed, low, high, what, slack=states._DIVERGENCE_ROUNDOFF):
-        calls.append((low, high, slack, what))
-        return clip_roundoff(value, low, high, what, slack)
+    def rule(computed, low, high, name, slack=states._DIVERGENCE_ROUNDOFF):
+        if name != what:
+            return clip_roundoff(computed, low, high, name, slack)
+        calls.append((low, high, slack))
+        return clip_roundoff(value, low, high, name, slack)
 
     monkeypatch.setattr(module, "clip_roundoff", rule)
     return calls
 
 
-@pytest.mark.parametrize("what", sorted(_RANGE_RULE_CALLERS))
-def test_range_rule_clips_roundoff_and_raises_beyond_it(monkeypatch, what):
-    module, call, (low, high) = _RANGE_RULE_CALLERS[what]
+@pytest.mark.parametrize("caller", sorted(_RANGE_RULE_CALLERS))
+def test_range_rule_clips_roundoff_and_raises_beyond_it(monkeypatch, caller):
+    module, what, count, call, (low, high) = _RANGE_RULE_CALLERS[caller]
     for bound, side in ((low, -1.0), (high, 1.0)):
         if math.isinf(bound):
             continue
-        calls = _feed_range_rule(monkeypatch, module, bound + side * 5e-13)
+        calls = _feed_range_rule(monkeypatch, module, what, bound + side * 5e-13)
         assert call() == bound
-        (passed_low, passed_high, slack, passed_what), = calls
-        assert (passed_low, passed_high, passed_what) == (low, high, what)
-        assert slack > 1e-12 if what == "REE" else slack == 1e-12
-        _feed_range_rule(monkeypatch, module, bound + side * 1e-6)
+        assert len(calls) == count
+        for passed_low, passed_high, slack in calls:
+            assert (passed_low, passed_high) == (low, high)
+            assert slack > 1e-12 if what == "REE" else slack == 1e-12
+        _feed_range_rule(monkeypatch, module, what, bound + side * 1e-6)
         with pytest.raises(ArithmeticError, match=rf"^{what} "):
             call()
-    _feed_range_rule(monkeypatch, module, math.nan)
+    _feed_range_rule(monkeypatch, module, what, math.nan)
     with pytest.raises(ArithmeticError, match=rf"^{what} nan lies outside"):
         call()
 
@@ -263,6 +296,25 @@ def test_ree_separable_short_circuit():
     assert solution.iterations == 0
     assert solution.converged
     assert np.array_equal(solution.closest_state, rho)
+
+
+def test_ree_checks_the_closest_state_on_the_last_barrier_point(monkeypatch):
+    def second_check(rho):
+        raise AssertionError("ree decomposed the closest state's partial transpose again")
+
+    monkeypatch.setattr(measures, "is_separable", second_check)
+    assert ree(werner(0.7)).converged
+    barrier_solve = measures._barrier_solve
+
+    def below_the_ppt_floor(rho, lowest):
+        point, steps, t = barrier_solve(rho, lowest)
+        s = point.s.copy()
+        s[1, 0] = -2.0 * measures.SEPARABILITY_EIG_TOL
+        return point._replace(s=s), steps, t
+
+    monkeypatch.setattr(measures, "_barrier_solve", below_the_ppt_floor)
+    with pytest.raises(ArithmeticError, match="non-PPT"):
+        ree(werner(0.7))
 
 
 def test_ree_reproducible_with_seeded_rng():

@@ -146,6 +146,16 @@ def test_partial_transpose_transposes_one_factor():
     assert np.allclose(partial_transpose(rho, "a"), np.kron(a.T, b))
 
 
+def test_partial_transpose_of_a_stack_is_the_stack_of_partial_transposes():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(2, 15, 4, 4)) + 1j * rng.normal(size=(2, 15, 4, 4))
+    for sub in ("a", "b"):
+        each = np.array([[partial_transpose(m, sub) for m in row] for row in stack])
+        assert np.array_equal(partial_transpose(stack, sub), each)
+    with pytest.raises(ValueError, match="4x4"):
+        partial_transpose(np.zeros((4, 3)))
+
+
 def test_partial_trace_product_state():
     a = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     b = np.array([[0.1, 0.0], [0.0, 0.9]], dtype=complex)
