@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 # PPT verdict: separable iff the lowest partial-transpose eigenvalue
-# clears this floor (matches the PSD clamp used on construction).
+# clears this floor.
 SEPARABILITY_EIG_TOL = 1e-10
 
 LN2 = math.log(2.0)

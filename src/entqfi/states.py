@@ -8,8 +8,7 @@ Conventions shared by the whole package:
 * Entropies and relative entropies are in bits (base-2 logarithms), which
   puts separable two-qubit states at 0 and Bell states at 1.
 * ``ZERO_CUTOFF`` is the one spectral zero: eigenvalues, and in ``fisher``
-  pair sums, at or below it count as zeros; eigenvalue dust in
-  ``(-PSD_TOL, 0)`` is clamped to zero on construction.
+  pair sums, at or below it count as zeros.
 * ``partial_transpose`` takes a 4x4 matrix or a ``(..., 4, 4)`` stack.
 * Hermitian matrices are symmetrized as ``(M + M†)/2`` before any
   eigendecomposition to suppress roundoff drift.
@@ -39,14 +38,11 @@ __all__ = [
     "PAULI",
     "PAULI_PRODUCTS",
     "HERMITICITY_TOL",
-    "TRACE_TOL",
-    "PSD_TOL",
     "ZERO_CUTOFF",
     "EigendecompositionError",
     "Spectrum",
     "clip_roundoff",
     "herm_eig",
-    "density_matrix",
     "partial_transpose",
     "partial_trace",
     "von_neumann_entropy",
@@ -65,8 +61,6 @@ _BASIS = (IDENTITY_2, *PAULI)
 PAULI_PRODUCTS = np.stack([[np.kron(u, v) for v in _BASIS] for u in _BASIS])
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 ZERO_CUTOFF = 1e-12
 # Roundoff that ``clip_roundoff`` allows outside a range.  S(rho||rho) reads down to
 # -2.4e-15 bits (master seeds 1-4 and 15, 800 states of ranks 1-4), Bell states under
@@ -163,41 +157,9 @@ def herm_eig(matrix: np.ndarray) -> Spectrum:
     return Spectrum(vals[::-1].astype(float), vecs[:, ::-1])
 
 
-def density_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Validate a density matrix and return its canonicalized copy.
-
-    Checks Hermiticity and unit trace within 1e-10 and positive
-    semidefiniteness within -1e-10.  Eigenvalues in ``(-1e-10, 0)`` are
-    clamped to zero and the result is renormalized to unit trace, so the
-    output is PSD exactly up to the eigensolver's own roundoff.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("density matrix entries must be finite")
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian within 1e-10")
-    trace = float(m.trace().real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
-    spec = herm_eig(m)
-    lowest = float(spec.eigenvalues[-1])
-    if lowest < -PSD_TOL:
-        raise ValueError(f"density matrix has eigenvalue {lowest!r} below -1e-10")
-    if lowest < 0.0:
-        vals = np.clip(spec.eigenvalues, 0.0, None)
-        vals = vals / vals.sum()
-        m = (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return m
-
-
 def _subsystem_index(subsystem) -> int:
-    if subsystem in ("a", "A", 0):
-        return 0
-    if subsystem in ("b", "B", 1):
-        return 1
+    if subsystem in ("a", "b"):
+        return "ab".index(subsystem)
     raise ValueError(f"subsystem must be 'a' or 'b', got {subsystem!r}")
 
 

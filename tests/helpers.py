@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from entqfi import density_matrix, haar_unitary
+from entqfi import derive_stream, haar_unitary, partial_transpose, random_density_matrix
+from entqfi.measures import _log_first_differences
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -36,17 +37,50 @@ def bell_state(kind: str = "phi+") -> np.ndarray:
 def bell_diagonal(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     assert w.shape == (4,) and abs(w.sum() - 1.0) < 1e-12 and w.min() >= 0.0
-    rho = sum(
+    return sum(
         wi * pure(BELL_VECTORS[kind])
         for wi, kind in zip(w, ("phi+", "phi-", "psi+", "psi-"))
     )
-    return density_matrix(rho)
 
 
 def werner(p: float) -> np.ndarray:
-    return density_matrix(p * bell_state("phi+") + (1.0 - p) * np.eye(4) / 4.0)
+    return p * bell_state("phi+") + (1.0 - p) * np.eye(4) / 4.0
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     """Haar-random two-qubit state vector."""
     return haar_unitary(rng, 4)[:, 0]
+
+
+def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``count`` entangled states rho, each with its closest PPT state sigma.
+
+    For a full-rank PPT sigma whose sigma^G has a kernel vector phi, every
+    ``rho = sigma - x (D ln_sigma)^-1[(|phi><phi|)^G]`` with x > 0 and
+    rho >= 0 has sigma as its closest PPT state, with REE S(rho || sigma):
+    ``D ln_sigma[rho] = I - x (|phi><phi|)^G`` is the KKT condition of the
+    REE with the multiplier ``x |phi><phi|`` on sigma^G >= 0 (Miranowicz and
+    Ishizaka, PRA 78, 032310, 2008).  In sigma's eigenbasis D ln_sigma
+    multiplies by the first divided differences of ln, so its inverse
+    divides by them.  sigma^G is the partial transpose of a PPT state of
+    master seed 7 less its lowest eigenpair, renormalized; sigma is kept if
+    its lowest eigenvalue is at least 1e-6, and x is half its rho >= 0 limit.
+    """
+    fixtures, index = [], 0
+    while len(fixtures) < count:
+        lam, u = np.linalg.eigh(partial_transpose(random_density_matrix(derive_stream(7, index))))
+        index += 1
+        if lam[0] < 0.0:
+            continue
+        sigma = partial_transpose((u[:, 1:] * lam[1:]) @ u[:, 1:].conj().T / (1.0 - lam[0]))
+        s, v = np.linalg.eigh(sigma)
+        if s[0] < 1e-6:
+            continue
+        kernel = v.conj().T @ partial_transpose(np.outer(u[:, 0], u[:, 0].conj())) @ v
+        delta = v @ (kernel / _log_first_differences(s)) @ v.conj().T
+        # sigma - x delta >= 0 up to x = 1 / lambda_max(sigma^-1/2 delta sigma^-1/2).
+        root_inv = (v / np.sqrt(s)) @ v.conj().T
+        x = 0.5 / np.linalg.eigvalsh(root_inv @ delta @ root_inv)[-1]
+        rho = sigma - x * delta
+        fixtures.append((0.5 * (rho + rho.conj().T), sigma))
+    return fixtures

@@ -9,7 +9,6 @@ import pytest
 
 from entqfi import (
     ExperimentConfig,
-    ReeSolverConfig,
     c_matrix,
     concurrence,
     derive_stream,
@@ -27,7 +26,7 @@ from entqfi import (
     relative_entropy,
     run_experiment,
 )
-from entqfi.fisher import J_OPERATORS
+from entqfi.fisher import LOCAL_SPINS
 from entqfi.ordering import DISCORDANT_CELLS, MEASURE_NAMES
 from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
 
@@ -134,8 +133,7 @@ def test_criterion_06a_pure_state_oracles():
         assert abs(ree(rho).value - ree_pure_oracle(psi)) <= 5e-3
         assert abs(negativity(rho) - concurrence(rho)) <= 1e-9
         c = c_matrix(rho)
-        for k in range(3):
-            j_k = J_OPERATORS[k]
+        for k, j_k in enumerate(LOCAL_SPINS[:3] + LOCAL_SPINS[3:]):
             mean = np.real(psi.conj() @ j_k @ psi)
             second = np.real(psi.conj() @ (j_k @ j_k) @ psi)
             assert abs(c[k, k] - 4.0 * (second - mean**2)) <= 1e-9
@@ -176,7 +174,7 @@ def test_criterion_08_local_unitary_invariance():
         rho = random_density_matrix(derive_stream(2026, index))
         base_c = concurrence(rho)
         base_n = negativity(rho)
-        base_r = ree(rho, ReeSolverConfig(rng=derive_stream(2027, index))).value
+        base_r = ree(rho).value
         for turn in range(10):
             u_a = haar_unitary(unitary_rng, 2)
             u_b = haar_unitary(unitary_rng, 2)
@@ -185,7 +183,7 @@ def test_criterion_08_local_unitary_invariance():
             rotated = 0.5 * (rotated + rotated.conj().T)
             assert abs(concurrence(rotated) - base_c) <= 1e-9
             assert abs(negativity(rotated) - base_n) <= 1e-9
-            rot_r = ree(rotated, ReeSolverConfig(rng=derive_stream(2028, index * 10 + turn))).value
+            rot_r = ree(rotated).value
             assert abs(rot_r - base_r) <= 1e-2
             checked += 1
     assert checked == 500

@@ -1,4 +1,4 @@
-"""Linear-algebra primitives: validation, spectra, traces, entropies."""
+"""Linear-algebra primitives: spectra, traces, entropies, local unitaries."""
 
 import math
 import warnings
@@ -11,7 +11,6 @@ from entqfi import (
     IDENTITY_4,
     PAULI,
     apply_local_unitary,
-    density_matrix,
     derive_stream,
     herm_eig,
     partial_trace,
@@ -89,37 +88,6 @@ def test_lapack_kernels_raise_under_the_guard():
         assert info.value.matrix.shape == (4, 4)
 
 
-def test_density_matrix_accepts_and_canonicalizes():
-    rho = density_matrix(np.eye(4) / 4.0)
-    assert np.allclose(rho, np.eye(4) / 4.0)
-    # tiny negative dust within -1e-10 is clamped, trace restored
-    dusty = np.diag([0.6, 0.4 + 5e-11, -5e-11, 0.0])
-    rho = density_matrix(dusty)
-    assert np.linalg.eigvalsh(rho)[0] >= -1e-15
-    assert abs(np.trace(rho).real - 1.0) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        np.ones((2, 3)) / 3.0,  # not square
-        np.diag([0.7, 0.4, 0.0, 0.0]),  # trace 1.1
-        np.diag([1.1, -0.1, 0.0, 0.0]),  # eigenvalue below -1e-10
-        np.array([[0.5, 1.0], [0.0, 0.5]]) ,  # not Hermitian
-    ],
-)
-def test_density_matrix_rejects(bad):
-    with pytest.raises(ValueError):
-        density_matrix(bad)
-
-
-def test_density_matrix_rejects_nonfinite():
-    m = np.eye(4, dtype=complex) / 4.0
-    m[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        density_matrix(m)
-
-
 def test_partial_transpose_is_involution_and_trace_preserving():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -174,6 +142,10 @@ def test_subsystem_label_rejected():
         partial_trace(np.eye(4) / 4.0, "c")
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4.0, "ab")
+    # Only the lower-case labels name a qubit.
+    for label in ("A", "B", 0, 1):
+        with pytest.raises(ValueError):
+            partial_trace(np.eye(4) / 4.0, label)
 
 
 def test_entropy_in_bits():
