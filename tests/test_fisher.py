@@ -51,25 +51,37 @@ def test_c_matrix_symmetric_psd():
         assert np.linalg.eigvalsh(c)[0] > -1e-10
 
 
+def test_qfi_direction_is_quadratic_form_of_c():
+    # direct QFI sum for the collective spin J_n = n·(S^A + S^B)
+    rng = np.random.default_rng(17)
+    for index in range(5):
+        rho = random_density_matrix(derive_stream(201, index))
+        c = c_matrix(rho)
+        p, basis = np.linalg.eigh(rho)
+        weights = pair_weights(p)
+        for _ in range(4):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            j_n = np.einsum("k,kij->ij", np.concatenate([n, n]), LOCAL_SPINS)
+            direct = np.sum(2.0 * weights * np.abs(basis.conj().T @ j_n @ basis) ** 2)
+            assert direct == pytest.approx(float(n @ c @ n), abs=1e-10)
+
+
 def test_spin_qfi_matrix_is_quadratic_form_over_local_spins():
-    # direct QFI sum for H = a·S^A + b·S^B with independent local directions;
-    # v = (n, n) is the collective spin J_n, whose quadratic form is C's
+    # direct QFI sum for H = a·S^A + b·S^B with independent local directions
     rng = np.random.default_rng(19)
     for index in range(5):
         rho = random_density_matrix(derive_stream(204, index))
         g = spin_qfi_matrix(rho)
-        c = c_matrix(rho)
         assert g.shape == (6, 6)
         assert np.array_equal(g, g.T)
         p, basis = np.linalg.eigh(rho)
         weights = pair_weights(p)
         for _ in range(4):
             v = rng.normal(size=6)
-            n = v[:3] / np.linalg.norm(v[:3])
-            for w, form in ((v, v @ g @ v), (np.concatenate([n, n]), n @ c @ n)):
-                h = np.einsum("k,kij->ij", w, LOCAL_SPINS)
-                direct = np.sum(2.0 * weights * np.abs(basis.conj().T @ h @ basis) ** 2)
-                assert direct == pytest.approx(float(form), abs=1e-10)
+            h = np.einsum("k,kij->ij", v, LOCAL_SPINS)
+            direct = np.sum(2.0 * weights * np.abs(basis.conj().T @ h @ basis) ** 2)
+            assert direct == pytest.approx(float(v @ g @ v), abs=1e-10)
 
 
 def test_max_mean_qfi_fixtures():
