@@ -99,7 +99,8 @@ def test_criterion_05_closed_form_fixtures():
     bell = bell_state("phi+")
     assert concurrence(bell) == pytest.approx(1.0, abs=1e-9)
     assert negativity(bell) == pytest.approx(1.0, abs=1e-9)
-    assert ree(bell).value == pytest.approx(1.0, abs=5e-3)
+    solution = ree(bell)
+    assert abs(solution.value - 1.0) <= solution.gap + 1e-12
     optimum = optimize_with_refinement(bell)
     assert optimum.max_value == pytest.approx(2.0, abs=1e-9)
     assert optimum.min_value == pytest.approx(0.0, abs=1e-9)
@@ -130,7 +131,8 @@ def test_criterion_06a_pure_state_oracles():
     for _ in range(100):
         psi = random_pure_state(rng)
         rho = pure(psi)
-        assert abs(ree(rho).value - ree_pure_oracle(psi)) <= 5e-3
+        solution = ree(rho)
+        assert abs(solution.value - ree_pure_oracle(psi)) <= solution.gap + 1e-12
         assert abs(negativity(rho) - concurrence(rho)) <= 1e-9
         c = c_matrix(rho)
         for k, j_k in enumerate(LOCAL_SPINS[:3] + LOCAL_SPINS[3:]):
@@ -143,7 +145,8 @@ def test_criterion_06b_bell_diagonal_oracles():
     rest = np.array([1.0, 1.0, 1.0]) / 3.0
     for lam in np.linspace(0.55, 0.95, 20):
         rho = bell_diagonal((lam, *((1.0 - lam) * rest)))
-        assert abs(ree(rho).value - ree_bell_diagonal_oracle(lam)) <= 5e-3
+        solution = ree(rho)
+        assert abs(solution.value - ree_bell_diagonal_oracle(lam)) <= solution.gap + 1e-12
 
     # cross-check the closed form itself against a 1-D brute-force scan over
     # Bell-diagonal candidates: the divergence decreases toward the separable

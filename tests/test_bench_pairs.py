@@ -1,6 +1,7 @@
 """The per-metric verdict that tools/bench_pairs.py writes, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,32 @@ def test_summary_carries_a_verdict_per_workload_and_metric():
     assert summary["wall_s"]["change_won"] == 10
     assert summary["states_per_s"]["verdict"] == "worse"
     assert summary["states_per_s"]["change_won"] == 0
+
+
+def test_main_compiles_both_checkouts_before_the_first_run(tmp_path, monkeypatch):
+    # With PYTHONDONTWRITEBYTECODE=1 a run would compile src and benchmarks
+    # afresh, inside its set-up probe; main compiles both checkouts first.
+    checkouts = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        for module in ("benchmarks/run.py", "src/pkg/mod.py"):
+            (root / module).parent.mkdir(parents=True, exist_ok=True)
+            (root / module).write_text("X = 1\n", encoding="utf-8")
+        spec = {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+        (root / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        checkouts.append(root)
+    compiled = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        compiled.append(
+            all(any((root / part).rglob("*.pyc")) for root in checkouts for part in ("src", "benchmarks"))
+        )
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}, "host"
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    argv = ["--parent", str(checkouts[0]), "--change", str(checkouts[1]), "--workload", "w"]
+    assert bench_pairs.main(argv + ["--seeds", "1", "--trace", "0", "--name", "t"]) == 0
+    assert compiled == [True, True]
+    assert (tmp_path / "BENCH_t.json").is_file()

@@ -270,7 +270,7 @@ def test_ree_bell_diagonal_oracle_matches_explicit_scan():
 def test_ree_solver_bell_state():
     solution = ree(bell_state())
     assert solution.converged
-    assert abs(solution.value - 1.0) < 1e-4
+    assert abs(solution.value - 1.0) <= solution.gap + 1e-12
     assert is_separable(solution.closest_state)
     assert abs(np.trace(solution.closest_state).real - 1.0) < 1e-9
 
@@ -279,13 +279,13 @@ def test_ree_solver_matches_pure_oracle():
     c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
     psi = np.array([c, 0, 0, s])
     solution = ree(pure(psi))
-    assert abs(solution.value - ree_pure_oracle(psi)) < 1e-4
+    assert abs(solution.value - ree_pure_oracle(psi)) <= solution.gap + 1e-12
 
 
 def test_ree_solver_matches_bell_diagonal_oracle():
     rho = bell_diagonal((0.75, 0.05, 0.1, 0.1))
     solution = ree(rho)
-    assert abs(solution.value - ree_bell_diagonal_oracle(0.75)) < 1e-4
+    assert abs(solution.value - ree_bell_diagonal_oracle(0.75)) <= solution.gap + 1e-12
 
 
 def test_ree_value_consistent_with_closest_state():
@@ -334,7 +334,8 @@ def test_measures_bell():
     bell = bell_state()
     assert concurrence(bell) == pytest.approx(1.0, abs=1e-12)
     assert negativity(bell) == pytest.approx(1.0, abs=1e-12)
-    assert abs(ree(bell).value - 1.0) < 1e-4
+    solution = ree(bell)
+    assert abs(solution.value - 1.0) <= solution.gap + 1e-12
     assert not is_separable(bell)
 
 
@@ -379,6 +380,24 @@ def test_ree_gap_is_not_negative_when_one_atom_climbs_to_a_lower_maximum():
     assert solution.value == pytest.approx(0.00633751577048036, abs=1e-9)
 
 
+def test_ree_gap_carries_its_own_roundoff(monkeypatch):
+    # Master seed 15, state 624: at the polished point the dual gap is a
+    # difference of two numbers near 1 that agree, and it read -2.2e-16 nats
+    # (numpy 2.4.6).  The reported gap adds the measured roundoff bound, so
+    # it is not negative; it is not clamped either.
+    raw, dual_gap = [], measures._dual_gap
+
+    def recording(p, t=None):
+        raw.append(dual_gap(p, t))
+        return raw[-1]
+
+    monkeypatch.setattr(measures, "_dual_gap", recording)
+    _, solution = _seeded_ree(15, 624)
+    assert abs(raw[-1]) <= measures._GAP_ROUNDOFF_NATS
+    assert solution.gap == (raw[-1] + measures._GAP_ROUNDOFF_NATS) / math.log(2.0)
+    assert 0.0 < solution.gap <= 2e-14 / math.log(2.0)
+
+
 def test_ree_single_polish_certifies_former_insertion_state():
     # Master seed 4, state 842 certified only after a conditional-gradient
     # atom insertion in an early mixture solver.
@@ -406,7 +425,8 @@ def test_ree_converged_iff_gap_within_tolerance():
 def test_ree_newton_step_budget():
     # The first 40 entangled states of master seed 1 (ids 0-101) took 743
     # Newton steps when t grew from 8/gap and the last round was cut short
-    # at _T_FINAL; whole hundredfold rounds ending on _T_FINAL take 605.
+    # at _T_FINAL, 605 in whole hundredfold rounds ending on _T_FINAL, and
+    # 423 when the face polish takes over after the round at t = 8e3.
     steps = []
     index = 0
     while len(steps) < 40:
@@ -415,29 +435,56 @@ def test_ree_newton_step_budget():
         if not is_separable(rho):
             steps.append(ree(rho).iterations)
     assert index == 102
-    assert sum(steps) <= 640
+    assert sum(steps) <= 445
+
+
+def _without_polish(monkeypatch, rho):
+    """ree(rho) with every face polish failing at once: the barrier path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_face_polish", lambda rho, p, t: (None, 0))
+        return ree(rho)
 
 
 def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
-    # Every t is _T_FINAL / _T_GROWTH**j, j falls by one per round down to
-    # 0, and the last t is _T_FINAL bit for bit, which repeated products
-    # of 8 / 1e-9 = 7999999999.999999 can miss.
-    seen = []
-    newton_system = measures._newton_system
+    # Every t is _T_FINAL / _T_GROWTH**j and j falls by one per round.  The
+    # path ends at t = 8e3 where the face polish takes over (seed 1, id 1),
+    # and otherwise at _T_FINAL bit for bit, which repeated products of
+    # 8 / 1e-9 = 7999999999.999999 can miss.  A state whose polish fails
+    # (seed 2, id 452, where sigma >= 0 is nearly active) goes on along the
+    # barrier path from the saved point, as if the polish had not run.
+    newton_system, face_polish = measures._newton_system, measures._face_polish
+    for master_seed, index, polished in ((1, 1, True), (2, 452, False)):
+        rho = random_density_matrix(derive_stream(master_seed, index))
+        assert not is_separable(rho)
+        barrier = _without_polish(monkeypatch, rho)
+        seen, polishes = [], []
 
-    def recording(t, p):
-        seen.append(t)
-        return newton_system(t, p)
+        def recording(t, p):
+            seen.append(t)
+            return newton_system(t, p)
 
-    monkeypatch.setattr(measures, "_newton_system", recording)
-    rho = random_density_matrix(derive_stream(1, 1))
-    assert not is_separable(rho)
-    ree(rho)
-    powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
-    assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
-    rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
-    assert rounds == list(range(rounds[0], -1, -1)) and len(rounds) > 1
-    assert seen[-1] == measures._T_FINAL
+        def recording_polish(rho, p, t):
+            polishes.append(face_polish(rho, p, t))
+            return polishes[-1]
+
+        monkeypatch.setattr(measures, "_newton_system", recording)
+        monkeypatch.setattr(measures, "_face_polish", recording_polish)
+        solution = ree(rho)
+        monkeypatch.undo()
+        powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
+        assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
+        rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
+        last = measures._POLISH_ROUND if polished else 0
+        assert rounds == list(range(rounds[0], last - 1, -1))
+        assert rounds[0] > measures._POLISH_ROUND
+        assert seen[-1] == measures._T_FINAL / measures._T_GROWTH**last
+        ((point, taken),) = polishes
+        assert (point is not None) == polished and taken >= 1
+        assert solution.iterations == len(seen) + taken
+        if not polished:
+            assert solution.iterations == barrier.iterations + taken
+            assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
+            assert np.array_equal(solution.closest_state, barrier.closest_state)
 
 
 @pytest.mark.parametrize("excess", [1e-8, 1e-7, 1e-6, 1e-5])
@@ -452,27 +499,32 @@ def test_ree_just_past_the_werner_threshold_takes_one_round(excess):
 
 
 def test_singular_hessian_ends_the_solve_at_the_current_point(monkeypatch):
-    # A solve that raises LinAlgError at step k ends ree there, with its
-    # value and certificate read at the last accepted point: early it is
-    # uncertified, at the last step already certified.
+    # A 15x15 barrier Hessian that solve finds singular ends ree at the last
+    # accepted point, with its value and certificate read there: here
+    # uncertified.  A singular 16x16 KKT matrix instead ends the face polish,
+    # and the barrier rounds go on to a certified point, the one they reach
+    # without the polish.
     rho = random_density_matrix(derive_stream(1, 1))
-    full = ree(rho).iterations
+    barrier = _without_polish(monkeypatch, rho)
     certified = []
-    for k in (2, full):
+    for size, k in ((15, 2), (16, 1)):
         calls = []
 
         def singular_at_k(a, b):
-            calls.append(a)
-            if len(calls) == k:
+            calls.append(len(a))
+            if calls.count(size) == k and len(a) == size:
                 raise LinAlgError("Singular matrix")
             return solve(a, b)
 
         monkeypatch.setattr(measures, "solve", singular_at_k)
         solution = ree(rho)
-        assert solution.iterations == k == len(calls)
+        assert solution.iterations == len(calls)
         assert solution.value == relative_entropy(rho, solution.closest_state)
         assert solution.converged == (solution.gap * math.log(2.0) <= measures._GAP_TOL_NATS)
         certified.append(solution.converged)
+    assert calls.count(16) == 1
+    assert solution.iterations == barrier.iterations + 1
+    assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
     assert certified == [False, True]
 
 
@@ -532,6 +584,52 @@ def test_newton_system_matches_central_differences(rho, sigma, t):
     assert np.linalg.norm(num_grad - grad) <= 1e-6 * np.linalg.norm(grad)
     assert np.linalg.norm(num_hess - hess) <= 1e-6 * np.linalg.norm(hess)
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+
+
+@pytest.mark.parametrize(
+    "rho, sigma",
+    [
+        (random_density_matrix(derive_stream(1, 1)), None),
+        # sigma^G's lowest eigenvalue is simple, the other three coincide, and
+        # sigma's spectrum is 3-fold degenerate too.
+        (werner(0.8), werner(0.3)),
+    ],
+    ids=["random", "werner"],
+)
+def test_kkt_system_matches_central_differences(rho, sigma):
+    # F(x, mu) = (grad f - mu grad g, -g) with f = -tr(rho ln sigma) and
+    # g = lambda_min(sigma^G); the matrix is F's Jacobian in (x, mu).
+    rho = np.asarray(rho, dtype=complex)
+    if sigma is None:
+        sigma = 0.3 * rho + 0.7 * np.eye(4) / 4.0
+    step, mu = 1e-6, 0.7
+    point = _pauli_point(rho, sigma)
+    residual, matrix = measures._kkt_system(point, mu)
+    kkt = measures._kkt_system
+
+    def shifted(k, sign):
+        return measures._point(rho, point.x + sign * step * np.eye(15)[k])
+
+    def central(value):
+        return np.array([(value(shifted(k, 1)) - value(shifted(k, -1))) / (2.0 * step) for k in range(15)])
+
+    def entropy_term(p):
+        return -float(p.rt.diagonal().real @ np.log(p.s[0]))
+
+    def close(numeric, exact):
+        return np.linalg.norm(numeric - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    grad_g = -matrix[15, :15]
+    hess_g = kkt(point, 0.0)[1][:15, :15] - kkt(point, 1.0)[1][:15, :15]
+    assert residual[15] == -point.s[1, 0] and matrix[15, 15] == 0.0
+    assert np.array_equal(matrix[:15, 15], matrix[15, :15])
+    assert close(central(lambda p: p.s[1, 0]), grad_g)
+    assert close(central(lambda p: -kkt(p, mu)[1][15, :15]), hess_g)
+    assert close(central(entropy_term), residual[:15] + mu * grad_g)
+    columns = list(central(lambda p: kkt(p, mu)[0]))
+    columns.append((kkt(point, mu + step)[0] - kkt(point, mu - step)[0]) / (2.0 * step))
+    assert close(np.array(columns).T, matrix)
+    assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(np.abs(matrix))
 
 
 def test_boundary_step_stops_short_of_the_nearer_cone():
@@ -640,15 +738,16 @@ def test_ree_is_local_unitary_invariant():
 
 def test_ree_matches_the_inverse_problem_fixtures():
     # Each fixture's closest PPT state sigma, and so its REE S(rho || sigma),
-    # is known exactly.  The barrier path ends at t = _T_FINAL, which leaves
-    # ree 1.8e-10 bits above S(rho || sigma), inside the certified gap of at
-    # least 3.5e-10 bits.
+    # is known exactly.  The face polish ends on sigma with no 1/t bias: on
+    # 40 fixtures ree lay within 1.8e-15 bits of S(rho || sigma) and the
+    # closest state within 2.4e-15 of sigma (the barrier path alone left
+    # +1.8e-10 bits and 2.4e-10).
     rng = np.random.default_rng(29)
     for rho, sigma in inverse_ree_fixtures(30):
         exact = relative_entropy(rho, sigma)
         solution = ree(rho)
-        assert exact <= solution.value <= exact + solution.gap
-        assert np.max(np.abs(solution.closest_state - sigma)) <= 1e-8
+        assert abs(solution.value - exact) <= 1e-13
+        assert np.max(np.abs(solution.closest_state - sigma)) <= 1e-12
         rotated = apply_local_unitary(rho, haar_unitary(rng, 2), haar_unitary(rng, 2))
         assert abs(ree(rotated).value - solution.value) <= solution.gap
 

@@ -5,8 +5,9 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload ree_entangled --seeds 41 42 43 --trace 0 --name ree_rounds
 
-For each seed, ``benchmarks/run.py --workload W --seed S --seconds R
---trace T`` runs once in each checkout, R being ``run_seconds`` of the
+Both checkouts' ``src`` and ``benchmarks`` are byte-compiled first.  For
+each seed, ``benchmarks/run.py --workload W --seed S --seconds R --trace
+T`` runs once in each checkout, R being ``run_seconds`` of the
 change's ``BENCHMARK.json``.  Which side runs first alternates from pair to
 pair, counting the pairs already in the file, so repeated invocations keep
 alternating.  The two JSON lines of a pair are appended to
@@ -52,6 +53,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         )
     env = next((line[len("env "):] for line in lines if line.startswith("env ")), "")
     return json.loads(lines[-1]), env
+
+
+def compile_sources(checkout: Path) -> None:
+    """Byte-compile ``src`` and ``benchmarks`` of ``checkout``, so that no
+    run, and no set-up probe inside one, pays for compiling them, also where
+    ``PYTHONDONTWRITEBYTECODE=1`` keeps the runs from writing bytecode."""
+    command = [sys.executable, "-m", "compileall", "-q", "src", "benchmarks"]
+    subprocess.run(command, cwd=checkout, check=True)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -147,6 +156,8 @@ def main(argv=None) -> int:
         if not (checkout / "benchmarks" / "run.py").is_file():
             parser.error(f"{checkout} has no benchmarks/run.py")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for checkout in checkouts.values():
+        compile_sources(checkout)
 
     seconds = spec["run_seconds"]
     path = ROOT / f"BENCH_{args.name}.json"
