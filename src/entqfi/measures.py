@@ -7,49 +7,53 @@ REE solver.  For two qubits PPT equals separability (Horodecki, Horodecki &
 Horodecki, PLA 223, 1, 1996), so REE is ``min S(rho||sigma)`` over
 ``sigma >= 0``, ``sigma^G >= 0`` (partial transpose on B), ``tr sigma = 1``,
 convex in the Pauli coordinates x of ``sigma = I/4 + 1/4 sum_k x_k P_k``.
-The barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
-damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
-from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))`` with e the
-lowest eigenvalue of rho^G.  The rounds are ``t = T / 100^j`` for j
-falling to 0, where ``T = 8 / 1e-9`` puts the barrier's own bound 8/t at
-1e-9 nats and the first j is the largest with ``t >= 8 / gap`` at the
-start: every round raises t a whole hundredfold and the last ends on T
-exactly.  Divided differences of ln in sigma's eigenbasis give the gradient
-D of ``tr(rho ln sigma)`` and its Hessian (Daleckii-Krein), degenerate
-spectra included.  No random numbers are drawn.
+Divided differences of ln in sigma's eigenbasis give the gradient D of
+``tr(rho ln sigma)`` and its Hessian (Daleckii-Krein), degenerate spectra
+included.  No random numbers are drawn.
 
-Face polish.  Once the round at t = 8e3 is centred (or the first round,
-where the path starts later), plain Newton steps solve the KKT system of
-``min S(rho||sigma)`` on the face ``lambda_min(sigma^G) = 0``: 16 unknowns,
-x and the multiplier mu, started at the barrier's own ``1 / (t s_0^G)``.
-Its solutions are the inverse-problem states of Miranowicz & Ishizaka (PRA
-78, 032310, 2008), ``D ln_sigma[rho] = I - mu (|phi><phi|)^G`` with phi the
+Face polish.  For an entangled rho the optimum lies on the face
+``lambda_min(sigma^G) = 0``, and Newton steps solve the KKT system of
+``min S(rho||sigma)`` there: 16 unknowns, x and the multiplier mu.  Its
+solutions are the inverse-problem states of Miranowicz & Ishizaka (PRA 78,
+032310, 2008), ``D ln_sigma[rho] = I - mu (|phi><phi|)^G`` with phi the
 kernel of sigma^G, so the solve ends on the PPT boundary with no 1/t bias.
-Where sigma >= 0 is nearly active too (rho close to rank deficient, pure
-states), the face is degenerate or the KKT matrix singular, the polish
-fails and the barrier rounds go on to T from the saved point.
+It starts on the face, at ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``
+with (e, phi) the lowest eigenpair of rho^G, and mu at its least-squares
+value; a step that would leave sigma > 0 or mu > 0 is damped.
+
+Barrier fallback.  Where sigma_0 is not positive definite or the polish
+fails (sigma >= 0 active at the optimum: pure and rank-deficient rho), the
+barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
+damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
+from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))``.  The
+rounds are ``t = T / 100^j`` for j falling to 0, where ``T = 8 / 1e-9``
+puts the barrier's own bound 8/t at 1e-9 nats and the first j is the
+largest with ``t >= 8 / gap`` at the start: every round raises t a whole
+hundredfold and the last ends on T exactly.
 
 Certificate.  S(rho||.) is convex with gradient -D, and for any ``Q >= 0``
 weak duality gives ``tr(sigma* D) <= lambda_max(D + Q^G)`` over PPT sigma*,
 so ``gap = lambda_max(D + Q^G) - tr(sigma D)`` bounds how far S(rho||sigma)
 lies above REE.  ``Q = [(I - D)^G]_+`` is the multiplier that the KKT
 condition ``D + Q^G = I`` singles out, and it is tight on the face; after
-the barrier rounds, ``(sigma^G)^-1 / t`` is priced too.  The reported gap
-adds a measured bound on its own evaluation roundoff, so it is never
-negative.  A gap within 2e-5 nats (about 3e-5 bits) counts as converged.
-The closest state is full rank and PPT: on the PPT boundary after the
-polish, strictly interior after the barrier rounds; the value is
-recomputed as S(rho||closest).  The solver works in nats, reports bits.
-Its spectra and Newton solves run on the LAPACK kernels of ``states`` under
-one ``lapack_guard()`` per solve: a failed spectrum raises
-``EigendecompositionError``, a singular Hessian ends the solve where it is.
+the barrier, ``(sigma^G)^-1 / t`` is priced too.  The reported gap adds a
+measured bound on its own evaluation roundoff, so it is never negative.  A
+gap within 2e-5 nats (about 3e-5 bits) counts as converged.  The closest
+state is full rank and PPT: on the PPT boundary after the polish, strictly
+interior after the barrier; the value is recomputed as S(rho||closest).
+The solver works in nats, reports bits.  Its spectra and Newton solves run
+on the LAPACK kernels of ``states`` under one ``lapack_guard()`` per solve:
+a failed spectrum raises ``EigendecompositionError``; a singular KKT matrix
+ends the polish, a singular barrier Hessian the solve, where it is.
 
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
 (|Phi+> reads 1 + 1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at
 most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998):
-``_lowest_pt_eigenvalue`` gives the negativity -2 lambda_min and the REE
-start; ``_ppt`` judges PPT on it and on the solve's last sigma^G.
+``_lowest_pt_eigenvalue`` gives the negativity -2 lambda_min and the
+barrier start; ``_ppt`` judges PPT on it and on the solve's last sigma^G.
+The face start takes its own ``eigh`` of rho^G, as its eigenvalues can
+differ from ``eigvalsh``'s in the last bits.
 """
 
 from __future__ import annotations
@@ -119,15 +123,16 @@ _BARRIER_DEGREE, _T_GROWTH = 8.0, 100.0
 _T_FINAL = _BARRIER_DEGREE / 1e-9
 _CENTERED, _CENTERED_FINAL, _FULL_STEP = 0.5, 1e-6, 0.1
 _MAX_STEPS = 200
-# The barrier hands over to _face_polish once round j = _POLISH_ROUND (t =
-# 8e3) is centred, or its first round where that starts later.  Measured
-# over the 1833 entangled states of master seeds 1-4 and 15: handing over at
-# j = 3 took 18653 Newton steps with 4 fallbacks, at j = 2 21680, and at
-# j = 4 19276 with 301 fallbacks.  The polish stops once its last x step is
-# at most _POLISH_TOL, which leaves an error of order _POLISH_TOL**2 (ree
-# moved by at most 2.3e-15 bits against steps down to 1e-13), and fails
-# after _POLISH_STEPS (it took at most 7).
-_POLISH_ROUND, _POLISH_STEPS, _POLISH_TOL = 3, 8, 1e-8
+# The face polish converges on a whole x step of at most _POLISH_TOL, which
+# leaves an error of order _POLISH_TOL**2 (ree moved by at most 2.3e-15 bits
+# against steps down to 1e-13), and of at most _POLISH_REL_TOL times
+# lambda_min(sigma): on rho = pure + 1e-8 I/4, where lambda_min(sigma) is
+# ~5e-8, a step of 5e-10 left a gap of 1e-4 nats, and two steps more 2e-10.
+# A step that would leave sigma > 0 or mu > 0 is cut to _POLISH_DAMPING of
+# the way to that boundary; a whole step left sigma > 0 on 426 of the 1833
+# entangled states of master seeds 1-4 and 15.  All 1833 took at most 15
+# steps, 59 more than 8; the polish fails after _POLISH_STEPS.
+_POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-8, 1e-4, 0.9
 # The 20 sorted index triples lo <= mid <= hi, which for ascending s sort
 # their values, and for each flat (i, m, j) the place of its sorted triple.
 _TRIPLES = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
@@ -151,9 +156,10 @@ class ReeSolution:
     """``value`` is the REE in bits, always in [0, 1]; ``gap`` is its
     certified optimality gap in bits, its evaluation roundoff included, and
     ``converged`` says it is within tolerance.  ``iterations`` counts Newton
-    steps, the barrier's and the face polish's: at least one if entangled,
-    zero for the separable short-circuit.  ``closest_state`` lies on the
-    PPT boundary where the polish succeeded."""
+    steps, the face polish's and, where it failed, the barrier's: at least
+    one if entangled, zero for the separable short-circuit.
+    ``closest_state`` lies on the PPT boundary where the polish succeeded,
+    as on every entangled state of master seeds 1-4 and 15."""
 
     value: float
     closest_state: np.ndarray
@@ -300,26 +306,33 @@ def _entropy_system(t: float, p: _Point, tan: np.ndarray):
     return grad, -t * (cross + cross.T)
 
 
+def _scaled_tangents(tan: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``B_c,k = s_c^-1/2 V_c† T_c,k V_c s_c^-1/2`` as a (c, 15, 32) float
+    view, from the eigenbasis tangents and ascending spectra of c cones."""
+    return (tan * (s[:, :, None] * s[:, None, :]).reshape(-1, 1, 16) ** -0.5).view(float)
+
+
 def _newton_system(t: float, p: _Point):
     """Gradient and Hessian of the barrier objective in x, and the scaled
-    tangents ``B_c,k = s_c^-1/2 V_c† T_c,k V_c s_c^-1/2`` of sigma and
-    sigma^G as a (2, 15, 32) float view.
+    tangents of sigma and sigma^G.
 
     In an eigenbasis, -ln det has gradient -tr(B) and Hessian tr(B_k B_l)
     summed over both cones.  For Hermitian X, Y, tr(XY) is the dot product
     of their float views."""
     tan = _eigenbasis_tangents(p)
-    scaled = (tan * (p.s[:, :, None] * p.s[:, None, :]).reshape(2, 1, 16) ** -0.5).view(float)
+    scaled = _scaled_tangents(tan, p.s)
     grad, hess = _entropy_system(t, p, tan)
     grad -= scaled[:, :, _DIAG_RE].sum(axis=(0, 2))
     hess += (scaled @ scaled.swapaxes(1, 2)).sum(axis=0)
     return grad, hess, scaled
 
 
-def _kkt_system(p: _Point, mu: float):
+def _kkt_system(p: _Point, mu: float | None):
     """Residual and Jacobian of the KKT system of ``min S(rho||sigma)`` on
     the face ``g = lambda_min(sigma^G) = 0``, in (x, mu):
-    ``F = (grad f - mu grad g, -g)``, f = -tr(rho ln sigma).
+    ``F = (grad f - mu grad g, -g)``, f = -tr(rho ln sigma), and the mu they
+    were built at.  With mu None it is the least-squares multiplier
+    ``<grad f, grad g> / |grad g|^2``.
 
     With u_i the eigenbasis tangent rows of sigma^G, grad g_k = u_k[0, 0]
     and ``hess g_kl = 2 Re sum_{i>=1} u_k[0, i] u_l[i, 0] / (s_0 - s_i)``."""
@@ -327,11 +340,13 @@ def _kkt_system(p: _Point, mu: float):
     grad, hess = _entropy_system(1.0, p, tan)
     rows = tan[1].reshape(15, 4, 4)[:, 0]
     g_grad = rows[:, 0].real
+    if mu is None:
+        mu = float(grad @ g_grad) / float(g_grad @ g_grad)
     g_hess = 2.0 * ((rows[:, 1:] / (p.s[1, 0] - p.s[1, 1:])) @ rows[:, 1:].conj().T).real
     matrix = np.zeros((16, 16))
     matrix[:15, :15] = hess - mu * g_hess
     matrix[:15, 15] = matrix[15, :15] = -g_grad
-    return np.append(grad - mu * g_grad, -p.s[1, 0]), matrix
+    return np.append(grad - mu * g_grad, -p.s[1, 0]), matrix, mu
 
 
 def _dual_gap(p: _Point, t: float | None = None) -> float:
@@ -348,46 +363,75 @@ def _dual_gap(p: _Point, t: float | None = None) -> float:
     return float(tops[:, -1].min()) - float(p.s[0] @ dt.diagonal().real)
 
 
-def _boundary_step(dx: np.ndarray, scaled: np.ndarray) -> float:
-    """0.99 of the step along dx to the nearer cone's boundary, at most 1.
-    In each cone's eigenbasis diag(s) + a M > 0 iff a < -1/lambda_min of
-    ``s^-1/2 M s^-1/2``, which is ``dx @ scaled`` for both cones at once."""
-    move = (dx @ scaled).view(complex).reshape(2, 4, 4)
-    return -0.99 / min(eigvalsh(move)[:, 0].min(), -0.99)
+def _boundary_step(dx: np.ndarray, scaled: np.ndarray, fraction: float = 0.99) -> float:
+    """``fraction`` of the step along dx to the nearest boundary of the
+    cones whose scaled tangents are given, at most 1.  In each cone's
+    eigenbasis diag(s) + a M > 0 iff a < -1/lambda_min of
+    ``s^-1/2 M s^-1/2``, which is ``dx @ scaled`` for all of them at once."""
+    move = (dx @ scaled).view(complex).reshape(-1, 4, 4)
+    return -fraction / min(eigvalsh(move)[:, 0].min(), -fraction)
 
 
-def _on_face(p: _Point, mu: float) -> bool:
-    """Where the polish may go on: sigma > 0, mu > 0, and sigma^G's lowest
-    eigenvalue nearer the face than the next one, so that it stays simple
-    over a step that reaches the face."""
-    return p.s[0, 0] > 0.0 and mu > 0.0 and p.s[1, 1] - p.s[1, 0] > abs(p.s[1, 0])
+def _face_start(rho: np.ndarray) -> _Point:
+    """The point ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``, e < 0 and
+    phi the lowest eigenpair of rho^G: trace 1, and sigma_0^G = (rho^G -
+    e |phi><phi|) / (1 - e) is rho^G with its one negative eigenvalue
+    lifted to 0, so phi spans its kernel (Sanpera, Tarrach & Vidal).  sigma_0
+    itself is positive definite unless rho is close to pure."""
+    lam, vec = eigh(partial_transpose(rho))
+    e, phi = lam[0], vec[:, 0]
+    sigma = (rho - e * partial_transpose(np.outer(phi, phi.conj()))) / (1.0 - e)
+    return _point(rho, 4.0 * (_TANGENTS_RE[0] @ sigma.reshape(16).view(float)))
 
 
-def _face_polish(rho: np.ndarray, p: _Point, t: float):
-    """Plain Newton on ``_kkt_system`` from the point centred at t, with mu
-    starting at the barrier's own multiplier ``1 / (t s_0^G)``: returns the
-    point on the face, or None where a step leaves ``_on_face``, the KKT
-    matrix is singular or _POLISH_STEPS do not converge, and the steps
-    taken."""
-    mu = 1.0 / (t * p.s[1, 0])
+def _on_face(p: _Point) -> bool:
+    """Where the polish may go on: sigma > 0, and sigma^G's lowest eigenvalue
+    nearer the face than the next one, so that it stays simple over a step
+    that reaches the face."""
+    return p.s[0, 0] > 0.0 and p.s[1, 1] - p.s[1, 0] > abs(p.s[1, 0])
+
+
+def _face_polish(rho: np.ndarray):
+    """Newton on ``_kkt_system`` from ``_face_start``, mu starting at its
+    least-squares value: returns the point on the face, or None, and the
+    steps taken.
+
+    A whole step that would leave sigma > 0 or mu > 0 is cut to
+    _POLISH_DAMPING of the way to the nearer boundary (``_boundary_step``
+    on sigma's cone).  The polish converges on a whole x step of at most
+    _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that ends
+    ``_on_face``; it fails where sigma_0 or a later point is not
+    ``_on_face``, mu_0 is not positive, the KKT matrix is singular, or
+    _POLISH_STEPS do not converge."""
+    p, mu = _face_start(rho), None
     for steps in range(1, _POLISH_STEPS + 1):
-        if not _on_face(p, mu):
+        if not _on_face(p):
             return None, steps - 1
-        residual, matrix = _kkt_system(p, mu)
+        residual, matrix, mu = _kkt_system(p, mu)
+        if not mu > 0.0:  # only mu_0 can fail this; the damping keeps mu > 0
+            return None, steps - 1
         try:
             d = solve(matrix, -residual)
         except LinAlgError:
             return None, steps
-        p, mu = _point(rho, p.x + d[:15]), mu + float(d[15])
-        if float(np.abs(d[:15]).max()) <= _POLISH_TOL and _on_face(p, mu):
-            return p, steps
+        dx, dmu = d[:15], float(d[15])
+        trial = _point(rho, p.x + dx)
+        if trial.s[0, 0] <= 0.0 or mu + dmu <= 0.0:
+            sigma_tangents = _scaled_tangents(_eigenbasis_tangents(p)[:1], p.s[:1])
+            alpha = _boundary_step(dx, sigma_tangents, _POLISH_DAMPING)
+            if mu + dmu <= 0.0:
+                alpha = min(alpha, _POLISH_DAMPING * mu / -dmu)
+            trial, dmu = _point(rho, p.x + alpha * dx), alpha * dmu
+        elif float(np.abs(dx).max()) <= min(_POLISH_TOL, _POLISH_REL_TOL * p.s[0, 0]):
+            if _on_face(trial):
+                return trial, steps
+        p, mu = trial, mu + dmu
     return None, _POLISH_STEPS
 
 
 def _barrier_solve(rho: np.ndarray, lowest_pt: float):
-    """Newton steps along the central path, then on the active PPT face:
-    returns the last point, the steps taken, and the last t, or None if the
-    point was polished onto the face.
+    """Newton steps along the central path, where the face polish fails:
+    returns the last point, the steps taken and the last t.
 
     Rounds run j = k, ..., 0 at ``t = _T_FINAL / _T_GROWTH**j``, k the
     largest j that puts the first t at or above 8/gap of the start, so t0
@@ -399,12 +443,6 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     The Hessian dominates that of the log-det barriers, so a decrement below
     1 keeps a whole step inside their Dikin ellipsoid, hence inside both
     cones.  Longer steps start at _boundary_step and backtrack (Armijo).
-
-    Once round j = min(k, _POLISH_ROUND) is centred, ``_face_polish`` solves
-    the KKT system on the face ``lambda_min(sigma^G) = 0`` and the solve
-    ends there, free of the barrier's 1/t bias.  Where the polish fails, the
-    remaining rounds go on from the saved centred point as if it had not
-    run.  The step count includes the polish steps.
     """
     mix = min(1.0, 2.0 * abs(lowest_pt) / (0.25 + abs(lowest_pt)))
     x = 4.0 * (1.0 - mix) * (_TANGENTS_RE[0] @ rho.reshape(16).view(float))
@@ -439,11 +477,6 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
                 break  # no resolvable decrease left at this t
         if steps >= _MAX_STEPS:
             break
-        if j == min(rounds, _POLISH_ROUND):
-            polished, taken = _face_polish(rho, p, t)
-            steps += taken
-            if polished is not None:
-                return polished, steps, None
     return p, steps, t
 
 
@@ -451,8 +484,9 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
     The lowest partial-transpose eigenvalue decides the PPT short-circuit
-    (value 0, the input as its own closest state) and sets the barrier
-    start.  ``cfg`` is ignored.
+    (value 0, the input as its own closest state); an entangled state goes
+    to the face polish, and to the barrier only where that fails.  ``cfg``
+    is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
     lowest = _lowest_pt_eigenvalue(rho)
@@ -461,7 +495,11 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
     with lapack_guard():
-        point, steps, t = _barrier_solve(rho, lowest)
+        point, steps = _face_polish(rho)
+        t = None
+        if point is None:
+            point, barrier_steps, t = _barrier_solve(rho, lowest)
+            steps += barrier_steps
         gap = _dual_gap(point, t) + _GAP_ROUNDOFF_NATS
     if not _ppt(point.s[1, 0]):
         raise ArithmeticError("solver produced a non-PPT candidate state")

@@ -1,4 +1,5 @@
-"""The per-metric verdict that tools/bench_pairs.py writes, on synthetic runs."""
+"""tools/bench_pairs.py on synthetic runs: the per-metric verdict, the series and
+the checks of each run."""
 
 import importlib.util
 import json
@@ -89,3 +90,52 @@ def test_main_compiles_both_checkouts_before_the_first_run(tmp_path, monkeypatch
     assert bench_pairs.main(argv + ["--seeds", "1", "--trace", "0", "--name", "t"]) == 0
     assert compiled == [True, True]
     assert (tmp_path / "BENCH_t.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "correct, failed, passes",
+    [(True, 0, True), (False, 0, False), (True, 2, False)],
+    ids=["correct", "incorrect", "failed-items"],
+)
+def test_run_once_stops_on_a_run_that_fails_its_checks(monkeypatch, tmp_path, correct, failed, passes):
+    # run.py exits 0 whatever its checks find; run_once reads its last line.
+    line = json.dumps({"correct": correct, "failed": failed, "metrics": {}})
+
+    def fake_run(command, cwd, capture_output, text):
+        stdout = f"env host=h\nmetric wall_s 1 s\n{line}\n"
+        return bench_pairs.subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    if passes:
+        assert bench_pairs.run_once(tmp_path, "w", 1, 1.0, 0) == (json.loads(line), "host=h")
+        return
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.run_once(tmp_path, "w", 1, 1.0, 0)
+    assert line in str(info.value.code)
+
+
+def test_main_appends_no_pair_with_a_failed_run(monkeypatch, tmp_path):
+    checkouts = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "benchmarks").mkdir(parents=True)
+        (root / "benchmarks" / "run.py").write_text("X = 1\n", encoding="utf-8")
+        spec = {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+        (root / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        checkouts.append(root)
+    results = iter([(True, 0), (True, 0), (True, 0), (False, 1)])
+
+    def fake_run(command, cwd, capture_output=False, text=False, check=False):
+        correct, failed = next(results)
+        metrics = {"wall_s": {"value": 1.0}}
+        line = json.dumps({"correct": correct, "failed": failed, "metrics": metrics})
+        return bench_pairs.subprocess.CompletedProcess(command, 0, stdout=f"env h\n{line}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs, "compile_sources", lambda checkout: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    argv = ["--parent", str(checkouts[0]), "--change", str(checkouts[1]), "--workload", "w"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--seeds", "1", "2", "--trace", "0", "--name", "t"])
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert [run["seed"] for run in record["runs"]] == [1, 1]

@@ -503,27 +503,58 @@ def _nan_scaled(newton_system):
     return poisoned
 
 
+def _nan_scaled_tangents(scaled_tangents):
+    return lambda tan, s: scaled_tangents(tan, s) * np.nan
+
+
 @pytest.mark.parametrize(
-    "site, target, poison",
+    "site, target, poison, index, polish",
     [
-        ("_point", "_sigmas", lambda sigmas: lambda x: sigmas(x) * np.nan),
-        ("_dual_gap", "_log_first_differences", lambda f1: lambda s: f1(s) * np.nan),
-        ("_boundary_step", "_newton_system", _nan_scaled),
+        pytest.param(
+            "_point", "_sigmas", lambda sigmas: lambda x: sigmas(x) * np.nan, 0, True,
+            id="_point-_sigmas-<lambda>",
+        ),
+        pytest.param(
+            "_dual_gap", "_log_first_differences", lambda f1: lambda s: f1(s) * np.nan, 0, True,
+            id="_dual_gap-_log_first_differences-<lambda>",
+        ),
+        # State 1 takes a damped face-polish step.
+        pytest.param(
+            "_boundary_step", "_scaled_tangents", _nan_scaled_tangents, 1, True,
+            id="_boundary_step-_scaled_tangents-_nan_scaled_tangents",
+        ),
+        # The barrier path, which a seeded state takes only where the polish fails.
+        pytest.param(
+            "_boundary_step", "_newton_system", _nan_scaled, 0, False,
+            id="_boundary_step-_newton_system-_nan_scaled",
+        ),
     ],
 )
 def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
-    monkeypatch, site, target, poison
+    monkeypatch, site, target, poison, index, polish
 ):
     # A NaN reaching an eigensolve inside the REE solve raises
     # EigendecompositionError with the matrix, which the pipeline keeps.
     cfg = ExperimentConfig(count=3, master_seed=7)
-    index = next(i for i in range(3) if not is_separable(random_density_matrix(derive_stream(7, i))))
+    assert not is_separable(random_density_matrix(derive_stream(7, index)))
+    if not polish:
+        monkeypatch.setattr(measures, "_face_polish", lambda rho: (None, 0))
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
         experiment._compute_record((index, cfg))
     assert np.isnan(info.value.matrix).all()
     frames = traceback.extract_tb(info.value.__cause__.__traceback__)
     assert site in [frame.name for frame in frames]
+
+
+def test_separable_column_is_the_ppt_verdict(default_run):
+    # _measure_state reads the verdict off ree's short-circuit (no Newton
+    # step), which judges the same lambda_min(rho^G) bits as is_separable.
+    result, _ = default_run
+    assert result.config.master_seed == 1
+    for record in result.records:
+        rho = random_density_matrix(derive_stream(1, record.id))
+        assert record.separable == is_separable(rho), record.id
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -312,17 +312,27 @@ def test_ree_checks_the_closest_state_on_the_last_barrier_point(monkeypatch):
 
     monkeypatch.setattr(measures, "is_separable", second_check)
     assert ree(werner(0.7)).converged
-    barrier_solve = measures._barrier_solve
+    face_polish, barrier_solve = measures._face_polish, measures._barrier_solve
 
-    def below_the_ppt_floor(rho, lowest):
-        point, steps, t = barrier_solve(rho, lowest)
+    def below_the_ppt_floor(point):
         s = point.s.copy()
         s[1, 0] = -2.0 * measures.SEPARABILITY_EIG_TOL
-        return point._replace(s=s), steps, t
+        return point._replace(s=s)
 
-    monkeypatch.setattr(measures, "_barrier_solve", below_the_ppt_floor)
-    with pytest.raises(ArithmeticError, match="non-PPT"):
-        ree(werner(0.7))
+    def polished(rho):
+        point, steps = face_polish(rho)
+        return (None if point is None else below_the_ppt_floor(point)), steps
+
+    def barrier(rho, lowest):
+        point, steps, t = barrier_solve(rho, lowest)
+        return below_the_ppt_floor(point), steps, t
+
+    monkeypatch.setattr(measures, "_face_polish", polished)
+    monkeypatch.setattr(measures, "_barrier_solve", barrier)
+    # werner(0.7) ends on the face polish, the pure state on the barrier path.
+    for rho in (werner(0.7), pure(np.array([0.8, 0.0, 0.0, 0.6]))):
+        with pytest.raises(ArithmeticError, match="non-PPT"):
+            ree(rho)
 
 
 def test_ree_monotone_in_werner_mixing():
@@ -425,8 +435,9 @@ def test_ree_converged_iff_gap_within_tolerance():
 def test_ree_newton_step_budget():
     # The first 40 entangled states of master seed 1 (ids 0-101) took 743
     # Newton steps when t grew from 8/gap and the last round was cut short
-    # at _T_FINAL, 605 in whole hundredfold rounds ending on _T_FINAL, and
-    # 423 when the face polish takes over after the round at t = 8e3.
+    # at _T_FINAL, 605 in whole hundredfold rounds ending on _T_FINAL, 423
+    # when the face polish took over after the round at t = 8e3, and 239
+    # with the polish started on the face, with no barrier round.
     steps = []
     index = 0
     while len(steps) < 40:
@@ -435,26 +446,28 @@ def test_ree_newton_step_budget():
         if not is_separable(rho):
             steps.append(ree(rho).iterations)
     assert index == 102
-    assert sum(steps) <= 445
+    assert sum(steps) <= 250
 
 
 def _without_polish(monkeypatch, rho):
-    """ree(rho) with every face polish failing at once: the barrier path."""
+    """ree(rho) with the face polish failing at once: the barrier path."""
     with monkeypatch.context() as patch:
-        patch.setattr(measures, "_face_polish", lambda rho, p, t: (None, 0))
+        patch.setattr(measures, "_face_polish", lambda rho: (None, 0))
         return ree(rho)
 
 
 def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
-    # Every t is _T_FINAL / _T_GROWTH**j and j falls by one per round.  The
-    # path ends at t = 8e3 where the face polish takes over (seed 1, id 1),
-    # and otherwise at _T_FINAL bit for bit, which repeated products of
-    # 8 / 1e-9 = 7999999999.999999 can miss.  A state whose polish fails
-    # (seed 2, id 452, where sigma >= 0 is nearly active) goes on along the
-    # barrier path from the saved point, as if the polish had not run.
+    # Every t is _T_FINAL / _T_GROWTH**j, j falls by one per round, and the
+    # path ends at _T_FINAL bit for bit, which repeated products of
+    # 8 / 1e-9 = 7999999999.999999 can miss.  Only a state whose face
+    # polish fails takes the barrier path (a pure state, where sigma >= 0 is
+    # active at the optimum), with the same bits as if the polish had not
+    # run; a seeded state ends on the face with no barrier round at all.
     newton_system, face_polish = measures._newton_system, measures._face_polish
-    for master_seed, index, polished in ((1, 1, True), (2, 452, False)):
-        rho = random_density_matrix(derive_stream(master_seed, index))
+    for rho, polished in (
+        (random_density_matrix(derive_stream(1, 1)), True),
+        (pure(np.array([0.8, 0.0, 0.0, 0.6])), False),
+    ):
         assert not is_separable(rho)
         barrier = _without_polish(monkeypatch, rho)
         seen, polishes = [], []
@@ -463,69 +476,72 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
             seen.append(t)
             return newton_system(t, p)
 
-        def recording_polish(rho, p, t):
-            polishes.append(face_polish(rho, p, t))
+        def recording_polish(rho):
+            polishes.append(face_polish(rho))
             return polishes[-1]
 
         monkeypatch.setattr(measures, "_newton_system", recording)
         monkeypatch.setattr(measures, "_face_polish", recording_polish)
         solution = ree(rho)
         monkeypatch.undo()
-        powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
-        assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
-        rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
-        last = measures._POLISH_ROUND if polished else 0
-        assert rounds == list(range(rounds[0], last - 1, -1))
-        assert rounds[0] > measures._POLISH_ROUND
-        assert seen[-1] == measures._T_FINAL / measures._T_GROWTH**last
         ((point, taken),) = polishes
         assert (point is not None) == polished and taken >= 1
         assert solution.iterations == len(seen) + taken
-        if not polished:
-            assert solution.iterations == barrier.iterations + taken
-            assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
-            assert np.array_equal(solution.closest_state, barrier.closest_state)
+        if polished:
+            assert seen == []
+            continue
+        powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
+        assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
+        rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
+        assert rounds == list(range(rounds[0], -1, -1)) and rounds[0] > 0
+        assert seen[-1] == measures._T_FINAL
+        assert solution.iterations == barrier.iterations + taken
+        assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
+        assert np.array_equal(solution.closest_state, barrier.closest_state)
 
 
 @pytest.mark.parametrize("excess", [1e-8, 1e-7, 1e-6, 1e-5])
-def test_ree_just_past_the_werner_threshold_takes_one_round(excess):
-    # The start's gap is O(excess^2), below its floor of 8/_T_FINAL, where
-    # _T_FINAL * gap / 8 rounds to just under 1: still one round at _T_FINAL.
+def test_ree_just_past_the_werner_threshold_takes_one_round(monkeypatch, excess):
+    # The barrier start's gap is O(excess^2), below its floor of 8/_T_FINAL,
+    # where _T_FINAL * gap / 8 rounds to just under 1: still one round at
+    # _T_FINAL.  The face polish solves these states too.
     rho = werner(1.0 / 3.0 + excess)
     assert not is_separable(rho)
-    solution = ree(rho)
-    assert solution.converged and solution.iterations >= 1
-    assert 0.0 <= solution.value <= 1e-9
+    for solution in (ree(rho), _without_polish(monkeypatch, rho)):
+        assert solution.converged and solution.iterations >= 1
+        assert 0.0 <= solution.value <= 1e-9
 
 
 def test_singular_hessian_ends_the_solve_at_the_current_point(monkeypatch):
-    # A 15x15 barrier Hessian that solve finds singular ends ree at the last
-    # accepted point, with its value and certificate read there: here
-    # uncertified.  A singular 16x16 KKT matrix instead ends the face polish,
-    # and the barrier rounds go on to a certified point, the one they reach
-    # without the polish.
+    # A singular 16x16 KKT matrix ends the face polish, and the barrier
+    # rounds run to the certified point they reach without the polish, bit
+    # for bit.  A 15x15 barrier Hessian that solve finds singular then ends
+    # ree at the last accepted point, with its value and certificate read
+    # there: here uncertified.
     rho = random_density_matrix(derive_stream(1, 1))
     barrier = _without_polish(monkeypatch, rho)
     certified = []
-    for size, k in ((15, 2), (16, 1)):
+    for k in (None, 2):
         calls = []
 
-        def singular_at_k(a, b):
+        def singular(a, b):
             calls.append(len(a))
-            if calls.count(size) == k and len(a) == size:
+            if calls.count(len(a)) == {16: 1, 15: k}[len(a)]:
                 raise LinAlgError("Singular matrix")
             return solve(a, b)
 
-        monkeypatch.setattr(measures, "solve", singular_at_k)
+        monkeypatch.setattr(measures, "solve", singular)
         solution = ree(rho)
+        assert calls.count(16) == 1
         assert solution.iterations == len(calls)
         assert solution.value == relative_entropy(rho, solution.closest_state)
         assert solution.converged == (solution.gap * math.log(2.0) <= measures._GAP_TOL_NATS)
         certified.append(solution.converged)
-    assert calls.count(16) == 1
-    assert solution.iterations == barrier.iterations + 1
-    assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
-    assert certified == [False, True]
+        if k is None:
+            assert solution.iterations == barrier.iterations + 1
+            assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
+            assert np.array_equal(solution.closest_state, barrier.closest_state)
+    assert certified == [True, False]
 
 
 def _pauli_point(rho, sigma):
@@ -604,7 +620,7 @@ def test_kkt_system_matches_central_differences(rho, sigma):
         sigma = 0.3 * rho + 0.7 * np.eye(4) / 4.0
     step, mu = 1e-6, 0.7
     point = _pauli_point(rho, sigma)
-    residual, matrix = measures._kkt_system(point, mu)
+    residual, matrix, built_at = measures._kkt_system(point, mu)
     kkt = measures._kkt_system
 
     def shifted(k, sign):
@@ -630,6 +646,13 @@ def test_kkt_system_matches_central_differences(rho, sigma):
     columns.append((kkt(point, mu + step)[0] - kkt(point, mu - step)[0]) / (2.0 * step))
     assert close(np.array(columns).T, matrix)
     assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(np.abs(matrix))
+    # Without a mu, the least-squares multiplier: grad f - mu grad g is
+    # orthogonal to grad g.
+    residual, _, least_squares = kkt(point, None)
+    grad_f = kkt(point, 0.0)[0][:15]
+    assert built_at == mu
+    assert abs(residual[:15] @ grad_g) <= 1e-12 * np.linalg.norm(grad_f) * np.linalg.norm(grad_g)
+    assert np.array_equal(residual[:15], kkt(point, least_squares)[0][:15])
 
 
 def test_boundary_step_stops_short_of_the_nearer_cone():
@@ -648,6 +671,76 @@ def test_boundary_step_stops_short_of_the_nearer_cone():
     boundary = measures._point(rho, point.x + (alpha / 0.99) * dx).s[:, 0]
     assert abs(boundary.min()) <= 1e-12
     assert boundary.max() > 0.0
+
+
+def test_face_start_lifts_the_negative_partial_transpose_eigenvalue():
+    # sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e) with (e, phi) the lowest
+    # eigenpair of rho^G: trace 1, and phi spans the kernel of sigma_0^G.
+    states = [random_density_matrix(derive_stream(1, i)) for i in range(30)]
+    states = [rho for rho in states if not is_separable(rho)] + [werner(0.8), bell_state()]
+    for rho in states:
+        lam, vec = np.linalg.eigh(partial_transpose(rho))
+        e, phi = lam[0], vec[:, 0]
+        assert e < 0.0
+        point = measures._face_start(np.asarray(rho, dtype=complex))
+        sigma, sigma_pt = measures._sigmas(point.x)
+        expected = (rho - e * partial_transpose(np.outer(phi, phi.conj()))) / (1.0 - e)
+        assert np.max(np.abs(sigma - expected)) <= 1e-15
+        assert abs(np.trace(sigma) - 1.0) <= 1e-15
+        assert abs(point.s[1, 0]) <= 1e-15
+        assert np.max(np.abs(sigma_pt @ phi)) <= 1e-15
+
+
+def test_face_polish_damps_the_steps_that_leave_the_cone(monkeypatch):
+    # Seed 1, id 1: the whole first step from sigma_0 leaves sigma > 0.  It
+    # is cut short, and every iterate keeps sigma > 0 and mu > 0.
+    rho = random_density_matrix(derive_stream(1, 1))
+    point, kkt_system = measures._point, measures._kkt_system
+    points, iterates = [], []
+
+    def recording_point(rho, x):
+        points.append(point(rho, x))
+        return points[-1]
+
+    def recording_kkt(p, mu):
+        built = kkt_system(p, mu)
+        iterates.append((p.s[0, 0], built[2]))
+        return built
+
+    monkeypatch.setattr(measures, "_point", recording_point)
+    monkeypatch.setattr(measures, "_kkt_system", recording_kkt)
+    polished, steps = measures._face_polish(rho)
+    assert polished is not None and steps == len(iterates)
+    assert min(p.s[0, 0] for p in points) <= 0.0  # an undamped step left the cone
+    assert all(s0 > 0.0 and mu > 0.0 for s0, mu in iterates)
+    assert polished.s[0, 0] > 0.0
+    assert len(points) > steps + 1  # the damped step took a second point
+
+
+@pytest.mark.parametrize("family", ["rank-2", "rank-3", "pure+1e-6", "pure+1e-8"])
+def test_ree_is_never_above_the_barrier_path_beyond_its_gap(monkeypatch, family):
+    # Rank-deficient and near-pure states, where sigma >= 0 is active or
+    # nearly active at the optimum: ree, polished or not, never exceeds the
+    # plain barrier path's value by more than its own certified gap.
+    rng = np.random.default_rng(41)
+    solved = 0
+    while solved < 8:
+        if family.startswith("rank"):
+            weights = np.zeros(4)
+            rank = int(family[-1])
+            weights[:rank] = rng.dirichlet(np.ones(rank))
+            basis = haar_unitary(rng, 4)
+            rho = (basis * weights) @ basis.conj().T
+        else:
+            noise = float(family.split("+")[1])
+            rho = (1.0 - noise) * pure(random_pure_state(rng)) + noise * np.eye(4) / 4.0
+        rho = 0.5 * (rho + rho.conj().T)
+        if is_separable(rho):
+            continue
+        solved += 1
+        solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
+        assert solution.converged and barrier.converged
+        assert solution.value <= barrier.value + solution.gap
 
 
 def _sphere(n):
@@ -698,10 +791,11 @@ def test_ree_certifies_states_the_ascent_over_certified(master_seed, index):
     assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
 
 
-def test_ree_certifies_rank_deficient_states():
+def test_ree_certifies_rank_deficient_states(monkeypatch):
     # Where rho is rank deficient, sigma >= 0 can be active at the optimum
-    # too, and [(I - D)^G]_+ alone then misses the multiplier; the barrier's
-    # own (sigma^G)^-1 / t keeps these certified.
+    # too, and [(I - D)^G]_+ alone then misses the multiplier; on the barrier
+    # path its own (sigma^G)^-1 / t keeps these certified.  The face polish
+    # certifies all of these.
     rng = np.random.default_rng(5)
     solved = 0
     for rank in (2, 3) * 15:
@@ -712,10 +806,10 @@ def test_ree_certifies_rank_deficient_states():
         rho = 0.5 * (rho + rho.conj().T)
         if is_separable(rho):
             continue
-        solution = ree(rho)
         solved += 1
-        assert solution.converged
-        assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
+        for solution in (ree(rho), _without_polish(monkeypatch, rho)):
+            assert solution.converged
+            assert 0.0 <= solution.gap <= 2e-5 / math.log(2.0)
     assert solved >= 15
 
 

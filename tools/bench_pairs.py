@@ -41,7 +41,11 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One benchmark run in ``checkout``: its JSON result and its env line."""
+    """One benchmark run in ``checkout``: its JSON result and its env line.
+
+    ``run.py`` exits 0 whatever its checks find, so a run that reads
+    ``correct: false`` or ``failed > 0`` ends the series with that run's
+    line, before its pair is appended."""
     command = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", f"{seconds:g}", "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
@@ -51,8 +55,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
             f"bench_pairs: {' '.join(command)} in {checkout} exited with"
             f" {done.returncode}:\n{done.stderr[-2000:]}"
         )
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit(
+            f"bench_pairs: {' '.join(command)} in {checkout} failed its checks:\n{lines[-1]}"
+            f"\n{done.stderr[-2000:]}"
+        )
     env = next((line[len("env "):] for line in lines if line.startswith("env ")), "")
-    return json.loads(lines[-1]), env
+    return result, env
 
 
 def compile_sources(checkout: Path) -> None:
