@@ -17,11 +17,14 @@ Face polish.  For an entangled rho the optimum lies on the face
 solutions are the inverse-problem states of Miranowicz & Ishizaka (PRA 78,
 032310, 2008), ``D ln_sigma[rho] = I - mu (|phi><phi|)^G`` with phi the
 kernel of sigma^G, so the solve ends on the PPT boundary with no 1/t bias.
-It starts on the face, at ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``
-with (e, phi) the lowest eigenpair of rho^G, and mu at its least-squares
-value; a step that would leave sigma > 0 or mu > 0 is damped.
+It starts on the face, at the first-order solution of that inverse problem,
+``sigma_1 ~ rho + c G_rho[(|phi><phi|)^G]`` with ``G = (D ln)^-1``, (e, phi)
+the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G) on 0 to
+first order, lifted onto the face; where that start does not serve, at
+``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``.  mu starts at its
+least-squares value; a step that would leave sigma > 0 or mu > 0 is damped.
 
-Barrier fallback.  Where sigma_0 is not positive definite or the polish
+Barrier fallback.  Where rho is pure (to 1e-12) or the polish
 fails (sigma >= 0 active at the optimum: pure and rank-deficient rho), the
 barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
 damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
@@ -40,7 +43,8 @@ the barrier, ``(sigma^G)^-1 / t`` is priced too.  The reported gap adds a
 measured bound on its own evaluation roundoff, so it is never negative.  A
 gap within 2e-5 nats (about 3e-5 bits) counts as converged.  The closest
 state is full rank and PPT: on the PPT boundary after the polish, strictly
-interior after the barrier; the value is recomputed as S(rho||closest).
+interior after the barrier; the value is recomputed as S(rho||closest),
+with S(rho) from the one spectrum of rho that the solve takes.
 The solver works in nats, reports bits.  Its spectra and Newton solves run
 on the LAPACK kernels of ``states`` under one ``lapack_guard()`` per solve:
 a failed spectrum raises ``EigendecompositionError``; a singular KKT matrix
@@ -52,7 +56,7 @@ range rule ``states.clip_roundoff``; REE's slack adds its certified gap
 most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998):
 ``_lowest_pt_eigenvalue`` gives the negativity -2 lambda_min and the
 barrier start; ``_ppt`` judges PPT on it and on the solve's last sigma^G.
-The face start takes its own ``eigh`` of rho^G, as its eigenvalues can
+The face starts take their own ``eigh`` of rho^G, as its eigenvalues can
 differ from ``eigvalsh``'s in the last bits.
 """
 
@@ -69,6 +73,7 @@ from .states import (
     _DIVERGENCE_ROUNDOFF,
     IDENTITY_4,
     PAULI_PRODUCTS,
+    _spectral_entropy,
     clip_roundoff,
     eigh,
     eigvalsh,
@@ -128,11 +133,25 @@ _MAX_STEPS = 200
 # against steps down to 1e-13), and of at most _POLISH_REL_TOL times
 # lambda_min(sigma): on rho = pure + 1e-8 I/4, where lambda_min(sigma) is
 # ~5e-8, a step of 5e-10 left a gap of 1e-4 nats, and two steps more 2e-10.
-# A step that would leave sigma > 0 or mu > 0 is cut to _POLISH_DAMPING of
-# the way to that boundary; a whole step left sigma > 0 on 426 of the 1833
-# entangled states of master seeds 1-4 and 15.  All 1833 took at most 15
-# steps, 59 more than 8; the polish fails after _POLISH_STEPS.
-_POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-8, 1e-4, 0.9
+# From the first-order start a stop at 1e-8 left 5 of the 1833 entangled
+# states of master seeds 1-4 and 15 with gaps of 1e-11 to 1.1e-9 bits (seed
+# 3 id 597); at 1e-9 the largest gap is 1.4e-12 bits.  A step that would
+# leave sigma > 0 or mu > 0 is cut to _POLISH_DAMPING of the way to that
+# boundary; a whole step left sigma > 0 on 31 of the 1833.  All 1833 took at
+# most 11 steps, 16 more than 8; the polish fails after _POLISH_STEPS.
+_POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-9, 1e-4, 0.9
+# Eigenvalues of rho at most _RANK_FLOOR count as zero: the polish is
+# skipped where three are, and sigma_1 where one is.  At a pure state's
+# optimum sigma >= 0 is active, and every polish step is damped into sigma's
+# boundary: on 20 Haar pure states mixed with eps I/4 the polish never
+# converged at lambda_min(rho) = 7.5e-13 and below, but on 7 at 2.5e-12 and
+# on all 20 at 2.5e-11.  Rank-2 and rank-3 states mostly converge from sigma_0.
+# sigma_1 is a start only where lambda_min(sigma_1) is at least
+# _FIRST_ORDER_FLOOR lambda_min(rho): that ratio read 0.136 and more on the
+# 1825 of the 1833 seeded states where sigma_1 > 0, but 1.3e-5 and less on
+# nearly pure states, where the first-order step cancels rho's small
+# eigenvalues to roundoff and the polish from sigma_1 never converged.
+_RANK_FLOOR, _FIRST_ORDER_FLOOR = 1e-12, 1e-3
 # The 20 sorted index triples lo <= mid <= hi, which for ascending s sort
 # their values, and for each flat (i, m, j) the place of its sorted triple.
 _TRIPLES = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
@@ -372,16 +391,46 @@ def _boundary_step(dx: np.ndarray, scaled: np.ndarray, fraction: float = 0.99) -
     return -fraction / min(eigvalsh(move)[:, 0].min(), -fraction)
 
 
-def _face_start(rho: np.ndarray) -> _Point:
-    """The point ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``, e < 0 and
-    phi the lowest eigenpair of rho^G: trace 1, and sigma_0^G = (rho^G -
-    e |phi><phi|) / (1 - e) is rho^G with its one negative eigenvalue
-    lifted to 0, so phi spans its kernel (Sanpera, Tarrach & Vidal).  sigma_0
-    itself is positive definite unless rho is close to pure."""
-    lam, vec = eigh(partial_transpose(rho))
+def _coordinates(sigma: np.ndarray) -> np.ndarray:
+    """x of a trace-1 Hermitian sigma: its Pauli coordinates tr(P_k sigma)."""
+    return 4.0 * (_TANGENTS_RE[0] @ sigma.reshape(16).view(float))
+
+
+def _lift(m: np.ndarray):
+    """``(m - e Y) / (1 - e)``, e and Y, where ``Y = (|phi><phi|)^G`` and
+    (e, phi) is the lowest eigenpair of m^G.  The result's partial transpose
+    is m^G with its lowest eigenvalue moved to 0, so phi spans its kernel
+    (Sanpera, Tarrach & Vidal), and a trace-1 m keeps trace 1."""
+    lam, vec = eigh(partial_transpose(m))
     e, phi = lam[0], vec[:, 0]
-    sigma = (rho - e * partial_transpose(np.outer(phi, phi.conj()))) / (1.0 - e)
-    return _point(rho, 4.0 * (_TANGENTS_RE[0] @ sigma.reshape(16).view(float)))
+    y = partial_transpose(np.outer(phi, phi.conj()))
+    return (m - e * y) / (1.0 - e), e, y
+
+
+def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """The polish's starts on the face, from rho's ascending spectrum r and
+    eigenvectors w, with (e, phi) the lowest eigenpair of rho^G, e < 0, and
+    ``Y = (|phi><phi|)^G``.
+
+    First sigma_1, the first-order solution of the inverse problem
+    ``rho = sigma - x G_sigma[Y_sigma]`` with ``G = (D ln)^-1`` (Miranowicz &
+    Ishizaka): sigma_1 is proportional to ``rho + c G_rho[Y]``, ``c = -e /
+    tr(Y G_rho[Y])``, which puts lambda_min(sigma_1^G) on 0 to first order,
+    and ``_lift`` puts it there exactly.  In rho's eigenbasis D ln_rho
+    multiplies by the first divided differences of ln, so G_rho divides by
+    them, and it needs r_0 above _RANK_FLOOR.  sigma_1 is skipped where
+    lambda_min(sigma_1) falls below _FIRST_ORDER_FLOOR r_0.  Then sigma_0 =
+    ``_lift(rho)``, which is positive definite unless rho is close to pure."""
+    sigma_0, e, y = _lift(rho)
+    if r[0] > _RANK_FLOOR:
+        yw = w.conj().T @ y @ w
+        gw = yw / _log_first_differences(r)
+        c = -e / float((yw.conj() * gw).real.sum())
+        sigma_1 = rho + c * (w @ gw @ w.conj().T)
+        p = _point(rho, _coordinates(_lift(sigma_1 / sigma_1.trace().real)[0]))
+        if p.s[0, 0] >= _FIRST_ORDER_FLOOR * r[0]:
+            yield p
+    yield _point(rho, _coordinates(sigma_0))
 
 
 def _on_face(p: _Point) -> bool:
@@ -391,25 +440,26 @@ def _on_face(p: _Point) -> bool:
     return p.s[0, 0] > 0.0 and p.s[1, 1] - p.s[1, 0] > abs(p.s[1, 0])
 
 
-def _face_polish(rho: np.ndarray):
-    """Newton on ``_kkt_system`` from ``_face_start``, mu starting at its
-    least-squares value: returns the point on the face, or None, and the
-    steps taken.
+def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """Newton on ``_kkt_system`` from the first of ``_face_starts`` that is
+    ``_on_face`` with a positive least-squares mu: returns the point on the
+    face, or None, and the steps taken.
 
     A whole step that would leave sigma > 0 or mu > 0 is cut to
     _POLISH_DAMPING of the way to the nearer boundary (``_boundary_step``
     on sigma's cone).  The polish converges on a whole x step of at most
     _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that ends
-    ``_on_face``; it fails where sigma_0 or a later point is not
-    ``_on_face``, mu_0 is not positive, the KKT matrix is singular, or
-    _POLISH_STEPS do not converge."""
-    p, mu = _face_start(rho), None
+    ``_on_face``; it fails where neither start serves, a later point is not
+    ``_on_face``, the KKT matrix is singular, or _POLISH_STEPS do not
+    converge."""
+    for p in _face_starts(rho, r, w):
+        if _on_face(p):
+            residual, matrix, mu = _kkt_system(p, None)
+            if mu > 0.0:  # only mu_0 can fail this; the damping keeps mu > 0
+                break
+    else:
+        return None, 0
     for steps in range(1, _POLISH_STEPS + 1):
-        if not _on_face(p):
-            return None, steps - 1
-        residual, matrix, mu = _kkt_system(p, mu)
-        if not mu > 0.0:  # only mu_0 can fail this; the damping keeps mu > 0
-            return None, steps - 1
         try:
             d = solve(matrix, -residual)
         except LinAlgError:
@@ -426,6 +476,9 @@ def _face_polish(rho: np.ndarray):
             if _on_face(trial):
                 return trial, steps
         p, mu = trial, mu + dmu
+        if not _on_face(p):
+            return None, steps
+        residual, matrix, mu = _kkt_system(p, mu)
     return None, _POLISH_STEPS
 
 
@@ -445,8 +498,7 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     cones.  Longer steps start at _boundary_step and backtrack (Armijo).
     """
     mix = min(1.0, 2.0 * abs(lowest_pt) / (0.25 + abs(lowest_pt)))
-    x = 4.0 * (1.0 - mix) * (_TANGENTS_RE[0] @ rho.reshape(16).view(float))
-    p = _point(rho, x)
+    p = _point(rho, (1.0 - mix) * _coordinates(rho))
     gap = max(_dual_gap(p), _BARRIER_DEGREE / _T_FINAL)
     # At the gap's floor the product rounds to just under 8, so the log can
     # fall below 0; such a start still takes its one round at _T_FINAL.
@@ -485,8 +537,9 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
 
     The lowest partial-transpose eigenvalue decides the PPT short-circuit
     (value 0, the input as its own closest state); an entangled state goes
-    to the face polish, and to the barrier only where that fails.  ``cfg``
-    is ignored.
+    to the face polish, and to the barrier where that fails or rho is pure
+    (its three lowest eigenvalues at most _RANK_FLOOR).  rho's spectrum
+    also gives S(rho) for the value.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
     lowest = _lowest_pt_eigenvalue(rho)
@@ -495,8 +548,11 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
     with lapack_guard():
-        point, steps = _face_polish(rho)
-        t = None
+        # Symmetrized as herm_eig does, so S(rho) keeps von_neumann_entropy's bits.
+        r, w = eigh(0.5 * (rho + rho.conj().T))
+        point, steps, t = None, 0, None
+        if r[2] > _RANK_FLOOR:  # rho is not pure
+            point, steps = _face_polish(rho, r, w)
         if point is None:
             point, barrier_steps, t = _barrier_solve(rho, lowest)
             steps += barrier_steps
@@ -504,7 +560,8 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     if not _ppt(point.s[1, 0]):
         raise ArithmeticError("solver produced a non-PPT candidate state")
     closest = _sigmas(point.x)[0]
-    value, gap_bits = relative_entropy(rho, closest), gap / LN2
+    value = relative_entropy(rho, closest, _spectral_entropy(r[::-1]))
+    gap_bits = gap / LN2
     value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
     return ReeSolution(
         value=value,

@@ -185,20 +185,25 @@ def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
     return np.einsum("ijil->jl", r)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Spectral entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    vals = herm_eig(rho).eigenvalues
-    vals = vals[vals > ZERO_CUTOFF]
+def _spectral_entropy(eigenvalues: np.ndarray) -> float:
+    """-sum p log2 p in bits over descending eigenvalues, with 0 log 0 = 0."""
+    vals = eigenvalues[eigenvalues > ZERO_CUTOFF]
     return clip_roundoff(-np.sum(vals * np.log2(vals)), 0.0, math.inf, "von Neumann entropy")
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Spectral entropy -sum p log2 p in bits, with 0 log 0 = 0."""
+    return _spectral_entropy(herm_eig(rho).eigenvalues)
+
+
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray, rho_entropy: float | None = None) -> float:
     """S(rho || sigma) in bits; ``math.inf`` when rho escapes sigma's support.
 
     The support test projects rho onto sigma's null eigenspace (eigenvalues
     at most ``ZERO_CUTOFF``); mass above the cutoff there makes the
     divergence infinite, signalled by the returned marker, not an exception.
-    The rho log rho term is ``-von_neumann_entropy(rho)``.  The value passes
+    The rho log rho term is ``-von_neumann_entropy(rho)``, or
+    ``-rho_entropy`` where the caller holds rho's spectrum.  The value passes
     ``clip_roundoff`` on [0, inf): one more than 1e-12 bits below zero (sigma
     is not a normalized state, say) raises ``ArithmeticError``, and so does a
     NaN or infinite entry in rho or sigma, which would otherwise pass through
@@ -215,7 +220,9 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     null = s <= ZERO_CUTOFF
     if float(weights[null].sum()) > ZERO_CUTOFF:
         return math.inf
-    value = -von_neumann_entropy(rho) - float(np.sum(weights[~null] * np.log2(s[~null])))
+    if rho_entropy is None:
+        rho_entropy = von_neumann_entropy(rho)
+    value = -rho_entropy - float(np.sum(weights[~null] * np.log2(s[~null])))
     return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
 

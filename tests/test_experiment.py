@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import multiprocessing
+import os
 import pickle
 import traceback
 import types
@@ -443,7 +444,7 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
 
 
 def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
-    monkeypatch.setattr(measures, "relative_entropy", lambda rho, sigma: 1.01)
+    monkeypatch.setattr(measures, "relative_entropy", lambda *args: 1.01)
     with pytest.raises(ArithmeticError, match=r"^REE 1\.01 lies outside \[0, 1\]"):
         ree(bell_state())
     states = [random_density_matrix(derive_stream(7, i)) for i in range(3)]
@@ -514,13 +515,15 @@ def _nan_scaled_tangents(scaled_tangents):
             "_point", "_sigmas", lambda sigmas: lambda x: sigmas(x) * np.nan, 0, True,
             id="_point-_sigmas-<lambda>",
         ),
+        # The face start divides by the same differences, so the NaN reaches
+        # _dual_gap's eigensolve first on the barrier path, at its start.
         pytest.param(
-            "_dual_gap", "_log_first_differences", lambda f1: lambda s: f1(s) * np.nan, 0, True,
+            "_dual_gap", "_log_first_differences", lambda f1: lambda s: f1(s) * np.nan, 0, False,
             id="_dual_gap-_log_first_differences-<lambda>",
         ),
-        # State 1 takes a damped face-polish step.
+        # State 81 takes a damped face-polish step.
         pytest.param(
-            "_boundary_step", "_scaled_tangents", _nan_scaled_tangents, 1, True,
+            "_boundary_step", "_scaled_tangents", _nan_scaled_tangents, 81, True,
             id="_boundary_step-_scaled_tangents-_nan_scaled_tangents",
         ),
         # The barrier path, which a seeded state takes only where the polish fails.
@@ -538,7 +541,7 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
     cfg = ExperimentConfig(count=3, master_seed=7)
     assert not is_separable(random_density_matrix(derive_stream(7, index)))
     if not polish:
-        monkeypatch.setattr(measures, "_face_polish", lambda rho: (None, 0))
+        monkeypatch.setattr(measures, "_face_polish", lambda *args: (None, 0))
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
         experiment._compute_record((index, cfg))
@@ -555,6 +558,21 @@ def test_separable_column_is_the_ppt_verdict(default_run):
     for record in result.records:
         rho = random_density_matrix(derive_stream(1, record.id))
         assert record.separable == is_separable(rho), record.id
+
+
+def test_emitting_twice_into_one_directory_writes_the_bytes_of_a_fresh_one(small_run, tmp_path):
+    # Each emitter deletes an old file before writing it again, so a second
+    # emit leaves a fresh directory's bytes, and a hard link to an old file
+    # keeps that file's bytes rather than being truncated with it.
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    fresh.mkdir()
+    again.mkdir()
+    (again / "states.csv").write_text("stale\n" * 10000, encoding="utf-8")
+    os.link(again / "states.csv", tmp_path / "stale.csv")
+    emit_all(small_run, again)
+    assert emit_all(small_run, again) == emit_all(small_run, fresh)
+    assert sorted(os.listdir(again)) == sorted(os.listdir(fresh))
+    assert (tmp_path / "stale.csv").read_text(encoding="utf-8") == "stale\n" * 10000
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -319,8 +319,8 @@ def test_ree_checks_the_closest_state_on_the_last_barrier_point(monkeypatch):
         s[1, 0] = -2.0 * measures.SEPARABILITY_EIG_TOL
         return point._replace(s=s)
 
-    def polished(rho):
-        point, steps = face_polish(rho)
+    def polished(*args):
+        point, steps = face_polish(*args)
         return (None if point is None else below_the_ppt_floor(point)), steps
 
     def barrier(rho, lowest):
@@ -436,8 +436,9 @@ def test_ree_newton_step_budget():
     # The first 40 entangled states of master seed 1 (ids 0-101) took 743
     # Newton steps when t grew from 8/gap and the last round was cut short
     # at _T_FINAL, 605 in whole hundredfold rounds ending on _T_FINAL, 423
-    # when the face polish took over after the round at t = 8e3, and 239
-    # with the polish started on the face, with no barrier round.
+    # when the face polish took over after the round at t = 8e3, 239 with
+    # the polish started on the face, with no barrier round, and 170 from
+    # the first-order inverse-problem start.
     steps = []
     index = 0
     while len(steps) < 40:
@@ -446,13 +447,58 @@ def test_ree_newton_step_budget():
         if not is_separable(rho):
             steps.append(ree(rho).iterations)
     assert index == 102
-    assert sum(steps) <= 250
+    assert sum(steps) <= 180
+
+
+def test_seed_one_ends_on_the_face_within_its_step_budget(monkeypatch):
+    # The 365 entangled states of master seed 1 took 2092 polish steps from
+    # sigma_0 and 1578 from the first-order start, the largest certified gap
+    # 1.4e-13 bits; none falls back to the barrier.
+    def no_barrier(rho, lowest):
+        raise AssertionError("the face polish fell back to the barrier")
+
+    monkeypatch.setattr(measures, "_barrier_solve", no_barrier)
+    steps, gaps = 0, []
+    for index in range(1000):
+        solution = ree(random_density_matrix(derive_stream(1, index)))
+        if solution.iterations:
+            steps += solution.iterations
+            gaps.append(solution.gap)
+    assert len(gaps) == 365
+    assert steps <= 1650
+    assert max(gaps) <= 1e-12
+
+
+def test_pure_states_skip_the_face_polish(monkeypatch):
+    # sigma >= 0 is active at a pure state's optimum, where the polish spent
+    # its 20 steps before the barrier ran.  Three eigenvalues of rho at most
+    # _RANK_FLOOR send it to the barrier at once, with the same bits: pure
+    # states, and pure + 1e-12 I/4, where the polish never converged.  It
+    # still solves pure + 1e-10 I/4, and rank-2 states, from sigma_0.
+    def no_barrier(rho, lowest):
+        raise AssertionError("the face polish fell back to the barrier")
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        psi = random_pure_state(rng)
+        for noise in (0.0, 1e-12):
+            rho = (1.0 - noise) * pure(psi) + noise * np.eye(4) / 4.0
+            solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
+            assert solution.iterations == barrier.iterations
+            assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
+            assert np.array_equal(solution.closest_state, barrier.closest_state)
+        rank_2 = 0.7 * pure(psi) + 0.3 * pure(random_pure_state(rng))
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_barrier_solve", no_barrier)
+            for rho in ((1.0 - 1e-10) * pure(psi) + 1e-10 * np.eye(4) / 4.0, rank_2):
+                if not is_separable(rho):
+                    assert ree(rho).converged
 
 
 def _without_polish(monkeypatch, rho):
     """ree(rho) with the face polish failing at once: the barrier path."""
     with monkeypatch.context() as patch:
-        patch.setattr(measures, "_face_polish", lambda rho: (None, 0))
+        patch.setattr(measures, "_face_polish", lambda *args: (None, 0))
         return ree(rho)
 
 
@@ -460,9 +506,10 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
     # Every t is _T_FINAL / _T_GROWTH**j, j falls by one per round, and the
     # path ends at _T_FINAL bit for bit, which repeated products of
     # 8 / 1e-9 = 7999999999.999999 can miss.  Only a state whose face
-    # polish fails takes the barrier path (a pure state, where sigma >= 0 is
-    # active at the optimum), with the same bits as if the polish had not
-    # run; a seeded state ends on the face with no barrier round at all.
+    # polish fails or is skipped takes the barrier path (a pure state, where
+    # sigma >= 0 is active at the optimum, skips it), with the same bits as
+    # if the polish had not run; a seeded state ends on the face with no
+    # barrier round at all.
     newton_system, face_polish = measures._newton_system, measures._face_polish
     for rho, polished in (
         (random_density_matrix(derive_stream(1, 1)), True),
@@ -476,26 +523,28 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
             seen.append(t)
             return newton_system(t, p)
 
-        def recording_polish(rho):
-            polishes.append(face_polish(rho))
+        def recording_polish(*args):
+            polishes.append(face_polish(*args))
             return polishes[-1]
 
         monkeypatch.setattr(measures, "_newton_system", recording)
         monkeypatch.setattr(measures, "_face_polish", recording_polish)
         solution = ree(rho)
         monkeypatch.undo()
-        ((point, taken),) = polishes
-        assert (point is not None) == polished and taken >= 1
-        assert solution.iterations == len(seen) + taken
         if polished:
+            ((point, taken),) = polishes
+            assert point is not None and taken >= 1
+            assert solution.iterations == len(seen) + taken
             assert seen == []
             continue
+        assert polishes == []  # rho is pure: three eigenvalues below _RANK_FLOOR
+        assert solution.iterations == len(seen)
         powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
         assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
         rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
         assert rounds == list(range(rounds[0], -1, -1)) and rounds[0] > 0
         assert seen[-1] == measures._T_FINAL
-        assert solution.iterations == barrier.iterations + taken
+        assert solution.iterations == barrier.iterations
         assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
         assert np.array_equal(solution.closest_state, barrier.closest_state)
 
@@ -673,28 +722,50 @@ def test_boundary_step_stops_short_of_the_nearer_cone():
     assert boundary.max() > 0.0
 
 
+def _face_starts(rho):
+    """The face polish's starts for rho: sigma_1 where it serves, then sigma_0."""
+    rho = np.asarray(rho, dtype=complex)
+    return list(measures._face_starts(rho, *np.linalg.eigh(rho)))
+
+
 def test_face_start_lifts_the_negative_partial_transpose_eigenvalue():
     # sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e) with (e, phi) the lowest
     # eigenpair of rho^G: trace 1, and phi spans the kernel of sigma_0^G.
+    # On a nearly pure state sigma_0 is the only start; a pure one takes none
+    # (it skips the polish).
     states = [random_density_matrix(derive_stream(1, i)) for i in range(30)]
-    states = [rho for rho in states if not is_separable(rho)] + [werner(0.8), bell_state()]
+    nearly_pure = (1.0 - 1e-8) * pure(np.array([0.8, 0.0, 0.0, 0.6])) + 1e-8 * np.eye(4) / 4.0
+    states = [rho for rho in states if not is_separable(rho)] + [werner(0.8), nearly_pure]
     for rho in states:
         lam, vec = np.linalg.eigh(partial_transpose(rho))
         e, phi = lam[0], vec[:, 0]
         assert e < 0.0
-        point = measures._face_start(np.asarray(rho, dtype=complex))
+        point = _face_starts(rho)[-1]
         sigma, sigma_pt = measures._sigmas(point.x)
         expected = (rho - e * partial_transpose(np.outer(phi, phi.conj()))) / (1.0 - e)
         assert np.max(np.abs(sigma - expected)) <= 1e-15
         assert abs(np.trace(sigma) - 1.0) <= 1e-15
         assert abs(point.s[1, 0]) <= 1e-15
         assert np.max(np.abs(sigma_pt @ phi)) <= 1e-15
+    assert len(_face_starts(nearly_pure)) == 1
+
+
+def test_first_order_face_start_lies_nearer_the_closest_state():
+    # sigma_1, rho + c G_rho[Y] lifted onto the face: trace 1, on the face,
+    # and nearer than sigma_0 to each fixture's known closest state.
+    for rho, sigma in inverse_ree_fixtures(30):
+        first, plain = _face_starts(rho)
+        sigma_1, sigma_1_pt = measures._sigmas(first.x)
+        assert abs(np.trace(sigma_1) - 1.0) <= 1e-15
+        assert abs(np.linalg.eigvalsh(sigma_1_pt)[0]) <= 1e-15
+        distance = [np.linalg.norm(measures._sigmas(p.x)[0] - sigma) for p in (first, plain)]
+        assert distance[0] < distance[1]
 
 
 def test_face_polish_damps_the_steps_that_leave_the_cone(monkeypatch):
-    # Seed 1, id 1: the whole first step from sigma_0 leaves sigma > 0.  It
-    # is cut short, and every iterate keeps sigma > 0 and mu > 0.
-    rho = random_density_matrix(derive_stream(1, 1))
+    # Seed 1, id 209: the whole first step from sigma_1 leaves sigma > 0.
+    # It is cut short, and every iterate keeps sigma > 0 and mu > 0.
+    rho = random_density_matrix(derive_stream(1, 209))
     point, kkt_system = measures._point, measures._kkt_system
     points, iterates = [], []
 
@@ -709,7 +780,7 @@ def test_face_polish_damps_the_steps_that_leave_the_cone(monkeypatch):
 
     monkeypatch.setattr(measures, "_point", recording_point)
     monkeypatch.setattr(measures, "_kkt_system", recording_kkt)
-    polished, steps = measures._face_polish(rho)
+    polished, steps = measures._face_polish(rho, *np.linalg.eigh(rho))
     assert polished is not None and steps == len(iterates)
     assert min(p.s[0, 0] for p in points) <= 0.0  # an undamped step left the cone
     assert all(s0 > 0.0 and mu > 0.0 for s0, mu in iterates)
