@@ -24,7 +24,7 @@ first order, lifted onto the face; where that start does not serve, at
 ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``.  mu starts at its
 least-squares value; a step that would leave sigma > 0 or mu > 0 is damped.
 
-Barrier fallback.  Where rho is pure (to 1e-12) or the polish
+Barrier fallback.  Where sigma_1 and sigma_0 do not serve or the polish
 fails (sigma >= 0 active at the optimum: pure and rank-deficient rho), the
 barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
 damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
@@ -43,8 +43,8 @@ the barrier, ``(sigma^G)^-1 / t`` is priced too.  The reported gap adds a
 measured bound on its own evaluation roundoff, so it is never negative.  A
 gap within 2e-5 nats (about 3e-5 bits) counts as converged.  The closest
 state is full rank and PPT: on the PPT boundary after the polish, strictly
-interior after the barrier; the value is recomputed as S(rho||closest),
-with S(rho) from the one spectrum of rho that the solve takes.
+interior after the barrier; the value is recomputed as S(rho||closest)
+from the spectra of rho and of the closest state that the solve holds.
 The solver works in nats, reports bits.  Its spectra and Newton solves run
 on the LAPACK kernels of ``states`` under one ``lapack_guard()`` per solve:
 a failed spectrum raises ``EigendecompositionError``; a singular KKT matrix
@@ -73,6 +73,7 @@ from .states import (
     _DIVERGENCE_ROUNDOFF,
     IDENTITY_4,
     PAULI_PRODUCTS,
+    _divergence,
     _spectral_entropy,
     clip_roundoff,
     eigh,
@@ -81,7 +82,6 @@ from .states import (
     lapack_guard,
     partial_trace,
     partial_transpose,
-    relative_entropy,
     solve,
     svdvals,
     von_neumann_entropy,
@@ -140,16 +140,11 @@ _MAX_STEPS = 200
 # boundary; a whole step left sigma > 0 on 31 of the 1833.  All 1833 took at
 # most 11 steps, 16 more than 8; the polish fails after _POLISH_STEPS.
 _POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-9, 1e-4, 0.9
-# Eigenvalues of rho at most _RANK_FLOOR count as zero: the polish is
-# skipped where three are, and sigma_1 where one is.  At a pure state's
-# optimum sigma >= 0 is active, and every polish step is damped into sigma's
-# boundary: on 20 Haar pure states mixed with eps I/4 the polish never
-# converged at lambda_min(rho) = 7.5e-13 and below, but on 7 at 2.5e-12 and
-# on all 20 at 2.5e-11.  Rank-2 and rank-3 states mostly converge from sigma_0.
-# sigma_1 is a start only where lambda_min(sigma_1) is at least
-# _FIRST_ORDER_FLOOR lambda_min(rho): that ratio read 0.136 and more on the
-# 1825 of the 1833 seeded states where sigma_1 > 0, but 1.3e-5 and less on
-# nearly pure states, where the first-order step cancels rho's small
+# sigma_1 divides by rho's divided differences of ln, so it is a start only
+# where lambda_min(rho) exceeds _RANK_FLOOR, and where lambda_min(sigma_1) is
+# at least _FIRST_ORDER_FLOOR lambda_min(rho): that ratio read 0.136 and more
+# on the 1825 of the 1833 seeded states where sigma_1 > 0, but 1.3e-5 and
+# less on nearly pure states, where the first-order step cancels rho's small
 # eigenvalues to roundoff and the polish from sigma_1 never converged.
 _RANK_FLOOR, _FIRST_ORDER_FLOOR = 1e-12, 1e-3
 # The 20 sorted index triples lo <= mid <= hi, which for ascending s sort
@@ -362,10 +357,11 @@ def _kkt_system(p: _Point, mu: float | None):
     if mu is None:
         mu = float(grad @ g_grad) / float(g_grad @ g_grad)
     g_hess = 2.0 * ((rows[:, 1:] / (p.s[1, 0] - p.s[1, 1:])) @ rows[:, 1:].conj().T).real
-    matrix = np.zeros((16, 16))
+    matrix, residual = np.zeros((16, 16)), np.empty(16)
     matrix[:15, :15] = hess - mu * g_hess
     matrix[:15, 15] = matrix[15, :15] = -g_grad
-    return np.append(grad - mu * g_grad, -p.s[1, 0]), matrix, mu
+    residual[:15], residual[15] = grad - mu * g_grad, -p.s[1, 0]
+    return residual, matrix, mu
 
 
 def _dual_gap(p: _Point, t: float | None = None) -> float:
@@ -375,11 +371,11 @@ def _dual_gap(p: _Point, t: float | None = None) -> float:
     dt = p.rt * _log_first_differences(p.s[0])
     d = p.v[0] @ dt @ p.v[0].conj().T
     lam, u = eigh(partial_transpose(IDENTITY_4 - d))
-    multipliers = [(u * np.clip(lam, 0.0, None)) @ u.conj().T]
+    q = (u * np.clip(lam, 0.0, None)) @ u.conj().T
     if t is not None:
-        multipliers.append((p.v[1] / (t * p.s[1])) @ p.v[1].conj().T)
-    tops = eigvalsh(d + partial_transpose(np.stack(multipliers)))
-    return float(tops[:, -1].min()) - float(p.s[0] @ dt.diagonal().real)
+        q = np.stack([q, (p.v[1] / (t * p.s[1])) @ p.v[1].conj().T])
+    tops = eigvalsh(d + partial_transpose(q))
+    return float(tops[..., -1].min()) - float(p.s[0] @ dt.diagonal().real)
 
 
 def _boundary_step(dx: np.ndarray, scaled: np.ndarray, fraction: float = 0.99) -> float:
@@ -420,7 +416,10 @@ def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
     multiplies by the first divided differences of ln, so G_rho divides by
     them, and it needs r_0 above _RANK_FLOOR.  sigma_1 is skipped where
     lambda_min(sigma_1) falls below _FIRST_ORDER_FLOOR r_0.  Then sigma_0 =
-    ``_lift(rho)``, which is positive definite unless rho is close to pure."""
+    ``_lift(rho)``, which is positive definite unless rho is close to pure.
+    Under ``lapack_guard()`` a non-finite divided difference raises a plain
+    ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
+    carries no matrix."""
     sigma_0, e, y = _lift(rho)
     if r[0] > _RANK_FLOOR:
         yw = w.conj().T @ y @ w
@@ -476,10 +475,10 @@ def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
             if _on_face(trial):
                 return trial, steps
         p, mu = trial, mu + dmu
-        if not _on_face(p):
-            return None, steps
+        if steps == _POLISH_STEPS or not _on_face(p):
+            break
         residual, matrix, mu = _kkt_system(p, mu)
-    return None, _POLISH_STEPS
+    return None, steps
 
 
 def _barrier_solve(rho: np.ndarray, lowest_pt: float):
@@ -537,9 +536,8 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
 
     The lowest partial-transpose eigenvalue decides the PPT short-circuit
     (value 0, the input as its own closest state); an entangled state goes
-    to the face polish, and to the barrier where that fails or rho is pure
-    (its three lowest eigenvalues at most _RANK_FLOOR).  rho's spectrum
-    also gives S(rho) for the value.  ``cfg`` is ignored.
+    to the face polish, and to the barrier only where that fails.  rho's
+    spectrum also gives S(rho) for the value.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
     lowest = _lowest_pt_eigenvalue(rho)
@@ -550,9 +548,8 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     with lapack_guard():
         # Symmetrized as herm_eig does, so S(rho) keeps von_neumann_entropy's bits.
         r, w = eigh(0.5 * (rho + rho.conj().T))
-        point, steps, t = None, 0, None
-        if r[2] > _RANK_FLOOR:  # rho is not pure
-            point, steps = _face_polish(rho, r, w)
+        point, steps = _face_polish(rho, r, w)
+        t = None
         if point is None:
             point, barrier_steps, t = _barrier_solve(rho, lowest)
             steps += barrier_steps
@@ -560,7 +557,9 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     if not _ppt(point.s[1, 0]):
         raise ArithmeticError("solver produced a non-PPT candidate state")
     closest = _sigmas(point.x)[0]
-    value = relative_entropy(rho, closest, _spectral_entropy(r[::-1]))
+    # point holds the spectrum that herm_eig(closest) gives, as closest is
+    # Hermitian to the last bit.
+    value = _divergence(rho, point.s[0, ::-1], point.v[0, :, ::-1], _spectral_entropy(r[::-1]))
     gap_bits = gap / LN2
     value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
     return ReeSolution(

@@ -196,14 +196,13 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _spectral_entropy(herm_eig(rho).eigenvalues)
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray, rho_entropy: float | None = None) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho || sigma) in bits; ``math.inf`` when rho escapes sigma's support.
 
     The support test projects rho onto sigma's null eigenspace (eigenvalues
     at most ``ZERO_CUTOFF``); mass above the cutoff there makes the
     divergence infinite, signalled by the returned marker, not an exception.
-    The rho log rho term is ``-von_neumann_entropy(rho)``, or
-    ``-rho_entropy`` where the caller holds rho's spectrum.  The value passes
+    The rho log rho term is ``-von_neumann_entropy(rho)``.  The value passes
     ``clip_roundoff`` on [0, inf): one more than 1e-12 bits below zero (sigma
     is not a normalized state, say) raises ``ArithmeticError``, and so does a
     NaN or infinite entry in rho or sigma, which would otherwise pass through
@@ -214,7 +213,13 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, rho_entropy: float | No
     for name, m in (("rho", rho), ("sigma", sigma)):
         if not np.isfinite(m).all():
             raise ArithmeticError(f"relative entropy needs a finite {name}")
-    s, vecs = herm_eig(sigma)
+    return _divergence(rho, *herm_eig(sigma))
+
+
+def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy=None) -> float:
+    """``relative_entropy`` from sigma's descending spectrum s and its
+    eigenvectors, for a caller that holds them, and S(rho) where it holds
+    that too."""
     s = np.clip(s, 0.0, None)
     weights = np.clip(((rho @ vecs) * vecs.conj()).sum(axis=0).real, 0.0, None)
     null = s <= ZERO_CUTOFF

@@ -4,7 +4,6 @@ import dataclasses
 import importlib
 import math
 import multiprocessing
-import os
 import pickle
 import traceback
 import types
@@ -444,7 +443,7 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
 
 
 def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
-    monkeypatch.setattr(measures, "relative_entropy", lambda *args: 1.01)
+    monkeypatch.setattr(measures, "_divergence", lambda *args: 1.01)
     with pytest.raises(ArithmeticError, match=r"^REE 1\.01 lies outside \[0, 1\]"):
         ree(bell_state())
     states = [random_density_matrix(derive_stream(7, i)) for i in range(3)]
@@ -508,12 +507,23 @@ def _nan_scaled_tangents(scaled_tangents):
     return lambda tan, s: scaled_tangents(tan, s) * np.nan
 
 
+def _nan_point(dual_gap):
+    def poisoned(p, t=None):
+        return dual_gap(p._replace(rt=p.rt * np.nan), t)
+
+    return poisoned
+
+
 @pytest.mark.parametrize(
     "site, target, poison, index, polish",
     [
         pytest.param(
             "_point", "_sigmas", lambda sigmas: lambda x: sigmas(x) * np.nan, 0, True,
             id="_point-_sigmas-<lambda>",
+        ),
+        # The certificate of the polished point, the path of every seeded state.
+        pytest.param(
+            "_dual_gap", "_dual_gap", _nan_point, 0, True, id="_dual_gap-_dual_gap-_nan_point"
         ),
         # The face start divides by the same differences, so the NaN reaches
         # _dual_gap's eigensolve first on the barrier path, at its start.
@@ -550,6 +560,20 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
     assert site in [frame.name for frame in frames]
 
 
+def test_nonfinite_divided_differences_stop_the_face_start(monkeypatch):
+    # The face start divides by rho's divided differences of ln before any
+    # eigensolve, so under lapack_guard() a NaN among them raises a plain
+    # LinAlgError, with no matrix, which the pipeline names as RuntimeError.
+    cfg = ExperimentConfig(count=3, master_seed=7)
+    f1 = measures._log_first_differences
+    monkeypatch.setattr(measures, "_log_first_differences", lambda s: f1(s) * np.nan)
+    with pytest.raises(RuntimeError, match=r"^state 0 \(master seed 7\): LinAlgError: ") as info:
+        experiment._compute_record((0, cfg))
+    assert type(info.value.__cause__) is np.linalg.LinAlgError
+    frames = traceback.extract_tb(info.value.__cause__.__traceback__)
+    assert "_face_starts" in [frame.name for frame in frames]
+
+
 def test_separable_column_is_the_ppt_verdict(default_run):
     # _measure_state reads the verdict off ree's short-circuit (no Newton
     # step), which judges the same lambda_min(rho^G) bits as is_separable.
@@ -558,21 +582,6 @@ def test_separable_column_is_the_ppt_verdict(default_run):
     for record in result.records:
         rho = random_density_matrix(derive_stream(1, record.id))
         assert record.separable == is_separable(rho), record.id
-
-
-def test_emitting_twice_into_one_directory_writes_the_bytes_of_a_fresh_one(small_run, tmp_path):
-    # Each emitter deletes an old file before writing it again, so a second
-    # emit leaves a fresh directory's bytes, and a hard link to an old file
-    # keeps that file's bytes rather than being truncated with it.
-    fresh, again = tmp_path / "fresh", tmp_path / "again"
-    fresh.mkdir()
-    again.mkdir()
-    (again / "states.csv").write_text("stale\n" * 10000, encoding="utf-8")
-    os.link(again / "states.csv", tmp_path / "stale.csv")
-    emit_all(small_run, again)
-    assert emit_all(small_run, again) == emit_all(small_run, fresh)
-    assert sorted(os.listdir(again)) == sorted(os.listdir(fresh))
-    assert (tmp_path / "stale.csv").read_text(encoding="utf-8") == "stale\n" * 10000
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -469,12 +469,25 @@ def test_seed_one_ends_on_the_face_within_its_step_budget(monkeypatch):
     assert max(gaps) <= 1e-12
 
 
-def test_pure_states_skip_the_face_polish(monkeypatch):
-    # sigma >= 0 is active at a pure state's optimum, where the polish spent
-    # its 20 steps before the barrier ran.  Three eigenvalues of rho at most
-    # _RANK_FLOOR send it to the barrier at once, with the same bits: pure
-    # states, and pure + 1e-12 I/4, where the polish never converged.  It
-    # still solves pure + 1e-10 I/4, and rank-2 states, from sigma_0.
+def test_ree_value_is_the_relative_entropy_to_its_closest_state():
+    # ree reads S(rho||closest) off the spectra its solve holds; they are
+    # the ones relative_entropy computes, so the value is the same to the
+    # last bit, on the face and on the barrier path.
+    states = [random_density_matrix(derive_stream(2, i)) for i in range(200)]
+    rng = np.random.default_rng(3)
+    states += [pure(random_pure_state(rng)) for _ in range(5)]
+    for rho in states:
+        solution = ree(rho)
+        if solution.iterations:
+            assert solution.value == relative_entropy(rho, solution.closest_state)
+
+
+def test_pure_states_fall_back_and_nearly_pure_states_end_on_the_face(monkeypatch):
+    # sigma >= 0 is active at a pure state's optimum, so the polish fails
+    # there and the barrier's bits are reported: pure states, and pure +
+    # 1e-12 I/4, where lambda_min(rho) is below _RANK_FLOOR.  The polish
+    # still solves pure + 1e-10 I/4, which _FIRST_ORDER_FLOOR keeps at
+    # sigma_0, and rank-2 states.
     def no_barrier(rho, lowest):
         raise AssertionError("the face polish fell back to the barrier")
 
@@ -484,7 +497,7 @@ def test_pure_states_skip_the_face_polish(monkeypatch):
         for noise in (0.0, 1e-12):
             rho = (1.0 - noise) * pure(psi) + noise * np.eye(4) / 4.0
             solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
-            assert solution.iterations == barrier.iterations
+            assert solution.iterations > barrier.iterations
             assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
             assert np.array_equal(solution.closest_state, barrier.closest_state)
         rank_2 = 0.7 * pure(psi) + 0.3 * pure(random_pure_state(rng))
@@ -506,10 +519,9 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
     # Every t is _T_FINAL / _T_GROWTH**j, j falls by one per round, and the
     # path ends at _T_FINAL bit for bit, which repeated products of
     # 8 / 1e-9 = 7999999999.999999 can miss.  Only a state whose face
-    # polish fails or is skipped takes the barrier path (a pure state, where
-    # sigma >= 0 is active at the optimum, skips it), with the same bits as
-    # if the polish had not run; a seeded state ends on the face with no
-    # barrier round at all.
+    # polish fails takes the barrier path (a pure state, where sigma >= 0 is
+    # active at the optimum), with the same bits as if the polish had not
+    # run; a seeded state ends on the face with no barrier round at all.
     newton_system, face_polish = measures._newton_system, measures._face_polish
     for rho, polished in (
         (random_density_matrix(derive_stream(1, 1)), True),
@@ -531,20 +543,18 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
         monkeypatch.setattr(measures, "_face_polish", recording_polish)
         solution = ree(rho)
         monkeypatch.undo()
+        ((point, taken),) = polishes
+        assert (point is not None) == polished and taken >= 1
+        assert solution.iterations == len(seen) + taken
         if polished:
-            ((point, taken),) = polishes
-            assert point is not None and taken >= 1
-            assert solution.iterations == len(seen) + taken
             assert seen == []
             continue
-        assert polishes == []  # rho is pure: three eigenvalues below _RANK_FLOOR
-        assert solution.iterations == len(seen)
         powers = [round(math.log(measures._T_FINAL / t, measures._T_GROWTH)) for t in seen]
         assert all(t == measures._T_FINAL / measures._T_GROWTH**j for t, j in zip(seen, powers))
         rounds = [j for k, j in enumerate(powers) if k == 0 or j != powers[k - 1]]
         assert rounds == list(range(rounds[0], -1, -1)) and rounds[0] > 0
         assert seen[-1] == measures._T_FINAL
-        assert solution.iterations == barrier.iterations
+        assert solution.iterations == barrier.iterations + taken
         assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
         assert np.array_equal(solution.closest_state, barrier.closest_state)
 
@@ -731,11 +741,9 @@ def _face_starts(rho):
 def test_face_start_lifts_the_negative_partial_transpose_eigenvalue():
     # sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e) with (e, phi) the lowest
     # eigenpair of rho^G: trace 1, and phi spans the kernel of sigma_0^G.
-    # On a nearly pure state sigma_0 is the only start; a pure one takes none
-    # (it skips the polish).
+    # On a pure state sigma_0 is the only start.
     states = [random_density_matrix(derive_stream(1, i)) for i in range(30)]
-    nearly_pure = (1.0 - 1e-8) * pure(np.array([0.8, 0.0, 0.0, 0.6])) + 1e-8 * np.eye(4) / 4.0
-    states = [rho for rho in states if not is_separable(rho)] + [werner(0.8), nearly_pure]
+    states = [rho for rho in states if not is_separable(rho)] + [werner(0.8), bell_state()]
     for rho in states:
         lam, vec = np.linalg.eigh(partial_transpose(rho))
         e, phi = lam[0], vec[:, 0]
@@ -747,7 +755,7 @@ def test_face_start_lifts_the_negative_partial_transpose_eigenvalue():
         assert abs(np.trace(sigma) - 1.0) <= 1e-15
         assert abs(point.s[1, 0]) <= 1e-15
         assert np.max(np.abs(sigma_pt @ phi)) <= 1e-15
-    assert len(_face_starts(nearly_pure)) == 1
+    assert len(_face_starts(bell_state())) == 1
 
 
 def test_first_order_face_start_lies_nearer_the_closest_state():
