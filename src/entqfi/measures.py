@@ -536,8 +536,9 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
 
     The lowest partial-transpose eigenvalue decides the PPT short-circuit
     (value 0, the input as its own closest state); an entangled state goes
-    to the face polish, and to the barrier only where that fails.  rho's
-    spectrum also gives S(rho) for the value.  ``cfg`` is ignored.
+    to the face polish, and to the barrier only where that fails.  The
+    value is read off rho's spectrum and the last point's spectrum of the
+    closest state.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
     lowest = _lowest_pt_eigenvalue(rho)

@@ -216,7 +216,9 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return _divergence(rho, *herm_eig(sigma))
 
 
-def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy=None) -> float:
+def _divergence(
+    rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: float | None = None
+) -> float:
     """``relative_entropy`` from sigma's descending spectrum s and its
     eigenvectors, for a caller that holds them, and S(rho) where it holds
     that too."""
