@@ -28,17 +28,12 @@ import numpy as np
 from .states import PAULI_PRODUCTS, ZERO_CUTOFF, clip_roundoff, herm_eig
 
 __all__ = [
-    "SHOT_NOISE_LEVEL",
-    "HEISENBERG_LIMIT",
     "LOCAL_SPINS",
     "QfiResult",
     "spin_qfi_matrix",
     "c_matrix",
     "max_mean_qfi",
 ]
-
-SHOT_NOISE_LEVEL = 1.0
-HEISENBERG_LIMIT = 2.0
 
 # Local spins S^A_x, S^A_y, S^A_z, S^B_x, S^B_y, S^B_z, shape (6, 4, 4).
 LOCAL_SPINS = 0.5 * np.concatenate([PAULI_PRODUCTS[1:, 0], PAULI_PRODUCTS[0, 1:]])

@@ -80,11 +80,9 @@ from .states import (
     eigvalsh,
     herm_eig,
     lapack_guard,
-    partial_trace,
     partial_transpose,
     solve,
     svdvals,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -95,8 +93,6 @@ __all__ = [
     "negativity",
     "is_separable",
     "ree",
-    "ree_pure_oracle",
-    "ree_bell_diagonal_oracle",
 ]
 
 # PPT verdict: separable iff the lowest partial-transpose eigenvalue
@@ -221,28 +217,6 @@ def _ppt(lowest: float) -> bool:
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
     return _ppt(_lowest_pt_eigenvalue(rho))
-
-
-def ree_pure_oracle(psi: np.ndarray) -> float:
-    """REE of a pure state: the entropy of either reduced state, in bits."""
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-10")
-    return von_neumann_entropy(partial_trace(np.outer(psi, psi.conj()), keep="a"))
-
-
-def ree_bell_diagonal_oracle(lambda_max: float) -> float:
-    """REE of a Bell-diagonal state with largest weight lambda_max:
-    ``1 - H2(lambda_max)`` bits, valid for lambda_max in [1/2, 1]."""
-    if not 0.5 <= lambda_max <= 1.0:
-        raise ValueError(f"lambda_max must lie in [1/2, 1], got {lambda_max!r}")
-    p = float(lambda_max)
-    h2 = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            h2 -= q * math.log2(q)
-    return 1.0 - h2
 
 
 class _Point(NamedTuple):

@@ -3,8 +3,8 @@
 Conventions shared by the whole package:
 
 * Qubit A is the left tensor factor, so the computational basis is ordered
-  ``|00>, |01>, |10>, |11>`` and subsystem-addressed operations take
-  ``"a"`` or ``"b"``.
+  ``|00>, |01>, |10>, |11>``; ``partial_trace`` keeps qubit ``"a"`` or
+  ``"b"``, and ``partial_transpose`` transposes qubit B.
 * Entropies and relative entropies are in bits (base-2 logarithms), which
   puts separable two-qubit states at 0 and Bell states at 1.
 * ``ZERO_CUTOFF`` is the one spectral zero: eigenvalues, and in ``fisher``
@@ -163,15 +163,14 @@ def _subsystem_index(subsystem) -> int:
     raise ValueError(f"subsystem must be 'a' or 'b', got {subsystem!r}")
 
 
-def partial_transpose(rho: np.ndarray, subsystem="b") -> np.ndarray:
-    """Transpose one qubit's indices of a 4x4 matrix or of each in a
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose qubit B's indices of a 4x4 matrix or of each in a
     ``(..., 4, 4)`` stack; Hermiticity and trace are preserved."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 two-qubit matrices, got shape {rho.shape}")
     # Axes -4..-1 index (a row, b row, a column, b column).
-    axis = -1 if _subsystem_index(subsystem) == 1 else -2
-    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(axis - 2, axis).reshape(rho.shape)
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(rho.shape)
 
 
 def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
@@ -213,22 +212,17 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     for name, m in (("rho", rho), ("sigma", sigma)):
         if not np.isfinite(m).all():
             raise ArithmeticError(f"relative entropy needs a finite {name}")
-    return _divergence(rho, *herm_eig(sigma))
+    return _divergence(rho, *herm_eig(sigma), von_neumann_entropy(rho))
 
 
-def _divergence(
-    rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: float | None = None
-) -> float:
+def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: float) -> float:
     """``relative_entropy`` from sigma's descending spectrum s and its
-    eigenvectors, for a caller that holds them, and S(rho) where it holds
-    that too."""
+    eigenvectors, and S(rho), for a caller that holds them."""
     s = np.clip(s, 0.0, None)
     weights = np.clip(((rho @ vecs) * vecs.conj()).sum(axis=0).real, 0.0, None)
     null = s <= ZERO_CUTOFF
     if float(weights[null].sum()) > ZERO_CUTOFF:
         return math.inf
-    if rho_entropy is None:
-        rho_entropy = von_neumann_entropy(rho)
     value = -rho_entropy - float(np.sum(weights[~null] * np.log2(s[~null])))
     return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
@@ -241,7 +235,7 @@ def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np
         if u.shape != (2, 2):
             raise ValueError(f"{name} must be 2x2, got shape {u.shape}")
         if float(np.max(np.abs(u @ u.conj().T - IDENTITY_2))) > HERMITICITY_TOL:
-            raise ValueError(f"{name} is not unitary within 1e-10")
+            raise ValueError(f"{name} is not unitary within {HERMITICITY_TOL:g}")
     u = np.kron(u_a, u_b)
     out = u @ np.asarray(rho, dtype=complex) @ u.conj().T
     return 0.5 * (out + out.conj().T)

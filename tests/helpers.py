@@ -1,8 +1,17 @@
-"""Shared state constructors for the test suite."""
+"""Shared state constructors and REE oracles for the test suite."""
+
+import math
 
 import numpy as np
 
-from entqfi import derive_stream, haar_unitary, partial_transpose, random_density_matrix
+from entqfi import (
+    derive_stream,
+    haar_unitary,
+    partial_trace,
+    partial_transpose,
+    random_density_matrix,
+    von_neumann_entropy,
+)
 from entqfi.measures import _log_first_differences
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -50,6 +59,28 @@ def werner(p: float) -> np.ndarray:
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     """Haar-random two-qubit state vector."""
     return haar_unitary(rng, 4)[:, 0]
+
+
+def ree_pure_oracle(psi: np.ndarray) -> float:
+    """REE of a pure state: the entropy of either reduced state, in bits."""
+    psi = np.asarray(psi, dtype=complex).reshape(4)
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-10")
+    return von_neumann_entropy(partial_trace(np.outer(psi, psi.conj()), keep="a"))
+
+
+def ree_bell_diagonal_oracle(lambda_max: float) -> float:
+    """REE of a Bell-diagonal state with largest weight lambda_max:
+    ``1 - H2(lambda_max)`` bits, valid for lambda_max in [1/2, 1]."""
+    if not 0.5 <= lambda_max <= 1.0:
+        raise ValueError(f"lambda_max must lie in [1/2, 1], got {lambda_max!r}")
+    p = float(lambda_max)
+    h2 = 0.0
+    for q in (p, 1.0 - p):
+        if q > 0.0:
+            h2 -= q * math.log2(q)
+    return 1.0 - h2
 
 
 def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -21,14 +21,21 @@ from entqfi import (
     optimize_with_refinement,
     random_density_matrix,
     ree,
-    ree_bell_diagonal_oracle,
-    ree_pure_oracle,
     relative_entropy,
     run_experiment,
 )
 from entqfi.fisher import LOCAL_SPINS
 from entqfi.ordering import DISCORDANT_CELLS, MEASURE_NAMES
-from helpers import bell_diagonal, bell_state, ket, pure, random_pure_state, werner
+from helpers import (
+    bell_diagonal,
+    bell_state,
+    ket,
+    pure,
+    random_pure_state,
+    ree_bell_diagonal_oracle,
+    ree_pure_oracle,
+    werner,
+)
 
 REFINEMENT_TRIGGER = 1e-9
 WITNESS_BOUND = 1.0 + 1e-6

@@ -8,6 +8,7 @@ import pickle
 import traceback
 import types
 from decimal import ROUND_HALF_EVEN, Context, Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,9 +645,11 @@ def test_cli_bad_eps_flag_exits_2(tmp_path, capsys):
     for pair in ("volume=0.1", "ree=-1", "mqfi=nan"):
         assert main(["--eps-order", pair, "--out", str(tmp_path / "x")]) == 2
         assert "configuration error" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as info:
-        main(["--eps-order", "ree"])
-    assert info.value.code == 2
+    for pair in ("ree", "ree=abc"):
+        with pytest.raises(SystemExit) as info:
+            main(["--eps-order", pair])
+        assert info.value.code == 2
+    assert "bad tolerance value 'abc'" in capsys.readouterr().err
 
 
 def test_cli_io_error_exits_1(tmp_path, capsys):
@@ -684,3 +687,15 @@ def test_cli_state_failure_prints_one_line_and_exits_1(monkeypatch, tmp_path, ca
     assert captured.err == f"entqfi: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_library_example_runs():
+    # The Library section's code block uses only the public API, so a trim
+    # of the exports that breaks it fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert 0.0 <= namespace["sol"].value <= 1.0
+    assert namespace["ppt"] == (namespace["sol"].iterations == 0)

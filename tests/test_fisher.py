@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from entqfi import (
-    HEISENBERG_LIMIT,
-    SHOT_NOISE_LEVEL,
     c_matrix,
     max_mean_qfi,
     random_density_matrix,
@@ -86,12 +84,12 @@ def test_spin_qfi_matrix_is_quadratic_form_over_local_spins():
 
 def test_max_mean_qfi_fixtures():
     value, c = max_mean_qfi(bell_state("phi+"))
-    assert value == pytest.approx(HEISENBERG_LIMIT, abs=1e-12)
+    assert value == pytest.approx(2.0, abs=1e-12)
     # 4 Var(J_k) with <XX> = <ZZ> = 1 and <YY> = -1
     assert np.allclose(c, np.diag([4.0, 0.0, 4.0]), atol=1e-12)
 
     value, _ = max_mean_qfi(pure(ket("00")))
-    assert value == pytest.approx(SHOT_NOISE_LEVEL, abs=1e-12)
+    assert value == pytest.approx(1.0, abs=1e-12)
 
     value, c = max_mean_qfi(np.eye(4) / 4.0)
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -109,7 +107,7 @@ def test_mean_qfi_bounded():
     for index in range(50):
         rho = random_density_matrix(derive_stream(203, index))
         value = max_mean_qfi(rho).mean_qfi
-        assert 0.0 <= value <= HEISENBERG_LIMIT + 1e-9
+        assert 0.0 <= value <= 2.0 + 1e-9
 
 
 def test_pure_state_diagonal_is_four_variances():

@@ -21,8 +21,6 @@ from entqfi import (
     partial_transpose,
     random_density_matrix,
     ree,
-    ree_bell_diagonal_oracle,
-    ree_pure_oracle,
     relative_entropy,
 )
 from entqfi import fisher, measures, rotations, states
@@ -36,6 +34,8 @@ from helpers import (
     ket,
     pure,
     random_pure_state,
+    ree_bell_diagonal_oracle,
+    ree_pure_oracle,
     werner,
 )
 
@@ -513,6 +513,35 @@ def _without_polish(monkeypatch, rho):
     with monkeypatch.context() as patch:
         patch.setattr(measures, "_face_polish", lambda *args: (None, 0))
         return ree(rho)
+
+
+def test_no_usable_face_start_leaves_the_barrier_path_alone(monkeypatch):
+    # With no start on the face the polish gives up before a step, so ree
+    # is the barrier path bit for bit, its step count included.
+    monkeypatch.setattr(measures, "_face_starts", lambda *args: iter(()))
+    for rho in (random_density_matrix(derive_stream(1, 1)), pure(np.array([0.8, 0.0, 0.0, 0.6]))):
+        r, w = np.linalg.eigh(rho)
+        assert measures._face_polish(rho, r, w) == (None, 0)
+        solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
+        assert (solution.iterations, solution.converged) == (barrier.iterations, barrier.converged)
+        assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
+        assert np.array_equal(solution.closest_state, barrier.closest_state)
+
+
+def test_capped_barrier_reports_itself_unconverged(monkeypatch):
+    # A pure state takes the barrier path after one failed polish step; cut
+    # at _MAX_STEPS = 3 it reports the point it reached with its own
+    # certificate: unconverged, a gap of 0.068 bits that covers its distance
+    # from the closed form, and the relative entropy to that point.
+    psi = np.array([0.8, 0.0, 0.0, 0.6])
+    rho = pure(psi)
+    monkeypatch.setattr(measures, "_MAX_STEPS", 3)
+    solution = ree(rho)
+    assert solution.iterations == 1 + 3
+    assert not solution.converged
+    assert solution.gap == pytest.approx(0.068, abs=1e-3)
+    assert solution.value == relative_entropy(rho, solution.closest_state)
+    assert 0.0 < solution.value - ree_pure_oracle(psi) <= solution.gap
 
 
 def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
