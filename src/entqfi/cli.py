@@ -47,18 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", dest="master_seed", type=int,
                         default=defaults.master_seed, metavar="S",
                         help="master seed (default %(default)s)")
-    parser.add_argument("--grid-divisor", type=int, default=defaults.grid_divisor,
-                        metavar="K", help="base grid step 2*pi/K (default %(default)s)")
-    parser.add_argument("--refine-divisor", type=int, default=defaults.refine_divisor,
-                        metavar="K2",
-                        help="refinement grid step 2*pi/K2 (default %(default)s)")
     parser.add_argument("--eps-order", type=_eps_pair, action="append", default=[],
                         metavar="MEASURE=VALUE",
                         help="ordering tolerance override, repeatable "
                              "(keys: concurrence, negativity, ree, mqfi)")
-    parser.add_argument("--witness-limit", type=int, default=defaults.witness_limit,
-                        metavar="L",
-                        help="witnesses kept per discordant cell (default %(default)s)")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default ./out)")
     parser.add_argument("--jobs", type=int, default=None, metavar="J",

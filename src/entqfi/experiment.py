@@ -70,11 +70,12 @@ PLOT_CSV_HEADER = "measure,qfi_raw,qfi_max,qfi_min"
 class ExperimentConfig:
     count: int = 1000
     master_seed: int = 1
-    grid_divisor: int = DEFAULT_BASE_DIVISOR
-    refine_divisor: int = DEFAULT_REFINE_DIVISOR
     eps_order: Mapping[str, float] = field(default_factory=dict)
-    witness_limit: int = DEFAULT_WITNESS_LIMIT
-    # Not settings: the REE solver ignores them; benchmarks/workloads.py passes them.
+    # Not settings: the run reads the module constants, and the REE solver
+    # ignores ree_*; benchmarks/workloads.py and benchmarks/tracing.py read them.
+    grid_divisor = DEFAULT_BASE_DIVISOR
+    refine_divisor = DEFAULT_REFINE_DIVISOR
+    witness_limit = DEFAULT_WITNESS_LIMIT
     ree_components = 5
     ree_multistarts = 5
     ree_max_sweeps = 10000
@@ -85,12 +86,6 @@ class ExperimentConfig:
             raise ValueError("count must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        if self.grid_divisor < 2:
-            raise ValueError("grid_divisor must be at least 2")
-        if self.refine_divisor <= self.grid_divisor:
-            raise ValueError("refine_divisor must exceed grid_divisor")
-        if self.witness_limit < 1:
-            raise ValueError("witness_limit must be at least 1")
         object.__setattr__(self, "eps_order", _normalize_eps(self.eps_order))
 
 
@@ -143,7 +138,7 @@ def _measure_state(index: int, cfg: ExperimentConfig) -> StateRecord:
     solution = ree(rho)
     # ree short-circuits exactly where is_separable(rho) holds, on the same bits.
     separable = solution.iterations == 0
-    optimum = optimize_with_refinement(rho, cfg.grid_divisor, cfg.refine_divisor)
+    optimum = optimize_with_refinement(rho)
     return StateRecord(
         id=index,
         concurrence=conc,
@@ -189,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     states_done = time.perf_counter()
     censuses = census(records, cfg.eps_order)
     witnesses = {
-        measure: find_counterexamples(records, measure, cfg.eps_order, cfg.witness_limit)
+        measure: find_counterexamples(records, measure, cfg.eps_order)
         for measure in MEASURE_NAMES
     }
     finished = time.perf_counter()
@@ -270,11 +265,11 @@ def emit_census_report(result: ExperimentResult, path) -> None:
     lines.append("")
     lines.append(f"states={cfg.count}")
     lines.append(f"master_seed={cfg.master_seed}")
-    lines.append(f"grid_divisor={cfg.grid_divisor}")
-    lines.append(f"refine_divisor={cfg.refine_divisor}")
+    lines.append(f"grid_divisor={DEFAULT_BASE_DIVISOR}")
+    lines.append(f"refine_divisor={DEFAULT_REFINE_DIVISOR}")
     for key in ("concurrence", "negativity", "ree", "mqfi"):
         lines.append(f"eps_{key}={cfg.eps_order[key]:.12g}")
-    lines.append(f"witness_limit={cfg.witness_limit}")
+    lines.append(f"witness_limit={DEFAULT_WITNESS_LIMIT}")
     lines.append("")
     separable_count = sum(1 for r in records if r.separable)
     base_stalls = [stalled(r.qfi_raw, r.base_max_value, r.base_min_value) for r in records]

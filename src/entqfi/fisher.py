@@ -35,6 +35,10 @@ __all__ = [
     "max_mean_qfi",
 ]
 
+# The largest mean-QFI numerator lambda_max(C) of a two-qubit state: 4, the
+# Heisenberg limit 2 per particle.
+_NUMERATOR_MAX = 4.0
+
 # Local spins S^A_x, S^A_y, S^A_z, S^B_x, S^B_y, S^B_z, shape (6, 4, 4).
 LOCAL_SPINS = 0.5 * np.concatenate([PAULI_PRODUCTS[1:, 0], PAULI_PRODUCTS[0, 1:]])
 
@@ -77,5 +81,5 @@ def c_matrix(rho: np.ndarray) -> np.ndarray:
 def max_mean_qfi(rho: np.ndarray) -> QfiResult:
     """Direction-optimized mean QFI, lambda_max(C)/2, with C."""
     c = c_matrix(rho)
-    top = clip_roundoff(herm_eig(c).eigenvalues[0], 0.0, np.inf, "mean-QFI numerator")
+    top = clip_roundoff(herm_eig(c).eigenvalues[0], 0.0, _NUMERATOR_MAX, "mean-QFI numerator")
     return QfiResult(top / 2.0, c)

@@ -73,6 +73,7 @@ from .states import (
     _DIVERGENCE_ROUNDOFF,
     IDENTITY_4,
     PAULI_PRODUCTS,
+    ZERO_CUTOFF,
     _divergence,
     _spectral_entropy,
     clip_roundoff,
@@ -137,12 +138,13 @@ _MAX_STEPS = 200
 # most 11 steps, 16 more than 8; the polish fails after _POLISH_STEPS.
 _POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-9, 1e-4, 0.9
 # sigma_1 divides by rho's divided differences of ln, so it is a start only
-# where lambda_min(rho) exceeds _RANK_FLOOR, and where lambda_min(sigma_1) is
-# at least _FIRST_ORDER_FLOOR lambda_min(rho): that ratio read 0.136 and more
-# on the 1825 of the 1833 seeded states where sigma_1 > 0, but 1.3e-5 and
-# less on nearly pure states, where the first-order step cancels rho's small
-# eigenvalues to roundoff and the polish from sigma_1 never converged.
-_RANK_FLOOR, _FIRST_ORDER_FLOOR = 1e-12, 1e-3
+# where rho has no zero eigenvalue (none at or below ZERO_CUTOFF), and where
+# lambda_min(sigma_1) is at least _FIRST_ORDER_FLOOR lambda_min(rho): that
+# ratio read 0.136 and more on the 1825 of the 1833 seeded states where
+# sigma_1 > 0, but 1.3e-5 and less on nearly pure states, where the
+# first-order step cancels rho's small eigenvalues to roundoff and the polish
+# from sigma_1 never converged.
+_FIRST_ORDER_FLOOR = 1e-3
 # The 20 sorted index triples lo <= mid <= hi, which for ascending s sort
 # their values, and for each flat (i, m, j) the place of its sorted triple.
 _TRIPLES = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
@@ -388,14 +390,15 @@ def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
     tr(Y G_rho[Y])``, which puts lambda_min(sigma_1^G) on 0 to first order,
     and ``_lift`` puts it there exactly.  In rho's eigenbasis D ln_rho
     multiplies by the first divided differences of ln, so G_rho divides by
-    them, and it needs r_0 above _RANK_FLOOR.  sigma_1 is skipped where
-    lambda_min(sigma_1) falls below _FIRST_ORDER_FLOOR r_0.  Then sigma_0 =
-    ``_lift(rho)``, which is positive definite unless rho is close to pure.
+    them, and it needs r_0 above ZERO_CUTOFF: rho has no zero eigenvalue.
+    sigma_1 is skipped where lambda_min(sigma_1) falls below
+    _FIRST_ORDER_FLOOR r_0.  Then sigma_0 = ``_lift(rho)``, which is
+    positive definite unless rho is close to pure.
     Under ``lapack_guard()`` a non-finite divided difference raises a plain
     ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
     carries no matrix."""
     sigma_0, e, y = _lift(rho)
-    if r[0] > _RANK_FLOOR:
+    if r[0] > ZERO_CUTOFF:
         yw = w.conj().T @ y @ w
         gw = yw / _log_first_differences(r)
         c = -e / float((yw.conj() * gw).real.sum())

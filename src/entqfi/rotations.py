@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fisher import spin_qfi_matrix
+from .fisher import _NUMERATOR_MAX, spin_qfi_matrix
 from .states import IDENTITY_2, PAULI, clip_roundoff, eigvalsh, lapack_guard
 
 __all__ = [
@@ -171,7 +171,8 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
         tops = eigvalsh(forms)[:, -1]
     hi, lo = int(np.argmax(tops)), int(np.argmin(tops))
     high, low, raw = (
-        clip_roundoff(tops[i], 0.0, np.inf, "mean-QFI numerator") / 2.0 for i in (hi, lo, 0)
+        clip_roundoff(tops[i], 0.0, _NUMERATOR_MAX, "mean-QFI numerator") / 2.0
+        for i in (hi, lo, 0)
     )
     return LoccOptimum(
         max_value=high,
@@ -192,23 +193,20 @@ def stalled(raw: float, high: float, low: float) -> tuple[bool, bool]:
     return high - raw <= REFINEMENT_TRIGGER, raw - low <= REFINEMENT_TRIGGER
 
 
-def optimize_with_refinement(
-    rho: np.ndarray,
-    base_divisor: int = DEFAULT_BASE_DIVISOR,
-    refine_divisor: int = DEFAULT_REFINE_DIVISOR,
-) -> LoccOptimum:
+def optimize_with_refinement(rho: np.ndarray) -> LoccOptimum:
     """Base-grid search with a finer rerun when either direction stalls.
 
-    If the base pass leaves the maximum or the minimum ``stalled``, the
-    search reruns on the finer grid and keeps the elementwise better
-    optimum of the two passes, the fine one only where it is strictly
-    better.  The raw value and base_* always come from the base pass;
-    evaluation counts add up.
+    The base grid has step 2*pi/DEFAULT_BASE_DIVISOR.  If the base pass
+    leaves the maximum or the minimum ``stalled``, the search reruns on the
+    grid of step 2*pi/DEFAULT_REFINE_DIVISOR and keeps the elementwise
+    better optimum of the two passes, the fine one only where it is
+    strictly better.  The raw value and base_* always come from the base
+    pass; evaluation counts add up.
     """
-    base = grid_search(rho, TWO_PI / base_divisor)
+    base = grid_search(rho, TWO_PI / DEFAULT_BASE_DIVISOR)
     if not any(stalled(base.raw_value, base.max_value, base.min_value)):
         return base
-    fine = grid_search(rho, TWO_PI / refine_divisor)
+    fine = grid_search(rho, TWO_PI / DEFAULT_REFINE_DIVISOR)
     up = fine if fine.max_value > base.max_value else base
     down = fine if fine.min_value < base.min_value else base
     return base._replace(

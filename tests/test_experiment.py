@@ -5,6 +5,7 @@ import importlib
 import math
 import multiprocessing
 import pickle
+import re
 import traceback
 import types
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -146,8 +147,6 @@ def test_config_defaults_and_eps_merge():
     cfg = ExperimentConfig()
     assert cfg.count == 1000
     assert cfg.master_seed == 1
-    assert cfg.grid_divisor == 4
-    assert cfg.refine_divisor == 6
     assert cfg.eps_order == {
         "concurrence": 1e-4,
         "negativity": 1e-4,
@@ -163,10 +162,6 @@ def test_config_defaults_and_eps_merge():
     "kwargs",
     [
         {"count": 0},
-        {"grid_divisor": 1},
-        {"refine_divisor": 4},
-        {"refine_divisor": 3},
-        {"witness_limit": 0},
         {"eps_order": {"volume": 0.1}},
         {"eps_order": {"ree": -1.0}},
         {"eps_order": {"mqfi": float("nan")}},
@@ -179,15 +174,20 @@ def test_config_rejects_bad_values(kwargs):
         ExperimentConfig(**kwargs)
 
 
-def test_config_fields_are_the_six_run_settings():
+def test_config_fields_are_the_three_run_settings():
     names = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    assert names == [
-        "count", "master_seed", "grid_divisor", "refine_divisor", "eps_order", "witness_limit"
-    ]
-    # A class constant, not a setting; the benchmark passes it to ree.
-    assert ExperimentConfig().ree_components == 5
+    assert names == ["count", "master_seed", "eps_order"]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("grid_divisor", 4), ("refine_divisor", 6), ("witness_limit", 10), ("ree_components", 5)],
+)
+def test_config_constants_are_not_settings(name, value):
+    # Class constants that the benchmark reads, not settings a run can vary.
+    assert getattr(ExperimentConfig(), name) == value
     with pytest.raises(TypeError):
-        ExperimentConfig(ree_components=5)
+        ExperimentConfig(**{name: value})
 
 
 def test_single_state_run(tmp_path):
@@ -483,7 +483,7 @@ def test_pool_never_outnumbers_states(monkeypatch):
 
 
 def test_eigendecomposition_failure_names_the_state(monkeypatch):
-    def failing_search(rho, base_divisor, refine_divisor):
+    def failing_search(rho):
         raise EigendecompositionError(rho)
 
     monkeypatch.setattr(experiment, "optimize_with_refinement", failing_search)
@@ -621,11 +621,20 @@ def test_cli_defaults_are_the_config_defaults(capsys):
     for flag, value in (
         ("--states N ensemble size", defaults.count),
         ("--seed S master seed", defaults.master_seed),
-        ("--grid-divisor K base grid step 2*pi/K", defaults.grid_divisor),
-        ("--refine-divisor K2 refinement grid step 2*pi/K2", defaults.refine_divisor),
-        ("--witness-limit L witnesses kept per discordant cell", defaults.witness_limit),
     ):
         assert f"{flag} (default {value})" in help_text, flag
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--grid-divisor", "8"), ("--refine-divisor", "8"), ("--witness-limit", "3")]
+)
+def test_cli_fixed_grid_and_witness_flags_are_usage_errors(flag, value, tmp_path, capsys):
+    # The grids and the witness limit are constants, not run settings.
+    with pytest.raises(SystemExit) as info:
+        main([flag, value, "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):
@@ -699,3 +708,23 @@ def test_readme_library_example_runs():
     exec(code, namespace)
     assert 0.0 <= namespace["sol"].value <= 1.0
     assert namespace["ppt"] == (namespace["sol"].iterations == 0)
+
+
+def test_committed_entqfi_commands_parse():
+    # README's sh blocks and the CI workflow name only flags the parser has.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    sources = {"README": "\n".join(blocks), "tier1.yml": re.sub(r"\$\{\{.*?\}\}", "1", workflow)}
+    for where, text in sources.items():
+        commands = [line.split() for line in text.splitlines() if line.split()[:1] == ["entqfi"]]
+        assert commands, where
+        for command in commands:
+            build_parser().parse_args(command[1:])
+    options = build_parser()._option_string_actions
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags = re.findall(r"--[\w-]+", " ".join(re.findall(r"`([^`]*)`", section)))
+    assert flags
+    for flag in flags:
+        assert flag in options, flag

@@ -108,10 +108,10 @@ _RANGE_RULE_CALLERS = {
         "mean-QFI numerator",
         1,
         lambda: 2.0 * max_mean_qfi(bell_state()).mean_qfi,
-        (0.0, math.inf),
+        (0.0, 4.0),
     ),
     # the grid's maximum, minimum and raw value
-    "grid mean-QFI numerators": (rotations, "mean-QFI numerator", 3, _grid_numerators, (0.0, math.inf)),
+    "grid mean-QFI numerators": (rotations, "mean-QFI numerator", 3, _grid_numerators, (0.0, 4.0)),
 }
 
 
@@ -485,7 +485,7 @@ def test_ree_value_is_the_relative_entropy_to_its_closest_state():
 def test_pure_states_fall_back_and_nearly_pure_states_end_on_the_face(monkeypatch):
     # sigma >= 0 is active at a pure state's optimum, so the polish fails
     # there and the barrier's bits are reported: pure states, and pure +
-    # 1e-12 I/4, where lambda_min(rho) is below _RANK_FLOOR.  The polish
+    # 1e-12 I/4, where lambda_min(rho) is below ZERO_CUTOFF.  The polish
     # still solves pure + 1e-10 I/4, which _FIRST_ORDER_FLOOR keeps at
     # sigma_0, and rank-2 states.
     def no_barrier(rho, lowest):

@@ -188,7 +188,7 @@ def test_refinement_merge_never_loses_ground():
     for index in range(4):
         rho = random_density_matrix(derive_stream(304, index))
         base = grid_search(rho, 2.0 * PI / 4.0)
-        merged = optimize_with_refinement(rho, 4, 6)
+        merged = optimize_with_refinement(rho)
         assert merged.max_value >= base.max_value
         assert merged.min_value <= base.min_value
         assert merged.raw_value == base.raw_value
@@ -221,7 +221,7 @@ def test_refinement_merge_keeps_base_optimum_on_ties(monkeypatch):
     fine = scripted(1.2, PI / 3.0, 6**6, (-7.0, -7.0))
     passes = iter([base, fine])
     monkeypatch.setattr(rotations, "grid_search", lambda rho, step: next(passes))
-    merged = optimize_with_refinement(np.eye(4) / 4.0, 4, 6)
+    merged = optimize_with_refinement(np.eye(4) / 4.0)
     assert merged == base._replace(refined=True, evaluations=4**6 + 6**6)
 
 
