@@ -82,12 +82,13 @@ def main(argv=None) -> int:
         return 1
     separable = sum(1 for record in result.records if record.separable)
     print(f"states={config.count} separable={separable} out={out_dir}")
+    # The layer times are summed over workers, so with --jobs above 1 they
+    # can add up to more than states=.
     print(
-        "wall seconds: states={:.1f} census={:.1f} total={:.1f}".format(
-            result.timing["states_wall"],
-            result.timing["census_wall"],
-            result.timing["total_wall"],
-        )
+        "wall seconds: states={states_wall:.2f} census={census_wall:.2f}"
+        " total={total_wall:.2f} sampling={sampling_wall:.2f}"
+        " closed-forms={closed_forms_wall:.2f} rotations={rotations_wall:.2f}"
+        " ree={ree_wall:.2f}".format(**result.timing)
     )
     return 0
 

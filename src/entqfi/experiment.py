@@ -3,13 +3,15 @@
 A run draws ``count`` seeded states, computes concurrence, negativity,
 PPT separability and REE for each, grid-optimizes the mean QFI over local
 rotations (with the finer rerun where a direction stalls), then builds the
-pairwise ordering censuses and counterexample witnesses.
+pairwise ordering censuses and counterexample witnesses.  The states are
+measured a chunk at a time, every layer but REE on stacked kernels.
 
 Every byte written is a pure function of the configuration: the per-state
-work depends only on ``(master_seed, index)``, floats print with a fixed
-12-significant-digit positional format, and the report carries no
-timestamps or timing.  Wall-clock numbers live only on the in-memory
-result.  Worker-pool fan-out therefore cannot change any output file.
+work depends only on ``(master_seed, index)``, not on the chunk, floats
+print with a fixed 12-significant-digit positional format, and the report
+carries no timestamps or timing.  Wall-clock numbers live only on the
+in-memory result.  Worker-pool fan-out therefore cannot change any output
+file.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-# is_separable stays importable here: the benchmark calls experiment.is_separable.
-from .measures import concurrence, is_separable, negativity, ree
+# concurrence, negativity, is_separable and random_density_matrix stay
+# importable here for benchmarks/workloads.py, which calls them through this module.
+from .fisher import _spin_qfi_matrices
+from .measures import _concurrences, _negativities, concurrence, is_separable, negativity, ree
 from .ordering import (
     DEFAULT_WITNESS_LIMIT,
     MEASURE_NAMES,
@@ -40,11 +44,12 @@ from .ordering import (
 from .rotations import (
     DEFAULT_BASE_DIVISOR,
     DEFAULT_REFINE_DIVISOR,
-    optimize_with_refinement,
+    _optimize,
+    _relative_classes,
     stalled,
 )
-from .sampling import derive_stream, random_density_matrix
-from .states import EigendecompositionError
+from .sampling import _density_matrices, derive_stream, random_density_matrix
+from .states import EigendecompositionError, herm_eig
 
 __all__ = [
     "ExperimentConfig",
@@ -64,6 +69,13 @@ STATE_CSV_HEADER = (
     "qfi_raw,qfi_max,qfi_min,refined,max_angles,min_angles"
 )
 PLOT_CSV_HEADER = "measure,qfi_raw,qfi_max,qfi_min"
+
+# States measured by one pass of the stacked kernels.
+_CHUNK_STATES = 64
+# The timing keys of the chunk pass's layers: sampling; concurrence and
+# negativity, with the one spectrum of rho that G shares; the rotation scan
+# with G; and REE.
+_LAYER_TIMES = ("sampling_wall", "closed_forms_wall", "rotations_wall", "ree_wall")
 
 
 @dataclass(frozen=True)
@@ -113,8 +125,8 @@ class ExperimentResult:
         ]
 
 
-def _compute_record(task: tuple[int, ExperimentConfig]) -> StateRecord:
-    """One state's record; any failure names the state.
+def _compute_record(task: tuple[int, ExperimentConfig]) -> tuple[StateRecord, dict[str, float]]:
+    """One state as a chunk of one; any failure names the state.
 
     Numerical failures keep their type; any other exception becomes a
     ``RuntimeError`` whose message carries the original type, so it still
@@ -122,39 +134,76 @@ def _compute_record(task: tuple[int, ExperimentConfig]) -> StateRecord:
     index, cfg = task
     where = f"state {index} (master seed {cfg.master_seed})"
     try:
-        return _measure_state(index, cfg)
+        (record,), layers = _measure_chunk(range(index, index + 1), cfg)
     except EigendecompositionError as exc:
         raise EigendecompositionError(exc.matrix, f"{where}: {exc}") from exc
     except ArithmeticError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
     except Exception as exc:
         raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    return record, layers
 
 
-def _measure_state(index: int, cfg: ExperimentConfig) -> StateRecord:
-    rho = random_density_matrix(derive_stream(cfg.master_seed, index))
-    conc = concurrence(rho)
-    neg = negativity(rho)
-    solution = ree(rho)
-    # ree short-circuits exactly where is_separable(rho) holds, on the same bits.
-    separable = solution.iterations == 0
-    optimum = optimize_with_refinement(rho)
-    return StateRecord(
-        id=index,
-        concurrence=conc,
-        negativity=neg,
-        ree=solution.value,
-        separable=separable,
-        ree_converged=solution.converged,
-        qfi_raw=optimum.raw_value,
-        qfi_max=optimum.max_value,
-        qfi_min=optimum.min_value,
-        max_angles=optimum.max_angles,
-        min_angles=optimum.min_angles,
-        refined=optimum.refined,
-        base_max_value=optimum.base_max_value,
-        base_min_value=optimum.base_min_value,
-    )
+def _compute_chunk(
+    task: tuple[range, ExperimentConfig]
+) -> tuple[list[StateRecord], dict[str, float]]:
+    """One chunk's records and its seconds per layer.
+
+    A stacked kernel fails for its whole stack, and a range rule inside a
+    stacked pass does not name its state either, so a chunk that fails
+    reruns state by state: the first failing state raises, named."""
+    indices, cfg = task
+    try:
+        return _measure_chunk(indices, cfg)
+    except Exception:
+        results = [_compute_record((index, cfg)) for index in indices]
+    layers = {name: sum(layer[name] for _, layer in results) for name in _LAYER_TIMES}
+    return [record for record, _ in results], layers
+
+
+def _measure_chunk(
+    indices: range, cfg: ExperimentConfig
+) -> tuple[list[StateRecord], dict[str, float]]:
+    """The records of one chunk of states and the wall seconds of each layer.
+
+    Each state draws from its own stream.  The Haar QR, one ``herm_eig`` of
+    the rho stack (feeding the concurrence and G), one ``eigvalsh`` of the
+    rho^G stack (the negativity), G and both grid passes' eigensolves run
+    stacked; ``ree`` runs per state.  No number depends on the chunk."""
+    started = time.perf_counter()
+    rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
+    sampled = time.perf_counter()
+    spectra = herm_eig(rhos)
+    concurrences, negativities = _concurrences(spectra), _negativities(rhos)
+    measured = time.perf_counter()
+    optima = _optimize(_spin_qfi_matrices(spectra))
+    rotated = time.perf_counter()
+    solutions = [ree(rho) for rho in rhos]
+    solved = time.perf_counter()
+    records = [
+        StateRecord(
+            id=index,
+            concurrence=conc,
+            negativity=neg,
+            ree=solution.value,
+            # ree short-circuits exactly where is_separable(rho) holds, on the same bits.
+            separable=solution.iterations == 0,
+            ree_converged=solution.converged,
+            qfi_raw=optimum.raw_value,
+            qfi_max=optimum.max_value,
+            qfi_min=optimum.min_value,
+            max_angles=optimum.max_angles,
+            min_angles=optimum.min_angles,
+            refined=optimum.refined,
+            base_max_value=optimum.base_max_value,
+            base_min_value=optimum.base_min_value,
+        )
+        for index, conc, neg, solution, optimum in zip(
+            indices, concurrences, negativities, solutions, optima
+        )
+    ]
+    seconds = (sampled - started, measured - sampled, rotated - measured, solved - rotated)
+    return records, dict(zip(_LAYER_TIMES, seconds))
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -169,18 +218,33 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+def _chunks(count: int, workers: int) -> list[range]:
+    """``range(count)`` in equal chunks of at most ``_CHUNK_STATES``, as
+    many as a multiple of ``workers``, so that the workers share them evenly."""
+    chunks = workers * math.ceil(count / (workers * _CHUNK_STATES))
+    size = math.ceil(count / chunks)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
-    """Full deterministic pipeline; jobs only sets worker fan-out."""
+    """Full deterministic pipeline; jobs only sets worker fan-out.
+
+    ``timing`` holds the wall seconds of the state work, the census and the
+    whole run, and the ``_LAYER_TIMES`` of the chunk passes, summed over
+    chunks and workers."""
     jobs = resolve_jobs(jobs)
     started = time.perf_counter()
-    tasks = [(index, cfg) for index in range(cfg.count)]
     workers = min(jobs, cfg.count)
+    tasks = [(chunk, cfg) for chunk in _chunks(cfg.count, workers)]
     if workers > 1:
-        chunk = max(1, cfg.count // (workers * 8))
+        # Built before the fork, so that every worker inherits the tables.
+        for divisor in (DEFAULT_BASE_DIVISOR, DEFAULT_REFINE_DIVISOR):
+            _relative_classes(divisor)
         with multiprocessing.Pool(processes=workers) as pool:
-            records = pool.map(_compute_record, tasks, chunksize=chunk)
+            results = pool.map(_compute_chunk, tasks, chunksize=1)
     else:
-        records = [_compute_record(task) for task in tasks]
+        results = [_compute_chunk(task) for task in tasks]
+    records = [record for chunk_records, _ in results for record in chunk_records]
     states_done = time.perf_counter()
     censuses = census(records, cfg.eps_order)
     witnesses = {
@@ -193,6 +257,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
         "census_wall": finished - states_done,
         "total_wall": finished - started,
     }
+    for name in _LAYER_TIMES:
+        timing[name] = sum(layers[name] for _, layers in results)
     return ExperimentResult(records, censuses, witnesses, timing, cfg)
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PAULI_PRODUCTS, ZERO_CUTOFF, clip_roundoff, herm_eig
+from .states import PAULI_PRODUCTS, ZERO_CUTOFF, Spectrum, clip_roundoff, herm_eig
 
 __all__ = [
     "LOCAL_SPINS",
@@ -49,26 +49,32 @@ class QfiResult(NamedTuple):
 
 
 def pair_weights(eigenvalues: np.ndarray) -> np.ndarray:
-    """The (p_i - p_j)^2 / (p_i + p_j) factor for every eigenvalue pair.
+    """The (p_i - p_j)^2 / (p_i + p_j) factor for every eigenvalue pair, of
+    one spectrum or of each in a stack.
 
     Entries whose denominator is at most ``ZERO_CUTOFF`` are zeroed, which
     silently covers the skipped i = j diagonal as well.
     """
     p = np.asarray(eigenvalues, dtype=float)
-    num = (p[:, None] - p[None, :]) ** 2
-    den = p[:, None] + p[None, :]
+    num = (p[..., :, None] - p[..., None, :]) ** 2
+    den = p[..., :, None] + p[..., None, :]
     return np.divide(num, den, out=np.zeros_like(num), where=den > ZERO_CUTOFF)
 
 
 def spin_qfi_matrix(rho: np.ndarray) -> np.ndarray:
     """The real symmetric 6x6 QFI matrix G over the local spins of rho."""
-    spectrum = herm_eig(rho)
+    return _spin_qfi_matrices(herm_eig(np.asarray(rho)[None]))[0]
+
+
+def _spin_qfi_matrices(spectrum: Spectrum) -> np.ndarray:
+    """``spin_qfi_matrix`` of each state of a stack, from ``herm_eig``'s
+    spectra, as a (n, 6, 6) stack."""
     basis = spectrum.eigenvectors
     weights = pair_weights(spectrum.eigenvalues)
-    # Local spins rewritten in the eigenbasis of rho.
-    s_eig = np.einsum("ai,kab,bj->kij", basis.conj(), LOCAL_SPINS, basis)
-    g = 2.0 * np.real(np.einsum("ij,kij,lij->kl", weights, s_eig, s_eig.conj()))
-    return 0.5 * (g + g.T)
+    # Local spins rewritten in the eigenbasis of each rho.
+    s_eig = np.einsum("nai,kab,nbj->nkij", basis.conj(), LOCAL_SPINS, basis)
+    g = 2.0 * np.real(np.einsum("nij,nkij,nlij->nkl", weights, s_eig, s_eig.conj()))
+    return 0.5 * (g + g.swapaxes(1, 2))
 
 
 def c_matrix(rho: np.ndarray) -> np.ndarray:

@@ -53,9 +53,11 @@ ends the polish, a singular barrier Hessian the solve, where it is.
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
 (|Phi+> reads 1 + 1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at
-most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998):
-``_lowest_pt_eigenvalue`` gives the negativity -2 lambda_min and the
-barrier start; ``_ppt`` judges PPT on it and on the solve's last sigma^G.
+most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).
+The negativity -2 lambda_min of a whole chunk of states comes from one
+stacked eigensolve of their rho^G (``_negativities``); ``ree`` reads
+lambda_min of its own rho again for its short-circuit and the barrier
+start, and ``_ppt`` judges PPT on it and on the solve's last sigma^G.
 The face starts take their own ``eigh`` of rho^G, as its eigenvalues can
 differ from ``eigvalsh``'s in the last bits.
 """
@@ -74,6 +76,7 @@ from .states import (
     IDENTITY_4,
     PAULI_PRODUCTS,
     ZERO_CUTOFF,
+    Spectrum,
     _divergence,
     _spectral_entropy,
     clip_roundoff,
@@ -189,31 +192,45 @@ def concurrence(rho: np.ndarray) -> float:
     near-zero eigenvalue dust of the non-Hermitian product; the direct
     route loses ~1e-8 on nearly pure states, the SVD stays at ~1e-15.
     """
-    spec = herm_eig(rho)
+    return _concurrences(herm_eig(np.asarray(rho)[None]))[0]
+
+
+def _concurrences(spectrum: Spectrum) -> list[float]:
+    """``concurrence`` of each state of a stack, from ``herm_eig``'s spectra."""
+    vecs = spectrum.eigenvectors
     root = (
-        spec.eigenvectors * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    ) @ spec.eigenvectors.conj().T
+        vecs * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))[:, None, :]
+    ) @ vecs.conj().swapaxes(1, 2)
     with lapack_guard():
         vals = svdvals(root.conj() @ _SPIN_FLIP @ root)
     # np.maximum, unlike max, keeps a NaN for the range rule to reject.
-    value = np.maximum(vals[0] - vals[1] - vals[2] - vals[3], 0.0)
-    return clip_roundoff(value, 0.0, 1.0, "concurrence")
+    values = np.maximum(vals[:, 0] - vals[:, 1] - vals[:, 2] - vals[:, 3], 0.0)
+    return [clip_roundoff(value, 0.0, 1.0, "concurrence") for value in values]
 
 
-def _lowest_pt_eigenvalue(rho: np.ndarray) -> float:
-    """The lowest eigenvalue of rho^G, the only one that can be negative."""
+def _lowest_pt_eigenvalue(rho: np.ndarray):
+    """The lowest eigenvalue of rho^G, the only one that can be negative,
+    of a 4x4 rho or of each in a stack."""
     with lapack_guard():
-        return float(eigvalsh(partial_transpose(rho))[0])
+        return eigvalsh(partial_transpose(rho))[..., 0]
 
 
 def negativity(rho: np.ndarray) -> float:
     """Twice the magnitude of the negative partial-transpose eigenvalue."""
-    return clip_roundoff(np.maximum(-2.0 * _lowest_pt_eigenvalue(rho), 0.0), 0.0, 1.0, "negativity")
+    return _negativities(np.asarray(rho)[None])[0]
+
+
+def _negativities(rhos: np.ndarray) -> list[float]:
+    """``negativity`` of each state of a (n, 4, 4) stack."""
+    return [
+        clip_roundoff(np.maximum(-2.0 * lowest, 0.0), 0.0, 1.0, "negativity")
+        for lowest in _lowest_pt_eigenvalue(rhos)
+    ]
 
 
 def _ppt(lowest: float) -> bool:
     """The one PPT verdict on the lowest partial-transpose eigenvalue."""
-    return lowest >= -SEPARABILITY_EIG_TOL
+    return bool(lowest >= -SEPARABILITY_EIG_TOL)
 
 
 def is_separable(rho: np.ndarray) -> bool:

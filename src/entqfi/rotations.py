@@ -16,7 +16,7 @@ on ``R = M_Aᵀ M_B``: it is ``lambda_max(A G Aᵀ) / 2`` with ``A = [I | R]``.
 A state-independent table per divisor lists the distinct R on the k^6 grid
 (4 for k = 2, 24 for k = 4, 372 for k = 6) in the order of the first flat
 grid index reaching each, and a pass is one batched 3x3 eigensolve over
-them.  All points of a class share its value exactly, so the first class
+them, for one state or for a whole chunk of states at once.  All points of a class share its value exactly, so the first class
 attaining an extreme is the lexicographically first grid point attaining it.
 """
 
@@ -153,8 +153,9 @@ def _relative_classes(divisor: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _angle_set(flat: int, divisor: int) -> EulerAngleSet:
-    indices = np.unravel_index(flat, (divisor,) * 6)
-    return EulerAngleSet(*(TWO_PI * int(i) / divisor for i in indices))
+    """The angles of a flat grid index, whose base-k digits index them."""
+    digits = (flat // divisor**p % divisor for p in range(5, -1, -1))
+    return EulerAngleSet(*(TWO_PI * digit / divisor for digit in digits))
 
 
 def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
@@ -165,10 +166,22 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
     numerators pass the mean-QFI range rule of ``fisher.max_mean_qfi``.
     """
     divisor = _divisor_from_step(step)
-    first_flat, spans = _relative_classes(divisor)
-    forms = spans @ spin_qfi_matrix(rho) @ spans.transpose(0, 2, 1)
+    return _grid_optimum(_grid_tops(spin_qfi_matrix(rho)[None], divisor)[0], divisor)
+
+
+def _grid_tops(g: np.ndarray, divisor: int) -> np.ndarray:
+    """lambda_max(A G Aᵀ) of every relative-rotation class of the k^6 grid
+    for each G of a (n, 6, 6) stack, as (n, classes): one batched 3x3
+    eigensolve over the whole stack."""
+    _, spans = _relative_classes(divisor)
+    forms = spans @ g[:, None] @ spans.transpose(0, 2, 1)
     with lapack_guard():
-        tops = eigvalsh(forms)[:, -1]
+        return eigvalsh(forms)[..., -1]
+
+
+def _grid_optimum(tops: np.ndarray, divisor: int) -> LoccOptimum:
+    """One state's pass from its class values ``tops``."""
+    first_flat, _ = _relative_classes(divisor)
     hi, lo = int(np.argmax(tops)), int(np.argmin(tops))
     high, low, raw = (
         clip_roundoff(tops[i], 0.0, _NUMERATOR_MAX, "mean-QFI numerator") / 2.0
@@ -203,17 +216,31 @@ def optimize_with_refinement(rho: np.ndarray) -> LoccOptimum:
     strictly better.  The raw value and base_* always come from the base
     pass; evaluation counts add up.
     """
-    base = grid_search(rho, TWO_PI / DEFAULT_BASE_DIVISOR)
-    if not any(stalled(base.raw_value, base.max_value, base.min_value)):
-        return base
-    fine = grid_search(rho, TWO_PI / DEFAULT_REFINE_DIVISOR)
-    up = fine if fine.max_value > base.max_value else base
-    down = fine if fine.min_value < base.min_value else base
-    return base._replace(
-        max_value=up.max_value,
-        max_angles=up.max_angles,
-        min_value=down.min_value,
-        min_angles=down.min_angles,
-        refined=True,
-        evaluations=base.evaluations + fine.evaluations,
-    )
+    return _optimize(spin_qfi_matrix(rho)[None])[0]
+
+
+def _optimize(g: np.ndarray) -> list[LoccOptimum]:
+    """``optimize_with_refinement`` for each G of a (n, 6, 6) stack: the
+    base pass's eigensolve runs over the whole stack, the refinement's over
+    the stalled states only; the range rules and the merge run per state."""
+    optima = [
+        _grid_optimum(tops, DEFAULT_BASE_DIVISOR) for tops in _grid_tops(g, DEFAULT_BASE_DIVISOR)
+    ]
+    again = [
+        k for k, base in enumerate(optima)
+        if any(stalled(base.raw_value, base.max_value, base.min_value))
+    ]
+    if again:
+        for k, tops in zip(again, _grid_tops(g[again], DEFAULT_REFINE_DIVISOR)):
+            base, fine = optima[k], _grid_optimum(tops, DEFAULT_REFINE_DIVISOR)
+            up = fine if fine.max_value > base.max_value else base
+            down = fine if fine.min_value < base.min_value else base
+            optima[k] = base._replace(
+                max_value=up.max_value,
+                max_angles=up.max_angles,
+                min_value=down.min_value,
+                min_angles=down.min_angles,
+                refined=True,
+                evaluations=base.evaluations + fine.evaluations,
+            )
+    return optima

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import lapack_guard, qr
+
 __all__ = [
     "derive_stream",
     "simplex_eigenvalues",
@@ -42,25 +44,45 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
 
 def simplex_eigenvalues(rng: np.random.Generator) -> np.ndarray:
     """Four nonnegative weights summing to one, uniform on the 3-simplex."""
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=3))
-    return np.diff(np.concatenate(([0.0], cuts, [1.0])))
+    return _simplex_weights(rng.uniform(0.0, 1.0, size=(1, 3)))[0]
+
+
+def _simplex_weights(cuts: np.ndarray) -> np.ndarray:
+    """The four gaps that each row's three sorted cuts leave in [0, 1]."""
+    edges = np.zeros((len(cuts), 5))
+    edges[:, 1:4] = np.sort(cuts, axis=1)
+    edges[:, 4] = 1.0
+    return np.diff(edges, axis=1)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     """Haar-distributed unitary of the given dimension."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    real = rng.standard_normal((dim, dim))
-    imag = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr((real + 1j * imag) / np.sqrt(2.0))
-    diag = np.diagonal(r)
+    return _haar_bases(rng.standard_normal((2, dim, dim)))
+
+
+def _haar_bases(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the real and imaginary Gaussian parts
+    ``normals[..., 0, :, :]`` and ``normals[..., 1, :, :]``, one per leading index."""
+    with lapack_guard():
+        q, diag = qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0))
     # QR alone is not Haar: the R-diagonal phases must be folded back in.
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _density_matrices(rngs) -> np.ndarray:
+    """One state per stream, as a (n, 4, 4) stack: each stream draws in the
+    order pinned above, and the QR and the products run stacked."""
+    cuts, normals = [], []
+    for rng in rngs:
+        cuts.append(rng.uniform(0.0, 1.0, size=3))
+        normals.append(rng.standard_normal((2, 4, 4)))
+    basis = _haar_bases(np.array(normals))
+    rho = (basis * _simplex_weights(np.array(cuts))[:, None, :]) @ basis.conj().swapaxes(1, 2)
+    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """One random two-qubit state: simplex spectrum in a Haar eigenbasis."""
-    spectrum = simplex_eigenvalues(rng)
-    basis = haar_unitary(rng, 4)
-    rho = (basis * spectrum) @ basis.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    return _density_matrices([rng])[0]

@@ -12,9 +12,9 @@ Conventions shared by the whole package:
 * ``partial_transpose`` takes a 4x4 matrix or a ``(..., 4, 4)`` stack.
 * Hermitian matrices are symmetrized as ``(M + M†)/2`` before any
   eigendecomposition to suppress roundoff drift.
-* ``eigh``, ``eigvalsh``, ``svdvals`` and ``solve`` call the LAPACK gufuncs
-  behind ``np.linalg``'s ``eigh``, ``eigvalsh``, ``svd`` and ``solve``, so
-  their results are
+* ``eigh``, ``eigvalsh``, ``qr``, ``svdvals`` and ``solve`` call the LAPACK
+  gufuncs behind ``np.linalg``'s ``eigh``, ``eigvalsh``, ``qr``, ``svd`` and
+  ``solve``, so their results are
   bit for bit the same without the per-call argument checks and error
   state.  A LAPACK failure only sets the invalid flag: call them inside
   ``lapack_guard()``, which raises it as ``LinAlgError``.
@@ -118,11 +118,12 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(m)``: ascending eigenvalues and eigenvectors of a
     stack of real symmetric or complex Hermitian matrices, read from the
     lower triangle.  Under ``lapack_guard()`` a failure raises
-    ``EigendecompositionError(m)``."""
+    ``EigendecompositionError`` with m, or with the failing matrix of a
+    stack."""
     try:
         return _umath_linalg.eigh_lo(m, signature="D->dD" if m.dtype.kind == "c" else "d->dd")
     except LinAlgError as exc:
-        raise EigendecompositionError(m) from exc
+        raise EigendecompositionError(_failing(m)) from exc
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -130,7 +131,31 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     try:
         return _umath_linalg.eigvalsh_lo(m, signature="D->d" if m.dtype.kind == "c" else "d->d")
     except LinAlgError as exc:
-        raise EigendecompositionError(m) from exc
+        raise EigendecompositionError(_failing(m)) from exc
+
+
+def _failing(m: np.ndarray) -> np.ndarray:
+    """The matrix that an eigensolve of m failed on: m itself, or the first
+    of a stack whose eigenvalues come out NaN, as a failing LAPACK call
+    leaves them while it sets one invalid flag for the whole stack (the
+    whole stack where none does)."""
+    if m.ndim == 2:
+        return m
+    stack = m.reshape((-1,) + m.shape[-2:])
+    with np.errstate(invalid="ignore"):
+        vals = _umath_linalg.eigvalsh_lo(stack, signature="D->d" if m.dtype.kind == "c" else "d->d")
+    failed = np.flatnonzero(np.isnan(vals).any(axis=-1))
+    return stack[failed[0]] if failed.size else m
+
+
+def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.qr(m)`` of a stack of complex matrices: Q, and the
+    diagonal of R rather than R.  Under ``lapack_guard()`` a failure raises
+    ``LinAlgError``."""
+    # The first gufunc overwrites its input with R and the reflectors.
+    a = m.astype(complex, copy=True)
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), np.diagonal(a, axis1=-2, axis2=-1)
 
 
 def svdvals(m: np.ndarray) -> np.ndarray:
@@ -145,16 +170,17 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def herm_eig(matrix: np.ndarray) -> Spectrum:
-    """Full spectrum of a Hermitian matrix, eigenvalues descending.
+    """Full spectrum of a Hermitian matrix, or of each in a stack,
+    eigenvalues descending.
 
     The input is symmetrized before decomposition, so callers may pass
     matrices that are Hermitian only up to roundoff.
     """
     m = np.asarray(matrix, dtype=complex)
-    m = 0.5 * (m + m.conj().T)
+    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
     with lapack_guard():
         vals, vecs = eigh(m)
-    return Spectrum(vals[::-1].astype(float), vecs[:, ::-1])
+    return Spectrum(vals[..., ::-1].astype(float), vecs[..., ::-1])
 
 
 def _subsystem_index(subsystem) -> int:

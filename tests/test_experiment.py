@@ -21,12 +21,12 @@ from entqfi import (
     ExperimentResult,
     StateRecord,
     census,
-    concurrence,
     derive_stream,
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
     find_counterexamples,
+    herm_eig,
     is_separable,
     random_density_matrix,
     ree,
@@ -427,14 +427,16 @@ def test_failure_names_the_state(monkeypatch):
 def test_any_failure_names_the_state(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched measure reaches pool workers only through fork")
-    poisoned = random_density_matrix(derive_stream(7, 1))
+    # The chunk pass takes the concurrences of a whole chunk from its spectra.
+    poisoned = herm_eig(random_density_matrix(derive_stream(7, 1))).eigenvalues
+    concurrences = experiment._concurrences
 
-    def failing_concurrence(rho):
-        if np.array_equal(rho, poisoned):
+    def failing_concurrences(spectrum):
+        if any(np.array_equal(values, poisoned) for values in spectrum.eigenvalues):
             raise IndexError("index 4 is out of bounds for axis 0 with size 4")
-        return concurrence(rho)
+        return concurrences(spectrum)
 
-    monkeypatch.setattr(experiment, "concurrence", failing_concurrence)
+    monkeypatch.setattr(experiment, "_concurrences", failing_concurrences)
     message = r"^state 1 \(master seed 7\): IndexError: index 4 is out of bounds"
     with pytest.raises(RuntimeError, match=message) as info:
         run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=jobs)
@@ -483,10 +485,11 @@ def test_pool_never_outnumbers_states(monkeypatch):
 
 
 def test_eigendecomposition_failure_names_the_state(monkeypatch):
-    def failing_search(rho):
-        raise EigendecompositionError(rho)
+    # The chunk pass's one eigensolve of the rho stack, which feeds G.
+    def failing_spectra(rhos):
+        raise EigendecompositionError(rhos[0])
 
-    monkeypatch.setattr(experiment, "optimize_with_refinement", failing_search)
+    monkeypatch.setattr(experiment, "herm_eig", failing_spectra)
     with pytest.raises(EigendecompositionError, match=r"^state 0 \(master seed 8\): ") as info:
         run_experiment(ExperimentConfig(count=3, master_seed=8), jobs=1)
     assert info.value.matrix.shape == (4, 4)
@@ -494,6 +497,60 @@ def test_eigendecomposition_failure_names_the_state(monkeypatch):
     copy = pickle.loads(pickle.dumps(info.value))
     assert str(copy) == str(info.value)
     assert np.array_equal(copy.matrix, info.value.matrix)
+
+
+def test_stacked_eigensolve_failure_names_the_state_and_keeps_its_matrix(monkeypatch):
+    # A NaN in one state of a 7-state chunk fails the chunk's stacked eigh of
+    # rho; the chunk reruns state by state, and the state's own 4x4 comes back.
+    target = random_density_matrix(derive_stream(9, 3))
+    spectra = experiment.herm_eig
+
+    def poisoned_spectra(rhos):
+        rhos = rhos.copy()
+        for rho in rhos:
+            if np.array_equal(rho, target):
+                rho[0, 1] = np.nan
+        return spectra(rhos)
+
+    monkeypatch.setattr(experiment, "herm_eig", poisoned_spectra)
+    cfg = ExperimentConfig(count=7, master_seed=9)
+    assert experiment._chunks(cfg.count, 1) == [range(7)]
+    with pytest.raises(EigendecompositionError, match=r"^state 3 \(master seed 9\): ") as info:
+        run_experiment(cfg, jobs=1)
+    matrix = info.value.matrix
+    nan = np.zeros((4, 4), dtype=bool)
+    nan[0, 1] = nan[1, 0] = True
+    assert matrix.shape == (4, 4)
+    assert np.array_equal(np.isnan(matrix), nan)
+    assert np.array_equal(matrix[~nan], target[~nan])
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert str(copy) == str(info.value)
+    assert np.array_equal(copy.matrix, matrix, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [1, 15])
+def test_chunking_never_moves_a_number(seed):
+    # numpy promises no equal einsum or matmul bits across stack shapes, so
+    # this guards the stacked kernels on every numpy the pin admits.
+    cfg = ExperimentConfig(count=256, master_seed=seed)
+    by_size = {}
+    for size in (1, 7, 64):
+        by_size[size] = [
+            record
+            for start in range(0, cfg.count, size)
+            for record in experiment._measure_chunk(range(start, min(start + size, cfg.count)), cfg)[0]
+        ]
+    assert [r.id for r in by_size[1]] == list(range(cfg.count))
+    assert by_size[1] == by_size[7] == by_size[64]
+
+
+def test_chunks_cover_the_run_evenly_in_at_most_the_chunk_size():
+    for count, workers in [(1, 1), (7, 1), (64, 1), (65, 1), (1000, 1), (12, 2), (1000, 2), (3, 3)]:
+        chunks = experiment._chunks(count, workers)
+        assert [i for chunk in chunks for i in chunk] == list(range(count))
+        assert max(len(chunk) for chunk in chunks) <= experiment._CHUNK_STATES
+    # Four chunks of 64, 64, 64 and 8 would leave one of two workers idle half the time.
+    assert [len(chunk) for chunk in experiment._chunks(200, 2)] == [50] * 4
 
 
 def _nan_scaled(newton_system):

@@ -220,7 +220,8 @@ def test_refinement_merge_keeps_base_optimum_on_ties(monkeypatch):
     base = scripted(1.5, 0.0, 4**6, (1.5, 0.5))  # flat upward, so the fine pass runs
     fine = scripted(1.2, PI / 3.0, 6**6, (-7.0, -7.0))
     passes = iter([base, fine])
-    monkeypatch.setattr(rotations, "grid_search", lambda rho, step: next(passes))
+    # Each pass of one state reads its optimum off its class values here.
+    monkeypatch.setattr(rotations, "_grid_optimum", lambda tops, divisor: next(passes))
     merged = optimize_with_refinement(np.eye(4) / 4.0)
     assert merged == base._replace(refined=True, evaluations=4**6 + 6**6)
 

@@ -24,6 +24,7 @@ from entqfi.states import (
     eigh,
     eigvalsh,
     lapack_guard,
+    qr,
     solve,
     svdvals,
 )
@@ -53,7 +54,8 @@ def test_herm_eig_descending_and_orthonormal():
 
 def test_lapack_kernels_match_numpy_bit_for_bit():
     # The shapes the package solves: sigma and sigma^G, the rotation
-    # classes of the refinement grid, the REE Hessian, the concurrence SVD.
+    # classes of the refinement grid, the REE Hessian, the concurrence SVD,
+    # the Haar QR.
     rng = np.random.default_rng(11)
     herm = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
     sym = rng.normal(size=(372, 3, 3))
@@ -70,6 +72,11 @@ def test_lapack_kernels_match_numpy_bit_for_bit():
         general = herm[0] @ herm[1]
         mine, numpy_s = svdvals(general), np.linalg.svd(general, compute_uv=False)
         assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+        # The Haar factors of sampling: one 4x4 Gaussian matrix or a chunk of them.
+        for gaussian in (general, rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))):
+            (q, r_diagonal), (numpy_q, numpy_r) = qr(gaussian), np.linalg.qr(gaussian)
+            assert np.array_equal(q, numpy_q)
+            assert np.array_equal(r_diagonal, np.diagonal(numpy_r, axis1=-2, axis2=-1))
 
 
 def test_lapack_kernels_raise_under_the_guard():
@@ -86,6 +93,13 @@ def test_lapack_kernels_raise_under_the_guard():
         with pytest.raises(EigendecompositionError) as info:
             herm_eig(nan)
         assert info.value.matrix.shape == (4, 4)
+        # A stack fails as a whole; the error carries the matrix that failed.
+        stack = np.stack([IDENTITY_4, IDENTITY_4 / 4, nan, IDENTITY_4])
+        with lapack_guard():
+            for kernel in (eigh, eigvalsh):
+                with pytest.raises(EigendecompositionError) as info:
+                    kernel(stack.reshape(2, 2, 4, 4))
+                assert info.value.matrix.shape == (4, 4) and np.isnan(info.value.matrix).all()
 
 
 def test_partial_transpose_is_involution_and_trace_preserving():
