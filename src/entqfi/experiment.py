@@ -41,13 +41,7 @@ from .ordering import (
     census,
     find_counterexamples,
 )
-from .rotations import (
-    DEFAULT_BASE_DIVISOR,
-    DEFAULT_REFINE_DIVISOR,
-    _optimize,
-    _relative_classes,
-    stalled,
-)
+from .rotations import DEFAULT_BASE_DIVISOR, DEFAULT_REFINE_DIVISOR, _optimize, stalled
 from .sampling import _density_matrices, derive_stream, random_density_matrix
 from .states import EigendecompositionError, herm_eig
 
@@ -219,11 +213,12 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def _chunks(count: int, workers: int) -> list[range]:
-    """``range(count)`` in equal chunks of at most ``_CHUNK_STATES``, as
-    many as a multiple of ``workers``, so that the workers share them evenly."""
+    """``range(count)`` in chunks of at most ``_CHUNK_STATES`` whose sizes
+    differ by at most one, as many as a multiple of ``workers``, so that
+    the workers share them evenly; none is empty while ``workers <= count``."""
     chunks = workers * math.ceil(count / (workers * _CHUNK_STATES))
-    size = math.ceil(count / chunks)
-    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+    cuts = [k * count // chunks for k in range(chunks + 1)]
+    return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
@@ -237,9 +232,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     workers = min(jobs, cfg.count)
     tasks = [(chunk, cfg) for chunk in _chunks(cfg.count, workers)]
     if workers > 1:
-        # Built before the fork, so that every worker inherits the tables.
-        for divisor in (DEFAULT_BASE_DIVISOR, DEFAULT_REFINE_DIVISOR):
-            _relative_classes(divisor)
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_compute_chunk, tasks, chunksize=1)
     else:

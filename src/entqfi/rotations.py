@@ -16,8 +16,9 @@ on ``R = M_Aᵀ M_B``: it is ``lambda_max(A G Aᵀ) / 2`` with ``A = [I | R]``.
 A state-independent table per divisor lists the distinct R on the k^6 grid
 (4 for k = 2, 24 for k = 4, 372 for k = 6) in the order of the first flat
 grid index reaching each, and a pass is one batched 3x3 eigensolve over
-them, for one state or for a whole chunk of states at once.  All points of a class share its value exactly, so the first class
-attaining an extreme is the lexicographically first grid point attaining it.
+them, for one state or for a whole chunk of states at once.  All points of
+a class share its value exactly, so the first class attaining an extreme
+is the lexicographically first grid point attaining it.
 """
 
 from __future__ import annotations

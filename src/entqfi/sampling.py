@@ -28,8 +28,6 @@ from .states import lapack_guard, qr
 
 __all__ = [
     "derive_stream",
-    "simplex_eigenvalues",
-    "haar_unitary",
     "random_density_matrix",
 ]
 
@@ -42,24 +40,12 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def simplex_eigenvalues(rng: np.random.Generator) -> np.ndarray:
-    """Four nonnegative weights summing to one, uniform on the 3-simplex."""
-    return _simplex_weights(rng.uniform(0.0, 1.0, size=(1, 3)))[0]
-
-
 def _simplex_weights(cuts: np.ndarray) -> np.ndarray:
     """The four gaps that each row's three sorted cuts leave in [0, 1]."""
     edges = np.zeros((len(cuts), 5))
     edges[:, 1:4] = np.sort(cuts, axis=1)
     edges[:, 4] = 1.0
     return np.diff(edges, axis=1)
-
-
-def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Haar-distributed unitary of the given dimension."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return _haar_bases(rng.standard_normal((2, dim, dim)))
 
 
 def _haar_bases(normals: np.ndarray) -> np.ndarray:

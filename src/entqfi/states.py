@@ -46,7 +46,6 @@ __all__ = [
     "partial_transpose",
     "partial_trace",
     "von_neumann_entropy",
-    "relative_entropy",
     "apply_local_unitary",
 ]
 
@@ -221,29 +220,16 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _spectral_entropy(herm_eig(rho).eigenvalues)
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho || sigma) in bits; ``math.inf`` when rho escapes sigma's support.
+def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: float) -> float:
+    """S(rho || sigma) in bits from sigma's descending spectrum s and its
+    eigenvectors, and S(rho); ``math.inf`` when rho escapes sigma's support.
 
     The support test projects rho onto sigma's null eigenspace (eigenvalues
     at most ``ZERO_CUTOFF``); mass above the cutoff there makes the
     divergence infinite, signalled by the returned marker, not an exception.
-    The rho log rho term is ``-von_neumann_entropy(rho)``.  The value passes
-    ``clip_roundoff`` on [0, inf): one more than 1e-12 bits below zero (sigma
-    is not a normalized state, say) raises ``ArithmeticError``, and so does a
-    NaN or infinite entry in rho or sigma, which would otherwise pass through
-    the comparisons as a NaN.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    for name, m in (("rho", rho), ("sigma", sigma)):
-        if not np.isfinite(m).all():
-            raise ArithmeticError(f"relative entropy needs a finite {name}")
-    return _divergence(rho, *herm_eig(sigma), von_neumann_entropy(rho))
-
-
-def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: float) -> float:
-    """``relative_entropy`` from sigma's descending spectrum s and its
-    eigenvectors, and S(rho), for a caller that holds them."""
+    The value passes ``clip_roundoff`` on [0, inf): one more than 1e-12 bits
+    below zero (sigma is not a normalized state, say) raises
+    ``ArithmeticError``."""
     s = np.clip(s, 0.0, None)
     weights = np.clip(((rho @ vecs) * vecs.conj()).sum(axis=0).real, 0.0, None)
     null = s <= ZERO_CUTOFF

@@ -1,4 +1,4 @@
-"""Shared state constructors and REE oracles for the test suite."""
+"""Shared state constructors, draws and REE oracles for the test suite."""
 
 import math
 
@@ -6,13 +6,15 @@ import numpy as np
 
 from entqfi import (
     derive_stream,
-    haar_unitary,
+    herm_eig,
     partial_trace,
     partial_transpose,
     random_density_matrix,
     von_neumann_entropy,
 )
 from entqfi.measures import _log_first_differences
+from entqfi.sampling import _haar_bases, _simplex_weights
+from entqfi.states import _divergence
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -54,6 +56,31 @@ def bell_diagonal(weights) -> np.ndarray:
 
 def werner(p: float) -> np.ndarray:
     return p * bell_state("phi+") + (1.0 - p) * np.eye(4) / 4.0
+
+
+def simplex_eigenvalues(rng: np.random.Generator) -> np.ndarray:
+    """Four nonnegative weights summing to one, uniform on the 3-simplex,
+    drawn as ``random_density_matrix`` draws its spectrum."""
+    return _simplex_weights(rng.uniform(0.0, 1.0, size=(1, 3)))[0]
+
+
+def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
+    """Haar-distributed unitary of the given dimension, drawn as
+    ``random_density_matrix`` draws its eigenbasis."""
+    return _haar_bases(rng.standard_normal((2, dim, dim)))
+
+
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """S(rho || sigma) in bits on the kernel ``ree`` reports its value with,
+    so it matches ``ree``'s value bit for bit; ``math.inf`` when rho escapes
+    sigma's support.  A NaN or infinite entry raises ``ArithmeticError``,
+    which would otherwise pass through the comparisons as a NaN."""
+    rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    for name, m in (("rho", rho), ("sigma", sigma)):
+        if not np.isfinite(m).all():
+            raise ArithmeticError(f"relative entropy needs a finite {name}")
+    return _divergence(rho, *herm_eig(sigma), von_neumann_entropy(rho))
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:

@@ -15,13 +15,11 @@ from entqfi import (
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
-    haar_unitary,
     is_separable,
     negativity,
     optimize_with_refinement,
     random_density_matrix,
     ree,
-    relative_entropy,
     run_experiment,
 )
 from entqfi.fisher import LOCAL_SPINS
@@ -29,11 +27,13 @@ from entqfi.ordering import DISCORDANT_CELLS, MEASURE_NAMES
 from helpers import (
     bell_diagonal,
     bell_state,
+    haar_unitary,
     ket,
     pure,
     random_pure_state,
     ree_bell_diagonal_oracle,
     ree_pure_oracle,
+    relative_entropy,
     werner,
 )
 

@@ -1,5 +1,6 @@
 """Experiment pipeline, CSV emission, census report, CLI."""
 
+import ast
 import dataclasses
 import importlib
 import math
@@ -462,8 +463,9 @@ def test_ree_excess_within_its_gap_is_clipped():
 
 
 def test_pool_never_outnumbers_states(monkeypatch):
-    serial = run_experiment(ExperimentConfig(count=3, master_seed=5), jobs=1)
-    opened = []
+    # The pool never outnumbers the states, nor its chunks: 9 states on 8
+    # workers are 8 chunks, one per worker.
+    opened, mapped = [], []
 
     class InProcessPool:
         def __init__(self, processes):
@@ -476,12 +478,15 @@ def test_pool_never_outnumbers_states(monkeypatch):
             return False
 
         def map(self, func, tasks, chunksize):
+            mapped.append(len(tasks))
             return [func(task) for task in tasks]
 
     monkeypatch.setattr(experiment, "multiprocessing", types.SimpleNamespace(Pool=InProcessPool))
-    fanned = run_experiment(ExperimentConfig(count=3, master_seed=5), jobs=64)
-    assert opened == [3]
-    assert fanned.records == serial.records
+    for count, jobs in [(3, 64), (9, 8)]:
+        serial = run_experiment(ExperimentConfig(count=count, master_seed=5), jobs=1)
+        fanned = run_experiment(ExperimentConfig(count=count, master_seed=5), jobs=jobs)
+        assert fanned.records == serial.records
+    assert opened == mapped == [3, 8]
 
 
 def test_eigendecomposition_failure_names_the_state(monkeypatch):
@@ -545,10 +550,15 @@ def test_chunking_never_moves_a_number(seed):
 
 
 def test_chunks_cover_the_run_evenly_in_at_most_the_chunk_size():
-    for count, workers in [(1, 1), (7, 1), (64, 1), (65, 1), (1000, 1), (12, 2), (1000, 2), (3, 3)]:
+    for count, workers in [
+        (1, 1), (7, 1), (64, 1), (65, 1), (1000, 1), (12, 2), (1000, 2), (3, 3), (9, 8), (17, 16)
+    ]:
         chunks = experiment._chunks(count, workers)
+        sizes = [len(chunk) for chunk in chunks]
         assert [i for chunk in chunks for i in chunk] == list(range(count))
-        assert max(len(chunk) for chunk in chunks) <= experiment._CHUNK_STATES
+        assert len(chunks) % workers == 0, (count, workers)
+        assert max(sizes) - min(sizes) <= 1, (count, workers)
+        assert max(sizes) <= experiment._CHUNK_STATES
     # Four chunks of 64, 64, 64 and 8 would leave one of two workers idle half the time.
     assert [len(chunk) for chunk in experiment._chunks(200, 2)] == [50] * 4
 
@@ -633,7 +643,7 @@ def test_nonfinite_divided_differences_stop_the_face_start(monkeypatch):
 
 
 def test_separable_column_is_the_ppt_verdict(default_run):
-    # _measure_state reads the verdict off ree's short-circuit (no Newton
+    # _measure_chunk reads the verdict off ree's short-circuit (no Newton
     # step), which judges the same lambda_min(rho^G) bits as is_separable.
     result, _ = default_run
     assert result.config.master_seed == 1
@@ -661,6 +671,27 @@ def test_every_submodule_name_is_exported():
         for public in module.__all__:
             assert public in entqfi.__all__, (name, public)
             assert getattr(entqfi, public) is getattr(module, public), (name, public)
+
+
+def test_every_exported_name_is_read_by_a_run_the_readme_or_the_benchmark():
+    # A name that only the tests read belongs in the tests: every export is
+    # loaded or imported by another src/ module, a benchmark script or
+    # README's python block.
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "entqfi").glob("*.py"), *(root / "benchmarks").glob("*.py")]
+    sources = [path.read_text(encoding="utf-8") for path in paths if path.name != "__init__.py"]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert sorted(set(entqfi.__all__) - read) == []
 
 
 def test_cli_defaults_are_the_config_defaults(capsys):

@@ -15,13 +15,11 @@ from entqfi import (
     apply_local_unitary,
     concurrence,
     derive_stream,
-    haar_unitary,
     is_separable,
     negativity,
     partial_transpose,
     random_density_matrix,
     ree,
-    relative_entropy,
 )
 from entqfi import fisher, measures, rotations, states
 from entqfi.fisher import max_mean_qfi
@@ -30,12 +28,14 @@ from entqfi.states import PAULI_PRODUCTS, clip_roundoff, solve, von_neumann_entr
 from helpers import (
     bell_diagonal,
     bell_state,
+    haar_unitary,
     inverse_ree_fixtures,
     ket,
     pure,
     random_pure_state,
     ree_bell_diagonal_oracle,
     ree_pure_oracle,
+    relative_entropy,
     werner,
 )
 

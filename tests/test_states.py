@@ -16,7 +16,6 @@ from entqfi import (
     partial_trace,
     partial_transpose,
     random_density_matrix,
-    relative_entropy,
     von_neumann_entropy,
 )
 from entqfi.states import (
@@ -28,7 +27,7 @@ from entqfi.states import (
     solve,
     svdvals,
 )
-from helpers import bell_state, ket, pure, werner
+from helpers import bell_state, ket, pure, relative_entropy, werner
 
 
 def test_pauli_algebra():
