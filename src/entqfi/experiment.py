@@ -28,7 +28,16 @@ from typing import Mapping, Sequence
 # concurrence, negativity, is_separable and random_density_matrix stay
 # importable here for benchmarks/workloads.py, which calls them through this module.
 from .fisher import _spin_qfi_matrices
-from .measures import _concurrences, _negativities, concurrence, is_separable, negativity, ree
+from .measures import (
+    _concurrences,
+    _lowest_pt_eigenvalue,
+    _negativities,
+    _ppt,
+    concurrence,
+    is_separable,
+    negativity,
+    ree,
+)
 from .ordering import (
     DEFAULT_WITNESS_LIMIT,
     MEASURE_NAMES,
@@ -162,13 +171,15 @@ def _measure_chunk(
 
     Each state draws from its own stream.  The Haar QR, one ``herm_eig`` of
     the rho stack (feeding the concurrence and G), one ``eigvalsh`` of the
-    rho^G stack (the negativity), G and both grid passes' eigensolves run
-    stacked; ``ree`` runs per state.  No number depends on the chunk."""
+    rho^G stack, whose lowest eigenvalues decide both the ``separable`` and
+    the negativity columns, G and both grid passes' eigensolves run stacked;
+    ``ree`` runs per state.  No number depends on the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
     spectra = herm_eig(rhos)
-    concurrences, negativities = _concurrences(spectra), _negativities(rhos)
+    lowest = _lowest_pt_eigenvalue(rhos)
+    concurrences, negativities = _concurrences(spectra), _negativities(lowest)
     measured = time.perf_counter()
     optima = _optimize(_spin_qfi_matrices(spectra))
     rotated = time.perf_counter()
@@ -180,8 +191,7 @@ def _measure_chunk(
             concurrence=conc,
             negativity=neg,
             ree=solution.value,
-            # ree short-circuits exactly where is_separable(rho) holds, on the same bits.
-            separable=solution.iterations == 0,
+            separable=_ppt(low),
             ree_converged=solution.converged,
             qfi_raw=optimum.raw_value,
             qfi_max=optimum.max_value,
@@ -192,8 +202,8 @@ def _measure_chunk(
             base_max_value=optimum.base_max_value,
             base_min_value=optimum.base_min_value,
         )
-        for index, conc, neg, solution, optimum in zip(
-            indices, concurrences, negativities, solutions, optima
+        for index, low, conc, neg, solution, optimum in zip(
+            indices, lowest, concurrences, negativities, solutions, optima
         )
     ]
     seconds = (sampled - started, measured - sampled, rotated - measured, solved - rotated)

@@ -32,7 +32,13 @@ from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))``.  The
 rounds are ``t = T / 100^j`` for j falling to 0, where ``T = 8 / 1e-9``
 puts the barrier's own bound 8/t at 1e-9 nats and the first j is the
 largest with ``t >= 8 / gap`` at the start: every round raises t a whole
-hundredfold and the last ends on T exactly.
+hundredfold and the last ends on T exactly.  The barrier stays:
+S(rho||sigma) is finite only if ker sigma lies in ker rho, so for a
+full-rank rho, as every sampled state is, the closest state is full rank and
+the polish is the whole solve; sigma >= 0 can be active only for a
+rank-deficient rho, which does not fix ker sigma* (for a pure rho it is the
+Schmidt complement, Vedral & Plenio, PRA 57, 1619, 1998), and a joint-face
+polish would have to carry that kernel as an unknown.
 
 Certificate.  S(rho||.) is convex with gradient -D, and for any ``Q >= 0``
 weak duality gives ``tr(sigma* D) <= lambda_max(D + Q^G)`` over PPT sigma*,
@@ -54,10 +60,12 @@ Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
 (|Phi+> reads 1 + 1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at
 most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).
-The negativity -2 lambda_min of a whole chunk of states comes from one
-stacked eigensolve of their rho^G (``_negativities``); ``ree`` reads
-lambda_min of its own rho again for its short-circuit and the barrier
-start, and ``_ppt`` judges PPT on it and on the solve's last sigma^G.
+Its lowest eigenvalue lambda_min decides PPT (``_ppt``) and the negativity,
+which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
+elsewhere, so that a separable state reads 0 in every measure.
+A chunk takes lambda_min from one stacked eigensolve of its rho^G; ``ree``
+reads it of its own rho again for its short-circuit and the barrier start,
+and ``_ppt`` judges the solve's last sigma^G too.
 The face starts take their own ``eigh`` of rho^G, as its eigenvalues can
 differ from ``eigvalsh``'s in the last bits.
 """
@@ -86,7 +94,6 @@ from .states import (
     lapack_guard,
     partial_transpose,
     solve,
-    svdvals,
 )
 
 __all__ = [
@@ -201,8 +208,7 @@ def _concurrences(spectrum: Spectrum) -> list[float]:
     root = (
         vecs * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))[:, None, :]
     ) @ vecs.conj().swapaxes(1, 2)
-    with lapack_guard():
-        vals = svdvals(root.conj() @ _SPIN_FLIP @ root)
+    vals = np.linalg.svd(root.conj() @ _SPIN_FLIP @ root, compute_uv=False)
     # np.maximum, unlike max, keeps a NaN for the range rule to reject.
     values = np.maximum(vals[:, 0] - vals[:, 1] - vals[:, 2] - vals[:, 3], 0.0)
     return [clip_roundoff(value, 0.0, 1.0, "concurrence") for value in values]
@@ -217,14 +223,14 @@ def _lowest_pt_eigenvalue(rho: np.ndarray):
 
 def negativity(rho: np.ndarray) -> float:
     """Twice the magnitude of the negative partial-transpose eigenvalue."""
-    return _negativities(np.asarray(rho)[None])[0]
+    return _negativities(_lowest_pt_eigenvalue(np.asarray(rho)[None]))[0]
 
 
-def _negativities(rhos: np.ndarray) -> list[float]:
-    """``negativity`` of each state of a (n, 4, 4) stack."""
+def _negativities(lowest: np.ndarray) -> list[float]:
+    """``negativity`` of each state from its lowest partial-transpose
+    eigenvalue: 0 wherever ``_ppt`` holds, so that separable states read 0."""
     return [
-        clip_roundoff(np.maximum(-2.0 * lowest, 0.0), 0.0, 1.0, "negativity")
-        for lowest in _lowest_pt_eigenvalue(rhos)
+        0.0 if _ppt(low) else clip_roundoff(-2.0 * low, 0.0, 1.0, "negativity") for low in lowest
     ]
 
 

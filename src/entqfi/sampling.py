@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import lapack_guard, qr
-
 __all__ = [
     "derive_stream",
     "random_density_matrix",
@@ -51,9 +49,9 @@ def _simplex_weights(cuts: np.ndarray) -> np.ndarray:
 def _haar_bases(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from the real and imaginary Gaussian parts
     ``normals[..., 0, :, :]`` and ``normals[..., 1, :, :]``, one per leading index."""
-    with lapack_guard():
-        q, diag = qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0))
+    q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0))
     # QR alone is not Haar: the R-diagonal phases must be folded back in.
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
 

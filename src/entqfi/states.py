@@ -12,11 +12,11 @@ Conventions shared by the whole package:
 * ``partial_transpose`` takes a 4x4 matrix or a ``(..., 4, 4)`` stack.
 * Hermitian matrices are symmetrized as ``(M + M†)/2`` before any
   eigendecomposition to suppress roundoff drift.
-* ``eigh``, ``eigvalsh``, ``qr``, ``svdvals`` and ``solve`` call the LAPACK
-  gufuncs behind ``np.linalg``'s ``eigh``, ``eigvalsh``, ``qr``, ``svd`` and
-  ``solve``, so their results are
+* ``eigh``, ``eigvalsh`` and ``solve`` call the LAPACK gufuncs behind
+  ``np.linalg``'s ``eigh``, ``eigvalsh`` and ``solve``, so their results are
   bit for bit the same without the per-call argument checks and error
-  state.  A LAPACK failure only sets the invalid flag: call them inside
+  state; the REE solve calls them tens of times per entangled state.  A
+  LAPACK failure only sets the invalid flag: call them inside
   ``lapack_guard()``, which raises it as ``LinAlgError``.
 * ``clip_roundoff`` is the one range rule of every reported value.
 """
@@ -145,21 +145,6 @@ def _failing(m: np.ndarray) -> np.ndarray:
         vals = _umath_linalg.eigvalsh_lo(stack, signature="D->d" if m.dtype.kind == "c" else "d->d")
     failed = np.flatnonzero(np.isnan(vals).any(axis=-1))
     return stack[failed[0]] if failed.size else m
-
-
-def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.qr(m)`` of a stack of complex matrices: Q, and the
-    diagonal of R rather than R.  Under ``lapack_guard()`` a failure raises
-    ``LinAlgError``."""
-    # The first gufunc overwrites its input with R and the reflectors.
-    a = m.astype(complex, copy=True)
-    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), np.diagonal(a, axis1=-2, axis2=-1)
-
-
-def svdvals(m: np.ndarray) -> np.ndarray:
-    """``np.linalg.svd(m, compute_uv=False)``: descending singular values."""
-    return _umath_linalg.svd(m, signature="D->d")
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from entqfi.experiment import (
 )
 from entqfi.ordering import MEASURE_NAMES
 from entqfi.rotations import REFINEMENT_TRIGGER
-from helpers import bell_state
+from helpers import bell_state, werner
 
 ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -643,13 +643,32 @@ def test_nonfinite_divided_differences_stop_the_face_start(monkeypatch):
 
 
 def test_separable_column_is_the_ppt_verdict(default_run):
-    # _measure_chunk reads the verdict off ree's short-circuit (no Newton
-    # step), which judges the same lambda_min(rho^G) bits as is_separable.
+    # _measure_chunk reads the verdict off the chunk's one stacked
+    # lambda_min(rho^G), which gives the same bits as is_separable's own.
     result, _ = default_run
     assert result.config.master_seed == 1
     for record in result.records:
         rho = random_density_matrix(derive_stream(1, record.id))
         assert record.separable == is_separable(rho), record.id
+
+
+def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(monkeypatch):
+    # werner(1/3 + 6.7e-11) has lambda_min(rho^G) = -5.0e-11: PPT within the
+    # tolerance, and its negativity reads 0, not 1.005e-10.
+    rho = werner(1.0 / 3.0 + 6.7e-11)
+    monkeypatch.setattr(experiment, "_density_matrices", lambda rngs: np.stack([rho] * len(rngs)))
+    calls = []
+
+    def counted_ree(state, cfg=None):
+        calls.append(state)
+        return ree(state, cfg)
+
+    monkeypatch.setattr(experiment, "ree", counted_ree)
+    records, _ = experiment._measure_chunk(range(3), ExperimentConfig(count=3))
+    assert len(calls) == 3
+    for record in records:
+        assert record.separable
+        assert (record.negativity, record.ree) == (0.0, 0.0)
 
 
 def test_cli_end_to_end(tmp_path, capsys):

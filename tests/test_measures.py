@@ -214,6 +214,18 @@ def test_is_separable_werner_boundary():
     assert is_separable(np.eye(4) / 4.0)
 
 
+def test_negativity_is_zero_wherever_the_ppt_verdict_holds():
+    # lambda_min(rho^G) = -5.0e-11 lies inside the PPT tolerance, so the state
+    # is separable and its negativity 0, not -2 lambda_min = 1.005e-10.
+    rho = werner(1.0 / 3.0 + 6.7e-11)
+    assert -measures.SEPARABILITY_EIG_TOL < measures._lowest_pt_eigenvalue(rho) < 0.0
+    assert is_separable(rho)
+    assert negativity(rho) == 0.0
+    # A NaN still reaches the range rule.
+    with pytest.raises(ArithmeticError, match="^negativity nan "):
+        measures._negativities(np.array([np.nan]))
+
+
 def test_separability_agrees_with_negativity():
     rng = derive_stream(100, 0)
     from entqfi import random_density_matrix
@@ -222,7 +234,7 @@ def test_separability_agrees_with_negativity():
         rho = random_density_matrix(derive_stream(100, index))
         neg = negativity(rho)
         if is_separable(rho):
-            assert neg <= 2e-10
+            assert neg == 0.0
         else:
             assert neg > 0.0
     del rng

@@ -1,7 +1,9 @@
 """Linear-algebra primitives: spectra, traces, entropies, local unitaries."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +20,7 @@ from entqfi import (
     random_density_matrix,
     von_neumann_entropy,
 )
-from entqfi.states import (
-    EigendecompositionError,
-    eigh,
-    eigvalsh,
-    lapack_guard,
-    qr,
-    solve,
-    svdvals,
-)
+from entqfi.states import EigendecompositionError, eigh, eigvalsh, lapack_guard, solve
 from helpers import bell_state, ket, pure, relative_entropy, werner
 
 
@@ -53,8 +47,7 @@ def test_herm_eig_descending_and_orthonormal():
 
 def test_lapack_kernels_match_numpy_bit_for_bit():
     # The shapes the package solves: sigma and sigma^G, the rotation
-    # classes of the refinement grid, the REE Hessian, the concurrence SVD,
-    # the Haar QR.
+    # classes of the refinement grid, the REE Hessian.
     rng = np.random.default_rng(11)
     herm = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
     sym = rng.normal(size=(372, 3, 3))
@@ -68,14 +61,33 @@ def test_lapack_kernels_match_numpy_bit_for_bit():
             assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
         mine, numpy_s = solve(square, rhs), np.linalg.solve(square, rhs)
         assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
-        general = herm[0] @ herm[1]
-        mine, numpy_s = svdvals(general), np.linalg.svd(general, compute_uv=False)
-        assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
-        # The Haar factors of sampling: one 4x4 Gaussian matrix or a chunk of them.
-        for gaussian in (general, rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))):
-            (q, r_diagonal), (numpy_q, numpy_r) = qr(gaussian), np.linalg.qr(gaussian)
-            assert np.array_equal(q, numpy_q)
-            assert np.array_equal(r_diagonal, np.diagonal(numpy_r, axis1=-2, axis2=-1))
+
+
+def test_only_states_reads_the_private_numpy_kernels_and_only_three():
+    # numpy.linalg._umath_linalg is private: one module reads it, and only
+    # the kernels that the per-state REE solve calls tens of times.  Every
+    # other linear algebra goes through public np.linalg.
+    src = Path(__file__).resolve().parents[1] / "src" / "entqfi"
+    readers, kernels = set(), set()
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+        names = [getattr(node, "module", None) or "" for node in imports]
+        names += [alias.name for node in imports for alias in node.names]
+        names += [node.attr for node in nodes if isinstance(node, ast.Attribute)]
+        if any("_umath_linalg" in name for name in names):
+            readers.add(path.name)
+        for node in imports:
+            if (getattr(node, "module", None) or "").endswith("_umath_linalg"):
+                kernels |= {alias.name for alias in node.names}
+        # The module is read only as the owner of a kernel attribute.
+        owners = {id(node.value): node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        for node in nodes:
+            if isinstance(node, ast.Name) and node.id == "_umath_linalg":
+                assert id(node) in owners, (path.name, node.lineno)
+                kernels.add(owners[id(node)])
+    assert readers == {"states.py"}
+    assert kernels == {"eigh_lo", "eigvalsh_lo", "solve1"}
 
 
 def test_lapack_kernels_raise_under_the_guard():
