@@ -52,7 +52,7 @@ from .ordering import (
 )
 from .rotations import DEFAULT_BASE_DIVISOR, DEFAULT_REFINE_DIVISOR, _optimize, stalled
 from .sampling import _density_matrices, derive_stream, random_density_matrix
-from .states import EigendecompositionError, herm_eig
+from .states import EigendecompositionError, Spectrum, herm_eig
 
 __all__ = [
     "ExperimentConfig",
@@ -173,7 +173,7 @@ def _measure_chunk(
     the rho stack (feeding the concurrence and G), one ``eigvalsh`` of the
     rho^G stack, whose lowest eigenvalues decide both the ``separable`` and
     the negativity columns, G and both grid passes' eigensolves run stacked;
-    ``ree`` runs per state.  No number depends on the chunk."""
+    ``ree`` runs per state on its rows of both.  No number depends on the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
@@ -183,7 +183,8 @@ def _measure_chunk(
     measured = time.perf_counter()
     optima = _optimize(_spin_qfi_matrices(spectra))
     rotated = time.perf_counter()
-    solutions = [ree(rho) for rho in rhos]
+    rows = zip(rhos, zip(*spectra), lowest)
+    solutions = [ree(rho, measured=(Spectrum(*row), low)) for rho, row, low in rows]
     solved = time.perf_counter()
     records = [
         StateRecord(

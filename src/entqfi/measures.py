@@ -63,9 +63,10 @@ most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).
 Its lowest eigenvalue lambda_min decides PPT (``_ppt``) and the negativity,
 which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
 elsewhere, so that a separable state reads 0 in every measure.
-A chunk takes lambda_min from one stacked eigensolve of its rho^G; ``ree``
-reads it of its own rho again for its short-circuit and the barrier start,
-and ``_ppt`` judges the solve's last sigma^G too.
+A chunk takes lambda_min from one stacked eigensolve of its rho^G and rho's
+spectrum from one ``herm_eig`` of its stack, and hands both to ``ree`` for
+its short-circuit, the barrier start and S(rho); ``_ppt`` judges the
+solve's last sigma^G too.
 The face starts take their own ``eigh`` of rho^G, as its eigenvalues can
 differ from ``eigvalsh``'s in the last bits.
 """
@@ -531,24 +532,25 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     return p, steps, t
 
 
-def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
+def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    The lowest partial-transpose eigenvalue decides the PPT short-circuit
-    (value 0, the input as its own closest state); an entangled state goes
-    to the face polish, and to the barrier only where that fails.  The
-    value is read off rho's spectrum and the last point's spectrum of the
-    closest state.  ``cfg`` is ignored.
+    ``measured`` is rho's ``herm_eig`` spectrum and its lowest
+    partial-transpose eigenvalue, given together as a chunk holds them;
+    without it ``ree`` computes both, as a batch of one.  That eigenvalue
+    decides the PPT short-circuit (value 0, the input as its own closest
+    state); an entangled state goes to the face polish, and to the barrier
+    only where that fails.  The value is read off rho's spectrum and the
+    last point's spectrum of the closest state.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
-    lowest = _lowest_pt_eigenvalue(rho)
+    spectrum, lowest = measured or (herm_eig(rho), _lowest_pt_eigenvalue(rho))
     if _ppt(lowest):
         return ReeSolution(
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
+    r, w = spectrum.eigenvalues[::-1], spectrum.eigenvectors[:, ::-1]  # ascending views
     with lapack_guard():
-        # Symmetrized as herm_eig does, so S(rho) keeps von_neumann_entropy's bits.
-        r, w = eigh(0.5 * (rho + rho.conj().T))
         point, steps = _face_polish(rho, r, w)
         t = None
         if point is None:
@@ -560,7 +562,9 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None) -> ReeSolution:
     closest = _sigmas(point.x)[0]
     # point holds the spectrum that herm_eig(closest) gives, as closest is
     # Hermitian to the last bit.
-    value = _divergence(rho, point.s[0, ::-1], point.v[0, :, ::-1], _spectral_entropy(r[::-1]))
+    value = _divergence(
+        rho, point.s[0, ::-1], point.v[0, :, ::-1], _spectral_entropy(spectrum.eigenvalues)
+    )
     gap_bits = gap / LN2
     value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
     return ReeSolution(

@@ -110,6 +110,21 @@ def ree_bell_diagonal_oracle(lambda_max: float) -> float:
     return 1.0 - h2
 
 
+def qfi_bell_diagonal_oracle(weights) -> float:
+    """Maximal mean QFI over local rotations of a Bell-diagonal state with
+    weights p: ``max_{i<j} 2 (p_i - p_j)^2 / (p_i + p_j)`` over the pairs of
+    positive total.  Each local Pauli permutes the Bell basis, and each Bell
+    pair is coupled by one of the coordinates ``(a_k +- b_k) / 2`` of the two
+    spin directions, whose squares sum to 1."""
+    p = [float(w) for w in weights]
+    return max(
+        2.0 * (p[i] - p[j]) ** 2 / (p[i] + p[j])
+        for i in range(4)
+        for j in range(i + 1, 4)
+        if p[i] + p[j] > 0.0
+    )
+
+
 def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """``count`` entangled states rho, each with its closest PPT state sigma.
 

@@ -22,6 +22,7 @@ from entqfi import (
     ExperimentResult,
     StateRecord,
     census,
+    classify_pair,
     derive_stream,
     emit_census_report,
     emit_plot_data,
@@ -45,7 +46,13 @@ from entqfi.experiment import (
 )
 from entqfi.ordering import MEASURE_NAMES
 from entqfi.rotations import REFINEMENT_TRIGGER
-from helpers import bell_state, werner
+from helpers import (
+    bell_diagonal,
+    bell_state,
+    qfi_bell_diagonal_oracle,
+    ree_bell_diagonal_oracle,
+    werner,
+)
 
 ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -415,7 +422,7 @@ def test_run_experiment_rejects_bad_jobs():
 
 
 def test_failure_names_the_state(monkeypatch):
-    def failing_ree(rho, cfg=None):
+    def failing_ree(rho, cfg=None, *, measured=None):
         raise ArithmeticError("solver produced a non-PPT candidate state")
 
     monkeypatch.setattr(experiment, "ree", failing_ree)
@@ -659,9 +666,9 @@ def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(m
     monkeypatch.setattr(experiment, "_density_matrices", lambda rngs: np.stack([rho] * len(rngs)))
     calls = []
 
-    def counted_ree(state, cfg=None):
+    def counted_ree(state, cfg=None, *, measured=None):
         calls.append(state)
-        return ree(state, cfg)
+        return ree(state, cfg, measured=measured)
 
     monkeypatch.setattr(experiment, "ree", counted_ree)
     records, _ = experiment._measure_chunk(range(3), ExperimentConfig(count=3))
@@ -669,6 +676,92 @@ def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(m
     for record in records:
         assert record.separable
         assert (record.negativity, record.ree) == (0.0, 0.0)
+
+
+def recording_ree(monkeypatch):
+    """Patch ``experiment.ree`` to forward every call, and return the list
+    that collects each call's (rho, measured, solution)."""
+    calls = []
+
+    def recorded(rho, cfg=None, *, measured=None):
+        solution = ree(rho, cfg, measured=measured)
+        calls.append((rho, measured, solution))
+        return solution
+
+    monkeypatch.setattr(experiment, "ree", recorded)
+    return calls
+
+
+def test_chunk_fed_ree_reads_the_bits_of_ree_alone(monkeypatch):
+    # The chunk hands ree its rows of the stacked rho spectrum and
+    # lambda_min(rho^G); ree(rho) computes both itself.  The rank-2
+    # Bell-diagonal state takes the barrier path, the Werner state the PPT
+    # short-circuit just inside the tolerance.
+    extras = np.stack([bell_diagonal((0.7, 0.3, 0.0, 0.0)), werner(1.0 / 3.0 + 6.7e-11)])
+    draw = experiment._density_matrices
+    monkeypatch.setattr(
+        experiment, "_density_matrices", lambda rngs: np.concatenate([draw(rngs[:-2]), extras])
+    )
+    calls = recording_ree(monkeypatch)
+
+    def recomputed(*args):
+        raise AssertionError("ree recomputed what the chunk holds")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "herm_eig", recomputed)
+        patch.setattr(measures, "_lowest_pt_eigenvalue", recomputed)
+        experiment._measure_chunk(range(66), ExperimentConfig(count=66))
+    assert len(calls) == 66
+    assert calls[-1][2].iterations == 0 < calls[-2][2].iterations
+
+    def bits(solution):
+        fields = (solution.value, solution.gap, solution.iterations, solution.converged)
+        return fields + (solution.closest_state.tobytes(),)
+
+    for rho, measured, fed in calls:
+        assert measured is not None
+        assert bits(fed) == bits(ree(rho))
+
+
+def test_bell_diagonal_witnesses_of_both_claims(monkeypatch):
+    # Equal measures, different mqfi: both read C = N = 0.4 and REE
+    # 1 - H2(0.7), with qfi_max 1.4 and 0.9.  Equal mqfi, different measures:
+    # s puts 2 (0.8 - s)^2 / (0.8 + s) on 1.4, while C reads 0.4 and 0.6.
+    s = (2.3 - math.sqrt(4.97)) / 2.0
+    m = (0.2 - s) / 2.0
+    weights = [(0.7, 0.3, 0.0, 0.0), (0.7, 0.1, 0.1, 0.1), (0.8, m, m, s)]
+    rhos = np.stack([bell_diagonal(p) for p in weights])
+    monkeypatch.setattr(experiment, "_density_matrices", lambda rngs: rhos)
+    calls = recording_ree(monkeypatch)
+    records, _ = experiment._measure_chunk(range(3), ExperimentConfig(count=3))
+    for p, record, (_, _, solution) in zip(weights, records, calls):
+        assert not record.separable
+        assert abs(record.qfi_max - qfi_bell_diagonal_oracle(p)) <= 1e-14
+        assert abs(record.ree - ree_bell_diagonal_oracle(max(p))) <= solution.gap
+    for measure in MEASURE_NAMES:
+        cell = classify_pair(records[0], records[1], measure)
+        assert (cell.measure_relation, cell.mqfi_relation) == ("equal-positive", "greater")
+        cell = classify_pair(records[0], records[2], measure)
+        assert (cell.measure_relation, cell.mqfi_relation) == ("second-greater", "equal")
+
+
+def test_records_are_invariant_under_swap_and_conjugation(monkeypatch):
+    # The angle columns are left out: the grid point that attains an
+    # extreme is not unique, and each angle column moves on about two thirds
+    # of the states.
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    rhos = experiment._density_matrices([derive_stream(1, index) for index in range(300)])
+    runs = []
+    for stack in (rhos, swap @ rhos @ swap, rhos.conj()):
+        monkeypatch.setattr(experiment, "_density_matrices", lambda rngs, stack=stack: stack)
+        runs.append(experiment._measure_chunk(range(300), ExperimentConfig(count=300))[0])
+    values = ("concurrence", "negativity", "ree", "qfi_raw", "qfi_max", "qfi_min")
+    for records in runs[1:]:
+        for base, moved in zip(runs[0], records):
+            for name in values:
+                assert abs(getattr(moved, name) - getattr(base, name)) <= 1e-13, (base.id, name)
+            for name in ("separable", "refined", "ree_converged"):
+                assert getattr(moved, name) == getattr(base, name), (base.id, name)
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -791,10 +884,10 @@ def test_cli_io_error_exits_1(tmp_path, capsys):
 def test_cli_state_failure_prints_one_line_and_exits_1(monkeypatch, tmp_path, capsys, error, message):
     poisoned = random_density_matrix(derive_stream(7, 2))
 
-    def failing_ree(rho, cfg=None):
+    def failing_ree(rho, cfg=None, *, measured=None):
         if np.array_equal(rho, poisoned):
             raise error
-        return ree(rho)
+        return ree(rho, measured=measured)
 
     monkeypatch.setattr(experiment, "ree", failing_ree)
     argv = ["--states", "4", "--seed", "7", "--jobs", "1", "--out", str(tmp_path / "out")]
