@@ -30,9 +30,9 @@ from typing import Mapping, Sequence
 from .fisher import _spin_qfi_matrices
 from .measures import (
     _concurrences,
-    _lowest_pt_eigenvalue,
     _negativities,
     _ppt,
+    _pt_eigh,
     concurrence,
     is_separable,
     negativity,
@@ -76,8 +76,8 @@ PLOT_CSV_HEADER = "measure,qfi_raw,qfi_max,qfi_min"
 # States measured by one pass of the stacked kernels.
 _CHUNK_STATES = 64
 # The timing keys of the chunk pass's layers: sampling; concurrence and
-# negativity, with the one spectrum of rho that G shares; the rotation scan
-# with G; and REE.
+# negativity, with the one spectrum of rho that G shares and the one eigh of
+# rho^G that REE's face start shares; the rotation scan with G; and REE.
 _LAYER_TIMES = ("sampling_wall", "closed_forms_wall", "rotations_wall", "ree_wall")
 
 
@@ -170,21 +170,21 @@ def _measure_chunk(
     """The records of one chunk of states and the wall seconds of each layer.
 
     Each state draws from its own stream.  The Haar QR, one ``herm_eig`` of
-    the rho stack (feeding the concurrence and G), one ``eigvalsh`` of the
-    rho^G stack, whose lowest eigenvalues decide both the ``separable`` and
-    the negativity columns, G and both grid passes' eigensolves run stacked;
-    ``ree`` runs per state on its rows of both.  No number depends on the chunk."""
+    the rho stack (for the concurrence and G), one ``eigh`` of the rho^G
+    stack (for ``separable``, the negativity and REE's face start), G and
+    both grid passes' eigensolves run stacked; ``ree`` runs per state on its
+    rows of both.  No number depends on the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
-    spectra = herm_eig(rhos)
-    lowest = _lowest_pt_eigenvalue(rhos)
+    spectra, pt_spectra = herm_eig(rhos), _pt_eigh(rhos)
+    lowest = pt_spectra[0][:, 0]
     concurrences, negativities = _concurrences(spectra), _negativities(lowest)
     measured = time.perf_counter()
     optima = _optimize(_spin_qfi_matrices(spectra))
     rotated = time.perf_counter()
-    rows = zip(rhos, zip(*spectra), lowest)
-    solutions = [ree(rho, measured=(Spectrum(*row), low)) for rho, row, low in rows]
+    rows = zip(rhos, zip(*spectra), zip(*pt_spectra))
+    solutions = [ree(rho, measured=(Spectrum(*row), pt)) for rho, row, pt in rows]
     solved = time.perf_counter()
     records = [
         StateRecord(

@@ -63,12 +63,12 @@ most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).
 Its lowest eigenvalue lambda_min decides PPT (``_ppt``) and the negativity,
 which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
 elsewhere, so that a separable state reads 0 in every measure.
-A chunk takes lambda_min from one stacked eigensolve of its rho^G and rho's
-spectrum from one ``herm_eig`` of its stack, and hands both to ``ree`` for
-its short-circuit, the barrier start and S(rho); ``_ppt`` judges the
-solve's last sigma^G too.
-The face starts take their own ``eigh`` of rho^G, as its eigenvalues can
-differ from ``eigvalsh``'s in the last bits.
+Each state's rho^G is decomposed once, by ``_pt_eigh``: a chunk takes its
+lowest eigenpair (lambda_min, phi) from one ``eigh`` of its rho^G stack and
+rho's spectrum from one ``herm_eig`` of its stack, and hands both to ``ree``
+for its short-circuit, the face starts, the barrier start and S(rho), so the
+PPT verdict, the negativity and the face start read one lambda_min.
+``_ppt`` judges the solve's last sigma^G too.
 """
 
 from __future__ import annotations
@@ -215,16 +215,16 @@ def _concurrences(spectrum: Spectrum) -> list[float]:
     return [clip_roundoff(value, 0.0, 1.0, "concurrence") for value in values]
 
 
-def _lowest_pt_eigenvalue(rho: np.ndarray):
-    """The lowest eigenvalue of rho^G, the only one that can be negative,
-    of a 4x4 rho or of each in a stack."""
+def _pt_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of rho^G, of a 4x4 rho or of
+    each in a stack; only the lowest eigenvalue can be negative."""
     with lapack_guard():
-        return eigvalsh(partial_transpose(rho))[..., 0]
+        return eigh(partial_transpose(rho))
 
 
 def negativity(rho: np.ndarray) -> float:
     """Twice the magnitude of the negative partial-transpose eigenvalue."""
-    return _negativities(_lowest_pt_eigenvalue(np.asarray(rho)[None]))[0]
+    return _negativities(_pt_eigh(np.asarray(rho)[None])[0][:, 0])[0]
 
 
 def _negativities(lowest: np.ndarray) -> list[float]:
@@ -242,7 +242,7 @@ def _ppt(lowest: float) -> bool:
 
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
-    return _ppt(_lowest_pt_eigenvalue(rho))
+    return _ppt(_pt_eigh(rho)[0][0])
 
 
 class _Point(NamedTuple):
@@ -392,20 +392,18 @@ def _coordinates(sigma: np.ndarray) -> np.ndarray:
     return 4.0 * (_TANGENTS_RE[0] @ sigma.reshape(16).view(float))
 
 
-def _lift(m: np.ndarray):
-    """``(m - e Y) / (1 - e)``, e and Y, where ``Y = (|phi><phi|)^G`` and
+def _lift(m: np.ndarray, e: float, phi: np.ndarray):
+    """``(m - e Y) / (1 - e)`` and Y, where ``Y = (|phi><phi|)^G`` and
     (e, phi) is the lowest eigenpair of m^G.  The result's partial transpose
     is m^G with its lowest eigenvalue moved to 0, so phi spans its kernel
     (Sanpera, Tarrach & Vidal), and a trace-1 m keeps trace 1."""
-    lam, vec = eigh(partial_transpose(m))
-    e, phi = lam[0], vec[:, 0]
     y = partial_transpose(np.outer(phi, phi.conj()))
-    return (m - e * y) / (1.0 - e), e, y
+    return (m - e * y) / (1.0 - e), y
 
 
-def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
+def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: float, phi: np.ndarray):
     """The polish's starts on the face, from rho's ascending spectrum r and
-    eigenvectors w, with (e, phi) the lowest eigenpair of rho^G, e < 0, and
+    eigenvectors w and the lowest eigenpair (e, phi) of rho^G, e < 0, with
     ``Y = (|phi><phi|)^G``.
 
     First sigma_1, the first-order solution of the inverse problem
@@ -416,18 +414,20 @@ def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
     multiplies by the first divided differences of ln, so G_rho divides by
     them, and it needs r_0 above ZERO_CUTOFF: rho has no zero eigenvalue.
     sigma_1 is skipped where lambda_min(sigma_1) falls below
-    _FIRST_ORDER_FLOOR r_0.  Then sigma_0 = ``_lift(rho)``, which is
-    positive definite unless rho is close to pure.
+    _FIRST_ORDER_FLOOR r_0.  Then sigma_0 = ``_lift(rho, e, phi)``, which
+    is positive definite unless rho is close to pure.
     Under ``lapack_guard()`` a non-finite divided difference raises a plain
     ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
     carries no matrix."""
-    sigma_0, e, y = _lift(rho)
+    sigma_0, y = _lift(rho, e, phi)
     if r[0] > ZERO_CUTOFF:
         yw = w.conj().T @ y @ w
         gw = yw / _log_first_differences(r)
         c = -e / float((yw.conj() * gw).real.sum())
         sigma_1 = rho + c * (w @ gw @ w.conj().T)
-        p = _point(rho, _coordinates(_lift(sigma_1 / sigma_1.trace().real)[0]))
+        sigma_1 /= sigma_1.trace().real
+        lam, vec = _pt_eigh(sigma_1)
+        p = _point(rho, _coordinates(_lift(sigma_1, lam[0], vec[:, 0])[0]))
         if p.s[0, 0] >= _FIRST_ORDER_FLOOR * r[0]:
             yield p
     yield _point(rho, _coordinates(sigma_0))
@@ -440,7 +440,7 @@ def _on_face(p: _Point) -> bool:
     return p.s[0, 0] > 0.0 and p.s[1, 1] - p.s[1, 0] > abs(p.s[1, 0])
 
 
-def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
+def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: float, phi: np.ndarray):
     """Newton on ``_kkt_system`` from the first of ``_face_starts`` that is
     ``_on_face`` with a positive least-squares mu: returns the point on the
     face, or None, and the steps taken.
@@ -452,7 +452,7 @@ def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray):
     ``_on_face``; it fails where neither start serves, a later point is not
     ``_on_face``, the KKT matrix is singular, or _POLISH_STEPS do not
     converge."""
-    for p in _face_starts(rho, r, w):
+    for p in _face_starts(rho, r, w, e, phi):
         if _on_face(p):
             residual, matrix, mu = _kkt_system(p, None)
             if mu > 0.0:  # only mu_0 can fail this; the damping keeps mu > 0
@@ -535,26 +535,26 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    ``measured`` is rho's ``herm_eig`` spectrum and its lowest
-    partial-transpose eigenvalue, given together as a chunk holds them;
-    without it ``ree`` computes both, as a batch of one.  That eigenvalue
-    decides the PPT short-circuit (value 0, the input as its own closest
-    state); an entangled state goes to the face polish, and to the barrier
-    only where that fails.  The value is read off rho's spectrum and the
-    last point's spectrum of the closest state.  ``cfg`` is ignored.
+    ``measured`` is rho's ``herm_eig`` spectrum and its ``_pt_eigh`` of
+    rho^G, as a chunk holds them; without it ``ree`` computes both, as a
+    batch of one.  The lowest eigenpair of rho^G decides the PPT
+    short-circuit (value 0, the input as its own closest state) and starts
+    an entangled state's face polish; the barrier runs only where that
+    fails.  The value is read off rho's spectrum and the last point's
+    spectrum of the closest state.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
-    spectrum, lowest = measured or (herm_eig(rho), _lowest_pt_eigenvalue(rho))
-    if _ppt(lowest):
+    spectrum, (pt_values, pt_vectors) = measured or (herm_eig(rho), _pt_eigh(rho))
+    if _ppt(pt_values[0]):
         return ReeSolution(
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
     r, w = spectrum.eigenvalues[::-1], spectrum.eigenvectors[:, ::-1]  # ascending views
     with lapack_guard():
-        point, steps = _face_polish(rho, r, w)
+        point, steps = _face_polish(rho, r, w, pt_values[0], pt_vectors[:, 0])
         t = None
         if point is None:
-            point, barrier_steps, t = _barrier_solve(rho, lowest)
+            point, barrier_steps, t = _barrier_solve(rho, pt_values[0])
             steps += barrier_steps
         gap = _dual_gap(point, t) + _GAP_ROUNDOFF_NATS
     if not _ppt(point.s[1, 0]):

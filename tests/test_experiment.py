@@ -30,6 +30,8 @@ from entqfi import (
     find_counterexamples,
     herm_eig,
     is_separable,
+    negativity,
+    partial_transpose,
     random_density_matrix,
     ree,
     run_experiment,
@@ -659,6 +661,14 @@ def test_separable_column_is_the_ppt_verdict(default_run):
         assert record.separable == is_separable(rho), record.id
 
 
+def test_negativity_never_exceeds_concurrence(default_run):
+    # N <= C for every two-qubit state (Verstraete, Audenaert, Dehaene & De
+    # Moor, J. Phys. A 34, 10327, 2001); on entangled rows of the default run
+    # C - N is at least a few 1e-6, far above roundoff.
+    result, _ = default_run
+    assert all(record.negativity <= record.concurrence for record in result.records)
+
+
 def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(monkeypatch):
     # werner(1/3 + 6.7e-11) has lambda_min(rho^G) = -5.0e-11: PPT within the
     # tolerance, and its negativity reads 0, not 1.005e-10.
@@ -693,34 +703,62 @@ def recording_ree(monkeypatch):
 
 
 def test_chunk_fed_ree_reads_the_bits_of_ree_alone(monkeypatch):
-    # The chunk hands ree its rows of the stacked rho spectrum and
-    # lambda_min(rho^G); ree(rho) computes both itself.  The rank-2
-    # Bell-diagonal state takes the barrier path, the Werner state the PPT
-    # short-circuit just inside the tolerance.
+    # The chunk hands ree its rows of the stacked rho spectrum and of the
+    # one eigh of the rho^G stack; ree(rho) computes both itself.  Each
+    # state's rho^G is decomposed once, and the PPT verdict, the negativity
+    # and the face start read its one lambda_min.  The rank-2 Bell-diagonal
+    # state takes the barrier path, the Werner state the PPT short-circuit
+    # just inside the tolerance.
     extras = np.stack([bell_diagonal((0.7, 0.3, 0.0, 0.0)), werner(1.0 / 3.0 + 6.7e-11)])
     draw = experiment._density_matrices
     monkeypatch.setattr(
         experiment, "_density_matrices", lambda rngs: np.concatenate([draw(rngs[:-2]), extras])
     )
     calls = recording_ree(monkeypatch)
+    decomposed, starts = {"eigh": [], "eigvalsh": []}, []
+
+    def spied(name, kernel):
+        def spy(m):
+            decomposed[name].extend(matrix.tobytes() for matrix in m.reshape(-1, 4, 4))
+            return kernel(m)
+
+        return spy
 
     def recomputed(*args):
         raise AssertionError("ree recomputed what the chunk holds")
 
+    face_starts = measures._face_starts
+
+    def recorded_starts(rho, r, w, e, phi):
+        starts.append(e)
+        return face_starts(rho, r, w, e, phi)
+
     with monkeypatch.context() as patch:
         patch.setattr(measures, "herm_eig", recomputed)
-        patch.setattr(measures, "_lowest_pt_eigenvalue", recomputed)
-        experiment._measure_chunk(range(66), ExperimentConfig(count=66))
+        patch.setattr(measures, "_face_starts", recorded_starts)
+        for name in ("eigh", "eigvalsh"):
+            patch.setattr(measures, name, spied(name, getattr(measures, name)))
+        records, _ = experiment._measure_chunk(range(66), ExperimentConfig(count=66))
     assert len(calls) == 66
     assert calls[-1][2].iterations == 0 < calls[-2][2].iterations
+    # The chunk's stacked eigh is the one decomposition of each rho^G.
+    for rho, _, _ in calls:
+        pt = partial_transpose(rho).tobytes()
+        assert (decomposed["eigh"].count(pt), decomposed["eigvalsh"].count(pt)) == (1, 0)
+    # The face start's e is the lambda_min that the negativity reads.
+    entangled = [record for record in records if not record.separable]
+    assert len(starts) == len(entangled) > 0
+    for e, record in zip(starts, entangled):
+        assert record.negativity == -2.0 * e
 
     def bits(solution):
         fields = (solution.value, solution.gap, solution.iterations, solution.converged)
         return fields + (solution.closest_state.tobytes(),)
 
-    for rho, measured, fed in calls:
+    for (rho, measured, fed), record in zip(calls, records):
         assert measured is not None
         assert bits(fed) == bits(ree(rho))
+        assert (record.negativity, record.separable) == (negativity(rho), is_separable(rho))
 
 
 def test_bell_diagonal_witnesses_of_both_claims(monkeypatch):

@@ -191,7 +191,7 @@ def test_partial_transpose_has_at_most_one_negative_eigenvalue():
     # Sanpera, Tarrach & Vidal (1998): so negativity is -2 lambda_min.
     for index in range(1000):
         rho = random_density_matrix(derive_stream(1, index))
-        vals = np.linalg.eigvalsh(partial_transpose(rho))
+        vals = np.linalg.eigh(partial_transpose(rho))[0]
         assert vals[1] >= 0.0
         summed = min(1.0, max(0.0, -2.0 * float(vals[vals < 0.0].sum())))
         assert negativity(rho) == summed
@@ -218,7 +218,7 @@ def test_negativity_is_zero_wherever_the_ppt_verdict_holds():
     # lambda_min(rho^G) = -5.0e-11 lies inside the PPT tolerance, so the state
     # is separable and its negativity 0, not -2 lambda_min = 1.005e-10.
     rho = werner(1.0 / 3.0 + 6.7e-11)
-    assert -measures.SEPARABILITY_EIG_TOL < measures._lowest_pt_eigenvalue(rho) < 0.0
+    assert -measures.SEPARABILITY_EIG_TOL < measures._pt_eigh(rho)[0][0] < 0.0
     assert is_separable(rho)
     assert negativity(rho) == 0.0
     # A NaN still reaches the range rule.
@@ -533,7 +533,7 @@ def test_no_usable_face_start_leaves_the_barrier_path_alone(monkeypatch):
     monkeypatch.setattr(measures, "_face_starts", lambda *args: iter(()))
     for rho in (random_density_matrix(derive_stream(1, 1)), pure(np.array([0.8, 0.0, 0.0, 0.6]))):
         r, w = np.linalg.eigh(rho)
-        assert measures._face_polish(rho, r, w) == (None, 0)
+        assert measures._face_polish(rho, r, w, *_lowest_pt_pair(rho)) == (None, 0)
         solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
         assert (solution.iterations, solution.converged) == (barrier.iterations, barrier.converged)
         assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
@@ -773,10 +773,16 @@ def test_boundary_step_stops_short_of_the_nearer_cone():
     assert boundary.max() > 0.0
 
 
+def _lowest_pt_pair(rho):
+    """The lowest eigenpair (e, phi) of rho^G, as ree passes it on."""
+    values, vectors = measures._pt_eigh(np.asarray(rho, dtype=complex))
+    return values[0], vectors[:, 0]
+
+
 def _face_starts(rho):
     """The face polish's starts for rho: sigma_1 where it serves, then sigma_0."""
     rho = np.asarray(rho, dtype=complex)
-    return list(measures._face_starts(rho, *np.linalg.eigh(rho)))
+    return list(measures._face_starts(rho, *np.linalg.eigh(rho), *_lowest_pt_pair(rho)))
 
 
 def test_face_start_lifts_the_negative_partial_transpose_eigenvalue():
@@ -829,7 +835,7 @@ def test_face_polish_damps_the_steps_that_leave_the_cone(monkeypatch):
 
     monkeypatch.setattr(measures, "_point", recording_point)
     monkeypatch.setattr(measures, "_kkt_system", recording_kkt)
-    polished, steps = measures._face_polish(rho, *np.linalg.eigh(rho))
+    polished, steps = measures._face_polish(rho, *np.linalg.eigh(rho), *_lowest_pt_pair(rho))
     assert polished is not None and steps == len(iterates)
     assert min(p.s[0, 0] for p in points) <= 0.0  # an undamped step left the cone
     assert all(s0 > 0.0 and mu > 0.0 for s0, mu in iterates)
