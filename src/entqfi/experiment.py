@@ -52,7 +52,7 @@ from .ordering import (
 )
 from .rotations import DEFAULT_BASE_DIVISOR, DEFAULT_REFINE_DIVISOR, _optimize, stalled
 from .sampling import _density_matrices, derive_stream, random_density_matrix
-from .states import EigendecompositionError, Spectrum, herm_eig
+from .states import EigendecompositionError, herm_eig
 
 __all__ = [
     "ExperimentConfig",
@@ -173,7 +173,8 @@ def _measure_chunk(
     the rho stack (for the concurrence and G), one ``eigh`` of the rho^G
     stack (for ``separable``, the negativity and REE's face start), G and
     both grid passes' eigensolves run stacked; ``ree`` runs per state on its
-    rows of both.  No number depends on the chunk."""
+    rows of both, ascending as ``eigh`` returns them.  No number depends on
+    the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
@@ -184,7 +185,7 @@ def _measure_chunk(
     optima = _optimize(_spin_qfi_matrices(spectra))
     rotated = time.perf_counter()
     rows = zip(rhos, zip(*spectra), zip(*pt_spectra))
-    solutions = [ree(rho, measured=(Spectrum(*row), pt)) for rho, row, pt in rows]
+    solutions = [ree(rho, measured=(row, pt)) for rho, row, pt in rows]
     solved = time.perf_counter()
     records = [
         StateRecord(

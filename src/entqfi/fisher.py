@@ -11,7 +11,8 @@ for a generator ``sum_a v_a S_a`` over the local spins
 The collective spin ``J_n = sum_k n_k (S^A_k + S^B_k)``, with ``S`` stacked
 in ``LOCAL_SPINS``, takes ``v = (n, n)``, so its 3x3 matrix is the fold
 ``C = G_AA + G_AB + G_BA + G_BB`` and the direction-optimized mean QFI (per
-particle, N = 2) is ``lambda_max(C) / 2``.
+particle, N = 2) is ``lambda_max(C) / 2``, the last of ``herm_eig``'s
+ascending eigenvalues.
 Terms with ``p_i + p_j`` at or below ``states.ZERO_CUTOFF`` are skipped; their
 numerators vanish as well and skipping avoids 0/0.
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PAULI_PRODUCTS, ZERO_CUTOFF, Spectrum, clip_roundoff, herm_eig
+from .states import PAULI_PRODUCTS, ZERO_CUTOFF, clip_roundoff, herm_eig
 
 __all__ = [
     "LOCAL_SPINS",
@@ -66,11 +67,11 @@ def spin_qfi_matrix(rho: np.ndarray) -> np.ndarray:
     return _spin_qfi_matrices(herm_eig(np.asarray(rho)[None]))[0]
 
 
-def _spin_qfi_matrices(spectrum: Spectrum) -> np.ndarray:
+def _spin_qfi_matrices(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """``spin_qfi_matrix`` of each state of a stack, from ``herm_eig``'s
     spectra, as a (n, 6, 6) stack."""
-    basis = spectrum.eigenvectors
-    weights = pair_weights(spectrum.eigenvalues)
+    vals, basis = spectra
+    weights = pair_weights(vals)
     # Local spins rewritten in the eigenbasis of each rho.
     s_eig = np.einsum("nai,kab,nbj->nkij", basis.conj(), LOCAL_SPINS, basis)
     g = 2.0 * np.real(np.einsum("nij,nkij,nlij->nkl", weights, s_eig, s_eig.conj()))
@@ -87,5 +88,5 @@ def c_matrix(rho: np.ndarray) -> np.ndarray:
 def max_mean_qfi(rho: np.ndarray) -> QfiResult:
     """Direction-optimized mean QFI, lambda_max(C)/2, with C."""
     c = c_matrix(rho)
-    top = clip_roundoff(herm_eig(c).eigenvalues[0], 0.0, _NUMERATOR_MAX, "mean-QFI numerator")
+    top = clip_roundoff(herm_eig(c)[0][-1], 0.0, _NUMERATOR_MAX, "mean-QFI numerator")
     return QfiResult(top / 2.0, c)

@@ -65,9 +65,11 @@ which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
 elsewhere, so that a separable state reads 0 in every measure.
 Each state's rho^G is decomposed once, by ``_pt_eigh``: a chunk takes its
 lowest eigenpair (lambda_min, phi) from one ``eigh`` of its rho^G stack and
-rho's spectrum from one ``herm_eig`` of its stack, and hands both to ``ree``
-for its short-circuit, the face starts, the barrier start and S(rho), so the
-PPT verdict, the negativity and the face start read one lambda_min.
+rho's spectrum from one ``herm_eig`` of its stack, and hands both rows to
+``ree`` as ``eigh`` returns them, ascending, for its short-circuit, the face
+starts, the barrier start and S(rho), so the PPT verdict, the negativity
+and the face start read one lambda_min.  The solve's own ``_Point`` spectra
+are ``eigh``'s too, so S(rho||sigma) reads rho's and sigma's in one order.
 ``_ppt`` judges the solve's last sigma^G too.
 """
 
@@ -85,7 +87,6 @@ from .states import (
     IDENTITY_4,
     PAULI_PRODUCTS,
     ZERO_CUTOFF,
-    Spectrum,
     _divergence,
     _spectral_entropy,
     clip_roundoff,
@@ -203,12 +204,10 @@ def concurrence(rho: np.ndarray) -> float:
     return _concurrences(herm_eig(np.asarray(rho)[None]))[0]
 
 
-def _concurrences(spectrum: Spectrum) -> list[float]:
+def _concurrences(spectra: tuple[np.ndarray, np.ndarray]) -> list[float]:
     """``concurrence`` of each state of a stack, from ``herm_eig``'s spectra."""
-    vecs = spectrum.eigenvectors
-    root = (
-        vecs * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))[:, None, :]
-    ) @ vecs.conj().swapaxes(1, 2)
+    p, vecs = spectra
+    root = (vecs * np.sqrt(np.clip(p, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     vals = np.linalg.svd(root.conj() @ _SPIN_FLIP @ root, compute_uv=False)
     # np.maximum, unlike max, keeps a NaN for the range rule to reject.
     values = np.maximum(vals[:, 0] - vals[:, 1] - vals[:, 2] - vals[:, 3], 0.0)
@@ -216,8 +215,8 @@ def _concurrences(spectrum: Spectrum) -> list[float]:
 
 
 def _pt_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of rho^G, of a 4x4 rho or of
-    each in a stack; only the lowest eigenvalue can be negative."""
+    """``eigh`` of rho^G, of a 4x4 rho or of each in a stack; only the
+    lowest eigenvalue can be negative."""
     with lapack_guard():
         return eigh(partial_transpose(rho))
 
@@ -246,7 +245,7 @@ def is_separable(rho: np.ndarray) -> bool:
 
 
 class _Point(NamedTuple):
-    """x, the ascending spectra and eigenvectors of sigma and sigma^G, V† rho V."""
+    """x, the ``eigh`` of sigma and of sigma^G stacked, and V† rho V."""
 
     x: np.ndarray
     s: np.ndarray
@@ -535,21 +534,20 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    ``measured`` is rho's ``herm_eig`` spectrum and its ``_pt_eigh`` of
-    rho^G, as a chunk holds them; without it ``ree`` computes both, as a
-    batch of one.  The lowest eigenpair of rho^G decides the PPT
-    short-circuit (value 0, the input as its own closest state) and starts
-    an entangled state's face polish; the barrier runs only where that
-    fails.  The value is read off rho's spectrum and the last point's
-    spectrum of the closest state.  ``cfg`` is ignored.
+    ``measured`` is the ``herm_eig`` of rho and the ``_pt_eigh`` of rho^G,
+    as a chunk holds them; without it ``ree`` computes both, as a batch of
+    one.  The lowest eigenpair of rho^G decides the PPT short-circuit
+    (value 0, the input as its own closest state) and starts an entangled
+    state's face polish; the barrier runs only where that fails.  The value
+    is read off rho's spectrum and the last point's spectrum of the closest
+    state.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
-    spectrum, (pt_values, pt_vectors) = measured or (herm_eig(rho), _pt_eigh(rho))
+    (r, w), (pt_values, pt_vectors) = measured or (herm_eig(rho), _pt_eigh(rho))
     if _ppt(pt_values[0]):
         return ReeSolution(
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
-    r, w = spectrum.eigenvalues[::-1], spectrum.eigenvectors[:, ::-1]  # ascending views
     with lapack_guard():
         point, steps = _face_polish(rho, r, w, pt_values[0], pt_vectors[:, 0])
         t = None
@@ -562,9 +560,7 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -
     closest = _sigmas(point.x)[0]
     # point holds the spectrum that herm_eig(closest) gives, as closest is
     # Hermitian to the last bit.
-    value = _divergence(
-        rho, point.s[0, ::-1], point.v[0, :, ::-1], _spectral_entropy(spectrum.eigenvalues)
-    )
+    value = _divergence(rho, point.s[0], point.v[0], _spectral_entropy(r))
     gap_bits = gap / LN2
     value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
     return ReeSolution(

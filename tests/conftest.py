@@ -13,7 +13,7 @@ from entqfi import (
 
 @pytest.fixture(scope="session")
 def default_run(tmp_path_factory):
-    """Full default experiment plus its emitted files; roughly 20 seconds."""
+    """Full default experiment plus its emitted files, computed once per session."""
     cfg = ExperimentConfig()
     result = run_experiment(cfg, jobs=1)
     out_dir = tmp_path_factory.mktemp("default_run")

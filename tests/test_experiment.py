@@ -438,13 +438,13 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched measure reaches pool workers only through fork")
     # The chunk pass takes the concurrences of a whole chunk from its spectra.
-    poisoned = herm_eig(random_density_matrix(derive_stream(7, 1))).eigenvalues
+    poisoned = herm_eig(random_density_matrix(derive_stream(7, 1)))[0]
     concurrences = experiment._concurrences
 
-    def failing_concurrences(spectrum):
-        if any(np.array_equal(values, poisoned) for values in spectrum.eigenvalues):
+    def failing_concurrences(spectra):
+        if any(np.array_equal(values, poisoned) for values in spectra[0]):
             raise IndexError("index 4 is out of bounds for axis 0 with size 4")
-        return concurrences(spectrum)
+        return concurrences(spectra)
 
     monkeypatch.setattr(experiment, "_concurrences", failing_concurrences)
     message = r"^state 1 \(master seed 7\): IndexError: index 4 is out of bounds"

@@ -20,8 +20,19 @@ from entqfi import (
     random_density_matrix,
     von_neumann_entropy,
 )
-from entqfi.states import EigendecompositionError, eigh, eigvalsh, lapack_guard, solve
-from helpers import bell_state, ket, pure, relative_entropy, werner
+from entqfi import measures, states
+from entqfi.measures import _pt_eigh
+from entqfi.states import (
+    EigendecompositionError,
+    _divergence,
+    _spectral_entropy,
+    clip_roundoff,
+    eigh,
+    eigvalsh,
+    lapack_guard,
+    solve,
+)
+from helpers import BELL_VECTORS, bell_state, haar_unitary, ket, pure, relative_entropy, werner
 
 
 def test_pauli_algebra():
@@ -34,15 +45,29 @@ def test_pauli_algebra():
     assert np.allclose(PAULI[2] @ PAULI[0], 1j * PAULI[1])
 
 
-def test_herm_eig_descending_and_orthonormal():
+def test_herm_eig_and_pt_eigh_hand_on_eighs_ascending_pairs():
+    # One spectrum format: herm_eig is np.linalg.eigh of (M + M†)/2 bit for
+    # bit, on one matrix and on a stack, and _pt_eigh is np.linalg.eigh of
+    # rho^G; both ascending, with orthonormal columns that rebuild the input.
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = m + m.conj().T
-    spec = herm_eig(m)
-    assert np.all(np.diff(spec.eigenvalues) <= 0)
-    assert np.allclose(spec.eigenvectors.conj().T @ spec.eigenvectors, np.eye(4), atol=1e-12)
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    assert np.max(np.abs(rebuilt - m)) < 1e-12
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    hermitian = m + m.conj().T
+    for matrix in (m, stack, hermitian):
+        vals, vecs = herm_eig(matrix)
+        numpy_vals, numpy_vecs = np.linalg.eigh(0.5 * (matrix + matrix.conj().swapaxes(-1, -2)))
+        assert vals.dtype == numpy_vals.dtype == float and np.array_equal(vals, numpy_vals)
+        assert vecs.dtype == numpy_vecs.dtype and np.array_equal(vecs, numpy_vecs)
+    rhos = np.stack([random_density_matrix(derive_stream(7, i)) for i in range(5)])
+    for rho in (rhos[0], rhos):
+        pair, numpy_pair = _pt_eigh(rho), np.linalg.eigh(partial_transpose(rho))
+        for mine, numpy_s in zip(pair, numpy_pair):
+            assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+    pairs = [(hermitian, herm_eig(hermitian)), (partial_transpose(rhos[0]), _pt_eigh(rhos[0]))]
+    for matrix, (vals, vecs) in pairs:
+        assert np.all(np.diff(vals) >= 0)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
+        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - matrix)) < 1e-12
 
 
 def test_lapack_kernels_match_numpy_bit_for_bit():
@@ -212,6 +237,48 @@ def test_relative_entropy_clips_only_roundoff_below_zero():
     assert relative_entropy(rho, (1.0 + 1e-14) * rho) == 0.0
     with pytest.raises(ArithmeticError, match=r"^relative entropy -1\.4\d*e-11 lies outside \[0, inf\]"):
         relative_entropy(rho, (1.0 + 1e-11) * rho)
+
+
+def test_divergence_roundoff_holds_its_measured_worst_cases_300_times_over(monkeypatch):
+    # The raw values that reach the range rule, before it clips: S(rho||rho)
+    # over master seeds 1-4 and 15, ids 0-159, cut to rank 1 + id % 4 by
+    # keeping the largest eigenvalues; the four Bell states under 500 Haar
+    # local unitary pairs each and 2000 product pure states, from
+    # default_rng(0).  Each lies outside its range by at most
+    # _DIVERGENCE_ROUNDOFF / 300; the worst, the concurrence, by 2.9e-15.
+    raw = {}
+
+    def recorded(value, low, high, what, slack=states._DIVERGENCE_ROUNDOFF):
+        excess = max(low - float(value), float(value) - high)
+        raw[what] = max(raw.get(what, -math.inf), excess)
+        return clip_roundoff(value, low, high, what, slack)
+
+    monkeypatch.setattr(states, "clip_roundoff", recorded)
+    monkeypatch.setattr(measures, "clip_roundoff", recorded)
+    for seed in (1, 2, 3, 4, 15):
+        for index in range(160):
+            vals, vecs = herm_eig(random_density_matrix(derive_stream(seed, index)))
+            vals = np.where(np.arange(4) >= 3 - index % 4, vals, 0.0)
+            rho = (vecs * (vals / vals.sum())) @ vecs.conj().T
+            vals, vecs = herm_eig(rho)
+            _divergence(rho, vals, vecs, _spectral_entropy(vals))
+    rng = np.random.default_rng(0)
+    bells = np.stack(
+        [
+            apply_local_unitary(bell_state(kind), haar_unitary(rng, 2), haar_unitary(rng, 2))
+            for kind in BELL_VECTORS
+            for _ in range(500)
+        ]
+    )
+    measures._concurrences(herm_eig(bells))
+    measures._negativities(_pt_eigh(bells)[0][:, 0])
+    for _ in range(2000):
+        product = np.kron(haar_unitary(rng, 2)[:, 0], haar_unitary(rng, 2)[:, 0])
+        von_neumann_entropy(pure(product))
+    assert set(raw) == {"relative entropy", "concurrence", "negativity", "von Neumann entropy"}
+    for what, excess in raw.items():
+        assert excess <= states._DIVERGENCE_ROUNDOFF / 300, (what, excess)
+    assert states._DIVERGENCE_ROUNDOFF == 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
