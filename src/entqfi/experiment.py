@@ -172,7 +172,7 @@ def _measure_chunk(
     Each state draws from its own stream.  The Haar QR, one ``herm_eig`` of
     the rho stack (for the concurrence and G), one ``eigh`` of the rho^G
     stack (for ``separable``, the negativity and REE's face start), G and
-    both grid passes' eigensolves run stacked; ``ree`` runs per state on its
+    both grid passes' class values run stacked; ``ree`` runs per state on its
     rows of both, ascending as ``eigh`` returns them.  No number depends on
     the chunk."""
     started = time.perf_counter()

@@ -71,10 +71,13 @@ def _spin_qfi_matrices(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """``spin_qfi_matrix`` of each state of a stack, from ``herm_eig``'s
     spectra, as a (n, 6, 6) stack."""
     vals, basis = spectra
-    weights = pair_weights(vals)
-    # Local spins rewritten in the eigenbasis of each rho.
-    s_eig = np.einsum("nai,kab,nbj->nkij", basis.conj(), LOCAL_SPINS, basis)
-    g = 2.0 * np.real(np.einsum("nij,nkij,nlij->nkl", weights, s_eig, s_eig.conj()))
+    n = len(vals)
+    weights = pair_weights(vals).reshape(n, 1, 16)
+    # Local spins rewritten in the eigenbasis of each rho, <i|S_a|j> flattened
+    # over the 16 pairs (i, j); G sums the weighted products over the pairs.
+    s_eig = basis.conj().swapaxes(1, 2)[:, None] @ LOCAL_SPINS @ basis[:, None]
+    s_eig = s_eig.reshape(n, 6, 16)
+    g = 2.0 * np.real((s_eig * weights) @ s_eig.conj().swapaxes(1, 2))
     return 0.5 * (g + g.swapaxes(1, 2))
 
 

@@ -15,8 +15,10 @@ on ``R = M_Aᵀ M_B``: it is ``lambda_max(A G Aᵀ) / 2`` with ``A = [I | R]``.
 
 A state-independent table per divisor lists the distinct R on the k^6 grid
 (4 for k = 2, 24 for k = 4, 372 for k = 6) in the order of the first flat
-grid index reaching each, and a pass is one batched 3x3 eigensolve over
-them, for one state or for a whole chunk of states at once.  All points of
+grid index reaching each.  A pass builds every class's 3x3 form A G Aᵀ,
+for one state or for a whole chunk of states at once, and takes only its
+top eigenvalue: in closed form, elementwise over the stack, and from LAPACK
+for the few forms whose top two eigenvalues nearly coincide.  All points of
 a class share its value exactly, so the first class attaining an extreme
 is the lexicographically first grid point attaining it.
 """
@@ -51,6 +53,16 @@ DEFAULT_REFINE_DIVISOR = 6
 # A grid direction counts as unimproved when it moves the raw value by
 # no more than this, which is also the refinement trigger.
 REFINEMENT_TRIGGER = 1e-9
+
+# The closed form of ``_top_eigenvalues`` gives way to LAPACK where 1 + r
+# falls below this.  Near r = -1 its error grows like 1/sqrt(1 + r): with
+# 1e-6 here, the 200 Bell-diagonal draws of
+# test_closed_form_tops_take_lapack_near_a_double_top err by up to 2.3e-13,
+# and with 1e-3 by 8.0e-15.  At 1e-2 that test measures at most 4.9e-15,
+# and test_closed_form_tops_match_eigvalsh_on_seeded_states 3.1e-15, each
+# against eigvalsh; 0.9-1.2% of the class forms of master seeds 1-4 and 15
+# fall back.
+_NEAR_DOUBLE_TOP = 1e-2
 
 TWO_PI = 2.0 * np.pi
 
@@ -172,12 +184,43 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
 
 def _grid_tops(g: np.ndarray, divisor: int) -> np.ndarray:
     """lambda_max(A G Aᵀ) of every relative-rotation class of the k^6 grid
-    for each G of a (n, 6, 6) stack, as (n, classes): one batched 3x3
-    eigensolve over the whole stack."""
+    for each G of a (n, 6, 6) stack, as (n, classes), from ``_top_eigenvalues``
+    over the whole stack."""
     _, spans = _relative_classes(divisor)
-    forms = spans @ g[:, None] @ spans.transpose(0, 2, 1)
-    with lapack_guard():
-        return eigvalsh(forms)[..., -1]
+    return _top_eigenvalues(spans @ g[:, None] @ spans.transpose(0, 2, 1))
+
+
+def _top_eigenvalues(forms: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of each real symmetric 3x3 matrix of a stack,
+    read from the lower triangle as LAPACK reads it.
+
+    The trigonometric closed form (Smith, Commun. ACM 4, 168, 1961) runs
+    elementwise: with q = tr/3, p^2 = tr((A - qI)^2)/6 and
+    r = det((A - qI)/p)/2, lambda_max = q + 2p cos(arccos(r)/3).  The form
+    of I/4, p = 0, reads q.  Where the top two eigenvalues nearly coincide,
+    1 + r below ``_NEAR_DOUBLE_TOP``, arccos loses digits; those rows, and
+    any row holding a NaN, take ``eigvalsh`` under one ``lapack_guard()``,
+    which raises on the NaN with the failing form."""
+    a00, a11, a22 = forms[..., 0, 0], forms[..., 1, 1], forms[..., 2, 2]
+    a10, a20, a21 = forms[..., 1, 0], forms[..., 2, 0], forms[..., 2, 1]
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p2 = (b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)) / 6.0
+    p = np.sqrt(p2)
+    scale = np.divide(1.0, p, out=np.zeros_like(p), where=p2 > 0.0)
+    b00, b11, b22, b10, b20, b21 = (x * scale for x in (b00, b11, b22, a10, a20, a21))
+    det = (
+        b00 * (b11 * b22 - b21 * b21)
+        - b10 * (b10 * b22 - b21 * b20)
+        + b20 * (b10 * b21 - b11 * b20)
+    )
+    r = np.clip(0.5 * det, -1.0, 1.0)
+    tops = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    near = ~(1.0 + r >= _NEAR_DOUBLE_TOP)
+    if near.any():
+        with lapack_guard():
+            tops[near] = eigvalsh(forms[near])[:, -1]
+    return tops
 
 
 def _grid_optimum(tops: np.ndarray, divisor: int) -> LoccOptimum:
@@ -222,8 +265,9 @@ def optimize_with_refinement(rho: np.ndarray) -> LoccOptimum:
 
 def _optimize(g: np.ndarray) -> list[LoccOptimum]:
     """``optimize_with_refinement`` for each G of a (n, 6, 6) stack: the
-    base pass's eigensolve runs over the whole stack, the refinement's over
-    the stalled states only; the range rules and the merge run per state."""
+    base pass's class values come from the whole stack, the refinement's
+    from the stalled states only; the range rules and the merge run per
+    state."""
     optima = [
         _grid_optimum(tops, DEFAULT_BASE_DIVISOR) for tops in _grid_tops(g, DEFAULT_BASE_DIVISOR)
     ]

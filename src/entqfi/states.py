@@ -15,8 +15,11 @@ Conventions shared by the whole package:
   LAPACK reads only the lower triangle.  ``herm_eig`` alone symmetrizes,
   as ``(M + M†)/2``; the states that a caller or the sampler passes in, and
   ``fisher``'s C, go through it.  The matrices that the package builds
-  (rho^G, REE's sigma, sigma^G and dual matrices, the rotation forms) are
-  decomposed as built.
+  (rho^G, REE's sigma, sigma^G and dual matrices) are decomposed as built.
+  The rotation forms A G Aᵀ are not decomposed: ``rotations`` reads only
+  their top eigenvalue, in closed form from the lower triangle, and takes
+  ``eigvalsh`` of a form as built only where its top two eigenvalues
+  nearly coincide.
 * ``eigh``, ``eigvalsh`` and ``solve`` call the LAPACK gufuncs behind
   ``np.linalg``'s ``eigh``, ``eigvalsh`` and ``solve``, so their results are
   bit for bit the same without the per-call argument checks and error

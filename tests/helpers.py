@@ -12,6 +12,7 @@ from entqfi import (
     random_density_matrix,
     von_neumann_entropy,
 )
+from entqfi.fisher import LOCAL_SPINS, pair_weights
 from entqfi.measures import _log_first_differences
 from entqfi.sampling import _haar_bases, _simplex_weights
 from entqfi.states import _divergence
@@ -81,6 +82,17 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         if not np.isfinite(m).all():
             raise ArithmeticError(f"relative entropy needs a finite {name}")
     return _divergence(rho, *herm_eig(sigma), von_neumann_entropy(rho))
+
+
+def spin_qfi_matrices_einsum(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """G of each state of a stack from ``herm_eig``'s spectra, summed by two
+    three-operand einsums over the local spins in each eigenbasis: the
+    reference for ``fisher._spin_qfi_matrices``."""
+    vals, basis = spectra
+    weights = pair_weights(vals)
+    s_eig = np.einsum("nai,kab,nbj->nkij", basis.conj(), LOCAL_SPINS, basis)
+    g = 2.0 * np.real(np.einsum("nij,nkij,nlij->nkl", weights, s_eig, s_eig.conj()))
+    return 0.5 * (g + g.swapaxes(1, 2))
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,7 @@ from entqfi import (
     run_experiment,
 )
 import entqfi
-from entqfi import experiment, measures
+from entqfi import experiment, measures, rotations
 from entqfi.cli import build_parser, main
 from entqfi.experiment import (
     PLOT_CSV_HEADER,
@@ -542,20 +542,83 @@ def test_stacked_eigensolve_failure_names_the_state_and_keeps_its_matrix(monkeyp
     assert np.array_equal(copy.matrix, matrix, equal_nan=True)
 
 
+def records_in_chunks(cfg, size):
+    """The run's records, measured in consecutive chunks of ``size`` states."""
+    return [
+        record
+        for start in range(0, cfg.count, size)
+        for record in experiment._measure_chunk(range(start, min(start + size, cfg.count)), cfg)[0]
+    ]
+
+
 @pytest.mark.parametrize("seed", [1, 15])
 def test_chunking_never_moves_a_number(seed):
     # numpy promises no equal einsum or matmul bits across stack shapes, so
     # this guards the stacked kernels on every numpy the pin admits.
     cfg = ExperimentConfig(count=256, master_seed=seed)
-    by_size = {}
-    for size in (1, 7, 64):
-        by_size[size] = [
-            record
-            for start in range(0, cfg.count, size)
-            for record in experiment._measure_chunk(range(start, min(start + size, cfg.count)), cfg)[0]
-        ]
+    by_size = {size: records_in_chunks(cfg, size) for size in (1, 7, 64)}
     assert [r.id for r in by_size[1]] == list(range(cfg.count))
     assert by_size[1] == by_size[7] == by_size[64]
+
+
+def test_chunking_never_moves_a_number_where_the_rotation_scan_takes_lapack(monkeypatch):
+    # Two degenerate Bell-diagonal states replace seeded states 3 and 100, so
+    # their class forms with a double top eigenvalue reach the rotation
+    # scan's LAPACK fallback from inside stacks of 7 and 64 states.
+    cfg = ExperimentConfig(count=128, master_seed=1)
+    degenerate = {3: (0.7, 0.1, 0.1, 0.1), 100: (0.5, 0.5, 0.0, 0.0)}
+    swapped = {
+        random_density_matrix(derive_stream(cfg.master_seed, index)).tobytes(): bell_diagonal(p)
+        for index, p in degenerate.items()
+    }
+    draw = experiment._density_matrices
+    monkeypatch.setattr(
+        experiment,
+        "_density_matrices",
+        lambda rngs: np.stack([swapped.get(rho.tobytes(), rho) for rho in draw(rngs)]),
+    )
+    fallback_rows = []
+    eigvalsh = rotations.eigvalsh
+
+    def spied(m):
+        fallback_rows.append(len(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(rotations, "eigvalsh", spied)
+    by_size = {}
+    for size in (1, 7, 64):
+        fallback_rows.clear()
+        by_size[size] = records_in_chunks(cfg, size)
+        assert fallback_rows, size
+    assert by_size[1] == by_size[7] == by_size[64]
+    for index, p in degenerate.items():
+        assert abs(by_size[64][index].qfi_max - qfi_bell_diagonal_oracle(p)) <= 1e-14
+
+
+def test_nan_in_one_states_g_stops_the_run_with_that_state_named(monkeypatch):
+    # G reaches the closed form of the class values before any LAPACK call.
+    # A NaN row fails its 1 + r test, so it goes to eigvalsh under
+    # lapack_guard(), which raises with the state's class form; the chunk
+    # reruns state by state.
+    target = herm_eig(random_density_matrix(derive_stream(9, 3)))[0]
+    build = experiment._spin_qfi_matrices
+
+    def poisoned(spectra):
+        g = build(spectra)
+        for values, matrix in zip(spectra[0], g):
+            if np.array_equal(values, target):
+                matrix[0, 1] = matrix[1, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(experiment, "_spin_qfi_matrices", poisoned)
+    cfg = ExperimentConfig(count=7, master_seed=9)
+    assert experiment._chunks(cfg.count, 1) == [range(7)]
+    with pytest.raises(EigendecompositionError, match=r"^state 3 \(master seed 9\): ") as info:
+        run_experiment(cfg, jobs=1)
+    assert info.value.matrix.shape == (3, 3)
+    assert np.isnan(info.value.matrix[0, 0])
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert str(copy) == str(info.value)
 
 
 def test_chunks_cover_the_run_evenly_in_at_most_the_chunk_size():

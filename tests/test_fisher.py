@@ -9,9 +9,18 @@ from entqfi import (
     random_density_matrix,
     derive_stream,
 )
-from entqfi.fisher import LOCAL_SPINS, pair_weights, spin_qfi_matrix
-from entqfi.states import ZERO_CUTOFF
-from helpers import bell_state, ket, pure, random_pure_state
+from entqfi.fisher import LOCAL_SPINS, _spin_qfi_matrices, pair_weights, spin_qfi_matrix
+from entqfi.sampling import _density_matrices
+from entqfi.states import ZERO_CUTOFF, herm_eig
+from helpers import (
+    bell_diagonal,
+    bell_state,
+    ket,
+    pure,
+    random_pure_state,
+    spin_qfi_matrices_einsum,
+    werner,
+)
 
 
 def test_collective_spin_algebra():
@@ -80,6 +89,26 @@ def test_spin_qfi_matrix_is_quadratic_form_over_local_spins():
             h = np.einsum("k,kij->ij", v, LOCAL_SPINS)
             direct = np.sum(2.0 * weights * np.abs(basis.conj().T @ h @ basis) ** 2)
             assert direct == pytest.approx(float(v @ g @ v), abs=1e-10)
+
+
+def test_spin_qfi_matrices_match_the_einsum_oracle_and_are_exactly_symmetric():
+    # Seeded states of master seeds 1 and 15, and the degenerate fixtures
+    # whose class forms reach the rotation scan's LAPACK fallback.
+    rhos = np.concatenate([
+        _density_matrices([derive_stream(seed, index) for index in range(64)])
+        for seed in (1, 15)
+    ] + [
+        np.stack([
+            bell_diagonal((0.7, 0.1, 0.1, 0.1)), bell_diagonal((0.5, 0.5, 0.0, 0.0)),
+            pure(ket("00")), werner(0.6), np.eye(4) / 4.0,
+        ]).astype(complex)
+    ])
+    spectra = herm_eig(rhos)
+    g = _spin_qfi_matrices(spectra)
+    assert g.shape == (len(rhos), 6, 6)
+    assert np.array_equal(g, g.swapaxes(1, 2))
+    # Measured: at most 3.3e-16.
+    assert np.abs(g - spin_qfi_matrices_einsum(spectra)).max() <= 1e-15
 
 
 def test_max_mean_qfi_fixtures():

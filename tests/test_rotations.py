@@ -1,6 +1,7 @@
 """Euler-angle grid search over local rotations of the mean QFI."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from entqfi import (
     derive_stream,
 )
 from entqfi import rotations
+from entqfi.fisher import _spin_qfi_matrices
 from entqfi.rotations import REFINEMENT_TRIGGER, _adjoint_matrix, _relative_classes
-from helpers import bell_state, ket, pure
+from entqfi.sampling import _density_matrices
+from entqfi.states import herm_eig
+from helpers import bell_diagonal, bell_state, ket, pure, werner
 
 PI = np.pi
 
@@ -231,3 +235,74 @@ def test_search_is_deterministic():
     first = optimize_with_refinement(rho)
     second = optimize_with_refinement(rho)
     assert first == second
+
+
+def class_forms(rhos, divisor):
+    """The 3x3 form A G Aᵀ of every relative-rotation class for each state,
+    as the grid pass builds them."""
+    _, spans = _relative_classes(divisor)
+    g = _spin_qfi_matrices(herm_eig(np.asarray(rhos, dtype=complex)))
+    return spans @ g[:, None] @ spans.transpose(0, 2, 1)
+
+
+def closed_form_alone(monkeypatch, forms):
+    """``_top_eigenvalues`` with the LAPACK fallback switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rotations, "_NEAR_DOUBLE_TOP", -math.inf)
+        return rotations._top_eigenvalues(forms)
+
+
+def test_closed_form_tops_match_eigvalsh_on_seeded_states(monkeypatch):
+    # The grid reads each class value only through its argmax and argmin,
+    # and over master seeds 1-4 and 15 the extreme classes beat the next by
+    # at least 4.99e-8, so the same picks follow from any error far below.
+    rhos = _density_matrices([derive_stream(1, index) for index in range(64)])
+    for divisor in (4, 6):
+        forms = class_forms(rhos, divisor)
+        tops = rotations._top_eigenvalues(forms)
+        reference = np.linalg.eigvalsh(forms)[..., -1]
+        assert np.array_equal(tops.argmax(axis=1), reference.argmax(axis=1))
+        assert np.array_equal(tops.argmin(axis=1), reference.argmin(axis=1))
+        # Measured: 1.6e-15 (pi/2 grid) and 3.1e-15 (pi/3 grid); the formula
+        # alone reads 1.1e-14 on the pi/3 grid.
+        assert np.abs(tops - reference).max() <= 1e-14, divisor
+
+
+def test_closed_form_tops_take_lapack_near_a_double_top(monkeypatch):
+    # Near 1 + r = 0 the top two eigenvalues meet and arccos loses half the
+    # digits; the rows below _NEAR_DOUBLE_TOP go to eigvalsh instead.
+    draws = np.random.default_rng(0).dirichlet(np.ones(4), size=200)
+    degenerate = {
+        "bell_diagonal(0.7, 0.1, 0.1, 0.1)": [bell_diagonal((0.7, 0.1, 0.1, 0.1))],
+        "bell_diagonal(0.5, 0.5, 0, 0)": [bell_diagonal((0.5, 0.5, 0.0, 0.0))],
+        "|00>": [pure(ket("00"))],
+        "werner(0.6)": [werner(0.6)],
+    }
+    fixtures = {**degenerate, "200 Dirichlet draws": [bell_diagonal(p) for p in draws]}
+    taken = []
+    eigvalsh = rotations.eigvalsh
+
+    def spied(m):
+        taken.append(len(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(rotations, "eigvalsh", spied)
+    for name, rhos in fixtures.items():
+        for divisor in (4, 6):
+            forms = class_forms(rhos, divisor)
+            reference = np.linalg.eigvalsh(forms)[..., -1]
+            taken.clear()
+            tops = rotations._top_eigenvalues(forms)
+            assert taken and taken[0] > 0, (name, divisor)
+            # Measured: at most 4.9e-15 (the Dirichlet draws on the pi/3 grid).
+            assert np.abs(tops - reference).max() <= 1e-14, (name, divisor)
+            alone = np.abs(closed_form_alone(monkeypatch, forms) - reference).max()
+            # Measured: 7.3e-9 to 1.5e-8 on the four degenerate states, and
+            # 9.6e-14 (pi/2 grid) and 5.3e-12 (pi/3 grid) on the Dirichlet draws.
+            assert alone > (1e-10 if name in degenerate else 1e-14), (name, divisor)
+    # I/4 has G = 0: every form is zero, p = 0, and the formula reads q = 0
+    # with no RuntimeWarning and no LAPACK call.
+    taken.clear()
+    for divisor in (4, 6):
+        assert not rotations._top_eigenvalues(class_forms([np.eye(4) / 4.0], divisor)).any()
+    assert taken == []
