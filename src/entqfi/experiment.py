@@ -4,7 +4,9 @@ A run draws ``count`` seeded states, computes concurrence, negativity,
 PPT separability and REE for each, grid-optimizes the mean QFI over local
 rotations (with the finer rerun where a direction stalls), then builds the
 pairwise ordering censuses and counterexample witnesses.  The states are
-measured a chunk at a time, every layer but REE on stacked kernels.
+measured a chunk at a time, every layer on stacked kernels: REE's face
+polish runs over the chunk's entangled states at once, and ``ree`` then
+certifies and reports each state.
 
 Every byte written is a pure function of the configuration: the per-state
 work depends only on ``(master_seed, index)``, not on the chunk, floats
@@ -33,6 +35,7 @@ from .measures import (
     _negativities,
     _ppt,
     _pt_eigh,
+    _ree_inputs,
     concurrence,
     is_separable,
     negativity,
@@ -77,7 +80,8 @@ PLOT_CSV_HEADER = "measure,qfi_raw,qfi_max,qfi_min"
 _CHUNK_STATES = 64
 # The timing keys of the chunk pass's layers: sampling; concurrence and
 # negativity, with the one spectrum of rho that G shares and the one eigh of
-# rho^G that REE's face start shares; the rotation scan with G; and REE.
+# rho^G that REE's face start shares; the rotation scan with G; and REE, its
+# stacked face polish and each state's ree.
 _LAYER_TIMES = ("sampling_wall", "closed_forms_wall", "rotations_wall", "ree_wall")
 
 
@@ -171,10 +175,11 @@ def _measure_chunk(
 
     Each state draws from its own stream.  The Haar QR, one ``herm_eig`` of
     the rho stack (for the concurrence and G), one ``eigh`` of the rho^G
-    stack (for ``separable``, the negativity and REE's face start), G and
-    both grid passes' class values run stacked; ``ree`` runs per state on its
-    rows of both, ascending as ``eigh`` returns them.  No number depends on
-    the chunk."""
+    stack (for ``separable``, the negativity and REE's face start), G, both
+    grid passes with their read-off, and REE's face polish over the
+    entangled rows run stacked; ``ree`` then runs once per state on its row
+    of ``measures._ree_inputs``, and ``ree_wall`` times both.  No number
+    depends on the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
@@ -184,8 +189,9 @@ def _measure_chunk(
     measured = time.perf_counter()
     optima = _optimize(_spin_qfi_matrices(spectra))
     rotated = time.perf_counter()
-    rows = zip(rhos, zip(*spectra), zip(*pt_spectra))
-    solutions = [ree(rho, measured=(row, pt)) for rho, row, pt in rows]
+    solutions = [
+        ree(rho, measured=row) for rho, row in zip(rhos, _ree_inputs(rhos, spectra, pt_spectra))
+    ]
     solved = time.perf_counter()
     records = [
         StateRecord(

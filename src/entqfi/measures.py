@@ -23,10 +23,19 @@ the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G) on 0 to
 first order, lifted onto the face; where that start does not serve, at
 ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``.  mu starts at its
 least-squares value; a step that would leave sigma > 0 or mu > 0 is damped.
+The polish runs stacked over the entangled states of a chunk, from the
+first-order start to the last Newton step, under one ``lapack_guard()``:
+each state keeps its own mu, damping, step count and convergence, and
+leaves the stack as it converges or fails.  A singular KKT matrix in the
+stacked solve is found by solving each system of the stack alone, so it
+ends only its own state's polish; damped steps run state by state.  The
+divided differences of ln stay scalar ``math.log1p``, looped per state, as
+numpy's logarithms differ in the last bit.  ``ree(rho)`` alone runs the
+same polish as a stack of one.
 
 Barrier fallback.  Where sigma_1 and sigma_0 do not serve or the polish
 fails (sigma >= 0 active at the optimum: pure and rank-deficient rho), the
-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
+barrier method, run for that state alone, (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
 damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
 from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))``.  The
 rounds are ``t = T / 100^j`` for j falling to 0, where ``T = 8 / 1e-9``
@@ -52,9 +61,11 @@ state is full rank and PPT: on the PPT boundary after the polish, strictly
 interior after the barrier; the value is recomputed as S(rho||closest)
 from the spectra of rho and of the closest state that the solve holds.
 The solver works in nats, reports bits.  Its spectra and Newton solves run
-on the LAPACK kernels of ``states`` under one ``lapack_guard()`` per solve:
-a failed spectrum raises ``EigendecompositionError``; a singular KKT matrix
-ends the polish, a singular barrier Hessian the solve, where it is.
+on the LAPACK kernels of ``states`` under one ``lapack_guard()`` per
+stacked polish and one per state's barrier and certificate: a failed
+spectrum raises ``EigendecompositionError``, and a chunk that fails reruns
+state by state to name it; a singular KKT matrix ends its state's polish,
+a singular barrier Hessian the solve, where it is.
 
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
@@ -65,10 +76,11 @@ which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
 elsewhere, so that a separable state reads 0 in every measure.
 Each state's rho^G is decomposed once, by ``_pt_eigh``: a chunk takes its
 lowest eigenpair (lambda_min, phi) from one ``eigh`` of its rho^G stack and
-rho's spectrum from one ``herm_eig`` of its stack, and hands both rows to
-``ree`` as ``eigh`` returns them, ascending, for its short-circuit, the face
-starts, the barrier start and S(rho), so the PPT verdict, the negativity
-and the face start read one lambda_min.  The solve's own ``_Point`` spectra
+rho's spectrum from one ``herm_eig`` of its stack; ``_ree_inputs`` starts
+the stacked polish from those rows, ascending as ``eigh`` returns them, and
+hands ``ree`` each state's spectrum of rho, lambda_min and polish outcome
+for its short-circuit, the barrier start and S(rho), so the PPT verdict,
+the negativity and the face start read one lambda_min.  The solve's own ``_Point`` spectra
 are ``eigh``'s too, so S(rho||sigma) reads rho's and sigma's in one order.
 ``_ppt`` judges the solve's last sigma^G too.
 """
@@ -117,15 +129,20 @@ _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 
 _GAP_TOL_NATS = 2e-5
 # The dual gap's own evaluation roundoff, added to every reported gap: at the
-# 1829 polished points of master seeds 1-4 and 15, where the gap is a
-# difference of two numbers near 1 that agree, it read down to -2.2e-16
-# nats (one ulp of 1), so 1e-14 is a 45x margin.
+# polished points of master seeds 1-4 and 15, where the gap is a difference
+# of two numbers near 1 that agree, it read down to -2.2e-16 nats (one ulp
+# of 1) in an earlier solve, a 45x margin, and 0.0 now.
+# test_gap_roundoff_holds_ten_times_over_on_seed_one keeps seed 1's raw gaps
+# above -1e-15.
 _GAP_ROUNDOFF_NATS = 1e-14
 # _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
 # of sigma and sigma^G in x_k.
 _PAULI_15 = PAULI_PRODUCTS.reshape(16, 4, 4)[1:]
 _TANGENTS = 0.25 * np.stack([_PAULI_15, partial_transpose(_PAULI_15)]).reshape(2, 15, 16)
 _TANGENTS_RE = _TANGENTS.view(float)
+# Both cones' tangents side by side, (15, 64): x @ _TANGENTS_SIDE is sigma
+# and sigma^G flattened, less the center.
+_TANGENTS_SIDE = np.ascontiguousarray(_TANGENTS_RE.transpose(1, 0, 2).reshape(15, 64))
 _CENTER = 0.25 * IDENTITY_4
 _DIAG_RE = 10 * np.arange(4)  # real diagonal entries in a flat 4x4 float view
 
@@ -157,10 +174,14 @@ _POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-9, 1e-4, 0
 # first-order step cancels rho's small eigenvalues to roundoff and the polish
 # from sigma_1 never converged.
 _FIRST_ORDER_FLOOR = 1e-3
-# The 20 sorted index triples lo <= mid <= hi, which for ascending s sort
-# their values, and for each flat (i, m, j) the place of its sorted triple.
-_TRIPLES = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
-_TRIPLE_AT = np.array([_TRIPLES.index(tuple(sorted(ijk))) for ijk in np.ndindex(4, 4, 4)])
+# The 6 index pairs i < j with the flat places of (i, j) and (j, i) in a 4x4;
+# the 20 sorted index triples lo <= mid <= hi, which for ascending s sort
+# their values, with the flat places of (mid, hi) and (lo, mid); and for each
+# flat (i, m, j) the place of its sorted triple.
+_PAIRS = [(i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4)]
+_SORTED = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
+_TRIPLES = [(lo, mid, hi, 4 * mid + hi, 4 * lo + mid) for lo, mid, hi in _SORTED]
+_TRIPLE_AT = np.array([_SORTED.index(tuple(sorted(ijk))) for ijk in np.ndindex(4, 4, 4)])
 _COINCIDENT = 1e-5  # relative spread below which three eigenvalues coincide
 
 
@@ -245,7 +266,8 @@ def is_separable(rho: np.ndarray) -> bool:
 
 
 class _Point(NamedTuple):
-    """x, the ``eigh`` of sigma and of sigma^G stacked, and V† rho V."""
+    """x, the ``eigh`` of sigma and of sigma^G stacked, and V† rho V: of one
+    state, or of each state of a stack along a leading axis."""
 
     x: np.ndarray
     s: np.ndarray
@@ -253,13 +275,20 @@ class _Point(NamedTuple):
     rt: np.ndarray
 
 
+def _take(p: _Point, index) -> _Point:
+    """The rows ``index`` of a stacked point, or one state's point."""
+    return _Point(*(field[index] for field in p))
+
+
 def _sigmas(x: np.ndarray) -> np.ndarray:
-    return (x @ _TANGENTS_RE).view(complex).reshape(2, 4, 4) + _CENTER
+    """sigma and sigma^G at x, (..., 2, 4, 4) for x of shape (..., 15)."""
+    return (x @ _TANGENTS_SIDE).view(complex).reshape(x.shape[:-1] + (2, 4, 4)) + _CENTER
 
 
 def _point(rho: np.ndarray, x: np.ndarray) -> _Point:
     s, v = eigh(_sigmas(x))
-    return _Point(x, s, v, v[0].conj().T @ rho @ v[0])
+    vs = v[..., 0, :, :]
+    return _Point(x, s, v, vs.conj().mT @ rho @ vs)
 
 
 def _barrier(t: float, p: _Point) -> float:
@@ -272,51 +301,72 @@ def _barrier(t: float, p: _Point) -> float:
 
 def _log_first_differences(s: np.ndarray) -> np.ndarray:
     """f1[i, j] = (ln s_j - ln s_i) / (s_j - s_i) for ascending s, 1/s_i
-    where they are equal; log1p of the spacing keeps nearby pairs from
-    cancelling.  On six pairs Python floats cost less than numpy calls."""
-    s = s.tolist()
-    f1 = [[1.0 / lo] * 4 for lo in s]
-    for i, lo in enumerate(s):
-        for j in range(i + 1, 4):
-            if (gap := s[j] - lo) > 0.0:
-                f1[i][j] = f1[j][i] = math.log1p(gap / lo) / gap
-    return np.array(f1)
+    where they are equal, for one spectrum or each of a stack; log1p of the
+    spacing keeps nearby pairs from cancelling."""
+    return np.array(_first_difference_rows(s.reshape(-1, 4).tolist())).reshape(s.shape + (4,))
 
 
-def _log_second_differences(s: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """f2[i, m, j], the second divided difference of ln at (s_i, s_m, s_j)
-    for ascending s: ``(f1[mid, hi] - f1[lo, mid]) / (s_hi - s_lo)`` over
-    the sorted triple, the widest spacing, or ``-1/(2 mean^2)`` (error
-    O(spread^2)) where all three lie within _COINCIDENT.  Twenty triples
-    cost less in Python than in numpy."""
-    s, f1 = s.tolist(), f1.tolist()
-    f2 = [
-        (f1[mid][hi] - f1[lo][mid]) / (s[hi] - s[lo])
-        if s[hi] - s[lo] > _COINCIDENT * s[hi]
-        else -4.5 / ((s[lo] + s[mid] + s[hi]) * (s[lo] + s[mid] + s[hi]))
-        for lo, mid, hi in _TRIPLES
-    ]
-    return np.array(f2)[_TRIPLE_AT].reshape(4, 4, 4)
+def _first_difference_rows(spectra: list) -> list:
+    """f1 of each ascending spectrum of a list, flattened, in Python floats:
+    on six pairs they cost less than numpy calls, and numpy's log1p differs
+    from math's in the last bit."""
+    rows = []
+    for e in spectra:
+        row = [1.0 / e[0]] * 4 + [1.0 / e[1]] * 4 + [1.0 / e[2]] * 4 + [1.0 / e[3]] * 4
+        for i, j, ij, ji in _PAIRS:
+            lo = e[i]
+            if (gap := e[j] - lo) > 0.0:
+                row[ij] = row[ji] = math.log1p(gap / lo) / gap
+        rows.append(row)
+    return rows
+
+
+def _second_differences(spectra: list, rows: list) -> np.ndarray:
+    """f2[i, m, j], the second divided difference of ln at (s_i, s_m, s_j),
+    flattened to (n, 64), for each ascending spectrum of a list and its
+    ``_first_difference_rows``: ``(f1[mid, hi] - f1[lo, mid]) / (s_hi -
+    s_lo)`` over the sorted triple, the widest spacing, or ``-1/(2
+    mean^2)`` (error O(spread^2)) where all three lie within _COINCIDENT.
+    Twenty triples cost less in Python than in numpy."""
+    values = []
+    for e, d in zip(spectra, rows):
+        for lo, mid, hi, mid_hi, lo_mid in _TRIPLES:
+            low, high = e[lo], e[hi]
+            if (width := high - low) > _COINCIDENT * high:
+                values.append((d[mid_hi] - d[lo_mid]) / width)
+            else:
+                total = low + e[mid] + high
+                values.append(-4.5 / (total * total))
+    return np.array(values).reshape(-1, 20).take(_TRIPLE_AT, axis=1)
 
 
 def _eigenbasis_tangents(p: _Point) -> np.ndarray:
-    """``V_c† T_c,k V_c`` flattened, (2, 15, 16): the tangents of sigma and
-    sigma^G in x_k, each in its own eigenbasis."""
+    """``V_c† T_c,k V_c`` flattened, (..., 2, 15, 16): the tangents of sigma
+    and sigma^G in x_k, each in its own eigenbasis."""
     # vec(V† T V) = vec(T) @ K with K[(i, j), (a, b)] = conj(V[i, a]) V[j, b].
-    kron = (p.v.conj()[:, :, None, :, None] * p.v[:, None, :, None, :]).reshape(2, 16, 16)
-    return _TANGENTS @ kron
+    v = p.v
+    kron = v.conj()[..., :, None, :, None] * v[..., None, :, None, :]
+    return _TANGENTS @ kron.reshape(v.shape[:-2] + (16, 16))
 
 
-def _entropy_system(t: float, p: _Point, tan: np.ndarray):
-    """Gradient and Hessian of -t tr(rho ln sigma) in x: ``-t rt * f1`` and
-    the kernel f2[i, m, j] rt[j, i] on the eigenbasis tangents."""
-    f1 = _log_first_differences(p.s[0])
-    grad = -(tan[0].view(float) @ (t * (p.rt * f1)).view(float).ravel())
+def _entropy_system(p: _Point, tan: np.ndarray, t: float | None = None):
+    """Gradient and Hessian of -t tr(rho ln sigma) in x, of -tr(rho ln sigma)
+    with t None: ``-t rt * f1`` and the kernel f2[i, m, j] rt[j, i] on the
+    eigenbasis tangents."""
+    lead = p.x.shape[:-1]
+    tan = tan[..., 0, :, :]
+    spectra = p.s[..., 0, :].reshape(-1, 4).tolist()
+    rows = _first_difference_rows(spectra)
+    f1 = np.array(rows).reshape(lead + (4, 4))
+    weights = p.rt * f1 if t is None else t * (p.rt * f1)
+    grad = -(tan.view(float) @ weights.view(float).reshape(lead + (32, 1)))[..., 0]
     # sum_{i,m,j} tan_k[i, m] f2[m, i, j] rt[j, i] tan_l[m, j], over i first.
-    tan0 = tan[0].reshape(15, 4, 4)
-    ys = tan0.transpose(2, 0, 1) @ (_log_second_differences(p.s[0], f1) * p.rt.T)
-    cross = (ys.transpose(1, 0, 2).reshape(15, 16) @ tan[0].T).real
-    return grad, -t * (cross + cross.T)
+    f2 = _second_differences(spectra, rows).reshape(lead + (4, 4, 4))
+    kernel = f2 * p.rt.mT[..., None, :, :]
+    ys = tan.reshape(lead + (15, 4, 4)).swapaxes(-1, -3).swapaxes(-1, -2) @ kernel
+    cross = (ys.swapaxes(-3, -2).reshape(lead + (15, 16)) @ tan.mT).real
+    hess = cross + cross.mT
+    return grad, -hess if t is None else -t * hess
 
 
 def _scaled_tangents(tan: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -334,32 +384,38 @@ def _newton_system(t: float, p: _Point):
     of their float views."""
     tan = _eigenbasis_tangents(p)
     scaled = _scaled_tangents(tan, p.s)
-    grad, hess = _entropy_system(t, p, tan)
+    grad, hess = _entropy_system(p, tan, t)
     grad -= scaled[:, :, _DIAG_RE].sum(axis=(0, 2))
     hess += (scaled @ scaled.swapaxes(1, 2)).sum(axis=0)
     return grad, hess, scaled
 
 
-def _kkt_system(p: _Point, mu: float | None):
+def _kkt_system(p: _Point, mu):
     """Residual and Jacobian of the KKT system of ``min S(rho||sigma)`` on
     the face ``g = lambda_min(sigma^G) = 0``, in (x, mu):
     ``F = (grad f - mu grad g, -g)``, f = -tr(rho ln sigma), and the mu they
-    were built at.  With mu None it is the least-squares multiplier
+    were built at; of one point, or of each of a stack with mu per row.
+    With mu None it is the least-squares multiplier
     ``<grad f, grad g> / |grad g|^2``.
 
     With u_i the eigenbasis tangent rows of sigma^G, grad g_k = u_k[0, 0]
     and ``hess g_kl = 2 Re sum_{i>=1} u_k[0, i] u_l[i, 0] / (s_0 - s_i)``."""
+    lead = p.x.shape[:-1]
     tan = _eigenbasis_tangents(p)
-    grad, hess = _entropy_system(1.0, p, tan)
-    rows = tan[1].reshape(15, 4, 4)[:, 0]
-    g_grad = rows[:, 0].real
+    grad, hess = _entropy_system(p, tan)
+    # Row 0 of each sigma^G tangent: its first four flat entries.
+    rows = tan[..., 1, :, 1:4]
+    g_grad = tan[..., 1, :, 0].real
     if mu is None:
-        mu = float(grad @ g_grad) / float(g_grad @ g_grad)
-    g_hess = 2.0 * ((rows[:, 1:] / (p.s[1, 0] - p.s[1, 1:])) @ rows[:, 1:].conj().T).real
-    matrix, residual = np.zeros((16, 16)), np.empty(16)
-    matrix[:15, :15] = hess - mu * g_hess
-    matrix[:15, 15] = matrix[15, :15] = -g_grad
-    residual[:15], residual[15] = grad - mu * g_grad, -p.s[1, 0]
+        mu = np.vecdot(grad, g_grad) / np.vecdot(g_grad, g_grad)
+    spacing = p.s[..., 1, :1] - p.s[..., 1, 1:]
+    half_g_hess = ((rows / spacing[..., None, :]) @ rows.conj().mT).real
+    at = np.asarray(mu)[..., None]
+    matrix, residual = np.zeros(lead + (16, 16)), np.empty(lead + (16,))
+    # mu (2 half_g_hess) and (2 mu) half_g_hess round alike: doubling is exact.
+    np.subtract(hess, (2.0 * at)[..., None] * half_g_hess, out=matrix[..., :15, :15])
+    matrix[..., :15, 15] = matrix[..., 15, :15] = -g_grad
+    residual[..., :15], residual[..., 15] = grad - at * g_grad, -p.s[..., 1, 0]
     return residual, matrix, mu
 
 
@@ -370,11 +426,11 @@ def _dual_gap(p: _Point, t: float | None = None) -> float:
     dt = p.rt * _log_first_differences(p.s[0])
     d = p.v[0] @ dt @ p.v[0].conj().T
     lam, u = eigh(partial_transpose(IDENTITY_4 - d))
-    q = (u * np.clip(lam, 0.0, None)) @ u.conj().T
+    q = (u * np.maximum(lam, 0.0)) @ u.conj().T
     if t is not None:
         q = np.stack([q, (p.v[1] / (t * p.s[1])) @ p.v[1].conj().T])
     tops = eigvalsh(d + partial_transpose(q))
-    return float(tops[..., -1].min()) - float(p.s[0] @ dt.diagonal().real)
+    return float(np.minimum.reduce(tops[..., -1], axis=None)) - float(p.s[0] @ dt.diagonal().real)
 
 
 def _boundary_step(dx: np.ndarray, scaled: np.ndarray, fraction: float = 0.99) -> float:
@@ -387,23 +443,35 @@ def _boundary_step(dx: np.ndarray, scaled: np.ndarray, fraction: float = 0.99) -
 
 
 def _coordinates(sigma: np.ndarray) -> np.ndarray:
-    """x of a trace-1 Hermitian sigma: its Pauli coordinates tr(P_k sigma)."""
-    return 4.0 * (_TANGENTS_RE[0] @ sigma.reshape(16).view(float))
+    """x of a trace-1 Hermitian sigma, or of each of a stack: its Pauli
+    coordinates tr(P_k sigma)."""
+    flat = sigma.reshape(sigma.shape[:-2] + (16,)).view(float)
+    return 4.0 * (_TANGENTS_RE[0] @ flat[..., None])[..., 0]
 
 
-def _lift(m: np.ndarray, e: float, phi: np.ndarray):
-    """``(m - e Y) / (1 - e)`` and Y, where ``Y = (|phi><phi|)^G`` and
-    (e, phi) is the lowest eigenpair of m^G.  The result's partial transpose
-    is m^G with its lowest eigenvalue moved to 0, so phi spans its kernel
-    (Sanpera, Tarrach & Vidal), and a trace-1 m keeps trace 1."""
-    y = partial_transpose(np.outer(phi, phi.conj()))
-    return (m - e * y) / (1.0 - e), y
+def _pt_projectors(phi: np.ndarray) -> np.ndarray:
+    """``Y = (|phi><phi|)^G`` for each phi of a stack: Y[(a, b), (a', b')]
+    is phi[a, b'] conj(phi[a', b])."""
+    half = phi.reshape(-1, 2, 2)
+    y = half[:, :, None, None, :] * half.conj().swapaxes(1, 2)[:, None, :, :, None]
+    return y.reshape(-1, 4, 4)
 
 
-def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: float, phi: np.ndarray):
-    """The polish's starts on the face, from rho's ascending spectrum r and
-    eigenvectors w and the lowest eigenpair (e, phi) of rho^G, e < 0, with
-    ``Y = (|phi><phi|)^G``.
+def _lift(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(m - e Y) / (1 - e)`` for each m of a stack, where
+    ``Y = (|phi><phi|)^G`` and (e, phi) is the lowest eigenpair of m^G.  The
+    result's partial transpose is m^G with its lowest eigenvalue moved to 0,
+    so phi spans its kernel (Sanpera, Tarrach & Vidal), and a trace-1 m
+    keeps trace 1."""
+    return (m - e[:, None, None] * y) / (1.0 - e)[:, None, None]
+
+
+def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: np.ndarray, phi: np.ndarray):
+    """The polish's starts on the face for a stack of states, from rho's
+    ascending spectra r and eigenvectors w and the lowest eigenpairs
+    (e, phi) of rho^G, e < 0, with ``Y = (|phi><phi|)^G``: yields the rows
+    of the stack that a start covers, as a list, and its points there,
+    stacked.
 
     First sigma_1, the first-order solution of the inverse problem
     ``rho = sigma - x G_sigma[Y_sigma]`` with ``G = (D ln)^-1`` (Miranowicz &
@@ -412,73 +480,152 @@ def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: float, phi: n
     and ``_lift`` puts it there exactly.  In rho's eigenbasis D ln_rho
     multiplies by the first divided differences of ln, so G_rho divides by
     them, and it needs r_0 above ZERO_CUTOFF: rho has no zero eigenvalue.
-    sigma_1 is skipped where lambda_min(sigma_1) falls below
-    _FIRST_ORDER_FLOOR r_0.  Then sigma_0 = ``_lift(rho, e, phi)``, which
-    is positive definite unless rho is close to pure.
+    sigma_1 leaves out the rows where lambda_min(sigma_1) falls below
+    _FIRST_ORDER_FLOOR r_0.  Then sigma_0 = ``_lift(rho, e, phi)`` for every
+    row, which is positive definite unless rho is close to pure.
     Under ``lapack_guard()`` a non-finite divided difference raises a plain
     ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
     carries no matrix."""
-    sigma_0, y = _lift(rho, e, phi)
-    if r[0] > ZERO_CUTOFF:
-        yw = w.conj().T @ y @ w
-        gw = yw / _log_first_differences(r)
-        c = -e / float((yw.conj() * gw).real.sum())
-        sigma_1 = rho + c * (w @ gw @ w.conj().T)
-        sigma_1 /= sigma_1.trace().real
-        lam, vec = _pt_eigh(sigma_1)
-        p = _point(rho, _coordinates(_lift(sigma_1, lam[0], vec[:, 0])[0]))
-        if p.s[0, 0] >= _FIRST_ORDER_FLOOR * r[0]:
-            yield p
-    yield _point(rho, _coordinates(sigma_0))
+    y = _pt_projectors(phi)
+    rows = [k for k, low in enumerate(r[:, 0].tolist()) if low > ZERO_CUTOFF]
+    if rows:
+        sub = rows if len(rows) < len(rho) else slice(None)
+        wr = w[sub]
+        yw = wr.conj().mT @ y[sub] @ wr
+        gw = yw / _log_first_differences(r[sub])
+        c = -e[sub] / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
+        sigma_1 = rho[sub] + c[:, None, None] * (wr @ gw @ wr.conj().mT)
+        sigma_1 /= sigma_1.trace(axis1=1, axis2=2).real[:, None, None]
+        lam, vec = eigh(partial_transpose(sigma_1))
+        lifted = _lift(sigma_1, lam[:, 0], _pt_projectors(vec[:, :, 0]))
+        p = _point(rho[sub], _coordinates(lifted))
+        floors = (_FIRST_ORDER_FLOOR * r[sub, 0]).tolist()
+        lows = p.s[:, 0, 0].tolist()
+        serves = [k for k, (low, floor) in enumerate(zip(lows, floors)) if low >= floor]
+        yield [rows[k] for k in serves], (p if len(serves) == len(rows) else _take(p, serves))
+    yield list(range(len(rho))), _point(rho, _coordinates(_lift(rho, e, y)))
 
 
-def _on_face(p: _Point) -> bool:
-    """Where the polish may go on: sigma > 0, and sigma^G's lowest eigenvalue
-    nearer the face than the next one, so that it stays simple over a step
-    that reaches the face."""
-    return p.s[0, 0] > 0.0 and p.s[1, 1] - p.s[1, 0] > abs(p.s[1, 0])
+def _on_face(s: list) -> bool:
+    """Where the polish may go on, from a point's two lowest eigenvalues of
+    sigma and of sigma^G as nested lists: sigma > 0, and sigma^G's lowest
+    eigenvalue nearer the face than the next one, so that it stays simple
+    over a step that reaches the face."""
+    (low, _), (pt_low, pt_next) = s
+    return low > 0.0 and pt_next - pt_low > abs(pt_low)
 
 
-def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: float, phi: np.ndarray):
-    """Newton on ``_kkt_system`` from the first of ``_face_starts`` that is
-    ``_on_face`` with a positive least-squares mu: returns the point on the
-    face, or None, and the steps taken.
+def _kkt_steps(matrix: np.ndarray, residual: np.ndarray):
+    """The Newton step ``solve(matrix, -residual)`` of each system of a stack
+    and the rows where it failed: where the stacked solve finds a matrix
+    singular, each of a longer stack is solved alone, so that only the
+    singular ones fail, and their steps read 0."""
+    try:
+        return solve(matrix, -residual), []
+    except LinAlgError:
+        if len(matrix) == 1:
+            return np.zeros_like(residual), [0]
+        steps, failed = np.zeros_like(residual), []
+        for k, (a, b) in enumerate(zip(matrix, residual)):
+            try:
+                steps[k] = solve(a, -b)
+            except LinAlgError:
+                failed.append(k)
+        return steps, failed
+
+
+def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: np.ndarray, phi: np.ndarray):
+    """Newton on ``_kkt_system`` for each state of a stack, from the first
+    of its ``_face_starts`` that is ``_on_face`` with a positive
+    least-squares mu: returns, per state, its point on the face, or None,
+    and the steps it took.  The steps run stacked over the states still
+    polishing; each keeps its own mu, damping, step count and convergence,
+    and leaves the stack where it converges or fails.
 
     A whole step that would leave sigma > 0 or mu > 0 is cut to
     _POLISH_DAMPING of the way to the nearer boundary (``_boundary_step``
-    on sigma's cone).  The polish converges on a whole x step of at most
-    _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that ends
-    ``_on_face``; it fails where neither start serves, a later point is not
-    ``_on_face``, the KKT matrix is singular, or _POLISH_STEPS do not
+    on sigma's cone, state by state).  A state converges on a whole x step
+    of at most _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that ends
+    ``_on_face``; it fails where no start serves, a later point is not
+    ``_on_face``, its KKT matrix is singular, or _POLISH_STEPS do not
     converge."""
-    for p in _face_starts(rho, r, w, e, phi):
-        if _on_face(p):
+    outcome = [(None, 0)] * len(rho)
+    waiting = [True] * len(rho)
+    found = []
+    for rows, p in _face_starts(rho, r, w, e, phi):
+        lows = p.s[:, :, :2].tolist()
+        keep = [k for k, row in enumerate(rows) if waiting[row] and _on_face(lows[k])]
+        if keep:
+            if len(keep) < len(rows):
+                rows, p = [rows[k] for k in keep], _take(p, keep)
             residual, matrix, mu = _kkt_system(p, None)
-            if mu > 0.0:  # only mu_0 can fail this; the damping keeps mu > 0
-                break
-    else:
-        return None, 0
-    for steps in range(1, _POLISH_STEPS + 1):
-        try:
-            d = solve(matrix, -residual)
-        except LinAlgError:
-            return None, steps
-        dx, dmu = d[:15], float(d[15])
-        trial = _point(rho, p.x + dx)
-        if trial.s[0, 0] <= 0.0 or mu + dmu <= 0.0:
-            sigma_tangents = _scaled_tangents(_eigenbasis_tangents(p)[:1], p.s[:1])
-            alpha = _boundary_step(dx, sigma_tangents, _POLISH_DAMPING)
-            if mu + dmu <= 0.0:
-                alpha = min(alpha, _POLISH_DAMPING * mu / -dmu)
-            trial, dmu = _point(rho, p.x + alpha * dx), alpha * dmu
-        elif float(np.abs(dx).max()) <= min(_POLISH_TOL, _POLISH_REL_TOL * p.s[0, 0]):
-            if _on_face(trial):
-                return trial, steps
-        p, mu = trial, mu + dmu
-        if steps == _POLISH_STEPS or not _on_face(p):
+            # Only mu_0 can fail this; the damping keeps mu > 0.
+            ok = [k for k, m in enumerate(mu.tolist()) if m > 0.0]
+            if len(ok) < len(rows):
+                rows, p = [rows[k] for k in ok], _take(p, ok)
+                residual, matrix, mu = residual[ok], matrix[ok], mu[ok]
+            for row in rows:
+                waiting[row] = False
+            if rows:
+                found.append((rows, p, residual, matrix, mu))
+        if not any(waiting):
             break
+    if not found:
+        return outcome
+    if len(found) > 1:
+        rows, points, *systems = zip(*found)
+        joined = _Point(*map(np.concatenate, zip(*points)))
+        found = [(sum(rows, []), joined, *map(np.concatenate, systems))]
+    ((rows, p, residual, matrix, mu),) = found
+    if rows != list(range(len(rho))):
+        rho = rho[rows]
+    faces = p.s[:, :, :2].tolist()
+    for steps in range(1, _POLISH_STEPS + 1):
+        d, failed = _kkt_steps(matrix, residual)
+        dx, dmu = d[:, :15], d[:, 15]
+        trial, moved = _point(rho, p.x + dx), mu + dmu
+        news = trial.s[:, :, :2].tolist()
+        sizes = np.maximum.reduce(np.abs(dx), axis=1).tolist()
+        going, damped = [], {}
+        for k, (row, new, m) in enumerate(zip(rows, news, moved.tolist())):
+            if new[0][0] <= 0.0 or m <= 0.0:
+                damped[k] = _damped_step(rho[k], _take(p, k), dx[k], mu[k], dmu[k])
+                news[k] = new = damped[k][0].s[:, :2].tolist()
+                converged = False
+            else:
+                converged = sizes[k] <= min(_POLISH_TOL, _POLISH_REL_TOL * faces[k][0][0])
+            on = k not in failed and _on_face(new)
+            if on and converged:
+                outcome[row] = _take(trial, k), steps
+            elif on and steps < _POLISH_STEPS:
+                going.append(k)
+            else:
+                outcome[row] = None, steps
+        if damped:
+            trial = _Point(*(field.copy() for field in trial))
+            for k, (point, m) in damped.items():
+                for field, value in zip(trial, point):
+                    field[k] = value
+                moved[k] = m
+        if not going:
+            break
+        p, mu, faces = trial, moved, news
+        if len(going) < len(rows):
+            rows, faces = [rows[k] for k in going], [faces[k] for k in going]
+            rho, p, mu = rho[going], _take(p, going), mu[going]
         residual, matrix, mu = _kkt_system(p, mu)
-    return None, steps
+    return outcome
+
+
+def _damped_step(rho: np.ndarray, p: _Point, dx: np.ndarray, mu: float, dmu: float):
+    """One state's Newton step cut to _POLISH_DAMPING of the way to the
+    nearer of sigma's boundary (``_boundary_step``) and mu's: the point it
+    reaches and its mu there."""
+    sigma_tangents = _scaled_tangents(_eigenbasis_tangents(p)[:1], p.s[:1])
+    alpha = _boundary_step(dx, sigma_tangents, _POLISH_DAMPING)
+    if mu + dmu <= 0.0:
+        alpha = min(alpha, _POLISH_DAMPING * mu / -dmu)
+    return _point(rho, p.x + alpha * dx), mu + alpha * dmu
 
 
 def _barrier_solve(rho: np.ndarray, lowest_pt: float):
@@ -531,28 +678,54 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     return p, steps, t
 
 
+def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[tuple]:
+    """What ``ree`` reads of each state of a stack from the ``herm_eig`` of
+    rho and the ``_pt_eigh`` of rho^G, its ``measured``: rho's spectrum, the
+    lowest eigenvalue of rho^G and the face polish's outcome, the point or
+    None and the steps taken (None where rho is PPT).  The polish runs
+    stacked over the entangled rows under one ``lapack_guard()``, from the
+    lowest eigenpairs of their rho^G."""
+    (r, w), (pt_values, pt_vectors) = spectra, pt_spectra
+    lowest = pt_values[:, 0].tolist()
+    entangled = [k for k, low in enumerate(lowest) if not _ppt(low)]
+    polished = [None] * len(rho)
+    if entangled:
+        sub = entangled if len(entangled) < len(rho) else slice(None)
+        with lapack_guard():
+            outcomes = _face_polish(
+                rho[sub], r[sub], w[sub], pt_values[sub, 0], pt_vectors[sub, :, 0]
+            )
+        for k, outcome in zip(entangled, outcomes):
+            polished[k] = outcome
+    return list(zip(r, lowest, polished))
+
+
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    ``measured`` is the ``herm_eig`` of rho and the ``_pt_eigh`` of rho^G,
-    as a chunk holds them; without it ``ree`` computes both, as a batch of
-    one.  The lowest eigenpair of rho^G decides the PPT short-circuit
-    (value 0, the input as its own closest state) and starts an entangled
-    state's face polish; the barrier runs only where that fails.  The value
-    is read off rho's spectrum and the last point's spectrum of the closest
-    state.  ``cfg`` is ignored.
+    ``measured`` is this state's row of ``_ree_inputs``, as a chunk holds
+    it: rho's spectrum, the lowest eigenvalue of rho^G and the face
+    polish's outcome; without it ``ree`` computes them as a stack of one.
+    The lowest eigenvalue of rho^G decides the PPT short-circuit (value 0,
+    the input as its own closest state); the barrier runs, for this state
+    alone, only where the polish failed.  The value is read off rho's
+    spectrum and the last point's spectrum of the closest state, and
+    certified by the dual gap there.  ``cfg`` is ignored.
     """
     rho = np.asarray(rho, dtype=complex)
-    (r, w), (pt_values, pt_vectors) = measured or (herm_eig(rho), _pt_eigh(rho))
-    if _ppt(pt_values[0]):
+    if measured is None:
+        stack = rho[None]
+        (measured,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
+    r, lowest, polished = measured
+    if _ppt(lowest):
         return ReeSolution(
             value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
         )
+    point, steps = polished
     with lapack_guard():
-        point, steps = _face_polish(rho, r, w, pt_values[0], pt_vectors[:, 0])
         t = None
         if point is None:
-            point, barrier_steps, t = _barrier_solve(rho, pt_values[0])
+            point, barrier_steps, t = _barrier_solve(rho, lowest)
             steps += barrier_steps
         gap = _dual_gap(point, t) + _GAP_ROUNDOFF_NATS
     if not _ppt(point.s[1, 0]):

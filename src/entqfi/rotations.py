@@ -15,12 +15,19 @@ on ``R = M_Aᵀ M_B``: it is ``lambda_max(A G Aᵀ) / 2`` with ``A = [I | R]``.
 
 A state-independent table per divisor lists the distinct R on the k^6 grid
 (4 for k = 2, 24 for k = 4, 372 for k = 6) in the order of the first flat
-grid index reaching each.  A pass builds every class's 3x3 form A G Aᵀ,
-for one state or for a whole chunk of states at once, and takes only its
-top eigenvalue: in closed form, elementwise over the stack, and from LAPACK
-for the few forms whose top two eigenvalues nearly coincide.  All points of
-a class share its value exactly, so the first class attaining an extreme
-is the lexicographically first grid point attaining it.
+grid index reaching each, with the angle set of that grid point.  A pass
+builds every class's 3x3 form A G Aᵀ, for one state or for a whole chunk of
+states at once, and takes only its top eigenvalue: in closed form,
+elementwise over the stack, and from LAPACK for the few forms whose top two
+eigenvalues nearly coincide.  The argmax, the argmin and the range rule
+then run over the whole stack of class values.
+
+Tie rule.  All points of a class share its computed value exactly, so the
+first class attaining an extreme in floating point is the lexicographically
+first grid point attaining it there.  Where classes tie in exact arithmetic
+(Bell-diagonal states, |00>, Werner states), the roundoff of their computed
+values picks the class, and with it the reported angles.  On seeded states
+the extreme class leads the next by at least 4.99e-8.
 """
 
 from __future__ import annotations
@@ -171,6 +178,13 @@ def _angle_set(flat: int, divisor: int) -> EulerAngleSet:
     return EulerAngleSet(*(TWO_PI * digit / divisor for digit in digits))
 
 
+@functools.lru_cache(maxsize=None)
+def _class_angles(divisor: int) -> tuple[EulerAngleSet, ...]:
+    """The angle set of each relative-rotation class's first grid point."""
+    first_flat, _ = _relative_classes(divisor)
+    return tuple(_angle_set(int(flat), divisor) for flat in first_flat)
+
+
 def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
     """One exhaustive pass at the given step; step must be 2*pi/k, k >= 2.
 
@@ -179,7 +193,7 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
     numerators pass the mean-QFI range rule of ``fisher.max_mean_qfi``.
     """
     divisor = _divisor_from_step(step)
-    return _grid_optimum(_grid_tops(spin_qfi_matrix(rho)[None], divisor)[0], divisor)
+    return _grid_optima(_grid_tops(spin_qfi_matrix(rho)[None], divisor), divisor)[0]
 
 
 def _grid_tops(g: np.ndarray, divisor: int) -> np.ndarray:
@@ -223,25 +237,31 @@ def _top_eigenvalues(forms: np.ndarray) -> np.ndarray:
     return tops
 
 
-def _grid_optimum(tops: np.ndarray, divisor: int) -> LoccOptimum:
-    """One state's pass from its class values ``tops``."""
-    first_flat, _ = _relative_classes(divisor)
-    hi, lo = int(np.argmax(tops)), int(np.argmin(tops))
-    high, low, raw = (
-        clip_roundoff(tops[i], 0.0, _NUMERATOR_MAX, "mean-QFI numerator") / 2.0
-        for i in (hi, lo, 0)
-    )
-    return LoccOptimum(
-        max_value=high,
-        max_angles=_angle_set(int(first_flat[hi]), divisor),
-        min_value=low,
-        min_angles=_angle_set(int(first_flat[lo]), divisor),
-        raw_value=raw,
-        refined=False,
-        evaluations=divisor**6,
-        base_max_value=high,
-        base_min_value=low,
-    )
+def _grid_optima(tops: np.ndarray, divisor: int) -> list[LoccOptimum]:
+    """Each state's pass from its row of the class values ``tops``,
+    (n, classes): the argmax, the argmin and the raw column are read off
+    the whole stack, and one range rule judges the maxima, the minima and
+    the raw values of every state."""
+    angles = _class_angles(divisor)
+    hi, lo = tops.argmax(axis=1), tops.argmin(axis=1)
+    rows = np.arange(len(tops))
+    picked = np.concatenate([tops[rows, hi], tops[rows, lo], tops[:, 0]])
+    numerators = clip_roundoff(picked, 0.0, _NUMERATOR_MAX, "mean-QFI numerator") / 2.0
+    highs, lows, raws = numerators.reshape(3, -1).tolist()
+    return [
+        LoccOptimum(
+            max_value=high,
+            max_angles=angles[top],
+            min_value=low,
+            min_angles=angles[bottom],
+            raw_value=raw,
+            refined=False,
+            evaluations=divisor**6,
+            base_max_value=high,
+            base_min_value=low,
+        )
+        for high, low, raw, top, bottom in zip(highs, lows, raws, hi.tolist(), lo.tolist())
+    ]
 
 
 def stalled(raw: float, high: float, low: float) -> tuple[bool, bool]:
@@ -265,19 +285,17 @@ def optimize_with_refinement(rho: np.ndarray) -> LoccOptimum:
 
 def _optimize(g: np.ndarray) -> list[LoccOptimum]:
     """``optimize_with_refinement`` for each G of a (n, 6, 6) stack: the
-    base pass's class values come from the whole stack, the refinement's
-    from the stalled states only; the range rules and the merge run per
-    state."""
-    optima = [
-        _grid_optimum(tops, DEFAULT_BASE_DIVISOR) for tops in _grid_tops(g, DEFAULT_BASE_DIVISOR)
-    ]
+    base pass's class values and read-off come from the whole stack, the
+    refinement's from the stalled states only; the merge runs per state."""
+    optima = _grid_optima(_grid_tops(g, DEFAULT_BASE_DIVISOR), DEFAULT_BASE_DIVISOR)
     again = [
         k for k, base in enumerate(optima)
         if any(stalled(base.raw_value, base.max_value, base.min_value))
     ]
     if again:
-        for k, tops in zip(again, _grid_tops(g[again], DEFAULT_REFINE_DIVISOR)):
-            base, fine = optima[k], _grid_optimum(tops, DEFAULT_REFINE_DIVISOR)
+        fines = _grid_optima(_grid_tops(g[again], DEFAULT_REFINE_DIVISOR), DEFAULT_REFINE_DIVISOR)
+        for k, fine in zip(again, fines):
+            base = optima[k]
             up = fine if fine.max_value > base.max_value else base
             down = fine if fine.min_value < base.min_value else base
             optima[k] = base._replace(

@@ -90,10 +90,21 @@ class EigendecompositionError(LinAlgError):
         return type(self), (self.matrix, str(self))
 
 
-def clip_roundoff(value, low: float, high: float, what: str, slack=_DIVERGENCE_ROUNDOFF) -> float:
+def clip_roundoff(value, low: float, high: float, what: str, slack=_DIVERGENCE_ROUNDOFF):
     """``value`` as a float, clipped to [low, high] if outside by at most
     ``slack``; further out, NaN included, ``ArithmeticError`` names ``what``.
-    -0.0 reads +0.0 at low = 0."""
+    -0.0 reads +0.0 at low = 0.  An array is judged in one pass, its first
+    value outside raising, and comes back clipped as a float array."""
+    if getattr(value, "ndim", 0):
+        values = np.asarray(value, dtype=float)
+        # NaN fails both tests, as the extremes carry it.
+        bottom, top = np.minimum.reduce(values, axis=None), np.maximum.reduce(values, axis=None)
+        if not low - slack <= bottom <= top <= high + slack:
+            outside = ~((low - slack <= values) & (values <= high + slack))
+            clip_roundoff(values[outside][0], low, high, what, slack)
+        # numpy leaves the sign of a zero that np.maximum returns to its loops;
+        # adding 0.0 makes -0.0 read +0.0, as max() does.
+        return np.maximum(np.minimum(values, high), low) + 0.0
     value = float(value)
     if not low - slack <= value <= high + slack:
         bounds = f"[{low:g}, {high:g}]"
@@ -193,7 +204,7 @@ def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
 def _spectral_entropy(eigenvalues: np.ndarray) -> float:
     """-sum p log2 p in bits over a spectrum, with 0 log 0 = 0."""
     vals = eigenvalues[eigenvalues > ZERO_CUTOFF]
-    return clip_roundoff(-np.sum(vals * np.log2(vals)), 0.0, math.inf, "von Neumann entropy")
+    return clip_roundoff(-np.add.reduce(vals * np.log2(vals)), 0.0, math.inf, "von Neumann entropy")
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -211,12 +222,12 @@ def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: f
     The value passes ``clip_roundoff`` on [0, inf): one more than 1e-12 bits
     below zero (sigma is not a normalized state, say) raises
     ``ArithmeticError``."""
-    s = np.clip(s, 0.0, None)
-    weights = np.clip(((rho @ vecs) * vecs.conj()).sum(axis=0).real, 0.0, None)
+    s = np.maximum(s, 0.0)
+    weights = np.maximum(np.add.reduce((rho @ vecs) * vecs.conj(), axis=0).real, 0.0)
     null = s <= ZERO_CUTOFF
-    if float(weights[null].sum()) > ZERO_CUTOFF:
+    if float(np.add.reduce(weights[null])) > ZERO_CUTOFF:
         return math.inf
-    value = -rho_entropy - float(np.sum(weights[~null] * np.log2(s[~null])))
+    value = -rho_entropy - float(np.add.reduce(weights[~null] * np.log2(s[~null])))
     return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
 

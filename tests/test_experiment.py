@@ -51,6 +51,7 @@ from entqfi.rotations import REFINEMENT_TRIGGER
 from helpers import (
     bell_diagonal,
     bell_state,
+    pure,
     qfi_bell_diagonal_oracle,
     ree_bell_diagonal_oracle,
     werner,
@@ -595,6 +596,100 @@ def test_chunking_never_moves_a_number_where_the_rotation_scan_takes_lapack(monk
         assert abs(by_size[64][index].qfi_max - qfi_bell_diagonal_oracle(p)) <= 1e-14
 
 
+def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch):
+    # Three of REE's hard states replace seeded states 3, 10 and 100, inside
+    # stacks of 7 and 64 entangled rows: master seed 1's state 209, whose
+    # first polish step is damped; a nearly pure state, where sigma_1 does
+    # not serve and the polish starts from sigma_0; and a pure state, whose
+    # polish fails, so that it alone falls back to the barrier.
+    cfg = ExperimentConfig(count=128, master_seed=1)
+    nearly_pure = (1.0 - 1e-10) * pure(np.array([0.6, 0.0, 0.0, 0.8])) + 1e-10 * np.eye(4) / 4.0
+    hard = {
+        3: random_density_matrix(derive_stream(1, 209)),
+        10: nearly_pure,
+        100: pure(np.array([0.8, 0.0, 0.0, 0.6])),
+    }
+    swapped = {
+        random_density_matrix(derive_stream(cfg.master_seed, index)).tobytes(): rho
+        for index, rho in hard.items()
+    }
+    draw = experiment._density_matrices
+    monkeypatch.setattr(
+        experiment,
+        "_density_matrices",
+        lambda rngs: np.stack([swapped.get(rho.tobytes(), rho) for rho in draw(rngs)]),
+    )
+    stack = np.asarray(nearly_pure, dtype=complex)[None]
+    values, vectors = measures._pt_eigh(stack)
+    first, _ = next(measures._face_starts(stack, *herm_eig(stack), values[:, 0], vectors[:, :, 0]))
+    assert first == []
+    seen = []
+    boundary_step, barrier_solve = measures._boundary_step, measures._barrier_solve
+
+    def spied_step(dx, scaled, fraction=0.99):
+        seen.append(fraction == measures._POLISH_DAMPING)
+        return boundary_step(dx, scaled, fraction)
+
+    def spied_barrier(rho, lowest):
+        seen.append(rho.tobytes())
+        return barrier_solve(rho, lowest)
+
+    monkeypatch.setattr(measures, "_boundary_step", spied_step)
+    monkeypatch.setattr(measures, "_barrier_solve", spied_barrier)
+    by_size = {}
+    for size in (1, 7, 64):
+        seen.clear()
+        by_size[size] = records_in_chunks(cfg, size)
+        assert True in seen, size  # a damped polish step
+        assert [rho for rho in seen if isinstance(rho, bytes)] == [hard[100].tobytes()]
+    assert by_size[1] == by_size[7] == by_size[64]
+    for index in hard:
+        assert not by_size[64][index].separable and by_size[64][index].ree_converged
+
+
+def test_a_singular_kkt_matrix_sends_only_its_state_to_the_barrier(monkeypatch):
+    # One entangled state's first KKT matrix reads singular inside a stack:
+    # the stacked solve fails, each system is solved alone, and only that
+    # state leaves the polish, after its one step, for the barrier path.
+    # Every other record keeps its bits.
+    cfg = ExperimentConfig(count=16, master_seed=1)
+    plain, _ = experiment._measure_chunk(range(16), cfg)
+    entangled = [record.id for record in plain if not record.separable]
+    assert len(entangled) >= 3
+    index = entangled[1]
+    rho = random_density_matrix(derive_stream(1, index))
+    kkt_system, built = measures._kkt_system, []
+
+    def recording(p, mu):
+        built.append(kkt_system(p, mu))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_kkt_system", recording)
+        ree(rho)
+        patch.setattr(measures, "_face_polish", lambda rhos, *args: [(None, 0)] * len(rhos))
+        barrier = ree(rho)
+    singular_matrix = built[0][1][0]
+    solve = measures.solve
+
+    def singular(a, b):
+        if any(np.array_equal(m, singular_matrix) for m in a.reshape((-1,) + a.shape[-2:])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(measures, "solve", singular)
+    calls = recording_ree(monkeypatch)
+    records, _ = experiment._measure_chunk(range(16), cfg)
+    for record, before, (_, _, solution) in zip(records, plain, calls):
+        if record.id != index:
+            assert record == before
+            continue
+        assert solution.iterations == barrier.iterations + 1
+        assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
+        assert np.array_equal(solution.closest_state, barrier.closest_state)
+        assert record.ree == barrier.value != before.ree
+
+
 def test_nan_in_one_states_g_stops_the_run_with_that_state_named(monkeypatch):
     # G reaches the closed form of the class values before any LAPACK call.
     # A NaN row fails its 1 + r test, so it goes to eigvalsh under
@@ -691,7 +786,7 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
     cfg = ExperimentConfig(count=3, master_seed=7)
     assert not is_separable(random_density_matrix(derive_stream(7, index)))
     if not polish:
-        monkeypatch.setattr(measures, "_face_polish", lambda *args: (None, 0))
+        monkeypatch.setattr(measures, "_face_polish", lambda rho, *args: [(None, 0)] * len(rho))
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
         experiment._compute_record((index, cfg))
@@ -793,7 +888,7 @@ def test_chunk_fed_ree_reads_the_bits_of_ree_alone(monkeypatch):
     face_starts = measures._face_starts
 
     def recorded_starts(rho, r, w, e, phi):
-        starts.append(e)
+        starts.extend(e)
         return face_starts(rho, r, w, e, phi)
 
     with monkeypatch.context() as patch:

@@ -225,7 +225,7 @@ def test_refinement_merge_keeps_base_optimum_on_ties(monkeypatch):
     fine = scripted(1.2, PI / 3.0, 6**6, (-7.0, -7.0))
     passes = iter([base, fine])
     # Each pass of one state reads its optimum off its class values here.
-    monkeypatch.setattr(rotations, "_grid_optimum", lambda tops, divisor: next(passes))
+    monkeypatch.setattr(rotations, "_grid_optima", lambda tops, divisor: [next(passes)])
     merged = optimize_with_refinement(np.eye(4) / 4.0)
     assert merged == base._replace(refined=True, evaluations=4**6 + 6**6)
 

@@ -228,6 +228,19 @@ def test_relative_entropy_nonnegative_on_random_pairs():
         assert relative_entropy(rho, sigma) >= 0.0
 
 
+def test_range_rule_judges_an_array_in_one_pass():
+    # The first value outside, in order, raises with its own message, NaN
+    # included; inside the slack each is clipped, and -0.0 reads +0.0, as
+    # for one value.
+    clipped = clip_roundoff(np.array([[-0.0, 1.0 + 5e-13], [-5e-13, 0.5]]), 0.0, 1.0, "x")
+    assert clipped.tolist() == [[0.0, 1.0], [0.0, 0.5]]
+    assert math.copysign(1.0, clipped[0, 0]) == 1.0
+    with pytest.raises(ArithmeticError, match=r"^x 1\.5 lies outside \[0, 1\]"):
+        clip_roundoff(np.array([0.5, 1.5, -2.0]), 0.0, 1.0, "x")
+    with pytest.raises(ArithmeticError, match=r"^x nan lies outside"):
+        clip_roundoff(np.array([0.5, np.nan]), 0.0, 1.0, "x")
+
+
 def test_relative_entropy_clips_only_roundoff_below_zero():
     for index in range(200):
         rho = random_density_matrix(derive_stream(1, index))
