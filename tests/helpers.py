@@ -1,8 +1,10 @@
-"""Shared state constructors, draws and REE oracles for the test suite."""
+"""Shared state constructors, draws and oracles for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
+from mpmath import mp
 
 from entqfi import (
     derive_stream,
@@ -14,10 +16,14 @@ from entqfi import (
 )
 from entqfi.fisher import LOCAL_SPINS, pair_weights
 from entqfi.measures import _log_first_differences
+from entqfi.rotations import TWO_PI, EulerAngleSet
 from entqfi.sampling import _haar_bases, _simplex_weights
 from entqfi.states import _divergence
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Working precision of the mpmath references, in decimal digits.
+MP_DIGITS = 40
 
 # Bell basis order used by bell_diagonal: phi+, phi-, psi+, psi-.
 BELL_VECTORS = {
@@ -169,3 +175,90 @@ def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
         rho = sigma - x * delta
         fixtures.append((0.5 * (rho + rho.conj().T), sigma))
     return fixtures
+
+
+def rot_x(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_z(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def adjoint_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """M with euler_unitary(a,b,g)† sigma_k euler_unitary(a,b,g) = sum_l M[k,l] sigma_l,
+    one angle triple at a time: the reference for ``rotations._adjoint_matrices``."""
+    return rot_x(alpha) @ rot_z(beta) @ rot_x(gamma)
+
+
+def angle_set(flat: int, divisor: int) -> EulerAngleSet:
+    """The angles of a flat grid index, whose base-k digits index them."""
+    digits = (flat // divisor**p % divisor for p in range(5, -1, -1))
+    return EulerAngleSet(*(TWO_PI * digit / divisor for digit in digits))
+
+
+def relative_classes_scan(
+    divisor: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[EulerAngleSet, ...]]:
+    """The relative-rotation classes of the k^6 grid from all k^6 pairs of
+    adjoint matrices, with no use of the alpha_A = 0 slice: each class's
+    first flat index, its ``A = [I | R]`` and its first point's angles, the
+    reference for ``rotations._relative_classes`` and ``_class_angles``."""
+    angles = TWO_PI * np.arange(divisor) / divisor
+    adjoints = np.stack(
+        [
+            adjoint_matrix(angles[a], angles[b], angles[g])
+            for a, b, g in itertools.product(range(divisor), repeat=3)
+        ]
+    )
+    # One block per side_a keeps the work space at k^3 matrices; a class's
+    # first flat index side_a * k^3 + side_b survives the setdefault.
+    n = len(adjoints)
+    firsts: dict[bytes, int] = {}
+    for side_a, m_a in enumerate(adjoints):
+        keys = np.rint((m_a.T @ adjoints).reshape(n, 9) * 1e9).astype(np.int64)
+        _, block_first = np.unique(keys.view(np.dtype((np.void, 72))), return_index=True)
+        for side_b in block_first:
+            firsts.setdefault(keys[side_b].tobytes(), side_a * n + int(side_b))
+    first = np.sort(np.fromiter(firsts.values(), dtype=np.int64))
+    side_a, side_b = np.divmod(first, n)
+    relative = adjoints[side_a].transpose(0, 2, 1) @ adjoints[side_b]
+    spans = np.concatenate([np.broadcast_to(np.eye(3), relative.shape), relative], axis=2)
+    return first, spans, tuple(angle_set(int(flat), divisor) for flat in first)
+
+
+def _mp_matrix(m: np.ndarray):
+    """The exact values of a float matrix as an mpmath complex matrix."""
+    return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in np.asarray(m)])
+
+
+def _mp_hermitian_eigh(a):
+    """The real eigenvalues and the eigenvectors, in one order, of the
+    Hermitian part of ``a``."""
+    values, vectors = mp.eigh((a + a.H) / 2)
+    return [mp.re(x) for x in values], vectors
+
+
+def concurrence_mp(rho: np.ndarray):
+    """Wootters' concurrence of the float matrix rho at ``MP_DIGITS`` digits:
+    max(0, l1 - l2 - l3 - l4) over the descending square roots of the
+    eigenvalues of sqrt(rho) (sy⊗sy) rho* (sy⊗sy) sqrt(rho), which has the
+    spectrum of rho (sy⊗sy) rho* (sy⊗sy) and is Hermitian."""
+    with mp.workdps(MP_DIGITS):
+        r = _mp_matrix(rho)
+        flip = _mp_matrix(np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]]))
+        values, vectors = _mp_hermitian_eigh(r)
+        root = vectors * mp.diag([mp.sqrt(max(x, 0)) for x in values]) * vectors.H
+        product, _ = _mp_hermitian_eigh(root * flip * r.conjugate() * flip * root)
+        l1, l2, l3, l4 = sorted((mp.sqrt(max(x, 0)) for x in product), reverse=True)
+        return max(l1 - l2 - l3 - l4, mp.mpf(0))
+
+
+def negativity_mp(rho: np.ndarray):
+    """Twice the magnitude of the negative eigenvalue of rho^G, of the float
+    matrix rho at ``MP_DIGITS`` digits; 0 for a PPT state."""
+    with mp.workdps(MP_DIGITS):
+        values, _ = _mp_hermitian_eigh(_mp_matrix(partial_transpose(rho)))
+        return 2 * max(-min(values), mp.mpf(0))

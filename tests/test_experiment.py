@@ -5,10 +5,12 @@ import dataclasses
 import importlib
 import math
 import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
 import traceback
-import types
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from pathlib import Path
 
@@ -491,7 +493,7 @@ def test_pool_never_outnumbers_states(monkeypatch):
             mapped.append(len(tasks))
             return [func(task) for task in tasks]
 
-    monkeypatch.setattr(experiment, "multiprocessing", types.SimpleNamespace(Pool=InProcessPool))
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     for count, jobs in [(3, 64), (9, 8)]:
         serial = run_experiment(ExperimentConfig(count=count, master_seed=5), jobs=1)
         fanned = run_experiment(ExperimentConfig(count=count, master_seed=5), jobs=jobs)
@@ -958,6 +960,37 @@ def test_records_are_invariant_under_swap_and_conjugation(monkeypatch):
                 assert abs(getattr(moved, name) - getattr(base, name)) <= 1e-13, (base.id, name)
             for name in ("separable", "refined", "ree_converged"):
                 assert getattr(moved, name) == getattr(base, name), (base.id, name)
+
+
+def test_emitting_twice_into_one_directory_writes_the_bytes_of_a_fresh_one(small_run, tmp_path):
+    # Each emitter unlinks an old file before writing it again, so a rerun
+    # leaves a fresh directory's bytes, and a hard link to each old file
+    # keeps that file's bytes: the file was replaced, not truncated.
+    fresh, again, old = tmp_path / "fresh", tmp_path / "again", tmp_path / "old"
+    for directory in (fresh, again, old):
+        directory.mkdir()
+    expected = emit_all(small_run, fresh)
+    for name in expected:
+        (again / name).write_text(f"stale {name}\n" * 10000, encoding="utf-8")
+        os.link(again / name, old / name)
+    assert emit_all(small_run, again) == expected
+    assert emit_all(small_run, again) == expected
+    assert sorted(os.listdir(again)) == sorted(os.listdir(fresh))
+    for name in expected:
+        assert (old / name).read_text(encoding="utf-8") == f"stale {name}\n" * 10000
+
+
+def test_one_worker_run_never_imports_multiprocessing():
+    # Only a pool needs multiprocessing, whose import costs a few ms of the
+    # command's start-up; the package and a one-worker run do without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, entqfi, entqfi.cli\n"
+        "entqfi.run_experiment(entqfi.ExperimentConfig(count=3), jobs=1)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -36,9 +36,11 @@ from entqfi.states import (
 from helpers import (
     bell_diagonal,
     bell_state,
+    concurrence_mp,
     haar_unitary,
     inverse_ree_fixtures,
     ket,
+    negativity_mp,
     pure,
     random_pure_state,
     ree_bell_diagonal_oracle,
@@ -81,6 +83,32 @@ def test_negativity_equals_concurrence_on_pure_states():
     for _ in range(25):
         rho = pure(random_pure_state(rng))
         assert abs(negativity(rho) - concurrence(rho)) < 1e-9
+
+
+# The largest errors measured against the 40-digit references, on seeded
+# states, doubled.  The fixture below reads 5.6e-16 and 2.2e-16.
+_CONCURRENCE_ERROR_BOUND = 2 * 7.8e-16
+_NEGATIVITY_ERROR_BOUND = 2 * 5.0e-16
+
+
+def test_closed_forms_hold_their_error_budget_against_40_digit_references():
+    # The concurrence and the negativity of one chunk pass over 20 states of
+    # master seed 1 and 4 Bell-diagonal states (entangled, on the PPT
+    # boundary, separable and pure), each against the exact value of its own
+    # float matrix.
+    rhos = np.concatenate([
+        _density_matrices([derive_stream(1, index) for index in range(20)]),
+        [
+            bell_diagonal(weights)
+            for weights in ((0.7, 0.1, 0.1, 0.1), (0.5, 0.5, 0.0, 0.0),
+                            (0.4, 0.3, 0.2, 0.1), (1.0, 0.0, 0.0, 0.0))
+        ],
+    ])
+    concurrences = measures._concurrences(herm_eig(rhos))
+    negativities = measures._negativities(measures._pt_eigh(rhos)[0][:, 0])
+    for index, rho in enumerate(rhos):
+        assert abs(concurrences[index] - concurrence_mp(rho)) <= _CONCURRENCE_ERROR_BOUND, index
+        assert abs(negativities[index] - negativity_mp(rho)) <= _NEGATIVITY_ERROR_BOUND, index
 
 
 def _grid_numerators():

@@ -20,10 +20,24 @@ from entqfi import (
 )
 from entqfi import rotations
 from entqfi.fisher import _spin_qfi_matrices
-from entqfi.rotations import REFINEMENT_TRIGGER, _adjoint_matrix, _relative_classes
+from entqfi.rotations import (
+    REFINEMENT_TRIGGER,
+    _adjoint_matrices,
+    _class_angles,
+    _relative_classes,
+)
 from entqfi.sampling import _density_matrices
 from entqfi.states import herm_eig
-from helpers import bell_diagonal, bell_state, ket, pure, werner
+from helpers import (
+    adjoint_matrix,
+    angle_set,
+    bell_diagonal,
+    bell_state,
+    ket,
+    pure,
+    relative_classes_scan,
+    werner,
+)
 
 PI = np.pi
 
@@ -60,11 +74,21 @@ def test_adjoint_matrix_matches_conjugation():
     for _ in range(25):
         a, b, g = rng.uniform(0.0, 2.0 * PI, size=3)
         u = euler_unitary(a, b, g)
-        m = _adjoint_matrix(a, b, g)
+        m = adjoint_matrix(a, b, g)
         for k in range(3):
             lhs = u.conj().T @ PAULI[k] @ u
             rhs = sum(m[k, l] * PAULI[l] for l in range(3))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+    # The stacked grid adjoints, row by row: the per-triple product's bits,
+    # at the angles of the row's flat index a k^2 + b k + g.
+    for divisor in (2, 4, 6):
+        for flat, m in enumerate(_adjoint_matrices(divisor)):
+            angles = angle_set(flat, divisor)[3:]
+            assert m.tobytes() == adjoint_matrix(*angles).tobytes(), (divisor, flat)
+            u = euler_unitary(*angles)
+            for k in range(3):
+                rhs = sum(m[k, l] * PAULI[l] for l in range(3))
+                assert np.max(np.abs(u.conj().T @ PAULI[k] @ u - rhs)) < 1e-12
 
 
 def test_grid_search_bookkeeping():
@@ -123,6 +147,18 @@ def test_ties_keep_lexicographically_first_angles():
     assert flat_index(result.min_angles, 4) == first_min == 31
     assert result.max_value == pytest.approx(values.max(), abs=1e-12)
     assert result.min_value == pytest.approx(values.min(), abs=1e-12)
+
+
+@pytest.mark.parametrize("divisor", [2, 3, 4, 5, 6])
+def test_class_tables_match_the_full_grid_scan(divisor):
+    # The tables come from the alpha_A = 0 slice alone; the scan compares
+    # all k^6 grid pairs, so the two agree only if that slice reaches every
+    # class first.
+    first, spans, angles = relative_classes_scan(divisor)
+    table_first, table_spans = _relative_classes(divisor)
+    assert table_first.tobytes() == first.tobytes()
+    assert table_spans.tobytes() == spans.tobytes()
+    assert _class_angles(divisor) == angles
 
 
 def test_relative_rotation_class_counts():
