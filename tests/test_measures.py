@@ -37,6 +37,7 @@ from helpers import (
     bell_diagonal,
     bell_state,
     concurrence_mp,
+    error_budget_fixture,
     haar_unitary,
     inverse_ree_fixtures,
     ket,
@@ -96,14 +97,7 @@ def test_closed_forms_hold_their_error_budget_against_40_digit_references():
     # master seed 1 and 4 Bell-diagonal states (entangled, on the PPT
     # boundary, separable and pure), each against the exact value of its own
     # float matrix.
-    rhos = np.concatenate([
-        _density_matrices([derive_stream(1, index) for index in range(20)]),
-        [
-            bell_diagonal(weights)
-            for weights in ((0.7, 0.1, 0.1, 0.1), (0.5, 0.5, 0.0, 0.0),
-                            (0.4, 0.3, 0.2, 0.1), (1.0, 0.0, 0.0, 0.0))
-        ],
-    ])
+    rhos = error_budget_fixture()
     concurrences = measures._concurrences(herm_eig(rhos))
     negativities = measures._negativities(measures._pt_eigh(rhos)[0][:, 0])
     for index, rho in enumerate(rhos):
@@ -581,9 +575,10 @@ def _without_polish(monkeypatch, rho):
 
 
 def test_no_usable_face_start_leaves_the_barrier_path_alone(monkeypatch):
-    # With no start on the face the polish gives up before a step, so ree
-    # is the barrier path bit for bit, its step count included.
-    monkeypatch.setattr(measures, "_face_starts", lambda *args: iter(()))
+    # With no start on the face, sigma_1's and sigma_0's alike, the polish
+    # gives up before a step, so ree is the barrier path bit for bit, its
+    # step count included.
+    monkeypatch.setattr(measures, "_on_face", lambda s: False)
     for rho in (random_density_matrix(derive_stream(1, 1)), pure(np.array([0.8, 0.0, 0.0, 0.6]))):
         assert _polish_alone(rho) == (None, 0)
         solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
@@ -826,24 +821,33 @@ def test_boundary_step_stops_short_of_the_nearer_cone():
     assert boundary.max() > 0.0
 
 
-def _stack_of_one(rho):
-    """rho as a stack of one with its spectrum and the lowest eigenpair
-    (e, phi) of its rho^G, as the face polish takes them."""
-    rho = np.asarray(rho, dtype=complex)[None]
-    values, vectors = measures._pt_eigh(rho)
-    return (rho, *np.linalg.eigh(rho), values[:, 0], vectors[:, :, 0])
+def _measured(rho):
+    """rho's row of ``_ree_inputs``, as a stack of one: its spectrum, the
+    lowest eigenvalue of its rho^G and its face polish's outcome."""
+    stack = np.asarray(rho, dtype=complex)[None]
+    (row,) = measures._ree_inputs(stack, herm_eig(stack), measures._pt_eigh(stack))
+    return row
 
 
 def _polish_alone(rho):
-    """The face polish of rho alone: its point or None, and its steps."""
-    (outcome,) = measures._face_polish(*_stack_of_one(rho))
-    return outcome
+    """The face polish of rho alone along the start chain: its point or
+    None, and its steps."""
+    return _measured(rho)[2]
 
 
 def _face_starts(rho):
-    """The face polish's starts for rho: sigma_1 where it serves, then sigma_0."""
-    starts = measures._face_starts(*_stack_of_one(rho))
-    return [measures._take(points, 0) for rows, points in starts if rows]
+    """The start points that the chain hands the face polish for rho where
+    each polish stops before a step: sigma_1 where it serves, then sigma_0."""
+    starts = []
+
+    def declined(rhos, start):
+        starts.append(measures._take(start, 0))
+        return [(None, 0)] * len(rhos)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_face_polish", declined)
+        _measured(rho)
+    return starts
 
 
 def test_face_start_lifts_the_negative_partial_transpose_eigenvalue():
@@ -876,6 +880,82 @@ def test_first_order_face_start_lies_nearer_the_closest_state():
         assert abs(np.linalg.eigvalsh(sigma_1_pt)[0]) <= 1e-15
         distance = [np.linalg.norm(measures._sigmas(p.x)[0] - sigma) for p in (first, plain)]
         assert distance[0] < distance[1]
+
+
+def _start_traffic(master_seed):
+    """The start chain over the first 1000 states of a master seed: each
+    state's ``_ree_inputs`` row, and for each ``_face_polish`` call in turn,
+    sigma_1's and then sigma_0's, the outcome of each state it was handed,
+    by id."""
+    rhos = _density_matrices([derive_stream(master_seed, index) for index in range(1000)])
+    ids = {rho.tobytes(): index for index, rho in enumerate(rhos)}
+    polishes, face_polish = [], measures._face_polish
+
+    def recording(rho, start):
+        outcomes = face_polish(rho, start)
+        polishes.append({ids[m.tobytes()]: outcome for m, outcome in zip(rho, outcomes)})
+        return outcomes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_face_polish", recording)
+        rows = measures._ree_inputs(rhos, herm_eig(rhos), measures._pt_eigh(rhos))
+    return rows, polishes
+
+
+def _sigma_1_mu(master_seed, index):
+    """The least-squares mu at a seeded state's sigma_1, which must lie on
+    the face; None where sigma_1 falls under _FIRST_ORDER_FLOOR, as rho
+    has no zero eigenvalue."""
+    stack = _density_matrices([derive_stream(master_seed, index)])
+    (r, w), (values, vectors) = herm_eig(stack), measures._pt_eigh(stack)
+    assert r[0, 0] > measures.ZERO_CUTOFF
+    with lapack_guard():
+        served, start = measures._face_starts(stack, r, w, values[:, 0], vectors[:, :, 0])
+        if not served:
+            return None
+        assert measures._on_face(start.s[0, :, :2].tolist())
+        return float(measures._kkt_system(start, None)[2][0])
+
+
+def test_the_start_chain_on_seed_one_falls_to_sigma_0_under_the_floor_and_on_a_negative_mu():
+    # sigma_1 starts 363 of the 365 entangled states.  Id 846's sigma_1 falls
+    # under _FIRST_ORDER_FLOOR, so the polish is not handed it; id 264's lies
+    # on the face, but its least-squares mu is -0.077, so the polish leaves
+    # it at (None, 0).  Both polish from sigma_0 and end on the face, where
+    # the certified gap is at the level of _GAP_ROUNDOFF_NATS (1.4e-14
+    # bits): none reaches the barrier.
+    rows, (first, second) = _start_traffic(1)
+    entangled = [index for index, (_, _, polished) in enumerate(rows) if polished is not None]
+    assert len(entangled) == 365
+    assert sum(steps > 0 for _, steps in first.values()) == 363
+    assert set(entangled) - set(first) == {846} and first[264] == (None, 0)
+    assert sorted(second) == [264, 846]
+    assert _sigma_1_mu(1, 846) is None
+    assert _sigma_1_mu(1, 264) == pytest.approx(-0.077, abs=5e-4)
+    assert [rows[index][2][1] for index in (264, 846)] == [8, 5]
+    for index in (264, 846):
+        solution = ree(random_density_matrix(derive_stream(1, index)), measured=rows[index])
+        assert solution.converged and solution.gap <= 2.5e-14
+        assert solution.iterations == rows[index][2][1]  # no barrier step
+    assert all(rows[index][2][0] is not None for index in entangled)
+
+
+def test_the_start_chain_serves_every_entangled_seeded_state_before_the_barrier():
+    # Over master seeds 1-4 and 15, sigma_1 starts 1818 of the 1833
+    # entangled states and sigma_0 the other 15: 8 under sigma_1's floor and
+    # 7 whose sigma_1 has a least-squares mu <= 0.  The barrier starts none.
+    counts = np.zeros(4, dtype=int)
+    for master_seed in (1, 2, 3, 4, 15):
+        rows, polishes = _start_traffic(master_seed)
+        first, second = polishes
+        started = {index for index, (_, steps) in first.items() if steps}
+        assert set(second) == {index for index, (_, _, p) in enumerate(rows) if p} - started
+        assert all(steps for _, steps in second.values())
+        assert all(rows[index][2][0] is not None for index in set(first) | set(second))
+        mus = [_sigma_1_mu(master_seed, index) for index in second]
+        assert all(mu is None or mu <= 0.0 for mu in mus)
+        counts += [len(started), len(second), mus.count(None), len(mus) - mus.count(None)]
+    assert counts.tolist() == [1818, 15, 8, 7]
 
 
 def test_face_polish_damps_the_steps_that_leave_the_cone(monkeypatch):

@@ -33,9 +33,12 @@ from helpers import (
     angle_set,
     bell_diagonal,
     bell_state,
+    error_budget_fixture,
+    grid_tops_mp,
     ket,
     pure,
     relative_classes_scan,
+    spin_qfi_matrix_mp,
     werner,
 )
 
@@ -342,3 +345,77 @@ def test_closed_form_tops_take_lapack_near_a_double_top(monkeypatch):
     for divisor in (4, 6):
         assert not rotations._top_eigenvalues(class_forms([np.eye(4) / 4.0], divisor)).any()
     assert taken == []
+
+
+def _tied_fixtures():
+    """States whose grid classes tie in exact arithmetic: 7 named ones and
+    20 Dirichlet Bell-diagonal draws."""
+    named = [
+        bell_state("phi+"), bell_state("psi-"), pure(ket("00")), werner(0.3), werner(0.6),
+        bell_diagonal((0.7, 0.1, 0.1, 0.1)), bell_diagonal((0.5, 0.5, 0.0, 0.0)),
+    ]
+    draws = np.random.default_rng(0).dirichlet(np.ones(4), size=20)
+    return np.stack(named + [bell_diagonal(p) for p in draws]).astype(complex)
+
+
+def _reported_angles(g, chunk=64):
+    """The max and min angles of ``_optimize`` over a G stack, in chunks."""
+    return [
+        (optimum.max_angles, optimum.min_angles)
+        for start in range(0, len(g), chunk)
+        for optimum in rotations._optimize(g[start:start + chunk])
+    ]
+
+
+def test_tied_classes_report_angles_that_roundoff_does_not_move(monkeypatch):
+    # Tied classes differ in value by roundoff alone.  Without the _TIE
+    # rule that roundoff picks the angles, and the forced-eigvalsh path or
+    # a few ulps of G move those of 23 of these 27 fixtures.  With it the
+    # angles are the same on either path, at every chunk size and under
+    # every perturbation.
+    g = _spin_qfi_matrices(herm_eig(_tied_fixtures()))
+    reported = _reported_angles(g)
+    for chunk in (1, 7):
+        assert _reported_angles(g, chunk) == reported, chunk
+    with monkeypatch.context() as patch:
+        patch.setattr(rotations, "_NEAR_DOUBLE_TOP", math.inf)  # every top from eigvalsh
+        assert _reported_angles(g) == reported
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        ulps = rng.integers(-3, 4, size=g.shape)
+        ulps = np.triu(ulps) + np.triu(ulps, 1).swapaxes(1, 2)
+        assert _reported_angles(g + ulps * np.spacing(g)) == reported
+
+
+# The largest errors measured against the 40-digit references on 1800
+# seeded states (master seed 1's first 1000 and 200 each of seeds 2-4 and
+# 15), doubled: G's entries, and the class values of the base pass over
+# every state and of the refinement pass over the states it refines.  The
+# fixture below reads 7.3e-16, 2.7e-15 and 3.2e-15.
+_QFI_MATRIX_ERROR_BOUND = 2 * 2.1e-15
+_BASE_TOP_ERROR_BOUND = 2 * 6.2e-15
+_REFINED_TOP_ERROR_BOUND = 2 * 4.9e-15
+
+
+def test_qfi_matrix_and_grid_tops_hold_their_error_budget_against_40_digit_references():
+    # One chunk pass's G and the class values of both grid passes, as
+    # _optimize runs them, each against the exact value of its own float
+    # matrix, the classes taken at their exact angles.
+    rhos = error_budget_fixture()
+    g = _spin_qfi_matrices(herm_eig(rhos))
+    reference = [spin_qfi_matrix_mp(rho) for rho in rhos]
+    for index, exact in enumerate(reference):
+        error = max(abs(g[index][a, b] - exact[a, b]) for a in range(6) for b in range(6))
+        assert error <= _QFI_MATRIX_ERROR_BOUND, index
+    refined = [k for k, optimum in enumerate(rotations._optimize(g)) if optimum.refined]
+    assert len(refined) == 5
+    for divisor, rows, bound in (
+        (4, range(len(rhos)), _BASE_TOP_ERROR_BOUND),
+        (6, refined, _REFINED_TOP_ERROR_BOUND),
+    ):
+        first, _ = _relative_classes(divisor)
+        tops = rotations._grid_tops(g[list(rows)], divisor)
+        exact = grid_tops_mp([reference[k] for k in rows], first, divisor)
+        for values, exact_values, index in zip(tops.tolist(), exact, rows):
+            error = max(abs(value - top) for value, top in zip(values, exact_values))
+            assert error <= bound, (divisor, index)

@@ -93,8 +93,11 @@ def verdict(parent: list[float], change: list[float], won: int, sign: float, bou
     """One metric's reading over paired runs, ``sign`` being 1 where lower
     is better and ``bound`` the relative worsening ``BENCHMARK.json`` allows:
 
-    - ``gain``: the change won at least 9/10 of the pairs and the medians
-      differ by more than the parent's interquartile range;
+    - ``gain``: over at least ten pairs, the change won at least 9/10 of
+      them and the medians differ by more than the parent's interquartile
+      range (six alternated pairs of an unchanged set-up path read
+      0.171 -> 0.187 s, 0.181 -> 0.171 s with 6 of 6 won, and
+      0.172 -> 0.181 s, so fewer pairs cannot resolve a change below ~10%);
     - ``worse``: the change's median is worse than the parent's by more
       than the bound;
     - ``unresolved``: the parent's interquartile range exceeds the bound,
@@ -103,7 +106,7 @@ def verdict(parent: list[float], change: list[float], won: int, sign: float, bou
     """
     q1, median, q3 = quartiles(parent)
     worsening = sign * (statistics.median(change) - median)
-    if 10 * won >= 9 * len(parent) and -worsening > q3 - q1:
+    if len(parent) >= 10 and 10 * won >= 9 * len(parent) and -worsening > q3 - q1:
         return "gain"
     if worsening > bound * abs(median):
         return "worse"
