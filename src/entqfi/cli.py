@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .experiment import (
@@ -70,9 +71,11 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(config, jobs=jobs)
         out_dir.mkdir(parents=True, exist_ok=True)
+        emit_started = time.perf_counter()
         emit_state_csv(result, out_dir / STATE_CSV_NAME)
         emit_plot_data(result, out_dir)
         emit_census_report(result, out_dir / REPORT_NAME)
+        emit_wall = time.perf_counter() - emit_started
     except OSError as exc:
         print(f"entqfi: I/O error: {exc}", file=sys.stderr)
         return 1
@@ -83,12 +86,13 @@ def main(argv=None) -> int:
     separable = sum(1 for record in result.records if record.separable)
     print(f"states={config.count} separable={separable} out={out_dir}")
     # The layer times are summed over workers, so with --jobs above 1 they
-    # can add up to more than states=.
+    # can add up to more than states=.  total= covers the run, not emit=, the
+    # three file writers.
     print(
-        "wall seconds: states={states_wall:.2f} census={census_wall:.2f}"
-        " total={total_wall:.2f} sampling={sampling_wall:.2f}"
-        " closed-forms={closed_forms_wall:.2f} rotations={rotations_wall:.2f}"
-        " ree={ree_wall:.2f}".format(**result.timing)
+        "wall seconds: states={states_wall:.3f} census={census_wall:.3f}"
+        " total={total_wall:.3f} sampling={sampling_wall:.3f}"
+        " closed-forms={closed_forms_wall:.3f} rotations={rotations_wall:.3f}"
+        " ree={ree_wall:.3f} emit={emit_wall:.3f}".format(**result.timing, emit_wall=emit_wall)
     )
     return 0
 

@@ -118,14 +118,15 @@ class ExperimentResult:
     @functools.cached_property
     def _formatted(self) -> list[tuple[StateRecord, tuple[str, str, str], str]]:
         """The records in id order, each with its three measures formatted
-        and its ``qfi_raw,qfi_max,qfi_min`` cells joined, built on the first
-        emit so that every value is formatted once per result."""
+        in ``MEASURE_NAMES`` order and its ``qfi_raw,qfi_max,qfi_min`` cells
+        joined, built on the first emit so that every value is formatted
+        once per result."""
+        fmt = format_value
         return [
             (
                 record,
-                tuple(format_value(getattr(record, measure)) for measure in MEASURE_NAMES),
-                f"{format_value(record.qfi_raw)},{format_value(record.qfi_max)},"
-                f"{format_value(record.qfi_min)}",
+                (fmt(record.concurrence), fmt(record.negativity), fmt(record.ree)),
+                f"{fmt(record.qfi_raw)},{fmt(record.qfi_max)},{fmt(record.qfi_min)}",
             )
             for record in sorted(self.records, key=lambda r: r.id)
         ]
@@ -276,6 +277,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Experiment
 
 def format_value(x: float) -> str:
     """Positional float format with 12 significant digits."""
+    if 1e-4 <= abs(x) < 1e10:
+        # Here %g prints positionally with 11 - exp decimals, exp the decimal
+        # exponent after rounding to 12 digits, and '#' keeps trailing zeros.
+        # Below 1e-4 %g switches to exponent form; from 1e10 up a value can
+        # round to exponent 11, where '#' would print a trailing '.'.
+        return "%#.12g" % x
     if x == 0.0:
         return "0.000000000000"
     if not math.isfinite(x):
@@ -324,7 +331,8 @@ def emit_plot_data(result: ExperimentResult, directory) -> None:
     """fig1_<measure>.csv files, rows sorted by measure value then id."""
     directory = Path(directory)
     for m, measure in enumerate(MEASURE_NAMES):
-        rows = sorted(result._formatted, key=lambda row: (getattr(row[0], measure), row[0].id))
+        # The rows come in id order and the sort is stable, so ties keep it.
+        rows = sorted(result._formatted, key=lambda row: getattr(row[0], measure))
         lines = [PLOT_CSV_HEADER]
         lines.extend(f"{measures[m]},{qfi}" for _, measures, qfi in rows)
         _write_lines(directory / f"fig1_{measure}.csv", lines)

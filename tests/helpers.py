@@ -276,6 +276,26 @@ def negativity_mp(rho: np.ndarray):
         return 2 * max(-min(values), mp.mpf(0))
 
 
+def relative_entropy_mp(rho: np.ndarray, sigma: np.ndarray):
+    """S(rho || sigma) in bits of the float matrices rho and sigma at
+    ``MP_DIGITS`` digits: ``sum_i p_i log2 p_i - sum_j <v_j|rho|v_j> log2 q_j``
+    over the exact eigenvalues p_i of rho and eigenpairs (q_j, v_j) of sigma.
+    sigma's eigenvalues at or below ``ZERO_CUTOFF`` are its null space, as
+    ``states._divergence`` reads them: more weight of rho there than
+    ``ZERO_CUTOFF`` gives ``mp.inf``, less is dropped."""
+    with mp.workdps(MP_DIGITS):
+        r = _mp_matrix(rho)
+        p, _ = _mp_hermitian_eigh(r)
+        q, v = _mp_hermitian_eigh(_mp_matrix(sigma))
+        weights = [mp.re((v[:, j].H * r * v[:, j])[0]) for j in range(len(q))]
+        if mp.fsum(w for x, w in zip(q, weights) if x <= ZERO_CUTOFF) > ZERO_CUTOFF:
+            return mp.inf
+        nats = mp.fsum(x * mp.log(x) for x in p if x > 0) - mp.fsum(
+            w * mp.log(x) for x, w in zip(q, weights) if x > ZERO_CUTOFF
+        )
+        return nats / mp.log(2)
+
+
 def spin_qfi_matrix_mp(rho: np.ndarray):
     """G of the float matrix rho at ``MP_DIGITS`` digits, as an mpmath
     matrix: ``G_ab = 2 Re sum_ij w_ij <i|S_a|j> conj(<i|S_b|j>)`` over the

@@ -139,7 +139,16 @@ def test_format_value_cases():
     assert format_value(10.000000000000002) == "10.0000000000"
     # the smallest subnormal, 4.94065645841247e-324
     assert format_value(5e-324) == "0." + "0" * 323 + "494065645841"
-    for x in [*powers_of_ten_and_neighbours(-30, 24), 5e-324, -5e-324, -0.5, 1e300]:
+    # %#.12g formats 1e-4 <= |x| < 1e10; these round across its two gates.
+    assert format_value(9.99999999999995e-05) == "0.000100000000000"
+    assert format_value(9999999999.99995) == "10000000000.0"
+    assert format_value(99999999999.99998) == "100000000000"
+    rng = np.random.default_rng(33)
+    sample = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-6.0, 11.0, 20_000)
+    for x in [
+        *powers_of_ten_and_neighbours(-30, 24), 5e-324, -5e-324, -0.5, 1e300,
+        9.99999999999995e-05, 9999999999.99995, 99999999999.99998, *sample.tolist(),
+    ]:
         assert format_value(x) == reference_format_value(x), x
 
 
@@ -1001,6 +1010,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("states=4 separable=")
+    # the three emitters' wall time closes the timing line
+    assert re.search(r"^wall seconds: .* ree=\d+\.\d{3} emit=\d+\.\d{3}$", captured.out, re.M)
     for name in ("states.csv", "census.txt", "fig1_concurrence.csv", "fig1_negativity.csv", "fig1_ree.csv"):
         assert (out_dir / name).exists()
 
