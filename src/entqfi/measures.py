@@ -23,17 +23,18 @@ problem, ``sigma_1 ~ rho + c G_rho[(|phi><phi|)^G]`` with ``G = (D ln)^-1``,
 (e, phi) the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G)
 on 0 to first order, lifted onto the face; then, where sigma_1 left a state
 unstarted, ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``; ``ree`` runs
-the barrier where both fail.  Over the 1833 entangled states of master
-seeds 1-4 and 15, sigma_1 starts 1818, sigma_0 15 (8 under
-_FIRST_ORDER_FLOOR, 7 with a least-squares mu <= 0), the barrier none.  mu
-starts at its least-squares value; a step that would leave sigma > 0 or
-mu > 0 is damped.  Each start's polish runs stacked over its states: each
-keeps its own mu, damping, step count and convergence, and leaves the stack
-as it converges or fails; a singular KKT matrix, found by solving each
-system of the stack alone, ends only its own state's polish.  The divided
-differences of ln stay scalar ``math.log1p``, looped per state, as numpy's
-logarithms differ in the last bit.  ``ree(rho)`` alone runs the same chain
-as a stack of one.
+the barrier where both fail.  Every step of the chain names a state by its
+row of the chunk's stack, and both polishes write into one outcome list.
+Over the 1833 entangled states of master seeds 1-4 and 15, sigma_1 starts
+1818, sigma_0 15 (8 under _FIRST_ORDER_FLOOR, 7 with a least-squares
+mu <= 0), the barrier none.  mu starts at its least-squares value; a step
+that would leave sigma > 0 or mu > 0 is damped.  Each start's polish runs
+stacked over its states: each keeps its own mu, damping, step count and
+convergence, and leaves the stack as it converges or fails; a singular KKT
+matrix, found by solving each system of the stack alone, ends only its own
+state's polish.  The divided differences of ln stay scalar ``math.log1p``,
+looped per state, as numpy's logarithms differ in the last bit.
+``ree(rho)`` alone runs the same chain as a stack of one.
 
 Barrier fallback.  Where no start serves or the polish fails (sigma >= 0
 active at the optimum: pure and rank-deficient rho), the barrier method
@@ -135,7 +136,10 @@ _GAP_TOL_NATS = 2e-5
 # polished points of master seeds 1-4 and 15, where the gap is a difference
 # of two numbers near 1 that agree, it reads 0.0 and more.
 # test_gap_roundoff_holds_ten_times_over_on_seed_one keeps seed 1's raw gaps
-# above -1e-15.
+# above -1e-15.  Against the same bound at 40 digits the raw gap errs there by
+# 6.3e-16 nats at the median and by at most 9.0e-13 (seed 15, id 137), about
+# eps / lambda_min(sigma), so this covers the median error but not the worst
+# (test_dual_gap_holds_its_error_budget_against_a_40_digit_reference).
 _GAP_ROUNDOFF_NATS = 1e-14
 # _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
 # of sigma and sigma^G in x_k.
@@ -473,11 +477,14 @@ def _lift(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (m - e[:, None, None] * y) / (1.0 - e)[:, None, None]
 
 
-def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: np.ndarray, phi: np.ndarray):
-    """sigma_1 for a stack of states, from rho's ascending spectra r and
-    eigenvectors w and the lowest eigenpairs (e, phi) of rho^G, e < 0: the
-    rows where it is a start, as a list, and its points there, stacked, or
-    None where no row has one.
+def _face_starts(
+    rho: np.ndarray, rows: list, r: np.ndarray, w: np.ndarray, e: np.ndarray, phi: np.ndarray
+):
+    """sigma_1 for the ``rows`` of a chunk's stack of states, from the
+    chunk's arrays: rho's ascending spectra r and eigenvectors w, and the
+    lowest eigenpairs (e, phi) of rho^G, e < 0 on those rows.  Returns the
+    chunk rows where sigma_1 is a start, as a list, and its points there,
+    stacked.
 
     sigma_1, the first-order solution of the inverse problem
     ``rho = sigma - x G_sigma[Y_sigma]`` with ``Y = (|phi><phi|)^G`` and
@@ -490,20 +497,18 @@ def _face_starts(rho: np.ndarray, r: np.ndarray, w: np.ndarray, e: np.ndarray, p
     Under ``lapack_guard()`` a non-finite divided difference raises a plain
     ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
     carries no matrix."""
-    rows = [k for k, low in enumerate(r[:, 0].tolist()) if low > ZERO_CUTOFF]
-    if not rows:
-        return [], None
-    sub = rows if len(rows) < len(rho) else slice(None)
-    wr = w[sub]
-    yw = wr.conj().mT @ _pt_projectors(phi[sub]) @ wr
-    gw = yw / _log_first_differences(r[sub])
-    c = -e[sub] / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
-    sigma_1 = rho[sub] + c[:, None, None] * (wr @ gw @ wr.conj().mT)
+    r_lows = r[:, 0].tolist()
+    rows = [k for k in rows if r_lows[k] > ZERO_CUTOFF]
+    rho, r, w = rho[rows], r[rows], w[rows]
+    yw = w.conj().mT @ _pt_projectors(phi[rows]) @ w
+    gw = yw / _log_first_differences(r)
+    c = -e[rows] / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
+    sigma_1 = rho + c[:, None, None] * (w @ gw @ w.conj().mT)
     sigma_1 /= sigma_1.trace(axis1=1, axis2=2).real[:, None, None]
     lam, vec = eigh(partial_transpose(sigma_1))
     lifted = _lift(sigma_1, lam[:, 0], _pt_projectors(vec[:, :, 0]))
-    p = _point(rho[sub], _coordinates(lifted))
-    floors = (_FIRST_ORDER_FLOOR * r[sub, 0]).tolist()
+    p = _point(rho, _coordinates(lifted))
+    floors = (_FIRST_ORDER_FLOOR * r[:, 0]).tolist()
     lows = p.s[:, 0, 0].tolist()
     serves = [k for k, (low, floor) in enumerate(zip(lows, floors)) if low >= floor]
     return [rows[k] for k in serves], (p if len(serves) == len(rows) else _take(p, serves))
@@ -521,13 +526,11 @@ def _on_face(s: list) -> bool:
 def _kkt_steps(matrix: np.ndarray, residual: np.ndarray):
     """The Newton step ``solve(matrix, -residual)`` of each system of a stack
     and the rows where it failed: where the stacked solve finds a matrix
-    singular, each of a longer stack is solved alone, so that only the
-    singular ones fail, and their steps read 0."""
+    singular, each system is solved alone, so that only the singular ones
+    fail, and their steps read 0."""
     try:
         return solve(matrix, -residual), []
     except LinAlgError:
-        if len(matrix) == 1:
-            return np.zeros_like(residual), [0]
         steps, failed = np.zeros_like(residual), []
         for k, (a, b) in enumerate(zip(matrix, residual)):
             try:
@@ -537,12 +540,13 @@ def _kkt_steps(matrix: np.ndarray, residual: np.ndarray):
         return steps, failed
 
 
-def _face_polish(rho: np.ndarray, p: _Point):
-    """Newton on ``_kkt_system`` for each state of a stack from its start
-    point, the same row of the stacked p: returns, per state, its point on
-    the face, or None, and the steps it took; ``(None, 0)`` where the start
-    is not ``_on_face`` or its least-squares mu is not positive.  The steps
-    run stacked over the states still polishing.
+def _face_polish(rho: np.ndarray, rows: list, p: _Point, outcomes: list) -> None:
+    """Newton on ``_kkt_system`` for the ``rows`` of a chunk's stack rho,
+    each from its start point, the same row of the stacked p: writes into
+    ``outcomes[row]`` its point on the face, or None, and the steps it
+    took, and leaves ``(None, 0)`` where the start is not ``_on_face`` or
+    its least-squares mu is not positive.  The steps run stacked over the
+    states still polishing.
 
     A whole step that would leave sigma > 0 or mu > 0 is cut by
     ``_damping``, and the trial points are built again with each state's
@@ -550,22 +554,20 @@ def _face_polish(rho: np.ndarray, p: _Point):
     step of at most _POLISH_TOL and _POLISH_REL_TOL lambda_min(sigma) that
     ends ``_on_face``; it fails where a later point is not ``_on_face``,
     its KKT matrix is singular, or _POLISH_STEPS do not converge."""
-    outcome = [(None, 0)] * len(rho)
-    rows = [k for k, low in enumerate(p.s[:, :, :2].tolist()) if _on_face(low)]
-    if not rows:
-        return outcome
-    if len(rows) < len(rho):
-        p = _take(p, rows)
+    faces = [k for k, low in enumerate(p.s[:, :, :2].tolist()) if _on_face(low)]
+    if not faces:
+        return
+    if len(faces) < len(rows):
+        rows, p = [rows[k] for k in faces], _take(p, faces)
     residual, matrix, mu = _kkt_system(p, None)
     # Only mu_0 can fail this; the damping keeps mu > 0.
     ok = [k for k, m in enumerate(mu.tolist()) if m > 0.0]
     if len(ok) < len(rows):
         if not ok:
-            return outcome
+            return
         rows, p = [rows[k] for k in ok], _take(p, ok)
         residual, matrix, mu = residual[ok], matrix[ok], mu[ok]
-    if len(rows) < len(rho):
-        rho = rho[rows]
+    rho = rho[rows]
     for steps in range(1, _POLISH_STEPS + 1):
         d, failed = _kkt_steps(matrix, residual)
         dx, dmu = d[:, :15], d[:, 15]
@@ -586,18 +588,17 @@ def _face_polish(rho: np.ndarray, p: _Point):
             on = k not in failed and _on_face(new)
             converged = k not in cut and sizes[k] <= min(_POLISH_TOL, _POLISH_REL_TOL * lows[k])
             if on and converged:
-                outcome[row] = _take(trial, k), steps
+                outcomes[row] = _take(trial, k), steps
             elif on and steps < _POLISH_STEPS:
                 going.append(k)
             else:
-                outcome[row] = None, steps
+                outcomes[row] = None, steps
         if not going:
             break
         p, mu = trial, moved
         if len(going) < len(rows):
             rows, rho, p, mu = [rows[k] for k in going], rho[going], _take(p, going), mu[going]
         residual, matrix, mu = _kkt_system(p, mu)
-    return outcome
 
 
 def _damping(p: _Point, dx: np.ndarray, mu: float, dmu: float) -> float:
@@ -661,39 +662,26 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 
 
 def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[tuple]:
-    """What ``ree`` reads of each state of a stack from the ``herm_eig`` of
-    rho and the ``_pt_eigh`` of rho^G, its ``measured``: rho's spectrum, the
-    lowest eigenvalue of rho^G and the face polish's outcome, the point or
-    None and the steps taken (None where rho is PPT).  The polish runs
-    over the entangled rows along the start chain: sigma_1, then sigma_0
-    for the rows that sigma_1 left at ``(None, 0)``."""
+    """What ``ree`` reads of each state of a chunk's stack from the
+    ``herm_eig`` of rho and the ``_pt_eigh`` of rho^G, its ``measured``:
+    rho's spectrum, the lowest eigenvalue of rho^G and the face polish's
+    outcome, the point or None and the steps taken (None where rho is PPT).
+    The polish runs over the entangled rows along the start chain, each
+    step naming a state by its chunk row and writing into one outcome list:
+    sigma_1, then sigma_0 for the rows that sigma_1 left at ``(None, 0)``."""
     (r, w), (pt_values, pt_vectors) = spectra, pt_spectra
     lowest = pt_values[:, 0].tolist()
-    entangled = [k for k, low in enumerate(lowest) if not _ppt(low)]
-    polished = [None] * len(rho)
+    polished = [None if _ppt(low) else (None, 0) for low in lowest]
+    entangled = [k for k, outcome in enumerate(polished) if outcome]
     if entangled:
-        sub = entangled if len(entangled) < len(rho) else slice(None)
-        rho, e, phi = rho[sub], pt_values[sub, 0], pt_vectors[sub, :, 0]
+        e, phi = pt_values[:, 0], pt_vectors[:, :, 0]
         with lapack_guard():
-            rows, start = _face_starts(rho, r[sub], w[sub], e, phi)
-            outcomes = _polished(rho, rows, start, [(None, 0)] * len(rho))
-            rows = [k for k, (_, steps) in enumerate(outcomes) if not steps]
+            _face_polish(rho, *_face_starts(rho, entangled, r, w, e, phi), polished)
+            rows = [k for k in entangled if not polished[k][1]]
             if rows:
                 lifted = _lift(rho[rows], e[rows], _pt_projectors(phi[rows]))
-                outcomes = _polished(rho, rows, _point(rho[rows], _coordinates(lifted)), outcomes)
-        for k, outcome in zip(entangled, outcomes):
-            polished[k] = outcome
+                _face_polish(rho, rows, _point(rho[rows], _coordinates(lifted)), polished)
     return list(zip(r, lowest, polished))
-
-
-def _polished(rho: np.ndarray, rows: list, start: _Point, outcomes: list) -> list:
-    """``outcomes`` with the ``_face_polish`` of the ``rows`` of the stack
-    rho from their ``start`` points written in."""
-    if rows:
-        sub = rows if len(rows) < len(rho) else slice(None)
-        for k, outcome in zip(rows, _face_polish(rho[sub], start)):
-            outcomes[k] = outcome
-    return outcomes
 
 
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:

@@ -296,6 +296,36 @@ def relative_entropy_mp(rho: np.ndarray, sigma: np.ndarray):
         return nats / mp.log(2)
 
 
+def _mp_partial_transpose(m):
+    """m^G, the partial transpose on B, of a 4x4 mpmath matrix."""
+    out = mp.matrix(4, 4)
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        out[2 * a + b, 2 * c + d] = m[2 * a + d, 2 * c + b]
+    return out
+
+
+def dual_gap_mp(rho: np.ndarray, sigma: np.ndarray):
+    """``lambda_max(D + Q^G) - tr(sigma D)`` in nats, ``Q = [(I - D)^G]_+``,
+    of the float matrices rho and sigma at ``MP_DIGITS`` digits: the dual
+    bound of ``measures._dual_gap`` without the barrier's multiplier.  D,
+    the gradient of tr(rho ln sigma), is ``V (V† rho V * f1) V†`` over the
+    exact eigenpairs (q_j, V) of sigma, with f1 the first divided
+    differences of ln at q (1/q_i where two coincide)."""
+    with mp.workdps(MP_DIGITS):
+        q, v = _mp_hermitian_eigh(_mp_matrix(sigma))
+        rt = v.H * _mp_matrix(rho) * v
+        dt = mp.matrix(4, 4)
+        for i, j in itertools.product(range(4), repeat=2):
+            spacing = q[j] - q[i]
+            f1 = (mp.log(q[j]) - mp.log(q[i])) / spacing if spacing else 1 / q[i]
+            dt[i, j] = rt[i, j] * f1
+        d = v * dt * v.H
+        lam, u = _mp_hermitian_eigh(_mp_partial_transpose(mp.eye(4) - d))
+        q_plus = u * mp.diag([max(x, 0) for x in lam]) * u.H
+        tops, _ = _mp_hermitian_eigh(d + _mp_partial_transpose(q_plus))
+        return max(tops) - mp.fsum(q[i] * mp.re(dt[i, i]) for i in range(4))
+
+
 def spin_qfi_matrix_mp(rho: np.ndarray):
     """G of the float matrix rho at ``MP_DIGITS`` digits, as an mpmath
     matrix: ``G_ab = 2 Re sum_ij w_ij <i|S_a|j> conj(<i|S_b|j>)`` over the

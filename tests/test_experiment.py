@@ -608,16 +608,21 @@ def test_chunking_never_moves_a_number_where_the_rotation_scan_takes_lapack(monk
 
 
 def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch):
-    # Three of REE's hard states replace seeded states 3, 10 and 100, inside
-    # stacks of 7 and 64 entangled rows: master seed 1's state 209, whose
+    # Four of REE's hard states replace seeded states 3, 10, 12 and 100,
+    # inside chunks of 7 and 64 states: master seed 1's state 209, whose
     # first polish step is damped; a nearly pure state, where sigma_1 does
-    # not serve and the polish starts from sigma_0; and a pure state, whose
-    # polish fails, so that it alone falls back to the barrier.
+    # not serve and the polish starts from sigma_0; master seed 1's state
+    # 264, whose sigma_1 lies on the face with a least-squares mu of -0.077,
+    # so that sigma_1's polish leaves it unstarted and sigma_0's takes it,
+    # in one call with the nearly pure state, by their chunk rows; and a
+    # pure state, whose polish fails, so that it alone falls back to the
+    # barrier.
     cfg = ExperimentConfig(count=128, master_seed=1)
     nearly_pure = (1.0 - 1e-10) * pure(np.array([0.6, 0.0, 0.0, 0.8])) + 1e-10 * np.eye(4) / 4.0
     hard = {
         3: random_density_matrix(derive_stream(1, 209)),
         10: nearly_pure,
+        12: random_density_matrix(derive_stream(1, 264)),
         100: pure(np.array([0.8, 0.0, 0.0, 0.6])),
     }
     swapped = {
@@ -632,10 +637,11 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
     )
     stack = np.asarray(nearly_pure, dtype=complex)[None]
     values, vectors = measures._pt_eigh(stack)
-    first, _ = measures._face_starts(stack, *herm_eig(stack), values[:, 0], vectors[:, :, 0])
+    first, _ = measures._face_starts(stack, [0], *herm_eig(stack), values[:, 0], vectors[:, :, 0])
     assert first == []
-    seen = []
+    seen, polishes = [], []
     boundary_step, barrier_solve = measures._boundary_step, measures._barrier_solve
+    face_polish = measures._face_polish
 
     def spied_step(dx, scaled, fraction=0.99):
         seen.append(fraction == measures._POLISH_DAMPING)
@@ -645,14 +651,28 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
         seen.append(rho.tobytes())
         return barrier_solve(rho, lowest)
 
+    def spied_polish(rho, rows, start, outcomes):
+        polishes.append((list(rows), [rho[k].tobytes() for k in rows]))
+        face_polish(rho, rows, start, outcomes)
+
     monkeypatch.setattr(measures, "_boundary_step", spied_step)
     monkeypatch.setattr(measures, "_barrier_solve", spied_barrier)
+    monkeypatch.setattr(measures, "_face_polish", spied_polish)
     by_size = {}
     for size in (1, 7, 64):
         seen.clear()
+        polishes.clear()
         by_size[size] = records_in_chunks(cfg, size)
         assert True in seen, size  # a damped polish step
         assert [rho for rho in seen if isinstance(rho, bytes)] == [hard[100].tobytes()]
+        if size == 1:
+            continue
+        # The one sigma_0 call that holds the nearly pure state, right after
+        # the sigma_1 call of its chunk, which was handed state 264.
+        (at,) = [k for k, (_, handed) in enumerate(polishes) if hard[10].tobytes() in handed]
+        assert polishes[at] == ([10 % size, 12 % size], [hard[10].tobytes(), hard[12].tobytes()])
+        sigma_1 = polishes[at - 1][1]
+        assert hard[12].tobytes() in sigma_1 and hard[10].tobytes() not in sigma_1
     assert by_size[1] == by_size[7] == by_size[64]
     for index in hard:
         assert not by_size[64][index].separable and by_size[64][index].ree_converged
@@ -662,7 +682,7 @@ def test_a_singular_kkt_matrix_sends_only_its_state_to_the_barrier(monkeypatch):
     # One entangled state's first KKT matrix reads singular inside a stack:
     # the stacked solve fails, each system is solved alone, and only that
     # state leaves the polish, after its one step, for the barrier path.
-    # Every other record keeps its bits.
+    # Every other record keeps its bits, and ree alone gives that state's.
     cfg = ExperimentConfig(count=16, master_seed=1)
     plain, _ = experiment._measure_chunk(range(16), cfg)
     entangled = [record.id for record in plain if not record.separable]
@@ -678,7 +698,7 @@ def test_a_singular_kkt_matrix_sends_only_its_state_to_the_barrier(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(measures, "_kkt_system", recording)
         ree(rho)
-        patch.setattr(measures, "_face_polish", lambda rhos, *args: [(None, 0)] * len(rhos))
+        patch.setattr(measures, "_face_polish", lambda *args: None)
         barrier = ree(rho)
     singular_matrix = built[0][1][0]
     solve = measures.solve
@@ -699,6 +719,13 @@ def test_a_singular_kkt_matrix_sends_only_its_state_to_the_barrier(monkeypatch):
         assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
         assert np.array_equal(solution.closest_state, barrier.closest_state)
         assert record.ree == barrier.value != before.ree
+        chunk = solution
+    # Alone, as a stack of one, the state's system is solved alone again and
+    # read singular: the same one step and the same bits as in the chunk.
+    alone = ree(rho)
+    assert alone.iterations == barrier.iterations + 1
+    assert (alone.value, alone.gap) == (chunk.value, chunk.gap)
+    assert alone.closest_state.tobytes() == chunk.closest_state.tobytes()
 
 
 def test_nan_in_one_states_g_stops_the_run_with_that_state_named(monkeypatch):
@@ -799,7 +826,7 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
     if not polish:
         # No sigma_1, which divides by the poisoned differences, and no polish.
         monkeypatch.setattr(measures, "_face_starts", lambda *args: ([], None))
-        monkeypatch.setattr(measures, "_face_polish", lambda rho, *args: [(None, 0)] * len(rho))
+        monkeypatch.setattr(measures, "_face_polish", lambda *args: None)
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
         experiment._compute_record((index, cfg))
@@ -900,9 +927,9 @@ def test_chunk_fed_ree_reads_the_bits_of_ree_alone(monkeypatch):
 
     face_starts = measures._face_starts
 
-    def recorded_starts(rho, r, w, e, phi):
-        starts.extend(e)
-        return face_starts(rho, r, w, e, phi)
+    def recorded_starts(rho, rows, r, w, e, phi):
+        starts.extend(e[rows])
+        return face_starts(rho, rows, r, w, e, phi)
 
     with monkeypatch.context() as patch:
         patch.setattr(measures, "herm_eig", recomputed)
