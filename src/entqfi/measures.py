@@ -17,13 +17,13 @@ Face polish.  For an entangled rho the optimum lies on the face
 solutions are the inverse-problem states of Miranowicz & Ishizaka (PRA 78,
 032310, 2008), ``D ln_sigma[rho] = I - mu (|phi><phi|)^G`` with phi the
 kernel of sigma^G, so the solve ends on the PPT boundary with no 1/t bias.
-``_ree_inputs`` hands the polish its starts as one chain, under one
-``lapack_guard()`` per chunk: the first-order solution of that inverse
+``_start_chain`` hands the polish its starts as one chain: the
+first-order solution of that inverse
 problem, ``sigma_1 ~ rho + c G_rho[(|phi><phi|)^G]`` with ``G = (D ln)^-1``,
 (e, phi) the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G)
 on 0 to first order, lifted onto the face; then, where sigma_1 left a state
-unstarted, ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``; ``ree`` runs
-the barrier where both fail.  Every step of the chain names a state by its
+unstarted, ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``; the barrier
+runs where both fail.  Every step of the chain names a state by its
 row of the chunk's stack, and both polishes write into one outcome list.
 Over the 1833 entangled states of master seeds 1-4 and 15, sigma_1 starts
 1818, sigma_0 15 (8 under _FIRST_ORDER_FLOOR, 7 with a least-squares
@@ -34,7 +34,8 @@ convergence, and leaves the stack as it converges or fails; a singular KKT
 matrix, found by solving each system of the stack alone, ends only its own
 state's polish.  The divided differences of ln stay scalar ``math.log1p``,
 looped per state, as numpy's logarithms differ in the last bit.
-``ree(rho)`` alone runs the same chain as a stack of one.
+``ree(rho)`` alone runs the same chain, and the same certificate, as a
+stack of one.
 
 Barrier fallback.  Where no start serves or the polish fails (sigma >= 0
 active at the optimum: pure and rank-deficient rho), the barrier method
@@ -58,17 +59,21 @@ so ``gap = lambda_max(D + Q^G) - tr(sigma D)`` bounds how far S(rho||sigma)
 lies above REE.  ``Q = [(I - D)^G]_+`` is the multiplier that the KKT
 condition ``D + Q^G = I`` singles out, and it is tight on the face; after
 the barrier, ``(sigma^G)^-1 / t`` is priced too.  The reported gap adds a
-measured bound on its own evaluation roundoff, so it is never negative.  A
-gap within 2e-5 nats (about 3e-5 bits) counts as converged.  The closest
-state is full rank and PPT: on the PPT boundary after the polish, strictly
-interior after the barrier; the value is recomputed as S(rho||closest)
-from the spectra of rho and of the closest state that the solve holds.
-The solver works in nats, reports bits.  Its spectra and Newton solves run
-on the LAPACK kernels of ``states`` under one ``lapack_guard()`` per
-stacked polish and one per state's barrier and certificate: a failed
-spectrum raises ``EigendecompositionError``, and a chunk that fails reruns
-state by state to name it; a singular KKT matrix ends its state's polish,
-a singular barrier Hessian the solve, where it is.
+measured bound on its own evaluation roundoff, 1e-13 nats plus 2.5
+eps / lambda_min(sigma), so it is never negative.  A gap within 2e-5 nats
+(about 3e-5 bits) counts as converged.  The closest state is full rank and
+PPT: on the PPT boundary after the polish, strictly interior after the
+barrier; the value is recomputed as S(rho||closest) from the spectra of
+rho and of the closest state that the solve holds.  ``_ree_inputs``
+certifies a chunk's entangled states in one stacked pass, after the
+barrier has solved, state by state, those the chain left unpolished: the
+dual gaps, the ``_ppt`` check of each last sigma^G, the closest states,
+the divergences and, per state, the range rule with its own gap.  The
+solver works in nats, reports bits.  Its spectra and Newton solves run on
+the LAPACK kernels of ``states`` under one ``lapack_guard()`` per chunk:
+a failed spectrum raises ``EigendecompositionError``, and a chunk that
+fails reruns state by state to name it; a singular KKT matrix ends its
+state's polish, a singular barrier Hessian the solve, where it is.
 
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
@@ -79,10 +84,9 @@ which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
 elsewhere, so that a separable state reads 0 in every measure.
 Each state's rho^G is decomposed once, by ``_pt_eigh``: a chunk takes its
 lowest eigenpair (lambda_min, phi) from one ``eigh`` of its rho^G stack and
-rho's spectrum from one ``herm_eig`` of its stack; ``_ree_inputs`` starts
-the chain from those rows, ascending as ``eigh`` returns them, and hands
-``ree`` each state's spectrum of rho, lambda_min and polish outcome for its
-short-circuit, the barrier start and S(rho), so the PPT verdict, the
+rho's spectrum from one ``herm_eig`` of its stack; ``_ree_inputs`` reads
+those rows, ascending as ``eigh`` returns them, for the short-circuit, the
+face starts, the barrier start and S(rho), so the PPT verdict, the
 negativity and the face starts read one lambda_min.  The solve's own
 ``_Point`` spectra are ``eigh``'s too, so S(rho||sigma) reads rho's and
 sigma's in one order.
@@ -129,18 +133,26 @@ __all__ = [
 SEPARABILITY_EIG_TOL = 1e-10
 
 LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 
 _GAP_TOL_NATS = 2e-5
-# The dual gap's own evaluation roundoff, added to every reported gap: at the
-# polished points of master seeds 1-4 and 15, where the gap is a difference
-# of two numbers near 1 that agree, it reads 0.0 and more.
-# test_gap_roundoff_holds_ten_times_over_on_seed_one keeps seed 1's raw gaps
-# above -1e-15.  Against the same bound at 40 digits the raw gap errs there by
-# 6.3e-16 nats at the median and by at most 9.0e-13 (seed 15, id 137), about
-# eps / lambda_min(sigma), so this covers the median error but not the worst
-# (test_dual_gap_holds_its_error_budget_against_a_40_digit_reference).
-_GAP_ROUNDOFF_NATS = 1e-14
+# The dual gap's own evaluation roundoff, added to every reported gap as
+# _GAP_ROUNDOFF_NATS + _GAP_ROUNDOFF_EPSILONS eps / lambda_min(sigma) nats
+# (``_gap_roundoff``).  At the polished points of the 1833 entangled states of
+# master seeds 1-4 and 15 (ids 0-999), where the gap is a difference of two
+# numbers near 1 that agree, the raw gap reads 0.0 and more, and
+# test_gap_roundoff_holds_ten_times_over_on_seed_one keeps seed 1's above
+# -1e-15.  Against the same bound at 40 digits it errs by 6.3e-16 nats at the
+# median and by at most 9.04e-13 (seed 15, id 137): a floor of at most
+# 6.3e-15 where lambda_min(sigma) exceeds 1e-2, and at most 0.21
+# eps / lambda_min(sigma) where it is small, as on 200 polished nearly pure
+# and rank-2 states (lambda_min(sigma) down to 5.4e-11, errors up to 3.0e-7
+# nats) and, at most 0.14, at the barrier's last points.  The term is at
+# least ten times the error at each of those points; seed 15, id 261 sets
+# the margin (test_dual_gap_holds_its_error_budget_against_a_40_digit_reference),
+# and it reads at most 1.9e-11 nats on the seeded states.
+_GAP_ROUNDOFF_NATS, _GAP_ROUNDOFF_EPSILONS = 1e-13, 2.5
 # _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
 # of sigma and sigma^G in x_k.
 _PAULI_15 = PAULI_PRODUCTS.reshape(16, 4, 4)[1:]
@@ -430,18 +442,32 @@ def _kkt_system(p: _Point, mu):
     return residual, matrix, mu
 
 
-def _dual_gap(p: _Point, t: float | None = None) -> float:
-    """``lambda_max(D + Q^G) - tr(sigma D)`` in nats for the better of
-    ``Q = [(I - D)^G]_+`` and, with t given, ``(sigma^G)^-1 / t``, which
-    stays tight where sigma >= 0 is active too (rank-deficient rho)."""
-    dt = p.rt * _log_first_differences(p.s[0])
-    d = p.v[0] @ dt @ p.v[0].conj().T
+def _dual_gap(p: _Point, t=None):
+    """``lambda_max(D + Q^G) - tr(sigma D)`` in nats at a point, or at each
+    point of a stack as an array, for the better of ``Q = [(I - D)^G]_+``
+    and, on the rows where the list t holds the last barrier t rather than
+    None, ``(sigma^G)^-1 / t``, which stays tight where sigma >= 0 is
+    active too (rank-deficient rho)."""
+    dt = p.rt * _log_first_differences(p.s[..., 0, :])
+    v = p.v[..., 0, :, :]
+    d = v @ dt @ v.conj().mT
     lam, u = eigh(partial_transpose(IDENTITY_4 - d))
-    q = (u * np.maximum(lam, 0.0)) @ u.conj().T
-    if t is not None:
-        q = np.stack([q, (p.v[1] / (t * p.s[1])) @ p.v[1].conj().T])
-    tops = eigvalsh(d + partial_transpose(q))
-    return float(np.minimum.reduce(tops[..., -1], axis=None)) - float(p.s[0] @ dt.diagonal().real)
+    q = (u * np.maximum(lam, 0.0)[..., None, :]) @ u.conj().mT
+    tops = eigvalsh(d + partial_transpose(q))[..., -1]
+    rows = [k for k, last in enumerate(t or ()) if last is not None]
+    if rows:
+        pt_v, scale = p.v[rows, 1], np.array([t[k] for k in rows])[:, None] * p.s[rows, 1]
+        q = (pt_v / scale[:, None, :]) @ pt_v.conj().mT
+        barrier_tops = eigvalsh(d[rows] + partial_transpose(q))[:, -1]
+        tops[rows] = np.minimum(tops[rows], barrier_tops)
+    return tops - np.vecdot(p.s[..., 0, :], dt.diagonal(axis1=-2, axis2=-1).real)
+
+
+def _gap_roundoff(p: _Point):
+    """The bound on ``_dual_gap``'s own roundoff in nats at a point, or at
+    each point of a stack, that the reported gap adds: see
+    _GAP_ROUNDOFF_EPSILONS."""
+    return _GAP_ROUNDOFF_NATS + (_GAP_ROUNDOFF_EPSILONS * _EPS) / p.s[..., 0, 0]
 
 
 def _boundary_step(dx: np.ndarray, scaled: np.ndarray, fraction: float = 0.99) -> float:
@@ -499,10 +525,11 @@ def _face_starts(
     carries no matrix."""
     r_lows = r[:, 0].tolist()
     rows = [k for k in rows if r_lows[k] > ZERO_CUTOFF]
-    rho, r, w = rho[rows], r[rows], w[rows]
-    yw = w.conj().mT @ _pt_projectors(phi[rows]) @ w
+    if len(rows) < len(r):
+        rho, r, w, e, phi = rho[rows], r[rows], w[rows], e[rows], phi[rows]
+    yw = w.conj().mT @ _pt_projectors(phi) @ w
     gw = yw / _log_first_differences(r)
-    c = -e[rows] / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
+    c = -e / (yw.conj() * gw).real.reshape(-1, 16).sum(axis=1)
     sigma_1 = rho + c[:, None, None] * (w @ gw @ w.conj().mT)
     sigma_1 /= sigma_1.trace(axis1=1, axis2=2).real[:, None, None]
     lam, vec = eigh(partial_transpose(sigma_1))
@@ -567,7 +594,8 @@ def _face_polish(rho: np.ndarray, rows: list, p: _Point, outcomes: list) -> None
             return
         rows, p = [rows[k] for k in ok], _take(p, ok)
         residual, matrix, mu = residual[ok], matrix[ok], mu[ok]
-    rho = rho[rows]
+    if len(rows) < len(rho):
+        rho = rho[rows]
     for steps in range(1, _POLISH_STEPS + 1):
         d, failed = _kkt_steps(matrix, residual)
         dx, dmu = d[:, :15], d[:, 15]
@@ -661,69 +689,92 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
     return p, steps, t
 
 
-def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[tuple]:
-    """What ``ree`` reads of each state of a chunk's stack from the
-    ``herm_eig`` of rho and the ``_pt_eigh`` of rho^G, its ``measured``:
-    rho's spectrum, the lowest eigenvalue of rho^G and the face polish's
-    outcome, the point or None and the steps taken (None where rho is PPT).
-    The polish runs over the entangled rows along the start chain, each
-    step naming a state by its chunk row and writing into one outcome list:
-    sigma_1, then sigma_0 for the rows that sigma_1 left at ``(None, 0)``."""
+def _start_chain(rho: np.ndarray, spectra, pt_spectra) -> list:
+    """The face polish's outcome for each state of a chunk's stack, from the
+    ``herm_eig`` of rho and the ``_pt_eigh`` of rho^G: None where rho is
+    PPT, else the point on the face or None and the steps taken.  The polish
+    runs over the entangled rows along the start chain, each step naming a
+    state by its chunk row and writing into the one outcome list: sigma_1,
+    then sigma_0 for the rows that sigma_1 left at ``(None, 0)``.  It runs
+    under the caller's ``lapack_guard()``, as in ``_ree_inputs``."""
     (r, w), (pt_values, pt_vectors) = spectra, pt_spectra
-    lowest = pt_values[:, 0].tolist()
-    polished = [None if _ppt(low) else (None, 0) for low in lowest]
-    entangled = [k for k, outcome in enumerate(polished) if outcome]
+    outcomes = [None if _ppt(low) else (None, 0) for low in pt_values[:, 0].tolist()]
+    entangled = [k for k, outcome in enumerate(outcomes) if outcome]
     if entangled:
         e, phi = pt_values[:, 0], pt_vectors[:, :, 0]
-        with lapack_guard():
-            _face_polish(rho, *_face_starts(rho, entangled, r, w, e, phi), polished)
-            rows = [k for k in entangled if not polished[k][1]]
-            if rows:
-                lifted = _lift(rho[rows], e[rows], _pt_projectors(phi[rows]))
-                _face_polish(rho, rows, _point(rho[rows], _coordinates(lifted)), polished)
-    return list(zip(r, lowest, polished))
+        _face_polish(rho, *_face_starts(rho, entangled, r, w, e, phi), outcomes)
+        rows = [k for k in entangled if not outcomes[k][1]]
+        if rows:
+            lifted = _lift(rho[rows], e[rows], _pt_projectors(phi[rows]))
+            _face_polish(rho, rows, _point(rho[rows], _coordinates(lifted)), outcomes)
+    return outcomes
+
+
+def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[ReeSolution]:
+    """``ree`` of each state of a chunk's stack, from the ``herm_eig`` of rho
+    and the ``_pt_eigh`` of rho^G, with one stacked certificate.
+
+    PPT rows take the short-circuit: value 0, rho as its own closest state.
+    The entangled rows run ``_start_chain``; the barrier then solves, state
+    by state, the rows that the chain left unpolished.  One pass over the
+    entangled rows' last points prices their dual gaps, the barrier rows'
+    with their last t, judges their sigma^G with ``_ppt``, builds their
+    closest states, reads each value off rho's spectrum and the point's
+    spectrum of the closest state, and passes the values through the range
+    rule, each with its own gap in its slack."""
+    with lapack_guard():
+        outcomes = _start_chain(rho, spectra, pt_spectra)
+        solutions = [
+            None if outcome else ReeSolution(0.0, rho[k].copy(), 0, True, 0.0)
+            for k, outcome in enumerate(outcomes)
+        ]
+        rows = [k for k, outcome in enumerate(outcomes) if outcome]
+        if not rows:
+            return solutions
+        lowest = pt_spectra[0][:, 0].tolist()
+        points, steps, last_t = [], [], []
+        for k in rows:
+            point, taken = outcomes[k]
+            t = None
+            if point is None:
+                point, barrier_steps, t = _barrier_solve(rho[k], lowest[k])
+                taken += barrier_steps
+            points.append(point)
+            steps.append(taken)
+            last_t.append(t)
+        # np.stack copies; a stack of one takes its leading axis as views.
+        p = _Point(*(map(np.stack, zip(*points)) if len(points) > 1 else (f[None] for f in point)))
+        gaps = _dual_gap(p, last_t) + _gap_roundoff(p)
+    if not _ppt(np.minimum.reduce(p.s[:, 1, 0])):
+        raise ArithmeticError("solver produced a non-PPT candidate state")
+    r = spectra[0]
+    if len(rows) < len(outcomes):
+        rho, r = rho[rows], r[rows]
+    # Each point holds the spectrum that herm_eig of its closest state gives,
+    # as that state is Hermitian to the last bit.
+    values = _divergence(rho, p.s[:, 0], p.v[:, 0], _spectral_entropy(r))
+    closest = _sigmas(p.x)[:, 0]
+    for k, sigma, value, taken, gap in zip(rows, closest, values.tolist(), steps, gaps.tolist()):
+        bits = gap / LN2
+        value = clip_roundoff(value, 0.0, 1.0, "REE", bits + _DIVERGENCE_ROUNDOFF)
+        solutions[k] = ReeSolution(value, sigma, taken, gap <= _GAP_TOL_NATS, bits)
+    return solutions
 
 
 def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -> ReeSolution:
     """Relative entropy of entanglement in bits, with its closest state.
 
-    ``measured`` is this state's row of ``_ree_inputs``, as a chunk holds
-    it: rho's spectrum, the lowest eigenvalue of rho^G and the face
-    polish's outcome; without it ``ree`` computes them as a stack of one.
-    The lowest eigenvalue of rho^G decides the PPT short-circuit (value 0,
-    the input as its own closest state); the barrier runs, for this state
-    alone, only where the polish failed.  The value is read off rho's
-    spectrum and the last point's spectrum of the closest state, and
-    certified by the dual gap there.  ``cfg`` is ignored.
+    ``measured`` is this state's ``ReeSolution`` as its chunk's
+    ``_ree_inputs`` certified it, and ``ree`` returns it; without it
+    ``ree`` runs ``_ree_inputs`` on a stack of one.  The lowest eigenvalue
+    of rho^G decides the PPT short-circuit (value 0, the input as its own
+    closest state); the barrier runs, for this state alone, only where the
+    polish failed.  The value is read off rho's spectrum and the last
+    point's spectrum of the closest state, and certified by the dual gap
+    there.  ``cfg`` is ignored.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if measured is None:
-        stack = rho[None]
-        (measured,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
-    r, lowest, polished = measured
-    if _ppt(lowest):
-        return ReeSolution(
-            value=0.0, closest_state=rho.copy(), iterations=0, converged=True, gap=0.0
-        )
-    point, steps = polished
-    with lapack_guard():
-        t = None
-        if point is None:
-            point, barrier_steps, t = _barrier_solve(rho, lowest)
-            steps += barrier_steps
-        gap = _dual_gap(point, t) + _GAP_ROUNDOFF_NATS
-    if not _ppt(point.s[1, 0]):
-        raise ArithmeticError("solver produced a non-PPT candidate state")
-    closest = _sigmas(point.x)[0]
-    # point holds the spectrum that herm_eig(closest) gives, as closest is
-    # Hermitian to the last bit.
-    value = _divergence(rho, point.s[0], point.v[0], _spectral_entropy(r))
-    gap_bits = gap / LN2
-    value = clip_roundoff(value, 0.0, 1.0, "REE", gap_bits + _DIVERGENCE_ROUNDOFF)
-    return ReeSolution(
-        value=value,
-        closest_state=closest,
-        iterations=steps,
-        converged=gap <= _GAP_TOL_NATS,
-        gap=gap_bits,
-    )
+    if measured is not None:
+        return measured
+    stack = np.asarray(rho, dtype=complex)[None]
+    (solution,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
+    return solution

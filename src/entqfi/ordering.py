@@ -23,10 +23,12 @@ shares the QFI relation between them.  The census counts a tile's joint
 codes of all three measures once into a 13x13x13 table, and reads the
 three per-measure tables off that table's marginals at the end.
 The witness scan keeps the first ``limit`` pairs of each discordant cell
-and stops after the tile in which the last cell fills.  Both reject a
-non-finite value, which the comparators could not order.
-``classify_pair`` is the scalar reference that the tests compare both
-against.
+and stops after the tile in which the last cell fills.  A run takes both
+from one scan, ``census_and_witnesses``: it counts every tile, and reads
+each measure's witnesses off that measure's base-13 digit of the joint
+codes until the measure's cells fill.  All reject a non-finite value,
+which the comparators could not order.  ``classify_pair`` is the scalar
+reference that the tests compare them against.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "classify_pair",
     "census",
     "find_counterexamples",
+    "census_and_witnesses",
 ]
 
 MEASURE_NAMES = ("concurrence", "negativity", "ree")
@@ -225,6 +228,22 @@ def _cell_of_code(code: int) -> OrderingClass:
     return OrderingClass(MEASURE_RELATIONS[code // 3], MQFI_RELATIONS[code % 3])
 
 
+def _count(joint: np.ndarray, codes: np.ndarray) -> None:
+    """Add a tile's joint codes of all three measures to the 13x13x13
+    table ``joint``, flattened."""
+    joint += np.bincount(codes.ravel(), minlength=13**3)
+
+
+def _census_tables(joint: np.ndarray) -> dict[str, dict[OrderingClass, int]]:
+    """The per-measure tables, the marginals of the joint table."""
+    joint = joint.reshape(13, 13, 13)
+    counts = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
+    return {
+        measure: {_cell_of_code(code): int(counts[m][code]) for code in range(12)}
+        for m, measure in enumerate(MEASURE_NAMES)
+    }
+
+
 def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingClass, int]]:
     """Cell counts over all unordered pairs, one table per measure.
 
@@ -234,16 +253,42 @@ def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingC
     table = _normalize_eps(eps)
     joint = np.zeros(13**3, dtype=np.int64)
     for _, codes in _cell_tiles(records, MEASURE_NAMES, table):
-        joint += np.bincount(codes.ravel(), minlength=13**3)
-    joint = joint.reshape(13, 13, 13)
-    counts = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
-    return {
-        measure: {_cell_of_code(code): int(counts[m][code]) for code in range(12)}
-        for m, measure in enumerate(MEASURE_NAMES)
-    }
+        _count(joint, codes)
+    return _census_tables(joint)
 
 
 _DISCORDANT_CODES = tuple(code for code in range(12) if _cell_of_code(code) in DISCORDANT_CELLS)
+
+
+def _collect(hits: dict, records: Sequence[StateRecord], first: int, codes, limit: int) -> bool:
+    """Append to ``hits[code]``, up to ``limit`` in all, each discordant
+    cell's pairs of a tile's one-measure cell codes in canonical order;
+    True once every cell holds ``limit``."""
+    cols = codes.shape[1]
+    for code, found in hits.items():
+        need = limit - len(found)
+        if need:
+            for k in np.flatnonzero(codes == code)[:need]:
+                r, c = divmod(int(k), cols)
+                found.append((records[first + r], records[first + 1 + c]))
+    return all(len(found) == limit for found in hits.values())
+
+
+def _witnesses(measure: str, hits: dict) -> list[PairWitness]:
+    """The witnesses of ``_collect``'s pairs, cell by cell."""
+    return [
+        PairWitness(
+            id_1=r1.id,
+            id_2=r2.id,
+            measure_name=measure,
+            ordering=_cell_of_code(code),
+            values=tuple(
+                map(float, (getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max))
+            ),
+        )
+        for code, found in hits.items()
+        for r1, r2 in found
+    ]
 
 
 def find_counterexamples(
@@ -262,27 +307,31 @@ def find_counterexamples(
     if limit < 1:
         raise ValueError("limit must be at least 1")
     table = _normalize_eps(eps)
-    pairs: dict[int, list] = {code: [] for code in _DISCORDANT_CODES}
+    hits: dict[int, list] = {code: [] for code in _DISCORDANT_CODES}
     for first, codes in _cell_tiles(records, (measure,), table):
-        cols = codes.shape[1]
-        for code, hits in pairs.items():
-            need = limit - len(hits)
-            if need:
-                for k in np.flatnonzero(codes == code)[:need]:
-                    r, c = divmod(int(k), cols)
-                    hits.append((records[first + r], records[first + 1 + c]))
-        if all(len(hits) == limit for hits in pairs.values()):
+        if _collect(hits, records, first, codes, limit):
             break
-    return [
-        PairWitness(
-            id_1=r1.id,
-            id_2=r2.id,
-            measure_name=measure,
-            ordering=_cell_of_code(code),
-            values=tuple(
-                map(float, (getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max))
-            ),
-        )
-        for code, hits in pairs.items()
-        for r1, r2 in hits
-    ]
+    return _witnesses(measure, hits)
+
+
+def census_and_witnesses(
+    records: Sequence[StateRecord], eps=None
+) -> tuple[dict[str, dict[OrderingClass, int]], dict[str, list[PairWitness]]]:
+    """``census(records, eps)`` and, by measure, ``find_counterexamples(
+    records, measure, eps)``, from one scan of the pairs.
+
+    Each tile's joint codes are counted whole, and each measure's base-13
+    digit of them gives its witnesses until its discordant cells are full.
+    """
+    table = _normalize_eps(eps)
+    joint = np.zeros(13**3, dtype=np.int64)
+    hits = {measure: {code: [] for code in _DISCORDANT_CODES} for measure in MEASURE_NAMES}
+    collecting = list(enumerate(MEASURE_NAMES))
+    for first, codes in _cell_tiles(records, MEASURE_NAMES, table):
+        _count(joint, codes)
+        for m, measure in collecting[:]:
+            cells = codes // 13 ** (2 - m) % 13
+            if _collect(hits[measure], records, first, cells, DEFAULT_WITNESS_LIMIT):
+                collecting.remove((m, measure))
+    witnesses = {measure: _witnesses(measure, hits[measure]) for measure in MEASURE_NAMES}
+    return _census_tables(joint), witnesses

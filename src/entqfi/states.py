@@ -201,10 +201,17 @@ def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
     return np.einsum("ijil->jl", r)
 
 
-def _spectral_entropy(eigenvalues: np.ndarray) -> float:
-    """-sum p log2 p in bits over a spectrum, with 0 log 0 = 0."""
-    vals = eigenvalues[eigenvalues > ZERO_CUTOFF]
-    return clip_roundoff(-np.add.reduce(vals * np.log2(vals)), 0.0, math.inf, "von Neumann entropy")
+def _spectral_entropy(eigenvalues: np.ndarray):
+    """-sum p log2 p in bits over a spectrum, or over each of a stack as an
+    array, with 0 log 0 = 0."""
+    # A NaN fails this test too; the mask below drops it with the zeros.
+    if not np.minimum.reduce(eigenvalues, axis=None) > ZERO_CUTOFF:
+        if eigenvalues.ndim > 1:
+            # Each spectrum sums its own positive eigenvalues, in their order.
+            return np.array([_spectral_entropy(row) for row in eigenvalues])
+        eigenvalues = eigenvalues[eigenvalues > ZERO_CUTOFF]
+    terms = eigenvalues * np.log2(eigenvalues)
+    return clip_roundoff(-np.add.reduce(terms, axis=-1), 0.0, math.inf, "von Neumann entropy")
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -212,9 +219,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _spectral_entropy(herm_eig(rho)[0])
 
 
-def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: float) -> float:
+def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy):
     """S(rho || sigma) in bits from sigma's spectrum s and its eigenvectors,
-    and S(rho); ``math.inf`` when rho escapes sigma's support.
+    and S(rho); ``math.inf`` when rho escapes sigma's support.  Of one state,
+    or of each of a stack as an array.
 
     The support test projects rho onto sigma's null eigenspace (eigenvalues
     at most ``ZERO_CUTOFF``); mass above the cutoff there makes the
@@ -223,11 +231,17 @@ def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy: f
     below zero (sigma is not a normalized state, say) raises
     ``ArithmeticError``."""
     s = np.maximum(s, 0.0)
-    weights = np.maximum(np.add.reduce((rho @ vecs) * vecs.conj(), axis=0).real, 0.0)
-    null = s <= ZERO_CUTOFF
-    if float(np.add.reduce(weights[null])) > ZERO_CUTOFF:
-        return math.inf
-    value = -rho_entropy - float(np.add.reduce(weights[~null] * np.log2(s[~null])))
+    deficient = np.minimum.reduce(s, axis=None) <= ZERO_CUTOFF
+    if deficient and s.ndim > 1:
+        # Each state tests its own null eigenspace and sums the rest in order.
+        return np.array([_divergence(*state) for state in zip(rho, s, vecs, rho_entropy)])
+    weights = np.maximum(np.add.reduce((rho @ vecs) * vecs.conj(), axis=-2).real, 0.0)
+    if deficient:
+        null = s <= ZERO_CUTOFF
+        if float(np.add.reduce(weights[null])) > ZERO_CUTOFF:
+            return math.inf
+        weights, s = weights[~null], s[~null]
+    value = -rho_entropy - np.add.reduce(weights * np.log2(s), axis=-1)
     return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
 

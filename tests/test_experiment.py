@@ -468,7 +468,7 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
 
 
 def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
-    monkeypatch.setattr(measures, "_divergence", lambda *args: 1.01)
+    monkeypatch.setattr(measures, "_divergence", lambda rho, *args: np.full(len(rho), 1.01))
     with pytest.raises(ArithmeticError, match=r"^REE 1\.01 lies outside \[0, 1\]"):
         ree(bell_state())
     states = [random_density_matrix(derive_stream(7, i)) for i in range(3)]
@@ -658,11 +658,14 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
     monkeypatch.setattr(measures, "_boundary_step", spied_step)
     monkeypatch.setattr(measures, "_barrier_solve", spied_barrier)
     monkeypatch.setattr(measures, "_face_polish", spied_polish)
-    by_size = {}
+    calls = recording_ree(monkeypatch)
+    by_size, certified = {}, {}
     for size in (1, 7, 64):
         seen.clear()
         polishes.clear()
+        calls.clear()
         by_size[size] = records_in_chunks(cfg, size)
+        certified[size] = [(rho, measured) for rho, measured, _ in calls]
         assert True in seen, size  # a damped polish step
         assert [rho for rho in seen if isinstance(rho, bytes)] == [hard[100].tobytes()]
         if size == 1:
@@ -676,6 +679,17 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
     assert by_size[1] == by_size[7] == by_size[64]
     for index in hard:
         assert not by_size[64][index].separable and by_size[64][index].ree_converged
+
+    # Each chunk row's certified solution, closest state included, is the
+    # one that ree computes for that state alone.
+    def bits(solution):
+        fields = (solution.value, solution.gap, solution.iterations, solution.converged)
+        return fields + (solution.closest_state.tobytes(),)
+
+    alone = [bits(ree(rho)) for rho, _ in certified[64]]
+    assert len(alone) == cfg.count
+    for size in (1, 7, 64):
+        assert [bits(measured) for _, measured in certified[size]] == alone, size
 
 
 def test_a_singular_kkt_matrix_sends_only_its_state_to_the_barrier(monkeypatch):
@@ -1001,9 +1015,9 @@ def test_records_are_invariant_under_swap_and_conjugation(monkeypatch):
 
 
 def test_emitting_twice_into_one_directory_writes_the_bytes_of_a_fresh_one(small_run, tmp_path):
-    # Each emitter unlinks an old file before writing it again, so a rerun
-    # leaves a fresh directory's bytes, and a hard link to each old file
-    # keeps that file's bytes: the file was replaced, not truncated.
+    # Each emitter writes over an old, longer file in place and truncates it
+    # to the new length, so a rerun leaves a fresh directory's bytes, and a
+    # hard link to each old file, which keeps its inode, reads the new bytes.
     fresh, again, old = tmp_path / "fresh", tmp_path / "again", tmp_path / "old"
     for directory in (fresh, again, old):
         directory.mkdir()
@@ -1015,7 +1029,8 @@ def test_emitting_twice_into_one_directory_writes_the_bytes_of_a_fresh_one(small
     assert emit_all(small_run, again) == expected
     assert sorted(os.listdir(again)) == sorted(os.listdir(fresh))
     for name in expected:
-        assert (old / name).read_text(encoding="utf-8") == f"stale {name}\n" * 10000
+        assert os.path.samefile(old / name, again / name)
+        assert (old / name).read_bytes() == expected[name]
 
 
 def test_one_worker_run_never_imports_multiprocessing():

@@ -139,25 +139,41 @@ _GAP_ERROR_BOUND = 2 * 9.04e-13
 _GAP_ERROR_EPSILONS = 2 * 1.15
 
 
+def _chain_outcomes(rhos):
+    """The start chain's outcome for each state of a stack, as
+    ``_ree_inputs`` runs it: from the stack's own decompositions, under
+    ``lapack_guard()``."""
+    with lapack_guard():
+        return measures._start_chain(rhos, herm_eig(rhos), measures._pt_eigh(rhos))
+
+
 def test_dual_gap_holds_its_error_budget_against_a_40_digit_reference():
     """The raw dual gap at each polished point of the fixture's entangled
     states, against the same bound at 40 digits from the exact eigenpairs
     of the float sigma: within twice the worst error measured on seeded
     states, in nats and times lambda_min(sigma) (the fixture reads at most
-    1.9e-15 nats).  The error scales as 1/lambda_min(sigma), so the 1e-14 of
-    _GAP_ROUNDOFF_NATS covers the median seeded error, 6.3e-16, but not the
-    worst: where lambda_min(sigma) is near 3e-5 the error reached 90 times
-    it, and on seed 2, id 452, the float gap read 4.1e-13 below the bound."""
+    1.9e-15 nats).  The roundoff term that the reported gap adds,
+    ``_gap_roundoff``, is at least ten times the error there and at the two
+    seeded points that set its law: seed 15, id 137, the worst error, and
+    id 261, the narrowest margin.  A flat 1e-14 nats covered the median
+    seeded error, 6.3e-16, but not the worst: on seed 2, id 452, the float
+    gap read 4.1e-13 below the bound."""
     rhos = error_budget_fixture()
-    rows = measures._ree_inputs(rhos, herm_eig(rhos), measures._pt_eigh(rhos))
-    points = [(rho, row[2][0]) for rho, row in zip(rhos, rows) if row[2] and row[2][0] is not None]
+    points = [
+        (rho, outcome[0])
+        for rho, outcome in zip(rhos, _chain_outcomes(rhos))
+        if outcome and outcome[0] is not None
+    ]
     assert len(points) == 10
-    for rho, point in points:
+    seeded = _density_matrices([derive_stream(15, index) for index in (137, 261)])
+    points += [(rho, point) for rho, (point, _) in zip(seeded, _chain_outcomes(seeded))]
+    for k, (rho, point) in enumerate(points):
         with lapack_guard():
             raw = measures._dual_gap(point)
         error = abs(raw - float(dual_gap_mp(rho, measures._sigmas(point.x)[0])))
         assert error <= _GAP_ERROR_BOUND
         assert error * point.s[0, 0] <= _GAP_ERROR_EPSILONS * np.finfo(float).eps
+        assert 10 * error <= measures._gap_roundoff(point), k
 
 
 def _grid_numerators():
@@ -492,19 +508,20 @@ def test_ree_gap_is_not_negative_when_one_atom_climbs_to_a_lower_maximum():
 def test_ree_gap_carries_its_own_roundoff(monkeypatch):
     # Master seed 15, state 624: at the polished point the dual gap is a
     # difference of two numbers near 1 that agree, and it read -2.2e-16 nats
-    # (numpy 2.4.6).  The reported gap adds the measured roundoff bound, so
-    # it is not negative; it is not clamped either.
-    raw, dual_gap = [], measures._dual_gap
+    # (numpy 2.4.6).  The reported gap adds the measured roundoff bound at
+    # that point, so it is not negative; it is not clamped either.
+    raw, points, dual_gap = [], [], measures._dual_gap
 
     def recording(p, t=None):
         raw.append(dual_gap(p, t))
+        points.append(p)
         return raw[-1]
 
     monkeypatch.setattr(measures, "_dual_gap", recording)
     _, solution = _seeded_ree(15, 624)
     assert abs(raw[-1]) <= measures._GAP_ROUNDOFF_NATS
-    assert solution.gap == (raw[-1] + measures._GAP_ROUNDOFF_NATS) / math.log(2.0)
-    assert 0.0 < solution.gap <= 2e-14 / math.log(2.0)
+    assert solution.gap == (raw[-1] + measures._gap_roundoff(points[-1])) / math.log(2.0)
+    assert 0.0 < solution.gap <= 2e-13 / math.log(2.0)
 
 
 def test_gap_roundoff_holds_ten_times_over_on_seed_one():
@@ -514,8 +531,7 @@ def test_gap_roundoff_holds_ten_times_over_on_seed_one():
     # and more over master seeds 1-4 and 15).  A tenth of the constant must
     # cover its roundoff.
     rhos = _density_matrices([derive_stream(1, index) for index in range(1000)])
-    rows = measures._ree_inputs(rhos, herm_eig(rhos), measures._pt_eigh(rhos))
-    points = [polished[0] for _, _, polished in rows if polished is not None]
+    points = [polished[0] for polished in _chain_outcomes(rhos) if polished is not None]
     assert len(points) == 365 and all(point is not None for point in points)
     with lapack_guard():
         gaps = [measures._dual_gap(point) for point in points]
@@ -567,7 +583,8 @@ def test_ree_newton_step_budget():
 def test_seed_one_ends_on_the_face_within_its_step_budget(monkeypatch):
     # The 365 entangled states of master seed 1 took 2092 polish steps from
     # sigma_0 and 1578 from the first-order start, the largest certified gap
-    # 1.4e-13 bits; none falls back to the barrier.
+    # 3.3e-12 bits, nearly all of it the gap's roundoff term; none falls back
+    # to the barrier.
     def no_barrier(rho, lowest):
         raise AssertionError("the face polish fell back to the barrier")
 
@@ -580,7 +597,7 @@ def test_seed_one_ends_on_the_face_within_its_step_budget(monkeypatch):
             gaps.append(solution.gap)
     assert len(gaps) == 365
     assert steps <= 1650
-    assert max(gaps) <= 1e-12
+    assert max(gaps) <= 5e-12
 
 
 def test_ree_value_is_the_relative_entropy_to_its_closest_state():
@@ -878,18 +895,11 @@ def test_boundary_step_stops_short_of_the_nearer_cone():
     assert boundary.max() > 0.0
 
 
-def _measured(rho):
-    """rho's row of ``_ree_inputs``, as a stack of one: its spectrum, the
-    lowest eigenvalue of its rho^G and its face polish's outcome."""
-    stack = np.asarray(rho, dtype=complex)[None]
-    (row,) = measures._ree_inputs(stack, herm_eig(stack), measures._pt_eigh(stack))
-    return row
-
-
 def _polish_alone(rho):
-    """The face polish of rho alone along the start chain: its point or
-    None, and its steps."""
-    return _measured(rho)[2]
+    """The face polish of rho alone along the start chain, as a stack of
+    one: its point or None, and its steps."""
+    (outcome,) = _chain_outcomes(np.asarray(rho, dtype=complex)[None])
+    return outcome
 
 
 def _face_starts(rho):
@@ -902,7 +912,7 @@ def _face_starts(rho):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_face_polish", declined)
-        _measured(rho)
+        _polish_alone(rho)
     return starts
 
 
@@ -939,21 +949,29 @@ def test_first_order_face_start_lies_nearer_the_closest_state():
 
 
 def _start_traffic(master_seed):
-    """The start chain over the first 1000 states of a master seed: each
-    state's ``_ree_inputs`` row, and for each ``_face_polish`` call in turn,
-    sigma_1's and then sigma_0's, the outcome of each state it was handed,
-    by id, which is its row of the one stack."""
+    """The start chain over the first 1000 states of a master seed: for each
+    state a row (rho, its ``_ree_inputs`` solution, its chain outcome), and
+    for each ``_face_polish`` call in turn, sigma_1's and then sigma_0's,
+    the outcome of each state it was handed, by id, which is its row of the
+    one stack."""
     rhos = _density_matrices([derive_stream(master_seed, index) for index in range(1000)])
-    polishes, face_polish = [], measures._face_polish
+    polishes, chains = [], []
+    face_polish, start_chain = measures._face_polish, measures._start_chain
 
     def recording(rho, rows, start, outcomes):
         face_polish(rho, rows, start, outcomes)
         polishes.append({k: outcomes[k] for k in rows})
 
+    def recording_chain(rho, spectra, pt_spectra):
+        chains.append(start_chain(rho, spectra, pt_spectra))
+        return chains[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_face_polish", recording)
-        rows = measures._ree_inputs(rhos, herm_eig(rhos), measures._pt_eigh(rhos))
-    return rows, polishes
+        patch.setattr(measures, "_start_chain", recording_chain)
+        solutions = measures._ree_inputs(rhos, herm_eig(rhos), measures._pt_eigh(rhos))
+    (outcomes,) = chains
+    return list(zip(rhos, solutions, outcomes)), polishes
 
 
 def _sigma_1_mu(master_seed, index):
@@ -976,8 +994,8 @@ def test_the_start_chain_on_seed_one_falls_to_sigma_0_under_the_floor_and_on_a_n
     # under _FIRST_ORDER_FLOOR, so the polish is not handed it; id 264's lies
     # on the face, but its least-squares mu is -0.077, so the polish leaves
     # it at (None, 0).  Both polish from sigma_0 and end on the face, where
-    # the certified gap is at the level of _GAP_ROUNDOFF_NATS (1.4e-14
-    # bits): none reaches the barrier.
+    # the certified gap is at the level of its roundoff term (1.7e-13 and
+    # 1.5e-13 bits): none reaches the barrier.
     rows, (first, second) = _start_traffic(1)
     entangled = [index for index, (_, _, polished) in enumerate(rows) if polished is not None]
     assert len(entangled) == 365
@@ -988,8 +1006,8 @@ def test_the_start_chain_on_seed_one_falls_to_sigma_0_under_the_floor_and_on_a_n
     assert _sigma_1_mu(1, 264) == pytest.approx(-0.077, abs=5e-4)
     assert [rows[index][2][1] for index in (264, 846)] == [8, 5]
     for index in (264, 846):
-        solution = ree(random_density_matrix(derive_stream(1, index)), measured=rows[index])
-        assert solution.converged and solution.gap <= 2.5e-14
+        solution = ree(random_density_matrix(derive_stream(1, index)), measured=rows[index][1])
+        assert solution.converged and solution.gap <= 2.5e-13
         assert solution.iterations == rows[index][2][1]  # no barrier step
     assert all(rows[index][2][0] is not None for index in entangled)
 

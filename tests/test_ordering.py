@@ -9,15 +9,19 @@ import pytest
 from entqfi import ordering
 from entqfi import (
     DEFAULT_EPS,
+    DEFAULT_WITNESS_LIMIT,
     DISCORDANT_CELLS,
     EulerAngleSet,
+    ExperimentConfig,
     MEASURE_NAMES,
     OrderingClass,
     PairWitness,
     StateRecord,
     census,
+    census_and_witnesses,
     classify_pair,
     find_counterexamples,
+    run_experiment,
 )
 from entqfi.ordering import MEASURE_RELATIONS, MQFI_RELATIONS
 
@@ -293,6 +297,9 @@ def test_witnesses_are_first_pairs_per_cell_in_canonical_order(monkeypatch):
     assert filled("negativity", OrderingClass("equal-positive", "less")) == 1
     assert filled("negativity", OrderingClass("equal-positive", "greater")) == 0
     assert rows[1] == n - 1
+    # the one scan keeps collecting for negativity alone, and reads the same
+    separate = census(records), {m: find_counterexamples(records, m) for m in MEASURE_NAMES}
+    assert census_and_witnesses(records) == separate
 
 
 def test_census_and_witnesses_use_linear_memory():
@@ -357,7 +364,7 @@ def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
     records = edge_records(n)
     cells = [OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS]
     limit = 3
-    expected_census, expected_witnesses = {}, {}
+    expected_census, expected_witnesses, expected_default = {}, {}, {}
     for measure in MEASURE_NAMES:
         pairs = [
             (a, b, classify_pair(a, b, measure))
@@ -365,15 +372,18 @@ def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
             for b in records[i + 1 :]
         ]
         expected_census[measure] = {cell: sum(c == cell for *_, c in pairs) for cell in cells}
-        expected_witnesses[measure] = [
-            PairWitness(
-                a.id, b.id, measure, cell,
-                (getattr(a, measure), getattr(b, measure), a.qfi_max, b.qfi_max),
-            )
-            for cell in cells
-            if cell in DISCORDANT_CELLS
-            for a, b, _ in [pair for pair in pairs if pair[2] == cell][:limit]
-        ]
+        expected_witnesses[measure], expected_default[measure] = (
+            [
+                PairWitness(
+                    a.id, b.id, measure, cell,
+                    (getattr(a, measure), getattr(b, measure), a.qfi_max, b.qfi_max),
+                )
+                for cell in cells
+                if cell in DISCORDANT_CELLS
+                for a, b, _ in [pair for pair in pairs if pair[2] == cell][:kept]
+            ]
+            for kept in (limit, DEFAULT_WITNESS_LIMIT)
+        )
     if n == 301:
         # the edges are populated: every measure relation and QFI relation occurs
         for table in expected_census.values():
@@ -387,6 +397,33 @@ def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
         for measure in MEASURE_NAMES:
             found = find_counterexamples(records, measure, limit=limit)
             assert found == expected_witnesses[measure], (tile_pairs, measure)
+        # one scan for the census and every measure's witnesses, at the run's limit
+        assert census_and_witnesses(records) == (expected_census, expected_default), tile_pairs
+
+
+@pytest.mark.parametrize("master_seed", [7, 12, 17])
+def test_one_scan_reads_a_five_state_run_as_the_four_scans(master_seed):
+    # A run's census and witnesses come from census_and_witnesses; on a
+    # five-state run, the size of each benchmark chunk, they are the census,
+    # find_counterexamples for each measure and classify_pair.  These master
+    # seeds give discordant pairs, which most five-state runs do not.
+    cfg = ExperimentConfig(count=5, master_seed=master_seed)
+    result = run_experiment(cfg, jobs=1)
+    records = result.records
+    assert result.censuses == census(records, cfg.eps_order)
+    for measure in MEASURE_NAMES:
+        assert result.witnesses[measure] == find_counterexamples(records, measure, cfg.eps_order)
+        for witness in result.witnesses[measure]:
+            pair = records[witness.id_1], records[witness.id_2]
+            assert classify_pair(*pair, measure, cfg.eps_order) == witness.ordering
+        cells = [
+            classify_pair(a, b, measure, cfg.eps_order)
+            for i, a in enumerate(records)
+            for b in records[i + 1 :]
+        ]
+        table = result.censuses[measure]
+        assert table == {cell: cells.count(cell) for cell in table}
+    assert any(result.witnesses.values())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

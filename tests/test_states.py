@@ -241,6 +241,28 @@ def test_range_rule_judges_an_array_in_one_pass():
         clip_roundoff(np.array([0.5, np.nan]), 0.0, 1.0, "x")
 
 
+def test_a_stack_reads_each_state_as_it_reads_alone():
+    # The entropy and the divergence of a stack give each state's own bits,
+    # also where some states have zero eigenvalues: rank-deficient rho and
+    # sigma, a sigma whose support rho escapes (inf), and full-rank states.
+    rhos = [random_density_matrix(derive_stream(1, index)) for index in range(4)]
+    rhos += [pure(ket("00")), 0.5 * (pure(ket("00")) + pure(ket("11")))]
+    sigmas = rhos[1:] + rhos[:1]
+    spectra = [herm_eig(rho) for rho in rhos]
+    entropies = [_spectral_entropy(values) for values, _ in spectra]
+    sigma_spectra = [herm_eig(sigma) for sigma in sigmas]
+    alone = [
+        _divergence(rho, values, vectors, entropy)
+        for rho, (values, vectors), entropy in zip(rhos, sigma_spectra, entropies)
+    ]
+    assert math.inf in alone and 0.0 in entropies
+    for rows in (slice(0, 3), slice(None)):
+        stacked = _spectral_entropy(np.stack([values for values, _ in spectra[rows]]))
+        assert stacked.tolist() == entropies[rows]
+        values, vectors = (np.stack(part) for part in zip(*sigma_spectra[rows]))
+        assert _divergence(np.stack(rhos[rows]), values, vectors, stacked).tolist() == alone[rows]
+
+
 def test_relative_entropy_clips_only_roundoff_below_zero():
     for index in range(200):
         rho = random_density_matrix(derive_stream(1, index))
