@@ -18,17 +18,25 @@ compares rows ``i`` in ``[first, first + rows)`` against every record
 after ``first`` in one vectorized step and holds at most ``_TILE_PAIRS``
 cells, so the census and the witness scan hold O(``_TILE_PAIRS``)
 working memory besides the O(n) value arrays, never the n(n-1)/2 pairs.
-One tile carries one joint cell code of several measures per pair and
-shares the QFI relation between them.  The census counts a tile's joint
-codes of all three measures once into a 13x13x13 table, and reads the
-three per-measure tables off that table's marginals at the end.
-The witness scan keeps the first ``limit`` pairs of each discordant cell
-and stops after the tile in which the last cell fills.  A run takes both
-from one scan, ``census_and_witnesses``: it counts every tile, and reads
-each measure's witnesses off that measure's base-13 digit of the joint
-codes until the measure's cells fill.  All reject a non-finite value,
-which the comparators could not order.  ``classify_pair`` is the scalar
-reference that the tests compare them against.
+
+The tiles compare ranks, not values.  Once per call each compared
+quantity is sorted, and every record gets its rank and two rank
+thresholds that are exact for the rounded differences ``classify_pair``
+compares, so a pair's relation in one quantity is two compares of small
+integers.  One code per pair joins the row's zero-band bits and the
+relations of all the quantities a tile compares, at most 648 values and
+a sentinel for the cells that hold no pair.  The census counts each
+tile's codes with one ``bincount`` split into interleaved sub-histograms,
+and reads the three 12-cell tables off that count through static
+code-to-cell tables.  The witness scan keeps the first ``limit`` pairs
+of each discordant cell: a boolean table over the codes marks those that
+put a measure in a cell still open, one lookup per tile finds the
+candidate pairs, and only they are decoded.  It stops after the tile in
+which the last cell fills.  A run takes the census and every measure's
+witnesses from one scan, ``census_and_witnesses``.  All reject a
+non-finite value, which the comparators could not order.
+``classify_pair`` is the scalar reference that the tests compare them
+against.
 """
 
 from __future__ import annotations
@@ -166,26 +174,154 @@ def classify_pair(r1: StateRecord, r2: StateRecord, measure: str, eps=None) -> O
 # Cells per tile; a row longer than this is a tile of its own.
 _TILE_PAIRS = 2**15
 
+# The census counts a tile's codes into this many sub-histograms, one per
+# column mod _LANES, so that neighbouring pairs, which often share a code,
+# do not wait on one counter.
+_LANES = 4
 
-def _sign(d: np.ndarray, tol: float) -> np.ndarray:
-    """``(d > tol) - (d < -tol)`` as int8: 1 above the band, -1 below, 0 inside."""
-    return np.greater(d, tol).view(np.int8) - np.less(d, -tol).view(np.int8)
+
+# The twelve cells by index 3 * measure_relation + mqfi_relation.
+_CELLS = tuple(OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS)
+_DISCORDANT_CODES = tuple(code for code, cell in enumerate(_CELLS) if cell in DISCORDANT_CELLS)
+
+# True at the key 13 * m + cell of each measure m's discordant cells.
+_DISCORDANT_KEYS = np.array([key % 13 in _DISCORDANT_CODES for key in range(13 * len(MEASURE_NAMES))])
+
+# MEASURE_RELATIONS index of a measure's trit, for a row outside and a row
+# inside the zero band.
+_RELATION_OF_TRIT = ((1, 2, 3), (0, 2, 3))
+
+
+class _Codes(NamedTuple):
+    """The codes of ``_cell_tiles`` over ``count`` measures: a pair's code
+    is its row's zero-band bits (first measure highest) times ``3**(count +
+    1)`` plus its trits as base-3 digits (first measure highest,
+    ``qfi_max`` lowest), and ``sentinel`` marks a tile cell with no pair.
+    ``cells[m, code]`` is measure m's cell, ``3 * measure_relation +
+    mqfi_relation`` or 12 for the sentinel, ``keys`` is ``13 * m`` plus it,
+    and ``discordant`` marks the codes that put some measure in a
+    discordant cell."""
+
+    sentinel: int
+    zero_weights: np.ndarray
+    digits: np.ndarray
+    cells: np.ndarray
+    keys: np.ndarray
+    discordant: np.ndarray
+
+
+def _codes(count: int) -> _Codes:
+    """The tables of ``_Codes``, built in Python: a few thousand entries."""
+    quantities = count + 1
+    sentinel = 2**count * 3**quantities
+    digits = [3**k for k in range(count, -1, -1)]
+    zero_weights = [3**quantities << k for k in range(count - 1, -1, -1)]
+    cells = [
+        [3 * _RELATION_OF_TRIT[code // w % 2][code // d % 3] + code % 3 for code in range(sentinel)]
+        + [12]
+        for w, d in zip(zero_weights, digits)
+    ]
+    cells = np.array(cells, dtype=np.uint8)
+    keys = cells + np.arange(0, 13 * count, 13, dtype=np.uint8)[:, None]
+    return _Codes(
+        sentinel,
+        np.array(zero_weights)[:, None],
+        np.array(digits, dtype=np.uint8)[:, None, None],
+        cells,
+        keys,
+        _DISCORDANT_KEYS[keys].any(axis=0),
+    )
+
+
+# For the census's three measures and for a witness scan's one.
+_CODES = {count: _codes(count) for count in (1, len(MEASURE_NAMES))}
+
+
+def _low_counts(ordered: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """For each value ``a`` of each row of ``ordered``, a row sorted
+    ascending, the count of the row's values ``b`` with ``a - b > tol`` as
+    rounded, ``tol`` one tolerance per row.
+
+    Rounding to nearest never raises ``a - b`` as ``b`` grows (Goldberg,
+    ACM Comput. Surv. 23, 5, 1991), so those ``b`` lead the row.  Each
+    count is found by ``searchsorted`` on the rounded ``a - tol``, checked
+    by the predicate itself at its two neighbours, and bisected on the
+    predicate where the rounding of ``a - tol`` moved it."""
+    rows, n = ordered.shape
+    # The rows between -inf and inf.
+    padded = np.empty((rows, n + 2))
+    padded[:, 0], padded[:, -1] = -np.inf, np.inf
+    padded[:, 1:-1] = ordered
+    # b holds the keys a - tol, then the neighbours b that check each count.
+    b = ordered - tol
+    count = np.empty((rows, n), dtype=np.intp)
+    for row, keys, found in zip(ordered, b, count):
+        found[:] = np.searchsorted(row, keys)
+    # a - b > tol holds at sorted position count - 1, padded column count,
+    # and fails at position count, padded column count + 1.
+    start = np.arange(0, padded.size, n + 2)[:, None]
+    count += start
+    moved = np.subtract(ordered, padded.take(count, out=b, mode="clip"), out=b) <= tol
+    count += 1
+    moved |= np.subtract(ordered, padded.take(count, out=b, mode="clip"), out=b) > tol
+    count -= start + 1
+    if moved.any():
+        at, cols = np.nonzero(moved)
+        a, t = ordered[at, cols], tol[at, 0]
+        lo, hi = np.zeros_like(at), np.full_like(at, n)
+        while (active := lo < hi).any():
+            mid = (lo + hi) // 2
+            hold = active & (a - ordered[at, np.minimum(mid, n - 1)] > t)
+            lo = np.where(hold, mid + 1, lo)
+            hi = np.where(active & ~hold, mid, hi)
+        count[at, cols] = lo
+    return count
+
+
+def _rank_thresholds(values: np.ndarray, tols: np.ndarray):
+    """Ranks and per-record rank thresholds of each compared quantity.
+
+    ``values`` holds one quantity per row, ``tols`` their tolerances.  For
+    the pair ``(i, j)`` of a row with ``a = values[q, i]`` and ``b =
+    values[q, j]``, ``classify_pair`` reads ``d = a - b`` as rounded: low
+    when ``d > tol``, middle when ``|d| <= tol`` and high when ``d < -tol``.
+    With ``ranks`` the positions in a sort, the relation is low iff
+    ``ranks[q, j] < low[q, i]``, high iff ``ranks[q, j] >= high[q, i]``,
+    and middle in between.  ``low`` counts the values ``b`` with ``a - b >
+    tol`` (``_low_counts``), and ``high`` those without ``b - a > tol``:
+    as ``b - a > tol`` says that ``a`` lies below ``b``'s low count, the
+    value at sorted position ``p`` has for ``high`` the number of low counts
+    at most ``p``, read off a cumulative histogram of the low counts.
+    """
+    quantities, n = values.shape
+    line = np.arange(quantities)[:, None]
+    rank_type = np.int16 if n < 2**15 else np.int32
+    order = np.argsort(values, axis=1, kind="stable")
+    ranks = np.empty((quantities, n), rank_type)
+    ranks[line, order] = np.arange(n, dtype=rank_type)
+    low = _low_counts(values[line, order], tols[:, None])
+    high = np.bincount((low + line * (n + 1)).ravel(), minlength=quantities * (n + 1))
+    high = high.reshape(quantities, n + 1).cumsum(axis=1)
+    # By record, at its own sorted position.
+    return ranks, low.astype(rank_type)[line, ranks], high.astype(rank_type)[line, ranks]
 
 
 def _cell_tiles(
     records: Sequence[StateRecord], measures: Sequence[str], table: Mapping[str, float]
 ):
-    """Joint cell codes of the pairs ``(i, j > i)`` in tiles of whole rows,
-    with the comparators of ``classify_pair``.
+    """Cell codes of the pairs ``(i, j > i)`` in tiles of whole rows, with
+    the comparators of ``classify_pair``.
 
-    A measure's cell is ``3 * measure_relation + mqfi_relation``; with
-    ``s_q`` and ``s_m`` the signs of the QFI and measure differences beyond
-    their tolerances, it is ``(1 - s_q) + (not both-zero) * (6 - 3 * s_m)``.
-    Yields ``(first, codes)``: the int16 ``codes[r, c]`` is the base-13
-    number whose digits are the cells of ``measures`` in order, for the
-    pair ``(first + r, first + 1 + c)``, and ``13**len(measures) - 1``
-    where ``c < r`` holds no pair, so a tile read row-major lists its pairs
-    in canonical order.
+    Each compared quantity, the measures in order and then ``qfi_max``,
+    gives a pair the trit 0, 1 or 2 of its low, middle or high relation
+    (``_rank_thresholds``), from two compares of ranks.  ``qfi_max`` reads
+    them greater, equal and less; a measure reads them first-greater,
+    equal-positive and second-greater, or, where the row's value is in the
+    zero band, both-zero, equal-positive and second-greater (first-greater
+    cannot occur there).  Yields ``(first, codes)``: ``codes[r, c]`` is the
+    ``_Codes`` code of the pair ``(first + r, first + 1 + c)``, or the
+    sentinel where ``c < r`` holds no pair, so a tile read row-major lists
+    its pairs in canonical order.
     """
     # a single record yields zero tiles, which is fine; only empty input is an error
     if not records:
@@ -200,48 +336,54 @@ def _cell_tiles(
             f"record id {records[k].id}: {fields[f]} is {float(values[f, k])!r};"
             " the ordering census compares finite values only"
         )
-    tols = [table[measure] for measure in measures]
-    positive = values[:-1] > np.array(tols)[:, None]
+    tols = np.array([table[name] for name in (*measures, "mqfi")])
+    ranks, low, high = _rank_thresholds(values, tols)
+    # A measure's zero-band rows read both-zero below the count of values in
+    # the band, and equal-positive from there to the middle's end.
+    zero = values[:-1] <= tols[:-1, None]
+    band = np.count_nonzero(zero, axis=1)[:, None]
+    low[:-1] = np.where(zero, band, low[:-1])
+    high[:-1] = np.where(zero & (high[:-1] < band), band, high[:-1])
+    layout = _CODES[len(measures)]
+    base = (layout.zero_weights * zero).sum(axis=0, dtype=np.int16)
     n = len(records)
     first = 0
     while first < n - 1:
         cols = n - 1 - first
         rows = min(cols, max(1, _TILE_PAIRS // cols))
         head, later = slice(first, first + rows), slice(first + 1, n)
-        mqfi = _sign(values[-1, head, None] - values[-1, None, later], table["mqfi"])
-        np.subtract(1, mqfi, out=mqfi)
-        codes = np.zeros((rows, cols), dtype=np.int16)
-        for m, tol in enumerate(tols):
-            cell = _sign(values[m, head, None] - values[m, None, later], tol)
-            cell *= -3
-            cell += 6
-            cell *= positive[m, head, None] | positive[m, None, later]
-            cell += mqfi
-            codes *= 13
-            codes += cell
-        codes[:, :rows][np.tri(rows, k=-1, dtype=bool)] = 13 ** len(measures) - 1
+        trits = np.greater_equal(ranks[:, None, later], low[:, head, None]).view(np.uint8)
+        trits += np.greater_equal(ranks[:, None, later], high[:, head, None]).view(np.uint8)
+        trits *= layout.digits
+        codes = np.add(base[head, None], trits.sum(axis=0, dtype=np.uint8))
+        codes[:, :rows][np.tri(rows, k=-1, dtype=bool)] = layout.sentinel
+        del trits  # not held while the caller reads the codes
         yield first, codes
         first += rows
 
 
-def _cell_of_code(code: int) -> OrderingClass:
-    return OrderingClass(MEASURE_RELATIONS[code // 3], MQFI_RELATIONS[code % 3])
+class _Counter:
+    """The census count of a call's tiles: each tile's codes of all three
+    measures go into ``_LANES`` sub-histograms end to end, by column, and
+    the per-measure tables are read off their sum."""
 
+    def __init__(self, records: Sequence[StateRecord]):
+        width = _CODES[len(MEASURE_NAMES)].sentinel + 1
+        self.lanes = np.arange(max(len(records) - 1, 0), dtype=np.int16) % _LANES * width
+        self.counts = np.zeros(_LANES * width, dtype=np.int64)
 
-def _count(joint: np.ndarray, codes: np.ndarray) -> None:
-    """Add a tile's joint codes of all three measures to the 13x13x13
-    table ``joint``, flattened."""
-    joint += np.bincount(codes.ravel(), minlength=13**3)
+    def add(self, codes: np.ndarray) -> None:
+        lanes = self.lanes[: codes.shape[1]]
+        self.counts += np.bincount((codes + lanes).ravel(), minlength=self.counts.size)
 
-
-def _census_tables(joint: np.ndarray) -> dict[str, dict[OrderingClass, int]]:
-    """The per-measure tables, the marginals of the joint table."""
-    joint = joint.reshape(13, 13, 13)
-    counts = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
-    return {
-        measure: {_cell_of_code(code): int(counts[m][code]) for code in range(12)}
-        for m, measure in enumerate(MEASURE_NAMES)
-    }
+    def tables(self) -> dict[str, dict[OrderingClass, int]]:
+        """The per-measure tables; the float64 sums are exact, as no count
+        reaches 2**53."""
+        codes = self.counts.reshape(_LANES, -1).sum(axis=0)
+        return {
+            measure: dict(zip(_CELLS, map(int, np.bincount(cells, codes, minlength=13))))
+            for measure, cells in zip(MEASURE_NAMES, _CODES[len(MEASURE_NAMES)].cells)
+        }
 
 
 def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingClass, int]]:
@@ -251,44 +393,68 @@ def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingC
     measure always sum to n(n-1)/2 exactly.
     """
     table = _normalize_eps(eps)
-    joint = np.zeros(13**3, dtype=np.int64)
+    counter = _Counter(records)
     for _, codes in _cell_tiles(records, MEASURE_NAMES, table):
-        _count(joint, codes)
-    return _census_tables(joint)
+        counter.add(codes)
+    return counter.tables()
 
 
-_DISCORDANT_CODES = tuple(code for code in range(12) if _cell_of_code(code) in DISCORDANT_CELLS)
+class _Collector:
+    """The first ``limit`` pairs of each discordant cell of each of
+    ``measures``, gathered tile by tile in canonical order.
 
+    ``need`` holds the pairs each ``_Codes`` key still wants, and
+    ``open`` marks the codes with such a key, so that one lookup per tile
+    finds the candidate pairs, and only they are decoded.
+    """
 
-def _collect(hits: dict, records: Sequence[StateRecord], first: int, codes, limit: int) -> bool:
-    """Append to ``hits[code]``, up to ``limit`` in all, each discordant
-    cell's pairs of a tile's one-measure cell codes in canonical order;
-    True once every cell holds ``limit``."""
-    cols = codes.shape[1]
-    for code, found in hits.items():
-        need = limit - len(found)
-        if need:
-            for k in np.flatnonzero(codes == code)[:need]:
-                r, c = divmod(int(k), cols)
-                found.append((records[first + r], records[first + 1 + c]))
-    return all(len(found) == limit for found in hits.values())
+    def __init__(self, records: Sequence[StateRecord], measures: Sequence[str], limit: int):
+        count = len(measures)
+        self.records, self.measures = records, measures
+        self.keys, self.open = _CODES[count].keys, _CODES[count].discordant
+        self.need = _DISCORDANT_KEYS[: 13 * count] * limit
+        self.hits = {13 * m + code: [] for m in range(count) for code in _DISCORDANT_CODES}
 
+    def collect(self, first: int, codes: np.ndarray) -> bool:
+        """Take a tile's pairs into the cells that want them; True once
+        every cell is full."""
+        found = np.flatnonzero(self.open.take(codes))
+        if not found.size:
+            return False
+        # each candidate's key per measure, measure after measure
+        keys = self.keys[:, codes.ravel()[found]].ravel()
+        wanted = np.bincount(keys, minlength=self.need.size) * self.need
+        cols = codes.shape[1]
+        for key in np.flatnonzero(wanted).tolist():
+            taken = np.flatnonzero(keys == key)[: self.need[key]] % found.size
+            for k in found[taken].tolist():
+                r, c = divmod(k, cols)
+                self.hits[key].append((self.records[first + r], self.records[first + 1 + c]))
+            self.need[key] -= taken.size
+        self.open = self.need[self.keys].any(axis=0)
+        return not self.open.any()
 
-def _witnesses(measure: str, hits: dict) -> list[PairWitness]:
-    """The witnesses of ``_collect``'s pairs, cell by cell."""
-    return [
-        PairWitness(
-            id_1=r1.id,
-            id_2=r2.id,
-            measure_name=measure,
-            ordering=_cell_of_code(code),
-            values=tuple(
-                map(float, (getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max))
-            ),
-        )
-        for code, found in hits.items()
-        for r1, r2 in found
-    ]
+    def witnesses(self) -> dict[str, list[PairWitness]]:
+        """The collected pairs as witnesses, by measure, cell by cell."""
+        return {
+            measure: [
+                PairWitness(
+                    id_1=r1.id,
+                    id_2=r2.id,
+                    measure_name=measure,
+                    ordering=_CELLS[code],
+                    values=tuple(
+                        map(
+                            float,
+                            (getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max),
+                        )
+                    ),
+                )
+                for code in _DISCORDANT_CODES
+                for r1, r2 in self.hits[13 * m + code]
+            ]
+            for m, measure in enumerate(self.measures)
+        }
 
 
 def find_counterexamples(
@@ -307,11 +473,11 @@ def find_counterexamples(
     if limit < 1:
         raise ValueError("limit must be at least 1")
     table = _normalize_eps(eps)
-    hits: dict[int, list] = {code: [] for code in _DISCORDANT_CODES}
+    collector = _Collector(records, (measure,), limit)
     for first, codes in _cell_tiles(records, (measure,), table):
-        if _collect(hits, records, first, codes, limit):
+        if collector.collect(first, codes):
             break
-    return _witnesses(measure, hits)
+    return collector.witnesses()[measure]
 
 
 def census_and_witnesses(
@@ -320,18 +486,14 @@ def census_and_witnesses(
     """``census(records, eps)`` and, by measure, ``find_counterexamples(
     records, measure, eps)``, from one scan of the pairs.
 
-    Each tile's joint codes are counted whole, and each measure's base-13
-    digit of them gives its witnesses until its discordant cells are full.
+    Each tile's codes are counted whole, and give witnesses until every
+    measure's discordant cells are full.
     """
     table = _normalize_eps(eps)
-    joint = np.zeros(13**3, dtype=np.int64)
-    hits = {measure: {code: [] for code in _DISCORDANT_CODES} for measure in MEASURE_NAMES}
-    collecting = list(enumerate(MEASURE_NAMES))
+    counter = _Counter(records)
+    collector = _Collector(records, MEASURE_NAMES, DEFAULT_WITNESS_LIMIT)
+    full = False
     for first, codes in _cell_tiles(records, MEASURE_NAMES, table):
-        _count(joint, codes)
-        for m, measure in collecting[:]:
-            cells = codes // 13 ** (2 - m) % 13
-            if _collect(hits[measure], records, first, cells, DEFAULT_WITNESS_LIMIT):
-                collecting.remove((m, measure))
-    witnesses = {measure: _witnesses(measure, hits[measure]) for measure in MEASURE_NAMES}
-    return _census_tables(joint), witnesses
+        counter.add(codes)
+        full = full or collector.collect(first, codes)
+    return counter.tables(), collector.witnesses()

@@ -53,6 +53,8 @@ from entqfi.rotations import REFINEMENT_TRIGGER
 from helpers import (
     bell_diagonal,
     bell_state,
+    cross_measure_failures,
+    entanglement_of_formation,
     pure,
     qfi_bell_diagonal_oracle,
     ree_bell_diagonal_oracle,
@@ -879,6 +881,26 @@ def test_negativity_never_exceeds_concurrence(default_run):
     # C - N is at least a few 1e-6, far above roundoff.
     result, _ = default_run
     assert all(record.negativity <= record.concurrence for record in result.records)
+
+
+def test_rows_keep_the_cross_measure_bounds(monkeypatch):
+    # REE <= E_F(C) and N >= sqrt((1 - C)^2 + C^2) - (1 - C) on every row of
+    # a 200-state run, each within its REE gap; on seeds 1-4 and 15 the
+    # margins are at least 1.4e-7 bits and 1.2e-4.  A value moved past a
+    # bound fails it.
+    calls = recording_ree(monkeypatch)
+    result = run_experiment(ExperimentConfig(count=200, master_seed=1), jobs=1)
+    assert len(calls) == len(result.records)
+    for record, (_, _, solution) in zip(result.records, calls):
+        bounds = (record.concurrence, record.negativity, record.ree, solution.gap + 1e-12)
+        assert cross_measure_failures(*bounds) == [], record.id
+    entangled = [record for record in result.records if not record.separable]
+    assert entangled
+    c, n = entangled[0].concurrence, entangled[0].negativity
+    raised = entanglement_of_formation(c) + 1e-9
+    assert cross_measure_failures(c, n, raised, 1e-12) == ["ree <= E_F(C)"]
+    lowered = math.hypot(1.0 - c, c) - (1.0 - c) - 1e-9
+    assert cross_measure_failures(c, lowered, 0.0, 1e-12) == ["N >= sqrt((1 - C)^2 + C^2) - (1 - C)"]
 
 
 def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(monkeypatch):

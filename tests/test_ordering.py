@@ -313,6 +313,7 @@ def test_census_and_witnesses_use_linear_memory():
     for run in (
         lambda: census(records),
         lambda: find_counterexamples(records, "negativity"),
+        lambda: census_and_witnesses(records),
     ):
         tracemalloc.start()
         try:
@@ -359,20 +360,19 @@ def edge_records(n):
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 61, 301])
-def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
-    records = edge_records(n)
+def expected_scans(records, eps=None, limit=3):
+    """``census``, ``find_counterexamples`` at ``limit`` and the witnesses
+    of ``census_and_witnesses``, by measure, from ``classify_pair``."""
     cells = [OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS]
-    limit = 3
-    expected_census, expected_witnesses, expected_default = {}, {}, {}
+    tables, witnesses, run_witnesses = {}, {}, {}
     for measure in MEASURE_NAMES:
         pairs = [
-            (a, b, classify_pair(a, b, measure))
+            (a, b, classify_pair(a, b, measure, eps))
             for i, a in enumerate(records)
             for b in records[i + 1 :]
         ]
-        expected_census[measure] = {cell: sum(c == cell for *_, c in pairs) for cell in cells}
-        expected_witnesses[measure], expected_default[measure] = (
+        tables[measure] = {cell: sum(c == cell for *_, c in pairs) for cell in cells}
+        witnesses[measure], run_witnesses[measure] = (
             [
                 PairWitness(
                     a.id, b.id, measure, cell,
@@ -384,21 +384,102 @@ def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
             ]
             for kept in (limit, DEFAULT_WITNESS_LIMIT)
         )
+    return tables, witnesses, run_witnesses
+
+
+def assert_scans_agree(monkeypatch, records, eps, tile_sizes):
+    """The census, each measure's witness scan and the one scan read what
+    ``classify_pair`` reads, at each tile size."""
+    limit = 3
+    expected_census, expected_witnesses, expected_default = expected_scans(records, eps, limit)
+    for tile_pairs in tile_sizes:
+        monkeypatch.setattr(ordering, "_TILE_PAIRS", tile_pairs)
+        assert census(records, eps) == expected_census, tile_pairs
+        for measure in MEASURE_NAMES:
+            found = find_counterexamples(records, measure, eps, limit=limit)
+            assert found == expected_witnesses[measure], (tile_pairs, measure)
+        # one scan for the census and every measure's witnesses, at the run's limit
+        together = census_and_witnesses(records, eps)
+        assert together == (expected_census, expected_default), tile_pairs
+    return expected_census
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 61, 301])
+def test_tiles_agree_with_classify_pair_at_every_edge(monkeypatch, n):
+    records = edge_records(n)
+    tables = assert_scans_agree(monkeypatch, records, None, (1, 7, 100, ordering._TILE_PAIRS))
     if n == 301:
         # the edges are populated: every measure relation and QFI relation occurs
-        for table in expected_census.values():
+        for table in tables.values():
             for r in MEASURE_RELATIONS:
                 assert any(table[OrderingClass(r, q)] for q in MQFI_RELATIONS), r
             for q in MQFI_RELATIONS:
                 assert any(table[OrderingClass(r, q)] for r in MEASURE_RELATIONS), q
-    for tile_pairs in (1, 7, 100, ordering._TILE_PAIRS):
-        monkeypatch.setattr(ordering, "_TILE_PAIRS", tile_pairs)
-        assert census(records) == expected_census, tile_pairs
-        for measure in MEASURE_NAMES:
-            found = find_counterexamples(records, measure, limit=limit)
-            assert found == expected_witnesses[measure], (tile_pairs, measure)
-        # one scan for the census and every measure's witnesses, at the run's limit
-        assert census_and_witnesses(records) == (expected_census, expected_default), tile_pairs
+
+
+def pool_records(rng, pool, n):
+    """n records, each quantity drawn from ``pool`` on its own."""
+    draw = rng.choice(pool, size=(4, n))
+    return [measured(i, *map(float, draw[:, i])) for i in range(n)]
+
+
+# A tolerance just below 1: 1 - tol is 2**-20, and fl(a - b) for a near 1 and
+# b near 2**-20 keeps only a's last bits, so the many distinct b of that
+# cluster all give one rounded difference, on the tolerance itself.
+NEAR_ONE = 1.0 - 2.0**-20
+
+
+def ulp_cluster_records():
+    rng = np.random.default_rng(47)
+    small = 2.0**-20 * (1.0 + 2.0**-52 * np.arange(-40, 41))
+    near = 1.0 + 2.0**-52 * np.arange(-4, 5)
+    pool = np.concatenate((small, near, [-0.0, 0.5, 2.0 - 2.0**-20]))
+    return pool_records(rng, pool, 120), {key: NEAR_ONE for key in DEFAULT_EPS}
+
+
+def magnitude_records():
+    # 1e12 has an ulp of 2**-13 > 1e-4, so a - tol rounds a whole ulp down
+    rng = np.random.default_rng(48)
+    steps = 2.0**-13 * np.arange(-6, 7)
+    pool = np.concatenate((1e12 + steps, -1e12 + steps, [0.0, 1e-4]))
+    return pool_records(rng, pool, 90), None
+
+
+def tie_records():
+    # long runs of equal values, negative values and both zeros
+    rng = np.random.default_rng(49)
+    pool = [-0.25, -1e-4, -5e-5, -0.0, 0.0, 5e-5, 1e-4, 0.25]
+    return pool_records(rng, np.repeat(pool, 15), 100), None
+
+
+ADVERSARIAL = {"ulp_cluster": ulp_cluster_records, "1e12": magnitude_records, "ties": tie_records}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+def test_rank_thresholds_count_the_float_predicate(case):
+    records, eps = ADVERSARIAL[case]()
+    table = ordering._normalize_eps(eps)
+    values = np.array([[getattr(r, f) for r in records] for f in (*MEASURE_NAMES, "qfi_max")])
+    tols = np.array([table[key] for key in (*MEASURE_NAMES, "mqfi")])
+    ranks, low, high = ordering._rank_thresholds(values, tols)
+    n = len(records)
+    moved = False
+    for row, tol, rank, lo, hi in zip(values, tols, ranks, low, high):
+        assert sorted(rank) == list(range(n))
+        assert (np.diff(row[np.argsort(rank)]) >= 0).all()
+        d = row[:, None] - row[None, :]
+        assert (lo == np.count_nonzero(d > tol, axis=1)).all()
+        assert (hi == n - np.count_nonzero(-d > tol, axis=1)).all()
+        moved |= (np.searchsorted(np.sort(row), row - tol) != lo).any()
+    # searchsorted on the rounded a - tol misses the exact count here, so
+    # these inputs run the bisection
+    assert moved or case == "ties"
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+def test_tiles_agree_with_classify_pair_on_adversarial_floats(monkeypatch, case):
+    records, eps = ADVERSARIAL[case]()
+    assert_scans_agree(monkeypatch, records, eps, (1, 7, ordering._TILE_PAIRS))
 
 
 @pytest.mark.parametrize("master_seed", [7, 12, 17])
