@@ -12,7 +12,6 @@ from .experiment import (
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
-    resolve_jobs,
     run_experiment,
 )
 from .states import EigendecompositionError
@@ -54,22 +53,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "(keys: concurrence, negativity, ree, mqfi)")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default ./out)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="J",
-                        help="worker processes (default: CPUs this process may use)")
     return parser
 
 
 def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
-    out_dir, jobs = Path(args.pop("out")), args.pop("jobs")
+    out_dir = Path(args.pop("out"))
     try:
         config = ExperimentConfig(**args)
-        jobs = resolve_jobs(jobs)
     except ValueError as exc:
         print(f"entqfi: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = run_experiment(config, jobs=jobs)
+        result = run_experiment(config)
         out_dir.mkdir(parents=True, exist_ok=True)
         emit_started = time.perf_counter()
         emit_state_csv(result, out_dir / STATE_CSV_NAME)
@@ -85,9 +81,7 @@ def main(argv=None) -> int:
         return 1
     separable = sum(1 for record in result.records if record.separable)
     print(f"states={config.count} separable={separable} out={out_dir}")
-    # The layer times are summed over workers, so with --jobs above 1 they
-    # can add up to more than states=.  total= covers the run, not emit=, the
-    # three file writers.
+    # total= covers the run, not emit=, the three file writers.
     print(
         "wall seconds: states={states_wall:.3f} census={census_wall:.3f}"
         " total={total_wall:.3f} sampling={sampling_wall:.3f}"

@@ -12,8 +12,8 @@ Every byte written is a pure function of the configuration: the per-state
 work depends only on ``(master_seed, index)``, not on the chunk, floats
 print with a fixed 12-significant-digit positional format, and the report
 carries no timestamps or timing.  Wall-clock numbers live only on the
-in-memory result.  Worker-pool fan-out therefore cannot change any output
-file.
+in-memory result.  A run is one process, which measures the chunks one
+after another.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 # calls them through this module.
 from .fisher import _spin_qfi_matrices
 from .measures import (
+    _check_cross_measure_bounds,
     _concurrences,
     _negativities,
     _ppt,
@@ -62,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "resolve_jobs",
     "emit_state_csv",
     "emit_plot_data",
     "emit_census_report",
@@ -77,8 +77,9 @@ STATE_CSV_HEADER = (
 )
 PLOT_CSV_HEADER = "measure,qfi_raw,qfi_max,qfi_min"
 
-# States measured by one pass of the stacked kernels.
-_CHUNK_STATES = 64
+# States measured by one pass of the stacked kernels: a 1000-state run is four
+# chunks of 250.
+_CHUNK_STATES = 256
 # The timing keys of the chunk pass's layers: sampling; concurrence and
 # negativity, with the one spectrum of rho that G shares and the one eigh of
 # rho^G that REE's face start shares; the rotation scan with G; and REE, its
@@ -134,13 +135,11 @@ class ExperimentResult:
         ]
 
 
-def _compute_record(task: tuple[int, ExperimentConfig]) -> tuple[StateRecord, dict[str, float]]:
+def _compute_record(index: int, cfg: ExperimentConfig) -> tuple[StateRecord, dict[str, float]]:
     """One state as a chunk of one; any failure names the state.
 
     Numerical failures keep their type; any other exception becomes a
-    ``RuntimeError`` whose message carries the original type, so it still
-    pickles back from a worker with the state named."""
-    index, cfg = task
+    ``RuntimeError`` whose message carries the original type."""
     where = f"state {index} (master seed {cfg.master_seed})"
     try:
         (record,), layers = _measure_chunk(range(index, index + 1), cfg)
@@ -154,18 +153,17 @@ def _compute_record(task: tuple[int, ExperimentConfig]) -> tuple[StateRecord, di
 
 
 def _compute_chunk(
-    task: tuple[range, ExperimentConfig]
+    indices: range, cfg: ExperimentConfig
 ) -> tuple[list[StateRecord], dict[str, float]]:
     """One chunk's records and its seconds per layer.
 
-    A stacked kernel fails for its whole stack, and a range rule inside a
-    stacked pass does not name its state either, so a chunk that fails
-    reruns state by state: the first failing state raises, named."""
-    indices, cfg = task
+    A stacked kernel fails for its whole stack, and a range rule or a bound
+    checked over a stacked pass does not name its state either, so a chunk
+    that fails reruns state by state: the first failing state raises, named."""
     try:
         return _measure_chunk(indices, cfg)
     except Exception:
-        results = [_compute_record((index, cfg)) for index in indices]
+        results = [_compute_record(index, cfg) for index in indices]
     layers = {name: sum(layer[name] for _, layer in results) for name in _LAYER_TIMES}
     return [record for record, _ in results], layers
 
@@ -181,7 +179,8 @@ def _measure_chunk(
     grid passes with their read-off, and REE's face polish and certificate
     over the entangled rows run stacked, in ``measures._ree_inputs``, which
     ``ree_wall`` times with a ``ree`` call per state that hands back its
-    solution.  No number depends on the chunk."""
+    solution, and with the check of the entangled rows against the bounds
+    between their measures.  No number depends on the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
@@ -195,6 +194,7 @@ def _measure_chunk(
         ree(rho, measured=solution)
         for rho, solution in zip(rhos, _ree_inputs(rhos, spectra, pt_spectra))
     ]
+    _check_cross_measure_bounds(concurrences, negativities, solutions)
     solved = time.perf_counter()
     records = [
         StateRecord(
@@ -221,45 +221,26 @@ def _measure_chunk(
     return records, dict(zip(_LAYER_TIMES, seconds))
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Worker processes for ``jobs``: the CPUs this process may use when
-    None; a count below 1 raises ``ValueError``."""
-    if jobs is None:
-        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
-def _chunks(count: int, workers: int) -> list[range]:
-    """``range(count)`` in chunks of at most ``_CHUNK_STATES`` whose sizes
-    differ by at most one, as many as a multiple of ``workers``, so that
-    the workers share them evenly; none is empty while ``workers <= count``."""
-    chunks = workers * math.ceil(count / (workers * _CHUNK_STATES))
+def _chunks(count: int) -> list[range]:
+    """``range(count)`` in the fewest chunks of at most ``_CHUNK_STATES``,
+    whose sizes differ by at most one."""
+    chunks = math.ceil(count / _CHUNK_STATES)
     cuts = [k * count // chunks for k in range(chunks + 1)]
     return [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
-    """Full deterministic pipeline; jobs only sets worker fan-out.
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+    """Full deterministic pipeline, run in this process a chunk at a time.
 
     ``timing`` holds the wall seconds of the state work, the one scan of
     the pairs for the census and the witnesses, and the whole run, and the
-    ``_LAYER_TIMES`` of the chunk passes, summed over chunks and workers."""
-    jobs = resolve_jobs(jobs)
+    ``_LAYER_TIMES`` of the chunk passes, summed over chunks.  ``jobs`` is
+    not a setting: it is kept for ``benchmarks/workloads.py``, which passes
+    1, and any other value raises ``ValueError``."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}: a run is one process")
     started = time.perf_counter()
-    workers = min(jobs, cfg.count)
-    tasks = [(chunk, cfg) for chunk in _chunks(cfg.count, workers)]
-    if workers > 1:
-        # Imported here, as only a pool needs it: a one-worker run skips its import.
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(_compute_chunk, tasks, chunksize=1)
-    else:
-        results = [_compute_chunk(task) for task in tasks]
+    results = [_compute_chunk(chunk, cfg) for chunk in _chunks(cfg.count)]
     records = [record for chunk_records, _ in results for record in chunk_records]
     states_done = time.perf_counter()
     censuses, witnesses = census_and_witnesses(records, cfg.eps_order)

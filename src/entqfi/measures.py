@@ -136,6 +136,14 @@ LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 
+# The slack of the negativity's lower bound in _check_cross_measure_bounds:
+# the closed forms' error budget, 1.0e-15 for N and 1.6e-15 for C, which
+# moves the bound by at most twice as much, and 4 eps for the bound's own
+# evaluation (test_closed_forms_hold_their_error_budget_against_40_digit_references).
+# On the entangled rows of master seeds 1-4 and 15 N clears the bound by at
+# least 1.2e-4, and REE stays at least 1.4e-7 bits below E_F(C).
+_CLOSED_FORMS_SLACK = 1.0e-15 + 2 * 1.6e-15 + 4 * _EPS
+
 _GAP_TOL_NATS = 2e-5
 # The dual gap's own evaluation roundoff, added to every reported gap as
 # _GAP_ROUNDOFF_NATS + _GAP_ROUNDOFF_EPSILONS eps / lambda_min(sigma) nats
@@ -286,6 +294,44 @@ def _ppt(lowest: float) -> bool:
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
     return _ppt(_pt_eigh(rho)[0][0])
+
+
+def _entanglement_of_formation(c: float) -> float:
+    """E_F(C) = h((1 + sqrt(1 - C^2))/2) in bits for a concurrence C in [0, 1]
+    (Wootters, PRL 80, 2245, 1998), the smaller argument of h taken as
+    C^2 / (2 (1 + sqrt(1 - C^2))), free of cancellation at small C."""
+    if c <= 0.0:
+        return 0.0
+    y = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+    return -(y * math.log(y) + (1.0 - y) * math.log1p(-y)) / LN2
+
+
+def _check_cross_measure_bounds(concurrences, negativities, solutions) -> None:
+    """Hold each entangled row of a chunk, whose negativity is positive, to
+    two bounds between its measures: REE never exceeds the entanglement of
+    formation (Vedral & Plenio, PRA 57, 1619, 1998), within the row's
+    certified gap plus ``_DIVERGENCE_ROUNDOFF``, and N >= sqrt((1 - C)^2 +
+    C^2) - (1 - C) (Verstraete, Audenaert, Dehaene & De Moor, J. Phys. A 34,
+    10327, 2001), within ``_CLOSED_FORMS_SLACK``.  A row past a bound raises
+    ``ArithmeticError``.  PPT rows read N = 0 even where rho^G dips below 0
+    by up to ``SEPARABILITY_EIG_TOL``, so the second bound does not hold
+    for them to roundoff; their REE is 0."""
+    for c, n, solution in zip(concurrences, negativities, solutions):
+        if not n:
+            continue
+        formation = _entanglement_of_formation(c)
+        slack = solution.gap + _DIVERGENCE_ROUNDOFF
+        if not solution.value <= formation + slack:
+            raise ArithmeticError(
+                f"REE {solution.value!r} lies above E_F(C) = {formation!r}"
+                f" by more than {slack:.3g}"
+            )
+        bound = math.hypot(1.0 - c, c) - (1.0 - c)
+        if not n >= bound - _CLOSED_FORMS_SLACK:
+            raise ArithmeticError(
+                f"negativity {n!r} lies below sqrt((1 - C)^2 + C^2) - (1 - C) = {bound!r}"
+                f" by more than {_CLOSED_FORMS_SLACK:.3g}"
+            )
 
 
 class _Point(NamedTuple):

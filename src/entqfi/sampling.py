@@ -12,7 +12,8 @@ exact byte stream:
 * Bit generator: numpy's counter-based Philox, keyed through
   ``SeedSequence(entropy=master_seed, spawn_key=(index,))``, so state
   ``index`` depends only on ``(master_seed, index)`` and never on
-  generation order or worker count.  Requires numpy >= 2.0, < 3.
+  generation order or on the chunk that draws it.  Requires numpy >= 2.0,
+  < 3.
 * Normal variates: ``Generator.standard_normal`` (numpy's ziggurat
   sampler) is the fixed, documented Gaussian source.
 * Draw order per stream: three uniforms for the simplex gaps, then 16 real

@@ -85,10 +85,6 @@ class EigendecompositionError(LinAlgError):
         self.matrix = matrix
         super().__init__(message)
 
-    def __reduce__(self):
-        # Keep the matrix and message when a worker process sends it back.
-        return type(self), (self.matrix, str(self))
-
 
 def clip_roundoff(value, low: float, high: float, what: str, slack=_DIVERGENCE_ROUNDOFF):
     """``value`` as a float, clipped to [low, high] if outside by at most

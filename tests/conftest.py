@@ -15,7 +15,7 @@ from entqfi import (
 def default_run(tmp_path_factory):
     """Full default experiment plus its emitted files, computed once per session."""
     cfg = ExperimentConfig()
-    result = run_experiment(cfg, jobs=1)
+    result = run_experiment(cfg)
     out_dir = tmp_path_factory.mktemp("default_run")
     emit_state_csv(result, out_dir / "states.csv")
     emit_plot_data(result, out_dir)

@@ -129,31 +129,6 @@ def ree_bell_diagonal_oracle(lambda_max: float) -> float:
     return 1.0 - h2
 
 
-def entanglement_of_formation(concurrence: float) -> float:
-    """E_F of a two-qubit state in bits, ``h((1 + sqrt(1 - C^2))/2)``
-    (Wootters, PRL 80, 2245, 1998); the smaller argument of h is taken as
-    ``C^2 / (2 (1 + sqrt(1 - C^2)))``, free of cancellation at small C."""
-    c = min(max(float(concurrence), 0.0), 1.0)
-    if c == 0.0:
-        return 0.0
-    y = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
-    return -(y * math.log2(y) + (1.0 - y) * math.log1p(-y) / math.log(2.0))
-
-
-def cross_measure_failures(concurrence: float, negativity: float, ree: float, slack: float):
-    """The bounds between a row's measures that it breaks by more than
-    ``slack``: ``ree <= E_F(C)``, as REE never exceeds the entanglement of
-    formation (Vedral & Plenio, PRA 57, 1619, 1998), and ``N >= sqrt((1 -
-    C)^2 + C^2) - (1 - C)`` (Verstraete, Audenaert, Dehaene & De Moor,
-    J. Phys. A 34, 10327, 2001)."""
-    failures = []
-    if ree > entanglement_of_formation(concurrence) + slack:
-        failures.append("ree <= E_F(C)")
-    if negativity < math.hypot(1.0 - concurrence, concurrence) - (1.0 - concurrence) - slack:
-        failures.append("N >= sqrt((1 - C)^2 + C^2) - (1 - C)")
-    return failures
-
-
 def qfi_bell_diagonal_oracle(weights) -> float:
     """Maximal mean QFI over local rotations of a Bell-diagonal state with
     weights p: ``max_{i<j} 2 (p_i - p_j)^2 / (p_i + p_j)`` over the pairs of

@@ -205,7 +205,7 @@ def test_criterion_09_determinism_across_runs(tmp_path):
     for name in ("first", "second"):
         out_dir = tmp_path / name
         out_dir.mkdir()
-        result = run_experiment(cfg, jobs=1)
+        result = run_experiment(cfg)
         emit_state_csv(result, out_dir / "states.csv")
         emit_plot_data(result, out_dir)
         emit_census_report(result, out_dir / "census.txt")

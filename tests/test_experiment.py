@@ -4,9 +4,7 @@ import ast
 import dataclasses
 import importlib
 import math
-import multiprocessing
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -25,6 +23,7 @@ from entqfi import (
     StateRecord,
     census,
     classify_pair,
+    concurrence,
     derive_stream,
     emit_census_report,
     emit_plot_data,
@@ -45,7 +44,6 @@ from entqfi.experiment import (
     PLOT_CSV_HEADER,
     STATE_CSV_HEADER,
     format_value,
-    resolve_jobs,
     unresolved_ids,
 )
 from entqfi.ordering import MEASURE_NAMES
@@ -53,11 +51,11 @@ from entqfi.rotations import REFINEMENT_TRIGGER
 from helpers import (
     bell_diagonal,
     bell_state,
-    cross_measure_failures,
-    entanglement_of_formation,
     pure,
     qfi_bell_diagonal_oracle,
+    random_pure_state,
     ree_bell_diagonal_oracle,
+    ree_pure_oracle,
     werner,
 )
 
@@ -66,7 +64,7 @@ ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_experiment(ExperimentConfig(count=25, master_seed=1), jobs=1)
+    return run_experiment(ExperimentConfig(count=25, master_seed=1))
 
 
 def emit_all(result, directory):
@@ -215,7 +213,7 @@ def test_config_constants_are_not_settings(name, value):
 
 
 def test_single_state_run(tmp_path):
-    result = run_experiment(ExperimentConfig(count=1, master_seed=1), jobs=1)
+    result = run_experiment(ExperimentConfig(count=1, master_seed=1))
     assert len(result.records) == 1
     assert result.records[0].id == 0
     files = emit_all(result, tmp_path)
@@ -386,21 +384,9 @@ def test_runs_are_deterministic(tmp_path):
     dir_b = tmp_path / "b"
     dir_a.mkdir()
     dir_b.mkdir()
-    files_a = emit_all(run_experiment(cfg, jobs=1), dir_a)
-    files_b = emit_all(run_experiment(cfg, jobs=1), dir_b)
+    files_a = emit_all(run_experiment(cfg), dir_a)
+    files_b = emit_all(run_experiment(cfg), dir_b)
     assert files_a == files_b
-
-
-def test_worker_fanout_does_not_change_results(tmp_path):
-    cfg = ExperimentConfig(count=12, master_seed=3)
-    serial = run_experiment(cfg, jobs=1)
-    fanned = run_experiment(cfg, jobs=2)
-    assert serial.records == fanned.records
-    dir_a = tmp_path / "serial"
-    dir_b = tmp_path / "fanned"
-    dir_a.mkdir()
-    dir_b.mkdir()
-    assert emit_all(serial, dir_a) == emit_all(fanned, dir_b)
 
 
 def test_census_report_contents(small_run, tmp_path):
@@ -421,20 +407,13 @@ def test_census_report_contents(small_run, tmp_path):
     assert counted == 3 * 300  # three censuses, each over all pairs
 
 
-def test_default_jobs_are_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
-    assert resolve_jobs(None) == 3
-    monkeypatch.delattr(experiment.os, "sched_getaffinity")
-    assert resolve_jobs(None) == 64
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(5) == 5
-
-
 def test_run_experiment_rejects_bad_jobs():
-    with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
-        run_experiment(ExperimentConfig(count=2), jobs=0)
+    # A run is one process; jobs=1, which the benchmark passes, is the only
+    # value accepted, so no caller can believe it got workers.
+    cfg = ExperimentConfig(count=2)
+    assert run_experiment(cfg, jobs=1).records == run_experiment(cfg).records
+    with pytest.raises(ValueError, match="^jobs must be 1, got 2: a run is one process$"):
+        run_experiment(cfg, jobs=2)
 
 
 def test_failure_names_the_state(monkeypatch):
@@ -443,14 +422,11 @@ def test_failure_names_the_state(monkeypatch):
 
     monkeypatch.setattr(experiment, "ree", failing_ree)
     with pytest.raises(ArithmeticError, match=r"^state 0 \(master seed 7\): solver") as info:
-        run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
+        run_experiment(ExperimentConfig(count=3, master_seed=7))
     assert isinstance(info.value.__cause__, ArithmeticError)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_any_failure_names_the_state(monkeypatch, jobs):
-    if jobs > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched measure reaches pool workers only through fork")
+def test_any_failure_names_the_state(monkeypatch):
     # The chunk pass takes the concurrences of a whole chunk from its spectra.
     poisoned = herm_eig(random_density_matrix(derive_stream(7, 1)))[0]
     concurrences = experiment._concurrences
@@ -463,10 +439,8 @@ def test_any_failure_names_the_state(monkeypatch, jobs):
     monkeypatch.setattr(experiment, "_concurrences", failing_concurrences)
     message = r"^state 1 \(master seed 7\): IndexError: index 4 is out of bounds"
     with pytest.raises(RuntimeError, match=message) as info:
-        run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=jobs)
-    if jobs == 1:
-        assert isinstance(info.value.__cause__, IndexError)
-    assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
+        run_experiment(ExperimentConfig(count=3, master_seed=7))
+    assert isinstance(info.value.__cause__, IndexError)
 
 
 def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
@@ -477,39 +451,12 @@ def test_ree_outside_unit_interval_beyond_its_gap_names_the_state(monkeypatch):
     first = next(i for i, rho in enumerate(states) if not is_separable(rho))
     message = rf"^state {first} \(master seed 7\): REE 1\.01 lies outside \[0, 1\]"
     with pytest.raises(ArithmeticError, match=message):
-        run_experiment(ExperimentConfig(count=3, master_seed=7), jobs=1)
+        run_experiment(ExperimentConfig(count=3, master_seed=7))
 
 
 def test_ree_excess_within_its_gap_is_clipped():
     # |Phi+> reads 1 + 1.8e-10 bits before the rule, with a certified gap of 2.7e-10.
     assert ree(bell_state()).value == 1.0
-
-
-def test_pool_never_outnumbers_states(monkeypatch):
-    # The pool never outnumbers the states, nor its chunks: 9 states on 8
-    # workers are 8 chunks, one per worker.
-    opened, mapped = [], []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            opened.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, tasks, chunksize):
-            mapped.append(len(tasks))
-            return [func(task) for task in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    for count, jobs in [(3, 64), (9, 8)]:
-        serial = run_experiment(ExperimentConfig(count=count, master_seed=5), jobs=1)
-        fanned = run_experiment(ExperimentConfig(count=count, master_seed=5), jobs=jobs)
-        assert fanned.records == serial.records
-    assert opened == mapped == [3, 8]
 
 
 def test_eigendecomposition_failure_names_the_state(monkeypatch):
@@ -519,12 +466,8 @@ def test_eigendecomposition_failure_names_the_state(monkeypatch):
 
     monkeypatch.setattr(experiment, "herm_eig", failing_spectra)
     with pytest.raises(EigendecompositionError, match=r"^state 0 \(master seed 8\): ") as info:
-        run_experiment(ExperimentConfig(count=3, master_seed=8), jobs=1)
+        run_experiment(ExperimentConfig(count=3, master_seed=8))
     assert info.value.matrix.shape == (4, 4)
-    # a worker process pickles the error back: message and matrix survive
-    copy = pickle.loads(pickle.dumps(info.value))
-    assert str(copy) == str(info.value)
-    assert np.array_equal(copy.matrix, info.value.matrix)
 
 
 def test_stacked_eigensolve_failure_names_the_state_and_keeps_its_matrix(monkeypatch):
@@ -542,18 +485,15 @@ def test_stacked_eigensolve_failure_names_the_state_and_keeps_its_matrix(monkeyp
 
     monkeypatch.setattr(experiment, "herm_eig", poisoned_spectra)
     cfg = ExperimentConfig(count=7, master_seed=9)
-    assert experiment._chunks(cfg.count, 1) == [range(7)]
+    assert experiment._chunks(cfg.count) == [range(7)]
     with pytest.raises(EigendecompositionError, match=r"^state 3 \(master seed 9\): ") as info:
-        run_experiment(cfg, jobs=1)
+        run_experiment(cfg)
     matrix = info.value.matrix
     nan = np.zeros((4, 4), dtype=bool)
     nan[0, 1] = nan[1, 0] = True
     assert matrix.shape == (4, 4)
     assert np.array_equal(np.isnan(matrix), nan)
     assert np.array_equal(matrix[~nan], target[~nan])
-    copy = pickle.loads(pickle.dumps(info.value))
-    assert str(copy) == str(info.value)
-    assert np.array_equal(copy.matrix, matrix, equal_nan=True)
 
 
 def records_in_chunks(cfg, size):
@@ -570,9 +510,9 @@ def test_chunking_never_moves_a_number(seed):
     # numpy promises no equal einsum or matmul bits across stack shapes, so
     # this guards the stacked kernels on every numpy the pin admits.
     cfg = ExperimentConfig(count=256, master_seed=seed)
-    by_size = {size: records_in_chunks(cfg, size) for size in (1, 7, 64)}
+    by_size = {size: records_in_chunks(cfg, size) for size in (1, 7, 64, 256)}
     assert [r.id for r in by_size[1]] == list(range(cfg.count))
-    assert by_size[1] == by_size[7] == by_size[64]
+    assert by_size[1] == by_size[7] == by_size[64] == by_size[256]
 
 
 def test_chunking_never_moves_a_number_where_the_rotation_scan_takes_lapack(monkeypatch):
@@ -600,11 +540,11 @@ def test_chunking_never_moves_a_number_where_the_rotation_scan_takes_lapack(monk
 
     monkeypatch.setattr(rotations, "eigvalsh", spied)
     by_size = {}
-    for size in (1, 7, 64):
+    for size in (1, 7, 64, 256):
         fallback_rows.clear()
         by_size[size] = records_in_chunks(cfg, size)
         assert fallback_rows, size
-    assert by_size[1] == by_size[7] == by_size[64]
+    assert by_size[1] == by_size[7] == by_size[64] == by_size[256]
     for index, p in degenerate.items():
         assert abs(by_size[64][index].qfi_max - qfi_bell_diagonal_oracle(p)) <= 1e-14
 
@@ -662,7 +602,7 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
     monkeypatch.setattr(measures, "_face_polish", spied_polish)
     calls = recording_ree(monkeypatch)
     by_size, certified = {}, {}
-    for size in (1, 7, 64):
+    for size in (1, 7, 64, 256):
         seen.clear()
         polishes.clear()
         calls.clear()
@@ -673,12 +613,14 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
         if size == 1:
             continue
         # The one sigma_0 call that holds the nearly pure state, right after
-        # the sigma_1 call of its chunk, which was handed state 264.
+        # the sigma_1 call of its chunk, which was handed state 264; in a
+        # chunk of 128 it also holds the pure state, which has no sigma_1.
         (at,) = [k for k, (_, handed) in enumerate(polishes) if hard[10].tobytes() in handed]
-        assert polishes[at] == ([10 % size, 12 % size], [hard[10].tobytes(), hard[12].tobytes()])
+        left = [index for index in (10, 12, 100) if index // size == 10 // size]
+        assert polishes[at] == ([i % size for i in left], [hard[i].tobytes() for i in left])
         sigma_1 = polishes[at - 1][1]
         assert hard[12].tobytes() in sigma_1 and hard[10].tobytes() not in sigma_1
-    assert by_size[1] == by_size[7] == by_size[64]
+    assert by_size[1] == by_size[7] == by_size[64] == by_size[256]
     for index in hard:
         assert not by_size[64][index].separable and by_size[64][index].ree_converged
 
@@ -690,7 +632,7 @@ def test_chunking_never_moves_a_number_where_the_ree_polish_branches(monkeypatch
 
     alone = [bits(ree(rho)) for rho, _ in certified[64]]
     assert len(alone) == cfg.count
-    for size in (1, 7, 64):
+    for size in (1, 7, 64, 256):
         assert [bits(measured) for _, measured in certified[size]] == alone, size
 
 
@@ -761,27 +703,24 @@ def test_nan_in_one_states_g_stops_the_run_with_that_state_named(monkeypatch):
 
     monkeypatch.setattr(experiment, "_spin_qfi_matrices", poisoned)
     cfg = ExperimentConfig(count=7, master_seed=9)
-    assert experiment._chunks(cfg.count, 1) == [range(7)]
+    assert experiment._chunks(cfg.count) == [range(7)]
     with pytest.raises(EigendecompositionError, match=r"^state 3 \(master seed 9\): ") as info:
-        run_experiment(cfg, jobs=1)
+        run_experiment(cfg)
     assert info.value.matrix.shape == (3, 3)
     assert np.isnan(info.value.matrix[0, 0])
-    copy = pickle.loads(pickle.dumps(info.value))
-    assert str(copy) == str(info.value)
 
 
 def test_chunks_cover_the_run_evenly_in_at_most_the_chunk_size():
-    for count, workers in [
-        (1, 1), (7, 1), (64, 1), (65, 1), (1000, 1), (12, 2), (1000, 2), (3, 3), (9, 8), (17, 16)
-    ]:
-        chunks = experiment._chunks(count, workers)
+    size = experiment._CHUNK_STATES
+    for count in (1, 7, size - 1, size, size + 1, 2 * size, 2 * size + 1, 1000):
+        chunks = experiment._chunks(count)
         sizes = [len(chunk) for chunk in chunks]
         assert [i for chunk in chunks for i in chunk] == list(range(count))
-        assert len(chunks) % workers == 0, (count, workers)
-        assert max(sizes) - min(sizes) <= 1, (count, workers)
-        assert max(sizes) <= experiment._CHUNK_STATES
-    # Four chunks of 64, 64, 64 and 8 would leave one of two workers idle half the time.
-    assert [len(chunk) for chunk in experiment._chunks(200, 2)] == [50] * 4
+        assert len(chunks) == math.ceil(count / size), count
+        assert max(sizes) - min(sizes) <= 1, count
+        assert max(sizes) <= size
+    # Not 256, 256, 256 and 232.
+    assert [len(chunk) for chunk in experiment._chunks(1000)] == [250] * 4
 
 
 def _nan_scaled(newton_system):
@@ -845,7 +784,7 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
         monkeypatch.setattr(measures, "_face_polish", lambda *args: None)
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
-        experiment._compute_record((index, cfg))
+        experiment._compute_record(index, cfg)
     assert np.isnan(info.value.matrix).all()
     frames = traceback.extract_tb(info.value.__cause__.__traceback__)
     assert site in [frame.name for frame in frames]
@@ -859,7 +798,7 @@ def test_nonfinite_divided_differences_stop_the_face_start(monkeypatch):
     f1 = measures._log_first_differences
     monkeypatch.setattr(measures, "_log_first_differences", lambda s: f1(s) * np.nan)
     with pytest.raises(RuntimeError, match=r"^state 0 \(master seed 7\): LinAlgError: ") as info:
-        experiment._compute_record((0, cfg))
+        experiment._compute_record(0, cfg)
     assert type(info.value.__cause__) is np.linalg.LinAlgError
     frames = traceback.extract_tb(info.value.__cause__.__traceback__)
     assert "_face_starts" in [frame.name for frame in frames]
@@ -884,23 +823,60 @@ def test_negativity_never_exceeds_concurrence(default_run):
 
 
 def test_rows_keep_the_cross_measure_bounds(monkeypatch):
-    # REE <= E_F(C) and N >= sqrt((1 - C)^2 + C^2) - (1 - C) on every row of
-    # a 200-state run, each within its REE gap; on seeds 1-4 and 15 the
-    # margins are at least 1.4e-7 bits and 1.2e-4.  A value moved past a
-    # bound fails it.
-    calls = recording_ree(monkeypatch)
-    result = run_experiment(ExperimentConfig(count=200, master_seed=1), jobs=1)
-    assert len(calls) == len(result.records)
-    for record, (_, _, solution) in zip(result.records, calls):
-        bounds = (record.concurrence, record.negativity, record.ree, solution.gap + 1e-12)
-        assert cross_measure_failures(*bounds) == [], record.id
-    entangled = [record for record in result.records if not record.separable]
-    assert entangled
-    c, n = entangled[0].concurrence, entangled[0].negativity
-    raised = entanglement_of_formation(c) + 1e-9
-    assert cross_measure_failures(c, n, raised, 1e-12) == ["ree <= E_F(C)"]
-    lowered = math.hypot(1.0 - c, c) - (1.0 - c) - 1e-9
-    assert cross_measure_failures(c, lowered, 0.0, 1e-12) == ["N >= sqrt((1 - C)^2 + C^2) - (1 - C)"]
+    # The chunk pass holds every entangled row to REE <= E_F(C) within its
+    # gap and to N >= sqrt((1 - C)^2 + C^2) - (1 - C); on seeds 1-4 and 15 the
+    # margins are at least 1.4e-7 bits and 1.2e-4.  A 200-state run passes,
+    # and a value moved past a bound by more than its slack fails the check.
+    check, checked = experiment._check_cross_measure_bounds, []
+
+    def spied(concurrences, negativities, solutions):
+        checked.extend(zip(concurrences, negativities, solutions))
+        check(concurrences, negativities, solutions)
+
+    monkeypatch.setattr(experiment, "_check_cross_measure_bounds", spied)
+    result = run_experiment(ExperimentConfig(count=200, master_seed=1))
+    assert [solution.value for _, _, solution in checked] == [r.ree for r in result.records]
+    c, n, solution = next(row for row in checked if row[1])
+    formation = measures._entanglement_of_formation(c)
+    slack = solution.gap + 1e-12
+    check([c], [n], [dataclasses.replace(solution, value=formation + slack)])
+    with pytest.raises(ArithmeticError, match=r"^REE \S+ lies above E_F\(C\) = "):
+        check([c], [n], [dataclasses.replace(solution, value=formation + 2 * slack)])
+    bound, budget = math.hypot(1.0 - c, c) - (1.0 - c), measures._CLOSED_FORMS_SLACK
+    check([c], [bound - budget], [solution])
+    with pytest.raises(ArithmeticError, match=r"^negativity \S+ lies below sqrt"):
+        check([c], [bound - 2 * budget], [solution])
+    # E_F of a pure state is the entropy of either reduced state.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        psi = random_pure_state(rng)
+        formation = measures._entanglement_of_formation(concurrence(pure(psi)))
+        assert abs(formation - ree_pure_oracle(psi)) <= 1e-12
+    assert measures._entanglement_of_formation(0.0) == 0.0
+    assert measures._entanglement_of_formation(1.0) == 1.0
+
+
+def test_ree_above_its_formation_bound_names_the_state(monkeypatch):
+    # One entangled state's REE, raised 1e-9 bits above E_F(C), stays inside
+    # [0, 1] and passes the range rule; the chunk's bound check fails, and
+    # the chunk's state-by-state rerun names that state.
+    states = [random_density_matrix(derive_stream(7, i)) for i in range(6)]
+    *_, target = [i for i, rho in enumerate(states) if not is_separable(rho)]
+    raised = measures._entanglement_of_formation(concurrence(states[target])) + 1e-9
+    assert target > 0 and raised < 1.0
+    divergence = measures._divergence
+
+    def raising(rho, *args):
+        values = divergence(rho, *args)
+        for k, state in enumerate(rho):
+            if np.array_equal(state, states[target]):
+                values[k] = raised
+        return values
+
+    monkeypatch.setattr(measures, "_divergence", raising)
+    message = rf"^state {target} \(master seed 7\): REE {re.escape(repr(raised))} lies above E_F"
+    with pytest.raises(ArithmeticError, match=message):
+        run_experiment(ExperimentConfig(count=6, master_seed=7))
 
 
 def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(monkeypatch):
@@ -1055,22 +1031,24 @@ def test_emitting_twice_into_one_directory_writes_the_bytes_of_a_fresh_one(small
         assert (old / name).read_bytes() == expected[name]
 
 
-def test_one_worker_run_never_imports_multiprocessing():
-    # Only a pool needs multiprocessing, whose import costs a few ms of the
-    # command's start-up; the package and a one-worker run do without it.
+def test_one_worker_run_never_imports_multiprocessing(tmp_path):
+    # A run is one process, and multiprocessing's import would cost a few ms
+    # of the command's start-up: the command, with its three file writers,
+    # does without it.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys, entqfi, entqfi.cli\n"
-        "entqfi.run_experiment(entqfi.ExperimentConfig(count=3), jobs=1)\n"
+        "import sys, entqfi.cli\n"
+        f"assert entqfi.cli.main(['--states', '3', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "assert 'multiprocessing' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    assert (tmp_path / "out" / "census.txt").exists()
 
 
 def test_cli_end_to_end(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    code = main(["--states", "4", "--seed", "2", "--out", str(out_dir), "--jobs", "1"])
+    code = main(["--states", "4", "--seed", "2", "--out", str(out_dir)])
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("states=4 separable=")
@@ -1114,10 +1092,10 @@ def test_every_exported_name_is_read_by_a_run_the_readme_or_the_benchmark():
 
 def test_cli_defaults_are_the_config_defaults(capsys):
     args = vars(build_parser().parse_args([]))
-    assert (args.pop("out"), args.pop("jobs")) == ("out", None)
+    assert args.pop("out") == "out"
     assert ExperimentConfig(**args) == ExperimentConfig()
     args = vars(build_parser().parse_args(["--states", "7", "--eps-order", "ree=0.1"]))
-    del args["out"], args["jobs"]
+    del args["out"]
     config = ExperimentConfig(**args)
     assert (config.count, config.eps_order["ree"]) == (7, 0.1)
     with pytest.raises(SystemExit):
@@ -1132,10 +1110,12 @@ def test_cli_defaults_are_the_config_defaults(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--grid-divisor", "8"), ("--refine-divisor", "8"), ("--witness-limit", "3")]
+    "flag, value",
+    [("--grid-divisor", "8"), ("--refine-divisor", "8"), ("--witness-limit", "3"), ("--jobs", "2")],
 )
 def test_cli_fixed_grid_and_witness_flags_are_usage_errors(flag, value, tmp_path, capsys):
-    # The grids and the witness limit are constants, not run settings.
+    # The grids and the witness limit are constants, not run settings, and a
+    # run is one process.
     with pytest.raises(SystemExit) as info:
         main([flag, value, "--out", str(tmp_path / "x")])
     assert info.value.code == 2
@@ -1147,13 +1127,6 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     for argv in (["--states", "0"], ["--seed", "-1"]):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         assert "configuration error" in capsys.readouterr().err
-
-
-def test_cli_bad_jobs_is_a_configuration_error(tmp_path, capsys):
-    assert main(["--states", "2", "--jobs", "0", "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err == "entqfi: configuration error: jobs must be at least 1, got 0\n"
-    assert not (tmp_path / "x").exists()
 
 
 def test_cli_bad_eps_flag_exits_2(tmp_path, capsys):
@@ -1170,7 +1143,7 @@ def test_cli_bad_eps_flag_exits_2(tmp_path, capsys):
 def test_cli_io_error_exits_1(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    code = main(["--states", "2", "--out", str(blocker), "--jobs", "1"])
+    code = main(["--states", "2", "--out", str(blocker)])
     assert code == 1
     assert "I/O error" in capsys.readouterr().err
 
@@ -1196,7 +1169,7 @@ def test_cli_state_failure_prints_one_line_and_exits_1(monkeypatch, tmp_path, ca
         return ree(rho, measured=measured)
 
     monkeypatch.setattr(experiment, "ree", failing_ree)
-    argv = ["--states", "4", "--seed", "7", "--jobs", "1", "--out", str(tmp_path / "out")]
+    argv = ["--states", "4", "--seed", "7", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"entqfi: {message}\n"

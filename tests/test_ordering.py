@@ -489,7 +489,7 @@ def test_one_scan_reads_a_five_state_run_as_the_four_scans(master_seed):
     # find_counterexamples for each measure and classify_pair.  These master
     # seeds give discordant pairs, which most five-state runs do not.
     cfg = ExperimentConfig(count=5, master_seed=master_seed)
-    result = run_experiment(cfg, jobs=1)
+    result = run_experiment(cfg)
     records = result.records
     assert result.censuses == census(records, cfg.eps_order)
     for measure in MEASURE_NAMES:

@@ -119,6 +119,6 @@ def test_random_density_matrix_spectrum_matches_simplex_draw():
 
 def test_generate_states_order_independence():
     # state i depends only on (master_seed, i), never on batch layout
-    six = run_experiment(ExperimentConfig(count=6, master_seed=12), jobs=1)
-    five = run_experiment(ExperimentConfig(count=5, master_seed=12), jobs=1)
+    six = run_experiment(ExperimentConfig(count=6, master_seed=12))
+    five = run_experiment(ExperimentConfig(count=5, master_seed=12))
     assert six.records[4] == five.records[4]
