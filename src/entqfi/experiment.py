@@ -8,10 +8,12 @@ of the pairs.  The states are measured a chunk at a time, every layer on
 stacked kernels: REE's face polish and its certificate run over the
 chunk's entangled states at once, and the barrier fallback per state.
 
-Every byte written is a pure function of the configuration: the per-state
-work depends only on ``(master_seed, index)``, not on the chunk, floats
-print with a fixed 12-significant-digit positional format, and the report
-carries no timestamps or timing.  Wall-clock numbers live only on the
+Every byte written is a pure function of the configuration on one numpy
+build and CPU: the per-state work depends only on ``(master_seed, index)``,
+not on the chunk, floats print with a fixed 12-significant-digit positional
+format, and the report carries no timestamps or timing.  numpy's SIMD
+``log1p``, ``log2`` and ``arccos`` can round differently on another build
+or CPU, and so move ``ree`` and the QFI columns in their last digits.  Wall-clock numbers live only on the
 in-memory result.  A run is one process, which measures the chunks one
 after another.
 """

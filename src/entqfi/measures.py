@@ -32,10 +32,10 @@ that would leave sigma > 0 or mu > 0 is damped.  Each start's polish runs
 stacked over its states: each keeps its own mu, damping, step count and
 convergence, and leaves the stack as it converges or fails; a singular KKT
 matrix, found by solving each system of the stack alone, ends only its own
-state's polish.  The divided differences of ln stay scalar ``math.log1p``,
-looped per state, as numpy's logarithms differ in the last bit.
-``ree(rho)`` alone runs the same chain, and the same certificate, as a
-stack of one.
+state's polish.  The first and second divided differences of ln run in
+numpy over the whole stack, each sorted pair and triple of eigenvalues
+once.  ``ree(rho)`` alone runs the same chain, and the same certificate, as
+a stack of one.
 
 Barrier fallback.  Where no start serves or the polish fails (sigma >= 0
 active at the optimum: pure and rank-deficient rho), the barrier method
@@ -200,14 +200,19 @@ _POLISH_STEPS, _POLISH_TOL, _POLISH_REL_TOL, _POLISH_DAMPING = 20, 1e-9, 1e-4, 0
 # first-order step cancels rho's small eigenvalues to roundoff and the polish
 # from sigma_1 never converged.
 _FIRST_ORDER_FLOOR = 1e-3
-# The 6 index pairs i < j with the flat places of (i, j) and (j, i) in a 4x4;
-# the 20 sorted index triples lo <= mid <= hi, which for ascending s sort
-# their values, with the flat places of (mid, hi) and (lo, mid); and for each
-# flat (i, m, j) the place of its sorted triple.
-_PAIRS = [(i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4)]
-_SORTED = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
-_TRIPLES = [(lo, mid, hi, 4 * mid + hi, 4 * lo + mid) for lo, mid, hi in _SORTED]
-_TRIPLE_AT = np.array([_SORTED.index(tuple(sorted(ijk))) for ijk in np.ndindex(4, 4, 4)])
+# The 10 sorted index pairs lo <= hi and the 20 sorted index triples lo <=
+# mid <= hi, which for ascending s sort their values; the flat places of
+# each triple's (mid, hi) and (lo, mid) in a 4x4; and for each flat (i, j)
+# and (i, m, j) the place of its sorted pair or triple.
+_SORTED_PAIRS = sorted({tuple(sorted(ij)) for ij in np.ndindex(4, 4)})
+_SORTED_TRIPLES = sorted({tuple(sorted(ijk)) for ijk in np.ndindex(4, 4, 4)})
+_PAIR_LO, _PAIR_HI = np.array(_SORTED_PAIRS).T
+_LO, _MID, _HI = np.array(_SORTED_TRIPLES).T
+_MID_HI, _LO_MID = 4 * _MID + _HI, 4 * _LO + _MID
+_PAIR_AT = np.reshape([_SORTED_PAIRS.index(tuple(sorted(ij))) for ij in np.ndindex(4, 4)], (4, 4))
+_TRIPLE_AT = np.reshape(
+    [_SORTED_TRIPLES.index(tuple(sorted(ijk))) for ijk in np.ndindex(4, 4, 4)], (4, 4, 4)
+)
 _COINCIDENT = 1e-5  # relative spread below which three eigenvalues coincide
 
 
@@ -303,7 +308,7 @@ def _entanglement_of_formation(c: float) -> float:
     if c <= 0.0:
         return 0.0
     y = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
-    return -(y * math.log(y) + (1.0 - y) * math.log1p(-y)) / LN2
+    return -(y * math.log(y) + (1.0 - y) * float(np.log1p(-y))) / LN2
 
 
 def _check_cross_measure_bounds(concurrences, negativities, solutions) -> None:
@@ -369,44 +374,31 @@ def _barrier(t: float, p: _Point) -> float:
 
 
 def _log_first_differences(s: np.ndarray) -> np.ndarray:
-    """f1[i, j] = (ln s_j - ln s_i) / (s_j - s_i) for ascending s, 1/s_i
-    where they are equal, for one spectrum or each of a stack; log1p of the
-    spacing keeps nearby pairs from cancelling."""
-    return np.array(_first_difference_rows(s.reshape(-1, 4).tolist())).reshape(s.shape + (4,))
+    """f1[i, j] = (ln s_j - ln s_i) / (s_j - s_i) for ascending s, exactly
+    1/s_i where they are equal, (..., 4, 4) for spectra s of shape (..., 4);
+    log1p of the spacing keeps nearby pairs from cancelling.  Each sorted
+    pair is computed once; an equal pair is never divided, so it raises no
+    0/0."""
+    lo = s.take(_PAIR_LO, axis=-1)
+    gap = s.take(_PAIR_HI, axis=-1) - lo
+    f1 = np.divide(np.log1p(gap / lo), gap, out=np.reciprocal(lo), where=gap > 0.0)
+    return f1.take(_PAIR_AT, axis=-1)
 
 
-def _first_difference_rows(spectra: list) -> list:
-    """f1 of each ascending spectrum of a list, flattened, in Python floats:
-    on six pairs they cost less than numpy calls, and numpy's log1p differs
-    from math's in the last bit."""
-    rows = []
-    for e in spectra:
-        row = [1.0 / e[0]] * 4 + [1.0 / e[1]] * 4 + [1.0 / e[2]] * 4 + [1.0 / e[3]] * 4
-        for i, j, ij, ji in _PAIRS:
-            lo = e[i]
-            if (gap := e[j] - lo) > 0.0:
-                row[ij] = row[ji] = math.log1p(gap / lo) / gap
-        rows.append(row)
-    return rows
-
-
-def _second_differences(spectra: list, rows: list) -> np.ndarray:
+def _second_differences(s: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """f2[i, m, j], the second divided difference of ln at (s_i, s_m, s_j),
-    flattened to (n, 64), for each ascending spectrum of a list and its
-    ``_first_difference_rows``: ``(f1[mid, hi] - f1[lo, mid]) / (s_hi -
+    (..., 4, 4, 4) for ascending spectra s of shape (..., 4) and their
+    ``_log_first_differences`` f1: ``(f1[mid, hi] - f1[lo, mid]) / (s_hi -
     s_lo)`` over the sorted triple, the widest spacing, or ``-1/(2
-    mean^2)`` (error O(spread^2)) where all three lie within _COINCIDENT.
-    Twenty triples cost less in Python than in numpy."""
-    values = []
-    for e, d in zip(spectra, rows):
-        for lo, mid, hi, mid_hi, lo_mid in _TRIPLES:
-            low, high = e[lo], e[hi]
-            if (width := high - low) > _COINCIDENT * high:
-                values.append((d[mid_hi] - d[lo_mid]) / width)
-            else:
-                total = low + e[mid] + high
-                values.append(-4.5 / (total * total))
-    return np.array(values).reshape(-1, 20).take(_TRIPLE_AT, axis=1)
+    mean^2)`` (error O(spread^2)) where all three lie within _COINCIDENT,
+    which is never divided."""
+    low, high = s.take(_LO, axis=-1), s.take(_HI, axis=-1)
+    total = low + s.take(_MID, axis=-1) + high
+    flat = f1.reshape(s.shape[:-1] + (16,))
+    rise = flat.take(_MID_HI, axis=-1) - flat.take(_LO_MID, axis=-1)
+    width = high - low
+    f2 = np.divide(rise, width, out=-4.5 / (total * total), where=width > _COINCIDENT * high)
+    return f2.take(_TRIPLE_AT, axis=-1)
 
 
 def _eigenbasis_tangents(p: _Point) -> np.ndarray:
@@ -421,17 +413,17 @@ def _eigenbasis_tangents(p: _Point) -> np.ndarray:
 def _entropy_system(p: _Point, tan: np.ndarray, t: float | None = None):
     """Gradient and Hessian of -t tr(rho ln sigma) in x, of -tr(rho ln sigma)
     with t None: ``-t rt * f1`` and the kernel f2[i, m, j] rt[j, i] on the
-    eigenbasis tangents."""
+    eigenbasis tangents, at one point (the barrier's) or at each point of a
+    stack, with f1 and f2 from ``_log_first_differences`` and
+    ``_second_differences`` over all of sigma's spectra at once."""
     lead = p.x.shape[:-1]
     tan = tan[..., 0, :, :]
-    spectra = p.s[..., 0, :].reshape(-1, 4).tolist()
-    rows = _first_difference_rows(spectra)
-    f1 = np.array(rows).reshape(lead + (4, 4))
+    s = p.s[..., 0, :]
+    f1 = _log_first_differences(s)
     weights = p.rt * f1 if t is None else t * (p.rt * f1)
     grad = -(tan.view(float) @ weights.view(float).reshape(lead + (32, 1)))[..., 0]
     # sum_{i,m,j} tan_k[i, m] f2[m, i, j] rt[j, i] tan_l[m, j], over i first.
-    f2 = _second_differences(spectra, rows).reshape(lead + (4, 4, 4))
-    kernel = f2 * p.rt.mT[..., None, :, :]
+    kernel = _second_differences(s, f1) * p.rt.mT[..., None, :, :]
     ys = tan.reshape(lead + (15, 4, 4)).swapaxes(-1, -3).swapaxes(-1, -2) @ kernel
     cross = (ys.swapaxes(-3, -2).reshape(lead + (15, 16)) @ tan.mT).real
     hess = cross + cross.mT
@@ -564,11 +556,13 @@ def _face_starts(
     ``rho + c G_rho[Y]``, ``c = -e / tr(Y G_rho[Y])``, which puts
     lambda_min(sigma_1^G) on 0 to first order, and ``_lift`` puts it there
     exactly.  In rho's eigenbasis G_rho divides by the first divided
-    differences of ln, which needs r_0 above ZERO_CUTOFF.  Rows where
-    lambda_min(sigma_1) falls below _FIRST_ORDER_FLOOR r_0 are left out.
-    Under ``lapack_guard()`` a non-finite divided difference raises a plain
-    ``LinAlgError`` at that division, before sigma_1's eigensolves, so it
-    carries no matrix."""
+    differences of ln of all the rows at once, which needs r_0 above
+    ZERO_CUTOFF and keeps them finite.  Rows where lambda_min(sigma_1) falls
+    below _FIRST_ORDER_FLOOR r_0 are left out.  Under ``lapack_guard()`` a
+    NaN or zero divided difference raises a plain ``LinAlgError`` at that
+    division; an infinite one makes c infinite, with a divide-by-zero
+    warning, and raises at sigma_1's sum.  Both come before sigma_1's
+    eigensolves, so the error carries no matrix."""
     r_lows = r[:, 0].tolist()
     rows = [k for k in rows if r_lows[k] > ZERO_CUTOFF]
     if len(rows) < len(r):

@@ -16,7 +16,7 @@ from entqfi import (
     von_neumann_entropy,
 )
 from entqfi.fisher import LOCAL_SPINS, pair_weights
-from entqfi.measures import _log_first_differences
+from entqfi.measures import _COINCIDENT, _log_first_differences
 from entqfi.rotations import TWO_PI, EulerAngleSet
 from entqfi.sampling import _density_matrices, _haar_bases, _simplex_weights
 from entqfi.states import ZERO_CUTOFF, _divergence
@@ -324,6 +324,57 @@ def dual_gap_mp(rho: np.ndarray, sigma: np.ndarray):
         q_plus = u * mp.diag([max(x, 0) for x in lam]) * u.H
         tops, _ = _mp_hermitian_eigh(d + _mp_partial_transpose(q_plus))
         return max(tops) - mp.fsum(q[i] * mp.re(dt[i, i]) for i in range(4))
+
+
+def log_divided_differences_loop(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f1 (4x4) and f2 (4x4x4) of ln at one ascending spectrum s, pair by
+    pair and triple by triple in Python floats: the scalar loops that
+    ``measures._log_first_differences`` and ``_second_differences``
+    replaced, with numpy's log1p in place of math's, so the same arithmetic
+    must give the same bits."""
+    e = [float(value) for value in s]
+    f1 = [[1.0 / e[i]] * 4 for i in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        if (gap := e[j] - e[i]) > 0.0:
+            f1[i][j] = f1[j][i] = float(np.log1p(gap / e[i])) / gap
+    f2 = np.empty((4, 4, 4))
+    for ijk in np.ndindex(4, 4, 4):
+        lo, mid, hi = sorted(ijk)
+        if (width := e[hi] - e[lo]) > _COINCIDENT * e[hi]:
+            f2[ijk] = (f1[mid][hi] - f1[lo][mid]) / width
+        else:
+            total = e[lo] + e[mid] + e[hi]
+            f2[ijk] = -4.5 / (total * total)
+    return np.array(f1), f2
+
+
+def log_divided_differences_errors_mp(s: np.ndarray, f1: np.ndarray, f2: np.ndarray):
+    """The largest relative errors of a float f1 (4x4) and f2 (4x4x4), the
+    first and second divided differences of ln at the ascending float
+    spectrum s, against their values at ``MP_DIGITS`` digits: the reference
+    for ``measures._log_first_differences`` and ``_second_differences``.
+    Equal arguments take the confluent limits 1/x and -1/(2 x^2); each
+    sorted pair and triple is evaluated once."""
+    with mp.workdps(MP_DIGITS):
+        x = [mp.mpf(float(value)) for value in s]
+        logs = [mp.log(value) for value in x]
+
+        @functools.cache
+        def first(i, j):
+            return (logs[j] - logs[i]) / (x[j] - x[i]) if x[i] != x[j] else 1 / x[i]
+
+        @functools.cache
+        def second(lo, mid, hi):
+            if x[lo] == x[hi]:
+                return -1 / (2 * x[lo] ** 2)
+            return (first(mid, hi) - first(lo, mid)) / (x[hi] - x[lo])
+
+        def error(value, exact):
+            return abs((mp.mpf(float(value)) - exact) / exact)
+
+        f1_error = max(error(f1[i, j], first(*sorted((i, j)))) for i, j in np.ndindex(4, 4))
+        f2_error = max(error(f2[ijk], second(*sorted(ijk))) for ijk in np.ndindex(4, 4, 4))
+        return float(f1_error), float(f2_error)
 
 
 def spin_qfi_matrix_mp(rho: np.ndarray):

@@ -42,6 +42,8 @@ from helpers import (
     haar_unitary,
     inverse_ree_fixtures,
     ket,
+    log_divided_differences_errors_mp,
+    log_divided_differences_loop,
     negativity_mp,
     pure,
     random_pure_state,
@@ -174,6 +176,62 @@ def test_dual_gap_holds_its_error_budget_against_a_40_digit_reference():
         assert error <= _GAP_ERROR_BOUND
         assert error * point.s[0, 0] <= _GAP_ERROR_EPSILONS * np.finfo(float).eps
         assert 10 * error <= measures._gap_roundoff(point), k
+
+
+@pytest.fixture(scope="module")
+def seed_one_sigma_spectra():
+    """The ascending spectra of sigma at the polished points of master seed
+    1's 365 entangled states (ids 0-999), stacked."""
+    rhos = _density_matrices([derive_stream(1, index) for index in range(1000)])
+    outcomes = _chain_outcomes(rhos)
+    return np.stack([outcome[0].s[0] for outcome in outcomes if outcome and outcome[0] is not None])
+
+
+def test_divided_differences_of_a_stack_equal_its_rows_bit_for_bit(seed_one_sigma_spectra):
+    # The seeded spectra, one with an exactly equal pair, and one whose
+    # three highest eigenvalues coincide within _COINCIDENT; every row alone,
+    # unstacked, the scalar loops and the stack with two leading axes give
+    # the stack's bits, and no floating-point flag is raised on the way.
+    s = np.concatenate(
+        [seed_one_sigma_spectra, [[0.1, 0.2, 0.2, 0.5], [0.1, 0.3, 0.3 + 3e-8, 0.3 + 6e-8]]]
+    )
+    with np.errstate(all="raise"):
+        f1 = measures._log_first_differences(s)
+        f2 = measures._second_differences(s, f1)
+        for k, row in enumerate(s):
+            row_f1 = measures._log_first_differences(row)
+            assert row_f1.tobytes() == f1[k].tobytes(), k
+            assert measures._second_differences(row, row_f1).tobytes() == f2[k].tobytes(), k
+            loop_f1, loop_f2 = log_divided_differences_loop(row)
+            assert (loop_f1.tobytes(), loop_f2.tobytes()) == (f1[k].tobytes(), f2[k].tobytes()), k
+        halves = s[:-1].reshape(2, -1, 4)
+        halves_f1 = measures._log_first_differences(halves)
+        assert halves_f1.tobytes() == f1[:-1].tobytes()
+        assert measures._second_differences(halves, halves_f1).tobytes() == f2[:-1].tobytes()
+    assert f1[-2, 1, 2] == f1[-2, 2, 1] == f1[-2, 2, 2] == 1.0 / 0.2
+    low, mid, high = s[-1, 1:]
+    total = low + mid + high
+    assert f2[-1, 1, 2, 3] == f2[-1, 3, 1, 2] == -4.5 / (total * total)
+
+
+# The largest relative errors of f1 and f2 against their 40-digit values at
+# the polished points of master seed 1's 365 entangled states: 2.22e-16
+# (one rounding) and 2.59e-14, where a close pair of eigenvalues, 0.1077 and
+# 0.1087, cancels in f2's numerator; doubled.
+_F1_ERROR_BOUND = 2 * 2.22e-16
+_F2_ERROR_BOUND = 2 * 2.59e-14
+
+
+def test_divided_differences_hold_their_error_budget_against_40_digit_references(
+    seed_one_sigma_spectra,
+):
+    s = seed_one_sigma_spectra
+    f1 = measures._log_first_differences(s)
+    f2 = measures._second_differences(s, f1)
+    for k in range(len(s)):
+        f1_error, f2_error = log_divided_differences_errors_mp(s[k], f1[k], f2[k])
+        assert f1_error <= _F1_ERROR_BOUND, k
+        assert f2_error <= _F2_ERROR_BOUND, k
 
 
 def _grid_numerators():
