@@ -200,13 +200,9 @@ def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
 def _spectral_entropy(eigenvalues: np.ndarray):
     """-sum p log2 p in bits over a spectrum, or over each of a stack as an
     array, with 0 log 0 = 0."""
-    # A NaN fails this test too; the mask below drops it with the zeros.
-    if not np.minimum.reduce(eigenvalues, axis=None) > ZERO_CUTOFF:
-        if eigenvalues.ndim > 1:
-            # Each spectrum sums its own positive eigenvalues, in their order.
-            return np.array([_spectral_entropy(row) for row in eigenvalues])
-        eigenvalues = eigenvalues[eigenvalues > ZERO_CUTOFF]
-    terms = eigenvalues * np.log2(eigenvalues)
+    # An eigenvalue at most ZERO_CUTOFF, or NaN, reads 1 and adds 1 log 1 = 0.
+    p = np.where(eigenvalues > ZERO_CUTOFF, eigenvalues, 1.0)
+    terms = p * np.log2(p)
     return clip_roundoff(-np.add.reduce(terms, axis=-1), 0.0, math.inf, "von Neumann entropy")
 
 
@@ -225,19 +221,15 @@ def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy):
     divergence infinite, signalled by the returned marker, not an exception.
     The value passes ``clip_roundoff`` on [0, inf): one more than 1e-12 bits
     below zero (sigma is not a normalized state, say) raises
-    ``ArithmeticError``."""
-    s = np.maximum(s, 0.0)
-    deficient = np.minimum.reduce(s, axis=None) <= ZERO_CUTOFF
-    if deficient and s.ndim > 1:
-        # Each state tests its own null eigenspace and sums the rest in order.
-        return np.array([_divergence(*state) for state in zip(rho, s, vecs, rho_entropy)])
+    ``ArithmeticError``, as does a NaN in s."""
     weights = np.maximum(np.add.reduce((rho @ vecs) * vecs.conj(), axis=-2).real, 0.0)
-    if deficient:
-        null = s <= ZERO_CUTOFF
-        if float(np.add.reduce(weights[null])) > ZERO_CUTOFF:
-            return math.inf
-        weights, s = weights[~null], s[~null]
-    value = -rho_entropy - np.add.reduce(weights * np.log2(s), axis=-1)
+    # A null eigenvalue reads 1, so its term adds an exact 0 to the others'.
+    null = s <= ZERO_CUTOFF
+    value = -rho_entropy - np.add.reduce(weights * np.log2(np.where(null, 1.0, s)), axis=-1)
+    if null.any():
+        escaped = np.add.reduce(np.where(null, weights, 0.0), axis=-1) > ZERO_CUTOFF
+        # inf + NaN is NaN: a NaN in s still raises below.
+        value = value + np.where(escaped, math.inf, 0.0)
     return clip_roundoff(value, 0.0, math.inf, "relative entropy")
 
 

@@ -83,7 +83,7 @@ def test_main_compiles_both_checkouts_before_the_first_run(tmp_path, monkeypatch
         compiled.append(
             all(any((root / part).rglob("*.pyc")) for root in checkouts for part in ("src", "benchmarks"))
         )
-        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}, "host"
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}, "host", {}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
@@ -109,7 +109,7 @@ def test_run_once_stops_on_a_run_that_fails_its_checks(monkeypatch, tmp_path, co
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     if passes:
-        assert bench_pairs.run_once(tmp_path, "w", 1, 1.0, 0) == (json.loads(line), "host=h")
+        assert bench_pairs.run_once(tmp_path, "w", 1, 1.0, 0) == (json.loads(line), "host=h", {})
         return
     with pytest.raises(SystemExit) as info:
         bench_pairs.run_once(tmp_path, "w", 1, 1.0, 0)
@@ -141,3 +141,60 @@ def test_main_appends_no_pair_with_a_failed_run(monkeypatch, tmp_path):
         bench_pairs.main(argv + ["--seeds", "1", "2", "--trace", "0", "--name", "t"])
     record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     assert [run["seed"] for run in record["runs"]] == [1, 1]
+
+
+def test_each_run_keeps_what_wall_s_is_divided_by(monkeypatch, tmp_path):
+    # run.py prints raw_wall_s and host_slowdown only on metric lines above
+    # its JSON line; each run records both, and each workload's summary
+    # holds their quartiles per side, without a verdict.
+    checkouts = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "benchmarks").mkdir(parents=True)
+        (root / "benchmarks" / "run.py").write_text("X = 1\n", encoding="utf-8")
+        spec = {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+        (root / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        checkouts.append(root)
+    # parent, change, change, parent: the second pair runs the change first.
+    raws = iter([(2.0, 1.0), (1.8, 1.2), (1.9, 1.25), (2.2, 1.1)])
+
+    def fake_run(command, cwd, capture_output=False, text=False, check=False):
+        raw, slowdown = next(raws)
+        line = json.dumps({"correct": True, "failed": 0, "metrics": {"wall_s": {"value": raw / slowdown}}})
+        stdout = (
+            f"env h\nmetric wall_s {raw / slowdown:.6g} s\nmetric failed_frac 0 ratio\n"
+            f"metric host_slowdown {slowdown:.6g} ratio\nmetric raw_wall_s {raw:.6g} s\n{line}\n"
+        )
+        return bench_pairs.subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs, "compile_sources", lambda checkout: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    argv = ["--parent", str(checkouts[0]), "--change", str(checkouts[1]), "--workload", "w"]
+    assert bench_pairs.main(argv + ["--seeds", "1", "2", "--trace", "0", "--name", "t"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert list(record) == ["change", "command", "host", "pairs", "summary_trace0_medians", "runs"]
+    assert [(run["side"], run["diagnostics"]) for run in record["runs"]] == [
+        ("parent", {"raw_wall_s": 2.0, "host_slowdown": 1.0}),
+        ("change", {"raw_wall_s": 1.8, "host_slowdown": 1.2}),
+        ("change", {"raw_wall_s": 1.9, "host_slowdown": 1.25}),
+        ("parent", {"raw_wall_s": 2.2, "host_slowdown": 1.1}),
+    ]
+    summary = record["summary_trace0_medians"]["w"]
+    assert summary["wall_s"]["change_won"] == 2
+    expected = {
+        "raw_wall_s": {"parent": (2.05, 2.1, 2.15), "change": (1.825, 1.85, 1.875)},
+        "host_slowdown": {"parent": (1.025, 1.05, 1.075), "change": (1.2125, 1.225, 1.2375)},
+    }
+    assert set(summary["diagnostics"]) == set(expected)
+    for name, sides in expected.items():
+        entry = summary["diagnostics"][name]
+        assert entry.pop("pairs") == 2
+        assert entry == pytest.approx(
+            {f"{side}_{stat}": value for side, values in sides.items()
+             for stat, value in zip(("q1", "median", "q3"), values)}
+        )
+    # A series begun before runs kept their diagnostics summarizes without them.
+    for run in record["runs"]:
+        del run["diagnostics"]
+    assert bench_pairs.summarize(record["runs"], spec["end_to_end"])["w"]["diagnostics"] == {}

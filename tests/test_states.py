@@ -263,6 +263,99 @@ def test_a_stack_reads_each_state_as_it_reads_alone():
         assert _divergence(np.stack(rhos[rows]), values, vectors, stacked).tolist() == alone[rows]
 
 
+def _unitaries(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    return q
+
+
+def test_spectral_entropy_drops_zeros_roundoff_and_nan_from_each_row():
+    # Full-rank rows, rows with exact and roundoff-negative zeros, and a row
+    # with a NaN: each row reads the sum over its eigenvalues above the
+    # cutoff alone, in order, bit for bit, and a row alone reads the same
+    # as a Python float.
+    spectra = np.array(
+        [
+            [0.1, 0.2, 0.3, 0.4],
+            [0.0, 0.25, 0.25, 0.5],
+            [-1e-17, 0.0, 0.3, 0.7],
+            [-1e-17, 5e-13, 1e-12, 1.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [math.nan, 0.25, 0.25, 0.5],
+            [1e-9, 1e-6, 0.2, 0.799999],
+        ]
+    )
+    expected = [
+        clip_roundoff(-sum(p * np.log2(p) for p in row if p > states.ZERO_CUTOFF), 0.0, math.inf, "x")
+        for row in spectra
+    ]
+    with np.errstate(all="raise"):
+        stacked = _spectral_entropy(spectra)
+        alone = [_spectral_entropy(row) for row in spectra]
+    assert stacked.tolist() == expected == alone
+    assert all(type(value) is float for value in alone)
+    assert expected[4] == 0.0 and expected[5] == expected[1] == 1.5
+
+
+def test_divergence_of_a_stack_with_null_eigenvalues_sums_only_the_kept_ones():
+    # sigma's spectra hold exact zeros, roundoff negatives and values just
+    # under the cutoff in some rows.  Rows 0-3 put rho's weight inside
+    # sigma's support; rows 4-6 put some on a null eigenvector and read inf.
+    rng = np.random.default_rng(11)
+    s = np.array(
+        [
+            [0.1, 0.2, 0.3, 0.4],
+            [0.0, 0.2, 0.3, 0.5],
+            [-1e-17, 5e-13, 0.4, 0.6],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.2, 0.3, 0.5],
+            [-1e-17, 5e-13, 0.4, 0.6],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    vecs = _unitaries(rng, len(s))
+    p = rng.random((len(s), 4))
+    p[:4] = np.where(s[:4] > states.ZERO_CUTOFF, p[:4], 0.0)
+    p /= p.sum(axis=-1, keepdims=True)
+    rho = vecs @ (p[:, :, None] * vecs.conj().swapaxes(-1, -2))
+    entropy = _spectral_entropy(herm_eig(rho)[0])
+    # The weight of rho on each of sigma's eigenvectors, as _divergence reads it.
+    weights = np.maximum(np.add.reduce((rho @ vecs) * vecs.conj(), axis=-2).real, 0.0)
+    expected = []
+    for row_s, row_w, row_entropy in zip(s, weights, entropy):
+        null = row_s <= states.ZERO_CUTOFF
+        if sum(row_w[null]) > states.ZERO_CUTOFF:
+            expected.append(math.inf)
+            continue
+        kept = sum(w * np.log2(value) for w, value in zip(row_w[~null], row_s[~null]))
+        expected.append(clip_roundoff(-row_entropy - kept, 0.0, math.inf, "x"))
+    assert expected[4:] == [math.inf] * 3 and math.inf not in expected[:4]
+    with np.errstate(all="raise"):
+        stacked = _divergence(rho, s, vecs, entropy)
+        alone = [_divergence(*row) for row in zip(rho, s, vecs, entropy)]
+    assert stacked.tolist() == expected == alone
+    assert all(type(value) is float for value in alone)
+
+
+@pytest.mark.parametrize(
+    "s, weight",
+    [([math.nan, 0.2, 0.3, 0.5], 0.25), ([0.0, math.nan, 0.3, 0.7], 0.5)],
+    ids=["full-rank", "escaped-support"],
+)
+def test_divergence_raises_on_a_nan_in_sigmas_spectrum(s, weight):
+    # Also where rho's weight on a null eigenvector would make the row inf.
+    rng = np.random.default_rng(12)
+    vecs = _unitaries(rng, 2)
+    p = np.array([[weight, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]])
+    p /= p.sum(axis=-1, keepdims=True)
+    rho = vecs @ (p[:, :, None] * vecs.conj().swapaxes(-1, -2))
+    spectra = np.array([s, [0.1, 0.2, 0.3, 0.4]])
+    entropy = _spectral_entropy(p)
+    with pytest.raises(ArithmeticError, match=r"^relative entropy nan lies outside"):
+        _divergence(rho[0], spectra[0], vecs[0], entropy[0])
+    with pytest.raises(ArithmeticError, match=r"^relative entropy nan lies outside"):
+        _divergence(rho[::-1], spectra[::-1], vecs[::-1], entropy[::-1])
+
+
 def test_relative_entropy_clips_only_roundoff_below_zero():
     for index in range(200):
         rho = random_density_matrix(derive_stream(1, index))

@@ -19,7 +19,12 @@ keeps the layout of ``BENCH_ree_barrier.json`` (``change``, ``command``,
 workload and end-to-end metric of the ``--trace 0`` runs the summary also
 holds each side's quartiles (``statistics.quantiles``, inclusive method),
 the number of pairs the change won, ties counting for neither side, and a
-``verdict`` (see ``verdict``).
+``verdict`` (see ``verdict``).  Each run also records the ``DIAGNOSTICS``
+that ``run.py`` prints on its ``metric`` lines: ``wall_s`` is
+``raw_wall_s`` divided by ``host_slowdown``, the reference kernel's time
+against its nominal time, so a change that moves the divisor moves
+``wall_s`` too.  Each workload's summary holds their medians and quartiles
+per side under ``diagnostics``, without a verdict.
 """
 
 from __future__ import annotations
@@ -38,10 +43,13 @@ COMMAND = (
     " runs first per pair"
 )
 SIDES = ("parent", "change")
+# run.py prints these on metric lines only; wall_s = raw_wall_s / host_slowdown.
+DIAGNOSTICS = ("raw_wall_s", "host_slowdown")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One benchmark run in ``checkout``: its JSON result and its env line.
+    """One benchmark run in ``checkout``: its JSON result, its env line and
+    the values of its ``DIAGNOSTICS`` metric lines.
 
     ``run.py`` exits 0 whatever its checks find, so a run that reads
     ``correct: false`` or ``failed > 0`` ends the series with that run's
@@ -62,7 +70,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
             f"\n{done.stderr[-2000:]}"
         )
     env = next((line[len("env "):] for line in lines if line.startswith("env ")), "")
-    return result, env
+    shown = dict(line.split()[1:3] for line in lines if line.startswith("metric "))
+    return result, env, {name: float(shown[name]) for name in DIAGNOSTICS if name in shown}
 
 
 def compile_sources(checkout: Path) -> None:
@@ -77,6 +86,15 @@ def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return values * 3
     return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def side_quartiles(values: dict[str, list[float]]) -> dict[str, float]:
+    """Each side's median and quartiles of one metric."""
+    entry = {}
+    for side in SIDES:
+        q1, median, q3 = quartiles(values[side])
+        entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
+    return entry
 
 
 def paired(runs: list[dict]) -> list[tuple[dict, dict]]:
@@ -128,10 +146,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 side: [run["result"]["metrics"][name]["value"] for run in sides]
                 for side, sides in zip(SIDES, zip(*mine))
             }
-            entry = {}
-            for side in SIDES:
-                q1, median, q3 = quartiles(values[side])
-                entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
+            entry = side_quartiles(values)
             entry["pairs"] = len(mine)
             entry["change_won"] = sum(
                 sign * (change - parent) < 0.0
@@ -141,6 +156,17 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 values["parent"], values["change"], entry["change_won"], sign, metric["bound"]
             )
             summary[workload][name] = entry
+        summary[workload]["diagnostics"] = diagnostics = {}
+        for name in DIAGNOSTICS:
+            # Runs recorded before the diagnostics were kept have none.
+            known = [pair for pair in mine if all(name in run.get("diagnostics", {}) for run in pair)]
+            if not known:
+                continue
+            values = {
+                side: [run["diagnostics"][name] for run in sides]
+                for side, sides in zip(SIDES, zip(*known))
+            }
+            diagnostics[name] = {**side_quartiles(values), "pairs": len(known)}
     return summary
 
 
@@ -189,14 +215,15 @@ def main(argv=None) -> int:
         order = SIDES if (done_pairs + k) % 2 == 0 else SIDES[::-1]
         pair = []
         for side in order:
-            result, env = run_once(checkouts[side], args.workload, seed, seconds, args.trace)
+            result, env, shown = run_once(checkouts[side], args.workload, seed, seconds, args.trace)
             run = {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace}
-            pair.append({**run, "result": result})
+            pair.append({**run, "result": result, "diagnostics": shown})
             record["host"] = record["host"] or env
             wall = result["metrics"].get("wall_s", {}).get("value")
             print(
                 f"{args.workload} seed={seed} trace={args.trace} {side}: correct={result['correct']}"
-                f" failed={result['failed']} wall_s={wall}",
+                f" failed={result['failed']} wall_s={wall}"
+                + "".join(f" {name}={value}" for name, value in shown.items()),
                 flush=True,
             )
         record["runs"] += pair
