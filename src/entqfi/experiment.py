@@ -269,16 +269,10 @@ def format_value(x: float) -> str:
         return "0.000000000000"
     if not math.isfinite(x):
         raise ValueError(f"cannot format non-finite value {x!r}")
-    exponent = math.floor(math.log10(abs(x)))
-    decimals = max(0, 11 - exponent)
-    text = "%.*f" % (decimals, x)
-    # Rounding can carry into the next decade (0.9999999999999999 would read
-    # 1.000000000000); one decimal fewer then keeps 12 significant digits.
-    # A carry leaves the digits 1000000000000, so only a text ending in 0
-    # needs the digit count.
-    if decimals and text[-1] == "0" and len(text.lstrip("-0.").replace(".", "")) > 12:
-        text = "%.*f" % (decimals - 1, x)
-    return text
+    # The decimal exponent after rounding to 12 significant digits, so that
+    # a carry into the next decade takes one decimal fewer.
+    exponent = int(("%.11e" % x).rpartition("e")[2])
+    return "%.*f" % (max(0, 11 - exponent), x)
 
 
 # One Euler angle set: six angles with six decimals, separated by ';'.

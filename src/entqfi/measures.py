@@ -17,25 +17,29 @@ Face polish.  For an entangled rho the optimum lies on the face
 solutions are the inverse-problem states of Miranowicz & Ishizaka (PRA 78,
 032310, 2008), ``D ln_sigma[rho] = I - mu (|phi><phi|)^G`` with phi the
 kernel of sigma^G, so the solve ends on the PPT boundary with no 1/t bias.
-``_start_chain`` hands the polish its starts as one chain: the
-first-order solution of that inverse
+``_start_chain`` owns each entangled state's fate, one chain of three
+solvers: the polish from the first-order solution of that inverse
 problem, ``sigma_1 ~ rho + c G_rho[(|phi><phi|)^G]`` with ``G = (D ln)^-1``,
 (e, phi) the lowest eigenpair of rho^G and c putting lambda_min(sigma_1^G)
 on 0 to first order, lifted onto the face; then, where sigma_1 left a state
-unstarted, ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``; the barrier
-runs where both fail.  Every step of the chain names a state by its
-row of the chunk's stack, and both polishes write into one outcome list.
+unstarted, the polish from ``sigma_0 = (rho - e (|phi><phi|)^G) / (1 - e)``;
+then the barrier, where neither polish ended on the face.  Every link of
+the chain names a state by its row of the chunk's stack and writes into one
+outcome list, which ends with each entangled state's last point, steps and
+last barrier t (None where the polish ended on the face).
 Over the 1833 entangled states of master seeds 1-4 and 15, sigma_1 starts
 1818, sigma_0 15 (8 under _FIRST_ORDER_FLOOR, 7 with a least-squares
 mu <= 0), the barrier none.  mu starts at its least-squares value; a step
 that would leave sigma > 0 or mu > 0 is damped.  Each start's polish runs
 stacked over its states: each keeps its own mu, damping, step count and
 convergence, and leaves the stack as it converges or fails; a singular KKT
-matrix, found by solving each system of the stack alone, ends only its own
-state's polish.  The first and second divided differences of ln run in
-numpy over the whole stack, each sorted pair and triple of eigenvalues
-once.  ``ree(rho)`` alone runs the same chain, and the same certificate, as
-a stack of one.
+matrix ends only its own state's polish.  Where the stacked solve fails,
+a second solve with the invalid flag ignored reads the singular rows off
+LAPACK's NaN output, as ``states._failing`` reads a failed eigensolve's.
+The first and second divided differences of ln run in numpy over the
+whole stack, each sorted pair and triple of eigenvalues once.
+``ree(rho)`` alone runs the same chain, and the same certificate, as a
+stack of one.
 
 Barrier fallback.  Where no start serves or the polish fails (sigma >= 0
 active at the optimum: pure and rank-deficient rho), the barrier method
@@ -65,15 +69,16 @@ eps / lambda_min(sigma), so it is never negative.  A gap within 2e-5 nats
 PPT: on the PPT boundary after the polish, strictly interior after the
 barrier; the value is recomputed as S(rho||closest) from the spectra of
 rho and of the closest state that the solve holds.  ``_ree_inputs``
-certifies a chunk's entangled states in one stacked pass, after the
-barrier has solved, state by state, those the chain left unpolished: the
-dual gaps, the ``_ppt`` check of each last sigma^G, the closest states,
-the divergences and, per state, the range rule with its own gap.  The
+certifies a chunk's entangled states in one stacked pass over the last
+points that ``_start_chain`` gives them: the dual gaps, the ``_ppt`` check
+of each last sigma^G, the closest states, the divergences and, per state,
+the range rule with its own gap.  The
 solver works in nats, reports bits.  Its spectra and Newton solves run on
 the LAPACK kernels of ``states`` under one ``lapack_guard()`` per chunk:
 a failed spectrum raises ``EigendecompositionError``, and a chunk that
 fails reruns state by state to name it; a singular KKT matrix ends its
-state's polish, a singular barrier Hessian the solve, where it is.
+state's polish, and a singular barrier Hessian, whose step LAPACK leaves
+NaN, the solve, where it is.
 
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``; REE's slack adds its certified gap
@@ -156,10 +161,13 @@ _GAP_TOL_NATS = 2e-5
 # 6.3e-15 where lambda_min(sigma) exceeds 1e-2, and at most 0.21
 # eps / lambda_min(sigma) where it is small, as on 200 polished nearly pure
 # and rank-2 states (lambda_min(sigma) down to 5.4e-11, errors up to 3.0e-7
-# nats) and, at most 0.14, at the barrier's last points.  The term is at
-# least ten times the error at each of those points; seed 15, id 261 sets
-# the margin (test_dual_gap_holds_its_error_budget_against_a_40_digit_reference),
-# and it reads at most 1.9e-11 nats on the seeded states.
+# nats) and, at most 0.132, at the barrier's last points of 20 pure and 20
+# rank-2 states, (sigma^G)^-1 / t priced
+# (test_barrier_dual_gap_holds_its_error_budget_against_a_40_digit_reference).
+# The term is at least ten times the error at each of those points; seed 15,
+# id 261 sets the margin
+# (test_dual_gap_holds_its_error_budget_against_a_40_digit_reference), and it
+# reads at most 1.9e-11 nats on the seeded states.
 _GAP_ROUNDOFF_NATS, _GAP_ROUNDOFF_EPSILONS = 1e-13, 2.5
 # _TANGENTS[0, k] and [1, k]: P_k/4 and P_k^G/4 flattened, the derivatives
 # of sigma and sigma^G in x_k.
@@ -483,7 +491,7 @@ def _kkt_system(p: _Point, mu):
 def _dual_gap(p: _Point, t=None):
     """``lambda_max(D + Q^G) - tr(sigma D)`` in nats at a point, or at each
     point of a stack as an array, for the better of ``Q = [(I - D)^G]_+``
-    and, on the rows where the list t holds the last barrier t rather than
+    and, on the rows where the sequence t holds the last barrier t rather than
     None, ``(sigma^G)^-1 / t``, which stays tight where sigma >= 0 is
     active too (rank-deficient rho)."""
     dt = p.rt * _log_first_differences(p.s[..., 0, :])
@@ -593,27 +601,26 @@ def _on_face(s: list) -> bool:
 def _kkt_steps(matrix: np.ndarray, residual: np.ndarray):
     """The Newton step ``solve(matrix, -residual)`` of each system of a stack
     and the rows where it failed: where the stacked solve finds a matrix
-    singular, each system is solved alone, so that only the singular ones
-    fail, and their steps read 0."""
+    singular, the stack is solved once more with the invalid flag ignored,
+    and the rows that LAPACK leaves NaN, the singular ones, fail; their
+    steps read 0."""
     try:
         return solve(matrix, -residual), []
     except LinAlgError:
-        steps, failed = np.zeros_like(residual), []
-        for k, (a, b) in enumerate(zip(matrix, residual)):
-            try:
-                steps[k] = solve(a, -b)
-            except LinAlgError:
-                failed.append(k)
-        return steps, failed
+        with np.errstate(invalid="ignore"):
+            steps = solve(matrix, -residual)
+    failed = np.flatnonzero(np.isnan(steps).any(axis=1))
+    steps[failed] = 0.0
+    return steps, failed.tolist()
 
 
 def _face_polish(rho: np.ndarray, rows: list, p: _Point, outcomes: list) -> None:
     """Newton on ``_kkt_system`` for the ``rows`` of a chunk's stack rho,
     each from its start point, the same row of the stacked p: writes into
-    ``outcomes[row]`` its point on the face, or None, and the steps it
-    took, and leaves ``(None, 0)`` where the start is not ``_on_face`` or
-    its least-squares mu is not positive.  The steps run stacked over the
-    states still polishing.
+    ``outcomes[row]`` its point on the face, or None, the steps it took and
+    None for the barrier's t, and leaves ``(None, 0, None)`` where the start
+    is not ``_on_face`` or its least-squares mu is not positive.  The steps
+    run stacked over the states still polishing.
 
     A whole step that would leave sigma > 0 or mu > 0 is cut by
     ``_damping``, and the trial points are built again with each state's
@@ -656,11 +663,11 @@ def _face_polish(rho: np.ndarray, rows: list, p: _Point, outcomes: list) -> None
             on = k not in failed and _on_face(new)
             converged = k not in cut and sizes[k] <= min(_POLISH_TOL, _POLISH_REL_TOL * lows[k])
             if on and converged:
-                outcomes[row] = _take(trial, k), steps
+                outcomes[row] = _take(trial, k), steps, None
             elif on and steps < _POLISH_STEPS:
                 going.append(k)
             else:
-                outcomes[row] = None, steps
+                outcomes[row] = None, steps, None
         if not going:
             break
         p, mu = trial, moved
@@ -706,10 +713,8 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
         value, decrement = _barrier(t, p), math.inf
         while decrement > (_CENTERED if j else _CENTERED_FINAL) and steps < _MAX_STEPS:
             grad, hess, scaled = _newton_system(t, p)
-            try:
+            with np.errstate(invalid="ignore"):  # LAPACK leaves a singular Hessian's dx NaN
                 dx = solve(hess, -grad)
-            except LinAlgError:
-                dx = np.full(15, np.nan)
             decrement, steps = -float(grad @ dx), steps + 1
             if not decrement >= 0.0:  # roundoff left the Hessian singular or indefinite
                 return p, steps, t
@@ -730,15 +735,18 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
 
 
 def _start_chain(rho: np.ndarray, spectra, pt_spectra) -> list:
-    """The face polish's outcome for each state of a chunk's stack, from the
+    """The solve's outcome for each state of a chunk's stack, from the
     ``herm_eig`` of rho and the ``_pt_eigh`` of rho^G: None where rho is
-    PPT, else the point on the face or None and the steps taken.  The polish
-    runs over the entangled rows along the start chain, each step naming a
-    state by its chunk row and writing into the one outcome list: sigma_1,
-    then sigma_0 for the rows that sigma_1 left at ``(None, 0)``.  It runs
-    under the caller's ``lapack_guard()``, as in ``_ree_inputs``."""
+    PPT, else its last point, the steps taken and the last barrier t, None
+    where the polish ended on the face.  The entangled rows run along the
+    chain, each link naming a state by its chunk row and writing into the
+    one outcome list: the polish from sigma_1, then from sigma_0 for the
+    rows that sigma_1 left at ``(None, 0, None)``, then ``_barrier_solve``,
+    row by row, where neither polish ended on the face.  It runs under the
+    caller's ``lapack_guard()``, as in ``_ree_inputs``."""
     (r, w), (pt_values, pt_vectors) = spectra, pt_spectra
-    outcomes = [None if _ppt(low) else (None, 0) for low in pt_values[:, 0].tolist()]
+    lowest = pt_values[:, 0].tolist()
+    outcomes = [None if _ppt(low) else (None, 0, None) for low in lowest]
     entangled = [k for k, outcome in enumerate(outcomes) if outcome]
     if entangled:
         e, phi = pt_values[:, 0], pt_vectors[:, :, 0]
@@ -747,6 +755,11 @@ def _start_chain(rho: np.ndarray, spectra, pt_spectra) -> list:
         if rows:
             lifted = _lift(rho[rows], e[rows], _pt_projectors(phi[rows]))
             _face_polish(rho, rows, _point(rho[rows], _coordinates(lifted)), outcomes)
+        for k in entangled:
+            point, steps, _ = outcomes[k]
+            if point is None:
+                point, barrier_steps, t = _barrier_solve(rho[k], lowest[k])
+                outcomes[k] = point, steps + barrier_steps, t
     return outcomes
 
 
@@ -755,13 +768,12 @@ def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[ReeSolution]:
     and the ``_pt_eigh`` of rho^G, with one stacked certificate.
 
     PPT rows take the short-circuit: value 0, rho as its own closest state.
-    The entangled rows run ``_start_chain``; the barrier then solves, state
-    by state, the rows that the chain left unpolished.  One pass over the
-    entangled rows' last points prices their dual gaps, the barrier rows'
-    with their last t, judges their sigma^G with ``_ppt``, builds their
-    closest states, reads each value off rho's spectrum and the point's
-    spectrum of the closest state, and passes the values through the range
-    rule, each with its own gap in its slack."""
+    The entangled rows run ``_start_chain``, which gives each its last
+    point.  One pass over those points prices their dual gaps, the barrier
+    rows' with their last t, judges their sigma^G with ``_ppt``, builds
+    their closest states, reads each value off rho's spectrum and the
+    point's spectrum of the closest state, and passes the values through the
+    range rule, each with its own gap in its slack."""
     with lapack_guard():
         outcomes = _start_chain(rho, spectra, pt_spectra)
         solutions = [
@@ -771,19 +783,10 @@ def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[ReeSolution]:
         rows = [k for k, outcome in enumerate(outcomes) if outcome]
         if not rows:
             return solutions
-        lowest = pt_spectra[0][:, 0].tolist()
-        points, steps, last_t = [], [], []
-        for k in rows:
-            point, taken = outcomes[k]
-            t = None
-            if point is None:
-                point, barrier_steps, t = _barrier_solve(rho[k], lowest[k])
-                taken += barrier_steps
-            points.append(point)
-            steps.append(taken)
-            last_t.append(t)
+        points, steps, last_t = zip(*(outcomes[k] for k in rows))
         # np.stack copies; a stack of one takes its leading axis as views.
-        p = _Point(*(map(np.stack, zip(*points)) if len(points) > 1 else (f[None] for f in point)))
+        stacked = map(np.stack, zip(*points)) if len(rows) > 1 else (f[None] for f in points[0])
+        p = _Point(*stacked)
         gaps = _dual_gap(p, last_t) + _gap_roundoff(p)
     if not _ppt(np.minimum.reduce(p.s[:, 1, 0])):
         raise ArithmeticError("solver produced a non-PPT candidate state")

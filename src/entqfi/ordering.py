@@ -42,6 +42,7 @@ against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -466,10 +467,15 @@ def find_counterexamples(
     """Up to ``limit`` witnesses per discordant cell, in canonical pair order.
 
     The scan stops after the first tile after which every discordant cell
-    holds ``limit`` witnesses.
+    holds ``limit`` witnesses.  ``limit`` is any integer, as
+    ``operator.index`` reads it.
     """
     if measure not in MEASURE_NAMES:
         raise ValueError(f"measure must be one of {MEASURE_NAMES}, got {measure!r}")
+    try:
+        limit = operator.index(limit)
+    except TypeError:
+        raise TypeError(f"limit must be an integer, got {limit!r}") from None
     if limit < 1:
         raise ValueError("limit must be at least 1")
     table = _normalize_eps(eps)

@@ -156,7 +156,9 @@ def _failing(m: np.ndarray) -> np.ndarray:
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(a, b)`` for one right-hand side vector b, both of
-    one dtype.  Under ``lapack_guard()`` a singular a raises ``LinAlgError``."""
+    one dtype.  Under ``lapack_guard()`` a singular a raises ``LinAlgError``;
+    with the invalid flag ignored, each singular system of a stack reads NaN
+    in its own row, and the others as they solve alone."""
     return _umath_linalg.solve1(a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
 
 

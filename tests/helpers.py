@@ -304,13 +304,23 @@ def _mp_partial_transpose(m):
     return out
 
 
-def dual_gap_mp(rho: np.ndarray, sigma: np.ndarray):
+def dual_gap_mp(rho: np.ndarray, sigma: np.ndarray, barrier=None):
     """``lambda_max(D + Q^G) - tr(sigma D)`` in nats, ``Q = [(I - D)^G]_+``,
     of the float matrices rho and sigma at ``MP_DIGITS`` digits: the dual
-    bound of ``measures._dual_gap`` without the barrier's multiplier.  D,
+    bound of ``measures._dual_gap`` on a row that the polish ended.  D,
     the gradient of tr(rho ln sigma), is ``V (V† rho V * f1) V†`` over the
     exact eigenpairs (q_j, V) of sigma, with f1 the first divided
-    differences of ln at q (1/q_i where two coincide)."""
+    differences of ln at q (1/q_i where two coincide).
+
+    ``barrier = (t, s, w)``, the barrier's last t and the float eigenvalues
+    and eigenvectors of sigma^G that its last point holds, prices the
+    barrier's multiplier too, ``Q = w diag(1 / (t s)) w†`` as ``_dual_gap``
+    forms it, and keeps the smaller gap, as on a barrier row.  That Q is
+    positive semidefinite, so it bounds REE as the exact
+    ``(sigma^G)^-1 / t`` does; the exact inverse is another multiplier,
+    which at lambda_min(sigma^G) ~ 1e-10 and t = 8e9 moved rank-2 gaps by
+    up to 3e-7 nats, as the float eigenvalue's relative error of ~1e-6
+    reaches 1 / (t lambda_min(sigma^G)) ~ 1."""
     with mp.workdps(MP_DIGITS):
         q, v = _mp_hermitian_eigh(_mp_matrix(sigma))
         rt = v.H * _mp_matrix(rho) * v
@@ -321,9 +331,13 @@ def dual_gap_mp(rho: np.ndarray, sigma: np.ndarray):
             dt[i, j] = rt[i, j] * f1
         d = v * dt * v.H
         lam, u = _mp_hermitian_eigh(_mp_partial_transpose(mp.eye(4) - d))
-        q_plus = u * mp.diag([max(x, 0) for x in lam]) * u.H
-        tops, _ = _mp_hermitian_eigh(d + _mp_partial_transpose(q_plus))
-        return max(tops) - mp.fsum(q[i] * mp.re(dt[i, i]) for i in range(4))
+        multipliers = [u * mp.diag([max(x, 0) for x in lam]) * u.H]
+        if barrier is not None:
+            t, s, w = barrier
+            w = _mp_matrix(w)
+            multipliers.append(w * mp.diag([1 / (mp.mpf(t) * mp.mpf(float(x))) for x in s]) * w.H)
+        top = min(max(_mp_hermitian_eigh(d + _mp_partial_transpose(m))[0]) for m in multipliers)
+        return top - mp.fsum(q[i] * mp.re(dt[i, i]) for i in range(4))
 
 
 def log_divided_differences_loop(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg import LinAlgError
 
 from entqfi import (
     ReeSolverConfig,
@@ -164,11 +163,11 @@ def test_dual_gap_holds_its_error_budget_against_a_40_digit_reference():
     points = [
         (rho, outcome[0])
         for rho, outcome in zip(rhos, _chain_outcomes(rhos))
-        if outcome and outcome[0] is not None
+        if outcome and outcome[2] is None
     ]
     assert len(points) == 10
     seeded = _density_matrices([derive_stream(15, index) for index in (137, 261)])
-    points += [(rho, point) for rho, (point, _) in zip(seeded, _chain_outcomes(seeded))]
+    points += [(rho, point) for rho, (point, _, _) in zip(seeded, _chain_outcomes(seeded))]
     for k, (rho, point) in enumerate(points):
         with lapack_guard():
             raw = measures._dual_gap(point)
@@ -178,13 +177,66 @@ def test_dual_gap_holds_its_error_budget_against_a_40_digit_reference():
         assert 10 * error <= measures._gap_roundoff(point), k
 
 
+# The largest error of the raw dual gap against dual_gap_mp at the barrier's
+# last points of _barrier_rows' 20 pure and 20 rank-2 states: 3.71e-8 nats
+# (pure, where lambda_min(sigma) reads 3.2e-10 to 1.8e-8), doubled.  Times
+# lambda_min(sigma) it reads at most 0.132 machine epsilons (rank-2), doubled.
+_BARRIER_GAP_ERROR_BOUND = 2 * 3.71e-8
+_BARRIER_GAP_ERROR_EPSILONS = 2 * 0.132
+
+
+def _barrier_rows():
+    """20 pure states and 20 rank-2 states, two Haar eigenvectors weighted
+    by a flat Dirichlet pair, each with its outcome read off the chain,
+    where the barrier ends it: the pure states fall back by themselves,
+    and the rank-2 ones, which the polish solves, run with both polishes
+    patched out."""
+    rng = np.random.default_rng(23)
+    pures = np.array([pure(random_pure_state(rng)) for _ in range(20)])
+    rank_2 = []
+    for _ in range(20):
+        basis, weights = haar_unitary(rng, 4)[:, :2], rng.dirichlet(np.ones(2))
+        rank_2.append((basis * weights) @ basis.conj().T)
+    rank_2 = np.array(rank_2)
+    rows = list(zip(pures, _chain_outcomes(pures)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_face_polish", lambda *args: None)
+        rows += list(zip(rank_2, _chain_outcomes(rank_2)))
+    return rows
+
+
+def test_barrier_dual_gap_holds_its_error_budget_against_a_40_digit_reference():
+    """The raw dual gap at the barrier's last points, where ``_dual_gap``
+    prices ``(sigma^G)^-1 / t`` too and keeps the smaller gap, against the
+    same bound at 40 digits: within twice the worst error measured there,
+    in nats and times lambda_min(sigma), and within a tenth of the
+    roundoff term that the reported gap adds (at most 0.051 of it).  The
+    barrier's multiplier sets the gap on 11 of the 20 rank-2 points.  The
+    reference prices the multiplier that the float eigenpairs of sigma^G
+    form; ``dual_gap_mp`` says why."""
+    rows = _barrier_rows()
+    assert all(t == measures._T_FINAL for _, (_, _, t) in rows)
+    barrier_sets = []
+    for k, (rho, (point, _, t)) in enumerate(rows):
+        stack = measures._Point(*(field[None] for field in point))
+        with lapack_guard():
+            raw, face = measures._dual_gap(stack, [t])[0], measures._dual_gap(stack)[0]
+        barrier_sets.append(raw < face)
+        exact = dual_gap_mp(rho, measures._sigmas(point.x)[0], (t, point.s[1], point.v[1]))
+        error = abs(raw - float(exact))
+        assert error <= _BARRIER_GAP_ERROR_BOUND, k
+        assert error * point.s[0, 0] <= _BARRIER_GAP_ERROR_EPSILONS * np.finfo(float).eps, k
+        assert 10 * error <= measures._gap_roundoff(point), k
+    assert sum(barrier_sets[20:]) == 11
+
+
 @pytest.fixture(scope="module")
 def seed_one_sigma_spectra():
     """The ascending spectra of sigma at the polished points of master seed
     1's 365 entangled states (ids 0-999), stacked."""
     rhos = _density_matrices([derive_stream(1, index) for index in range(1000)])
     outcomes = _chain_outcomes(rhos)
-    return np.stack([outcome[0].s[0] for outcome in outcomes if outcome and outcome[0] is not None])
+    return np.stack([outcome[0].s[0] for outcome in outcomes if outcome and outcome[2] is None])
 
 
 def test_divided_differences_of_a_stack_equal_its_rows_bit_for_bit(seed_one_sigma_spectra):
@@ -468,6 +520,22 @@ def test_ree_value_consistent_with_closest_state():
     assert is_separable(solution.closest_state)
 
 
+def test_ppt_verdict_holds_the_hilbert_schmidt_separability_probability():
+    # Under the Hilbert-Schmidt measure, rho = G G^dagger / tr G G^dagger
+    # with G complex Ginibre 4x4, the two-qubit separability probability is
+    # exactly 8/33 (Lovas & Andai, J. Phys. A 50, 295303, 2017).  _ppt's
+    # fraction over 1e5 draws lies within 4 binomial sigmas of it, sigma
+    # from the sample: 0.24240 +- 0.00136.
+    rng = np.random.default_rng(12345)
+    g = rng.standard_normal((100_000, 4, 4)) + 1j * rng.standard_normal((100_000, 4, 4))
+    rhos = g @ g.conj().swapaxes(1, 2)
+    rhos /= rhos.trace(axis1=1, axis2=2).real[:, None, None]
+    lowest = measures._pt_eigh(rhos)[0][:, 0].tolist()
+    fraction = sum(map(measures._ppt, lowest)) / len(rhos)
+    sigma = math.sqrt(fraction * (1.0 - fraction) / len(rhos))
+    assert abs(fraction - 8.0 / 33.0) <= 4.0 * sigma
+
+
 def test_ree_separable_short_circuit():
     rho = werner(0.2)
     solution = ree(rho)
@@ -493,8 +561,8 @@ def test_ree_checks_the_closest_state_on_the_last_barrier_point(monkeypatch):
     def polished(rho, rows, start, outcomes):
         face_polish(rho, rows, start, outcomes)
         for k in rows:
-            point, steps = outcomes[k]
-            outcomes[k] = (None if point is None else below_the_ppt_floor(point)), steps
+            point, steps, t = outcomes[k]
+            outcomes[k] = (None if point is None else below_the_ppt_floor(point)), steps, t
 
     def barrier(rho, lowest):
         point, steps, t = barrier_solve(rho, lowest)
@@ -589,8 +657,9 @@ def test_gap_roundoff_holds_ten_times_over_on_seed_one():
     # and more over master seeds 1-4 and 15).  A tenth of the constant must
     # cover its roundoff.
     rhos = _density_matrices([derive_stream(1, index) for index in range(1000)])
-    points = [polished[0] for polished in _chain_outcomes(rhos) if polished is not None]
-    assert len(points) == 365 and all(point is not None for point in points)
+    outcomes = [outcome for outcome in _chain_outcomes(rhos) if outcome is not None]
+    assert len(outcomes) == 365 and all(t is None for _, _, t in outcomes)
+    points = [point for point, _, _ in outcomes]
     with lapack_guard():
         gaps = [measures._dual_gap(point) for point in points]
     assert min(gaps) >= -measures._GAP_ROUNDOFF_NATS / 10
@@ -706,12 +775,13 @@ def _without_polish(monkeypatch, rho):
 
 def test_no_usable_face_start_leaves_the_barrier_path_alone(monkeypatch):
     # With no start on the face, sigma_1's and sigma_0's alike, the polish
-    # gives up before a step, so ree is the barrier path bit for bit, its
-    # step count included.
+    # gives up before a step, so the chain hands the state to the barrier
+    # and ree is the barrier path bit for bit, its step count included.
     monkeypatch.setattr(measures, "_on_face", lambda s: False)
     for rho in (random_density_matrix(derive_stream(1, 1)), pure(np.array([0.8, 0.0, 0.0, 0.6]))):
-        assert _polish_alone(rho) == (None, 0)
+        _, steps, t = _polish_alone(rho)
         solution, barrier = ree(rho), _without_polish(monkeypatch, rho)
+        assert t is not None and steps == barrier.iterations
         assert (solution.iterations, solution.converged) == (barrier.iterations, barrier.converged)
         assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
         assert np.array_equal(solution.closest_state, barrier.closest_state)
@@ -761,8 +831,8 @@ def test_ree_barrier_rounds_are_whole_and_end_on_t_final(monkeypatch):
         monkeypatch.setattr(measures, "_face_polish", recording_polish)
         solution = ree(rho)
         monkeypatch.undo()
-        ((point, taken),) = polishes
-        assert (point is not None) == polished and taken >= 1
+        ((point, taken, t),) = polishes
+        assert (point is not None) == polished and taken >= 1 and t is None
         assert solution.iterations == len(seen) + taken
         if polished:
             assert seen == []
@@ -802,18 +872,20 @@ def test_singular_hessian_ends_the_solve_at_the_current_point(monkeypatch):
         calls = []
 
         def singular(a, b):
-            # A 16x16 alone is _kkt_steps solving a failed stack's systems
-            # one by one, which retries a step and takes none of its own.
-            if a.shape != (16, 16):
-                calls.append(a.shape[-1])
-            if calls.count(a.shape[-1]) == {16: 1, 15: k}[a.shape[-1]]:
-                raise LinAlgError("Singular matrix")
+            # LAPACK reads the system singular, as a zero matrix: it raises
+            # under lapack_guard() and leaves the step NaN where the invalid
+            # flag is ignored.  Every KKT system is singular, so the polish's
+            # first stacked solve fails, and _kkt_steps' second solve of the
+            # same stack, which takes no step of its own, reads its NaN row.
+            calls.append(a.shape[-1])
+            if a.shape[-1] == 16 or calls.count(15) == k:
+                a = np.zeros_like(a)
             return solve(a, b)
 
         monkeypatch.setattr(measures, "solve", singular)
         solution = ree(rho)
-        assert calls.count(16) == 1
-        assert solution.iterations == len(calls)
+        assert calls.count(16) == 2
+        assert solution.iterations == len(calls) - 1
         assert solution.value == relative_entropy(rho, solution.closest_state)
         assert solution.converged == (solution.gap * math.log(2.0) <= measures._GAP_TOL_NATS)
         certified.append(solution.converged)
@@ -822,6 +894,80 @@ def test_singular_hessian_ends_the_solve_at_the_current_point(monkeypatch):
             assert (solution.value, solution.gap) == (barrier.value, barrier.gap)
             assert np.array_equal(solution.closest_state, barrier.closest_state)
     assert certified == [True, False]
+
+
+def _sigma_1_stack(count):
+    """The first ``count`` entangled states of master seed 1 that sigma_1
+    starts, stacked, and their sigma_1 points."""
+    rhos = _density_matrices([derive_stream(1, index) for index in range(3 * count)])
+    (r, w), (values, vectors) = herm_eig(rhos), measures._pt_eigh(rhos)
+    entangled = [k for k, low in enumerate(values[:, 0]) if not measures._ppt(low)]
+    with lapack_guard():
+        rows, start = measures._face_starts(rhos, entangled, r, w, values[:, 0], vectors[:, :, 0])
+    assert len(rows) >= count
+    return rhos[rows[:count]], measures._take(start, slice(count))
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_a_singular_kkt_system_fails_only_its_own_row_of_the_polish(monkeypatch, row):
+    # One state's first KKT system in a 5-row sigma_1 polish stack reads
+    # singular to LAPACK (a zero matrix): the stacked solve raises, the
+    # second solve leaves that row NaN, and only that state's polish fails,
+    # after its one step.  Every other row's outcome is its stack-of-one
+    # outcome, bit for bit.
+    rhos, start = _sigma_1_stack(5)
+    alone = [None] * 5
+    with lapack_guard():
+        for k in range(5):
+            measures._face_polish(rhos, [k], measures._take(start, [k]), alone)
+    assert all(point is not None for point, _, _ in alone)
+    target, singular_calls = [], []
+
+    def singular(a, b):
+        if not target:
+            target.append(a[row].copy())
+        hit = [np.array_equal(m, target[0]) for m in a]
+        if any(hit):
+            singular_calls.append(len(a))
+            a = a.copy()
+            a[hit] = 0.0
+        return solve(a, b)
+
+    monkeypatch.setattr(measures, "solve", singular)
+    outcomes = [None] * 5
+    with lapack_guard():
+        measures._face_polish(rhos, list(range(5)), start, outcomes)
+    assert singular_calls == [5, 5]
+    assert outcomes[row] == (None, 1, None)
+    for k in set(range(5)) - {row}:
+        (point, steps, t), (point_alone, steps_alone, _) = outcomes[k], alone[k]
+        assert (steps, t) == (steps_alone, None), k
+        assert [f.tobytes() for f in point] == [f.tobytes() for f in point_alone], k
+
+
+def test_the_barrier_link_runs_for_exactly_the_entangled_rows_left_unpolished(monkeypatch):
+    # With both polishes patched out, the chain hands every entangled row,
+    # and only those, to _barrier_solve, in row order, and each row's
+    # outcome is the barrier's point, steps and last t.
+    rhos = _density_matrices([derive_stream(1, index) for index in range(8)])
+    solved, barrier_solve = {}, measures._barrier_solve
+
+    def spied(rho, lowest):
+        solved[rho.tobytes()] = barrier_solve(rho, lowest)
+        return solved[rho.tobytes()]
+
+    monkeypatch.setattr(measures, "_face_polish", lambda *args: None)
+    monkeypatch.setattr(measures, "_barrier_solve", spied)
+    outcomes = _chain_outcomes(rhos)
+    entangled = [k for k, rho in enumerate(rhos) if not is_separable(rho)]
+    assert 0 < len(entangled) < len(rhos)
+    assert list(solved) == [rhos[k].tobytes() for k in entangled]
+    for k, outcome in enumerate(outcomes):
+        if k not in entangled:
+            assert outcome is None
+            continue
+        point, steps, t = solved[rhos[k].tobytes()]
+        assert outcome[0] is point and outcome[1:] == (steps, t) and t == measures._T_FINAL
 
 
 def _pauli_point(rho, sigma):
@@ -954,15 +1100,17 @@ def test_boundary_step_stops_short_of_the_nearer_cone():
 
 
 def _polish_alone(rho):
-    """The face polish of rho alone along the start chain, as a stack of
-    one: its point or None, and its steps."""
+    """The start chain's outcome for rho alone, as a stack of one: its last
+    point, its steps and the barrier's last t, None where the polish ended
+    on the face."""
     (outcome,) = _chain_outcomes(np.asarray(rho, dtype=complex)[None])
     return outcome
 
 
 def _face_starts(rho):
     """The start points that the chain hands the face polish for rho where
-    each polish stops before a step: sigma_1 where it serves, then sigma_0."""
+    each polish stops before a step: sigma_1 where it serves, then sigma_0.
+    The barrier, which the chain would then run, is left out."""
     starts = []
 
     def declined(rhos, rows, start, outcomes):
@@ -970,6 +1118,7 @@ def _face_starts(rho):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_face_polish", declined)
+        patch.setattr(measures, "_barrier_solve", lambda rho, lowest: (None, 0, None))
         _polish_alone(rho)
     return starts
 
@@ -1057,8 +1206,8 @@ def test_the_start_chain_on_seed_one_falls_to_sigma_0_under_the_floor_and_on_a_n
     rows, (first, second) = _start_traffic(1)
     entangled = [index for index, (_, _, polished) in enumerate(rows) if polished is not None]
     assert len(entangled) == 365
-    assert sum(steps > 0 for _, steps in first.values()) == 363
-    assert set(entangled) - set(first) == {846} and first[264] == (None, 0)
+    assert sum(steps > 0 for _, steps, _ in first.values()) == 363
+    assert set(entangled) - set(first) == {846} and first[264] == (None, 0, None)
     assert sorted(second) == [264, 846]
     assert _sigma_1_mu(1, 846) is None
     assert _sigma_1_mu(1, 264) == pytest.approx(-0.077, abs=5e-4)
@@ -1067,21 +1216,24 @@ def test_the_start_chain_on_seed_one_falls_to_sigma_0_under_the_floor_and_on_a_n
         solution = ree(random_density_matrix(derive_stream(1, index)), measured=rows[index][1])
         assert solution.converged and solution.gap <= 2.5e-13
         assert solution.iterations == rows[index][2][1]  # no barrier step
-    assert all(rows[index][2][0] is not None for index in entangled)
+    assert all(rows[index][2][2] is None for index in entangled)
 
 
 def test_the_start_chain_serves_every_entangled_seeded_state_before_the_barrier():
     # Over master seeds 1-4 and 15, sigma_1 starts 1818 of the 1833
     # entangled states and sigma_0 the other 15: 8 under sigma_1's floor and
-    # 7 whose sigma_1 has a least-squares mu <= 0.  The barrier starts none.
+    # 7 whose sigma_1 has a least-squares mu <= 0.  The barrier starts none:
+    # every entangled row's outcome ends on the face, its t None.
     counts = np.zeros(4, dtype=int)
     for master_seed in (1, 2, 3, 4, 15):
         rows, polishes = _start_traffic(master_seed)
         first, second = polishes
-        started = {index for index, (_, steps) in first.items() if steps}
-        assert set(second) == {index for index, (_, _, p) in enumerate(rows) if p} - started
-        assert all(steps for _, steps in second.values())
-        assert all(rows[index][2][0] is not None for index in set(first) | set(second))
+        started = {index for index, (_, steps, _) in first.items() if steps}
+        entangled = {index for index, (_, _, outcome) in enumerate(rows) if outcome}
+        assert set(second) == entangled - started
+        assert all(steps for _, steps, _ in second.values())
+        assert all(rows[index][2][0] is not None for index in entangled)
+        assert all(rows[index][2][2] is None for index in entangled)
         mus = [_sigma_1_mu(master_seed, index) for index in second]
         assert all(mu is None or mu <= 0.0 for mu in mus)
         counts += [len(started), len(second), mus.count(None), len(mus) - mus.count(None)]
@@ -1106,8 +1258,8 @@ def test_face_polish_damps_the_steps_that_leave_the_cone(monkeypatch):
 
     monkeypatch.setattr(measures, "_point", recording_point)
     monkeypatch.setattr(measures, "_kkt_system", recording_kkt)
-    polished, steps = _polish_alone(rho)
-    assert polished is not None and steps == len(iterates)
+    polished, steps, t = _polish_alone(rho)
+    assert polished is not None and t is None and steps == len(iterates)
     assert min(p.s[..., 0, 0].min() for p in points) <= 0.0  # an undamped step left the cone
     assert all(s0 > 0.0 and mu > 0.0 for s0, mu in iterates)
     assert polished.s[0, 0] > 0.0

@@ -200,6 +200,17 @@ def test_find_counterexamples_respects_limit():
         find_counterexamples(records, "entropy")
 
 
+def test_find_counterexamples_reads_limit_as_an_integer_up_front():
+    # A limit that is no integer raises an error that names it before any
+    # scan; a numpy integer reads as the int it holds.
+    records = [rec(i, 0.5, qfi=1.0 + 0.2 * (i % 3)) for i in range(12)]
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError, match="^limit must be an integer"):
+            find_counterexamples(records, "ree", limit=bad)
+    expected = find_counterexamples(records, "ree", limit=3)
+    assert find_counterexamples(records, "ree", limit=np.int64(3)) == expected
+
+
 def test_tolerance_widening_moves_pairs_toward_equal():
     rng = np.random.default_rng(43)
     records = [rec(i, rng.uniform(0.0, 0.8), qfi=rng.uniform(0.4, 2.0)) for i in range(30)]

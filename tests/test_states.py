@@ -138,6 +138,33 @@ def test_lapack_kernels_raise_under_the_guard():
                 assert info.value.matrix.shape == (4, 4) and np.isnan(info.value.matrix).all()
 
 
+def test_a_singular_system_reads_nan_in_its_own_row_of_the_stack():
+    # REE's Newton steps read a singular system off this: under
+    # lapack_guard() a stack that holds one singular system raises; with the
+    # invalid flag ignored, the solve leaves exactly that row NaN and every
+    # other row as it solves alone, bit for bit.  A lone singular 15x15, the
+    # barrier's Hessian, reads all NaN.  A zero column makes the pivot an
+    # exact 0.
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(5, 16, 16)), rng.normal(size=(5, 16))
+    a[2, :, 5] = 0.0
+    square = rng.normal(size=(15, 15))
+    square[:, 3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with lapack_guard():
+            with pytest.raises(LinAlgError):
+                solve(a, b)
+            alone = [solve(a[k], b[k]) for k in (0, 1, 3, 4)]
+        with np.errstate(invalid="ignore"):
+            steps = solve(a, b)
+            lone = solve(square, np.ones(15))
+    assert np.isnan(steps).any(axis=1).tolist() == [False, False, True, False, False]
+    assert np.isnan(steps[2]).all()
+    assert [steps[k].tobytes() for k in (0, 1, 3, 4)] == [x.tobytes() for x in alone]
+    assert np.isnan(lone).all()
+
+
 def test_partial_transpose_is_involution_and_trace_preserving():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
