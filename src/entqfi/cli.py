@@ -40,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
             "CSV, plot data and ordering census."
         ),
     )
-    # Each dest is an ExperimentConfig field, whose default it takes.
-    defaults = ExperimentConfig
+    # Each dest is an ExperimentConfig field, whose default it takes; the
+    # tolerance keys are those of the default config's normalized table.
+    defaults = ExperimentConfig()
     parser.add_argument("--states", dest="count", type=int, default=defaults.count,
                         metavar="N", help="ensemble size (default %(default)s)")
     parser.add_argument("--seed", dest="master_seed", type=int,
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eps-order", type=_eps_pair, action="append", default=[],
                         metavar="MEASURE=VALUE",
                         help="ordering tolerance override, repeatable "
-                             "(keys: concurrence, negativity, ree, mqfi)")
+                             f"(keys: {', '.join(defaults.eps_order)})")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default ./out)")
     return parser
@@ -76,18 +77,17 @@ def main(argv=None) -> int:
         print(f"entqfi: I/O error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, EigendecompositionError, RuntimeError) as exc:
-        # A failure in one state's work; its message names the state.
+        # A failure in the state work; its message names the state, or the
+        # chunk where no state fails alone.
         print(f"entqfi: {exc}", file=sys.stderr)
         return 1
     separable = sum(1 for record in result.records if record.separable)
     print(f"states={config.count} separable={separable} out={out_dir}")
-    # total= covers the run, not emit=, the three file writers.
-    print(
-        "wall seconds: states={states_wall:.3f} census={census_wall:.3f}"
-        " total={total_wall:.3f} sampling={sampling_wall:.3f}"
-        " closed-forms={closed_forms_wall:.3f} rotations={rotations_wall:.3f}"
-        " ree={ree_wall:.3f} emit={emit_wall:.3f}".format(**result.timing, emit_wall=emit_wall)
-    )
+    # The run's timing keys in their order, then emit=, the three file
+    # writers, which total= does not cover.
+    timing = {**result.timing, "emit_wall": emit_wall}
+    labels = (f"{key.removesuffix('_wall').replace('_', '-')}={s:.3f}" for key, s in timing.items())
+    print("wall seconds:", *labels)
     return 0
 
 

@@ -137,21 +137,20 @@ class ExperimentResult:
         ]
 
 
-def _compute_record(index: int, cfg: ExperimentConfig) -> tuple[StateRecord, dict[str, float]]:
-    """One state as a chunk of one; any failure names the state.
+def _rerun_state(index: int, cfg: ExperimentConfig) -> None:
+    """Measure one state as a chunk of one; a failure raises, naming the state.
 
     Numerical failures keep their type; any other exception becomes a
     ``RuntimeError`` whose message carries the original type."""
     where = f"state {index} (master seed {cfg.master_seed})"
     try:
-        (record,), layers = _measure_chunk(range(index, index + 1), cfg)
+        _measure_chunk(range(index, index + 1), cfg)
     except EigendecompositionError as exc:
         raise EigendecompositionError(exc.matrix, f"{where}: {exc}") from exc
     except ArithmeticError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
     except Exception as exc:
         raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
-    return record, layers
 
 
 def _compute_chunk(
@@ -161,13 +160,16 @@ def _compute_chunk(
 
     A stacked kernel fails for its whole stack, and a range rule or a bound
     checked over a stacked pass does not name its state either, so a chunk
-    that fails reruns state by state: the first failing state raises, named."""
+    that fails reruns state by state, only to name the first state that
+    fails alone.  Where none does, a ``RuntimeError`` names the chunk's ids
+    and master seed, chained to the chunk's own error."""
     try:
         return _measure_chunk(indices, cfg)
-    except Exception:
-        results = [_compute_record(index, cfg) for index in indices]
-    layers = {name: sum(layer[name] for _, layer in results) for name in _LAYER_TIMES}
-    return [record for record, _ in results], layers
+    except Exception as exc:
+        for index in indices:
+            _rerun_state(index, cfg)
+        where = f"states {indices[0]}-{indices[-1]} (master seed {cfg.master_seed})"
+        raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _measure_chunk(
@@ -234,9 +236,10 @@ def _chunks(count: int) -> list[range]:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Full deterministic pipeline, run in this process a chunk at a time.
 
-    ``timing`` holds the wall seconds of the state work, the one scan of
-    the pairs for the census and the witnesses, and the whole run, and the
-    ``_LAYER_TIMES`` of the chunk passes, summed over chunks.  ``jobs`` is
+    ``timing`` holds, in the order that ``entqfi`` prints them, the wall
+    seconds of the state work, the one scan of the pairs for the census and
+    the witnesses, and the whole run, and the ``_LAYER_TIMES`` of the chunk
+    passes, summed over chunks.  ``jobs`` is
     not a setting: it is kept for ``benchmarks/workloads.py``, which passes
     1, and any other value raises ``ValueError``."""
     if jobs != 1:
@@ -346,8 +349,8 @@ def emit_census_report(result: ExperimentResult, path) -> None:
     lines.append(f"master_seed={cfg.master_seed}")
     lines.append(f"grid_divisor={DEFAULT_BASE_DIVISOR}")
     lines.append(f"refine_divisor={DEFAULT_REFINE_DIVISOR}")
-    for key in ("concurrence", "negativity", "ree", "mqfi"):
-        lines.append(f"eps_{key}={cfg.eps_order[key]:.12g}")
+    for key, eps in cfg.eps_order.items():
+        lines.append(f"eps_{key}={eps:.12g}")
     lines.append(f"witness_limit={DEFAULT_WITNESS_LIMIT}")
     lines.append("")
     separable_count = sum(1 for r in records if r.separable)

@@ -132,7 +132,7 @@ class PairWitness(NamedTuple):
 
 def _normalize_eps(eps) -> dict[str, float]:
     """``DEFAULT_EPS`` overridden by ``eps``: None, a mapping, or
-    ``(key, value)`` pairs."""
+    ``(key, value)`` pairs; the keys keep ``DEFAULT_EPS`` order."""
     table = dict(DEFAULT_EPS)
     for key, value in dict(eps or {}).items():
         if key not in table:

@@ -496,6 +496,26 @@ def test_stacked_eigensolve_failure_names_the_state_and_keeps_its_matrix(monkeyp
     assert np.array_equal(matrix[~nan], target[~nan])
 
 
+def test_a_chunk_that_fails_only_as_a_stack_stops_the_run_with_its_ids(monkeypatch):
+    # A chunk whose stacked pass fails reruns its states one by one to name
+    # the one that fails alone; where none does, the run stops with the
+    # chunk's own error, naming its ids and master seed, and returns no records.
+    measure_chunk, sizes = experiment._measure_chunk, []
+
+    def failing_stacks(indices, cfg):
+        sizes.append(len(indices))
+        if len(indices) > 1:
+            raise ValueError("stacked pass failed")
+        return measure_chunk(indices, cfg)
+
+    monkeypatch.setattr(experiment, "_measure_chunk", failing_stacks)
+    message = r"^states 0-2 \(master seed 7\): ValueError: stacked pass failed$"
+    with pytest.raises(RuntimeError, match=message) as info:
+        run_experiment(ExperimentConfig(count=3, master_seed=7))
+    assert type(info.value.__cause__) is ValueError
+    assert sizes == [3, 1, 1, 1]
+
+
 def records_in_chunks(cfg, size):
     """The run's records, measured in consecutive chunks of ``size`` states."""
     return [
@@ -790,7 +810,7 @@ def test_ree_eigensolver_failure_keeps_its_matrix_and_names_the_state(
         monkeypatch.setattr(measures, "_face_polish", lambda *args: None)
     monkeypatch.setattr(measures, target, poison(getattr(measures, target)))
     with pytest.raises(EigendecompositionError, match=rf"^state {index} \(master seed 7\): ") as info:
-        experiment._compute_record(index, cfg)
+        experiment._rerun_state(index, cfg)
     assert np.isnan(info.value.matrix).all()
     frames = traceback.extract_tb(info.value.__cause__.__traceback__)
     assert site in [frame.name for frame in frames]
@@ -804,7 +824,7 @@ def test_nonfinite_divided_differences_stop_the_face_start(monkeypatch):
     f1 = measures._log_first_differences
     monkeypatch.setattr(measures, "_log_first_differences", lambda s: f1(s) * np.nan)
     with pytest.raises(RuntimeError, match=r"^state 0 \(master seed 7\): LinAlgError: ") as info:
-        experiment._compute_record(0, cfg)
+        experiment._rerun_state(0, cfg)
     assert type(info.value.__cause__) is np.linalg.LinAlgError
     frames = traceback.extract_tb(info.value.__cause__.__traceback__)
     assert "_face_starts" in [frame.name for frame in frames]
@@ -1062,6 +1082,24 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert re.search(r"^wall seconds: .* ree=\d+\.\d{3} emit=\d+\.\d{3}$", captured.out, re.M)
     for name in ("states.csv", "census.txt", "fig1_concurrence.csv", "fig1_negativity.csv", "fig1_ree.csv"):
         assert (out_dir / name).exists()
+
+
+def test_cli_timing_line_prints_every_timing_key_of_the_run(monkeypatch, tmp_path, capsys):
+    # The line lists result.timing in its order, each key less _wall and
+    # with - for _, then emit=, so a layer that the run times shows up.
+    run = experiment.run_experiment
+
+    def timed_with_a_new_layer(cfg):
+        result = run(cfg)
+        result.timing["new_layer_wall"] = 0.25
+        return result
+
+    monkeypatch.setattr(entqfi.cli, "run_experiment", timed_with_a_new_layer)
+    assert main(["--states", "2", "--out", str(tmp_path / "out")]) == 0
+    labels = ("states", "census", "total", "sampling", "closed-forms", "rotations", "ree")
+    timed = " ".join(rf"{label}=\d+\.\d{{3}}" for label in labels)
+    line = rf"wall seconds: {timed} new-layer=0\.250 emit=\d+\.\d{{3}}"
+    assert re.search(rf"^{line}$", capsys.readouterr().out, re.M)
 
 
 def test_every_submodule_name_is_exported():

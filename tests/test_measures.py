@@ -896,6 +896,44 @@ def test_singular_hessian_ends_the_solve_at_the_current_point(monkeypatch):
     assert certified == [True, False]
 
 
+def test_barrier_is_infinite_off_either_cone():
+    # The barrier objective is finite inside both cones, and inf where sigma
+    # or sigma^G is not positive definite, so no backtracking step leaves them.
+    rho = random_density_matrix(derive_stream(1, 1))
+    assert math.isfinite(measures._barrier(3.0, _pauli_point(rho, werner(0.3))))
+    for sigma in (np.diag([1.1, 0.0, 0.0, -0.1]), werner(0.8)):
+        point = _pauli_point(rho, sigma)
+        assert point.s[:, 0].min() < 0.0
+        assert measures._barrier(3.0, point) == math.inf
+
+
+def test_barrier_rounds_end_on_the_last_point_when_no_step_lowers_the_objective(monkeypatch):
+    # Where no step length along a Newton step lowers the barrier objective
+    # (here every trial point reads inf), the 40 halvings end that round on
+    # its point and the next round starts there: each round takes one step,
+    # far within _MAX_STEPS, and the solve returns its start point at _T_FINAL.
+    rho = random_density_matrix(derive_stream(1, 1))
+    lowest = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
+    barrier, newton_system = measures._barrier, measures._newton_system
+    start, rounds = [], []
+
+    def no_decrease(t, p):
+        if not start:
+            start.append(p)
+        return barrier(t, p) if p is start[0] else math.inf
+
+    def recording_newton_system(t, p):
+        rounds.append(t)
+        return newton_system(t, p)
+
+    monkeypatch.setattr(measures, "_barrier", no_decrease)
+    monkeypatch.setattr(measures, "_newton_system", recording_newton_system)
+    point, steps, t = measures._barrier_solve(rho, lowest)
+    assert point is start[0]
+    assert steps == len(rounds) == len(set(rounds)) < measures._MAX_STEPS
+    assert t == rounds[-1] == measures._T_FINAL
+
+
 def _sigma_1_stack(count):
     """The first ``count`` entangled states of master seed 1 that sigma_1
     starts, stacked, and their sigma_1 points."""
@@ -943,6 +981,27 @@ def test_a_singular_kkt_system_fails_only_its_own_row_of_the_polish(monkeypatch,
         (point, steps, t), (point_alone, steps_alone, _) = outcomes[k], alone[k]
         assert (steps, t) == (steps_alone, None), k
         assert [f.tobytes() for f in point] == [f.tobytes() for f in point_alone], k
+
+
+def test_a_start_off_the_face_leaves_only_its_own_row_unpolished():
+    # The second row of a two-row polish stack starts where sigma has a
+    # negative eigenvalue, so it is not _on_face: that row keeps the
+    # (None, 0, None) the chain wrote for it, and the first row's outcome is
+    # its stack-of-one outcome, bit for bit.
+    rhos, start = _sigma_1_stack(2)
+    off = np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex)
+    off_start = measures._point(rhos[1:2], measures._coordinates(off[None]))
+    first = measures._take(start, [0])
+    stack = measures._Point(*(np.concatenate(fields) for fields in zip(first, off_start)))
+    alone, outcomes = [(None, 0, None)], [(None, 0, None)] * 2
+    with lapack_guard():
+        measures._face_polish(rhos[:1], [0], first, alone)
+        measures._face_polish(rhos, [0, 1], stack, outcomes)
+    assert off_start.s[0, 0, 0] < 0.0
+    assert outcomes[1] == (None, 0, None)
+    (point, steps, t), (point_alone, steps_alone, _) = outcomes[0], alone[0]
+    assert point is not None and (steps, t) == (steps_alone, None)
+    assert [f.tobytes() for f in point] == [f.tobytes() for f in point_alone]
 
 
 def test_the_barrier_link_runs_for_exactly_the_entangled_rows_left_unpolished(monkeypatch):
