@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -105,6 +106,13 @@ class ExperimentConfig:
     ree_threshold = 1e-7
 
     def __post_init__(self):
+        # read as find_counterexamples reads its limit, and stored as ints
+        for name in ("count", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if self.master_seed < 0:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PAULI_PRODUCTS, ZERO_CUTOFF, clip_roundoff, herm_eig
+from .states import PAULI_PRODUCTS, ZERO_CUTOFF, _two_qubit, clip_roundoff, herm_eig
 
 __all__ = [
     "LOCAL_SPINS",
@@ -64,7 +64,7 @@ def pair_weights(eigenvalues: np.ndarray) -> np.ndarray:
 
 def spin_qfi_matrix(rho: np.ndarray) -> np.ndarray:
     """The real symmetric 6x6 QFI matrix G over the local spins of rho."""
-    return _spin_qfi_matrices(herm_eig(np.asarray(rho)[None]))[0]
+    return _spin_qfi_matrices(herm_eig(_two_qubit(rho)[None]))[0]
 
 
 def _spin_qfi_matrices(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

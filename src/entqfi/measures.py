@@ -114,6 +114,7 @@ from .states import (
     ZERO_CUTOFF,
     _divergence,
     _spectral_entropy,
+    _two_qubit,
     clip_roundoff,
     eigh,
     eigvalsh,
@@ -263,7 +264,7 @@ def concurrence(rho: np.ndarray) -> float:
     test_closed_forms_hold_their_error_budget_against_40_digit_references
     holds it within 1.6e-15 of a 40-digit reference.
     """
-    return _concurrences(herm_eig(np.asarray(rho)[None]))[0]
+    return _concurrences(herm_eig(_two_qubit(rho)[None]))[0]
 
 
 def _concurrences(spectra: tuple[np.ndarray, np.ndarray]) -> list[float]:
@@ -288,7 +289,7 @@ def negativity(rho: np.ndarray) -> float:
 
     test_closed_forms_hold_their_error_budget_against_40_digit_references
     holds it within 1.0e-15 of a 40-digit reference."""
-    return _negativities(_pt_eigh(np.asarray(rho)[None])[0][:, 0])[0]
+    return _negativities(_pt_eigh(_two_qubit(rho)[None])[0][:, 0])[0]
 
 
 def _negativities(lowest: np.ndarray) -> list[float]:
@@ -306,7 +307,7 @@ def _ppt(lowest: float) -> bool:
 
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
-    return _ppt(_pt_eigh(rho)[0][0])
+    return _ppt(_pt_eigh(_two_qubit(rho))[0][0])
 
 
 def _entanglement_of_formation(c: float) -> float:
@@ -818,6 +819,6 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -
     """
     if measured is not None:
         return measured
-    stack = np.asarray(rho, dtype=complex)[None]
+    stack = _two_qubit(rho)[None]
     (solution,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
     return solution

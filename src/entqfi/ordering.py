@@ -23,18 +23,21 @@ The tiles compare ranks, not values.  Once per call each compared
 quantity is sorted, and every record gets its rank and two rank
 thresholds that are exact for the rounded differences ``classify_pair``
 compares, so a pair's relation in one quantity is two compares of small
-integers.  One code per pair joins the row's zero-band bits and the
-relations of all the quantities a tile compares, at most 648 values and
-a sentinel for the cells that hold no pair.  The census counts each
-tile's codes with one ``bincount`` split into interleaved sub-histograms,
-and reads the three 12-cell tables off that count through static
-code-to-cell tables.  The witness scan keeps the first ``limit`` pairs
-of each discordant cell: a boolean table over the codes marks those that
-put a measure in a cell still open, one lookup per tile finds the
-candidate pairs, and only they are decoded.  It stops after the tile in
-which the last cell fills.  A run takes the census and every measure's
-witnesses from one scan, ``census_and_witnesses``.  All reject a
-non-finite value, which the comparators could not order.
+integers.  One code layout serves every scan: a pair's code joins the
+row's zero-band bits and the relations of the three measures and the
+optimized QFI, each at its own place, in 648 values and a sentinel for
+the cells that hold no pair; a witness scan of one measure leaves the
+other measures' places at 0.  The census counts each tile's codes with
+one ``bincount`` split into interleaved sub-histograms, and reads the
+three 12-cell tables off that count through one static code-to-cell
+table.  The witness scan keeps the first ``limit`` pairs of each
+discordant cell: from the pairs each cell still needs, a boolean table
+over the codes marks those that put a scanned measure in a cell still
+open, one lookup per tile finds the candidate pairs, and only they are
+decoded.  It stops after the tile in which the last cell fills.  A run
+takes the census and every measure's witnesses from one scan,
+``census_and_witnesses``.  All reject a non-finite value, which the
+comparators could not order.
 ``classify_pair`` is the scalar reference that the tests compare them
 against.
 """
@@ -185,34 +188,29 @@ _LANES = 4
 _CELLS = tuple(OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS)
 _DISCORDANT_CODES = tuple(code for code, cell in enumerate(_CELLS) if cell in DISCORDANT_CELLS)
 
-# True at the key 13 * m + cell of each measure m's discordant cells.
-_DISCORDANT_KEYS = np.array([key % 13 in _DISCORDANT_CODES for key in range(13 * len(MEASURE_NAMES))])
-
 # MEASURE_RELATIONS index of a measure's trit, for a row outside and a row
 # inside the zero band.
 _RELATION_OF_TRIT = ((1, 2, 3), (0, 2, 3))
 
 
 class _Codes(NamedTuple):
-    """The codes of ``_cell_tiles`` over ``count`` measures: a pair's code
-    is its row's zero-band bits (first measure highest) times ``3**(count +
-    1)`` plus its trits as base-3 digits (first measure highest,
-    ``qfi_max`` lowest), and ``sentinel`` marks a tile cell with no pair.
-    ``cells[m, code]`` is measure m's cell, ``3 * measure_relation +
-    mqfi_relation`` or 12 for the sentinel, ``keys`` is ``13 * m`` plus it,
-    and ``discordant`` marks the codes that put some measure in a
-    discordant cell."""
+    """The codes of ``_cell_tiles``: a pair's code is its row's zero-band
+    bits (``MEASURE_NAMES`` order, first measure highest) times 81 plus its
+    trits as base-3 digits (first measure highest, ``qfi_max`` lowest), and
+    ``sentinel`` marks a tile cell with no pair.  A scan of fewer measures
+    leaves the bit and the digit of each other measure at 0.  ``keys[m,
+    code]`` is ``13 * m`` plus measure m's cell, ``3 * measure_relation +
+    mqfi_relation`` or 12 for the sentinel."""
 
     sentinel: int
     zero_weights: np.ndarray
     digits: np.ndarray
-    cells: np.ndarray
     keys: np.ndarray
-    discordant: np.ndarray
 
 
-def _codes(count: int) -> _Codes:
+def _codes() -> _Codes:
     """The tables of ``_Codes``, built in Python: a few thousand entries."""
+    count = len(MEASURE_NAMES)
     quantities = count + 1
     sentinel = 2**count * 3**quantities
     digits = [3**k for k in range(count, -1, -1)]
@@ -222,20 +220,12 @@ def _codes(count: int) -> _Codes:
         + [12]
         for w, d in zip(zero_weights, digits)
     ]
-    cells = np.array(cells, dtype=np.uint8)
-    keys = cells + np.arange(0, 13 * count, 13, dtype=np.uint8)[:, None]
-    return _Codes(
-        sentinel,
-        np.array(zero_weights)[:, None],
-        np.array(digits, dtype=np.uint8)[:, None, None],
-        cells,
-        keys,
-        _DISCORDANT_KEYS[keys].any(axis=0),
-    )
+    keys = np.array(cells) + np.arange(0, 13 * count, 13)[:, None]
+    digits = np.array(digits, dtype=np.uint8)[:, None, None]
+    return _Codes(sentinel, np.array(zero_weights)[:, None], digits, keys)
 
 
-# For the census's three measures and for a witness scan's one.
-_CODES = {count: _codes(count) for count in (1, len(MEASURE_NAMES))}
+_CODES = _codes()
 
 
 def _low_counts(ordered: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -319,10 +309,12 @@ def _cell_tiles(
     them greater, equal and less; a measure reads them first-greater,
     equal-positive and second-greater, or, where the row's value is in the
     zero band, both-zero, equal-positive and second-greater (first-greater
-    cannot occur there).  Yields ``(first, codes)``: ``codes[r, c]`` is the
-    ``_Codes`` code of the pair ``(first + r, first + 1 + c)``, or the
-    sentinel where ``c < r`` holds no pair, so a tile read row-major lists
-    its pairs in canonical order.
+    cannot occur there).  Each quantity's trit and each measure's zero-band
+    bit take that quantity's own place of the one ``_Codes`` layout, and
+    the places of measures not compared stay 0.  Yields ``(first,
+    codes)``: ``codes[r, c]`` is the code of the pair ``(first + r, first +
+    1 + c)``, or the sentinel where ``c < r`` holds no pair, so a tile read
+    row-major lists its pairs in canonical order.
     """
     # a single record yields zero tiles, which is fine; only empty input is an error
     if not records:
@@ -345,8 +337,9 @@ def _cell_tiles(
     band = np.count_nonzero(zero, axis=1)[:, None]
     low[:-1] = np.where(zero, band, low[:-1])
     high[:-1] = np.where(zero & (high[:-1] < band), band, high[:-1])
-    layout = _CODES[len(measures)]
-    base = (layout.zero_weights * zero).sum(axis=0, dtype=np.int16)
+    places = [MEASURE_NAMES.index(name) for name in measures]
+    digits = _CODES.digits.take([*places, len(MEASURE_NAMES)], axis=0)
+    base = (_CODES.zero_weights.take(places, axis=0) * zero).sum(axis=0, dtype=np.int16)
     n = len(records)
     first = 0
     while first < n - 1:
@@ -355,9 +348,10 @@ def _cell_tiles(
         head, later = slice(first, first + rows), slice(first + 1, n)
         trits = np.greater_equal(ranks[:, None, later], low[:, head, None]).view(np.uint8)
         trits += np.greater_equal(ranks[:, None, later], high[:, head, None]).view(np.uint8)
-        trits *= layout.digits
+        trits *= digits
         codes = np.add(base[head, None], trits.sum(axis=0, dtype=np.uint8))
-        codes[:, :rows][np.tri(rows, k=-1, dtype=bool)] = layout.sentinel
+        # c < r, masked without np.tri, whose Python wrapper costs more than a small tile
+        codes[:, :rows][np.arange(rows)[:, None] > np.arange(rows)] = _CODES.sentinel
         del trits  # not held while the caller reads the codes
         yield first, codes
         first += rows
@@ -369,7 +363,7 @@ class _Counter:
     the per-measure tables are read off their sum."""
 
     def __init__(self, records: Sequence[StateRecord]):
-        width = _CODES[len(MEASURE_NAMES)].sentinel + 1
+        width = _CODES.sentinel + 1
         self.lanes = np.arange(max(len(records) - 1, 0), dtype=np.int16) % _LANES * width
         self.counts = np.zeros(_LANES * width, dtype=np.int64)
 
@@ -381,10 +375,9 @@ class _Counter:
         """The per-measure tables; the float64 sums are exact, as no count
         reaches 2**53."""
         codes = self.counts.reshape(_LANES, -1).sum(axis=0)
-        return {
-            measure: dict(zip(_CELLS, map(int, np.bincount(cells, codes, minlength=13))))
-            for measure, cells in zip(MEASURE_NAMES, _CODES[len(MEASURE_NAMES)].cells)
-        }
+        cells = np.bincount(_CODES.keys.ravel(), np.concatenate((codes,) * len(_CODES.keys)))
+        cells = cells.astype(np.int64).tolist()
+        return {name: dict(zip(_CELLS, cells[13 * m :])) for m, name in enumerate(MEASURE_NAMES)}
 
 
 def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingClass, int]]:
@@ -404,17 +397,21 @@ class _Collector:
     """The first ``limit`` pairs of each discordant cell of each of
     ``measures``, gathered tile by tile in canonical order.
 
-    ``need`` holds the pairs each ``_Codes`` key still wants, and
-    ``open`` marks the codes with such a key, so that one lookup per tile
-    finds the candidate pairs, and only they are decoded.
+    ``need`` holds the pairs each ``_Codes`` key still wants, none for a
+    measure not scanned.  ``open`` marks the codes with such a key, read
+    off ``need`` from the start and again after each tile in which a cell
+    fills, so that one lookup per tile finds the candidate pairs, and only
+    they are decoded.
     """
 
     def __init__(self, records: Sequence[StateRecord], measures: Sequence[str], limit: int):
-        count = len(measures)
         self.records, self.measures = records, measures
-        self.keys, self.open = _CODES[count].keys, _CODES[count].discordant
-        self.need = _DISCORDANT_KEYS[: 13 * count] * limit
-        self.hits = {13 * m + code: [] for m in range(count) for code in _DISCORDANT_CODES}
+        self.places = [MEASURE_NAMES.index(name) for name in measures]
+        self.keys = _CODES.keys.take(self.places, axis=0)
+        self.hits = {13 * m + code: [] for m in self.places for code in _DISCORDANT_CODES}
+        self.need = np.zeros(13 * len(MEASURE_NAMES), dtype=np.intp)
+        self.need[list(self.hits)] = limit
+        self.open = self.need[self.keys].any(axis=0)
 
     def collect(self, first: int, codes: np.ndarray) -> bool:
         """Take a tile's pairs into the cells that want them; True once
@@ -426,12 +423,15 @@ class _Collector:
         keys = self.keys[:, codes.ravel()[found]].ravel()
         wanted = np.bincount(keys, minlength=self.need.size) * self.need
         cols = codes.shape[1]
-        for key in np.flatnonzero(wanted).tolist():
+        touched = np.flatnonzero(wanted)
+        for key in touched.tolist():
             taken = np.flatnonzero(keys == key)[: self.need[key]] % found.size
             for k in found[taken].tolist():
                 r, c = divmod(k, cols)
                 self.hits[key].append((self.records[first + r], self.records[first + 1 + c]))
             self.need[key] -= taken.size
+        if self.need[touched].all():
+            return False  # no cell filled, so ``open`` stands
         self.open = self.need[self.keys].any(axis=0)
         return not self.open.any()
 
@@ -454,7 +454,7 @@ class _Collector:
                 for code in _DISCORDANT_CODES
                 for r1, r2 in self.hits[13 * m + code]
             ]
-            for m, measure in enumerate(self.measures)
+            for m, measure in zip(self.places, self.measures)
         }
 
 

@@ -10,6 +10,11 @@ Conventions shared by the whole package:
 * ``ZERO_CUTOFF`` is the one spectral zero: eigenvalues, and in ``fisher``
   pair sums, at or below it count as zeros.
 * ``partial_transpose`` takes a 4x4 matrix or a ``(..., 4, 4)`` stack.
+  Every other public function that takes one state (``partial_trace``,
+  ``apply_local_unitary``, the measures and the QFI and rotation
+  searches) reads it through ``_two_qubit``, which raises ``ValueError``
+  on any shape but 4x4; ``von_neumann_entropy`` reads any Hermitian
+  matrix.
 * Every spectrum is ``eigh``'s ``(values, vectors)``: eigenvalues
   ascending, as LAPACK returns them, with matching eigenvector columns.
   LAPACK reads only the lower triangle.  ``herm_eig`` alone symmetrizes,
@@ -188,12 +193,19 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(rho.shape)
 
 
-def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
-    """Reduced 2x2 state of the kept qubit."""
+def _two_qubit(rho) -> np.ndarray:
+    """rho as one complex 4x4 matrix, the one shape check of every public
+    function that takes a single two-qubit state; any other shape, a stack
+    included, raises ``ValueError``."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
+    return rho
+
+
+def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
+    """Reduced 2x2 state of the kept qubit."""
+    r = _two_qubit(rho).reshape(2, 2, 2, 2)
     if _subsystem_index(keep) == 0:
         return np.einsum("ijkj->ik", r)
     return np.einsum("ijil->jl", r)
@@ -237,6 +249,7 @@ def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy):
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     """(u_a ⊗ u_b) rho (u_a ⊗ u_b)† with both factors checked for unitarity."""
+    rho = _two_qubit(rho)
     u_a = np.asarray(u_a, dtype=complex)
     u_b = np.asarray(u_b, dtype=complex)
     for name, u in (("u_a", u_a), ("u_b", u_b)):
@@ -245,5 +258,5 @@ def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np
         if float(np.max(np.abs(u @ u.conj().T - IDENTITY_2))) > HERMITICITY_TOL:
             raise ValueError(f"{name} is not unitary within {HERMITICITY_TOL:g}")
     u = np.kron(u_a, u_b)
-    out = u @ np.asarray(rho, dtype=complex) @ u.conj().T
+    out = u @ rho @ u.conj().T
     return 0.5 * (out + out.conj().T)

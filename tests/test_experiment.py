@@ -196,6 +196,18 @@ def test_config_rejects_bad_values(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["count", "master_seed"])
+def test_config_reads_count_and_master_seed_as_integers(name):
+    # A non-integer fails here, naming the field, not later in the run.
+    for bad in (2.5, 2.0, "2", np.float64(2.0)):
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            ExperimentConfig(**{name: bad})
+    cfg = ExperimentConfig(**{name: np.int64(5)})
+    assert cfg == ExperimentConfig(**{name: 5})
+    assert type(getattr(cfg, name)) is int
+
+
 def test_config_fields_are_the_three_run_settings():
     names = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert names == ["count", "master_seed", "eps_order"]

@@ -518,6 +518,53 @@ def test_one_scan_reads_a_five_state_run_as_the_four_scans(master_seed):
     assert any(result.witnesses.values())
 
 
+def snapped_records(n):
+    """n records whose every quantity sits in the zero band or in one of a
+    few clusters narrower than half its tolerance: ties fall well inside
+    each tolerance and gaps far outside it, so every discordant cell of
+    every measure fills within the first rows.  The first record sits in
+    every measure's zero band, so that the first row's pairs read each
+    measure's zero-band bit."""
+    rng = np.random.default_rng(50)
+    columns = [
+        rng.choice([1.0, 1.3] if name == "mqfi" else [0.0, 0.2, 0.4, 0.6], size=n)
+        + rng.uniform(0.0, 0.5 * DEFAULT_EPS[name], size=n)
+        for name in (*MEASURE_NAMES, "mqfi")
+    ]
+    for column in columns[:-1]:
+        column[0] = 0.0
+    return [measured(i, *map(float, row)) for i, row in enumerate(zip(*columns))]
+
+
+def test_each_witness_scan_reads_its_own_places_of_the_one_layout(monkeypatch):
+    records = snapped_records(300)
+    table = ordering._normalize_eps(None)
+    layout = ordering._CODES
+    joint = list(ordering._cell_tiles(records, MEASURE_NAMES, table))
+    for m, measure in enumerate(MEASURE_NAMES):
+        # a one-measure scan writes the joint scan's code at the measure's
+        # own digit and zero-band weight, and 0 at the other measures' places
+        for (first, codes), (_, joint_codes) in zip(
+            ordering._cell_tiles(records, (measure,), table), joint
+        ):
+            assert (layout.keys[m][codes] == layout.keys[m][joint_codes]).all(), (measure, first)
+            for other in set(range(len(MEASURE_NAMES))) - {m}:
+                assert not (codes // layout.digits[other, 0, 0] % 3).any()
+                assert not (codes // layout.zero_weights[other, 0] % 2).any()
+    _, witnesses = census_and_witnesses(records)
+    rows = count_rows(monkeypatch)
+    for measure in MEASURE_NAMES:
+        found = find_counterexamples(records, measure)
+        assert found == witnesses[measure], measure
+        assert len(found) == len(DISCORDANT_CELLS) * DEFAULT_WITNESS_LIMIT, measure
+        for witness in found:
+            pair = records[witness.id_1], records[witness.id_2]
+            assert classify_pair(*pair, measure) == witness.ordering
+    # every scan filled its cells and stopped early
+    assert len(rows) == len(MEASURE_NAMES)
+    assert max(rows) < len(records) // 4, rows
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", [*MEASURE_NAMES, "qfi_max"])
 def test_nonfinite_values_name_the_first_record(field, bad):

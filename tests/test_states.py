@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -13,11 +14,20 @@ from entqfi import (
     IDENTITY_4,
     PAULI,
     apply_local_unitary,
+    c_matrix,
+    concurrence,
     derive_stream,
+    grid_search,
     herm_eig,
+    is_separable,
+    max_mean_qfi,
+    negativity,
+    optimize_with_refinement,
     partial_trace,
     partial_transpose,
     random_density_matrix,
+    ree,
+    spin_qfi_matrix,
     von_neumann_entropy,
 )
 from entqfi import measures, states
@@ -226,6 +236,8 @@ def test_entropy_in_bits():
     assert von_neumann_entropy(np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-12)
     assert von_neumann_entropy(pure(ket("00"))) == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(np.diag([0.5, 0.5, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+    # any Hermitian matrix: benchmarks/checks.py reads 2x2 reduced states
+    assert von_neumann_entropy(np.eye(2) / 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_relative_entropy_known_values():
@@ -460,6 +472,39 @@ def test_apply_local_unitary_rejects_nonunitary():
         apply_local_unitary(IDENTITY_4 / 4.0, 2.0 * np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         apply_local_unitary(IDENTITY_4 / 4.0, np.eye(2), np.eye(3))
+
+
+# Every public function that takes one two-qubit state, with its other arguments.
+SINGLE_STATE_FUNCTIONS = {
+    "concurrence": concurrence,
+    "negativity": negativity,
+    "is_separable": is_separable,
+    "ree": ree,
+    "spin_qfi_matrix": spin_qfi_matrix,
+    "c_matrix": c_matrix,
+    "max_mean_qfi": max_mean_qfi,
+    "optimize_with_refinement": optimize_with_refinement,
+    "grid_search": lambda rho: grid_search(rho, 2.0 * math.pi / 4),
+    "apply_local_unitary": lambda rho: apply_local_unitary(rho, np.eye(2), np.eye(2)),
+    "partial_trace": partial_trace,
+}
+NOT_ONE_STATE = {
+    "3x3": np.eye(3) / 3.0,
+    "stack": np.stack([IDENTITY_4 / 4.0, IDENTITY_4 / 4.0]),
+    "stack_of_one": IDENTITY_4[None] / 4.0,
+    "flat": IDENTITY_4.ravel() / 4.0,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NOT_ONE_STATE))
+@pytest.mark.parametrize("name", sorted(SINGLE_STATE_FUNCTIONS))
+def test_single_state_functions_share_one_shape_check(name, shape):
+    rho = NOT_ONE_STATE[shape]
+    message = f"expected a 4x4 two-qubit matrix, got shape {re.escape(str(rho.shape))}$"
+    with pytest.raises(ValueError, match=message):
+        SINGLE_STATE_FUNCTIONS[name](rho)
+    # the same function reads one state, given as nested lists too
+    SINGLE_STATE_FUNCTIONS[name]((IDENTITY_4 / 4.0).tolist())
 
 
 def test_werner_helper_boundaries():
