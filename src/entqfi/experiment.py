@@ -191,8 +191,8 @@ def _measure_chunk(
     grid passes with their read-off, and REE's face polish and certificate
     over the entangled rows run stacked, in ``measures._ree_inputs``, which
     ``ree_wall`` times with a ``ree`` call per state that hands back its
-    solution, and with the check of the entangled rows against the bounds
-    between their measures.  No number depends on the chunk."""
+    solution, and with the check of each row against the bounds between
+    its measures.  No number depends on the chunk."""
     started = time.perf_counter()
     rhos = _density_matrices([derive_stream(cfg.master_seed, index) for index in indices])
     sampled = time.perf_counter()
@@ -206,7 +206,8 @@ def _measure_chunk(
         ree(rho, measured=solution)
         for rho, solution in zip(rhos, _ree_inputs(rhos, spectra, pt_spectra))
     ]
-    _check_cross_measure_bounds(concurrences, negativities, solutions)
+    qfi_max = [optimum.max_value for optimum in optima]
+    _check_cross_measure_bounds(concurrences, negativities, solutions, qfi_max)
     solved = time.perf_counter()
     records = [
         StateRecord(
@@ -391,12 +392,10 @@ def emit_census_report(result: ExperimentResult, path) -> None:
         lines.append("")
         lines.append(f"[witnesses {measure}]")
         for witness in result.witnesses[measure]:
+            cell = witness.ordering
+            m1, m2, q1, q2 = map(format_value, witness.values)
             lines.append(
-                f"cell={witness.ordering.measure_relation}/{witness.ordering.mqfi_relation}"
-                f" id_1={witness.id_1} id_2={witness.id_2}"
-                f" measure_1={format_value(witness.values[0])}"
-                f" measure_2={format_value(witness.values[1])}"
-                f" mqfi_1={format_value(witness.values[2])}"
-                f" mqfi_2={format_value(witness.values[3])}"
+                f"cell={cell.measure_relation}/{cell.mqfi_relation} id_1={witness.id_1}"
+                f" id_2={witness.id_2} measure_1={m1} measure_2={m2} mqfi_1={q1} mqfi_2={q2}"
             )
     _write_lines(Path(path), lines)

@@ -150,6 +150,18 @@ _SPIN_FLIP = PAULI_PRODUCTS[2, 2]
 # least 1.2e-4, and REE stays at least 1.4e-7 bits below E_F(C).
 _CLOSED_FORMS_SLACK = 1.0e-15 + 2 * 1.6e-15 + 4 * _EPS
 
+# The slack of the shot-noise bound on separable rows in
+# _check_cross_measure_bounds.  The PPT verdict passes a row whose rho^G dips
+# below 0 by up to SEPARABILITY_EIG_TOL, and near a product pure state the
+# mean QFI exceeds 1 by twice that dip: 300 states within 1e-5 of one,
+# locally rotated or mixed with a product state, read (qfi_max - 1) /
+# |lambda_min(rho^G)| at most 2.0000002 (1.414e-6 at lambda_min = -7.07e-7
+# near |00>).  To that comes qfi_max's own error, half the class values'
+# 40-digit budget of 2 * 6.2e-15
+# (test_qfi_matrix_and_grid_tops_hold_their_error_budget_against_40_digit_references).
+# The separable rows of master seeds 1-4 and 15 (ids 0-999) reach 0.932.
+_SHOT_NOISE_SLACK = 2 * SEPARABILITY_EIG_TOL + 6.2e-15
+
 _GAP_TOL_NATS = 2e-5
 # The dual gap's own evaluation roundoff, added to every reported gap as
 # _GAP_ROUNDOFF_NATS + _GAP_ROUNDOFF_EPSILONS eps / lambda_min(sigma) nats
@@ -222,7 +234,15 @@ _PAIR_AT = np.reshape([_SORTED_PAIRS.index(tuple(sorted(ij))) for ij in np.ndind
 _TRIPLE_AT = np.reshape(
     [_SORTED_TRIPLES.index(tuple(sorted(ijk))) for ijk in np.ndindex(4, 4, 4)], (4, 4, 4)
 )
-_COINCIDENT = 1e-5  # relative spread below which three eigenvalues coincide
+# The relative spread below which three eigenvalues coincide in
+# _second_differences.  Against 40-digit values, on 3900 spectra whose three
+# highest eigenvalues spread over a relative width in [1e-6, 1e-5], f2's
+# -1/(2 mean^2) branch errs by at most 1.67e-11 relative, its O(spread^2)
+# term, and on 3900 in (1e-5, 1e-4] the divided branch by at most 8.04e-11,
+# roundoff over the spread; each is held within twice that by
+# test_second_differences_hold_their_error_budget_on_both_sides_of_the_coincident_switch.
+# f2 enters REE's Newton system, so moving the switch can move ree's last bits.
+_COINCIDENT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -320,18 +340,25 @@ def _entanglement_of_formation(c: float) -> float:
     return -(y * math.log(y) + (1.0 - y) * float(np.log1p(-y))) / LN2
 
 
-def _check_cross_measure_bounds(concurrences, negativities, solutions) -> None:
+def _check_cross_measure_bounds(concurrences, negativities, solutions, qfi_max) -> None:
     """Hold each entangled row of a chunk, whose negativity is positive, to
     two bounds between its measures: REE never exceeds the entanglement of
     formation (Vedral & Plenio, PRA 57, 1619, 1998), within the row's
     certified gap plus ``_DIVERGENCE_ROUNDOFF``, and N >= sqrt((1 - C)^2 +
     C^2) - (1 - C) (Verstraete, Audenaert, Dehaene & De Moor, J. Phys. A 34,
-    10327, 2001), within ``_CLOSED_FORMS_SLACK``.  A row past a bound raises
-    ``ArithmeticError``.  PPT rows read N = 0 even where rho^G dips below 0
-    by up to ``SEPARABILITY_EIG_TOL``, so the second bound does not hold
-    for them to roundoff; their REE is 0."""
-    for c, n, solution in zip(concurrences, negativities, solutions):
+    10327, 2001), within ``_CLOSED_FORMS_SLACK``.  PPT rows read N = 0 even
+    where rho^G dips below 0 by up to ``SEPARABILITY_EIG_TOL``, so the second
+    bound does not hold for them to roundoff; their REE is 0, and their
+    ``qfi_max`` stays at or below the shot-noise level 1 (Pezze & Smerzi, PRL
+    102, 100401, 2009) within ``_SHOT_NOISE_SLACK``.  A row past a bound
+    raises ``ArithmeticError``."""
+    for c, n, solution, q in zip(concurrences, negativities, solutions, qfi_max):
         if not n:
+            if not q <= 1.0 + _SHOT_NOISE_SLACK:
+                raise ArithmeticError(
+                    f"separable row's mean QFI {q!r} lies above the shot-noise level 1"
+                    f" by more than {_SHOT_NOISE_SLACK:.3g}"
+                )
             continue
         formation = _entanglement_of_formation(c)
         slack = solution.gap + _DIVERGENCE_ROUNDOFF

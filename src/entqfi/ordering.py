@@ -13,9 +13,11 @@ zero, and a gap at or below eps counts as a tie.  Tolerances are
 per-quantity; the REE default is wider than the others because its value
 carries solver noise.
 
-Pairs are visited in tiles of whole rows in canonical order: a tile
-compares rows ``i`` in ``[first, first + rows)`` against every record
-after ``first`` in one vectorized step and holds at most ``_TILE_PAIRS``
+Every scan takes the records in id order, whatever the order of the list,
+equal ids in list order, so a pair reads lower id first.  Pairs are
+visited in tiles of whole rows in that canonical order: a tile compares
+rows ``i`` in ``[first, first + rows)`` against every record after
+``first`` in one vectorized step and holds at most ``_TILE_PAIRS``
 cells, so the census and the witness scan hold O(``_TILE_PAIRS``)
 working memory besides the O(n) value arrays, never the n(n-1)/2 pairs.
 
@@ -128,7 +130,6 @@ class StateRecord:
 class PairWitness(NamedTuple):
     id_1: int
     id_2: int
-    measure_name: str
     ordering: OrderingClass
     values: tuple[float, float, float, float]
 
@@ -297,6 +298,15 @@ def _rank_thresholds(values: np.ndarray, tols: np.ndarray):
     return ranks, low.astype(rank_type)[line, ranks], high.astype(rank_type)[line, ranks]
 
 
+def _in_id_order(records: Sequence[StateRecord]) -> Sequence[StateRecord]:
+    """The records sorted by id, equal ids in list order; ``records``
+    itself where the ids never decrease."""
+    ids = np.fromiter(map(operator.attrgetter("id"), records), np.int64, len(records))
+    if (ids[1:] >= ids[:-1]).all():
+        return records
+    return [records[k] for k in np.argsort(ids, kind="stable").tolist()]
+
+
 def _cell_tiles(
     records: Sequence[StateRecord], measures: Sequence[str], table: Mapping[str, float]
 ):
@@ -319,8 +329,11 @@ def _cell_tiles(
     # a single record yields zero tiles, which is fine; only empty input is an error
     if not records:
         raise ValueError("the ordering census needs at least one record")
+    n = len(records)
     fields = (*measures, "qfi_max")
-    values = np.array([[getattr(r, name) for r in records] for name in fields], dtype=float)
+    values = np.stack(
+        [np.fromiter(map(operator.attrgetter(name), records), float, n) for name in fields]
+    )
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.flatnonzero(~finite.all(axis=0))[0])
@@ -340,7 +353,6 @@ def _cell_tiles(
     places = [MEASURE_NAMES.index(name) for name in measures]
     digits = _CODES.digits.take([*places, len(MEASURE_NAMES)], axis=0)
     base = (_CODES.zero_weights.take(places, axis=0) * zero).sum(axis=0, dtype=np.int16)
-    n = len(records)
     first = 0
     while first < n - 1:
         cols = n - 1 - first
@@ -383,10 +395,11 @@ class _Counter:
 def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingClass, int]]:
     """Cell counts over all unordered pairs, one table per measure.
 
-    Pairs are taken in canonical order (lower id first), so counts per
-    measure always sum to n(n-1)/2 exactly.
+    Pairs are taken in canonical order (lower id first, whatever the order
+    of ``records``), so counts per measure always sum to n(n-1)/2 exactly.
     """
     table = _normalize_eps(eps)
+    records = _in_id_order(records)
     counter = _Counter(records)
     for _, codes in _cell_tiles(records, MEASURE_NAMES, table):
         counter.add(codes)
@@ -437,20 +450,14 @@ class _Collector:
 
     def witnesses(self) -> dict[str, list[PairWitness]]:
         """The collected pairs as witnesses, by measure, cell by cell."""
+
+        def witness(r1: StateRecord, r2: StateRecord, measure: str, code: int) -> PairWitness:
+            values = getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max
+            return PairWitness(r1.id, r2.id, _CELLS[code], tuple(map(float, values)))
+
         return {
             measure: [
-                PairWitness(
-                    id_1=r1.id,
-                    id_2=r2.id,
-                    measure_name=measure,
-                    ordering=_CELLS[code],
-                    values=tuple(
-                        map(
-                            float,
-                            (getattr(r1, measure), getattr(r2, measure), r1.qfi_max, r2.qfi_max),
-                        )
-                    ),
-                )
+                witness(r1, r2, measure, code)
                 for code in _DISCORDANT_CODES
                 for r1, r2 in self.hits[13 * m + code]
             ]
@@ -464,7 +471,8 @@ def find_counterexamples(
     eps=None,
     limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> list[PairWitness]:
-    """Up to ``limit`` witnesses per discordant cell, in canonical pair order.
+    """Up to ``limit`` witnesses per discordant cell, in canonical pair
+    order (lower id first, whatever the order of ``records``).
 
     The scan stops after the first tile after which every discordant cell
     holds ``limit`` witnesses.  ``limit`` is any integer, as
@@ -479,6 +487,7 @@ def find_counterexamples(
     if limit < 1:
         raise ValueError("limit must be at least 1")
     table = _normalize_eps(eps)
+    records = _in_id_order(records)
     collector = _Collector(records, (measure,), limit)
     for first, codes in _cell_tiles(records, (measure,), table):
         if collector.collect(first, codes):
@@ -496,6 +505,7 @@ def census_and_witnesses(
     measure's discordant cells are full.
     """
     table = _normalize_eps(eps)
+    records = _in_id_order(records)
     counter = _Counter(records)
     collector = _Collector(records, MEASURE_NAMES, DEFAULT_WITNESS_LIMIT)
     full = False

@@ -154,19 +154,17 @@ def _divisor_from_step(step: float) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _relative_classes(
-    divisor: int,
-) -> tuple[np.ndarray, np.ndarray, tuple[EulerAngleSet, ...]]:
+def _relative_classes(divisor: int) -> tuple[np.ndarray, tuple[EulerAngleSet, ...]]:
     """The distinct relative rotations on the k^6 grid; independent of the state.
 
-    Returns each class's first flat grid index, increasing, its
-    ``A = [I | R]``, shape (classes, 3, 6), and the angle set of its first
-    grid point, whose six base-k digits index its angles.  R depends on
-    alpha_A and alpha_B only through their difference, so every class is
-    first reached where alpha_A = 0 (see the module docstring): the R of
-    that k^5 slice, whose flat indices are the grid's own, come from one
-    stacked matmul, and one ``np.unique`` of their rows, rounded to integer
-    keys, gives each class's first index.
+    Returns each class's ``A = [I | R]``, shape (classes, 3, 6), and the
+    angle set of the first grid point reaching it, in the order of that
+    point's flat index, whose six base-k digits index the angles.  R
+    depends on alpha_A and alpha_B only through their difference, so every
+    class is first reached where alpha_A = 0 (see the module docstring):
+    the R of that k^5 slice, whose flat indices are the grid's own, come
+    from one stacked matmul, and one ``np.unique`` of their rows, rounded
+    to integer keys, gives each class's first index.
     """
     adjoints = _adjoint_matrices(divisor)
     relative = (adjoints[: divisor**2, None].transpose(0, 1, 3, 2) @ adjoints).reshape(-1, 3, 3)
@@ -177,9 +175,8 @@ def _relative_classes(
     spans = np.concatenate([np.broadcast_to(np.eye(3), relative.shape), relative], axis=2)
     digits = np.stack(np.unravel_index(first, (divisor,) * 6), axis=1)
     angles = tuple(EulerAngleSet(*row) for row in (TWO_PI * digits / divisor).tolist())
-    first.flags.writeable = False
     spans.flags.writeable = False
-    return first, spans, angles
+    return spans, angles
 
 
 def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
@@ -203,7 +200,7 @@ def _grid_tops(g: np.ndarray, divisor: int) -> np.ndarray:
     err by at most 6.2e-15 on the base grid and 4.9e-15 on the refinement
     grid; test_qfi_matrix_and_grid_tops_hold_their_error_budget_against_40_digit_references
     holds them within twice that."""
-    _, spans, _ = _relative_classes(divisor)
+    spans, _ = _relative_classes(divisor)
     return _top_eigenvalues(spans @ g[:, None] @ spans.transpose(0, 2, 1))
 
 
@@ -245,7 +242,7 @@ def _grid_optima(tops: np.ndarray, divisor: int) -> list[LoccOptimum]:
     (n, classes): the extremes, the first class within ``_TIE`` of each and
     the raw column are read off the whole stack, and one range rule judges
     the maxima, the minima and the raw values of every state."""
-    _, _, angles = _relative_classes(divisor)
+    _, angles = _relative_classes(divisor)
     top, bottom = tops.max(axis=1), tops.min(axis=1)
     hi = (tops >= (top - _TIE)[:, None]).argmax(axis=1)
     lo = (tops <= (bottom + _TIE)[:, None]).argmax(axis=1)

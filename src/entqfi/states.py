@@ -177,12 +177,6 @@ def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return eigh(m)
 
 
-def _subsystem_index(subsystem) -> int:
-    if subsystem in ("a", "b"):
-        return "ab".index(subsystem)
-    raise ValueError(f"subsystem must be 'a' or 'b', got {subsystem!r}")
-
-
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Transpose qubit B's indices of a 4x4 matrix or of each in a
     ``(..., 4, 4)`` stack; Hermiticity and trace are preserved."""
@@ -206,9 +200,9 @@ def _two_qubit(rho) -> np.ndarray:
 def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
     """Reduced 2x2 state of the kept qubit."""
     r = _two_qubit(rho).reshape(2, 2, 2, 2)
-    if _subsystem_index(keep) == 0:
-        return np.einsum("ijkj->ik", r)
-    return np.einsum("ijil->jl", r)
+    if keep not in ("a", "b"):
+        raise ValueError(f"subsystem must be 'a' or 'b', got {keep!r}")
+    return np.einsum("ijkj->ik" if keep == "a" else "ijil->jl", r)
 
 
 def _spectral_entropy(eigenvalues: np.ndarray):

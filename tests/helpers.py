@@ -206,7 +206,8 @@ def relative_classes_scan(
     """The relative-rotation classes of the k^6 grid from all k^6 pairs of
     adjoint matrices, with no use of the alpha_A = 0 slice: each class's
     first flat index, its ``A = [I | R]`` and its first point's angles, the
-    reference for the three fields of ``rotations._relative_classes``."""
+    reference for ``rotations._relative_classes``, which returns the last
+    two."""
     angles = TWO_PI * np.arange(divisor) / divisor
     adjoints = np.stack(
         [

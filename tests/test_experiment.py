@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib
 import math
 import os
@@ -862,28 +863,35 @@ def test_negativity_never_exceeds_concurrence(default_run):
 
 def test_rows_keep_the_cross_measure_bounds(monkeypatch):
     # The chunk pass holds every entangled row to REE <= E_F(C) within its
-    # gap and to N >= sqrt((1 - C)^2 + C^2) - (1 - C); on seeds 1-4 and 15 the
-    # margins are at least 1.4e-7 bits and 1.2e-4.  A 200-state run passes,
-    # and a value moved past a bound by more than its slack fails the check.
+    # gap and to N >= sqrt((1 - C)^2 + C^2) - (1 - C), and every separable
+    # row to qfi_max <= 1; on seeds 1-4 and 15 the margins are at least
+    # 1.4e-7 bits, 1.2e-4 and 0.068.  A 200-state run passes, and a value
+    # moved past a bound by more than its slack fails the check.
     check, checked = experiment._check_cross_measure_bounds, []
 
-    def spied(concurrences, negativities, solutions):
-        checked.extend(zip(concurrences, negativities, solutions))
-        check(concurrences, negativities, solutions)
+    def spied(concurrences, negativities, solutions, qfi_max):
+        checked.extend(zip(concurrences, negativities, solutions, qfi_max))
+        check(concurrences, negativities, solutions, qfi_max)
 
     monkeypatch.setattr(experiment, "_check_cross_measure_bounds", spied)
     result = run_experiment(ExperimentConfig(count=200, master_seed=1))
-    assert [solution.value for _, _, solution in checked] == [r.ree for r in result.records]
-    c, n, solution = next(row for row in checked if row[1])
+    assert [solution.value for _, _, solution, _ in checked] == [r.ree for r in result.records]
+    assert [q for *_, q in checked] == [r.qfi_max for r in result.records]
+    c, n, solution, q = next(row for row in checked if row[1])
     formation = measures._entanglement_of_formation(c)
     slack = solution.gap + 1e-12
-    check([c], [n], [dataclasses.replace(solution, value=formation + slack)])
+    check([c], [n], [dataclasses.replace(solution, value=formation + slack)], [q])
     with pytest.raises(ArithmeticError, match=r"^REE \S+ lies above E_F\(C\) = "):
-        check([c], [n], [dataclasses.replace(solution, value=formation + 2 * slack)])
+        check([c], [n], [dataclasses.replace(solution, value=formation + 2 * slack)], [q])
     bound, budget = math.hypot(1.0 - c, c) - (1.0 - c), measures._CLOSED_FORMS_SLACK
-    check([c], [bound - budget], [solution])
+    check([c], [bound - budget], [solution], [q])
     with pytest.raises(ArithmeticError, match=r"^negativity \S+ lies below sqrt"):
-        check([c], [bound - 2 * budget], [solution])
+        check([c], [bound - 2 * budget], [solution], [q])
+    c, n, solution, _ = next(row for row in checked if not row[1])
+    shot_noise = 1.0 + measures._SHOT_NOISE_SLACK
+    check([c], [n], [solution], [shot_noise])
+    with pytest.raises(ArithmeticError, match=r"^separable row's mean QFI \S+ lies above"):
+        check([c], [n], [solution], [np.nextafter(shot_noise, 2.0)])
     # E_F of a pure state is the entropy of either reduced state.
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -915,6 +923,27 @@ def test_ree_above_its_formation_bound_names_the_state(monkeypatch):
     message = rf"^state {target} \(master seed 7\): REE {re.escape(repr(raised))} lies above E_F"
     with pytest.raises(ArithmeticError, match=message):
         run_experiment(ExperimentConfig(count=6, master_seed=7))
+
+
+def test_separable_row_above_shot_noise_names_the_state(monkeypatch):
+    # A grid pass that lifts every maximum past 1 + _SHOT_NOISE_SLACK passes
+    # the entangled rows and fails the chunk's check on its separable rows,
+    # and the chunk's state-by-state rerun names the first of them.
+    cfg = ExperimentConfig(count=6, master_seed=7)
+    target = next(record.id for record in run_experiment(cfg).records if record.separable)
+    lifted = 1.0 + 2 * measures._SHOT_NOISE_SLACK
+    optimize = experiment._optimize
+
+    def lifting(g):
+        return [o._replace(max_value=max(o.max_value, lifted)) for o in optimize(g)]
+
+    monkeypatch.setattr(experiment, "_optimize", lifting)
+    message = (
+        rf"^state {target} \(master seed 7\): separable row's mean QFI"
+        rf" {re.escape(repr(lifted))} lies above the shot-noise level 1"
+    )
+    with pytest.raises(ArithmeticError, match=message):
+        run_experiment(cfg)
 
 
 def test_separable_record_reads_zero_in_every_measure_inside_the_ppt_tolerance(monkeypatch):
@@ -1125,25 +1154,68 @@ def test_every_submodule_name_is_exported():
             assert getattr(entqfi, public) is getattr(module, public), (name, public)
 
 
-def test_every_exported_name_is_read_by_a_run_the_readme_or_the_benchmark():
-    # A name that only the tests read belongs in the tests: every export is
-    # loaded or imported by another src/ module, a benchmark script or
-    # README's python block.
+@functools.cache
+def names_read_by_runs() -> tuple[frozenset[str], frozenset[str]]:
+    """The names that a src/ module other than ``__init__``, a benchmark
+    script or README's python block loads or imports, and the attribute
+    names among them that one of them loads."""
     root = Path(__file__).resolve().parents[1]
     paths = [*(root / "src" / "entqfi").glob("*.py"), *(root / "benchmarks").glob("*.py")]
     sources = [path.read_text(encoding="utf-8") for path in paths if path.name != "__init__.py"]
     readme = (root / "README.md").read_text(encoding="utf-8")
     sources += re.findall(r"```python\n(.*?)```", readme, re.S)
-    read = set()
+    read, attributes = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
+    return frozenset(read | attributes), frozenset(attributes)
+
+
+def test_every_exported_name_is_read_by_a_run_the_readme_or_the_benchmark():
+    # A name that only the tests read belongs in the tests: every export is
+    # loaded or imported by another src/ module, a benchmark script or
+    # README's python block.
+    read, _ = names_read_by_runs()
     assert sorted(set(entqfi.__all__) - read) == []
+
+
+# Exported records whose fields are not read by name, each with its reason.
+FIELDS_NOT_READ_BY_NAME = {
+    # read as a tuple, by experiment._ANGLES_FORMAT and by
+    # euler_unitary(*angles[:3]) in benchmarks/checks.py
+    "EulerAngleSet",
+    # ignored settings, which only benchmarks/workloads.py sets; ROADMAP item
+    # 1a deletes them
+    "ReeSolverConfig",
+}
+
+
+def test_every_public_record_field_is_read_by_a_run_the_readme_or_the_benchmark():
+    # A field that no run reads is built for nothing: every field of every
+    # exported NamedTuple and dataclass is loaded as an attribute by a src/
+    # module, a benchmark script or README's python block.
+    _, attributes = names_read_by_runs()
+    records, unread = set(), []
+    for name in entqfi.__all__:
+        record = getattr(entqfi, name)
+        if not isinstance(record, type):
+            continue
+        if dataclasses.is_dataclass(record):
+            fields = [field.name for field in dataclasses.fields(record)]
+        elif issubclass(record, tuple) and hasattr(record, "_fields"):
+            fields = record._fields
+        else:
+            continue
+        records.add(name)
+        if name not in FIELDS_NOT_READ_BY_NAME:
+            unread += [f"{name}.{field}" for field in fields if field not in attributes]
+    assert FIELDS_NOT_READ_BY_NAME <= records
+    assert unread == []
 
 
 def test_cli_defaults_are_the_config_defaults(capsys):

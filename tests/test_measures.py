@@ -286,6 +286,42 @@ def test_divided_differences_hold_their_error_budget_against_40_digit_references
         assert f2_error <= _F2_ERROR_BOUND, k
 
 
+
+def straddling_spectra(rng, n, low, high):
+    """n ascending spectra, each summing to 1, whose three highest
+    eigenvalues spread over a relative width drawn log-uniformly from
+    [low, high]."""
+    spread = np.exp(rng.uniform(np.log(low), np.log(high), n))
+    top = rng.uniform(0.26, 0.33, n)
+    mid = top * (1.0 - spread * rng.uniform(0.0, 1.0, n))
+    bottom = top * (1.0 - spread)
+    return np.stack([1.0 - top - mid - bottom, bottom, mid, top], axis=1)
+
+
+# The largest relative errors of f2 against its 40-digit values on 13 draws
+# of 300 spectra on each side of _COINCIDENT: 1.67e-11 on the -1/(2 mean^2)
+# branch, relative spreads in [1e-6, 1e-5], and 8.04e-11 on the divided
+# branch, in (1e-5, 1e-4]; doubled.  The first draw reads 1.67e-11 and
+# 4.10e-11.
+_COINCIDENT_F2_ERROR_BOUND = 2 * 1.67e-11
+_DIVIDED_F2_ERROR_BOUND = 2 * 8.04e-11
+
+
+def test_second_differences_hold_their_error_budget_on_both_sides_of_the_coincident_switch():
+    rng = np.random.default_rng(60)
+    for low, high, coincident, bound in (
+        (1e-6, 1e-5, True, _COINCIDENT_F2_ERROR_BOUND),
+        (1e-5, 1e-4, False, _DIVIDED_F2_ERROR_BOUND),
+    ):
+        s = straddling_spectra(rng, 300, low, high)
+        assert np.all((s[:, 3] - s[:, 1] <= measures._COINCIDENT * s[:, 3]) == coincident)
+        f1 = measures._log_first_differences(s)
+        f2 = measures._second_differences(s, f1)
+        for k in range(len(s)):
+            _, f2_error = log_divided_differences_errors_mp(s[k], f1[k], f2[k])
+            assert f2_error <= bound, (low, k)
+
+
 def _grid_numerators():
     """Twice the grid's maximum, minimum and raw value, which must agree."""
     optimum = grid_search(bell_state(), 2.0 * math.pi / 4)

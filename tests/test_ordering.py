@@ -1,6 +1,7 @@
 """Pairwise ordering census of measures against optimized mean QFI."""
 
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
@@ -289,7 +290,6 @@ def test_witnesses_are_first_pairs_per_cell_in_canonical_order(monkeypatch):
                 PairWitness(
                     a.id,
                     b.id,
-                    measure,
                     cell,
                     (getattr(a, measure), getattr(b, measure), a.qfi_max, b.qfi_max),
                 )
@@ -386,7 +386,7 @@ def expected_scans(records, eps=None, limit=3):
         witnesses[measure], run_witnesses[measure] = (
             [
                 PairWitness(
-                    a.id, b.id, measure, cell,
+                    a.id, b.id, cell,
                     (getattr(a, measure), getattr(b, measure), a.qfi_max, b.qfi_max),
                 )
                 for cell in cells
@@ -516,6 +516,31 @@ def test_one_scan_reads_a_five_state_run_as_the_four_scans(master_seed):
         table = result.censuses[measure]
         assert table == {cell: cells.count(cell) for cell in table}
     assert any(result.witnesses.values())
+
+
+def test_scans_take_the_records_in_id_order_whatever_the_list_order(monkeypatch):
+    # Pairs read lower id first, so a shuffled list gives the tables and
+    # witnesses of the id-ordered list, which classify_pair reads in id order.
+    records = edge_records(61)
+    tables, witnesses, run_witnesses = expected_scans(records)
+    shuffled = list(records)
+    random.Random(3).shuffle(shuffled)
+    for tile_pairs in (7, ordering._TILE_PAIRS):
+        monkeypatch.setattr(ordering, "_TILE_PAIRS", tile_pairs)
+        assert census(shuffled) == tables, tile_pairs
+        for measure in MEASURE_NAMES:
+            found = find_counterexamples(shuffled, measure, limit=3)
+            assert found == witnesses[measure], (tile_pairs, measure)
+        assert census_and_witnesses(shuffled) == (tables, run_witnesses), tile_pairs
+    assert all(w.id_1 < w.id_2 for found in run_witnesses.values() for w in found)
+    # Equal ids keep their list order, and ids that never decrease are read
+    # from the list itself.
+    twins = [dataclasses.replace(r, id=r.id // 2) for r in records]
+    assert ordering._in_id_order(twins) is twins
+    reversed_twins = twins[::-1]
+    in_order = sorted(reversed_twins, key=lambda r: r.id)
+    assert ordering._in_id_order(reversed_twins) == in_order
+    assert census_and_witnesses(reversed_twins) == census_and_witnesses(in_order)
 
 
 def snapped_records(n):

@@ -155,19 +155,20 @@ def test_ties_keep_lexicographically_first_angles():
 def test_class_tables_match_the_full_grid_scan(divisor):
     # The tables come from the alpha_A = 0 slice alone; the scan compares
     # all k^6 grid pairs, so the two agree only if that slice reaches every
-    # class first.
-    first, spans, angles = relative_classes_scan(divisor)
-    table_first, table_spans, table_angles = _relative_classes(divisor)
-    assert table_first.tobytes() == first.tobytes()
+    # class first.  Each angle set's base-k digits are its class's first
+    # flat index, so equal angle sets are equal first indices.
+    _, spans, angles = relative_classes_scan(divisor)
+    table_spans, table_angles = _relative_classes(divisor)
     assert table_spans.tobytes() == spans.tobytes()
     assert table_angles == angles
 
 
 def test_relative_rotation_class_counts():
     for divisor, count in ((2, 4), (4, 24), (6, 372)):
-        first_flat, spans, _ = _relative_classes(divisor)
-        assert first_flat.size == count
-        assert first_flat[0] == 0 and np.all(np.diff(first_flat) > 0)
+        spans, angles = _relative_classes(divisor)
+        # increasing angle sets are increasing first flat indices
+        assert len(angles) == len(spans) == count
+        assert angles[0] == (0.0,) * 6 and all(a < b for a, b in zip(angles, angles[1:]))
         assert np.array_equal(spans[0], np.hstack([np.eye(3), np.eye(3)]))
 
 
@@ -278,7 +279,7 @@ def test_search_is_deterministic():
 def class_forms(rhos, divisor):
     """The 3x3 form A G Aᵀ of every relative-rotation class for each state,
     as the grid pass builds them."""
-    _, spans, _ = _relative_classes(divisor)
+    spans, _ = _relative_classes(divisor)
     g = _spin_qfi_matrices(herm_eig(np.asarray(rhos, dtype=complex)))
     return spans @ g[:, None] @ spans.transpose(0, 2, 1)
 
@@ -412,7 +413,7 @@ def test_qfi_matrix_and_grid_tops_hold_their_error_budget_against_40_digit_refer
         (4, range(len(rhos)), _BASE_TOP_ERROR_BOUND),
         (6, refined, _REFINED_TOP_ERROR_BOUND),
     ):
-        first, _, _ = _relative_classes(divisor)
+        first = [flat_index(angles, divisor) for angles in _relative_classes(divisor)[1]]
         tops = rotations._grid_tops(g[list(rows)], divisor)
         exact = grid_tops_mp([reference[k] for k in rows], first, divisor)
         for values, exact_values, index in zip(tops.tolist(), exact, rows):
