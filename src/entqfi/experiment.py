@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ from .ordering import (
 )
 from .rotations import DEFAULT_BASE_DIVISOR, DEFAULT_REFINE_DIVISOR, _optimize, stalled
 from .sampling import _density_matrices, derive_stream, random_density_matrix
-from .states import EigendecompositionError, herm_eig
+from .states import EigendecompositionError, _integer, herm_eig
 
 __all__ = [
     "ExperimentConfig",
@@ -106,17 +105,8 @@ class ExperimentConfig:
     ree_threshold = 1e-7
 
     def __post_init__(self):
-        # read as find_counterexamples reads its limit, and stored as ints
-        for name in ("count", "master_seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+        object.__setattr__(self, "count", _integer("count", self.count, 1))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed, 0))
         object.__setattr__(self, "eps_order", _normalize_eps(self.eps_order))
 
 

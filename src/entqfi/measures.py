@@ -109,6 +109,7 @@ from numpy.linalg import LinAlgError
 
 from .states import (
     _DIVERGENCE_ROUNDOFF,
+    HERMITICITY_TOL,
     IDENTITY_4,
     PAULI_PRODUCTS,
     ZERO_CUTOFF,
@@ -842,10 +843,17 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -
     closest state); the barrier runs, for this state alone, only where the
     polish failed.  The value is read off rho's spectrum and the last
     point's spectrum of the closest state, and certified by the dual gap
-    there.  ``cfg`` is ignored.
+    there.  ``cfg`` is ignored.  A rho that is not Hermitian, or whose trace
+    is not 1, within ``HERMITICITY_TOL`` raises ``ValueError``: the solve
+    and its certificate hold only for a state.
     """
     if measured is not None:
         return measured
     stack = _two_qubit(rho)[None]
+    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
+        raise ValueError(f"rho is not Hermitian within {HERMITICITY_TOL:g}")
+    trace = float(stack[0].trace().real)
+    if abs(trace - 1.0) > HERMITICITY_TOL:
+        raise ValueError(f"rho has trace {trace:.12g}, not 1 within {HERMITICITY_TOL:g}")
     (solution,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
     return solution

@@ -54,6 +54,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .rotations import EulerAngleSet
+from .states import _integer, _member
 
 __all__ = [
     "MEASURE_NAMES",
@@ -136,22 +137,24 @@ class PairWitness(NamedTuple):
 
 def _normalize_eps(eps) -> dict[str, float]:
     """``DEFAULT_EPS`` overridden by ``eps``: None, a mapping, or
-    ``(key, value)`` pairs; the keys keep ``DEFAULT_EPS`` order."""
+    ``(key, value)`` pairs; the keys keep ``DEFAULT_EPS`` order.  The one
+    reader of a tolerance: each value is read with ``float`` here, and must
+    be positive and finite; an error names the key."""
     table = dict(DEFAULT_EPS)
     for key, value in dict(eps or {}).items():
-        if key not in table:
-            raise ValueError(f"unknown tolerance key {key!r}")
-        table[key] = float(value)
-    for key, value in table.items():
-        if not (math.isfinite(value) and value > 0.0):
+        _member("tolerance key", key, tuple(DEFAULT_EPS))
+        try:
+            table[key] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"tolerance {key} must be a number, got {value!r}") from None
+        if not (math.isfinite(table[key]) and table[key] > 0.0):
             raise ValueError(f"tolerance {key} must be positive and finite, got {value!r}")
     return table
 
 
 def classify_pair(r1: StateRecord, r2: StateRecord, measure: str, eps=None) -> OrderingClass:
     """Cell of the pair (r1, r2) for one measure; eps as in the census."""
-    if measure not in MEASURE_NAMES:
-        raise ValueError(f"measure must be one of {MEASURE_NAMES}, got {measure!r}")
+    _member("measure", measure, MEASURE_NAMES)
     table = _normalize_eps(eps)
     tol = table[measure]
     a = getattr(r1, measure)
@@ -181,7 +184,9 @@ _TILE_PAIRS = 2**15
 
 # The census counts a tile's codes into this many sub-histograms, one per
 # column mod _LANES, so that neighbouring pairs, which often share a code,
-# do not wait on one counter.
+# do not wait on one counter.  _LANES must divide 2**16: past 2**15 records
+# ``_Counter.lanes`` comes from an int16 ``arange`` that wraps, and a wrapped
+# column keeps its residue mod _LANES only then.
 _LANES = 4
 
 
@@ -475,17 +480,11 @@ def find_counterexamples(
     order (lower id first, whatever the order of ``records``).
 
     The scan stops after the first tile after which every discordant cell
-    holds ``limit`` witnesses.  ``limit`` is any integer, as
-    ``operator.index`` reads it.
+    holds ``limit`` witnesses.  ``limit`` is any integer of at least 1, as
+    ``states._integer`` reads it.
     """
-    if measure not in MEASURE_NAMES:
-        raise ValueError(f"measure must be one of {MEASURE_NAMES}, got {measure!r}")
-    try:
-        limit = operator.index(limit)
-    except TypeError:
-        raise TypeError(f"limit must be an integer, got {limit!r}") from None
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+    _member("measure", measure, MEASURE_NAMES)
+    limit = _integer("limit", limit, 1)
     table = _normalize_eps(eps)
     records = _in_id_order(records)
     collector = _Collector(records, (measure,), limit)

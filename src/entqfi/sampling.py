@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import _integer
+
 __all__ = [
     "derive_stream",
     "random_density_matrix",
@@ -33,10 +35,8 @@ __all__ = [
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent, replayable random stream for one ensemble index."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(seq))
+    seed, key = _integer("master_seed", master_seed, 0), _integer("index", index, 0)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
 
 
 def _simplex_weights(cuts: np.ndarray) -> np.ndarray:

@@ -32,11 +32,15 @@ Conventions shared by the whole package:
   LAPACK failure only sets the invalid flag: call them inside
   ``lapack_guard()``, which raises it as ``LinAlgError``.
 * ``clip_roundoff`` is the one range rule of every reported value.
+* ``_integer`` reads the integer arguments (``count``, ``master_seed``,
+  ``index``, ``limit``) and ``_member`` the named-choice ones (``measure``,
+  ``keep``, the tolerance keys); each error names the argument.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -111,6 +115,26 @@ def clip_roundoff(value, low: float, high: float, what: str, slack=_DIVERGENCE_R
         bounds = f"[{low:g}, {high:g}]"
         raise ArithmeticError(f"{what} {value!r} lies outside {bounds} by more than {slack:.3g}")
     return max(low, min(high, value))
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` read with ``operator.index``, as an int: one that is no
+    integer raises ``TypeError``, and one below ``least`` ``ValueError``,
+    each naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value
+
+
+def _member(name: str, value, choices: tuple) -> None:
+    """Check that ``value`` is one of ``choices``; any other raises
+    ``ValueError`` naming ``name``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _raise_linalg_error(err: str, flag: int):
@@ -200,8 +224,7 @@ def _two_qubit(rho) -> np.ndarray:
 def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
     """Reduced 2x2 state of the kept qubit."""
     r = _two_qubit(rho).reshape(2, 2, 2, 2)
-    if keep not in ("a", "b"):
-        raise ValueError(f"subsystem must be 'a' or 'b', got {keep!r}")
+    _member("keep", keep, ("a", "b"))
     return np.einsum("ijkj->ik" if keep == "a" else "ijil->jl", r)
 
 

@@ -1258,14 +1258,17 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
 
 
 def test_cli_bad_eps_flag_exits_2(tmp_path, capsys):
-    for pair in ("volume=0.1", "ree=-1", "mqfi=nan"):
+    # The flag's parser only splits measure=value, and ExperimentConfig reads
+    # the value, so one that is no number is a configuration error naming its key.
+    for pair in ("volume=0.1", "ree=-1", "mqfi=nan", "ree=abc"):
         assert main(["--eps-order", pair, "--out", str(tmp_path / "x")]) == 2
-        assert "configuration error" in capsys.readouterr().err
-    for pair in ("ree", "ree=abc"):
-        with pytest.raises(SystemExit) as info:
-            main(["--eps-order", pair])
-        assert info.value.code == 2
-    assert "bad tolerance value 'abc'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+    assert "tolerance ree must be a number, got 'abc'" in err
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(SystemExit) as info:
+        main(["--eps-order", "ree"])
+    assert info.value.code == 2
 
 
 def test_cli_io_error_exits_1(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -532,6 +533,24 @@ def test_ree_solver_bell_state():
     assert abs(solution.value - 1.0) <= solution.gap + 1e-12
     assert is_separable(solution.closest_state)
     assert abs(np.trace(solution.closest_state).real - 1.0) < 1e-9
+
+
+def test_ree_rejects_a_matrix_that_is_not_a_state():
+    # None of these is a state, so the solve and its certificate do not hold:
+    # without the check, half a Bell matrix reads 1.8e-10 bits converged, the
+    # skew one 1.0 under a 1945-bit gap, and the zero matrix 0.
+    bell = bell_state()
+    skew = bell + np.triu(np.full((4, 4), 0.3j), 1)
+    cases = {
+        "rho has trace 0.5, not 1 within 1e-10": 0.5 * bell,
+        "rho is not Hermitian within 1e-10": skew,
+        "rho has trace 0, not 1 within 1e-10": np.zeros((4, 4)),
+    }
+    for message, rho in cases.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ree(rho)
+    # a state Hermitian and of trace 1 within the tolerance is solved
+    assert ree(bell + 1e-11 * np.eye(4)).converged
 
 
 def test_ree_solver_matches_pure_oracle():

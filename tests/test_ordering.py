@@ -607,3 +607,68 @@ def test_nonfinite_values_name_the_first_record(field, bad):
                 find_counterexamples(records, measure)
         else:
             find_counterexamples(records, measure)
+
+
+def straddling_records(n):
+    """n records whose every quantity sits in one of three clusters 0.2
+    apart, spread over twice its tolerance, so that pairs of a cluster fall
+    on both sides of the tolerance and the lowest cluster straddles the
+    zero band."""
+    rng = np.random.default_rng(51)
+    columns = [
+        rng.choice([0.0, 0.2, 0.4], size=n) + rng.uniform(0.0, 2.0 * DEFAULT_EPS[name], size=n)
+        for name in (*MEASURE_NAMES, "mqfi")
+    ]
+    return [measured(i, *map(float, row)) for i, row in enumerate(zip(*columns))]
+
+
+@pytest.fixture(scope="module")
+def past_int16_records():
+    """Records past 2**15, where the ranks are int32 and _Counter's int16
+    lanes wrap."""
+    return straddling_records(2**15 + 7)
+
+
+def test_int32_ranks_and_wrapped_lanes_count_the_first_row(past_int16_records):
+    # The first tile is the first record's row of 2**15 + 6 pairs, counted
+    # against classify_pair's comparators, vectorized.
+    records = past_int16_records
+    n = len(records)
+    table = ordering._normalize_eps(None)
+    first, codes = next(ordering._cell_tiles(records, MEASURE_NAMES, table))
+    assert first == 0 and codes.shape == (1, n - 1)
+    counter = ordering._Counter(records)
+    width = ordering._CODES.sentinel + 1
+    assert (counter.lanes == np.arange(n - 1) % ordering._LANES * width).all()
+    counter.add(codes)
+    tables = counter.tables()
+    q = np.array([r.qfi_max for r in records])
+    mqfi = np.where(np.abs(q[0] - q[1:]) <= table["mqfi"], 1, np.where(q[0] > q[1:], 0, 2))
+    for measure in MEASURE_NAMES:
+        v, tol = np.array([getattr(r, measure) for r in records]), table[measure]
+        a, b = v[0], v[1:]
+        relation = np.select(
+            [(a <= tol) & (b <= tol), np.abs(a - b) <= tol, a > b], [0, 2, 1], default=3
+        )
+        expected = np.bincount(3 * relation + mqfi, minlength=12)
+        assert [tables[measure][cell] for cell in ordering._CELLS] == expected.tolist(), measure
+        for j in (1, 2, n // 2, n - 1):
+            assert classify_pair(records[0], records[j], measure) == ordering._CELLS[
+                3 * relation[j - 1] + mqfi[j - 1]
+            ]
+
+
+def test_int32_rank_thresholds_count_the_float_predicate(past_int16_records):
+    records = past_int16_records
+    n = len(records)
+    table = ordering._normalize_eps(None)
+    values = np.array([[getattr(r, f) for r in records] for f in (*MEASURE_NAMES, "qfi_max")])
+    tols = np.array([table[key] for key in (*MEASURE_NAMES, "mqfi")])
+    ranks, low, high = ordering._rank_thresholds(values, tols)
+    assert ranks.dtype == low.dtype == high.dtype == np.int32
+    sampled = np.random.default_rng(52).choice(n, 64, replace=False)
+    for row, tol, rank, lo, hi in zip(values, tols, ranks, low, high):
+        assert (np.sort(rank) == np.arange(n)).all()
+        d = row[sampled, None] - row[None, :]
+        assert (lo[sampled] == np.count_nonzero(d > tol, axis=1)).all()
+        assert (hi[sampled] == n - np.count_nonzero(-d > tol, axis=1)).all()

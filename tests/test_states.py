@@ -13,10 +13,13 @@ from numpy.linalg import LinAlgError
 from entqfi import (
     IDENTITY_4,
     PAULI,
+    ExperimentConfig,
     apply_local_unitary,
+    classify_pair,
     c_matrix,
     concurrence,
     derive_stream,
+    find_counterexamples,
     grid_search,
     herm_eig,
     is_separable,
@@ -27,6 +30,7 @@ from entqfi import (
     partial_transpose,
     random_density_matrix,
     ree,
+    run_experiment,
     spin_qfi_matrix,
     von_neumann_entropy,
 )
@@ -512,3 +516,73 @@ def test_werner_helper_boundaries():
     vals = np.linalg.eigvalsh(partial_transpose(werner(1.0 / 3.0)))
     assert abs(vals[0]) < 1e-12
     assert np.linalg.eigvalsh(partial_transpose(werner(0.5)))[0] < -1e-3
+
+
+def _records():
+    return run_experiment(ExperimentConfig(count=2, master_seed=1)).records
+
+
+_TOLERANCE_KEYS = re.escape("('concurrence', 'negativity', 'ree', 'mqfi')")
+_MEASURES = re.escape("('concurrence', 'negativity', 'ree')")
+
+# Every integer and named-choice argument of the package, read by _integer or
+# _member, and every tolerance value, read by ordering._normalize_eps: each
+# error names its argument or key.
+ARGUMENT_ERRORS = {
+    "count": (lambda: ExperimentConfig(count=0), ValueError, "count must be at least 1, got 0"),
+    "master_seed": (
+        lambda: ExperimentConfig(master_seed=-1),
+        ValueError,
+        "master_seed must be at least 0, got -1",
+    ),
+    "stream seed": (
+        lambda: derive_stream(-1, 0),
+        ValueError,
+        "master_seed must be at least 0, got -1",
+    ),
+    "index type": (lambda: derive_stream(1, 2.5), TypeError, r"index must be an integer, got 2\.5"),
+    "index": (lambda: derive_stream(1, -1), ValueError, "index must be at least 0, got -1"),
+    "limit": (
+        lambda: find_counterexamples(_records(), "ree", limit=0),
+        ValueError,
+        "limit must be at least 1, got 0",
+    ),
+    "find measure": (
+        lambda: find_counterexamples(_records(), "entropy"),
+        ValueError,
+        f"measure must be one of {_MEASURES}, got 'entropy'",
+    ),
+    "classify measure": (
+        lambda: classify_pair(*_records(), "fidelity"),
+        ValueError,
+        f"measure must be one of {_MEASURES}, got 'fidelity'",
+    ),
+    "keep": (
+        lambda: partial_trace(IDENTITY_4 / 4.0, "c"),
+        ValueError,
+        re.escape("keep must be one of ('a', 'b'), got 'c'"),
+    ),
+    "tolerance key": (
+        lambda: ExperimentConfig(eps_order={"volume": 0.1}),
+        ValueError,
+        f"tolerance key must be one of {_TOLERANCE_KEYS}, got 'volume'",
+    ),
+    "tolerance None": (
+        lambda: ExperimentConfig(eps_order={"ree": None}),
+        ValueError,
+        "tolerance ree must be a number, got None",
+    ),
+    "tolerance text": (
+        lambda: ExperimentConfig(eps_order={"ree": "abc"}),
+        ValueError,
+        "tolerance ree must be a number, got 'abc'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
+def test_each_argument_error_names_its_argument(case):
+    call, error, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
