@@ -29,7 +29,6 @@ import numpy as np
 from .states import PAULI_PRODUCTS, ZERO_CUTOFF, _two_qubit, clip_roundoff, herm_eig
 
 __all__ = [
-    "LOCAL_SPINS",
     "QfiResult",
     "spin_qfi_matrix",
     "c_matrix",

@@ -126,7 +126,6 @@ from .states import (
 )
 
 __all__ = [
-    "SEPARABILITY_EIG_TOL",
     "ReeSolverConfig",
     "ReeSolution",
     "concurrence",

@@ -38,10 +38,9 @@ over the codes marks those that put a scanned measure in a cell still
 open, one lookup per tile finds the candidate pairs, and only they are
 decoded.  It stops after the tile in which the last cell fills.  A run
 takes the census and every measure's witnesses from one scan,
-``census_and_witnesses``.  All reject a non-finite value, which the
-comparators could not order.
-``classify_pair`` is the scalar reference that the tests compare them
-against.
+``census_and_witnesses``.  ``classify_pair`` is the scalar reference that
+the tests compare them against.  All of them reject a non-finite value,
+which the comparators could not order.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "MEASURE_NAMES",
     "MEASURE_RELATIONS",
     "MQFI_RELATIONS",
-    "DEFAULT_EPS",
     "DEFAULT_WITNESS_LIMIT",
     "DISCORDANT_CELLS",
     "StateRecord",
@@ -152,10 +150,23 @@ def _normalize_eps(eps) -> dict[str, float]:
     return table
 
 
+def _require_finite(record: StateRecord, *fields: str) -> None:
+    """Raise for the first of the record's fields that is not finite."""
+    for field in fields:
+        value = float(getattr(record, field))
+        if not math.isfinite(value):
+            raise ValueError(
+                f"record id {record.id}: {field} is {value!r};"
+                " the ordering census compares finite values only"
+            )
+
+
 def classify_pair(r1: StateRecord, r2: StateRecord, measure: str, eps=None) -> OrderingClass:
     """Cell of the pair (r1, r2) for one measure; eps as in the census."""
     _member("measure", measure, MEASURE_NAMES)
     table = _normalize_eps(eps)
+    for record in (r1, r2):
+        _require_finite(record, measure, "qfi_max")
     tol = table[measure]
     a = getattr(r1, measure)
     b = getattr(r2, measure)
@@ -342,11 +353,7 @@ def _cell_tiles(
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.flatnonzero(~finite.all(axis=0))[0])
-        f = int(np.flatnonzero(~finite[:, k])[0])
-        raise ValueError(
-            f"record id {records[k].id}: {fields[f]} is {float(values[f, k])!r};"
-            " the ordering census compares finite values only"
-        )
+        _require_finite(records[k], fields[int(np.flatnonzero(~finite[:, k])[0])])
     tols = np.array([table[name] for name in (*measures, "mqfi")])
     ranks, low, high = _rank_thresholds(values, tols)
     # A measure's zero-band rows read both-zero below the count of values in

@@ -46,9 +46,6 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "IDENTITY_2",
     "IDENTITY_4",
     "PAULI",

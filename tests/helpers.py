@@ -144,7 +144,7 @@ def qfi_bell_diagonal_oracle(weights) -> float:
     )
 
 
-def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def inverse_ree_fixtures(count: int, fraction: float = 0.5) -> list[tuple[np.ndarray, np.ndarray]]:
     """``count`` entangled states rho, each with its closest PPT state sigma.
 
     For a full-rank PPT sigma whose sigma^G has a kernel vector phi, every
@@ -156,7 +156,8 @@ def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
     multiplies by the first divided differences of ln, so its inverse
     divides by them.  sigma^G is the partial transpose of a PPT state of
     master seed 7 less its lowest eigenpair, renormalized; sigma is kept if
-    its lowest eigenvalue is at least 1e-6, and x is half its rho >= 0 limit.
+    its lowest eigenvalue is at least 1e-6, and x is ``fraction`` of its
+    rho >= 0 limit, where rho reaches rank 3.
     """
     fixtures, index = [], 0
     while len(fixtures) < count:
@@ -172,7 +173,7 @@ def inverse_ree_fixtures(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
         delta = v @ (kernel / _log_first_differences(s)) @ v.conj().T
         # sigma - x delta >= 0 up to x = 1 / lambda_max(sigma^-1/2 delta sigma^-1/2).
         root_inv = (v / np.sqrt(s)) @ v.conj().T
-        x = 0.5 / np.linalg.eigvalsh(root_inv @ delta @ root_inv)[-1]
+        x = fraction / np.linalg.eigvalsh(root_inv @ delta @ root_inv)[-1]
         rho = sigma - x * delta
         fixtures.append((0.5 * (rho + rho.conj().T), sigma))
     return fixtures

@@ -1509,6 +1509,22 @@ def test_ree_matches_the_inverse_problem_fixtures():
         assert abs(ree(rotated).value - solution.value) <= solution.gap
 
 
+def test_ree_matches_the_inverse_problem_fixtures_at_the_rank_3_edge():
+    # At x a fraction 1 - 1e-9 of its rho >= 0 limit, lambda_min(rho) is
+    # below 1e-12; at the limit rho has rank 3 (lambda_min down to -2.5e-16).
+    # Every solve converges and ends on the face, its start-chain t None.
+    # The bounds are twice the worst errors measured over fractions 0.5 to 1:
+    # 2.7e-15 bits for the value and 1.3e-15 for the closest state.
+    for fraction in (1.0 - 1e-9, 1.0):
+        fixtures = inverse_ree_fixtures(60, fraction)
+        outcomes = _chain_outcomes(np.stack([rho for rho, _ in fixtures]))
+        for (rho, sigma), outcome in zip(fixtures, outcomes):
+            solution = ree(rho)
+            assert solution.converged and outcome[2] is None, fraction
+            assert abs(solution.value - relative_entropy(rho, sigma)) <= 5.4e-15, fraction
+            assert np.max(np.abs(solution.closest_state - sigma)) <= 2.8e-15, fraction
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency: the package must import without it.
     src = Path(__file__).resolve().parents[1] / "src"

@@ -9,7 +9,6 @@ import pytest
 
 from entqfi import ordering
 from entqfi import (
-    DEFAULT_EPS,
     DEFAULT_WITNESS_LIMIT,
     DISCORDANT_CELLS,
     EulerAngleSet,
@@ -24,7 +23,7 @@ from entqfi import (
     find_counterexamples,
     run_experiment,
 )
-from entqfi.ordering import MEASURE_RELATIONS, MQFI_RELATIONS
+from entqfi.ordering import DEFAULT_EPS, MEASURE_RELATIONS, MQFI_RELATIONS
 
 ZERO_ANGLES = EulerAngleSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -601,12 +600,19 @@ def test_nonfinite_values_name_the_first_record(field, bad):
     message = f"record id 12: {field} is {bad!r}"
     with pytest.raises(ValueError, match=message):
         census(records)
+    # classify_pair reads the first of its two records first
+    pairs = (records[1], records[2]), (records[2], records[4])
     for measure in MEASURE_NAMES:
         if field in (measure, "qfi_max"):
             with pytest.raises(ValueError, match=message):
                 find_counterexamples(records, measure)
+            for pair in pairs:
+                with pytest.raises(ValueError, match=message):
+                    classify_pair(*pair, measure)
         else:
             find_counterexamples(records, measure)
+            for pair in pairs:
+                classify_pair(*pair, measure)
 
 
 def straddling_records(n):

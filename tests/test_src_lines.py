@@ -47,4 +47,29 @@ def test_package_lines_count_each_module_of_a_checkout(tmp_path, capsys):
     assert src_lines.package_lines(tmp_path) == {"a.py": 8, "b.py": 1}
     assert src_lines.main([str(tmp_path)]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[-1] for row in rows[1:]] == ["8", "1", "9"]
+    assert [row.split()[-1] for row in rows[1:]] == ["8", "1", "9", "0"]
+
+
+# Three exports: the two string entries of the first __all__ list literal and
+# the one of the last.  A starred entry, an augmented or computed __all__,
+# the list of another name and a function's __all__ are not counted.
+EXPORTS_FIXTURE = '''from . import other
+
+__all__ = ["area", "Shape", *other.__all__]
+__all__ += ["ignored"]
+NAMES = ["not", "exported"]
+__all__ = __all__ + ["ignored"]
+__all__ = ["last"]
+
+
+def area():
+    __all__ = ["local"]
+'''
+
+
+def test_exports_count_the_string_entries_of_each_all_list_literal(tmp_path, capsys):
+    package = tmp_path / src_lines.PACKAGE
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(EXPORTS_FIXTURE, encoding="utf-8")
+    assert src_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["exports", "3"]

@@ -9,7 +9,9 @@ lines, comment lines and the lines of docstrings (the string that opens a
 module, class or function body) do not count, and every line of any other
 string literal does.  The tool prints one row per module and a ``total``
 row, with one column per checkout; a module missing from a checkout reads
-``-``.  The exit status is 0, or 1 without a checkout.
+``-``.  An ``exports`` row follows: the string entries of the ``__all__``
+list literals of the checkout's modules, read with ``ast``, so the package
+is not imported.  The exit status is 0, or 1 without a checkout.
 """
 
 from __future__ import annotations
@@ -56,6 +58,24 @@ def package_lines(checkout: Path) -> dict[str, int]:
     return {path.name: code_lines(path.read_text(encoding="utf-8")) for path in modules}
 
 
+def exports(source: str) -> int:
+    """The string entries of the ``__all__ = [...]`` list literals of a module."""
+    count = 0
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)):
+            continue
+        if "__all__" in {target.id for target in node.targets if isinstance(target, ast.Name)}:
+            entries = [entry for entry in node.value.elts if isinstance(entry, ast.Constant)]
+            count += sum(isinstance(entry.value, str) for entry in entries)
+    return count
+
+
+def package_exports(checkout: Path) -> int:
+    """``exports`` summed over the modules of the checkout's package."""
+    modules = (checkout / PACKAGE).glob("*.py")
+    return sum(exports(path.read_text(encoding="utf-8")) for path in modules)
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         sys.exit(__doc__)
@@ -71,6 +91,7 @@ def main(argv: list[str]) -> int:
     for name in names:
         print(row(name, [count.get(name, "-") for count in counts]))
     print(row("total", [sum(count.values()) for count in counts]))
+    print(row("exports", [package_exports(Path(checkout)) for checkout in argv]))
     return 0
 
 
