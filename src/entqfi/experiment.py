@@ -52,6 +52,7 @@ from .ordering import (
     OrderingClass,
     PairWitness,
     StateRecord,
+    _in_id_order,
     _normalize_eps,
     census,
     census_and_witnesses,
@@ -131,7 +132,7 @@ class ExperimentResult:
                 (fmt(record.concurrence), fmt(record.negativity), fmt(record.ree)),
                 f"{fmt(record.qfi_raw)},{fmt(record.qfi_max)},{fmt(record.qfi_min)}",
             )
-            for record in sorted(self.records, key=lambda r: r.id)
+            for record in _in_id_order(self.records)
         ]
 
 
@@ -339,7 +340,7 @@ def emit_census_report(result: ExperimentResult, path) -> None:
     """Plain-text census report: config echo, ensemble summary, one
     ordering table per measure, then discordant-cell witnesses."""
     cfg = result.config
-    records = sorted(result.records, key=lambda r: r.id)
+    records = _in_id_order(result.records)
     lines: list[str] = []
     lines.append("# two-qubit ordering census: entanglement measures vs optimized mean QFI")
     lines.append("# qfi columns are mean QFI per particle; range [0, 2], shot noise at 1")

@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PAULI_PRODUCTS, ZERO_CUTOFF, _two_qubit, clip_roundoff, herm_eig
+from .states import PAULI_PRODUCTS, ZERO_CUTOFF, _hermitian_part, _two_qubit, clip_roundoff
+from .states import herm_eig
 
 __all__ = [
     "QfiResult",
@@ -79,10 +80,8 @@ def _spin_qfi_matrices(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     weights = pair_weights(vals).reshape(n, 1, 16)
     # Local spins rewritten in the eigenbasis of each rho, <i|S_a|j> flattened
     # over the 16 pairs (i, j); G sums the weighted products over the pairs.
-    s_eig = basis.conj().swapaxes(1, 2)[:, None] @ LOCAL_SPINS @ basis[:, None]
-    s_eig = s_eig.reshape(n, 6, 16)
-    g = 2.0 * np.real((s_eig * weights) @ s_eig.conj().swapaxes(1, 2))
-    return 0.5 * (g + g.swapaxes(1, 2))
+    s_eig = (basis.conj().swapaxes(1, 2)[:, None] @ LOCAL_SPINS @ basis[:, None]).reshape(n, 6, 16)
+    return _hermitian_part(2.0 * np.real((s_eig * weights) @ s_eig.conj().swapaxes(1, 2)))
 
 
 def c_matrix(rho: np.ndarray) -> np.ndarray:

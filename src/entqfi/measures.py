@@ -290,7 +290,7 @@ def concurrence(rho: np.ndarray) -> float:
 def _concurrences(spectra: tuple[np.ndarray, np.ndarray]) -> list[float]:
     """``concurrence`` of each state of a stack, from ``herm_eig``'s spectra."""
     p, vecs = spectra
-    root = (vecs * np.sqrt(np.clip(p, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    root = (vecs * np.sqrt(np.maximum(p, 0.0))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     vals = np.linalg.svd(root.conj() @ _SPIN_FLIP @ root, compute_uv=False)
     # np.maximum, unlike max, keeps a NaN for the range rule to reject.
     values = np.maximum(vals[:, 0] - vals[:, 1] - vals[:, 2] - vals[:, 3], 0.0)
@@ -561,20 +561,18 @@ def _coordinates(sigma: np.ndarray) -> np.ndarray:
 
 
 def _pt_projectors(phi: np.ndarray) -> np.ndarray:
-    """``Y = (|phi><phi|)^G`` for each phi of a stack: Y[(a, b), (a', b')]
-    is phi[a, b'] conj(phi[a', b])."""
-    half = phi.reshape(-1, 2, 2)
-    y = half[:, :, None, None, :] * half.conj().swapaxes(1, 2)[:, None, :, :, None]
-    return y.reshape(-1, 4, 4)
+    """``Y = (|phi><phi|)^G`` for each phi of a stack."""
+    return partial_transpose(phi[:, :, None] * phi.conj()[:, None, :])
 
 
-def _lift(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(m - e Y) / (1 - e)`` for each m of a stack, where
-    ``Y = (|phi><phi|)^G`` and (e, phi) is the lowest eigenpair of m^G.  The
-    result's partial transpose is m^G with its lowest eigenvalue moved to 0,
-    so phi spans its kernel (Sanpera, Tarrach & Vidal), and a trace-1 m
-    keeps trace 1."""
-    return (m - e[:, None, None] * y) / (1.0 - e)[:, None, None]
+def _face_point(rho: np.ndarray, m: np.ndarray, e: np.ndarray, phi: np.ndarray) -> _Point:
+    """The point, against each rho of a stack, at ``(m - e Y) / (1 - e)``
+    for each m of a stack, where ``Y = (|phi><phi|)^G`` and (e, phi) is the
+    lowest eigenpair of m^G.  That matrix's partial transpose is m^G with
+    its lowest eigenvalue moved to 0, so phi spans its kernel (Sanpera,
+    Tarrach & Vidal), and a trace-1 m keeps trace 1."""
+    lifted = (m - e[:, None, None] * _pt_projectors(phi)) / (1.0 - e)[:, None, None]
+    return _point(rho, _coordinates(lifted))
 
 
 def _face_starts(
@@ -590,8 +588,8 @@ def _face_starts(
     ``rho = sigma - x G_sigma[Y_sigma]`` with ``Y = (|phi><phi|)^G`` and
     ``G = (D ln)^-1`` (Miranowicz & Ishizaka), is proportional to
     ``rho + c G_rho[Y]``, ``c = -e / tr(Y G_rho[Y])``, which puts
-    lambda_min(sigma_1^G) on 0 to first order, and ``_lift`` puts it there
-    exactly.  In rho's eigenbasis G_rho divides by the first divided
+    lambda_min(sigma_1^G) on 0 to first order, and ``_face_point`` puts it
+    there exactly.  In rho's eigenbasis G_rho divides by the first divided
     differences of ln of all the rows at once, which needs r_0 above
     ZERO_CUTOFF and keeps them finite.  Rows where lambda_min(sigma_1) falls
     below _FIRST_ORDER_FLOOR r_0 are left out.  Under ``lapack_guard()`` a
@@ -609,8 +607,7 @@ def _face_starts(
     sigma_1 = rho + c[:, None, None] * (w @ gw @ w.conj().mT)
     sigma_1 /= sigma_1.trace(axis1=1, axis2=2).real[:, None, None]
     lam, vec = eigh(partial_transpose(sigma_1))
-    lifted = _lift(sigma_1, lam[:, 0], _pt_projectors(vec[:, :, 0]))
-    p = _point(rho, _coordinates(lifted))
+    p = _face_point(rho, sigma_1, lam[:, 0], vec[:, :, 0])
     floors = (_FIRST_ORDER_FLOOR * r[:, 0]).tolist()
     lows = p.s[:, 0, 0].tolist()
     serves = [k for k, (low, floor) in enumerate(zip(lows, floors)) if low >= floor]
@@ -781,8 +778,7 @@ def _start_chain(rho: np.ndarray, spectra, pt_spectra) -> list:
         _face_polish(rho, *_face_starts(rho, entangled, r, w, e, phi), outcomes)
         rows = [k for k in entangled if not outcomes[k][1]]
         if rows:
-            lifted = _lift(rho[rows], e[rows], _pt_projectors(phi[rows]))
-            _face_polish(rho, rows, _point(rho[rows], _coordinates(lifted)), outcomes)
+            _face_polish(rho, rows, _face_point(rho[rows], rho[rows], e[rows], phi[rows]), outcomes)
         for k in entangled:
             point, steps, _ = outcomes[k]
             if point is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import _integer
+from .states import _hermitian_part, _integer
 
 __all__ = [
     "derive_stream",
@@ -64,8 +64,7 @@ def _density_matrices(rngs) -> np.ndarray:
         cuts.append(rng.uniform(0.0, 1.0, size=3))
         normals.append(rng.standard_normal((2, 4, 4)))
     basis = _haar_bases(np.array(normals))
-    rho = (basis * _simplex_weights(np.array(cuts))[:, None, :]) @ basis.conj().swapaxes(1, 2)
-    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    return _hermitian_part((basis * _simplex_weights(np.array(cuts))[:, None, :]) @ basis.conj().mT)
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:

@@ -17,10 +17,13 @@ Conventions shared by the whole package:
   matrix.
 * Every spectrum is ``eigh``'s ``(values, vectors)``: eigenvalues
   ascending, as LAPACK returns them, with matching eigenvector columns.
-  LAPACK reads only the lower triangle.  ``herm_eig`` alone symmetrizes,
-  as ``(M + M†)/2``; the states that a caller or the sampler passes in, and
-  ``fisher``'s C, go through it.  The matrices that the package builds
-  (rho^G, REE's sigma, sigma^G and dual matrices) are decomposed as built.
+  LAPACK reads only the lower triangle.  ``_hermitian_part``, ``(M + M†)/2``,
+  is the one symmetrization, exactly Hermitian in floating point; four
+  places read it: ``herm_eig``, through which the states that a caller or
+  the sampler passes in and ``fisher``'s C go, ``apply_local_unitary``,
+  ``sampling._density_matrices`` and ``fisher._spin_qfi_matrices``, on the
+  real G.  The matrices that the package builds (rho^G, REE's sigma,
+  sigma^G and dual matrices) are decomposed as built.
   The rotation forms A G Aᵀ are not decomposed: ``rotations`` reads only
   their top eigenvalue, in closed form from the lower triangle, and takes
   ``eigvalsh`` of a form as built only where its top two eigenvalues
@@ -188,12 +191,18 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(M + M†)/2`` of a matrix, or of each in a stack: exactly Hermitian
+    in floating point, since the sum commutes and the diagonal's imaginary
+    parts cancel."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of ``(M + M†)/2`` under ``lapack_guard()``: the ascending
     eigenvalues and eigenvectors of a matrix, or of each in a stack, that
     is Hermitian only up to roundoff."""
-    m = np.asarray(matrix, dtype=complex)
-    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    m = _hermitian_part(np.asarray(matrix, dtype=complex))
     with lapack_guard():
         return eigh(m)
 
@@ -272,5 +281,4 @@ def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np
         if float(np.max(np.abs(u @ u.conj().T - IDENTITY_2))) > HERMITICITY_TOL:
             raise ValueError(f"{name} is not unitary within {HERMITICITY_TOL:g}")
     u = np.kron(u_a, u_b)
-    out = u @ rho @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _hermitian_part(u @ rho @ u.conj().T)

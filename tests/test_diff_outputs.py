@@ -1,5 +1,6 @@
 """tools/diff_outputs.py on small runs: identical outputs report nothing, and a
-moved cell, census row or witness line is reported, a ree cell beside its gap."""
+moved cell, census row, witness line or raw value is reported, a ree cell
+beside its gap."""
 
 import dataclasses
 import importlib.util
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from entqfi import (
+    EulerAngleSet,
     ExperimentConfig,
     emit_census_report,
     emit_plot_data,
@@ -32,7 +34,13 @@ def _emit(result, directory: Path) -> Path:
 
 
 def _raw(result, gaps=None) -> dict:
-    return {"ree": {r.id: r.ree for r in result.records}, "gap": gaps or {}}
+    """What ``raw_values`` reads of a run in this process."""
+    records = result.records
+    raw = {name: {r.id: getattr(r, name) for r in records} for name in diff_outputs.RAW_FIELDS}
+    for angles in ("max_angles", "min_angles"):
+        for k, name in enumerate(EulerAngleSet._fields):
+            raw[f"{angles}.{name}"] = {r.id: getattr(r, angles)[k] for r in records}
+    return {**raw, "gap": gaps or {}}
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +73,18 @@ def test_a_moved_ree_cell_is_reported_beside_the_parents_gap(small_run, tmp_path
     assert len(lines) == 4
 
 
+def test_a_raw_qfi_move_below_the_printed_digits_is_reported(small_run, tmp_path):
+    # A qfi_max move of 1e-16 leaves every output byte as it was.
+    records = list(small_run.records)
+    records[2] = dataclasses.replace(records[2], qfi_max=records[2].qfi_max + 1e-16)
+    moved = dataclasses.replace(small_run, records=records)
+    parent, change = _emit(small_run, tmp_path / "parent"), _emit(moved, tmp_path / "change")
+    move = records[2].qfi_max - small_run.records[2].qfi_max
+    assert 0.0 < move < 1e-15
+    lines = diff_outputs.diff_seed(parent, change, _raw(small_run), _raw(moved))
+    assert lines == [f"  raw qfi_max: 1 of {_STATES} values moved, largest {move:.3g}"]
+
+
 def test_moved_census_rows_and_witness_lines_are_reported(small_run, tmp_path):
     parent, change = _emit(small_run, tmp_path / "parent"), _emit(small_run, tmp_path / "change")
     lines = (change / "census.txt").read_text().splitlines()
@@ -93,7 +113,8 @@ def test_a_checkout_runs_the_command_and_the_raw_probe(small_run, tmp_path):
     expected = _emit(run_experiment(ExperimentConfig(count=states, master_seed=_SEED)), tmp_path / "e")
     for name in diff_outputs.FILES + (diff_outputs.REPORT,):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
-    raw = diff_outputs.raw_ree(_ROOT, _SEED, states, gaps=True)
-    assert raw["ree"] == {r.id: r.ree for r in small_run.records[:states]}
+    raw = diff_outputs.raw_values(_ROOT, _SEED, states, gaps=True)
+    head = dataclasses.replace(small_run, records=small_run.records[:states])
+    assert raw == _raw(head, raw["gap"])
     entangled = [r.id for r in small_run.records[:states] if not r.separable]
     assert sorted(raw["gap"]) == entangled and all(0.0 < gap < 1e-10 for gap in raw["gap"].values())

@@ -108,7 +108,8 @@ def test_random_density_matrix_is_valid_state():
     for _ in range(100):
         rho = random_density_matrix(rng)
         assert rho.shape == (4, 4)
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+        # states._hermitian_part leaves rho exactly Hermitian, bit for bit.
+        assert np.array_equal(rho, rho.conj().T)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] > -1e-14
 

@@ -469,6 +469,12 @@ def test_apply_local_unitary_conjugates():
     assert np.allclose(out, pure(ket("10")), atol=1e-14)
     # entanglement-neutral sanity: identity on both sides is a no-op
     assert np.allclose(apply_local_unitary(rho, np.eye(2), np.eye(2)), rho)
+    # The product's Hermitian part is exactly Hermitian, bit for bit.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rho = random_density_matrix(rng)
+        out = apply_local_unitary(rho, haar_unitary(rng, 2), haar_unitary(rng, 2))
+        assert np.array_equal(out, out.conj().T)
 
 
 def test_apply_local_unitary_rejects_nonunitary():

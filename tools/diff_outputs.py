@@ -17,12 +17,15 @@ path, into a new temporary directory.  Per seed the tool then reports:
   parent's certified gap ``ree(rho).gap``; the raw values come from
   ``run_experiment`` in one subprocess per checkout, since the files print
   12 significant digits, and the gaps from ``ree`` on each entangled state
-  of the parent, drawn with ``derive_stream`` and ``random_density_matrix``.
+  of the parent, drawn with ``derive_stream`` and ``random_density_matrix``;
+- for each raw field of the records, ``RAW_FIELDS`` and then the twelve
+  angles (``max_angles.alpha_a`` and so on), how many raw values moved and
+  the largest move; ``ree``'s moves stand beside the parent's gaps too.
 
-A seed on which no output byte and no raw ``ree`` value moved reports
-nothing.  The last line counts the moved ``ree`` cells of ``states.csv`` per
-seed and says whether every raw move lies below the parent's gap.  The exit
-status is 0 whatever moved.
+A seed on which no output byte and no raw value moved reports nothing.
+The last line counts the moved ``ree`` cells of ``states.csv`` per seed
+and says whether every raw ``ree`` move lies below the parent's gap.  The
+exit status is 0 whatever moved.
 """
 
 from __future__ import annotations
@@ -40,21 +43,38 @@ STATES = 1000
 FILES = ("states.csv", "fig1_concurrence.csv", "fig1_negativity.csv", "fig1_ree.csv")
 REPORT = "census.txt"
 
-# Run in a checkout: the raw ree value of every state and, with "gaps",
-# the certified gap of every entangled one, as JSON keyed by state id.
+# The float fields of a record that the raw probe reads, before its angles.
+RAW_FIELDS = (
+    "ree",
+    "concurrence",
+    "negativity",
+    "qfi_raw",
+    "qfi_max",
+    "qfi_min",
+    "base_max_value",
+    "base_min_value",
+)
+
+# Run in a checkout: each raw field of every state, the angles as
+# "max_angles.alpha_a" and so on, and, with "gaps", the certified gap of
+# every entangled state, as JSON keyed by field and state id.
 _PROBE = """
 import json, sys
 from entqfi import (
     ExperimentConfig, derive_stream, random_density_matrix, ree, run_experiment,
 )
-seed, states = int(sys.argv[1]), int(sys.argv[2])
+seed, states, fields = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[4])
 records = run_experiment(ExperimentConfig(count=states, master_seed=seed)).records
-gaps = {
+raw = {name: {r.id: getattr(r, name) for r in records} for name in fields}
+for angles in ("max_angles", "min_angles"):
+    for k, name in enumerate(records[0].max_angles._fields):
+        raw[f"{angles}.{name}"] = {r.id: getattr(r, angles)[k] for r in records}
+raw["gap"] = {
     r.id: ree(random_density_matrix(derive_stream(seed, r.id))).gap
     for r in records
     if sys.argv[3] == "True" and not r.separable
 }
-print(json.dumps({"ree": {r.id: r.ree for r in records}, "gap": gaps}))
+print(json.dumps(raw))
 """
 
 
@@ -77,10 +97,12 @@ def run_outputs(checkout: Path, seed: int, states: int, out: Path) -> None:
     _python(checkout, command + ["--out", str(out.resolve())])
 
 
-def raw_ree(checkout: Path, seed: int, states: int, gaps: bool) -> dict:
-    """``{"ree": {id: bits}, "gap": {id: bits}}`` of a run in ``checkout``;
-    the gaps only with ``gaps``, of its entangled states."""
-    raw = json.loads(_python(checkout, ["-c", _PROBE, str(seed), str(states), str(gaps)]))
+def raw_values(checkout: Path, seed: int, states: int, gaps: bool) -> dict:
+    """``{field: {id: value}}`` of a run in ``checkout``, each raw field
+    and angle of every record, and ``"gap"``: ``{id: bits}``, only with
+    ``gaps``, of its entangled states."""
+    args = ["-c", _PROBE, str(seed), str(states), str(gaps), json.dumps(RAW_FIELDS)]
+    raw = json.loads(_python(checkout, args))
     return {key: {int(k): v for k, v in values.items()} for key, values in raw.items()}
 
 
@@ -167,8 +189,8 @@ def _changes(old: str, new: str) -> str:
 
 def diff_seed(parent_dir: Path, change_dir: Path, parent_raw: dict, change_raw: dict) -> list[str]:
     """The report lines of one seed, from both checkouts' output
-    directories and ``raw_ree`` values; empty if no output byte and no raw
-    ``ree`` value moved."""
+    directories and ``raw_values``; empty if no output byte and no raw
+    value moved."""
     lines = []
     for name in FILES:
         for column, cells in diff_csv(parent_dir / name, change_dir / name).items():
@@ -191,18 +213,27 @@ def diff_seed(parent_dir: Path, change_dir: Path, parent_raw: dict, change_raw: 
             f" {max(move for move, _ in moves.values()):.3g} bits, at most {max(ratios):.3g}"
             f" of the parent's gap, {sum(r >= 1.0 for r in ratios)} at or above it"
         )
+    for name in [name for name in parent_raw if name not in ("ree", "gap")]:
+        moved = _field_moves(parent_raw[name], change_raw[name])
+        if moved:
+            lines.append(
+                f"  raw {name}: {len(moved)} of {len(parent_raw[name])} values moved,"
+                f" largest {max(moved.values()):.3g}"
+            )
     return lines
+
+
+def _field_moves(old: dict, new: dict) -> dict[int, float]:
+    """Each state whose raw value moved between two ``{id: value}`` maps,
+    with the size of the move."""
+    return {k: abs(new[k] - value) for k, value in old.items() if new.get(k, value) != value}
 
 
 def raw_moves(parent_raw: dict, change_raw: dict) -> dict[int, tuple[float, float | None]]:
     """Each state whose raw ree value moved: the move in bits and the
     parent's gap, None where the parent read the state as separable."""
-    old, new = parent_raw["ree"], change_raw["ree"]
-    return {
-        k: (abs(new[k] - value), parent_raw["gap"].get(k))
-        for k, value in old.items()
-        if new.get(k, value) != value
-    }
+    moved = _field_moves(parent_raw["ree"], change_raw["ree"])
+    return {k: (move, parent_raw["gap"].get(k)) for k, move in moved.items()}
 
 
 def _ree_cells(cells, parent_raw: dict, change_raw: dict) -> list[str]:
@@ -227,8 +258,8 @@ def main(argv: list[str]) -> int:
                 out = Path(scratch) / f"{side}-{seed}"
                 run_outputs(checkout, seed, STATES, out)
                 dirs.append(out)
-            parent_raw = raw_ree(parent, seed, STATES, gaps=True)
-            change_raw = raw_ree(change, seed, STATES, gaps=False)
+            parent_raw = raw_values(parent, seed, STATES, gaps=True)
+            change_raw = raw_values(change, seed, STATES, gaps=False)
             lines = diff_seed(*dirs, parent_raw, change_raw)
             print("\n".join([f"seed {seed}:" + ("" if lines else " nothing moved")] + lines))
             moved = diff_csv(dirs[0] / "states.csv", dirs[1] / "states.csv").get("ree", [])
