@@ -206,7 +206,7 @@ def _measure_chunk(
             concurrence=conc,
             negativity=neg,
             ree=solution.value,
-            separable=_ppt(low),
+            separable=separable,
             ree_converged=solution.converged,
             qfi_raw=optimum.raw_value,
             qfi_max=optimum.max_value,
@@ -217,8 +217,8 @@ def _measure_chunk(
             base_max_value=optimum.base_max_value,
             base_min_value=optimum.base_min_value,
         )
-        for index, low, conc, neg, solution, optimum in zip(
-            indices, lowest, concurrences, negativities, solutions, optima
+        for index, separable, conc, neg, solution, optimum in zip(
+            indices, _ppt(lowest).tolist(), concurrences, negativities, solutions, optima
         )
     ]
     seconds = (sampled - started, measured - sampled, rotated - measured, solved - rotated)

@@ -91,8 +91,13 @@ def c_matrix(rho: np.ndarray) -> np.ndarray:
     return g[:3, :3] + g[3:, 3:] + (g[:3, 3:] + g[3:, :3])
 
 
+def _mean_qfi(numerators):
+    """The mean QFI of a numerator lambda_max(C), or of each of an array: the
+    one mean-QFI rule, the range rule on [0, _NUMERATOR_MAX], then halved."""
+    return clip_roundoff(numerators, 0.0, _NUMERATOR_MAX, "mean-QFI numerator") / 2.0
+
+
 def max_mean_qfi(rho: np.ndarray) -> QfiResult:
     """Direction-optimized mean QFI, lambda_max(C)/2, with C."""
     c = c_matrix(rho)
-    top = clip_roundoff(herm_eig(c)[0][-1], 0.0, _NUMERATOR_MAX, "mean-QFI numerator")
-    return QfiResult(top / 2.0, c)
+    return QfiResult(_mean_qfi(herm_eig(c)[0][-1]), c)

@@ -71,8 +71,8 @@ barrier; the value is recomputed as S(rho||closest) from the spectra of
 rho and of the closest state that the solve holds.  ``_ree_inputs``
 certifies a chunk's entangled states in one stacked pass over the last
 points that ``_start_chain`` gives them: the dual gaps, the ``_ppt`` check
-of each last sigma^G, the closest states, the divergences and, per state,
-the range rule with its own gap.  The
+of each last sigma^G, the closest states, the divergences and one range
+rule call over their values, each value's slack with its own gap.  The
 solver works in nats, reports bits.  Its spectra and Newton solves run on
 the LAPACK kernels of ``states`` under one ``lapack_guard()`` per chunk:
 a failed spectrum raises ``EigendecompositionError``, and a chunk that
@@ -81,12 +81,13 @@ state's polish, and a singular barrier Hessian, whose step LAPACK leaves
 NaN, the solve, where it is.
 
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
-range rule ``states.clip_roundoff``; REE's slack adds its certified gap
-(|Phi+> reads 1 + 1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at
-most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).
-Its lowest eigenvalue lambda_min decides PPT (``_ppt``) and the negativity,
-which ``_negativities`` reads as 0 where PPT holds and -2 lambda_min
-elsewhere, so that a separable state reads 0 in every measure.
+range rule ``states.clip_roundoff``, which judges each measure of a chunk
+in one call; REE's slack adds each row's certified gap (|Phi+> reads 1 +
+1.8e-10 bits, gap 2.7e-10).  For two qubits rho^G has at most one negative
+eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).  Its lowest
+eigenvalue lambda_min decides PPT (``_ppt``, elementwise over a stack) and
+the negativity, which ``_negativities`` reads as 0 where PPT holds and -2
+lambda_min elsewhere, so that a separable state reads 0 in every measure.
 Each state's rho^G is decomposed once, by ``_pt_eigh``: a chunk takes its
 lowest eigenpair (lambda_min, phi) from one ``eigh`` of its rho^G stack and
 rho's spectrum from one ``herm_eig`` of its stack; ``_ree_inputs`` reads
@@ -294,7 +295,7 @@ def _concurrences(spectra: tuple[np.ndarray, np.ndarray]) -> list[float]:
     vals = np.linalg.svd(root.conj() @ _SPIN_FLIP @ root, compute_uv=False)
     # np.maximum, unlike max, keeps a NaN for the range rule to reject.
     values = np.maximum(vals[:, 0] - vals[:, 1] - vals[:, 2] - vals[:, 3], 0.0)
-    return [clip_roundoff(value, 0.0, 1.0, "concurrence") for value in values]
+    return clip_roundoff(values, 0.0, 1.0, "concurrence").tolist()
 
 
 def _pt_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,19 +316,19 @@ def negativity(rho: np.ndarray) -> float:
 def _negativities(lowest: np.ndarray) -> list[float]:
     """``negativity`` of each state from its lowest partial-transpose
     eigenvalue: 0 wherever ``_ppt`` holds, so that separable states read 0."""
-    return [
-        0.0 if _ppt(low) else clip_roundoff(-2.0 * low, 0.0, 1.0, "negativity") for low in lowest
-    ]
+    values = np.where(_ppt(lowest), 0.0, -2.0 * lowest)
+    return clip_roundoff(values, 0.0, 1.0, "negativity").tolist()
 
 
-def _ppt(lowest: float) -> bool:
-    """The one PPT verdict on the lowest partial-transpose eigenvalue."""
-    return bool(lowest >= -SEPARABILITY_EIG_TOL)
+def _ppt(lowest):
+    """The one PPT verdict on the lowest partial-transpose eigenvalue, or on
+    each of an array; NaN fails it."""
+    return lowest >= -SEPARABILITY_EIG_TOL
 
 
 def is_separable(rho: np.ndarray) -> bool:
     """PPT test, exact for two qubits."""
-    return _ppt(_pt_eigh(_two_qubit(rho))[0][0])
+    return bool(_ppt(_pt_eigh(_two_qubit(rho))[0][0]))
 
 
 def _entanglement_of_formation(c: float) -> float:
@@ -770,11 +771,10 @@ def _start_chain(rho: np.ndarray, spectra, pt_spectra) -> list:
     row by row, where neither polish ended on the face.  It runs under the
     caller's ``lapack_guard()``, as in ``_ree_inputs``."""
     (r, w), (pt_values, pt_vectors) = spectra, pt_spectra
-    lowest = pt_values[:, 0].tolist()
-    outcomes = [None if _ppt(low) else (None, 0, None) for low in lowest]
+    e, phi = pt_values[:, 0], pt_vectors[:, :, 0]
+    outcomes = [None if ppt else (None, 0, None) for ppt in _ppt(e).tolist()]
     entangled = [k for k, outcome in enumerate(outcomes) if outcome]
     if entangled:
-        e, phi = pt_values[:, 0], pt_vectors[:, :, 0]
         _face_polish(rho, *_face_starts(rho, entangled, r, w, e, phi), outcomes)
         rows = [k for k in entangled if not outcomes[k][1]]
         if rows:
@@ -782,7 +782,7 @@ def _start_chain(rho: np.ndarray, spectra, pt_spectra) -> list:
         for k in entangled:
             point, steps, _ = outcomes[k]
             if point is None:
-                point, barrier_steps, t = _barrier_solve(rho[k], lowest[k])
+                point, barrier_steps, t = _barrier_solve(rho[k], float(e[k]))
                 outcomes[k] = point, steps + barrier_steps, t
     return outcomes
 
@@ -796,8 +796,8 @@ def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[ReeSolution]:
     point.  One pass over those points prices their dual gaps, the barrier
     rows' with their last t, judges their sigma^G with ``_ppt``, builds
     their closest states, reads each value off rho's spectrum and the
-    point's spectrum of the closest state, and passes the values through the
-    range rule, each with its own gap in its slack."""
+    point's spectrum of the closest state, and passes the values through one
+    range rule call, each with its own gap in its slack."""
     with lapack_guard():
         outcomes = _start_chain(rho, spectra, pt_spectra)
         solutions = [
@@ -812,7 +812,7 @@ def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[ReeSolution]:
         stacked = map(np.stack, zip(*points)) if len(rows) > 1 else (f[None] for f in points[0])
         p = _Point(*stacked)
         gaps = _dual_gap(p, last_t) + _gap_roundoff(p)
-    if not _ppt(np.minimum.reduce(p.s[:, 1, 0])):
+    if not _ppt(p.s[:, 1, 0]).all():
         raise ArithmeticError("solver produced a non-PPT candidate state")
     r = spectra[0]
     if len(rows) < len(outcomes):
@@ -820,11 +820,11 @@ def _ree_inputs(rho: np.ndarray, spectra, pt_spectra) -> list[ReeSolution]:
     # Each point holds the spectrum that herm_eig of its closest state gives,
     # as that state is Hermitian to the last bit.
     values = _divergence(rho, p.s[:, 0], p.v[:, 0], _spectral_entropy(r))
-    closest = _sigmas(p.x)[:, 0]
-    for k, sigma, value, taken, gap in zip(rows, closest, values.tolist(), steps, gaps.tolist()):
-        bits = gap / LN2
-        value = clip_roundoff(value, 0.0, 1.0, "REE", bits + _DIVERGENCE_ROUNDOFF)
-        solutions[k] = ReeSolution(value, sigma, taken, gap <= _GAP_TOL_NATS, bits)
+    bits = gaps / LN2
+    values = clip_roundoff(values, 0.0, 1.0, "REE", bits + _DIVERGENCE_ROUNDOFF).tolist()
+    converged = (gaps <= _GAP_TOL_NATS).tolist()
+    for k, *solution in zip(rows, values, _sigmas(p.x)[:, 0], steps, converged, bits.tolist()):
+        solutions[k] = ReeSolution(*solution)
     return solutions
 
 
@@ -845,10 +845,10 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -
     if measured is not None:
         return measured
     stack = _two_qubit(rho)[None]
-    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
+    if not np.abs(stack - stack.conj().swapaxes(1, 2)).max() <= HERMITICITY_TOL:
         raise ValueError(f"rho is not Hermitian within {HERMITICITY_TOL:g}")
     trace = float(stack[0].trace().real)
-    if abs(trace - 1.0) > HERMITICITY_TOL:
+    if not abs(trace - 1.0) <= HERMITICITY_TOL:
         raise ValueError(f"rho has trace {trace:.12g}, not 1 within {HERMITICITY_TOL:g}")
     (solution,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
     return solution

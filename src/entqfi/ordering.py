@@ -203,6 +203,8 @@ _LANES = 4
 
 # The twelve cells by index 3 * measure_relation + mqfi_relation.
 _CELLS = tuple(OrderingClass(r, q) for r in MEASURE_RELATIONS for q in MQFI_RELATIONS)
+# The keys of a measure's cells in ``_Codes.keys``: the twelve, then the sentinel.
+_STRIDE = len(_CELLS) + 1
 _DISCORDANT_CODES = tuple(code for code, cell in enumerate(_CELLS) if cell in DISCORDANT_CELLS)
 
 # MEASURE_RELATIONS index of a measure's trit, for a row outside and a row
@@ -216,8 +218,9 @@ class _Codes(NamedTuple):
     trits as base-3 digits (first measure highest, ``qfi_max`` lowest), and
     ``sentinel`` marks a tile cell with no pair.  A scan of fewer measures
     leaves the bit and the digit of each other measure at 0.  ``keys[m,
-    code]`` is ``13 * m`` plus measure m's cell, ``3 * measure_relation +
-    mqfi_relation`` or 12 for the sentinel."""
+    code]`` is ``_STRIDE * m`` plus measure m's cell, ``3 *
+    measure_relation + mqfi_relation`` or ``len(_CELLS)`` for the
+    sentinel."""
 
     sentinel: int
     zero_weights: np.ndarray
@@ -234,10 +237,10 @@ def _codes() -> _Codes:
     zero_weights = [3**quantities << k for k in range(count - 1, -1, -1)]
     cells = [
         [3 * _RELATION_OF_TRIT[code // w % 2][code // d % 3] + code % 3 for code in range(sentinel)]
-        + [12]
+        + [len(_CELLS)]
         for w, d in zip(zero_weights, digits)
     ]
-    keys = np.array(cells) + np.arange(0, 13 * count, 13)[:, None]
+    keys = np.array(cells) + np.arange(0, _STRIDE * count, _STRIDE)[:, None]
     digits = np.array(digits, dtype=np.uint8)[:, None, None]
     return _Codes(sentinel, np.array(zero_weights)[:, None], digits, keys)
 
@@ -400,8 +403,8 @@ class _Counter:
         reaches 2**53."""
         codes = self.counts.reshape(_LANES, -1).sum(axis=0)
         cells = np.bincount(_CODES.keys.ravel(), np.concatenate((codes,) * len(_CODES.keys)))
-        cells = cells.astype(np.int64).tolist()
-        return {name: dict(zip(_CELLS, cells[13 * m :])) for m, name in enumerate(MEASURE_NAMES)}
+        cells = cells.astype(np.int64).reshape(-1, _STRIDE).tolist()
+        return {name: dict(zip(_CELLS, row)) for name, row in zip(MEASURE_NAMES, cells)}
 
 
 def census(records: Sequence[StateRecord], eps=None) -> dict[str, dict[OrderingClass, int]]:
@@ -433,8 +436,8 @@ class _Collector:
         self.records, self.measures = records, measures
         self.places = [MEASURE_NAMES.index(name) for name in measures]
         self.keys = _CODES.keys.take(self.places, axis=0)
-        self.hits = {13 * m + code: [] for m in self.places for code in _DISCORDANT_CODES}
-        self.need = np.zeros(13 * len(MEASURE_NAMES), dtype=np.intp)
+        self.hits = {_STRIDE * m + code: [] for m in self.places for code in _DISCORDANT_CODES}
+        self.need = np.zeros(_STRIDE * len(MEASURE_NAMES), dtype=np.intp)
         self.need[list(self.hits)] = limit
         self.open = self.need[self.keys].any(axis=0)
 
@@ -471,7 +474,7 @@ class _Collector:
             measure: [
                 witness(r1, r2, measure, code)
                 for code in _DISCORDANT_CODES
-                for r1, r2 in self.hits[13 * m + code]
+                for r1, r2 in self.hits[_STRIDE * m + code]
             ]
             for m, measure in zip(self.places, self.measures)
         }

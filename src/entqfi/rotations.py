@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fisher import _NUMERATOR_MAX, spin_qfi_matrix
-from .states import IDENTITY_2, PAULI, clip_roundoff, eigvalsh, lapack_guard
+from .fisher import _mean_qfi, spin_qfi_matrix
+from .states import IDENTITY_2, PAULI, eigvalsh, lapack_guard
 
 __all__ = [
     "DEFAULT_BASE_DIVISOR",
@@ -184,7 +184,7 @@ def grid_search(rho: np.ndarray, step: float) -> LoccOptimum:
 
     ``evaluations`` counts the k^6 grid points covered; the pass itself
     evaluates one value per relative-rotation class.  The three reported
-    numerators pass the mean-QFI range rule of ``fisher.max_mean_qfi``.
+    numerators pass the mean-QFI rule of ``fisher.max_mean_qfi``.
     """
     divisor = _divisor_from_step(step)
     return _grid_optima(_grid_tops(spin_qfi_matrix(rho)[None], divisor), divisor)[0]
@@ -240,15 +240,15 @@ def _top_eigenvalues(forms: np.ndarray) -> np.ndarray:
 def _grid_optima(tops: np.ndarray, divisor: int) -> list[LoccOptimum]:
     """Each state's pass from its row of the class values ``tops``,
     (n, classes): the extremes, the first class within ``_TIE`` of each and
-    the raw column are read off the whole stack, and one range rule judges
-    the maxima, the minima and the raw values of every state."""
+    the raw column are read off the whole stack, and one call of the
+    mean-QFI rule, ``fisher._mean_qfi``, judges the maxima, the minima and
+    the raw values of every state."""
     _, angles = _relative_classes(divisor)
     top, bottom = tops.max(axis=1), tops.min(axis=1)
     hi = (tops >= (top - _TIE)[:, None]).argmax(axis=1)
     lo = (tops <= (bottom + _TIE)[:, None]).argmax(axis=1)
     picked = np.concatenate([top, bottom, tops[:, 0]])
-    numerators = clip_roundoff(picked, 0.0, _NUMERATOR_MAX, "mean-QFI numerator") / 2.0
-    highs, lows, raws = numerators.reshape(3, -1).tolist()
+    highs, lows, raws = _mean_qfi(picked).reshape(3, -1).tolist()
     return [
         LoccOptimum(
             max_value=high,

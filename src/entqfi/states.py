@@ -13,8 +13,8 @@ Conventions shared by the whole package:
   Every other public function that takes one state (``partial_trace``,
   ``apply_local_unitary``, the measures and the QFI and rotation
   searches) reads it through ``_two_qubit``, which raises ``ValueError``
-  on any shape but 4x4; ``von_neumann_entropy`` reads any Hermitian
-  matrix.
+  on any shape but 4x4 and on a NaN or infinite entry;
+  ``von_neumann_entropy`` reads any Hermitian matrix.
 * Every spectrum is ``eigh``'s ``(values, vectors)``: eigenvalues
   ascending, as LAPACK returns them, with matching eigenvector columns.
   LAPACK reads only the lower triangle.  ``_hermitian_part``, ``(M + M†)/2``,
@@ -34,7 +34,10 @@ Conventions shared by the whole package:
   state; the REE solve calls them tens of times per entangled state.  A
   LAPACK failure only sets the invalid flag: call them inside
   ``lapack_guard()``, which raises it as ``LinAlgError``.
-* ``clip_roundoff`` is the one range rule of every reported value.
+* ``clip_roundoff`` is the one range rule of every reported value, one
+  array code path for a scalar and for a stack alike; a stacked caller
+  judges its whole stack in one call, a slack per value where each value
+  has its own.
 * ``_integer`` reads the integer arguments (``count``, ``master_seed``,
   ``index``, ``limit``) and ``_member`` the named-choice ones (``measure``,
   ``keep``, the tolerance keys); each error names the argument.
@@ -96,25 +99,23 @@ class EigendecompositionError(LinAlgError):
 
 
 def clip_roundoff(value, low: float, high: float, what: str, slack=_DIVERGENCE_ROUNDOFF):
-    """``value`` as a float, clipped to [low, high] if outside by at most
-    ``slack``; further out, NaN included, ``ArithmeticError`` names ``what``.
-    -0.0 reads +0.0 at low = 0.  An array is judged in one pass, its first
-    value outside raising, and comes back clipped as a float array."""
-    if getattr(value, "ndim", 0):
-        values = np.asarray(value, dtype=float)
-        # NaN fails both tests, as the extremes carry it.
-        bottom, top = np.minimum.reduce(values, axis=None), np.maximum.reduce(values, axis=None)
-        if not low - slack <= bottom <= top <= high + slack:
-            outside = ~((low - slack <= values) & (values <= high + slack))
-            clip_roundoff(values[outside][0], low, high, what, slack)
-        # numpy leaves the sign of a zero that np.maximum returns to its loops;
-        # adding 0.0 makes -0.0 read +0.0, as max() does.
-        return np.maximum(np.minimum(values, high), low) + 0.0
-    value = float(value)
-    if not low - slack <= value <= high + slack:
+    """``value``, a scalar or an array, clipped to [low, high] where outside
+    by at most ``slack``, one slack or one per value; further out, NaN
+    included, the first value outside raises ``ArithmeticError`` naming
+    ``what`` and that value's own slack.  -0.0 reads +0.0 at low = 0.  A 0-d
+    value comes back as a float, any other as a float array."""
+    values = np.asarray(value, dtype=float)
+    # NaN fails both tests.
+    inside = (low - slack <= values) & (values <= high + slack)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        value, slack = float(values.flat[k]), float(np.broadcast_to(slack, values.shape).flat[k])
         bounds = f"[{low:g}, {high:g}]"
         raise ArithmeticError(f"{what} {value!r} lies outside {bounds} by more than {slack:.3g}")
-    return max(low, min(high, value))
+    # numpy leaves the sign of a zero that np.maximum returns to its loops;
+    # adding 0.0 makes -0.0 read +0.0.
+    clipped = np.maximum(np.minimum(values, high), low) + 0.0
+    return clipped if clipped.shape else float(clipped)
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -178,7 +179,7 @@ def _failing(m: np.ndarray) -> np.ndarray:
         return m
     stack = m.reshape((-1,) + m.shape[-2:])
     with np.errstate(invalid="ignore"):
-        vals = _umath_linalg.eigvalsh_lo(stack, signature="D->d" if m.dtype.kind == "c" else "d->d")
+        vals = eigvalsh(stack)
     failed = np.flatnonzero(np.isnan(vals).any(axis=-1))
     return stack[failed[0]] if failed.size else m
 
@@ -218,12 +219,17 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 
 
 def _two_qubit(rho) -> np.ndarray:
-    """rho as one complex 4x4 matrix, the one shape check of every public
-    function that takes a single two-qubit state; any other shape, a stack
-    included, raises ``ValueError``."""
+    """rho as one finite complex 4x4 matrix, the one shape check of every
+    public function that takes a single two-qubit state; any other shape, a
+    stack included, raises ``ValueError``, as does a NaN or infinite entry,
+    the first of them named."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
+    finite = np.isfinite(rho)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"expected a finite matrix, got {rho[i, j]} at entry [{i}, {j}]")
     return rho
 
 
@@ -278,7 +284,10 @@ def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np
     for name, u in (("u_a", u_a), ("u_b", u_b)):
         if u.shape != (2, 2):
             raise ValueError(f"{name} must be 2x2, got shape {u.shape}")
-        if float(np.max(np.abs(u @ u.conj().T - IDENTITY_2))) > HERMITICITY_TOL:
+        # A NaN or infinite entry leaves the deviation NaN, an overflow inf: both fail.
+        with np.errstate(invalid="ignore", over="ignore"):
+            deviation = float(np.max(np.abs(u @ u.conj().T - IDENTITY_2)))
+        if not deviation <= HERMITICITY_TOL:
             raise ValueError(f"{name} is not unitary within {HERMITICITY_TOL:g}")
     u = np.kron(u_a, u_b)
     return _hermitian_part(u @ rho @ u.conj().T)

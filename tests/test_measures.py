@@ -21,7 +21,7 @@ from entqfi import (
     random_density_matrix,
     ree,
 )
-from entqfi import fisher, measures, rotations, states
+from entqfi import fisher, measures, states
 from entqfi.fisher import max_mean_qfi
 from entqfi.rotations import grid_search
 from entqfi.sampling import _density_matrices
@@ -359,7 +359,7 @@ _RANGE_RULE_CALLERS = {
         (0.0, 4.0),
     ),
     # the grid's maximum, minimum and raw value, judged in one call per pass
-    "grid mean-QFI numerators": (rotations, "mean-QFI numerator", 1, _grid_numerators, (0.0, 4.0)),
+    "grid mean-QFI numerators": (fisher, "mean-QFI numerator", 1, _grid_numerators, (0.0, 4.0)),
 }
 
 
@@ -400,11 +400,12 @@ def test_range_rule_clips_roundoff_and_raises_beyond_it(monkeypatch, caller):
 
 
 def _raw_range_rule_values(monkeypatch, module):
-    """Spy on the rule: the values its callers in ``module`` hand it."""
+    """Spy on the rule: the values its callers in ``module`` hand it, a
+    stack's in order."""
     raw = []
 
     def rule(value, *args):
-        raw.append(float(value))
+        raw.extend(np.ravel(value).tolist())
         return clip_roundoff(value, *args)
 
     monkeypatch.setattr(module, "clip_roundoff", rule)

@@ -284,6 +284,37 @@ def test_range_rule_judges_an_array_in_one_pass():
         clip_roundoff(np.array([0.5, np.nan]), 0.0, 1.0, "x")
 
 
+def test_range_rule_reads_a_scalar_as_each_element_of_an_array():
+    # One code path: each value of an array, and the same value alone, clip
+    # alike, -0.0 and values just outside but within the slack included, and
+    # raise the same message; a 0-d input comes back as a float.
+    values = [-0.0, 0.0, 0.5, 1.0, 1.0 + 5e-13, -5e-13, 5e-324]
+    clipped = clip_roundoff(np.array(values), 0.0, 1.0, "x")
+    assert clipped.dtype == float
+    for value, element in zip(values, clipped.tolist()):
+        for alone in (value, np.float64(value), np.array(value)):
+            one = clip_roundoff(alone, 0.0, 1.0, "x")
+            assert type(one) is float
+            assert one == element and math.copysign(1.0, one) == math.copysign(1.0, element)
+    for outside in (1.0 + 1e-6, -1e-6, math.nan, math.inf):
+        with pytest.raises(ArithmeticError) as alone:
+            clip_roundoff(outside, 0.0, 1.0, "x")
+        with pytest.raises(ArithmeticError) as element:
+            clip_roundoff(np.array([0.5, outside, 0.25]), 0.0, 1.0, "x")
+        assert str(element.value) == str(alone.value)
+    # A slack per value clips each value by its own slack, and the first
+    # value outside its own slack raises with that slack.
+    slack = np.array([1e-12, 3e-12, 4e-12])
+    within = clip_roundoff(np.array([0.5, 1.0 + 2e-12, -3e-12]), 0.0, 1.0, "x", slack)
+    assert within.tolist() == [0.5, 1.0, 0.0]
+    for values, message in (
+        ([0.5, 1.0 + 2e-12, 1.0 + 5e-12], r"^x 1\.000000000005 .* by more than 4e-12$"),
+        ([-2e-12, 1.0 + 5e-12, 0.5], r"^x -2e-12 lies outside \[0, 1\] by more than 1e-12$"),
+    ):
+        with pytest.raises(ArithmeticError, match=message):
+            clip_roundoff(np.array(values), 0.0, 1.0, "x", slack)
+
+
 def test_a_stack_reads_each_state_as_it_reads_alone():
     # The entropy and the divergence of a stack give each state's own bits,
     # also where some states have zero eigenvalues: rank-deficient rho and
@@ -420,7 +451,8 @@ def test_divergence_roundoff_holds_its_measured_worst_cases_300_times_over(monke
     raw = {}
 
     def recorded(value, low, high, what, slack=states._DIVERGENCE_ROUNDOFF):
-        excess = max(low - float(value), float(value) - high)
+        values = np.asarray(value, dtype=float)
+        excess = max(low - values.min(), values.max() - high)
         raw[what] = max(raw.get(what, -math.inf), excess)
         return clip_roundoff(value, low, high, what, slack)
 
@@ -480,6 +512,14 @@ def test_apply_local_unitary_conjugates():
 def test_apply_local_unitary_rejects_nonunitary():
     with pytest.raises(ValueError, match="u_a is not unitary within 1e-10"):
         apply_local_unitary(IDENTITY_4 / 4.0, 2.0 * np.eye(2), np.eye(2))
+    # A NaN or infinite entry, which leaves the deviation NaN, is no unitary
+    # either, nor is one whose product overflows.
+    for entry in (math.nan, math.inf, complex(0.0, math.inf), 1e200):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = entry
+        for name, (u_a, u_b) in (("u_a", (u, np.eye(2))), ("u_b", (np.eye(2), u))):
+            with pytest.raises(ValueError, match=f"^{name} is not unitary within 1e-10$"):
+                apply_local_unitary(IDENTITY_4 / 4.0, u_a, u_b)
     with pytest.raises(ValueError):
         apply_local_unitary(IDENTITY_4 / 4.0, np.eye(2), np.eye(3))
 
@@ -515,6 +555,19 @@ def test_single_state_functions_share_one_shape_check(name, shape):
         SINGLE_STATE_FUNCTIONS[name](rho)
     # the same function reads one state, given as nested lists too
     SINGLE_STATE_FUNCTIONS[name]((IDENTITY_4 / 4.0).tolist())
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("name", sorted(SINGLE_STATE_FUNCTIONS))
+def test_single_state_functions_reject_a_non_finite_entry(name, entry):
+    # I/4 with two entries spoilt reads no number: the shape check names the
+    # first, in row-major order.
+    rho = IDENTITY_4 / 4.0
+    rho[1, 1] = entry
+    rho[2, 3] = math.nan
+    message = f"^expected a finite matrix, got {re.escape(str(rho[1, 1]))} at entry \\[1, 1\\]$"
+    with pytest.raises(ValueError, match=message):
+        SINGLE_STATE_FUNCTIONS[name](rho)
 
 
 def test_werner_helper_boundaries():
