@@ -16,8 +16,6 @@ from .rotations import *
 from .ordering import *
 from .experiment import *
 
-__version__ = "0.1.0"
-
 # The public surface is every submodule's own __all__.
 __all__ = [
     *states.__all__,
@@ -27,5 +25,4 @@ __all__ = [
     *rotations.__all__,
     *ordering.__all__,
     *experiment.__all__,
-    "__version__",
 ]

@@ -32,7 +32,6 @@ from .states import herm_eig
 __all__ = [
     "QfiResult",
     "spin_qfi_matrix",
-    "c_matrix",
     "max_mean_qfi",
 ]
 
@@ -84,13 +83,6 @@ def _spin_qfi_matrices(spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return _hermitian_part(2.0 * np.real((s_eig * weights) @ s_eig.conj().swapaxes(1, 2)))
 
 
-def c_matrix(rho: np.ndarray) -> np.ndarray:
-    """The real symmetric 3x3 QFI matrix of the collective spin."""
-    g = spin_qfi_matrix(rho)
-    # Cross blocks summed first so the fold stays exactly symmetric.
-    return g[:3, :3] + g[3:, 3:] + (g[:3, 3:] + g[3:, :3])
-
-
 def _mean_qfi(numerators):
     """The mean QFI of a numerator lambda_max(C), or of each of an array: the
     one mean-QFI rule, the range rule on [0, _NUMERATOR_MAX], then halved."""
@@ -98,6 +90,10 @@ def _mean_qfi(numerators):
 
 
 def max_mean_qfi(rho: np.ndarray) -> QfiResult:
-    """Direction-optimized mean QFI, lambda_max(C)/2, with C."""
-    c = c_matrix(rho)
+    """Direction-optimized mean QFI, lambda_max(C)/2, with C, the real
+    symmetric 3x3 QFI matrix of the collective spin: the fold of G's four
+    3x3 blocks."""
+    g = spin_qfi_matrix(rho)
+    # Cross blocks summed first so the fold stays exactly symmetric.
+    c = g[:3, :3] + g[3:, 3:] + (g[:3, 3:] + g[3:, :3])
     return QfiResult(_mean_qfi(herm_eig(c)[0][-1]), c)

@@ -838,9 +838,10 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -
     closest state); the barrier runs, for this state alone, only where the
     polish failed.  The value is read off rho's spectrum and the last
     point's spectrum of the closest state, and certified by the dual gap
-    there.  ``cfg`` is ignored.  A rho that is not Hermitian, or whose trace
-    is not 1, within ``HERMITICITY_TOL`` raises ``ValueError``: the solve
-    and its certificate hold only for a state.
+    there.  ``cfg`` is ignored.  A rho that is not Hermitian, whose trace
+    is not 1, or whose lowest eigenvalue lies below 0, within
+    ``HERMITICITY_TOL`` raises ``ValueError``: the solve and its certificate
+    hold only for a state.
     """
     if measured is not None:
         return measured
@@ -850,5 +851,9 @@ def ree(rho: np.ndarray, cfg: ReeSolverConfig | None = None, *, measured=None) -
     trace = float(stack[0].trace().real)
     if not abs(trace - 1.0) <= HERMITICITY_TOL:
         raise ValueError(f"rho has trace {trace:.12g}, not 1 within {HERMITICITY_TOL:g}")
-    (solution,) = _ree_inputs(stack, herm_eig(stack), _pt_eigh(stack))
+    spectra = herm_eig(stack)
+    lowest = float(spectra[0][0, 0])
+    if not lowest >= -HERMITICITY_TOL:
+        raise ValueError(f"rho has eigenvalue {lowest:.12g}, not >= 0 within {HERMITICITY_TOL:g}")
+    (solution,) = _ree_inputs(stack, spectra, _pt_eigh(stack))
     return solution

@@ -13,8 +13,9 @@ Conventions shared by the whole package:
   Every other public function that takes one state (``partial_trace``,
   ``apply_local_unitary``, the measures and the QFI and rotation
   searches) reads it through ``_two_qubit``, which raises ``ValueError``
-  on any shape but 4x4 and on a NaN or infinite entry;
-  ``von_neumann_entropy`` reads any Hermitian matrix.
+  on any shape but 4x4 and, through ``_finite``, on a NaN or infinite
+  entry; ``von_neumann_entropy`` reads any finite Hermitian matrix, checked
+  by ``_finite`` too.
 * Every spectrum is ``eigh``'s ``(values, vectors)``: eigenvalues
   ascending, as LAPACK returns them, with matching eigenvector columns.
   LAPACK reads only the lower triangle.  ``_hermitian_part``, ``(M + M†)/2``,
@@ -31,7 +32,9 @@ Conventions shared by the whole package:
 * ``eigh``, ``eigvalsh`` and ``solve`` call the LAPACK gufuncs behind
   ``np.linalg``'s ``eigh``, ``eigvalsh`` and ``solve``, so their results are
   bit for bit the same without the per-call argument checks and error
-  state; the REE solve calls them tens of times per entangled state.  A
+  state; the REE solve calls them tens of times per entangled state.  Each
+  takes the dtypes its callers pass: ``eigh`` complex matrices, ``solve``
+  real systems, ``eigvalsh`` both (the rotation forms are real).  A
   LAPACK failure only sets the invalid flag: call them inside
   ``lapack_guard()``, which raises it as ``LinAlgError``.
 * ``clip_roundoff`` is the one range rule of every reported value, one
@@ -152,12 +155,12 @@ def lapack_guard() -> np.errstate:
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(m)``: ascending eigenvalues and eigenvectors of a
-    stack of real symmetric or complex Hermitian matrices, read from the
-    lower triangle.  Under ``lapack_guard()`` a failure raises
+    complex Hermitian matrix or a stack of them, read from the lower
+    triangle.  Under ``lapack_guard()`` a failure raises
     ``EigendecompositionError`` with m, or with the failing matrix of a
     stack."""
     try:
-        return _umath_linalg.eigh_lo(m, signature="D->dD" if m.dtype.kind == "c" else "d->dd")
+        return _umath_linalg.eigh_lo(m, signature="D->dD")
     except LinAlgError as exc:
         raise EigendecompositionError(_failing(m)) from exc
 
@@ -185,11 +188,11 @@ def _failing(m: np.ndarray) -> np.ndarray:
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for one right-hand side vector b, both of
-    one dtype.  Under ``lapack_guard()`` a singular a raises ``LinAlgError``;
+    """``np.linalg.solve(a, b)`` for a real a and one real right-hand side
+    vector b.  Under ``lapack_guard()`` a singular a raises ``LinAlgError``;
     with the invalid flag ignored, each singular system of a stack reads NaN
     in its own row, and the others as they solve alone."""
-    return _umath_linalg.solve1(a, b, signature="DD->D" if a.dtype.kind == "c" else "dd->d")
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -202,10 +205,15 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of ``(M + M†)/2`` under ``lapack_guard()``: the ascending
     eigenvalues and eigenvectors of a matrix, or of each in a stack, that
-    is Hermitian only up to roundoff."""
+    is Hermitian only up to roundoff.  An eigenvalue that LAPACK leaves NaN
+    without setting the invalid flag, as it does for a NaN on the diagonal,
+    raises ``EigendecompositionError`` too."""
     m = _hermitian_part(np.asarray(matrix, dtype=complex))
     with lapack_guard():
-        return eigh(m)
+        vals, vecs = eigh(m)
+    if np.isnan(vals).any():
+        raise EigendecompositionError(_failing(m))
+    return vals, vecs
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
@@ -226,11 +234,17 @@ def _two_qubit(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
-    finite = np.isfinite(rho)
+    return _finite(rho)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m, of which a NaN or infinite entry raises ``ValueError``, the first
+    of them named."""
+    finite = np.isfinite(m)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0].tolist()
-        raise ValueError(f"expected a finite matrix, got {rho[i, j]} at entry [{i}, {j}]")
-    return rho
+        index = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"expected a finite matrix, got {m[tuple(index)]} at entry {index}")
+    return m
 
 
 def partial_trace(rho: np.ndarray, keep="a") -> np.ndarray:
@@ -250,8 +264,9 @@ def _spectral_entropy(eigenvalues: np.ndarray):
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Spectral entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    return _spectral_entropy(herm_eig(rho)[0])
+    """Spectral entropy -sum p log2 p in bits, with 0 log 0 = 0, of a finite
+    matrix."""
+    return _spectral_entropy(herm_eig(_finite(np.asarray(rho, dtype=complex)))[0])
 
 
 def _divergence(rho: np.ndarray, s: np.ndarray, vecs: np.ndarray, rho_entropy):

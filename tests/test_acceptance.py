@@ -9,13 +9,13 @@ import pytest
 
 from entqfi import (
     ExperimentConfig,
-    c_matrix,
     concurrence,
     derive_stream,
     emit_census_report,
     emit_plot_data,
     emit_state_csv,
     is_separable,
+    max_mean_qfi,
     negativity,
     optimize_with_refinement,
     random_density_matrix,
@@ -141,7 +141,7 @@ def test_criterion_06a_pure_state_oracles():
         solution = ree(rho)
         assert abs(solution.value - ree_pure_oracle(psi)) <= solution.gap + 1e-12
         assert abs(negativity(rho) - concurrence(rho)) <= 1e-9
-        c = c_matrix(rho)
+        c = max_mean_qfi(rho).c_matrix
         for k, j_k in enumerate(LOCAL_SPINS[:3] + LOCAL_SPINS[3:]):
             mean = np.real(psi.conj() @ j_k @ psi)
             second = np.real(psi.conj() @ (j_k @ j_k) @ psi)

@@ -1156,11 +1156,46 @@ def test_every_submodule_name_is_exported():
             assert getattr(entqfi, public) is getattr(module, public), (name, public)
 
 
+ENTQFI_MODULES = frozenset({"entqfi", *(f"entqfi.{name}" for name in SUBMODULES)})
+
+
+def names_read_in(source: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The export names that a source reads, and the record fields.
+
+    A name that it loads or imports reads an export, as does an attribute
+    loaded off a name that the source binds to an entqfi module (``import
+    entqfi``, ``import entqfi.x as y``, ``from entqfi import x``, and in
+    src/ ``from . import x``).  Any other attribute load reads a field."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = {
+                alias.asname or alias.name.partition(".")[0]: alias.name for alias in node.names
+            }
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["entqfi" if node.level else "", node.module]))
+            bound = {alias.asname or alias.name: f"{package}.{alias.name}" for alias in node.names}
+        else:
+            continue
+        modules |= {name for name, module in bound.items() if module in ENTQFI_MODULES}
+    exports, fields = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            exports.add(node.id)
+        elif isinstance(node, ast.alias):
+            exports.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+            (exports if on_module else fields).add(node.attr)
+    return frozenset(exports), frozenset(fields)
+
+
 @functools.cache
 def names_read_by_runs() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """For each src/ module other than ``__init__``, each benchmark script
-    and README's python blocks, by path from the repository root: the names
-    it loads or imports, and the attribute names among them that it loads."""
+    """``names_read_in`` of each src/ module other than ``__init__``, each
+    benchmark script and README's python blocks, by path from the
+    repository root."""
     root = Path(__file__).resolve().parents[1]
     paths = [*(root / "src" / "entqfi").glob("*.py"), *(root / "benchmarks").glob("*.py")]
     sources = {
@@ -1170,18 +1205,26 @@ def names_read_by_runs() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     }
     readme = (root / "README.md").read_text(encoding="utf-8")
     sources["README.md"] = "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))
-    reads = {}
-    for path, source in sources.items():
-        read, attributes = set(), set()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-        reads[path] = frozenset(read | attributes), frozenset(attributes)
-    return reads
+    return {path: names_read_in(source) for path, source in sources.items()}
+
+
+def test_an_export_is_read_by_name_and_a_field_off_anything_else():
+    source = """
+import numpy
+import entqfi
+import entqfi.measures as m
+from entqfi import experiment, max_mean_qfi
+from . import states
+
+qfi = max_mean_qfi(rho)
+print(numpy.__version__, qfi.c_matrix, qfi.mean_qfi, numpy.linalg.eigh)
+print(experiment.ree, m.negativity, entqfi.concurrence, states.herm_eig)
+"""
+    exports, fields = names_read_in(source)
+    assert {"max_mean_qfi", "ree", "negativity", "concurrence", "herm_eig"} <= exports
+    assert {"__version__", "c_matrix", "mean_qfi", "linalg", "eigh"} <= fields
+    assert not exports & {"__version__", "c_matrix", "mean_qfi", "linalg", "eigh"}
+    assert not fields & {"ree", "negativity", "concurrence", "herm_eig"}
 
 
 # Exports that no reader outside their own module names, each with its reason.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from entqfi import (
-    c_matrix,
     max_mean_qfi,
     random_density_matrix,
     derive_stream,
@@ -52,7 +51,7 @@ def test_pair_weights_zero_a_pair_sum_at_the_zero_cutoff_only():
 def test_c_matrix_symmetric_psd():
     for index in range(10):
         rho = random_density_matrix(derive_stream(200, index))
-        c = c_matrix(rho)
+        c = max_mean_qfi(rho).c_matrix
         assert c.shape == (3, 3)
         assert np.allclose(c, c.T, atol=1e-12)
         assert np.linalg.eigvalsh(c)[0] > -1e-10
@@ -63,7 +62,7 @@ def test_qfi_direction_is_quadratic_form_of_c():
     rng = np.random.default_rng(17)
     for index in range(5):
         rho = random_density_matrix(derive_stream(201, index))
-        c = c_matrix(rho)
+        c = max_mean_qfi(rho).c_matrix
         p, basis = np.linalg.eigh(rho)
         weights = pair_weights(p)
         for _ in range(4):
@@ -144,7 +143,7 @@ def test_pure_state_diagonal_is_four_variances():
     for _ in range(10):
         psi = random_pure_state(rng)
         rho = pure(psi)
-        c = c_matrix(rho)
+        c = max_mean_qfi(rho).c_matrix
         for k, j_k in enumerate(LOCAL_SPINS[:3] + LOCAL_SPINS[3:]):
             mean = np.real(psi.conj() @ j_k @ psi)
             second = np.real(psi.conj() @ (j_k @ j_k) @ psi)

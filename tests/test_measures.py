@@ -539,13 +539,17 @@ def test_ree_solver_bell_state():
 def test_ree_rejects_a_matrix_that_is_not_a_state():
     # None of these is a state, so the solve and its certificate do not hold:
     # without the check, half a Bell matrix reads 1.8e-10 bits converged, the
-    # skew one 1.0 under a 1945-bit gap, and the zero matrix 0.
+    # skew one 1.0 under a 1945-bit gap, the zero matrix 0, the first
+    # diagonal with negative entries 0.32 bits unconverged, and the second
+    # fails in the entropy's range rule.
     bell = bell_state()
     skew = bell + np.triu(np.full((4, 4), 0.3j), 1)
     cases = {
         "rho has trace 0.5, not 1 within 1e-10": 0.5 * bell,
         "rho is not Hermitian within 1e-10": skew,
         "rho has trace 0, not 1 within 1e-10": np.zeros((4, 4)),
+        "rho has eigenvalue -0.05, not >= 0 within 1e-10": np.diag([0.7, 0.4, -0.05, -0.05]),
+        "rho has eigenvalue -0.1, not >= 0 within 1e-10": np.diag([1.2, -0.1, -0.05, -0.05]),
     }
     for message, rho in cases.items():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

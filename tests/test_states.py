@@ -16,7 +16,6 @@ from entqfi import (
     ExperimentConfig,
     apply_local_unitary,
     classify_pair,
-    c_matrix,
     concurrence,
     derive_stream,
     find_counterexamples,
@@ -92,10 +91,12 @@ def test_lapack_kernels_match_numpy_bit_for_bit():
     sym = rng.normal(size=(372, 3, 3))
     square = rng.normal(size=(15, 15))
     rhs = rng.normal(size=15)
+    herm = herm + herm.conj().swapaxes(1, 2)
     with lapack_guard():
-        for m in (herm + herm.conj().swapaxes(1, 2), sym + sym.swapaxes(1, 2), square @ square.T):
-            for mine, numpy_s in zip(eigh(m), np.linalg.eigh(m)):
-                assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+        # eigh decomposes complex matrices only; the rotation forms are real
+        for mine, numpy_s in zip(eigh(herm), np.linalg.eigh(herm)):
+            assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
+        for m in (herm, sym + sym.swapaxes(1, 2), square @ square.T):
             mine, numpy_s = eigvalsh(m), np.linalg.eigvalsh(m)
             assert mine.dtype == numpy_s.dtype and np.array_equal(mine, numpy_s)
         mine, numpy_s = solve(square, rhs), np.linalg.solve(square, rhs)
@@ -150,6 +151,25 @@ def test_lapack_kernels_raise_under_the_guard():
                 with pytest.raises(EigendecompositionError) as info:
                     kernel(stack.reshape(2, 2, 4, 4))
                 assert info.value.matrix.shape == (4, 4) and np.isnan(info.value.matrix).all()
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.inf)])
+def test_herm_eig_and_the_entropy_reject_a_non_finite_entry(entry):
+    # LAPACK leaves an eigenvalue of I/4 with a NaN on the diagonal NaN
+    # without setting the invalid flag; herm_eig raises on it all the same,
+    # and the entropy names the entry before any eigensolve.
+    rho = IDENTITY_4 / 4.0
+    rho[1, 1] = entry
+    with warnings.catch_warnings():
+        # (M + M†)/2 of an infinite entry is NaN, after numpy's warning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for matrix in (rho, np.stack([IDENTITY_4 / 4.0, rho])):
+            with pytest.raises(EigendecompositionError) as info:
+                herm_eig(matrix)
+            assert info.value.matrix.shape == (4, 4) and np.isnan(info.value.matrix[1, 1])
+    message = f"^expected a finite matrix, got {re.escape(str(rho[1, 1]))} at entry \\[1, 1\\]$"
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy(rho)
 
 
 def test_a_singular_system_reads_nan_in_its_own_row_of_the_stack():
@@ -531,7 +551,6 @@ SINGLE_STATE_FUNCTIONS = {
     "is_separable": is_separable,
     "ree": ree,
     "spin_qfi_matrix": spin_qfi_matrix,
-    "c_matrix": c_matrix,
     "max_mean_qfi": max_mean_qfi,
     "optimize_with_refinement": optimize_with_refinement,
     "grid_search": lambda rho: grid_search(rho, 2.0 * math.pi / 4),
