@@ -34,8 +34,9 @@ that would leave sigma > 0 or mu > 0 is damped.  Each start's polish runs
 stacked over its states: each keeps its own mu, damping, step count and
 convergence, and leaves the stack as it converges or fails; a singular KKT
 matrix ends only its own state's polish.  Where the stacked solve fails,
-a second solve with the invalid flag ignored reads the singular rows off
-LAPACK's NaN output, as ``states._failing`` reads a failed eigensolve's.
+``states._nan_rows``, the one reader of a failed LAPACK call's NaN rows,
+solves it again and names the singular rows, as it names a failed
+eigensolve's matrix for ``states._failing``.
 The first and second divided differences of ln run in numpy over the
 whole stack, each sorted pair and triple of eigenvalues once.
 ``ree(rho)`` alone runs the same chain, and the same certificate, as a
@@ -78,7 +79,8 @@ the LAPACK kernels of ``states`` under one ``lapack_guard()`` per chunk:
 a failed spectrum raises ``EigendecompositionError``, and a chunk that
 fails reruns state by state to name it; a singular KKT matrix ends its
 state's polish, and a singular barrier Hessian, whose step LAPACK leaves
-NaN, the solve, where it is.
+NaN, the barrier solve, where it is.  Both are read through
+``states._nan_rows``: this module never sets numpy's error state itself.
 
 Value rule.  Concurrence, negativity and REE lie in [0, 1] under the one
 range rule ``states.clip_roundoff``, which judges each measure of a chunk
@@ -115,6 +117,7 @@ from .states import (
     PAULI_PRODUCTS,
     ZERO_CUTOFF,
     _divergence,
+    _nan_rows,
     _spectral_entropy,
     _two_qubit,
     clip_roundoff,
@@ -627,15 +630,13 @@ def _on_face(s: list) -> bool:
 def _kkt_steps(matrix: np.ndarray, residual: np.ndarray):
     """The Newton step ``solve(matrix, -residual)`` of each system of a stack
     and the rows where it failed: where the stacked solve finds a matrix
-    singular, the stack is solved once more with the invalid flag ignored,
-    and the rows that LAPACK leaves NaN, the singular ones, fail; their
-    steps read 0."""
+    singular, ``states._nan_rows`` solves the stack once more and reads the
+    singular rows, the ones LAPACK leaves NaN; they fail, and their steps
+    read 0."""
     try:
         return solve(matrix, -residual), []
     except LinAlgError:
-        with np.errstate(invalid="ignore"):
-            steps = solve(matrix, -residual)
-    failed = np.flatnonzero(np.isnan(steps).any(axis=1))
+        steps, failed = _nan_rows(solve, matrix, -residual)
     steps[failed] = 0.0
     return steps, failed.tolist()
 
@@ -739,8 +740,7 @@ def _barrier_solve(rho: np.ndarray, lowest_pt: float):
         value, decrement = _barrier(t, p), math.inf
         while decrement > (_CENTERED if j else _CENTERED_FINAL) and steps < _MAX_STEPS:
             grad, hess, scaled = _newton_system(t, p)
-            with np.errstate(invalid="ignore"):  # LAPACK leaves a singular Hessian's dx NaN
-                dx = solve(hess, -grad)
+            dx = _nan_rows(solve, hess, -grad)[0]  # a singular Hessian's dx reads NaN
             decrement, steps = -float(grad @ dx), steps + 1
             if not decrement >= 0.0:  # roundoff left the Hessian singular or indefinite
                 return p, steps, t

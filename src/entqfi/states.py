@@ -35,8 +35,13 @@ Conventions shared by the whole package:
   state; the REE solve calls them tens of times per entangled state.  Each
   takes the dtypes its callers pass: ``eigh`` complex matrices, ``solve``
   real systems, ``eigvalsh`` both (the rotation forms are real).  A
-  LAPACK failure only sets the invalid flag: call them inside
-  ``lapack_guard()``, which raises it as ``LinAlgError``.
+  LAPACK failure only sets the invalid flag, once for a whole stack: call
+  them inside ``lapack_guard()``, which raises it as ``LinAlgError``.  The
+  failed matrix's eigenvalues, or the singular system's solution, read NaN
+  in its own row; ``_nan_rows`` is the one reader of those rows, for
+  ``_failing``, for REE's KKT and barrier steps and for ``herm_eig``'s
+  refusal of a non-finite entry, and this module is the only one that
+  sets numpy's error state.
 * ``clip_roundoff`` is the one range rule of every reported value, one
   array code path for a scalar and for a stack alike; a stacked caller
   judges its whole stack in one call, a slack per value where each value
@@ -173,17 +178,25 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
         raise EigendecompositionError(_failing(m)) from exc
 
 
+def _nan_rows(kernel, *args):
+    """``kernel(*args)`` with only the invalid flag ignored, and the indices
+    along the output's leading axis that hold a NaN: a failing LAPACK call
+    sets one invalid flag for a whole stack and leaves each failed matrix's
+    eigenvalues, or each singular system's solution, NaN in its own row, as
+    ``_hermitian_part`` leaves a matrix with an infinite entry."""
+    with np.errstate(invalid="ignore"):
+        out = kernel(*args)
+    return out, np.flatnonzero(np.isnan(out).reshape(len(out), -1).any(axis=1))
+
+
 def _failing(m: np.ndarray) -> np.ndarray:
     """The matrix that an eigensolve of m failed on: m itself, or the first
-    of a stack whose eigenvalues come out NaN, as a failing LAPACK call
-    leaves them while it sets one invalid flag for the whole stack (the
-    whole stack where none does)."""
+    of a stack whose eigenvalues ``_nan_rows`` reads NaN (the whole stack
+    where none does)."""
     if m.ndim == 2:
         return m
     stack = m.reshape((-1,) + m.shape[-2:])
-    with np.errstate(invalid="ignore"):
-        vals = eigvalsh(stack)
-    failed = np.flatnonzero(np.isnan(vals).any(axis=-1))
+    failed = _nan_rows(eigvalsh, stack)[1]
     return stack[failed[0]] if failed.size else m
 
 
@@ -205,10 +218,17 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of ``(M + M†)/2`` under ``lapack_guard()``: the ascending
     eigenvalues and eigenvectors of a matrix, or of each in a stack, that
-    is Hermitian only up to roundoff.  An eigenvalue that LAPACK leaves NaN
-    without setting the invalid flag, as it does for a NaN on the diagonal,
-    raises ``EigendecompositionError`` too."""
-    m = _hermitian_part(np.asarray(matrix, dtype=complex))
+    is Hermitian only up to roundoff.  A NaN or infinite entry raises
+    ``EigendecompositionError`` with the (M + M†)/2 of its matrix before any
+    arithmetic can warn, and so does an eigenvalue that LAPACK leaves NaN
+    without setting the invalid flag, as it does for a finite entry whose
+    (M + M†)/2 overflows."""
+    m = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        # (M + M†)/2 of an infinite entry takes 0·inf and reads NaN.
+        stack, failed = _nan_rows(_hermitian_part, m.reshape((-1,) + m.shape[-2:]))
+        raise EigendecompositionError(stack[failed[0]])
+    m = _hermitian_part(m)
     with lapack_guard():
         vals, vecs = eigh(m)
     if np.isnan(vals).any():

@@ -38,6 +38,7 @@ from entqfi.measures import _pt_eigh
 from entqfi.states import (
     EigendecompositionError,
     _divergence,
+    _nan_rows,
     _spectral_entropy,
     clip_roundoff,
     eigh,
@@ -130,6 +131,27 @@ def test_only_states_reads_the_private_numpy_kernels_and_only_three():
     assert kernels == {"eigh_lo", "eigvalsh_lo", "solve1"}
 
 
+def test_only_states_sets_numpy_error_state():
+    # A LAPACK failure reaches the package only as numpy's invalid flag, so
+    # states owns that flag: lapack_guard() raises it, and _nan_rows reads a
+    # failed call's NaN rows with it ignored.  No other module of src/entqfi
+    # calls np.errstate, np.seterr or np.seterrcall.
+    src = Path(__file__).resolve().parents[1] / "src" / "entqfi"
+    setters = {"errstate", "seterr", "seterrcall"}
+    setting = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in setters:
+                setting.add(path.name)
+    assert setting == {"states.py"}
+
+
 def test_lapack_kernels_raise_under_the_guard():
     nan = np.full((4, 4), np.nan, dtype=complex)
     with warnings.catch_warnings():
@@ -155,30 +177,51 @@ def test_lapack_kernels_raise_under_the_guard():
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.inf)])
 def test_herm_eig_and_the_entropy_reject_a_non_finite_entry(entry):
-    # LAPACK leaves an eigenvalue of I/4 with a NaN on the diagonal NaN
-    # without setting the invalid flag; herm_eig raises on it all the same,
-    # and the entropy names the entry before any eigensolve.
+    # herm_eig refuses a non-finite entry, alone or in a stack, before any
+    # arithmetic warns ((M + M†)/2 of an infinite entry takes 0·inf), and
+    # carries that matrix's (M + M†)/2, NaN at the entry and its mirror; the
+    # entropy names the entry before any eigensolve.  A warning is an error.
+    for index in ((1, 1), (0, 1)):
+        rho = IDENTITY_4 / 4.0
+        rho[index] = entry
+        nan = np.zeros((4, 4), dtype=bool)
+        nan[index] = nan[index[::-1]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for matrix in (rho, np.stack([IDENTITY_4 / 4.0, rho])):
+                with pytest.raises(EigendecompositionError) as info:
+                    herm_eig(matrix)
+                assert np.array_equal(np.isnan(info.value.matrix), nan)
+            got, at = re.escape(str(rho[index])), re.escape(str(list(index)))
+            with pytest.raises(ValueError, match=f"^expected a finite matrix, got {got} at entry {at}$"):
+                von_neumann_entropy(rho)
+
+
+def test_herm_eig_rejects_a_finite_entry_whose_hermitian_part_overflows():
+    # 1e308 on the diagonal is finite, but (M + M†)/2 overflows there to
+    # inf + NaN·j; LAPACK then leaves all four eigenvalues NaN and sets no
+    # invalid flag, so the NaN scan after eigh is what raises.  numpy reports
+    # the overflow, the 0·inf and, where the scan looks for the failed matrix
+    # of a stack, a divide by zero: the caller here ignores them.
     rho = IDENTITY_4 / 4.0
-    rho[1, 1] = entry
-    with warnings.catch_warnings():
-        # (M + M†)/2 of an infinite entry is NaN, after numpy's warning
-        warnings.simplefilter("ignore", RuntimeWarning)
+    rho[1, 1] = 1e308
+    with np.errstate(all="ignore"):
+        hermitian = states._hermitian_part(rho)
+        with lapack_guard():
+            assert np.isnan(eigh(hermitian)[0]).all()
         for matrix in (rho, np.stack([IDENTITY_4 / 4.0, rho])):
             with pytest.raises(EigendecompositionError) as info:
                 herm_eig(matrix)
             assert info.value.matrix.shape == (4, 4) and np.isnan(info.value.matrix[1, 1])
-    message = f"^expected a finite matrix, got {re.escape(str(rho[1, 1]))} at entry \\[1, 1\\]$"
-    with pytest.raises(ValueError, match=message):
-        von_neumann_entropy(rho)
 
 
 def test_a_singular_system_reads_nan_in_its_own_row_of_the_stack():
     # REE's Newton steps read a singular system off this: under
-    # lapack_guard() a stack that holds one singular system raises; with the
-    # invalid flag ignored, the solve leaves exactly that row NaN and every
-    # other row as it solves alone, bit for bit.  A lone singular 15x15, the
-    # barrier's Hessian, reads all NaN.  A zero column makes the pivot an
-    # exact 0.
+    # lapack_guard() a stack that holds one singular system raises; through
+    # _nan_rows, with the invalid flag ignored, the solve leaves exactly that
+    # row NaN and every other row as it solves alone, bit for bit, and names
+    # that row.  A lone singular 15x15, the barrier's Hessian, reads all NaN.
+    # A zero column makes the pivot an exact 0.
     rng = np.random.default_rng(13)
     a, b = rng.normal(size=(5, 16, 16)), rng.normal(size=(5, 16))
     a[2, :, 5] = 0.0
@@ -190,10 +233,10 @@ def test_a_singular_system_reads_nan_in_its_own_row_of_the_stack():
             with pytest.raises(LinAlgError):
                 solve(a, b)
             alone = [solve(a[k], b[k]) for k in (0, 1, 3, 4)]
-        with np.errstate(invalid="ignore"):
-            steps = solve(a, b)
-            lone = solve(square, np.ones(15))
-    assert np.isnan(steps).any(axis=1).tolist() == [False, False, True, False, False]
+        with lapack_guard():
+            steps, failed = _nan_rows(solve, a, b)
+            lone = _nan_rows(solve, square, np.ones(15))[0]
+    assert failed.tolist() == [2]
     assert np.isnan(steps[2]).all()
     assert [steps[k].tobytes() for k in (0, 1, 3, 4)] == [x.tobytes() for x in alone]
     assert np.isnan(lone).all()
