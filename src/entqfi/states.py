@@ -38,10 +38,12 @@ Conventions shared by the whole package:
   LAPACK failure only sets the invalid flag, once for a whole stack: call
   them inside ``lapack_guard()``, which raises it as ``LinAlgError``.  The
   failed matrix's eigenvalues, or the singular system's solution, read NaN
-  in its own row; ``_nan_rows`` is the one reader of those rows, for
-  ``_failing``, for REE's KKT and barrier steps and for ``herm_eig``'s
-  refusal of a non-finite entry, and this module is the only one that
-  sets numpy's error state.
+  in its own row.  ``_nan_rows`` is the one reader of those rows, one quiet
+  read with every floating-point flag ignored: ``herm_eig`` takes its
+  (M + M†)/2 and ``eigh`` through it in one pass, so a non-finite entry, an
+  overflowing (M + M†)/2 and a failed eigensolve all raise, none warning
+  first, and ``_failing`` and REE's KKT retry and barrier step read through
+  it too.  This module is the only one that sets numpy's error state.
 * ``clip_roundoff`` is the one range rule of every reported value, one
   array code path for a scalar and for a stack alike; a stacked caller
   judges its whole stack in one call, a slack per value where each value
@@ -179,14 +181,17 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
 
 
 def _nan_rows(kernel, *args):
-    """``kernel(*args)`` with only the invalid flag ignored, and the indices
-    along the output's leading axis that hold a NaN: a failing LAPACK call
-    sets one invalid flag for a whole stack and leaves each failed matrix's
-    eigenvalues, or each singular system's solution, NaN in its own row, as
-    ``_hermitian_part`` leaves a matrix with an infinite entry."""
-    with np.errstate(invalid="ignore"):
+    """``kernel(*args)`` with every floating-point flag ignored, and the
+    indices along the leading axis of its output, or of its first output
+    where it returns several, that hold a NaN: a failing LAPACK call sets
+    one invalid flag for a whole stack and leaves each failed matrix's
+    eigenvalues, or each singular system's solution, NaN in its own row.
+    Nothing is warned or raised, so the rows are the one reading of the
+    failure."""
+    with np.errstate(all="ignore"):
         out = kernel(*args)
-    return out, np.flatnonzero(np.isnan(out).reshape(len(out), -1).any(axis=1))
+    first = out[0] if isinstance(out, tuple) else out
+    return out, np.isnan(first).reshape(len(first), -1).any(axis=1).nonzero()[0]
 
 
 def _failing(m: np.ndarray) -> np.ndarray:
@@ -203,8 +208,8 @@ def _failing(m: np.ndarray) -> np.ndarray:
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(a, b)`` for a real a and one real right-hand side
     vector b.  Under ``lapack_guard()`` a singular a raises ``LinAlgError``;
-    with the invalid flag ignored, each singular system of a stack reads NaN
-    in its own row, and the others as they solve alone."""
+    through ``_nan_rows``, each singular system of a stack reads NaN in its
+    own row, and the others as they solve alone."""
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
@@ -215,25 +220,25 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def _hermitian_eigh(stack: np.ndarray):
+    """``eigh`` of each matrix's ``(M + M†)/2`` in a stack, and those parts."""
+    hermitian = _hermitian_part(stack)
+    return (*eigh(hermitian), hermitian)
+
+
 def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of ``(M + M†)/2`` under ``lapack_guard()``: the ascending
-    eigenvalues and eigenvectors of a matrix, or of each in a stack, that
-    is Hermitian only up to roundoff.  A NaN or infinite entry raises
-    ``EigendecompositionError`` with the (M + M†)/2 of its matrix before any
-    arithmetic can warn, and so does an eigenvalue that LAPACK leaves NaN
-    without setting the invalid flag, as it does for a finite entry whose
-    (M + M†)/2 overflows."""
+    """``eigh`` of ``(M + M†)/2``: the ascending eigenvalues and eigenvectors
+    of a matrix, or of each in a stack, that is Hermitian only up to
+    roundoff.  Both run in one ``_nan_rows`` call, every floating-point flag
+    ignored, and its NaN eigenvalues are the one reading of a failure: a
+    matrix with a NaN or infinite entry, one whose (M + M†)/2 overflows or
+    one that LAPACK fails on raises ``EigendecompositionError`` with the
+    (M + M†)/2 of the first such matrix, and nothing is warned first."""
     m = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(m).all():
-        # (M + M†)/2 of an infinite entry takes 0·inf and reads NaN.
-        stack, failed = _nan_rows(_hermitian_part, m.reshape((-1,) + m.shape[-2:]))
-        raise EigendecompositionError(stack[failed[0]])
-    m = _hermitian_part(m)
-    with lapack_guard():
-        vals, vecs = eigh(m)
-    if np.isnan(vals).any():
-        raise EigendecompositionError(_failing(m))
-    return vals, vecs
+    (vals, vecs, hermitian), failed = _nan_rows(_hermitian_eigh, m.reshape((-1,) + m.shape[-2:]))
+    if failed.size:
+        raise EigendecompositionError(hermitian[failed[0]])
+    return vals.reshape(m.shape[:-1]), vecs.reshape(m.shape)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py on synthetic runs: the per-metric verdict, the series and
-the checks of each run."""
+the checks of each run; its real-size probes on fake checkouts."""
 
 import importlib.util
 import json
@@ -198,3 +198,108 @@ def test_each_run_keeps_what_wall_s_is_divided_by(monkeypatch, tmp_path):
     for run in record["runs"]:
         del run["diagnostics"]
     assert bench_pairs.summarize(record["runs"], spec["end_to_end"])["w"]["diagnostics"] == {}
+
+
+# A fake checkout's entqfi for the probes: each probe process logs its side
+# once, on import, and run_experiment reports that side's fixed timing.  It
+# fails unless BLAS is pinned to one thread, and a probe that imported the
+# real package in its place would report other keys.
+FAKE_PACKAGE = """\
+import os
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+with open(ROOT.parent / "probes.log", "a", encoding="utf-8") as log:
+    log.write(ROOT.name + "\\n")
+TIMING = {timing!r}
+
+
+class ExperimentConfig:
+    def __init__(self, count, master_seed):
+        self.master_seed = master_seed
+
+
+def run_experiment(config):
+    if ROOT.name == "parent" and config.master_seed == 3:
+        raise RuntimeError("the probe fails")
+    return types.SimpleNamespace(timing=TIMING)
+"""
+# Its CLI says whether its output directory was new.
+FAKE_CLI = """\
+import sys
+from pathlib import Path
+
+out = Path(sys.argv[sys.argv.index("--out") + 1])
+print("states=1")
+print(f"wall seconds: fresh={int(not out.exists())}")
+out.mkdir(exist_ok=True)
+"""
+
+
+def fake_checkouts(tmp_path, monkeypatch):
+    """A parent whose total_wall reads half the change's, and argv naming
+    both; the series file is written under tmp_path."""
+    timings = {
+        "parent": {"total_wall": 1.0, "ree_wall": 0.5},
+        "change": {"total_wall": 2.0, "ree_wall": 0.5},
+    }
+    for side, timing in timings.items():
+        package = tmp_path / side / "src" / "entqfi"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(FAKE_PACKAGE.format(timing=timing), encoding="utf-8")
+        (package / "cli.py").write_text(FAKE_CLI, encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+
+
+def test_probe_pairs_alternate_and_read_a_verdict_per_timing_key(tmp_path, monkeypatch):
+    argv = fake_checkouts(tmp_path, monkeypatch) + ["--workload", "run_experiment", "--states", "7"]
+    assert bench_pairs.main(argv + ["--seeds", "1", "2", "--name", "t"]) == 0
+    # A second invocation goes on alternating from the pairs in the file.
+    assert bench_pairs.main(argv + ["--seeds", "4", "--name", "t"]) == 0
+    log = (tmp_path / "probes.log").read_text(encoding="utf-8").split()
+    assert log == ["parent", "change", "change", "parent", "parent", "change"]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert [(run["side"], run["seed"]) for run in record["runs"]] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2), ("parent", 4), ("change", 4),
+    ]
+    assert record["pairs"] == "run_experiment --states 7: seeds 1, 2, 4 (3 pairs)"
+    for run in record["runs"]:
+        assert run["states"] == 7 and len(run["result"]["ru_minflt"]) == 3
+        assert set(run["diagnostics"]) == {"ru_minflt", "ru_maxrss"}
+    summary = record["summary_trace0_medians"]["run_experiment"]
+    assert summary["total_wall"]["verdict"] == "worse"
+    assert summary["total_wall"]["change_won"] == 0
+    assert summary["ree_wall"]["verdict"] == "same"
+    assert summary["ree_wall"]["parent_median"] == summary["ree_wall"]["change_median"] == 0.5
+    assert {name: entry["pairs"] for name, entry in summary["diagnostics"].items()} == {
+        "ru_minflt": 3, "ru_maxrss": 3,
+    }
+
+
+def test_a_failed_probe_appends_no_part_of_its_pair(tmp_path, monkeypatch):
+    # The second pair runs the change first, then the parent, whose probe
+    # fails: the change's run of that pair is dropped with it.
+    argv = fake_checkouts(tmp_path, monkeypatch) + ["--workload", "run_experiment"]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv + ["--seeds", "1", "3", "--name", "t"])
+    assert "the probe fails" in str(info.value.code)
+    assert (tmp_path / "probes.log").read_text(encoding="utf-8").split() == [
+        "parent", "change", "change", "parent",
+    ]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert [(run["side"], run["seed"]) for run in record["runs"]] == [("parent", 1), ("change", 1)]
+
+
+def test_the_cli_probe_writes_into_a_new_directory_then_into_it_again(tmp_path, monkeypatch):
+    argv = fake_checkouts(tmp_path, monkeypatch) + ["--workload", "cli_rerun", "--states", "5"]
+    assert bench_pairs.main(argv + ["--seeds", "1", "--name", "t"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    for run in record["runs"]:
+        assert list(run["result"]["metrics"]) == ["first_s", "rerun_s"]
+        assert run["result"]["wall_seconds"] == ["wall seconds: fresh=1", "wall seconds: fresh=0"]
+    summary = record["summary_trace0_medians"]["cli_rerun"]
+    assert [name for name in summary if name != "diagnostics"] == ["first_s", "rerun_s"]
+    assert all(summary[name]["pairs"] == 1 for name in ("first_s", "rerun_s"))

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import functools
 import importlib
+import itertools
 import math
 import os
 import re
@@ -21,6 +22,7 @@ from entqfi import (
     EulerAngleSet,
     ExperimentConfig,
     ExperimentResult,
+    OrderingClass,
     StateRecord,
     census,
     classify_pair,
@@ -57,6 +59,7 @@ from helpers import (
     random_pure_state,
     ree_bell_diagonal_oracle,
     ree_pure_oracle,
+    simplex_eigenvalues,
     werner,
 )
 
@@ -1410,3 +1413,67 @@ def test_committed_entqfi_commands_parse():
     assert flags
     for flag in flags:
         assert flag in options, flag
+
+
+def _family_run(monkeypatch, rhos):
+    """``run_experiment`` on the stack rhos in place of the sampled states,
+    one chunk, so the cross-measure checks and ``census_and_witnesses`` run
+    as in a real run; with every ``ReeSolution`` the run took, in id order."""
+    solutions = []
+
+    def recording_ree(*args, **kwargs):
+        solutions.append(ree(*args, **kwargs))
+        return solutions[-1]
+
+    def family(streams):
+        assert len(streams) == len(rhos)
+        return rhos
+
+    monkeypatch.setattr(experiment, "_density_matrices", family)
+    monkeypatch.setattr(experiment, "ree", recording_ree)
+    return run_experiment(ExperimentConfig(count=len(rhos))), solutions
+
+
+def _pairs_with_opposite_measures(records) -> int:
+    """The pairs of which one measure reads first-greater and another
+    second-greater, each relation ``classify_pair``'s at the default
+    tolerances."""
+    opposite = {"first-greater", "second-greater"}
+    return sum(
+        opposite <= {classify_pair(a, b, measure).measure_relation for measure in MEASURE_NAMES}
+        for a, b in itertools.combinations(records, 2)
+    )
+
+
+def test_known_answer_censuses_order_the_measures_alike(monkeypatch):
+    # Known answers up to local unitaries.  A pure state cos t|00> + sin t|11>
+    # has C = N = sin 2t and REE = h((1 + sqrt(1 - C^2))/2) (Vedral & Plenio,
+    # PRA 57, 1619, 1998); a Bell-diagonal state with largest weight l has
+    # C = N = max(0, 2l - 1) and REE = 1 - h(l) for l >= 1/2.  Each measure
+    # increases with C, or with l, so no pair of either family may read two
+    # of them in opposite order.  The pure family runs on REE's barrier.
+    rng = np.random.default_rng(2026)
+    psis = [random_pure_state(rng) for _ in range(100)]
+    result, solutions = _family_run(monkeypatch, np.stack([pure(psi) for psi in psis]))
+    records = result.records
+    for record, solution, psi in zip(records, solutions, psis):
+        assert abs(record.concurrence - record.negativity) <= 1e-12
+        assert record.ree_converged and abs(record.ree - ree_pure_oracle(psi)) <= solution.gap
+    assert result.censuses["concurrence"] == result.censuses["negativity"]
+    assert _pairs_with_opposite_measures(records) == 0
+    # The maximal mean QFI over local rotations of a pure state is 1 + C, so
+    # a pair that qfi_max orders opposite to C is an artefact of the grid:
+    # measured, 5 of the 4950 pairs.
+    table = result.censuses["concurrence"]
+    opposite = table[OrderingClass("first-greater", "less")]
+    opposite += table[OrderingClass("second-greater", "greater")]
+    assert opposite == 5
+
+    rng = np.random.default_rng(2027)
+    weights = [simplex_eigenvalues(rng) for _ in range(100)]
+    result, solutions = _family_run(monkeypatch, np.stack([bell_diagonal(w) for w in weights]))
+    assert sum(not record.separable for record in result.records) == 48
+    for record, solution, w in zip(result.records, solutions, weights):
+        expected = ree_bell_diagonal_oracle(max(w)) if max(w) > 0.5 else 0.0
+        assert abs(record.ree - expected) <= solution.gap + 1e-12
+    assert _pairs_with_opposite_measures(result.records) == 0

@@ -177,9 +177,9 @@ def test_lapack_kernels_raise_under_the_guard():
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.inf)])
 def test_herm_eig_and_the_entropy_reject_a_non_finite_entry(entry):
-    # herm_eig refuses a non-finite entry, alone or in a stack, before any
-    # arithmetic warns ((M + M†)/2 of an infinite entry takes 0·inf), and
-    # carries that matrix's (M + M†)/2, NaN at the entry and its mirror; the
+    # herm_eig refuses a non-finite entry, alone or in a stack, and warns
+    # nothing, though (M + M†)/2 of an infinite entry takes 0·inf; it
+    # carries that matrix's (M + M†)/2, NaN at the entry and its mirror.  The
     # entropy names the entry before any eigensolve.  A warning is an error.
     for index in ((1, 1), (0, 1)):
         rho = IDENTITY_4 / 4.0
@@ -200,19 +200,32 @@ def test_herm_eig_and_the_entropy_reject_a_non_finite_entry(entry):
 def test_herm_eig_rejects_a_finite_entry_whose_hermitian_part_overflows():
     # 1e308 on the diagonal is finite, but (M + M†)/2 overflows there to
     # inf + NaN·j; LAPACK then leaves all four eigenvalues NaN and sets no
-    # invalid flag, so the NaN scan after eigh is what raises.  numpy reports
-    # the overflow, the 0·inf and, where the scan looks for the failed matrix
-    # of a stack, a divide by zero: the caller here ignores them.
+    # invalid flag, so the NaN rows are what raises.  herm_eig reads them
+    # with every flag ignored: alone or in a stack, with no error state set
+    # by the caller, it raises and warns nothing first.
     rho = IDENTITY_4 / 4.0
     rho[1, 1] = 1e308
     with np.errstate(all="ignore"):
         hermitian = states._hermitian_part(rho)
         with lapack_guard():
             assert np.isnan(eigh(hermitian)[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         for matrix in (rho, np.stack([IDENTITY_4 / 4.0, rho])):
             with pytest.raises(EigendecompositionError) as info:
                 herm_eig(matrix)
             assert info.value.matrix.shape == (4, 4) and np.isnan(info.value.matrix[1, 1])
+
+
+def test_nan_rows_reads_a_failed_eigensolve_whatever_the_callers_error_state():
+    # An all-inf matrix makes eigvalsh divide by zero as well as fail; under
+    # a caller's np.errstate(all="raise") _nan_rows still names its row and
+    # raises nothing, since it ignores every flag, not only invalid.
+    stack = np.stack([IDENTITY_4, np.full((4, 4), np.inf, dtype=complex), IDENTITY_4 / 4.0])
+    with np.errstate(all="raise"):
+        values, failed = _nan_rows(eigvalsh, stack)
+    assert failed.tolist() == [1]
+    assert np.isnan(values[1]).all() and not np.isnan(values[[0, 2]]).any()
 
 
 def test_a_singular_system_reads_nan_in_its_own_row_of_the_stack():
